@@ -52,24 +52,17 @@ from .partition import (
     sample_address,
     sample_digit_matrix,
     stopped_statistics,
-    stream_lambda_k,
 )
 from .coding import (
     Antichain,
     AntichainCollisionError,
     AntichainInvariantError,
     AntichainReport,
-    CodingWord,
-    CodingWordError,
     StageLog,
     build_antichain,
     coding_predecessor,
     comparable,
     is_descendant,
-    l_inverse,
-    l_map,
-    lambda_mass,
-    make_coding_word,
     raw_coding_antichain,
     swap_tail,
     verify_maximal_antichain,
@@ -113,13 +106,10 @@ __all__ = [
     "StoppedStats", "check_phi_growth", "check_square_disjointness",
     "enumerate_lambda_k", "local_dimension_estimate", "partition_stats",
     "sample_address", "sample_digit_matrix", "stopped_statistics",
-    "stream_lambda_k",
     "Antichain", "AntichainCollisionError", "AntichainInvariantError",
-    "AntichainReport", "CodingWord", "CodingWordError", "StageLog",
-    "build_antichain", "coding_predecessor", "comparable", "is_descendant",
-    "l_inverse", "l_map", "lambda_mass", "make_coding_word",
-    "raw_coding_antichain", "swap_tail", "verify_maximal_antichain",
-    "xi_sequence",
+    "AntichainReport", "StageLog", "build_antichain", "coding_predecessor",
+    "comparable", "is_descendant", "raw_coding_antichain", "swap_tail",
+    "verify_maximal_antichain", "xi_sequence",
     "SequencePoint", "compute_d_k", "compute_s_k", "compute_t",
     "compute_u_k", "d_k_bound", "delta_k", "s_k_bound", "sequence_point",
     "t_bound",

@@ -155,11 +155,15 @@ def _collectable(params: DerivedParams, k: int, ctx: _Ctx):
     """Stats for level k, plus the collected partition when it fits."""
     stats = stopped_statistics(params, k)
     if stats.phi_k <= ctx.cap_words:
-        return stats, enumerate_lambda_k(params, k, cap=ctx.cap_words,
-                                         threads=ctx.threads)
+        return stats, enumerate_lambda_k(params, k, cap=ctx.cap_words)
     print(f"level k={k}: {stats.phi_k} words exceed --cap-words "
-          f"{ctx.cap_words}, streaming aggregates only")
+          f"{ctx.cap_words}, aggregates only")
     return stats, None
+
+
+def _pairs_cell(pairs) -> str:
+    """Index pairs as one comma-free CSV cell: ``(a:b c:d)``, or ``()``."""
+    return "(" + " ".join(f"{a}:{b}" for a, b in pairs) + ")"
 
 
 def cmd_validate(ctx: _Ctx) -> None:
@@ -206,7 +210,7 @@ def cmd_partition(ctx: _Ctx) -> None:
             disjoint = "true" if dis.ok else "false"
             if not dis.ok:
                 ctx.fail(command="partition", k=k, check="disjointness",
-                         detail=f"{dis.overlaps} overlapping interiors")
+                         detail=f"{len(dis.violations)} overlapping interiors")
         else:
             disjoint = "skipped"
         ok = checks.ok and disjoint != "false"
@@ -265,7 +269,8 @@ def cmd_antichain(ctx: _Ctx) -> None:
                      detail=f"delta={dlt} > C1={params.c1}")
         rows.append([
             k, chain.size, chain.base_size, len(chain.stage_logs),
-            float(removed), dlt, params.c1, report.comparable_pairs,
+            float(removed), dlt, params.c1,
+            _pairs_cell(report.comparable_pairs),
             report.mass_exact, delta_ok, ok,
         ])
         detail.append({
@@ -460,7 +465,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap-words", type=int, default=DEFAULT_CAP,
                        help="skip word-materializing steps above this count")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for enumeration and queries")
+                       help="worker threads for sampling and "
+                            "nearest-neighbour queries")
     return parser
 
 

@@ -17,25 +17,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .measure import DerivedParams
 from .summation import KahanSum
-from .words import CarpetWord, ell
+from .words import CarpetWord, WordColumns, WordError, decode_word, ell
 
 
 __all__ = [
-    "CodingWord",
-    "CodingWordError",
     "AntichainInvariantError",
     "AntichainCollisionError",
     "StageLog",
     "Antichain",
     "AntichainReport",
-    "l_map",
-    "l_inverse",
-    "make_coding_word",
-    "lambda_mass",
     "coding_predecessor",
     "is_descendant",
     "comparable",
@@ -48,10 +42,6 @@ __all__ = [
 ]
 
 
-class CodingWordError(ValueError):
-    """Raised for digit strings that do not form a valid coding word."""
-
-
 class AntichainInvariantError(RuntimeError):
     """A structural guarantee of the replacement construction failed."""
 
@@ -60,79 +50,18 @@ class AntichainCollisionError(AntichainInvariantError):
     """Two replacement families produced the same word."""
 
 
-@dataclass(frozen=True)
-class CodingWord:
-    """A pair block and a column tail, ordered blockwise by prefix.
-
-    Unlike a carpet word, whose refinements weave tail digits into new
-    pairs, a coding word descends by extending either block in place.
-    The pair block length is pinned to ``ell`` of the total length.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    tail: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs) + len(self.tail)
-
-
-def make_coding_word(params: DerivedParams, pairs, tail) -> CodingWord:
-    """Validate digits and the block-length constraint, then build."""
-    pairs = tuple((int(i), int(j)) for i, j in pairs)
-    tail = tuple(int(j) for j in tail)
-    total = len(pairs) + len(tail)
-    if total < 1:
-        raise CodingWordError("empty coding word")
-    want = ell(params, total)
-    if len(pairs) != want:
-        raise CodingWordError(
-            f"length-{total} coding word needs {want} pairs, got {len(pairs)}")
-    digits = set(params.spec.digits)
-    for p in pairs:
-        if p not in digits:
-            raise CodingWordError(f"pair {p} not a map of this carpet")
-    for j in tail:
-        if j not in params.gx:
-            raise CodingWordError(f"tail digit {j} hits no occupied column")
-    return CodingWord(pairs, tail)
-
-
-def l_map(word: CarpetWord) -> CodingWord:
-    """Reinterpret a carpet word blockwise; digits are untouched."""
-    return CodingWord(word.pairs, word.tail)
-
-
-def l_inverse(params: DerivedParams, w: CodingWord) -> CarpetWord:
-    """Inverse reinterpretation; rejects malformed block lengths."""
-    total = len(w)
-    if len(w.pairs) != ell(params, total):
-        raise CodingWordError(
-            f"length-{total} word needs {ell(params, total)} pairs, "
-            f"got {len(w.pairs)}")
-    return CarpetWord(w.pairs, w.tail)
-
-
-def lambda_mass(params: DerivedParams, w: CodingWord) -> Fraction:
-    """Product mass: pair weights times column weights, exact."""
-    mass = Fraction(1)
-    for p in w.pairs:
-        mass *= params.prob(*p)
-    for j in w.tail:
-        mass *= params.q[j]
-    return mass
-
-
-def coding_predecessor(params: DerivedParams, w: CodingWord) -> CodingWord:
-    """Drop the last tail digit, or the last pair when ``ell`` stepped."""
+def coding_predecessor(params: DerivedParams, w: CarpetWord) -> CarpetWord:
+    """Blockwise parent: drop the last tail digit, or the last pair when
+    ``ell`` stepped."""
     total = len(w)
     if total < 2:
-        raise CodingWordError("length-1 coding word has no predecessor")
+        raise WordError("length-1 words have no predecessor")
     if ell(params, total) == ell(params, total - 1):
-        return CodingWord(w.pairs, w.tail[:-1])
-    return CodingWord(w.pairs[:-1], w.tail)
+        return CarpetWord(w.pairs, w.tail[:-1])
+    return CarpetWord(w.pairs[:-1], w.tail)
 
 
-def is_descendant(a: CodingWord, b: CodingWord) -> bool:
+def is_descendant(a: CarpetWord, b: CarpetWord) -> bool:
     """True iff both blocks of ``a`` are prefixes of those of ``b``."""
     return (len(a.pairs) <= len(b.pairs)
             and len(a.tail) <= len(b.tail)
@@ -140,12 +69,12 @@ def is_descendant(a: CodingWord, b: CodingWord) -> bool:
             and a.tail == b.tail[:len(a.tail)])
 
 
-def comparable(a: CodingWord, b: CodingWord) -> bool:
+def comparable(a: CarpetWord, b: CarpetWord) -> bool:
     return is_descendant(a, b) or is_descendant(b, a)
 
 
 def naive_comparable_pairs(words) -> list[tuple[int, int]]:
-    """All-pairs comparability scan; a slow oracle for small sets."""
+    """All-pairs blockwise comparability scan; a slow oracle for small sets."""
     words = list(words)
     if len(words) > 10_000:
         raise ValueError("all-pairs scan refused above 10^4 words")
@@ -179,21 +108,21 @@ def xi_sequence(partition) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def swap_tail(params: DerivedParams, w: CodingWord, i: int) -> CodingWord:
+def swap_tail(params: DerivedParams, w: CarpetWord, i: int) -> CarpetWord:
     """Interchange the last pair's column digit with the last tail digit.
 
     The last pair (i_l, j_l) becomes (i, j_t) where j_t is the final
     tail digit, and the final tail digit becomes j_l.  Total length and
-    block lengths are unchanged, so the result is again a valid coding
-    word; its mass differs only through the swapped pair weight.
+    block lengths are unchanged, so the result is again a valid word;
+    its mass differs only through the swapped pair weight.
     """
     if not w.pairs or not w.tail:
-        raise CodingWordError("swap needs both a pair block and a tail")
+        raise WordError("swap needs both a pair block and a tail")
     j_l = w.pairs[-1][1]
     j_t = w.tail[-1]
     if i not in params.gx[j_t]:
-        raise CodingWordError(f"digit {i} does not occupy column {j_t}")
-    return CodingWord(w.pairs[:-1] + ((i, j_t),), w.tail[:-1] + (j_l,))
+        raise WordError(f"digit {i} does not occupy column {j_t}")
+    return CarpetWord(w.pairs[:-1] + ((i, j_t),), w.tail[:-1] + (j_l,))
 
 
 @dataclass(frozen=True)
@@ -217,21 +146,21 @@ class StageLog:
 
 
 @dataclass(frozen=True)
-class Antichain:
-    """A finite set of coding words with exact masses and stage history.
+class Antichain(WordColumns):
+    """A finite set of words, blockwise incomparable, with stage history.
 
-    Words are stored columnwise: interleaved pair bytes, tail bytes, a
-    length, and a scaled integer mass per word (denominator L**length,
-    where L clears all weight denominators).  ``base_*`` aggregates
-    describe the stopping set the construction started from.
+    Words are stored columnwise like a partition's: ``encode_word``
+    bytes, a length, and a scaled integer mass per word (denominator
+    L**length, where L clears all weight denominators), sorted by length
+    and then encoding.  ``base_*`` aggregates describe the stopping set
+    the construction started from.
     """
 
     params: DerivedParams
     k: int
     xi_stages: tuple[int, ...]
+    encodings: list
     lengths: list
-    pair_bytes: list
-    tail_bytes: list
     nus: list
     mass_total: Fraction
     mass_len_total: Fraction
@@ -253,42 +182,44 @@ class Antichain:
     def l_max(self) -> int:
         return max(self.lengths)
 
-    def word_at(self, idx: int) -> CodingWord:
-        ob = self.pair_bytes[idx]
-        pairs = tuple((ob[r], ob[r + 1]) for r in range(0, len(ob), 2))
-        return CodingWord(pairs, tuple(self.tail_bytes[idx]))
 
-    def mass_at(self, idx: int) -> Fraction:
-        L = self.params.denom_lcm
-        return Fraction(self.nus[idx], L ** self.lengths[idx])
+# Words are keyed by their ``encode_word`` bytes: 2 * ell(h) pair bytes,
+# then h - ell(h) tail bytes.  The blockwise ancestor of such a word at a
+# shorter length h' keeps the first 2 * ell(h') pair bytes and the first
+# h' - ell(h') tail bytes; both block lengths are nondecreasing in the
+# word length, so neither prefix overruns its block.  All words of one
+# length share the pair width, so sorting encodings orders them by pair
+# block, then tail.
 
-    def iter_words(self) -> Iterator[tuple[CodingWord, Fraction]]:
-        for idx in range(self.size):
-            yield self.word_at(idx), self.mass_at(idx)
+def _ancestor_cuts(params: DerivedParams, h: int) -> tuple[int, int]:
+    # (pair bytes, tail bytes) that a length-h ancestor keeps.
+    l = ell(params, h)
+    return 2 * l, h - l
 
 
-def _bucketize(partition) -> dict[int, dict[tuple[bytes, bytes], int]]:
-    # length -> {(pair bytes, tail bytes) -> scaled mass}
-    params = partition.params
-    if partition.encodings is None:
-        raise ValueError("antichain construction needs a collected partition")
-    buckets: dict[int, dict[tuple[bytes, bytes], int]] = {}
-    for idx in range(partition.phi_k):
-        h = partition.lengths[idx]
-        enc = partition.encodings[idx]
-        split = 2 * ell(params, h)
-        buckets.setdefault(h, {})[(enc[:split], enc[split:])] = \
-            partition.nus[idx]
+def _ancestor_key(enc: bytes, split: int, cut: tuple[int, int]) -> bytes:
+    # ``split`` is where the tail of ``enc`` starts.
+    pair_cut, tail_len = cut
+    if pair_cut == split:
+        return enc[:split + tail_len]
+    return enc[:pair_cut] + enc[split:split + tail_len]
+
+
+def _bucketize(partition) -> dict[int, dict[bytes, int]]:
+    # length -> {encoding -> scaled mass}, in partition order
+    buckets: dict[int, dict[bytes, int]] = {}
+    for enc, h, nu in zip(partition.encodings, partition.lengths,
+                          partition.nus):
+        buckets.setdefault(h, {})[enc] = nu
     return buckets
 
 
 def _columns(params, k, buckets, xi_stages, base, stage_logs):
-    # Deterministic flatten: by length, then bytes.
+    # Deterministic flatten: by length, then encoding.
     L = params.denom_lcm
     log_l = math.log(L)
     lengths: list[int] = []
-    pair_bytes: list[bytes] = []
-    tail_bytes: list[bytes] = []
+    encodings: list[bytes] = []
     nus: list[int] = []
     mass_total = Fraction(0)
     mass_len_total = Fraction(0)
@@ -298,11 +229,10 @@ def _columns(params, k, buckets, xi_stages, base, stage_logs):
         if not bucket:
             continue
         nu_sum = 0
-        for (ob, rb) in sorted(bucket):
-            nu = bucket[(ob, rb)]
+        for enc in sorted(bucket):
+            nu = bucket[enc]
             lengths.append(h)
-            pair_bytes.append(ob)
-            tail_bytes.append(rb)
+            encodings.append(enc)
             nus.append(nu)
             nu_sum += nu
             log_mass = math.log(nu) - h * log_l
@@ -315,9 +245,8 @@ def _columns(params, k, buckets, xi_stages, base, stage_logs):
         params=params,
         k=k,
         xi_stages=xi_stages,
+        encodings=encodings,
         lengths=lengths,
-        pair_bytes=pair_bytes,
-        tail_bytes=tail_bytes,
         nus=nus,
         mass_total=mass_total,
         mass_len_total=mass_len_total,
@@ -388,19 +317,14 @@ def build_antichain(partition, *, keep_stage_words: Optional[bool] = None
     for pos in range(1, len(xi_stages)):
         target = xi_stages[pos]
         bucket = buckets.get(target, {})
+        split = 2 * ell(params, target)
         # Words at the target length whose blockwise ancestor survived at
-        # some shorter length.  Ancestor prefixes never overrun a block:
-        # both block lengths are nondecreasing in the word length.
-        flagged = []
-        for (ob, rb) in bucket:
-            for h in range(xi_1, target):
-                sub = buckets.get(h)
-                if not sub:
-                    continue
-                lh = ell(params, h)
-                if (ob[:2 * lh], rb[:h - lh]) in sub:
-                    flagged.append((ob, rb))
-                    break
+        # some shorter length.
+        ancestors = [(buckets[h], _ancestor_cuts(params, h))
+                     for h in range(xi_1, target) if buckets.get(h)]
+        flagged = [enc for enc in bucket
+                   if any(_ancestor_key(enc, split, cut) in sub
+                          for sub, cut in ancestors)]
         if not flagged:
             stage_logs.append(StageLog(
                 stage=pos + 1, target_length=target, family_count=0,
@@ -410,9 +334,12 @@ def build_antichain(partition, *, keep_stage_words: Optional[bool] = None
                 families=() if keep_stage_words else None))
             continue
 
+        # (pairs before the last, last pair's column, tail) -> x digits
         families: dict[tuple[bytes, int, bytes], list] = {}
-        for (ob, rb) in flagged:
-            families.setdefault((ob[:-2], ob[-1], rb), []).append(ob[-2])
+        for enc in flagged:
+            families.setdefault(
+                (enc[:split - 2], enc[split - 1], enc[split:]), []
+            ).append(enc[split - 2])
 
         removed_count = 0
         inserted_count = 0
@@ -421,7 +348,7 @@ def build_antichain(partition, *, keep_stage_words: Optional[bool] = None
         inserted_entropy = KahanSum()
         max_gap = 0.0
         logged_families = [] if keep_stage_words else None
-        inserts: list[tuple[tuple[bytes, bytes], int]] = []
+        inserts: list[tuple[bytes, int]] = []
         h_scale = L ** target
 
         for (stem, j_l, rb), xs in sorted(families.items()):
@@ -434,16 +361,15 @@ def build_antichain(partition, *, keep_stage_words: Optional[bool] = None
                     f"family over column {j_l} is missing siblings")
             j_t = rb[-1]
             rep_i = min(xs)
-            rep_key = (stem + bytes((rep_i, j_l)), rb)
-            nu_rep = bucket[rep_key]
+            nu_rep = bucket[stem + bytes((rep_i, j_l)) + rb]
             stem_nu, rem = divmod(nu_rep, a[(rep_i, j_l)] * b[j_t])
             if rem:
                 raise AntichainInvariantError("family mass not factorable")
 
             fam_nu = 0
             fam_removed_e = 0.0
-            for i in xs:
-                key = (stem + bytes((i, j_l)), rb)
+            removed_keys = [stem + bytes((i, j_l)) + rb for i in xs]
+            for key in removed_keys:
                 nu = bucket.pop(key)
                 fam_nu += nu
                 e = entropy_of(nu, target)
@@ -452,13 +378,13 @@ def build_antichain(partition, *, keep_stage_words: Optional[bool] = None
                 removed_count += 1
             removed_nu += fam_nu
 
-            grb = rb[:-1] + bytes((j_l,))
+            swapped_tail = rb[:-1] + bytes((j_l,))
             fam_g_nu = 0
             fam_inserted_e = 0.0
             g_keys = []
             for i in params.gx[j_t]:
                 nu_g = stem_nu * a[(i, j_t)] * b[j_l]
-                gkey = (stem + bytes((i, j_t)), grb)
+                gkey = stem + bytes((i, j_t)) + swapped_tail
                 if nu_g * eta_den_k >= eta_num_k * h_scale:
                     raise AntichainInvariantError(
                         "inserted word at or above the stopping threshold")
@@ -479,8 +405,9 @@ def build_antichain(partition, *, keep_stage_words: Optional[bool] = None
             max_gap = max(max_gap, gap)
             if keep_stage_words:
                 logged_families.append((
-                    tuple(_decode(stem + bytes((i, j_l)), rb) for i in xs),
-                    tuple(_decode(*gk) for gk in g_keys),
+                    tuple(decode_word(params, key, target)
+                          for key in removed_keys),
+                    tuple(decode_word(params, key, target) for key in g_keys),
                 ))
 
         for gkey, nu_g in inserts:
@@ -503,11 +430,6 @@ def build_antichain(partition, *, keep_stage_words: Optional[bool] = None
         ))
 
     return _columns(params, k, buckets, xi_stages, base, stage_logs)
-
-
-def _decode(ob: bytes, rb: bytes) -> CodingWord:
-    pairs = tuple((ob[r], ob[r + 1]) for r in range(0, len(ob), 2))
-    return CodingWord(pairs, tuple(rb))
 
 
 @dataclass(frozen=True)
@@ -543,31 +465,32 @@ def verify_maximal_antichain(antichain: Antichain) -> AntichainReport:
     eta_k = params.eta ** antichain.k
     eta_num_k, eta_den_k = eta_k.numerator, eta_k.denominator
 
-    index: dict[int, dict[tuple[bytes, bytes], int]] = {}
+    index: dict[int, dict[bytes, int]] = {}
     nu_by_len: dict[int, int] = {}
     below = True
-    for idx in range(antichain.size):
-        h = antichain.lengths[idx]
-        nu = antichain.nus[idx]
-        index.setdefault(h, {})[
-            (antichain.pair_bytes[idx], antichain.tail_bytes[idx])] = idx
+    for idx, (enc, h, nu) in enumerate(zip(
+            antichain.encodings, antichain.lengths, antichain.nus)):
+        index.setdefault(h, {})[enc] = idx
         nu_by_len[h] = nu_by_len.get(h, 0) + nu
         if nu * eta_den_k >= eta_num_k * L ** h:
             below = False
     mass_total = sum(
         (Fraction(nu, L ** h) for h, nu in nu_by_len.items()), Fraction(0))
 
-    shorter = sorted(index)
+    occupied = sorted(index)
+    # length -> (tail start, [(shorter index, ancestor cut), ...])
+    lookups = {
+        h: (2 * ell(params, h),
+            [(index[hp], _ancestor_cuts(params, hp))
+             for hp in occupied if hp < h])
+        for h in occupied
+    }
     violations: list[tuple[int, int]] = []
-    for idx in range(antichain.size):
-        h = antichain.lengths[idx]
-        ob = antichain.pair_bytes[idx]
-        rb = antichain.tail_bytes[idx]
-        for hp in shorter:
-            if hp >= h:
-                break
-            lh = ell(params, hp)
-            anc = index[hp].get((ob[:2 * lh], rb[:hp - lh]))
+    for idx, (enc, h) in enumerate(zip(antichain.encodings,
+                                       antichain.lengths)):
+        split, shorter = lookups[h]
+        for sub, cut in shorter:
+            anc = sub.get(_ancestor_key(enc, split, cut))
             if anc is not None:
                 violations.append((anc, idx))
     return AntichainReport(

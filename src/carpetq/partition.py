@@ -20,17 +20,15 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .measure import DerivedParams
 from .summation import KahanSum
-from .words import CarpetWord, decode_word, ell, word_from_digits
+from .words import CarpetWord, WordColumns, ell, word_from_digits
 
 __all__ = [
     "DEFAULT_CAP",
@@ -41,7 +39,6 @@ __all__ = [
     "DisjointnessReport",
     "LocalDimEstimate",
     "enumerate_lambda_k",
-    "stream_lambda_k",
     "stopped_statistics",
     "partition_stats",
     "check_phi_growth",
@@ -102,42 +99,13 @@ class _Tables:
         ]
 
 
-class _Counter:
-    """Emission counter with a cap; lock only taken in batches."""
+def _walk(params: DerivedParams, tables: _Tables, cap: int
+          ) -> PartitionLambdaK:
+    """Depth-first walk from every root, in root order.
 
-    BATCH = 1024
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self._lock = threading.Lock()
-        self._total = 0
-
-    def bump(self, amount: int) -> None:
-        with self._lock:
-            self._total += amount
-            if self._total > self.cap:
-                raise EnumerationCapError(
-                    f"enumeration exceeded cap of {self.cap} words")
-
-
-@dataclass
-class _RootResult:
-    counts: dict            # length -> word count
-    nu_sums: dict           # length -> exact sum of scaled masses
-    entropy: dict           # length -> KahanSum of mass * log(mass)
-    encodings: Optional[list]
-    lengths: Optional[list]
-    nus: Optional[list]
-
-
-def _walk_root(
-    params: DerivedParams,
-    tables: _Tables,
-    root,
-    keep: bool,
-    visitor: Optional[Callable],
-    counter: _Counter,
-) -> _RootResult:
+    Entropy terms are summed per root and then merged per length in
+    root order.
+    """
     L = tables.L
     log_l = math.log(L)
     eta_den_k = tables.eta_den_k
@@ -145,39 +113,31 @@ def _walk_root(
     rises = tables.rises
     appends = tables.appends
     promotions = tables.promotions
+    pair_roots = tables.pair_roots
     b = tables.b
 
     counts: dict[int, int] = {}
     nu_sums: dict[int, int] = {}
     entropy: dict[int, KahanSum] = {}
-    encodings: Optional[list] = [] if keep else None
-    lengths: Optional[list] = [] if keep else None
-    nus: Optional[list] = [] if keep else None
-
+    root_entropy: dict[int, KahanSum] = {}
+    encodings: list[bytes] = []
+    lengths: list[int] = []
+    nus: list[int] = []
     buf = bytearray()
-    pending = 0  # emissions since the last counter bump
 
     def emit(h: int, nu: int) -> None:
-        nonlocal pending
         counts[h] = counts.get(h, 0) + 1
         nu_sums[h] = nu_sums.get(h, 0) + nu
         log_mass = math.log(nu) - h * log_l
-        acc = entropy.get(h)
+        acc = root_entropy.get(h)
         if acc is None:
-            acc = entropy[h] = KahanSum()
+            acc = root_entropy[h] = KahanSum()
         acc.add(math.exp(log_mass) * log_mass)
-        if keep:
-            encodings.append(bytes(buf))
-            lengths.append(h)
-            nus.append(nu)
-        if visitor is not None:
-            visitor(decode_word(params, bytes(buf), h), Fraction(nu, L ** h))
-        pending += 1
-        if pending >= _Counter.BATCH:
-            counter.bump(pending)
-            pending = 0
-
-    pair_roots = tables.pair_roots
+        encodings.append(bytes(buf))
+        lengths.append(h)
+        nus.append(nu)
+        if len(nus) > cap:
+            raise EnumerationCapError(f"enumeration exceeded cap of {cap} words")
 
     def go(h: int, nu: int, twol: int) -> None:
         if rises[h]:
@@ -216,24 +176,30 @@ def _walk_root(
                     go(h + 1, nu2, twol)
                 buf.pop()
 
-    if isinstance(root, tuple) and len(root) == 2 and isinstance(root[0], tuple):
-        (i, j), nu0 = root
-        buf.extend((i, j))
-        twol0 = 2
-    else:
-        j, nu0 = root
-        buf.append(j)
-        twol0 = 0
-    if nu0 * eta_den_k < rhs[1]:
-        emit(1, nu0)
-    else:
-        go(1, nu0, twol0)
-    counter.bump(pending)
-    return _RootResult(counts, nu_sums, entropy, encodings, lengths, nus)
+    for tag, nu0 in _roots(params, tables):
+        if isinstance(tag, tuple):
+            buf[:] = tag
+            twol0 = 2
+        else:
+            buf[:] = (tag,)
+            twol0 = 0
+        if nu0 * eta_den_k < rhs[1]:
+            emit(1, nu0)
+        else:
+            go(1, nu0, twol0)
+        for h, acc in root_entropy.items():
+            tgt = entropy.get(h)
+            if tgt is None:
+                tgt = entropy[h] = KahanSum()
+            tgt.merge(acc)
+        root_entropy.clear()
+    return PartitionLambdaK(params, tables.k, encodings=encodings,
+                            lengths=lengths, nus=nus, counts=counts,
+                            nu_sums=nu_sums, entropy=entropy)
 
 
-class PartitionLambdaK:
-    """One collected (or aggregate-only) stopping-time partition.
+class PartitionLambdaK(WordColumns):
+    """One collected stopping-time partition.
 
     Word storage is columnar: byte-encoded digits, lengths, and scaled
     integer masses nu with mass = nu / L^length.  Exact aggregates are
@@ -241,28 +207,16 @@ class PartitionLambdaK:
     Fraction again.
     """
 
-    def __init__(self, params: DerivedParams, k: int, roots: list[_RootResult],
-                 stored: bool):
+    def __init__(self, params: DerivedParams, k: int, *, encodings: list,
+                 lengths: list, nus: list, counts: dict, nu_sums: dict,
+                 entropy: dict):
         self.params = params
         self.k = k
         self.eta_k: Fraction = params.eta ** k
-        self.stored = stored
+        self.encodings: list[bytes] = encodings
+        self.lengths: list[int] = lengths
+        self.nus: list[int] = nus
         L = params.denom_lcm
-
-        counts: dict[int, int] = {}
-        nu_sums: dict[int, int] = {}
-        entropy: dict[int, KahanSum] = {}
-        for r in roots:
-            for h, c in r.counts.items():
-                counts[h] = counts.get(h, 0) + c
-            for h, s in r.nu_sums.items():
-                nu_sums[h] = nu_sums.get(h, 0) + s
-            for h, acc in r.entropy.items():
-                tgt = entropy.get(h)
-                if tgt is None:
-                    tgt = entropy[h] = KahanSum()
-                tgt.merge(acc)
-
         self.length_counts = dict(sorted(counts.items()))
         self.length_nu_sums = dict(sorted(nu_sums.items()))
         self.phi_k = sum(counts.values())
@@ -274,36 +228,8 @@ class PartitionLambdaK:
             (h * Fraction(s, L ** h) for h, s in nu_sums.items()), Fraction(0))
         self.entropy_sum = math.fsum(acc.total for acc in entropy.values())
 
-        if stored:
-            self.encodings: list[bytes] = []
-            self.lengths: list[int] = []
-            self.nus: list[int] = []
-            for r in roots:
-                self.encodings.extend(r.encodings)
-                self.lengths.extend(r.lengths)
-                self.nus.extend(r.nus)
-        else:
-            self.encodings = self.lengths = self.nus = None  # type: ignore
-
     def __len__(self) -> int:
         return self.phi_k
-
-    def _need_words(self) -> None:
-        if not self.stored:
-            raise ValueError("partition was built in aggregate-only mode")
-
-    def word_at(self, idx: int) -> CarpetWord:
-        self._need_words()
-        return decode_word(self.params, self.encodings[idx], self.lengths[idx])
-
-    def mass_at(self, idx: int) -> Fraction:
-        self._need_words()
-        return Fraction(self.nus[idx], self.params.denom_lcm ** self.lengths[idx])
-
-    def iter_words(self) -> Iterator[tuple[CarpetWord, Fraction]]:
-        self._need_words()
-        for idx in range(self.phi_k):
-            yield self.word_at(idx), self.mass_at(idx)
 
 
 def _roots(params: DerivedParams, tables: _Tables):
@@ -317,51 +243,18 @@ def enumerate_lambda_k(
     k: int,
     *,
     cap: int = DEFAULT_CAP,
-    threads: int = 1,
 ) -> PartitionLambdaK:
     """Collect the level-k partition with exact per-word masses.
 
-    ``threads`` parallelizes over the root subtrees; results are merged
-    in root order, so the output is identical for any thread count.
+    Raises ``EnumerationCapError`` once more than ``cap`` words are
+    emitted.  Levels too large to collect are aggregated by
+    ``stopped_statistics`` instead.
     """
-    return _enumerate(params, k, keep=True, visitor=None, cap=cap, threads=threads)
-
-
-def stream_lambda_k(
-    params: DerivedParams,
-    k: int,
-    visitor: Optional[Callable[[CarpetWord, Fraction], None]] = None,
-    *,
-    cap: int = DEFAULT_CAP,
-    threads: int = 1,
-) -> PartitionLambdaK:
-    """Walk the level-k partition without storing words.
-
-    The returned partition carries the exact aggregates only.  A
-    visitor, when given, sees every word in deterministic order and
-    therefore forces threads = 1.
-    """
-    if visitor is not None and threads != 1:
-        raise ValueError("a visitor requires threads=1 for a deterministic order")
-    return _enumerate(params, k, keep=False, visitor=visitor, cap=cap, threads=threads)
-
-
-def _enumerate(params, k, *, keep, visitor, cap, threads) -> PartitionLambdaK:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     tables = _Tables(params, k)
     sys.setrecursionlimit(max(sys.getrecursionlimit(), tables.h_max + 500))
-    counter = _Counter(cap)
-    roots = _roots(params, tables)
-    if threads <= 1 or len(roots) <= 1:
-        results = [_walk_root(params, tables, r, keep, visitor, counter)
-                   for r in roots]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda r: _walk_root(params, tables, r, keep, None, counter),
-                roots))
-    return PartitionLambdaK(params, k, results, stored=keep)
+    return _walk(params, tables, cap)
 
 
 @dataclass(frozen=True)
@@ -415,8 +308,8 @@ def stopped_statistics(
     def rel(h: int, ratio: Fraction, queue: tuple) -> tuple:
         # ratio = mass / eta^k of the live word; returns aggregates over
         # its stopped descendants tau, scaled by 1/mass: (R0 exact sum of
-        # relative masses, R1 = sum r ln r, RL = sum r * reldepth, count,
-        # min reldepth, max reldepth).
+        # relative masses, R1 = sum r ln r, RL = exact sum r * reldepth,
+        # count, min reldepth, max reldepth).
         key = (h, ratio, queue)
         hit = memo.get(key)
         if hit is not None:
@@ -425,7 +318,7 @@ def stopped_statistics(
             raise RuntimeError(f"stopped_statistics exceeded {max_states} states")
         r0 = Fraction(0)
         r1 = 0.0
-        rl = 0.0
+        rl = Fraction(0)
         cnt = 0
         dmin = None
         dmax = 0
@@ -443,7 +336,7 @@ def stopped_statistics(
             if child_ratio < 1:
                 r0 += f
                 r1 += ff * math.log(ff)
-                rl += ff
+                rl += f
                 cnt += 1
                 if dmin is None or dmin > 1:
                     dmin = 1
@@ -453,7 +346,7 @@ def stopped_statistics(
                 lf = math.log(ff)
                 r0 += f * s0
                 r1 += ff * (s1 + lf * float(s0))
-                rl += ff * (sl + float(s0))
+                rl += f * (sl + s0)
                 cnt += sc
                 if dmin is None or sdmin + 1 < dmin:
                     dmin = sdmin + 1
@@ -462,8 +355,11 @@ def stopped_statistics(
         memo[key] = result
         return result
 
+    # The absolute length of a stopped word is 1 + its depth below the
+    # root.
     inv_eta_k = 1 / eta_k
     mass_total = Fraction(0)
+    mass_len_total = Fraction(0)
     entropy = KahanSum()
     phi = 0
     xi_min = None
@@ -476,6 +372,7 @@ def stopped_statistics(
         mf = float(mass)
         if ratio < 1:
             mass_total += mass
+            mass_len_total += mass
             entropy.add(mf * math.log(mf))
             phi += 1
             xi_min = 1 if xi_min is None else min(xi_min, 1)
@@ -483,54 +380,11 @@ def stopped_statistics(
             continue
         r0, r1, rl, cnt, dmin, dmax = rel(1, ratio, queue)
         mass_total += mass * r0
+        mass_len_total += mass * (rl + r0)
         entropy.add(mf * r1 + mf * math.log(mf) * float(r0))
         phi += cnt
         xi_min = (1 + dmin) if xi_min is None else min(xi_min, 1 + dmin)
         xi_max = max(xi_max, 1 + dmax)
-    # Mass-weighted length stays exact via a parallel memo over the same
-    # state space; absolute length of a stopped word is 1 + its depth
-    # below the root.
-    mass_len_total = Fraction(0)
-    exact_memo: dict = {}
-
-    def rel_len(h: int, ratio: Fraction, queue: tuple) -> tuple:
-        key = (h, ratio, queue)
-        hit = exact_memo.get(key)
-        if hit is not None:
-            return hit
-        r0 = Fraction(0)
-        rlen = Fraction(0)
-        if not rises[h]:
-            transitions = [(f, queue + (jj,)) for jj, f in append_fracs]
-        elif queue:
-            jstar = queue[0]
-            rest = queue[1:]
-            transitions = [(f, rest + (jj,)) for _, f, jj in promote_fracs[jstar]]
-        else:
-            transitions = [(f, ()) for f in pair_fracs]
-        for f, queue2 in transitions:
-            child_ratio = ratio * f
-            if child_ratio < 1:
-                r0 += f
-                rlen += f
-            else:
-                s0, slen = rel_len(h + 1, child_ratio, queue2)
-                r0 += f * s0
-                rlen += f * (slen + s0)
-        result = (r0, rlen)
-        exact_memo[key] = result
-        return result
-
-    for root in _roots(params, tables):
-        tag, nu0 = root
-        mass = Fraction(nu0, L)
-        queue = () if isinstance(tag, tuple) else (tag,)
-        ratio = mass * inv_eta_k
-        if ratio < 1:
-            mass_len_total += mass
-            continue
-        r0, rlen = rel_len(1, ratio, queue)
-        mass_len_total += mass * (rlen + r0)
 
     return StoppedStats(
         params=params,
@@ -634,7 +488,6 @@ def check_square_disjointness(partition: PartitionLambdaK) -> DisjointnessReport
     word's y-ancestors a contiguous stack, and candidate x-strings per
     ancestor group live in one hash set, so the scan is near-linear.
     """
-    partition._need_words()
     params = partition.params
     items = []
     for idx in range(partition.phi_k):

@@ -102,8 +102,6 @@ def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
 def lambda_codebook(partition: PartitionLambdaK) -> Codebook:
     """One point per stopping word: the center of its rectangle."""
     params = partition.params
-    if partition.encodings is None:
-        raise ValueError("codebook construction needs a collected partition")
     n = float(params.n)
     m = float(params.m)
     pts = np.empty((partition.phi_k, 2), dtype=np.float64)

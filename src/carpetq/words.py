@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .measure import DerivedParams
 
@@ -35,6 +35,7 @@ __all__ = [
     "square_geometry",
     "encode_word",
     "decode_word",
+    "WordColumns",
 ]
 
 
@@ -229,3 +230,27 @@ def decode_word(params: DerivedParams, data: bytes, k: int) -> CarpetWord:
     pairs = tuple((data[2 * t], data[2 * t + 1]) for t in range(l))
     tail = tuple(data[2 * l:])
     return CarpetWord(pairs, tail)
+
+
+class WordColumns:
+    """Read access to a columnar word store.
+
+    Subclasses provide ``params`` and three parallel lists: ``encodings``
+    (``encode_word`` bytes), ``lengths``, and scaled integer masses
+    ``nus`` with mass = nu / L^length.
+    """
+
+    params: DerivedParams
+    encodings: list[bytes]
+    lengths: list[int]
+    nus: list[int]
+
+    def word_at(self, idx: int) -> CarpetWord:
+        return decode_word(self.params, self.encodings[idx], self.lengths[idx])
+
+    def mass_at(self, idx: int) -> Fraction:
+        return Fraction(self.nus[idx], self.params.denom_lcm ** self.lengths[idx])
+
+    def iter_words(self) -> Iterator[tuple[CarpetWord, Fraction]]:
+        for idx in range(len(self.lengths)):
+            yield self.word_at(idx), self.mass_at(idx)

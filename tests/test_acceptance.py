@@ -16,8 +16,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from carpetq.cli import main
-from carpetq.coding import build_antichain, lambda_mass, \
-    verify_maximal_antichain
+from carpetq.coding import build_antichain, verify_maximal_antichain
 from carpetq.partition import (
     check_square_disjointness, enumerate_lambda_k, partition_stats,
     stopped_statistics,
@@ -37,7 +36,7 @@ def _announce(num, detail):
 def parts_a(carpet_a, cache_a):
     parts = {k: cache_a.partition(k) for k in (2, 3, 4)}
     for k in (5, 6):
-        parts[k] = enumerate_lambda_k(carpet_a, k, threads=4)
+        parts[k] = enumerate_lambda_k(carpet_a, k)
     return parts
 
 
@@ -161,9 +160,9 @@ def test_criterion_4_antichain_certification(carpet_a, chains_a):
         assert report.below_threshold
         for log in chain.stage_logs:
             for removed, inserted in log.families:
-                r = sum((lambda_mass(carpet_a, w) for w in removed),
+                r = sum((word_mass(carpet_a, w) for w in removed),
                         Fraction(0))
-                i = sum((lambda_mass(carpet_a, w) for w in inserted),
+                i = sum((word_mass(carpet_a, w) for w in inserted),
                         Fraction(0))
                 assert r == i                # per-family identity, exact
         assert delta_k(chain) <= c1 + 1e-12

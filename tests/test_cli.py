@@ -1,11 +1,17 @@
 """Command surface: outputs, determinism, exit codes, config handling."""
 
+import dataclasses
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import carpetq
+import carpetq.cli as cli
 from carpetq.cli import ConfigError, load_config, main
+from carpetq.partition import DisjointnessReport
 from carpetq.report import read_csv
 
 
@@ -225,6 +231,51 @@ def test_cap_words_streams_large_levels(tmp_path, capsys):
     assert "exceed --cap-words" in text
     header, rows = read_csv(out / "partition.csv")
     assert rows[0][header.index("disjoint")] == "skipped"
+
+
+def test_partition_disjointness_failure_exits_1(tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.setattr(cli, "check_square_disjointness",
+                        lambda part: DisjointnessReport(
+                            checked=part.phi_k, violations=((0, 1),)))
+    cfg = _config(tmp_path, k_min=2, k_max=2)
+    out = tmp_path / "out"
+    assert main(["partition", "--config", cfg, "--out", str(out)]) == 1
+    failures = json.loads(capsys.readouterr().err)["failures"]
+    assert [f["check"] for f in failures] == ["disjointness"]
+    assert failures[0]["detail"] == "1 overlapping interiors"
+    header, rows = read_csv(out / "partition.csv")
+    assert rows[0][header.index("disjoint")] == "false"
+    assert rows[0][header.index("pass")] == "false"
+
+
+def test_antichain_maximality_failure_exits_1(tmp_path, capsys,
+                                              monkeypatch):
+    real = cli.verify_maximal_antichain
+    monkeypatch.setattr(cli, "verify_maximal_antichain",
+                        lambda chain: dataclasses.replace(
+                            real(chain), comparable_pairs=((0, 1), (2, 3))))
+    cfg = _config(tmp_path, k_min=2, k_max=2)
+    out = tmp_path / "out"
+    assert main(["antichain", "--config", cfg, "--out", str(out)]) == 1
+    failures = json.loads(capsys.readouterr().err)["failures"]
+    assert [f["check"] for f in failures] == ["maximality"]
+    header, rows = read_csv(out / "antichain.csv")
+    assert rows[0][header.index("comparable_pairs")] == "(0:1 2:3)"
+    assert rows[0][header.index("pass")] == "false"
+
+
+def test_benchmark_contract_names_resolve():
+    # The traced benchmark pass wraps these cli attributes by name.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    missing = [attr for attr in worker.CLI_LAYER_CALLS
+               if not hasattr(cli, attr)]
+    assert missing == []
+    for name in carpetq.__all__:
+        getattr(carpetq, name)
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

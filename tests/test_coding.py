@@ -7,51 +7,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carpetq.coding import (
-    AntichainInvariantError, CodingWord, CodingWordError, build_antichain,
-    coding_predecessor, comparable, is_descendant, l_inverse, l_map,
-    lambda_mass, make_coding_word, naive_comparable_pairs,
-    raw_coding_antichain, swap_tail, verify_maximal_antichain, xi_sequence,
+    coding_predecessor, comparable, is_descendant, naive_comparable_pairs, raw_coding_antichain, swap_tail,
+    verify_maximal_antichain, xi_sequence,
 )
-from carpetq.words import carpet_children, ell, make_word, word_mass
+from carpetq.words import (
+    CarpetWord, WordError, carpet_children, ell, flat_predecessor, make_word,
+    word_mass,
+)
 
 
 def test_l_map_round_trip(cache_a, carpet_a):
+    # The map L into the coding space keeps every digit: each stopping
+    # word is already a valid coding word, with the same product mass.
     for k in (1, 2, 3):
         for w, mass in cache_a.partition(k).iter_words():
-            cw = l_map(w)
-            assert len(cw) == len(w)
-            assert l_inverse(carpet_a, cw) == w
-            assert lambda_mass(carpet_a, cw) == mass
+            assert make_word(carpet_a, w.pairs, w.tail) == w
+            assert word_mass(carpet_a, w) == mass
 
 
 def test_lambda_mass_product_form(carpet_a):
-    w = CodingWord(pairs=((0, 0), (2, 2)), tail=(2, 0))
+    w = CarpetWord(pairs=((0, 0), (2, 2)), tail=(2, 0))
     expect = (Fraction(1, 3) * Fraction(1, 3)
               * Fraction(2, 3) * Fraction(1, 3))
-    assert lambda_mass(carpet_a, w) == expect
+    assert word_mass(carpet_a, w) == expect
 
 
 def test_make_coding_word_shape(carpet_a):
-    w = make_coding_word(carpet_a, [(0, 0), (2, 2)], [0])
+    w = make_word(carpet_a, [(0, 0), (2, 2)], [0])
     assert w.pairs == ((0, 0), (2, 2))
-    with pytest.raises(CodingWordError):
-        make_coding_word(carpet_a, [(0, 0)], [0, 0])   # h=3 needs 2 pairs
-    with pytest.raises(CodingWordError):
-        make_coding_word(carpet_a, [(1, 0), (0, 0)], [0])
-    with pytest.raises(CodingWordError):
-        make_coding_word(carpet_a, [], [])
+    with pytest.raises(WordError):
+        make_word(carpet_a, [(0, 0)], [0, 0])   # h=3 needs 2 pairs
+    with pytest.raises(WordError):
+        make_word(carpet_a, [(1, 0), (0, 0)], [0])
+    with pytest.raises(WordError):
+        make_word(carpet_a, [], [])
 
 
 def test_coding_predecessor_prefers_tail(carpet_a):
     # 5 -> 4 keeps ell (3 = 3): the tail shortens, pairs stay.
-    w = make_coding_word(carpet_a, [(0, 0), (2, 2), (0, 2)], [2, 0])
+    w = make_word(carpet_a, [(0, 0), (2, 2), (0, 2)], [2, 0])
     pred = coding_predecessor(carpet_a, w)
-    assert pred == CodingWord(w.pairs, (2,))
+    assert pred == CarpetWord(w.pairs, (2,))
     # 4 -> 3 drops ell (3 -> 2): the last pair goes, tail unchanged.
     pred2 = coding_predecessor(carpet_a, pred)
-    assert pred2 == CodingWord(((0, 0), (2, 2)), (2,))
-    one = make_coding_word(carpet_a, [], [0])
-    with pytest.raises(CodingWordError):
+    assert pred2 == CarpetWord(((0, 0), (2, 2)), (2,))
+    one = make_word(carpet_a, [], [0])
+    with pytest.raises(WordError):
         coding_predecessor(carpet_a, one)
 
 
@@ -59,14 +60,15 @@ def test_coding_vs_flat_predecessor_on_plateau(carpet_a):
     # Lengths 9 and 10 share ell = 7, where both notions coincide.
     pairs = tuple([(0, 0)] * 7)
     w10 = make_word(carpet_a, pairs, [2, 0, 2])
-    flat = l_map(make_word(carpet_a, pairs, [2, 0]))
-    assert coding_predecessor(carpet_a, l_map(w10)) == flat
+    flat = make_word(carpet_a, pairs, [2, 0])
+    assert coding_predecessor(carpet_a, w10) == flat
+    assert flat_predecessor(carpet_a, w10) == flat
 
 
 def test_descend_and_compare(carpet_a):
-    a = CodingWord(((0, 0),), (2,))
-    b = CodingWord(((0, 0), (2, 2)), (2, 0))
-    c = CodingWord(((0, 2), (2, 2)), (2, 0))
+    a = CarpetWord(((0, 0),), (2,))
+    b = CarpetWord(((0, 0), (2, 2)), (2, 0))
+    c = CarpetWord(((0, 2), (2, 2)), (2, 0))
     assert is_descendant(a, b) and not is_descendant(b, a)
     assert comparable(a, b) and comparable(b, a)
     assert not comparable(b, c)
@@ -74,7 +76,7 @@ def test_descend_and_compare(carpet_a):
 
 
 def test_naive_comparable_pairs_refuses_large():
-    words = [CodingWord((), (0,) * (h + 1)) for h in range(3)] * 4000
+    words = [CarpetWord((), (0,) * (h + 1)) for h in range(3)] * 4000
     with pytest.raises(ValueError):
         naive_comparable_pairs(words)
 
@@ -96,21 +98,21 @@ def test_xi_sequence_many_stages(cache_d):
 
 
 def test_swap_tail_example(carpet_a):
-    w = CodingWord(((0, 0), (2, 2)), (2, 0))
+    w = CarpetWord(((0, 0), (2, 2)), (2, 0))
     swapped = swap_tail(carpet_a, w, 0)
-    assert swapped == CodingWord(((0, 0), (0, 0)), (2, 2))
-    assert lambda_mass(carpet_a, swapped) == Fraction(4, 81)
-    family = [CodingWord(((0, 0), (i, 2)), (2, 0)) for i in (0, 2)]
-    fam_mass = sum((lambda_mass(carpet_a, f) for f in family), Fraction(0))
+    assert swapped == CarpetWord(((0, 0), (0, 0)), (2, 2))
+    assert word_mass(carpet_a, swapped) == Fraction(4, 81)
+    family = [CarpetWord(((0, 0), (i, 2)), (2, 0)) for i in (0, 2)]
+    fam_mass = sum((word_mass(carpet_a, f) for f in family), Fraction(0))
     assert fam_mass == Fraction(4, 81)
 
 
 def test_swap_tail_validates_digits(carpet_a):
-    w = CodingWord(((0, 0), (2, 2)), (2, 0))
-    with pytest.raises(CodingWordError):
+    w = CarpetWord(((0, 0), (2, 2)), (2, 0))
+    with pytest.raises(WordError):
         swap_tail(carpet_a, w, 2)      # column 0 holds no i=2 map
-    with pytest.raises(CodingWordError):
-        swap_tail(carpet_a, CodingWord(((0, 0),), ()), 0)
+    with pytest.raises(WordError):
+        swap_tail(carpet_a, CarpetWord(((0, 0),), ()), 0)
 
 
 def test_raw_coding_order_violations(cache_a):
@@ -131,9 +133,8 @@ def test_raw_equals_built_when_single_stage(cache_a):
     built = cache_a.antichain(4)
     assert built.stage_logs == ()
     assert raw.size == built.size
-    assert sorted(zip(raw.lengths, raw.pair_bytes, raw.tail_bytes, raw.nus)) \
-        == sorted(zip(built.lengths, built.pair_bytes, built.tail_bytes,
-                      built.nus))
+    assert sorted(zip(raw.lengths, raw.encodings, raw.nus)) \
+        == sorted(zip(built.lengths, built.encodings, built.nus))
     assert verify_maximal_antichain(built).ok
 
 
@@ -200,9 +201,9 @@ def test_stage_words_kept_for_small_k(cache_a):
     for log in chain.stage_logs:
         assert log.families is not None
         for removed, inserted in log.families:
-            r_mass = sum((lambda_mass(cache_a.params, w) for w in removed),
+            r_mass = sum((word_mass(cache_a.params, w) for w in removed),
                          Fraction(0))
-            i_mass = sum((lambda_mass(cache_a.params, w) for w in inserted),
+            i_mass = sum((word_mass(cache_a.params, w) for w in inserted),
                          Fraction(0))
             assert r_mass == i_mass         # per-family mass identity
             assert len(set(inserted)) == len(inserted)
@@ -227,13 +228,6 @@ def test_multi_stage_ladder_carpet_d(cache_d):
                                               abs=1e-12)
 
 
-def test_build_rejects_aggregate_partition(carpet_a):
-    from carpetq.partition import stream_lambda_k
-    streamed = stream_lambda_k(carpet_a, 2)
-    with pytest.raises(ValueError):
-        build_antichain(streamed)
-
-
 @settings(max_examples=60, deadline=None)
 @given(steps=st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=10),
        pick=st.integers(0, 2))
@@ -245,11 +239,9 @@ def test_random_words_round_trip_coding(carpet_a, carpet_c, carpet_d,
     for s in steps:
         kids = carpet_children(params, w)
         w = kids[s % len(kids)]
-    cw = l_map(w)
-    assert l_inverse(params, cw) == w
-    assert lambda_mass(params, cw) == word_mass(params, w)
-    if len(cw) > 1:
-        pred = coding_predecessor(params, cw)
-        assert is_descendant(pred, cw)
-        assert comparable(cw, pred) and comparable(pred, cw)
-        assert lambda_mass(params, pred) > lambda_mass(params, cw)
+    assert make_word(params, w.pairs, w.tail) == w
+    if len(w) > 1:
+        pred = coding_predecessor(params, w)
+        assert is_descendant(pred, w)
+        assert comparable(w, pred) and comparable(pred, w)
+        assert word_mass(params, pred) > word_mass(params, w)

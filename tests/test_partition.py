@@ -13,7 +13,6 @@ from carpetq.partition import (
     EnumerationCapError, check_phi_growth, check_square_disjointness,
     enumerate_lambda_k, local_dimension_estimate, partition_stats,
     sample_address, sample_digit_matrix, squares_overlap, stopped_statistics,
-    stream_lambda_k,
 )
 from carpetq.words import (
     carpet_children, encode_word, flat_predecessor, make_word,
@@ -104,41 +103,6 @@ def test_brute_force_membership_other_carpets(carpet_c, carpet_d):
             part = enumerate_lambda_k(params, k)
             got = {(w.pairs, w.tail): m for w, m in part.iter_words()}
             assert got == brute
-
-
-def test_stream_matches_collect(carpet_a):
-    for k in (2, 3, 4):
-        collected = enumerate_lambda_k(carpet_a, k)
-        streamed = stream_lambda_k(carpet_a, k)
-        assert streamed.phi_k == collected.phi_k
-        assert streamed.mass_total == collected.mass_total
-        assert streamed.mass_len_total == collected.mass_len_total
-        assert streamed.entropy_sum == collected.entropy_sum
-        assert streamed.length_counts == collected.length_counts
-        assert streamed.encodings is None
-        with pytest.raises(ValueError):
-            streamed.word_at(0)
-
-
-def test_visitor_sees_collection_order(carpet_a):
-    collected = enumerate_lambda_k(carpet_a, 2)
-    seen = []
-    stream_lambda_k(carpet_a, 2, visitor=lambda w, m: seen.append((w, m)))
-    assert seen == list(collected.iter_words())
-
-
-def test_visitor_requires_single_thread(carpet_a):
-    with pytest.raises(ValueError):
-        stream_lambda_k(carpet_a, 2, visitor=lambda w, m: None, threads=4)
-
-
-def test_threads_produce_identical_partitions(carpet_a):
-    one = enumerate_lambda_k(carpet_a, 3, threads=1)
-    four = enumerate_lambda_k(carpet_a, 3, threads=4)
-    assert one.encodings == four.encodings
-    assert one.nus == four.nus
-    assert one.lengths == four.lengths
-    assert one.entropy_sum == four.entropy_sum
 
 
 def test_cap_enforced(carpet_a):

@@ -63,12 +63,6 @@ def test_lambda_codebook_centers(cache_a, carpet_a):
             float(sq.y_low + sq.height / 2), abs=1e-15)
 
 
-def test_lambda_codebook_needs_words(carpet_a):
-    from carpetq.partition import stream_lambda_k
-    with pytest.raises(ValueError):
-        lambda_codebook(stream_lambda_k(carpet_a, 2))
-
-
 def test_log_distortion_hand_value():
     cloud = SampleCloud(points=np.array([[0.0, 0.0], [1.0, 0.0]]),
                         seed=0, depth=40)
