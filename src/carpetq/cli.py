@@ -6,7 +6,7 @@ entropy-ratio sequences, run the quantization diagnostics, and render
 charts from previously written tables.  Exit code 0 means every
 asserted invariant held; 1 means at least one failed (the failures are
 printed to stderr as JSON); 2 means the invocation or config was
-unusable.  All outputs are deterministic for a fixed config and seed,
+unusable or a work guard tripped.  All outputs are deterministic for a fixed config and seed,
 whatever the thread count.
 """
 
@@ -26,8 +26,8 @@ from .measure import (
     CarpetSpec, DerivedParams, InvalidSpecError, derive_params, validate_spec,
 )
 from .partition import (
-    check_square_disjointness, enumerate_lambda_k, partition_stats,
-    stopped_statistics,
+    EnumerationCapError, check_square_disjointness, enumerate_lambda_k,
+    partition_stats, stopped_statistics,
 )
 from .quantizer import ball_bound_check, draw_cloud, r_k_diagnostic
 from .report import read_csv, render_line_chart, write_csv, write_json, write_text
@@ -496,6 +496,9 @@ def main(argv=None) -> int:
         return 2
     except InvalidSpecError as exc:
         print(json.dumps({"error": f"invalid carpet: {exc}"}), file=sys.stderr)
+        return 2
+    except EnumerationCapError as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     if ctx.failures:
         print(json.dumps({"failures": ctx.failures}), file=sys.stderr)

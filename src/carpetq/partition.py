@@ -32,6 +32,7 @@ from .words import CarpetWord, WordColumns, ell, word_from_digits
 
 __all__ = [
     "DEFAULT_CAP",
+    "MAX_DP_STATES",
     "EnumerationCapError",
     "PartitionLambdaK",
     "PartitionStats",
@@ -50,12 +51,14 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10_000_000
+MAX_DP_STATES = 1_000_000
+_STOPPED = (1, 0.0, 0, 1, 0, 0)
 
 _SHARD_ROWS = 1 << 15
 
 
 class EnumerationCapError(RuntimeError):
-    """Word-count guard tripped before the walk finished."""
+    """A work guard tripped: the enumerator's word cap or the DP's state bound."""
 
 
 class _Tables:
@@ -73,6 +76,16 @@ class _Tables:
             j: [(i, self.a[(i, j)]) for i in params.gx[j]] for j in params.gy
         }
         self.pair_roots = [(ij, self.a[ij]) for ij in spec.digits]
+        self.promote_fracs = {
+            j: [(Fraction(aa * bb, self.b[j] * L), jj)
+                for _, aa in self.promotions[j] for jj, bb in self.appends]
+            for j in params.gy
+        }
+        # Columns whose ordered promotion factors agree have identical
+        # futures in the DP; each maps to the first column of its class.
+        first: dict = {}
+        self.canon = {j: first.setdefault(tuple(f for f, _ in fracs), j)
+                      for j, fracs in self.promote_fracs.items()}
         eta = params.eta
         self.eta_den_k = eta.denominator ** k
         eta_num_k = eta.numerator ** k
@@ -253,8 +266,12 @@ def enumerate_lambda_k(
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     tables = _Tables(params, k)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), tables.h_max + 500))
-    return _walk(params, tables, cap)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, tables.h_max + 500))
+    try:
+        return _walk(params, tables, cap)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @dataclass(frozen=True)
@@ -272,118 +289,100 @@ class StoppedStats:
     entropy_sum: float
 
 
-def stopped_statistics(
-    params: DerivedParams, k: int, *, max_states: int = 5_000_000
-) -> StoppedStats:
-    """Aggregate the level-k partition by memoized descent.
+def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
+    """Aggregate the level-k partition by dynamic programming.
 
     Subtrees of the walk coincide whenever the current length, the
-    mass-to-threshold ratio, and the pending tail digits coincide, and
-    all emitted quantities scale linearly with the subtree root mass.
-    Collapsing those classes turns the walk into a small dynamic
-    program, with counts and masses exact; only entropy terms are
-    floats.  Agrees with the enumerator wherever both run (see tests),
-    while reaching k far beyond what materialized word lists allow.
+    mass-to-threshold ratio, and the pending tail columns (as
+    ``_Tables.canon`` representatives) coincide, and all emitted
+    quantities scale linearly with the subtree root mass.  A forward
+    pass collects the live states of each length; a backward pass,
+    deepest first, folds each state's stopped descendants from its
+    children.  Counts and masses are exact; only entropy terms are
+    floats.  Agrees with the enumerator wherever both run (see tests).
+    Raises ``EnumerationCapError`` past ``MAX_DP_STATES`` states.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     tables = _Tables(params, k)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), tables.h_max + 500))
     L = tables.L
     eta_k = params.eta ** k
     rises = tables.rises
-    append_fracs = [(j, Fraction(bb, L)) for j, bb in tables.appends]
-    promote_fracs = {
-        j: [
-            (i, Fraction(aa * bb, tables.b[j] * L), jj)
-            for i, aa in tables.promotions[j]
-            for jj, bb in tables.appends
-        ]
-        for j in params.gy
-    }
-    # Empty queue means every step appends a whole pair (square grids).
-    pair_fracs = [Fraction(aa, L) for _, aa in tables.pair_roots]
-    memo: dict = {}
+    canon = tables.canon
 
-    def rel(h: int, ratio: Fraction, queue: tuple) -> tuple:
-        # ratio = mass / eta^k of the live word; returns aggregates over
-        # its stopped descendants tau, scaled by 1/mass: (R0 exact sum of
-        # relative masses, R1 = sum r ln r, RL = exact sum r * reldepth,
-        # count, min reldepth, max reldepth).
-        key = (h, ratio, queue)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if len(memo) >= max_states:
-            raise RuntimeError(f"stopped_statistics exceeded {max_states} states")
-        r0 = Fraction(0)
-        r1 = 0.0
-        rl = Fraction(0)
-        cnt = 0
-        dmin = None
-        dmax = 0
+    def moves(fracs):
+        # (factor, its float, its log, appended tail) per transition.
+        return [(f, float(f), math.log(float(f)), tail) for f, tail in fracs]
+
+    append_moves = moves((Fraction(bb, L), (canon[j],))
+                         for j, bb in tables.appends)
+    promote_moves = {j: moves((f, (canon[jj],)) for f, jj in fracs)
+                     for j, fracs in tables.promote_fracs.items()}
+    # Empty queue means every step appends a whole pair (square grids).
+    pair_moves = moves((Fraction(aa, L), ()) for _, aa in tables.pair_roots)
+
+    def expand(h: int, ratio: Fraction, queue: tuple) -> list:
+        # Each transition with its child state, or None if the child stops.
         if not rises[h]:
-            transitions = [(f, queue + (jj,)) for jj, f in append_fracs]
+            base, opts = queue, append_moves
         elif queue:
-            jstar = queue[0]
-            rest = queue[1:]
-            transitions = [(f, rest + (jj,)) for _, f, jj in promote_fracs[jstar]]
+            base, opts = queue[1:], promote_moves[queue[0]]
         else:
-            transitions = [(f, ()) for f in pair_fracs]
-        for f, queue2 in transitions:
-            child_ratio = ratio * f
-            ff = float(f)
-            if child_ratio < 1:
-                r0 += f
-                r1 += ff * math.log(ff)
-                rl += f
-                cnt += 1
-                if dmin is None or dmin > 1:
-                    dmin = 1
-                dmax = max(dmax, 1)
-            else:
-                s0, s1, sl, sc, sdmin, sdmax = rel(h + 1, child_ratio, queue2)
-                lf = math.log(ff)
+            base, opts = queue, pair_moves
+        return [(move, (r, base + move[3]) if (r := ratio * move[0]) >= 1
+                 else None) for move in opts]
+
+    inv_eta_k = 1 / eta_k
+    roots = [(Fraction(nu0, L), () if isinstance(tag, tuple) else (canon[tag],))
+             for tag, nu0 in _roots(params, tables)]
+    # No root stops: its mass is at least eta >= eta^k.
+    levels: list[dict] = []
+    frontier = {(mass * inv_eta_k, queue): None for mass, queue in roots}
+    while frontier:
+        levels.append(frontier)
+        if sum(map(len, levels)) > MAX_DP_STATES:
+            raise EnumerationCapError(
+                f"stopped_statistics exceeded {MAX_DP_STATES} states")
+        frontier = {child: None for state in frontier
+                    for _, child in expand(len(levels), *state) if child}
+
+    # rel[state]: aggregates over the state's stopped descendants tau,
+    # scaled by 1/mass: (R0 exact sum of relative masses, R1 = sum r ln r,
+    # RL = exact sum r * reldepth, count, min reldepth, max reldepth).
+    # A stopped child counts as _STOPPED, which repeats the float
+    # operations of a separate leaf case bit for bit.
+    rel: dict = {}
+    while levels:
+        h, below, rel = len(levels), rel, {}
+        for state in levels.pop():
+            r0, r1, rl, cnt = Fraction(0), 0.0, Fraction(0), 0
+            dmin, dmax = math.inf, 0
+            for (f, ff, lf, _), child in expand(h, *state):
+                s0, s1, sl, sc, sdmin, sdmax = (
+                    _STOPPED if child is None else below[child])
                 r0 += f * s0
                 r1 += ff * (s1 + lf * float(s0))
                 rl += f * (sl + s0)
                 cnt += sc
-                if dmin is None or sdmin + 1 < dmin:
-                    dmin = sdmin + 1
+                dmin = min(dmin, sdmin + 1)
                 dmax = max(dmax, sdmax + 1)
-        result = (r0, r1, rl, cnt, dmin, dmax)
-        memo[key] = result
-        return result
+            rel[state] = (r0, r1, rl, cnt, dmin, dmax)
 
     # The absolute length of a stopped word is 1 + its depth below the
     # root.
-    inv_eta_k = 1 / eta_k
     mass_total = Fraction(0)
     mass_len_total = Fraction(0)
     entropy = KahanSum()
     phi = 0
-    xi_min = None
-    xi_max = 0
-    for root in _roots(params, tables):
-        tag, nu0 = root
-        mass = Fraction(nu0, L)
-        queue = () if isinstance(tag, tuple) else (tag,)
-        ratio = mass * inv_eta_k
+    xi_min, xi_max = math.inf, 0
+    for mass, queue in roots:
         mf = float(mass)
-        if ratio < 1:
-            mass_total += mass
-            mass_len_total += mass
-            entropy.add(mf * math.log(mf))
-            phi += 1
-            xi_min = 1 if xi_min is None else min(xi_min, 1)
-            xi_max = max(xi_max, 1)
-            continue
-        r0, r1, rl, cnt, dmin, dmax = rel(1, ratio, queue)
+        r0, r1, rl, cnt, dmin, dmax = rel[(mass * inv_eta_k, queue)]
         mass_total += mass * r0
         mass_len_total += mass * (rl + r0)
         entropy.add(mf * r1 + mf * math.log(mf) * float(r0))
         phi += cnt
-        xi_min = (1 + dmin) if xi_min is None else min(xi_min, 1 + dmin)
+        xi_min = min(xi_min, 1 + dmin)
         xi_max = max(xi_max, 1 + dmax)
 
     return StoppedStats(
@@ -391,7 +390,7 @@ def stopped_statistics(
         k=k,
         eta_k=eta_k,
         phi_k=phi,
-        xi_min=xi_min or 0,
+        xi_min=xi_min,
         xi_max=xi_max,
         mass_total=mass_total,
         mass_len_total=mass_len_total,

@@ -10,6 +10,7 @@ import pytest
 
 import carpetq
 import carpetq.cli as cli
+import carpetq.partition as partition
 from carpetq.cli import ConfigError, load_config, main
 from carpetq.partition import DisjointnessReport
 from carpetq.report import read_csv
@@ -263,6 +264,19 @@ def test_antichain_maximality_failure_exits_1(tmp_path, capsys,
     header, rows = read_csv(out / "antichain.csv")
     assert rows[0][header.index("comparable_pairs")] == "(0:1 2:3)"
     assert rows[0][header.index("pass")] == "false"
+
+
+@pytest.mark.filterwarnings("ignore:grid factor")
+def test_dp_state_guard_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(partition, "MAX_DP_STATES", 2)
+    cfg = _config(tmp_path, n=4, m=2, k_min=2, k_max=4, maps=[
+        {"i": 0, "j": 0, "p": "3/4"}, {"i": 2, "j": 1, "p": "1/4"}])
+    out = tmp_path / "out"
+    assert main(["partition", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err) == {
+        "error": "stopped_statistics exceeded 2 states"}
 
 
 def test_benchmark_contract_names_resolve():

@@ -1,6 +1,8 @@
 """Stopping-set enumeration: exactness, aggregates, samplers, checks."""
 
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +25,16 @@ from carpetq.words import (
 # and the memoized aggregate walk).
 PHI_A = {1: 18, 2: 189, 3: 1701, 4: 10935, 5: 118098, 6: 1062882,
          7: 8857350, 8: 79716150}
+
+
+@pytest.fixture(scope="module")
+def carpet_skewed():
+    # Carpet D's cells with weights 99/100 and 1/100: at k = 1 the
+    # heavy branch runs 917 digits deep before it stops.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return derive_params(CarpetSpec.of(
+            4, 2, {(0, 0): "99/100", (2, 1): "1/100"}))
 
 
 def _brute_lambda_k(params, k):
@@ -108,6 +120,29 @@ def test_brute_force_membership_other_carpets(carpet_c, carpet_d):
 def test_cap_enforced(carpet_a):
     with pytest.raises(EnumerationCapError):
         enumerate_lambda_k(carpet_a, 3, cap=100)
+
+
+def test_recursion_limit_left_unchanged(carpet_skewed):
+    limit = sys.getrecursionlimit()
+    with pytest.raises(EnumerationCapError):
+        enumerate_lambda_k(carpet_skewed, 1, cap=100)
+    assert sys.getrecursionlimit() == limit
+    stats = stopped_statistics(carpet_skewed, 1)
+    assert (stats.phi_k, stats.xi_min, stats.xi_max) == (106_489, 3, 917)
+    assert stats.mass_total == 1
+    assert sys.getrecursionlimit() == limit
+
+
+def test_dp_frozen_carpet_d(carpet_d):
+    # Beyond what the enumerator collects; k = 6 was cross-checked
+    # against the earlier memoized recursive DP.
+    for k, phi, xi in ((6, 30_706_712, (13, 58)),
+                       (10, 1_936_311_929_094, (21, 97))):
+        stats = stopped_statistics(carpet_d, k)
+        assert stats.phi_k == phi
+        assert (stats.xi_min, stats.xi_max) == xi
+        assert stats.mass_total == 1
+    assert stopped_statistics(carpet_d, 20).mass_total == 1
 
 
 def test_dp_matches_enumeration(carpet_a, carpet_b, carpet_c, carpet_d):
@@ -233,9 +268,13 @@ def test_random_carpet_dp_equals_enumeration(n, m, cells, raw):
     spec = CarpetSpec.of(
         n, m, {c: f"{w}/{total}" for c, w in zip(cells, raw)})
     params = derive_params(spec)
-    part = enumerate_lambda_k(params, 1)
-    stats = stopped_statistics(params, 1)
-    assert part.mass_total == 1
-    assert stats.phi_k == part.phi_k
-    assert stats.mass_len_total == part.mass_len_total
-    assert check_square_disjointness(part).ok
+    for k in (1, 2):
+        part = enumerate_lambda_k(params, k)
+        stats = stopped_statistics(params, k)
+        assert part.mass_total == 1
+        assert stats.phi_k == part.phi_k
+        assert stats.mass_len_total == part.mass_len_total
+        assert (stats.xi_min, stats.xi_max) == (part.xi_min, part.xi_max)
+        assert stats.mass_total == part.mass_total
+        assert stats.entropy_sum == pytest.approx(part.entropy_sum, abs=1e-9)
+        assert check_square_disjointness(part).ok
