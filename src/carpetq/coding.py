@@ -145,42 +145,29 @@ class StageLog:
         return self.inserted_entropy - self.removed_entropy
 
 
-@dataclass(frozen=True)
 class Antichain(WordColumns):
     """A finite set of words, blockwise incomparable, with stage history.
 
-    Words are stored columnwise like a partition's: ``encode_word``
-    bytes, a length, and a scaled integer mass per word (denominator
-    L**length, where L clears all weight denominators), sorted by length
-    and then encoding.  ``base_*`` aggregates describe the stopping set
-    the construction started from.
+    Words are stored per length like a partition's: ``encode_word``
+    bytes and a scaled integer mass per word (denominator L**length,
+    where L clears all weight denominators), each block sorted by
+    encoding.  ``base_*`` aggregates describe the stopping set the
+    construction started from.
     """
 
-    params: DerivedParams
-    k: int
-    xi_stages: tuple[int, ...]
-    encodings: list
-    lengths: list
-    nus: list
-    mass_total: Fraction
-    mass_len_total: Fraction
-    entropy_sum: float
-    base_size: int
-    base_entropy_sum: float
-    base_mass_len_total: Fraction
-    stage_logs: tuple[StageLog, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def l_min(self) -> int:
-        return min(self.lengths)
-
-    @property
-    def l_max(self) -> int:
-        return max(self.lengths)
+    def __init__(self, params: DerivedParams, k: int, blocks: dict, *,
+                 xi_stages: tuple[int, ...], entropy_sum: float,
+                 base_size: int, base_entropy_sum: float,
+                 base_mass_len_total: Fraction,
+                 stage_logs: tuple[StageLog, ...]):
+        super().__init__(params, blocks)
+        self.k = k
+        self.xi_stages = xi_stages
+        self.entropy_sum = entropy_sum
+        self.base_size = base_size
+        self.base_entropy_sum = base_entropy_sum
+        self.base_mass_len_total = base_mass_len_total
+        self.stage_logs = stage_logs
 
 
 # Words are keyed by their ``encode_word`` bytes: 2 * ell(h) pair bytes,
@@ -207,49 +194,28 @@ def _ancestor_key(enc: bytes, split: int, cut: tuple[int, int]) -> bytes:
 
 def _bucketize(partition) -> dict[int, dict[bytes, int]]:
     # length -> {encoding -> scaled mass}, in partition order
-    buckets: dict[int, dict[bytes, int]] = {}
-    for enc, h, nu in zip(partition.encodings, partition.lengths,
-                          partition.nus):
-        buckets.setdefault(h, {})[enc] = nu
-    return buckets
+    return {h: dict(zip(encs, nus))
+            for h, (encs, nus) in partition.blocks.items()}
 
 
 def _columns(params, k, buckets, xi_stages, base, stage_logs):
-    # Deterministic flatten: by length, then encoding.
-    L = params.denom_lcm
-    log_l = math.log(L)
-    lengths: list[int] = []
-    encodings: list[bytes] = []
-    nus: list[int] = []
-    mass_total = Fraction(0)
-    mass_len_total = Fraction(0)
+    # Deterministic blocks: each length's words sorted by encoding, with
+    # the entropy summed in that order.
+    log_l = math.log(params.denom_lcm)
+    blocks = {}
     entropy = KahanSum()
     for h in sorted(buckets):
         bucket = buckets[h]
-        if not bucket:
-            continue
-        nu_sum = 0
-        for enc in sorted(bucket):
-            nu = bucket[enc]
-            lengths.append(h)
-            encodings.append(enc)
-            nus.append(nu)
-            nu_sum += nu
+        encs = sorted(bucket)
+        nus = [bucket[enc] for enc in encs]
+        for nu in nus:
             log_mass = math.log(nu) - h * log_l
             entropy.add(math.exp(log_mass) * log_mass)
-        mass_h = Fraction(nu_sum, L ** h)
-        mass_total += mass_h
-        mass_len_total += mass_h * h
+        blocks[h] = (encs, nus)
     base_size, base_entropy, base_mass_len = base
     return Antichain(
-        params=params,
-        k=k,
+        params, k, blocks,
         xi_stages=xi_stages,
-        encodings=encodings,
-        lengths=lengths,
-        nus=nus,
-        mass_total=mass_total,
-        mass_len_total=mass_len_total,
         entropy_sum=entropy.total,
         base_size=base_size,
         base_entropy_sum=base_entropy,
@@ -453,10 +419,11 @@ class AntichainReport:
 def verify_maximal_antichain(antichain: Antichain) -> AntichainReport:
     """Certify maximality from scratch.
 
-    Masses are resummed exactly from the stored integers.  For the
-    incomparability scan, each word's unique candidate ancestor at every
-    shorter occupied length is looked up in a per-length hash index, so
-    the scan is linear in the word count times the length spread.
+    Masses are resummed exactly from the stored integers, not read from
+    the store's aggregates.  For the incomparability scan, each word's
+    unique candidate ancestor at every shorter occupied length is looked
+    up in a per-length hash index, so the scan is linear in the word
+    count times the length spread.
     Exact mass one plus pairwise incomparability certify that the
     cylinders tile the whole product space.
     """
@@ -465,34 +432,29 @@ def verify_maximal_antichain(antichain: Antichain) -> AntichainReport:
     eta_k = params.eta ** antichain.k
     eta_num_k, eta_den_k = eta_k.numerator, eta_k.denominator
 
+    offsets = antichain.offsets
     index: dict[int, dict[bytes, int]] = {}
     nu_by_len: dict[int, int] = {}
     below = True
-    for idx, (enc, h, nu) in enumerate(zip(
-            antichain.encodings, antichain.lengths, antichain.nus)):
-        index.setdefault(h, {})[enc] = idx
-        nu_by_len[h] = nu_by_len.get(h, 0) + nu
-        if nu * eta_den_k >= eta_num_k * L ** h:
+    for h, (encs, nus) in antichain.blocks.items():
+        index[h] = dict(zip(encs, range(offsets[h], offsets[h] + len(encs))))
+        nu_by_len[h] = sum(nus)
+        bound = eta_num_k * L ** h
+        if any(nu * eta_den_k >= bound for nu in nus):
             below = False
     mass_total = sum(
         (Fraction(nu, L ** h) for h, nu in nu_by_len.items()), Fraction(0))
 
-    occupied = sorted(index)
-    # length -> (tail start, [(shorter index, ancestor cut), ...])
-    lookups = {
-        h: (2 * ell(params, h),
-            [(index[hp], _ancestor_cuts(params, hp))
-             for hp in occupied if hp < h])
-        for h in occupied
-    }
     violations: list[tuple[int, int]] = []
-    for idx, (enc, h) in enumerate(zip(antichain.encodings,
-                                       antichain.lengths)):
-        split, shorter = lookups[h]
-        for sub, cut in shorter:
-            anc = sub.get(_ancestor_key(enc, split, cut))
-            if anc is not None:
-                violations.append((anc, idx))
+    for h, (encs, _) in antichain.blocks.items():
+        split = 2 * ell(params, h)
+        shorter = [(index[hp], _ancestor_cuts(params, hp))
+                   for hp in index if hp < h]
+        for idx, enc in enumerate(encs, offsets[h]):
+            for sub, cut in shorter:
+                anc = sub.get(_ancestor_key(enc, split, cut))
+                if anc is not None:
+                    violations.append((anc, idx))
     return AntichainReport(
         k=antichain.k,
         size=antichain.size,
@@ -500,6 +462,6 @@ def verify_maximal_antichain(antichain: Antichain) -> AntichainReport:
         mass_exact=mass_total == 1,
         comparable_pairs=tuple(violations),
         below_threshold=below,
-        l_min=antichain.l_min if antichain.size else 0,
-        l_max=antichain.l_max if antichain.size else 0,
+        l_min=antichain.l_min,
+        l_max=antichain.l_max,
     )

@@ -116,8 +116,8 @@ def _walk(params: DerivedParams, tables: _Tables, cap: int
           ) -> PartitionLambdaK:
     """Depth-first walk from every root, in root order.
 
-    Entropy terms are summed per root and then merged per length in
-    root order.
+    Each word joins the block of its length in walk order.  Entropy
+    terms are summed per root and then merged per length in root order.
     """
     L = tables.L
     log_l = math.log(L)
@@ -129,27 +129,26 @@ def _walk(params: DerivedParams, tables: _Tables, cap: int
     pair_roots = tables.pair_roots
     b = tables.b
 
-    counts: dict[int, int] = {}
-    nu_sums: dict[int, int] = {}
+    blocks: dict[int, tuple[list[bytes], list[int]]] = {}
     entropy: dict[int, KahanSum] = {}
     root_entropy: dict[int, KahanSum] = {}
-    encodings: list[bytes] = []
-    lengths: list[int] = []
-    nus: list[int] = []
+    emitted = 0
     buf = bytearray()
 
     def emit(h: int, nu: int) -> None:
-        counts[h] = counts.get(h, 0) + 1
-        nu_sums[h] = nu_sums.get(h, 0) + nu
+        nonlocal emitted
+        block = blocks.get(h)
+        if block is None:
+            block = blocks[h] = ([], [])
+        block[0].append(bytes(buf))
+        block[1].append(nu)
         log_mass = math.log(nu) - h * log_l
         acc = root_entropy.get(h)
         if acc is None:
             acc = root_entropy[h] = KahanSum()
         acc.add(math.exp(log_mass) * log_mass)
-        encodings.append(bytes(buf))
-        lengths.append(h)
-        nus.append(nu)
-        if len(nus) > cap:
+        emitted += 1
+        if emitted > cap:
             raise EnumerationCapError(f"enumeration exceeded cap of {cap} words")
 
     def go(h: int, nu: int, twol: int) -> None:
@@ -196,53 +195,35 @@ def _walk(params: DerivedParams, tables: _Tables, cap: int
         else:
             buf[:] = (tag,)
             twol0 = 0
-        if nu0 * eta_den_k < rhs[1]:
-            emit(1, nu0)
-        else:
-            go(1, nu0, twol0)
+        # No root stops: its mass is at least eta >= eta^k.
+        go(1, nu0, twol0)
         for h, acc in root_entropy.items():
             tgt = entropy.get(h)
             if tgt is None:
                 tgt = entropy[h] = KahanSum()
             tgt.merge(acc)
         root_entropy.clear()
-    return PartitionLambdaK(params, tables.k, encodings=encodings,
-                            lengths=lengths, nus=nus, counts=counts,
-                            nu_sums=nu_sums, entropy=entropy)
+    return PartitionLambdaK(
+        params, tables.k, blocks,
+        entropy_sum=math.fsum(acc.total for acc in entropy.values()))
 
 
 class PartitionLambdaK(WordColumns):
     """One collected stopping-time partition.
 
-    Word storage is columnar: byte-encoded digits, lengths, and scaled
-    integer masses nu with mass = nu / L^length.  Exact aggregates are
-    computed during the walk, so consumers rarely have to touch every
-    Fraction again.
+    Words are stored per length: byte-encoded digits and scaled integer
+    masses nu with mass = nu / L^length.  The word count ``phi_k`` and
+    the length window ``[xi_min, xi_max]`` are the store's size and
+    length window; the entropy sum is accumulated during the walk.
     """
 
-    def __init__(self, params: DerivedParams, k: int, *, encodings: list,
-                 lengths: list, nus: list, counts: dict, nu_sums: dict,
-                 entropy: dict):
-        self.params = params
+    def __init__(self, params: DerivedParams, k: int, blocks: dict, *,
+                 entropy_sum: float):
+        super().__init__(params, blocks)
         self.k = k
         self.eta_k: Fraction = params.eta ** k
-        self.encodings: list[bytes] = encodings
-        self.lengths: list[int] = lengths
-        self.nus: list[int] = nus
-        L = params.denom_lcm
-        self.length_counts = dict(sorted(counts.items()))
-        self.length_nu_sums = dict(sorted(nu_sums.items()))
-        self.phi_k = sum(counts.values())
-        self.xi_min = min(counts) if counts else 0
-        self.xi_max = max(counts) if counts else 0
-        self.mass_total = sum(
-            (Fraction(s, L ** h) for h, s in nu_sums.items()), Fraction(0))
-        self.mass_len_total = sum(
-            (h * Fraction(s, L ** h) for h, s in nu_sums.items()), Fraction(0))
-        self.entropy_sum = math.fsum(acc.total for acc in entropy.values())
-
-    def __len__(self) -> int:
-        return self.phi_k
+        self.phi_k, self.xi_min, self.xi_max = self.size, self.l_min, self.l_max
+        self.entropy_sum = entropy_sum
 
 
 def _roots(params: DerivedParams, tables: _Tables):
@@ -489,13 +470,10 @@ def check_square_disjointness(partition: PartitionLambdaK) -> DisjointnessReport
     """
     params = partition.params
     items = []
-    for idx in range(partition.phi_k):
-        enc = partition.encodings[idx]
-        h = partition.lengths[idx]
-        l = ell(params, h)
-        y = bytes(enc[1:2 * l:2]) + enc[2 * l:]
-        x = bytes(enc[0:2 * l:2])
-        items.append((y, x, idx))
+    for h, (encs, _) in partition.blocks.items():
+        split = 2 * ell(params, h)
+        items.extend((enc[1:split:2] + enc[split:], enc[0:split:2], idx)
+                     for idx, enc in enumerate(encs, partition.offsets[h]))
     items.sort()
 
     violations: list[tuple[int, int]] = []

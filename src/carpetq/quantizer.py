@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .measure import DerivedParams
 from .partition import PartitionLambdaK, sample_digit_matrix
@@ -100,28 +99,23 @@ def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
 
 
 def lambda_codebook(partition: PartitionLambdaK) -> Codebook:
-    """One point per stopping word: the center of its rectangle."""
+    """One point per stopping word, the center of its rectangle; row i
+    is word i of the partition."""
     params = partition.params
     n = float(params.n)
     m = float(params.m)
     pts = np.empty((partition.phi_k, 2), dtype=np.float64)
-    by_len: dict[int, list[int]] = {}
-    for idx in range(partition.phi_k):
-        by_len.setdefault(partition.lengths[idx], []).append(idx)
-    for h, idxs in by_len.items():
+    for h, (encs, _) in partition.blocks.items():
         l = ell(params, h)
         width = h + l    # bytes per encoding: 2l pair bytes + (h-l) tail
-        flat = np.frombuffer(
-            b"".join(partition.encodings[i] for i in idxs), dtype=np.uint8)
-        grid = flat.reshape(len(idxs), width).astype(np.float64)
+        flat = np.frombuffer(b"".join(encs), dtype=np.uint8)
+        grid = flat.reshape(len(encs), width).astype(np.float64)
         iw = np.power(n, -np.arange(1, l + 1, dtype=np.float64))
         ydig = np.concatenate([grid[:, 1:2 * l:2], grid[:, 2 * l:]], axis=1)
         yweights = np.power(m, -np.arange(1, h + 1, dtype=np.float64))
-        x = grid[:, 0:2 * l:2] @ iw + 0.5 * n ** (-l)
-        y = ydig @ yweights + 0.5 * m ** (-float(h))
-        rows = np.array(idxs)
-        pts[rows, 0] = x
-        pts[rows, 1] = y
+        rows = slice(partition.offsets[h], partition.offsets[h] + len(encs))
+        pts[rows, 0] = grid[:, 0:2 * l:2] @ iw + 0.5 * n ** (-l)
+        pts[rows, 1] = ydig @ yweights + 0.5 * m ** (-float(h))
     return Codebook(points=pts, origin="lambda-centers")
 
 
@@ -146,6 +140,7 @@ def log_distortion(cloud: SampleCloud, codebook: Codebook,
     """
     if cloud.size < 1 or codebook.card < 1:
         raise ValueError("need a nonempty cloud and codebook")
+    from scipy.spatial import cKDTree
     tree = cKDTree(codebook.points)
     dist, _ = tree.query(cloud.points, k=1, workers=workers)
     floored = int(np.count_nonzero(dist < DISTANCE_FLOOR))
@@ -178,6 +173,7 @@ def refine_codebook(params: DerivedParams, cloud: SampleCloud,
     pts = codebook.points.copy()
     if iters == 0:
         return Codebook(points=pts, origin="refined")
+    from scipy.spatial import cKDTree
     cell_floor = float(params.m) ** (-(k + 5))
     best = pts.copy()
     best_obj = log_distortion(cloud, Codebook(pts, "refined"),
@@ -248,7 +244,7 @@ def r_k_diagnostic(partition: PartitionLambdaK, cloud: SampleCloud,
     log_m = math.log(params.spec.m)
     lower = 0.0
     upper = 0.0
-    for h, nu_sum in sorted(partition.length_nu_sums.items()):
+    for h, nu_sum in partition.length_nu_sums.items():
         mass_h = float(Fraction(nu_sum, L ** h))
         lower += mass_h * (-h * log_m)
         upper += mass_h * diameter_log(params, h)
@@ -308,6 +304,7 @@ def ball_bound_check(params: DerivedParams, cloud: SampleCloud,
     t = params.ball_exponent
     c = params.c_ball
     n_pts = cloud.size
+    from scipy.spatial import cKDTree
     tree = cKDTree(cloud.points)
     pivots = cloud.points[:centers]
     failures = []

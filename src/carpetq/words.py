@@ -233,24 +233,60 @@ def decode_word(params: DerivedParams, data: bytes, k: int) -> CarpetWord:
 
 
 class WordColumns:
-    """Read access to a columnar word store.
+    """A word store keyed by word length.
 
-    Subclasses provide ``params`` and three parallel lists: ``encodings``
-    (``encode_word`` bytes), ``lengths``, and scaled integer masses
-    ``nus`` with mass = nu / L^length.
+    ``blocks`` maps each occupied length h, in ascending order, to two
+    parallel lists: ``encode_word`` bytes and scaled integer masses nu
+    with mass = nu / L^h.  Word indices run in this length-major order;
+    ``offsets[h]`` is the index of the first length-h word.  The counts,
+    the length window and the exact mass aggregates are derived once,
+    here, so no consumer regroups words by length.
     """
 
-    params: DerivedParams
-    encodings: list[bytes]
-    lengths: list[int]
-    nus: list[int]
+    def __init__(self, params: DerivedParams,
+                 blocks: dict[int, tuple[list[bytes], list[int]]]):
+        L = params.denom_lcm
+        self.params = params
+        self.blocks = {h: blocks[h] for h in sorted(blocks) if blocks[h][0]}
+        self.length_counts = {h: len(encs)
+                              for h, (encs, _) in self.blocks.items()}
+        self.length_nu_sums = {h: sum(nus)
+                               for h, (_, nus) in self.blocks.items()}
+        self.offsets: dict[int, int] = {}
+        self.size = 0
+        for h, count in self.length_counts.items():
+            self.offsets[h] = self.size
+            self.size += count
+        self.l_min = min(self.blocks, default=0)
+        self.l_max = max(self.blocks, default=0)
+        masses = [(h, Fraction(s, L ** h))
+                  for h, s in self.length_nu_sums.items()]
+        self.mass_total = sum((mass for _, mass in masses), Fraction(0))
+        self.mass_len_total = sum((h * mass for h, mass in masses),
+                                  Fraction(0))
+
+    def __len__(self) -> int:
+        return self.size
 
     def word_at(self, idx: int) -> CarpetWord:
-        return decode_word(self.params, self.encodings[idx], self.lengths[idx])
+        h, pos = self._locate(idx)
+        return decode_word(self.params, self.blocks[h][0][pos], h)
 
     def mass_at(self, idx: int) -> Fraction:
-        return Fraction(self.nus[idx], self.params.denom_lcm ** self.lengths[idx])
+        h, pos = self._locate(idx)
+        return Fraction(self.blocks[h][1][pos], self.params.denom_lcm ** h)
 
     def iter_words(self) -> Iterator[tuple[CarpetWord, Fraction]]:
-        for idx in range(len(self.lengths)):
-            yield self.word_at(idx), self.mass_at(idx)
+        L = self.params.denom_lcm
+        for h, (encs, nus) in self.blocks.items():
+            scale = L ** h
+            for enc, nu in zip(encs, nus):
+                yield decode_word(self.params, enc, h), Fraction(nu, scale)
+
+    def _locate(self, idx: int) -> tuple[int, int]:
+        # (length, position in its block) of word ``idx``.
+        if not 0 <= idx < self.size:
+            raise IndexError(f"word index {idx} out of range")
+        h = next(h for h, start in reversed(self.offsets.items())
+                 if idx >= start)
+        return h, idx - self.offsets[h]

@@ -1,9 +1,12 @@
 """Command surface: outputs, determinism, exit codes, config handling."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -264,6 +267,86 @@ def test_antichain_maximality_failure_exits_1(tmp_path, capsys,
     header, rows = read_csv(out / "antichain.csv")
     assert rows[0][header.index("comparable_pairs")] == "(0:1 2:3)"
     assert rows[0][header.index("pass")] == "false"
+
+
+def _replacing(**fields):
+    # Wraps a layer call so that some fields of its result are overwritten.
+    return lambda real: lambda *args, **kwargs: dataclasses.replace(
+        real(*args, **kwargs), **fields)
+
+
+# (command, cli attribute, wrapper for it, check that must fail)
+_FAULTS = [
+    ("partition", "partition_stats", _replacing(phi_window_ok=False),
+     "phi-window"),
+    ("antichain", "delta_k", lambda real: lambda chain: 1e6, "delta-bound"),
+    ("sequences", "sequence_point", _replacing(s_k=100.0), "bounds"),
+    ("quantize", "r_k_diagnostic", _replacing(e_hat_est=10.0),
+     "upper-anchor"),
+    ("quantize", "r_k_diagnostic", _replacing(lower_anchor=0.0),
+     "anchor-gap"),
+    ("quantize", "ball_bound_check",
+     _replacing(failures=((0, 0.1, 0.5, 0.25),)), "ball-bound"),
+]
+
+
+@pytest.mark.parametrize("command,attr,wrap,check", _FAULTS,
+                         ids=[fault[3] for fault in _FAULTS])
+def test_check_failure_exits_1(tmp_path, capsys, monkeypatch, command, attr,
+                               wrap, check):
+    monkeypatch.setattr(cli, attr, wrap(getattr(cli, attr)))
+    cfg = _config(tmp_path, k_min=2, k_max=2, cloud_size=5000)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    failures = json.loads(err)["failures"]
+    assert [f["check"] for f in failures] == [check]
+    header, rows = read_csv(out / f"{command}.csv")
+    assert [row[0] for row in rows] == ["2"]
+    if "pass" in header:
+        assert rows[0][header.index("pass")] == "false"
+
+
+# sha256 of every table the exact commands write for carpet A at
+# k = 2..4.  The entropy cells hold the bits of three float sums: the
+# walk's per-root Kahan sums, the antichain's sorted Kahan sum and the
+# stage logs' sums.
+_FROZEN_DIGESTS = {
+    "partition.csv":
+        "398885844aa507418acbb6b8e851d25dc403b2d6fc7900dd0878bd76deeea436",
+    "partition.json":
+        "60f2e148d684e95a7134e7bd2bdff9f894b23a805cc0869f313ba90b3de1c7bf",
+    "antichain.csv":
+        "17cfe5c8525f68778fc40e3e703648449cecb83ab4682b25195bd5252ba296e1",
+    "antichain.json":
+        "e5f42039cf511e3a58e6f0e8a074166f954eccb3f291c0d38674c81f5fc07011",
+    "sequences.csv":
+        "b77be58aa28746e91dbb3f03fd2faa9b84b1c2c01ec3736fac5b030d1b56559b",
+    "sequences.json":
+        "d626c5274b626e3e27f8b2ba319bc17280c1987953b9efa66f26b8be7ca66b9e",
+}
+
+
+def test_exact_outputs_frozen(tmp_path):
+    cfg = _config(tmp_path, k_min=2, k_max=4)
+    out = tmp_path / "out"
+    for command in ("partition", "antichain", "sequences"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in _FROZEN_DIGESTS}
+    assert got == _FROZEN_DIGESTS
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is loaded only by the functions that build a KD-tree.
+    src = Path(carpetq.__file__).resolve().parents[1]
+    code = ("import sys, carpetq, carpetq.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.filterwarnings("ignore:grid factor")

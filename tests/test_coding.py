@@ -133,8 +133,8 @@ def test_raw_equals_built_when_single_stage(cache_a):
     built = cache_a.antichain(4)
     assert built.stage_logs == ()
     assert raw.size == built.size
-    assert sorted(zip(raw.lengths, raw.encodings, raw.nus)) \
-        == sorted(zip(built.lengths, built.encodings, built.nus))
+    assert {h: sorted(zip(*block)) for h, block in raw.blocks.items()} \
+        == {h: sorted(zip(*block)) for h, block in built.blocks.items()}
     assert verify_maximal_antichain(built).ok
 
 

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from carpetq import CarpetSpec, derive_params
 from carpetq.partition import (
-    EnumerationCapError, check_phi_growth, check_square_disjointness,
-    enumerate_lambda_k, local_dimension_estimate, partition_stats,
-    sample_address, sample_digit_matrix, squares_overlap, stopped_statistics,
+    EnumerationCapError, PartitionLambdaK, check_phi_growth,
+    check_square_disjointness, enumerate_lambda_k, local_dimension_estimate,
+    partition_stats, sample_address, sample_digit_matrix, squares_overlap,
+    stopped_statistics,
 )
+from carpetq.quantizer import lambda_codebook
 from carpetq.words import (
     carpet_children, encode_word, flat_predecessor, make_word,
     square_geometry, word_mass,
@@ -159,6 +161,39 @@ def test_dp_matches_enumeration(carpet_a, carpet_b, carpet_c, carpet_d):
                 part.entropy_sum, abs=1e-9)
 
 
+def test_store_aggregates_recount(carpet_a, carpet_c, carpet_d):
+    # Every aggregate the word store derives equals a recount over its
+    # words, and codebook row i is the centre of word i.
+    for params in (carpet_a, carpet_c, carpet_d):
+        L = params.denom_lcm
+        for k in (1, 2, 3):
+            part = enumerate_lambda_k(params, k)
+            counts, nu_sums = {}, {}
+            mass_total = mass_len_total = Fraction(0)
+            for w, mass in part.iter_words():
+                h = len(w)
+                assert mass == word_mass(params, w)
+                counts[h] = counts.get(h, 0) + 1
+                nu_sums[h] = nu_sums.get(h, 0) + mass * L ** h
+                mass_total += mass
+                mass_len_total += h * mass
+            assert part.phi_k == sum(counts.values()) == len(part)
+            assert (part.xi_min, part.xi_max) == (min(counts), max(counts))
+            assert part.length_counts == counts
+            assert part.length_nu_sums == nu_sums
+            assert list(part.length_counts) == sorted(counts)
+            assert part.mass_total == mass_total
+            assert part.mass_len_total == mass_len_total
+            book = lambda_codebook(part)
+            for idx in range(part.phi_k):
+                sq = square_geometry(params, part.word_at(idx))
+                assert part.mass_at(idx) == sq.mass
+                assert book.points[idx, 0] == pytest.approx(
+                    float(sq.x_low + sq.width / 2), abs=1e-15)
+                assert book.points[idx, 1] == pytest.approx(
+                    float(sq.y_low + sq.height / 2), abs=1e-15)
+
+
 def test_phi_growth(carpet_a):
     stats = [stopped_statistics(carpet_a, k) for k in range(1, 9)]
     for earlier, later in zip(stats, stats[1:]):
@@ -188,10 +223,24 @@ def test_disjointness_brute_agreement(cache_a, carpet_a):
     assert check_square_disjointness(part).ok
 
 
+def _replace_word(part, idx, word):
+    # The partition with word ``idx`` swapped for ``word``.
+    blocks = {h: (list(encs), list(nus))
+              for h, (encs, nus) in part.blocks.items()}
+    h = len(part.word_at(idx))
+    pos = idx - part.offsets[h]
+    nu = blocks[h][1][pos]
+    del blocks[h][0][pos], blocks[h][1][pos]
+    encs, nus = blocks.setdefault(len(word), ([], []))
+    encs.append(encode_word(word))
+    nus.append(nu)
+    return PartitionLambdaK(part.params, part.k, blocks,
+                            entropy_sum=part.entropy_sum)
+
+
 def test_disjointness_detects_duplicate(carpet_a):
     part = enumerate_lambda_k(carpet_a, 1)
-    part.encodings[1] = part.encodings[0]
-    part.lengths[1] = part.lengths[0]
+    part = _replace_word(part, 1, part.word_at(0))
     report = check_square_disjointness(part)
     assert not report.ok
     assert len(report.violations) >= 1
@@ -201,8 +250,7 @@ def test_disjointness_detects_nesting(carpet_a):
     part = enumerate_lambda_k(carpet_a, 1)
     child = part.word_at(0)
     parent = flat_predecessor(carpet_a, child)
-    part.encodings[1] = encode_word(parent)
-    part.lengths[1] = len(parent)
+    part = _replace_word(part, 1, parent)
     report = check_square_disjointness(part)
     assert not report.ok
 
