@@ -21,7 +21,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .coding import build_antichain, verify_maximal_antichain
+from .coding import (
+    AntichainInvariantError, build_antichain, verify_maximal_antichain,
+)
 from .measure import (
     CarpetSpec, DerivedParams, InvalidSpecError, derive_params, validate_spec,
 )
@@ -161,6 +163,19 @@ def _collectable(params: DerivedParams, k: int, ctx: _Ctx):
     return stats, None
 
 
+def _antichain(ctx: _Ctx, command: str, k: int, part):
+    """The level's antichain; None for an uncollected level, or once its
+    failed invariant is recorded."""
+    if part is None:
+        return None
+    try:
+        return build_antichain(part)
+    except AntichainInvariantError as exc:
+        ctx.fail(command=command, k=k, check="antichain-invariant",
+                 detail=str(exc))
+        return None
+
+
 def _pairs_cell(pairs) -> str:
     """Index pairs as one comma-free CSV cell: ``(a:b c:d)``, or ``()``."""
     return "(" + " ".join(f"{a}:{b}" for a, b in pairs) + ")"
@@ -250,9 +265,9 @@ def cmd_antichain(ctx: _Ctx) -> None:
     detail = []
     for k in range(ctx.cfg.k_min, ctx.cfg.k_max + 1):
         stats, part = _collectable(params, k, ctx)
-        if part is None:
+        chain = _antichain(ctx, "antichain", k, part)
+        if chain is None:
             continue
-        chain = build_antichain(part)
         report = verify_maximal_antichain(chain)
         dlt = delta_k(chain)
         delta_ok = dlt <= params.c1 + 1e-12
@@ -309,7 +324,7 @@ def cmd_sequences(ctx: _Ctx) -> None:
     rows = []
     for k in range(ctx.cfg.k_min, ctx.cfg.k_max + 1):
         stats, part = _collectable(params, k, ctx)
-        chain = build_antichain(part) if part is not None else None
+        chain = _antichain(ctx, "sequences", k, part)
         point = sequence_point(params, k, stats=stats, antichain=chain)
         ok = point.within_bounds
         if not ok:

@@ -19,9 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .measure import DerivedParams
 from .summation import KahanSum
-from .words import CarpetWord, WordColumns, WordError, decode_word, ell
+from .words import (
+    CarpetWord, RowIndex, WordColumns, WordError, decode_word, ell, row_keys,
+)
 
 
 __all__ = [
@@ -148,11 +152,11 @@ class StageLog:
 class Antichain(WordColumns):
     """A finite set of words, blockwise incomparable, with stage history.
 
-    Words are stored per length like a partition's: ``encode_word``
-    bytes and a scaled integer mass per word (denominator L**length,
-    where L clears all weight denominators), each block sorted by
-    encoding.  ``base_*`` aggregates describe the stopping set the
-    construction started from.
+    Words are stored per length like a partition's: a uint8 matrix of
+    encoded digit rows and a scaled integer mass per word (denominator
+    L**length, where L clears all weight denominators), each block
+    sorted by its rows' bytes.  ``base_*`` aggregates describe the
+    stopping set the construction started from.
     """
 
     def __init__(self, params: DerivedParams, k: int, blocks: dict, *,
@@ -170,51 +174,37 @@ class Antichain(WordColumns):
         self.stage_logs = stage_logs
 
 
-# Words are keyed by their ``encode_word`` bytes: 2 * ell(h) pair bytes,
-# then h - ell(h) tail bytes.  The blockwise ancestor of such a word at a
-# shorter length h' keeps the first 2 * ell(h') pair bytes and the first
-# h' - ell(h') tail bytes; both block lengths are nondecreasing in the
-# word length, so neither prefix overruns its block.  All words of one
-# length share the pair width, so sorting encodings orders them by pair
-# block, then tail.
-
-def _ancestor_cuts(params: DerivedParams, h: int) -> tuple[int, int]:
-    # (pair bytes, tail bytes) that a length-h ancestor keeps.
-    l = ell(params, h)
-    return 2 * l, h - l
+def _ancestor_columns(params: DerivedParams, h: int, hp: int) -> list[int]:
+    # Columns of a length-h row that spell its blockwise ancestor at
+    # length hp <= h: the first ell(hp) pairs and the first hp - ell(hp)
+    # tail digits.  Both block lengths are nondecreasing in the word
+    # length, so neither cut overruns its block.
+    l, lp = ell(params, h), ell(params, hp)
+    return list(range(2 * lp)) + list(range(2 * l, 2 * l + hp - lp))
 
 
-def _ancestor_key(enc: bytes, split: int, cut: tuple[int, int]) -> bytes:
-    # ``split`` is where the tail of ``enc`` starts.
-    pair_cut, tail_len = cut
-    if pair_cut == split:
-        return enc[:split + tail_len]
-    return enc[:pair_cut] + enc[split:split + tail_len]
-
-
-def _bucketize(partition) -> dict[int, dict[bytes, int]]:
-    # length -> {encoding -> scaled mass}, in partition order
-    return {h: dict(zip(encs, nus))
-            for h, (encs, nus) in partition.blocks.items()}
-
-
-def _columns(params, k, buckets, xi_stages, base, stage_logs):
-    # Deterministic blocks: each length's words sorted by encoding, with
-    # the entropy summed in that order.
+def _columns(params, k, blocks, indexes, xi_stages, base, stage_logs):
+    # Deterministic blocks: each length's rows sorted by their bytes,
+    # with the entropy summed in that order.  ``indexes`` holds the
+    # row indexes already built for some of ``blocks``.
     log_l = math.log(params.denom_lcm)
-    blocks = {}
+    out = {}
     entropy = KahanSum()
-    for h in sorted(buckets):
-        bucket = buckets[h]
-        encs = sorted(bucket)
-        nus = [bucket[enc] for enc in encs]
-        for nu in nus:
+    for h in sorted(blocks):
+        rows, nus = blocks[h]
+        order = (indexes.get(h) or RowIndex(rows)).order
+        nus = [nus[i] for i in order.tolist()]
+        # Words of one length share few masses: one term per distinct nu.
+        terms = {}
+        for nu in set(nus):
             log_mass = math.log(nu) - h * log_l
-            entropy.add(math.exp(log_mass) * log_mass)
-        blocks[h] = (encs, nus)
+            terms[nu] = math.exp(log_mass) * log_mass
+        for nu in nus:
+            entropy.add(terms[nu])
+        out[h] = (rows[order], nus)
     base_size, base_entropy, base_mass_len = base
     return Antichain(
-        params, k, blocks,
+        params, k, out,
         xi_stages=xi_stages,
         entropy_sum=entropy.total,
         base_size=base_size,
@@ -231,11 +221,9 @@ def raw_coding_antichain(partition) -> Antichain:
     may contain nested pairs under the blockwise order; feed it to
     ``verify_maximal_antichain`` to surface them.
     """
-    params = partition.params
-    buckets = _bucketize(partition)
     base = (partition.phi_k, partition.entropy_sum, partition.mass_len_total)
-    return _columns(params, partition.k, buckets, (partition.xi_min,),
-                    base, ())
+    return _columns(partition.params, partition.k, partition.blocks, {},
+                    (partition.xi_min,), base, ())
 
 
 def build_antichain(partition, *, keep_stage_words: Optional[bool] = None
@@ -246,8 +234,10 @@ def build_antichain(partition, *, keep_stage_words: Optional[bool] = None
     with a blockwise ancestor among the shorter survivors are grouped
     into sibling families (same word up to the x digit of the final
     pair); each family is swapped for the equal-mass family produced by
-    ``swap_tail`` on its smallest-x representative.  All mass identities
-    are checked in exact integers as the stages run:
+    ``swap_tail`` on its smallest-x representative.  Ancestors are found
+    by binary search in each shorter length's sorted rows; families are
+    taken in sorted order, with their members in walk order.  All mass
+    identities are checked in exact integers as the stages run:
 
     * each family is complete (one sibling per occupant of its column);
     * removed and inserted family masses agree exactly;
@@ -267,31 +257,43 @@ def build_antichain(partition, *, keep_stage_words: Optional[bool] = None
     a = {ij: int(w * L)
          for ij, w in zip(params.spec.digits, params.spec.weights)}
     b = {j: int(params.q[j] * L) for j in params.gy}
+    gx = {j: list(params.gx[j]) for j in params.gy}
     eta_k = params.eta ** k
     eta_num_k, eta_den_k = eta_k.numerator, eta_k.denominator
 
-    buckets = _bucketize(partition)
+    # Ladder lengths get new blocks as their stages run; every length
+    # below the current target is final, so its index is built once.
+    blocks = dict(partition.blocks)
+    indexes: dict[int, RowIndex] = {}
     base = (partition.phi_k, partition.entropy_sum, partition.mass_len_total)
     xi_stages = xi_sequence(partition)
-    xi_1 = xi_stages[0]
     stage_logs: list[StageLog] = []
 
     def entropy_of(nu: int, h: int) -> float:
         log_mass = math.log(nu) - h * log_l
         return math.exp(log_mass) * log_mass
 
+    def decoded(rows: np.ndarray, h: int) -> tuple[CarpetWord, ...]:
+        data, width = rows.tobytes(), rows.shape[1]
+        return tuple(decode_word(params, data[t:t + width], h)
+                     for t in range(0, len(data), width))
+
     for pos in range(1, len(xi_stages)):
         target = xi_stages[pos]
-        bucket = buckets.get(target, {})
         split = 2 * ell(params, target)
+        width = target + split // 2
+        rows, nus = blocks.get(target, (np.empty((0, width), np.uint8), []))
         # Words at the target length whose blockwise ancestor survived at
         # some shorter length.
-        ancestors = [(buckets[h], _ancestor_cuts(params, h))
-                     for h in range(xi_1, target) if buckets.get(h)]
-        flagged = [enc for enc in bucket
-                   if any(_ancestor_key(enc, split, cut) in sub
-                          for sub, cut in ancestors)]
-        if not flagged:
+        flags = np.zeros(len(nus), dtype=bool)
+        for h in blocks:
+            if h < target:
+                if h not in indexes:
+                    indexes[h] = RowIndex(blocks[h][0])
+                flags |= indexes[h].contains(
+                    row_keys(rows[:, _ancestor_columns(params, target, h)]))
+        flagged = np.flatnonzero(flags)
+        if not len(flagged):
             stage_logs.append(StageLog(
                 stage=pos + 1, target_length=target, family_count=0,
                 removed_count=0, inserted_count=0,
@@ -299,103 +301,122 @@ def build_antichain(partition, *, keep_stage_words: Optional[bool] = None
                 inserted_entropy=0.0, max_family_gap=0.0,
                 families=() if keep_stage_words else None))
             continue
+        if split == width:
+            raise AntichainInvariantError(
+                "replacement family with an empty tail")
 
-        # (pairs before the last, last pair's column, tail) -> x digits
-        families: dict[tuple[bytes, int, bytes], list] = {}
-        for enc in flagged:
-            families.setdefault(
-                (enc[:split - 2], enc[split - 1], enc[split:]), []
-            ).append(enc[split - 2])
+        # Families share every column but the last pair's x digit; a
+        # stable sort on that key keeps walk order inside each family.
+        stem_cols = [c for c in range(width) if c != split - 2]
+        fam_rows = rows[flagged]
+        fam_keys = row_keys(fam_rows[:, stem_cols])
+        order = np.argsort(fam_keys, kind="stable")
+        fam_rows, fam_keys = fam_rows[order], fam_keys[order]
+        fam_nus = [nus[i] for i in flagged[order].tolist()]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], fam_keys[1:] != fam_keys[:-1]))).tolist()
+        ends = starts[1:] + [len(fam_nus)]
+        xs_all = fam_rows[:, split - 2].tolist()
+        jl_all = fam_rows[:, split - 1].tolist()
+        jt_all = fam_rows[:, -1].tolist()
 
-        removed_count = 0
-        inserted_count = 0
         removed_nu = 0
         removed_entropy = KahanSum()
         inserted_entropy = KahanSum()
         max_gap = 0.0
-        logged_families = [] if keep_stage_words else None
-        inserts: list[tuple[bytes, int]] = []
         h_scale = L ** target
+        bound = eta_num_k * h_scale
+        # (family's first sorted row, new x digit, scaled mass) per insert
+        ins_src: list[int] = []
+        ins_x: list[int] = []
+        ins_nus: list[int] = []
 
-        for (stem, j_l, rb), xs in sorted(families.items()):
-            if not rb:
-                raise AntichainInvariantError(
-                    "replacement family with an empty tail")
+        for s, e in zip(starts, ends):
+            xs = xs_all[s:e]
+            j_l, j_t = jl_all[s], jt_all[s]
             # Completeness: one sibling per occupant of column j_l.
-            if sorted(xs) != list(params.gx[j_l]):
+            if sorted(xs) != gx[j_l]:
                 raise AntichainInvariantError(
                     f"family over column {j_l} is missing siblings")
-            j_t = rb[-1]
             rep_i = min(xs)
-            nu_rep = bucket[stem + bytes((rep_i, j_l)) + rb]
-            stem_nu, rem = divmod(nu_rep, a[(rep_i, j_l)] * b[j_t])
+            stem_nu, rem = divmod(fam_nus[s + xs.index(rep_i)],
+                                  a[(rep_i, j_l)] * b[j_t])
             if rem:
                 raise AntichainInvariantError("family mass not factorable")
 
             fam_nu = 0
             fam_removed_e = 0.0
-            removed_keys = [stem + bytes((i, j_l)) + rb for i in xs]
-            for key in removed_keys:
-                nu = bucket.pop(key)
+            for nu in fam_nus[s:e]:
                 fam_nu += nu
-                e = entropy_of(nu, target)
-                fam_removed_e += e
-                removed_entropy.add(e)
-                removed_count += 1
+                ent = entropy_of(nu, target)
+                fam_removed_e += ent
+                removed_entropy.add(ent)
             removed_nu += fam_nu
 
-            swapped_tail = rb[:-1] + bytes((j_l,))
             fam_g_nu = 0
             fam_inserted_e = 0.0
-            g_keys = []
-            for i in params.gx[j_t]:
-                nu_g = stem_nu * a[(i, j_t)] * b[j_l]
-                gkey = stem + bytes((i, j_t)) + swapped_tail
-                if nu_g * eta_den_k >= eta_num_k * h_scale:
+            for i in gx[j_t]:
+                fa = a[(i, j_t)]
+                nu_g = stem_nu * fa * b[j_l]
+                if nu_g * eta_den_k >= bound:
                     raise AntichainInvariantError(
                         "inserted word at or above the stopping threshold")
-                nu_pred = nu_g // a[(i, j_t)]
-                if nu_pred * eta_den_k * L < eta_num_k * h_scale:
+                if nu_g // fa * eta_den_k * L < bound:
                     raise AntichainInvariantError(
                         "inserted word's predecessor below the threshold")
                 fam_g_nu += nu_g
-                e = entropy_of(nu_g, target)
-                fam_inserted_e += e
-                inserted_entropy.add(e)
-                inserts.append((gkey, nu_g))
-                g_keys.append(gkey)
-                inserted_count += 1
+                ent = entropy_of(nu_g, target)
+                fam_inserted_e += ent
+                inserted_entropy.add(ent)
+                ins_src.append(s)
+                ins_x.append(i)
+                ins_nus.append(nu_g)
             if fam_g_nu != fam_nu:
                 raise AntichainInvariantError("family mass not conserved")
             gap = abs(fam_inserted_e - fam_removed_e) / (fam_nu / h_scale)
             max_gap = max(max_gap, gap)
-            if keep_stage_words:
-                logged_families.append((
-                    tuple(decode_word(params, key, target)
-                          for key in removed_keys),
-                    tuple(decode_word(params, key, target) for key in g_keys),
-                ))
 
-        for gkey, nu_g in inserts:
-            if gkey in bucket:
-                raise AntichainCollisionError(
-                    f"replacement collision at length {target}")
-            bucket[gkey] = nu_g
+        # Inserted rows: the family's row with the last pair's column
+        # digit and the last tail digit interchanged, and a new x digit.
+        inserted = fam_rows[ins_src]
+        j_l_col = inserted[:, split - 1].copy()
+        inserted[:, split - 2] = ins_x
+        inserted[:, split - 1] = inserted[:, -1]
+        inserted[:, -1] = j_l_col
+
+        keep = np.flatnonzero(~flags)
+        new_rows = np.concatenate([rows[keep], inserted])
+        index = RowIndex(new_rows)
+        if any(b_idx >= len(keep) for _, b_idx in index.duplicates()):
+            raise AntichainCollisionError(
+                f"replacement collision at length {target}")
+        blocks[target] = (new_rows, [nus[i] for i in keep.tolist()] + ins_nus)
+        indexes[target] = index
+
+        logged_families = None
+        if keep_stage_words:
+            removed_words = decoded(fam_rows, target)
+            inserted_words = decoded(inserted, target)
+            ins_starts = np.searchsorted(ins_src, starts).tolist()
+            ins_ends = ins_starts[1:] + [len(ins_src)]
+            logged_families = tuple(
+                (removed_words[s:e], inserted_words[p:q])
+                for s, e, p, q in zip(starts, ends, ins_starts, ins_ends))
 
         stage_logs.append(StageLog(
             stage=pos + 1,
             target_length=target,
-            family_count=len(families),
-            removed_count=removed_count,
-            inserted_count=inserted_count,
+            family_count=len(starts),
+            removed_count=len(flagged),
+            inserted_count=len(ins_nus),
             removed_mass=Fraction(removed_nu, h_scale),
             removed_entropy=removed_entropy.total,
             inserted_entropy=inserted_entropy.total,
             max_family_gap=max_gap,
-            families=tuple(logged_families) if keep_stage_words else None,
+            families=logged_families,
         ))
 
-    return _columns(params, k, buckets, xi_stages, base, stage_logs)
+    return _columns(params, k, blocks, indexes, xi_stages, base, stage_logs)
 
 
 @dataclass(frozen=True)
@@ -422,8 +443,9 @@ def verify_maximal_antichain(antichain: Antichain) -> AntichainReport:
     Masses are resummed exactly from the stored integers, not read from
     the store's aggregates.  For the incomparability scan, each word's
     unique candidate ancestor at every shorter occupied length is looked
-    up in a per-length hash index, so the scan is linear in the word
-    count times the length spread.
+    up by binary search in that length's sorted rows, and equal rows
+    within a length are caught by the same sort.  Comparable pairs are
+    sorted index pairs (a, b) with a < b.
     Exact mass one plus pairwise incomparability certify that the
     cylinders tile the whole product space.
     """
@@ -432,35 +454,22 @@ def verify_maximal_antichain(antichain: Antichain) -> AntichainReport:
     eta_k = params.eta ** antichain.k
     eta_num_k, eta_den_k = eta_k.numerator, eta_k.denominator
 
-    offsets = antichain.offsets
-    index: dict[int, dict[bytes, int]] = {}
     nu_by_len: dict[int, int] = {}
     below = True
-    for h, (encs, nus) in antichain.blocks.items():
-        index[h] = dict(zip(encs, range(offsets[h], offsets[h] + len(encs))))
+    for h, (_, nus) in antichain.blocks.items():
         nu_by_len[h] = sum(nus)
-        bound = eta_num_k * L ** h
-        if any(nu * eta_den_k >= bound for nu in nus):
+        if max(nus) * eta_den_k >= eta_num_k * L ** h:
             below = False
     mass_total = sum(
         (Fraction(nu, L ** h) for h, nu in nu_by_len.items()), Fraction(0))
-
-    violations: list[tuple[int, int]] = []
-    for h, (encs, _) in antichain.blocks.items():
-        split = 2 * ell(params, h)
-        shorter = [(index[hp], _ancestor_cuts(params, hp))
-                   for hp in index if hp < h]
-        for idx, enc in enumerate(encs, offsets[h]):
-            for sub, cut in shorter:
-                anc = sub.get(_ancestor_key(enc, split, cut))
-                if anc is not None:
-                    violations.append((anc, idx))
+    violations = antichain.matching_pairs(
+        lambda h, hp: _ancestor_columns(params, h, hp))
     return AntichainReport(
         k=antichain.k,
         size=antichain.size,
         mass_total=mass_total,
         mass_exact=mass_total == 1,
-        comparable_pairs=tuple(violations),
+        comparable_pairs=violations,
         below_threshold=below,
         l_min=antichain.l_min,
         l_max=antichain.l_max,

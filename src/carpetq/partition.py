@@ -116,8 +116,10 @@ def _walk(params: DerivedParams, tables: _Tables, cap: int
           ) -> PartitionLambdaK:
     """Depth-first walk from every root, in root order.
 
-    Each word joins the block of its length in walk order.  Entropy
-    terms are summed per root and then merged per length in root order.
+    Each word's digits extend the byte buffer of its length in walk
+    order; the buffers become the blocks' row matrices without a copy.
+    Entropy terms are summed per root and then merged per length in
+    root order.
     """
     L = tables.L
     log_l = math.log(L)
@@ -129,7 +131,7 @@ def _walk(params: DerivedParams, tables: _Tables, cap: int
     pair_roots = tables.pair_roots
     b = tables.b
 
-    blocks: dict[int, tuple[list[bytes], list[int]]] = {}
+    blocks: dict[int, tuple[bytearray, list[int]]] = {}
     entropy: dict[int, KahanSum] = {}
     root_entropy: dict[int, KahanSum] = {}
     emitted = 0
@@ -139,8 +141,8 @@ def _walk(params: DerivedParams, tables: _Tables, cap: int
         nonlocal emitted
         block = blocks.get(h)
         if block is None:
-            block = blocks[h] = ([], [])
-        block[0].append(bytes(buf))
+            block = blocks[h] = (bytearray(), [])
+        block[0].extend(buf)
         block[1].append(nu)
         log_mass = math.log(nu) - h * log_l
         acc = root_entropy.get(h)
@@ -203,18 +205,22 @@ def _walk(params: DerivedParams, tables: _Tables, cap: int
                 tgt = entropy[h] = KahanSum()
             tgt.merge(acc)
         root_entropy.clear()
+    rows = {h: (np.frombuffer(data, dtype=np.uint8).reshape(len(nus), -1),
+                nus)
+            for h, (data, nus) in blocks.items()}
     return PartitionLambdaK(
-        params, tables.k, blocks,
+        params, tables.k, rows,
         entropy_sum=math.fsum(acc.total for acc in entropy.values()))
 
 
 class PartitionLambdaK(WordColumns):
     """One collected stopping-time partition.
 
-    Words are stored per length: byte-encoded digits and scaled integer
-    masses nu with mass = nu / L^length.  The word count ``phi_k`` and
-    the length window ``[xi_min, xi_max]`` are the store's size and
-    length window; the entropy sum is accumulated during the walk.
+    Words are stored per length: a uint8 matrix of encoded digit rows
+    and scaled integer masses nu with mass = nu / L^length.  The word
+    count ``phi_k`` and the length window ``[xi_min, xi_max]`` are the
+    store's size and length window; the entropy sum is accumulated
+    during the walk.
     """
 
     def __init__(self, params: DerivedParams, k: int, blocks: dict, *,
@@ -458,47 +464,33 @@ class DisjointnessReport:
         return not self.violations
 
 
+def _overlap_columns(params: DerivedParams, h: int, hp: int) -> list[int]:
+    # Columns of a length-h row that spell the row of the one length-hp
+    # word (hp <= h) whose square can contain it: the first ell(hp)
+    # pairs, then y digits ell(hp)+1..hp, which sit in the column digits
+    # of later pairs before they reach the tail.
+    l, lp = ell(params, h), ell(params, hp)
+    return (list(range(2 * lp)) + list(range(2 * lp + 1, 2 * l, 2))
+            + list(range(2 * l, h + l)))[:hp + lp]
+
+
 def check_square_disjointness(partition: PartitionLambdaK) -> DisjointnessReport:
     """Verify that all square interiors are pairwise disjoint, exactly.
 
     Grid-aligned intervals nest if and only if their digit strings are
     prefix-comparable, so interior intersection is equivalent to
     simultaneous x- and y-digit prefix nesting; no interval arithmetic
-    beyond digit comparison is needed.  Sorting by y-digits makes each
-    word's y-ancestors a contiguous stack, and candidate x-strings per
-    ancestor group live in one hash set, so the scan is near-linear.
+    beyond digit comparison is needed.  A length-h word can overlap a
+    shorter word of length h' only if that word is its unique candidate
+    (y[:h'], x[:ell(h')]), and a word of its own length only if the two
+    are equal, so every check is one lookup in a sorted row index.
+    Violations are sorted index pairs (a, b) with a < b.
     """
     params = partition.params
-    items = []
-    for h, (encs, _) in partition.blocks.items():
-        split = 2 * ell(params, h)
-        items.extend((enc[1:split:2] + enc[split:], enc[0:split:2], idx)
-                     for idx, enc in enumerate(encs, partition.offsets[h]))
-    items.sort()
-
-    violations: list[tuple[int, int]] = []
-    # Stack of groups (y, xlen, {x digits -> idx}); every group below the
-    # top holds a proper prefix of the y above it after popping.
-    stack: list[tuple[bytes, int, dict]] = []
-    for y, x, idx in items:
-        while stack and not y.startswith(stack[-1][0]):
-            stack.pop()
-        merged = False
-        for gy, gxlen, gxmap in stack:
-            if gy == y:
-                other = gxmap.get(x)
-                if other is not None:
-                    violations.append((other, idx))  # identical word
-                else:
-                    gxmap[x] = idx
-                merged = True
-            else:
-                other = gxmap.get(x[:gxlen])
-                if other is not None:
-                    violations.append((other, idx))
-        if not merged:
-            stack.append((y, len(x), {x: idx}))
-    return DisjointnessReport(checked=partition.phi_k, violations=tuple(violations))
+    return DisjointnessReport(
+        checked=partition.phi_k,
+        violations=partition.matching_pairs(
+            lambda h, hp: _overlap_columns(params, h, hp)))
 
 
 def squares_overlap(a, b) -> bool:

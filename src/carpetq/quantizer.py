@@ -105,17 +105,15 @@ def lambda_codebook(partition: PartitionLambdaK) -> Codebook:
     n = float(params.n)
     m = float(params.m)
     pts = np.empty((partition.phi_k, 2), dtype=np.float64)
-    for h, (encs, _) in partition.blocks.items():
+    for h, (rows, _) in partition.blocks.items():
         l = ell(params, h)
-        width = h + l    # bytes per encoding: 2l pair bytes + (h-l) tail
-        flat = np.frombuffer(b"".join(encs), dtype=np.uint8)
-        grid = flat.reshape(len(encs), width).astype(np.float64)
+        grid = rows.astype(np.float64)
         iw = np.power(n, -np.arange(1, l + 1, dtype=np.float64))
         ydig = np.concatenate([grid[:, 1:2 * l:2], grid[:, 2 * l:]], axis=1)
         yweights = np.power(m, -np.arange(1, h + 1, dtype=np.float64))
-        rows = slice(partition.offsets[h], partition.offsets[h] + len(encs))
-        pts[rows, 0] = grid[:, 0:2 * l:2] @ iw + 0.5 * n ** (-l)
-        pts[rows, 1] = ydig @ yweights + 0.5 * m ** (-float(h))
+        out = slice(partition.offsets[h], partition.offsets[h] + len(rows))
+        pts[out, 0] = grid[:, 0:2 * l:2] @ iw + 0.5 * n ** (-l)
+        pts[out, 1] = ydig @ yweights + 0.5 * m ** (-float(h))
     return Codebook(points=pts, origin="lambda-centers")
 
 

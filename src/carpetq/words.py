@@ -14,11 +14,14 @@ diameter alone is a float.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .measure import DerivedParams
 
@@ -35,6 +38,8 @@ __all__ = [
     "square_geometry",
     "encode_word",
     "decode_word",
+    "row_keys",
+    "RowIndex",
     "WordColumns",
 ]
 
@@ -210,7 +215,7 @@ def square_geometry(params: DerivedParams, word: CarpetWord) -> ApproxSquare:
     )
 
 
-# Compact byte encoding used by the enumerators: the interleaved pair
+# Compact byte encoding used by the word stores: the interleaved pair
 # digits i1, j1, ..., iL, jL followed by the tail digits.  The split
 # point is 2 * ell(k), recoverable from the word length alone.
 
@@ -227,29 +232,96 @@ def decode_word(params: DerivedParams, data: bytes, k: int) -> CarpetWord:
     l = ell(params, k)
     if len(data) != k + l:
         raise WordError(f"encoded length {len(data)} does not match k={k} (want {k + l})")
-    pairs = tuple((data[2 * t], data[2 * t + 1]) for t in range(l))
+    pairs = tuple(zip(data[0:2 * l:2], data[1:2 * l:2]))
     tail = tuple(data[2 * l:])
     return CarpetWord(pairs, tail)
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One ``np.void`` key per row of a uint8 matrix.
+
+    Keys compare as the rows' bytes do, so sorting them sorts the rows
+    like their ``encode_word`` bytes.
+    """
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+class RowIndex:
+    """The rows of one uint8 matrix, sorted once for exact row lookups.
+
+    ``order`` is the stable sort of the rows by their bytes: equal rows
+    keep their input order, and the sorted rows come out in
+    ``sorted(bytes)`` order.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        keys = row_keys(rows)
+        # Timsort: rows in walk order come in long sorted runs.
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+
+    def _first(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Sorted position of each key's first equal row, and whether
+        # there is one.
+        pos = np.searchsorted(self.keys, keys)
+        hit = self.keys[np.minimum(pos, len(self.keys) - 1)] == keys
+        return pos, hit
+
+    def contains(self, keys: np.ndarray) -> np.ndarray:
+        """Whether each key equals some row."""
+        return self._first(keys)[1]
+
+    def matches(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(key index, row index) for every key and every row equal to it."""
+        pos, hit = self._first(keys)
+        found = np.flatnonzero(hit)
+        lo = pos[found]
+        counts = np.searchsorted(self.keys, keys[found], side="right") - lo
+        starts = np.cumsum(counts) - counts
+        at = np.arange(counts.sum()) + np.repeat(lo - starts, counts)
+        return np.repeat(found, counts), self.order[at]
+
+    def duplicates(self) -> list[tuple[int, int]]:
+        """Every pair (a, b), a < b, of equal rows."""
+        same = (self.keys[1:] == self.keys[:-1]).view(np.int8)
+        edges = np.diff(np.concatenate(([0], same, [0])))
+        pairs = []
+        for start, stop in zip(np.flatnonzero(edges == 1).tolist(),
+                               (np.flatnonzero(edges == -1) + 1).tolist()):
+            run = sorted(self.order[start:stop].tolist())
+            pairs.extend(itertools.combinations(run, 2))
+        return pairs
 
 
 class WordColumns:
     """A word store keyed by word length.
 
-    ``blocks`` maps each occupied length h, in ascending order, to two
-    parallel lists: ``encode_word`` bytes and scaled integer masses nu
-    with mass = nu / L^h.  Word indices run in this length-major order;
-    ``offsets[h]`` is the index of the first length-h word.  The counts,
-    the length window and the exact mass aggregates are derived once,
-    here, so no consumer regroups words by length.
+    ``blocks`` maps each occupied length h, in ascending order, to a
+    pair ``(rows, nus)``: a C-contiguous uint8 matrix holding one
+    ``encode_word`` row of h + ell(h) digits per word, and a list of the
+    words' scaled integer masses nu with mass = nu / L^h (Python ints,
+    since they outgrow 64 bits).  Word indices run in this length-major
+    order; ``offsets[h]`` is the index of the first length-h word.  The
+    counts, the length window and the exact mass aggregates are derived
+    once, here, so no consumer regroups words by length.
     """
 
     def __init__(self, params: DerivedParams,
-                 blocks: dict[int, tuple[list[bytes], list[int]]]):
+                 blocks: dict[int, tuple[np.ndarray, list[int]]]):
         L = params.denom_lcm
+        for h, (rows, nus) in blocks.items():
+            width = h + ell(params, h)
+            if not (isinstance(rows, np.ndarray) and rows.dtype == np.uint8
+                    and rows.shape == (len(nus), width)
+                    and rows.flags.c_contiguous):
+                raise WordError(
+                    f"length-{h} block needs a C-contiguous uint8 matrix of "
+                    f"shape ({len(nus)}, {width}) to match its masses")
         self.params = params
-        self.blocks = {h: blocks[h] for h in sorted(blocks) if blocks[h][0]}
-        self.length_counts = {h: len(encs)
-                              for h, (encs, _) in self.blocks.items()}
+        self.blocks = {h: blocks[h] for h in sorted(blocks) if blocks[h][1]}
+        self.length_counts = {h: len(nus)
+                              for h, (_, nus) in self.blocks.items()}
         self.length_nu_sums = {h: sum(nus)
                                for h, (_, nus) in self.blocks.items()}
         self.offsets: dict[int, int] = {}
@@ -270,7 +342,7 @@ class WordColumns:
 
     def word_at(self, idx: int) -> CarpetWord:
         h, pos = self._locate(idx)
-        return decode_word(self.params, self.blocks[h][0][pos], h)
+        return decode_word(self.params, self.blocks[h][0][pos].tobytes(), h)
 
     def mass_at(self, idx: int) -> Fraction:
         h, pos = self._locate(idx)
@@ -278,10 +350,32 @@ class WordColumns:
 
     def iter_words(self) -> Iterator[tuple[CarpetWord, Fraction]]:
         L = self.params.denom_lcm
-        for h, (encs, nus) in self.blocks.items():
+        for h, (rows, nus) in self.blocks.items():
             scale = L ** h
-            for enc, nu in zip(encs, nus):
-                yield decode_word(self.params, enc, h), Fraction(nu, scale)
+            for row, nu in zip(rows, nus):
+                yield (decode_word(self.params, row.tobytes(), h),
+                       Fraction(nu, scale))
+
+    def matching_pairs(self, columns: Callable[[int, int], list[int]]
+                       ) -> tuple[tuple[int, int], ...]:
+        """Sorted index pairs (a, b), a < b, of words whose rows match.
+
+        A length-h word b matches a word a of length hp < h when b's row
+        cut down to ``columns(h, hp)`` equals a's row, and a word of its
+        own length when the two rows are equal.  Each length's rows are
+        sorted once; every cut-down row is one binary search.
+        """
+        indexes: dict[int, RowIndex] = {}
+        pairs: list[tuple[int, int]] = []
+        for h, (rows, _) in self.blocks.items():
+            base = self.offsets[h]
+            for hp, shorter in indexes.items():
+                found, anc = shorter.matches(row_keys(rows[:, columns(h, hp)]))
+                pairs.extend(zip((anc + self.offsets[hp]).tolist(),
+                                 (found + base).tolist()))
+            index = indexes[h] = RowIndex(rows)
+            pairs.extend((base + a, base + b) for a, b in index.duplicates())
+        return tuple(sorted(pairs))
 
     def _locate(self, idx: int) -> tuple[int, int]:
         # (length, position in its block) of word ``idx``.

@@ -10,11 +10,13 @@ many replacement stages; it triggers the small-grid warning by design.
 
 import warnings
 
+import numpy as np
 import pytest
 
 from carpetq import CarpetSpec, derive_params
 from carpetq.coding import build_antichain
-from carpetq.partition import enumerate_lambda_k
+from carpetq.partition import PartitionLambdaK, enumerate_lambda_k
+from carpetq.words import encode_word
 
 
 def _derive(n, m, table):
@@ -80,3 +82,29 @@ def cache_c(carpet_c):
 @pytest.fixture(scope="session")
 def cache_d(carpet_d):
     return LevelCache(carpet_d)
+
+
+def _tamper(part, drop=(), add=()):
+    """``part`` without the words at indices ``drop``, and with each
+    (word, mass) of ``add`` appended to the block of its length."""
+    L = part.params.denom_lcm
+    drop = set(drop)
+    blocks = {}
+    for h, (rows, nus) in part.blocks.items():
+        keep = [pos for pos in range(len(nus))
+                if part.offsets[h] + pos not in drop]
+        blocks[h] = (rows[keep], [nus[pos] for pos in keep])
+    for word, mass in add:
+        h = len(word)
+        nu = mass * L ** h
+        assert nu.denominator == 1
+        row = np.frombuffer(encode_word(word), dtype=np.uint8)[None, :]
+        rows, nus = blocks.get(h, (row[:0], []))
+        blocks[h] = (np.concatenate([rows, row]), nus + [int(nu)])
+    return PartitionLambdaK(part.params, part.k, blocks,
+                            entropy_sum=part.entropy_sum)
+
+
+@pytest.fixture(scope="session")
+def tamper():
+    return _tamper

@@ -15,6 +15,7 @@ import carpetq
 import carpetq.cli as cli
 import carpetq.partition as partition
 from carpetq.cli import ConfigError, load_config, main
+from carpetq.coding import AntichainCollisionError, AntichainInvariantError
 from carpetq.partition import DisjointnessReport
 from carpetq.report import read_csv
 
@@ -269,6 +270,34 @@ def test_antichain_maximality_failure_exits_1(tmp_path, capsys,
     assert rows[0][header.index("pass")] == "false"
 
 
+@pytest.mark.parametrize("command", ["antichain", "sequences"])
+@pytest.mark.parametrize("error", [
+    AntichainInvariantError("family over column 2 is missing siblings"),
+    AntichainCollisionError("replacement collision at length 6"),
+], ids=["invariant", "collision"])
+def test_antichain_invariant_failure_exits_1(tmp_path, capsys, monkeypatch,
+                                             command, error):
+    real = cli.build_antichain
+
+    def failing(part):
+        if part.k == 3:
+            raise error
+        return real(part)
+
+    monkeypatch.setattr(cli, "build_antichain", failing)
+    cfg = _config(tmp_path, k_min=2, k_max=3)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["failures"] == [
+        {"command": command, "k": 3, "check": "antichain-invariant",
+         "detail": str(error)}]
+    header, rows = read_csv(out / f"{command}.csv")
+    assert [row[0] for row in rows] == (
+        ["2"] if command == "antichain" else ["2", "3"])
+
+
 def _replacing(**fields):
     # Wraps a layer call so that some fields of its result are overwritten.
     return lambda real: lambda *args, **kwargs: dataclasses.replace(
@@ -336,6 +365,29 @@ def test_exact_outputs_frozen(tmp_path):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in _FROZEN_DIGESTS}
     assert got == _FROZEN_DIGESTS
+
+
+# sha256 of the antichain tables for carpet D at k = 2..4.  Each level
+# runs 10 to 15 replacement stages, so these pin the family order, the
+# stage logs' Kahan sums and max_family_gap, which carpet A's
+# single-stage levels leave untested.
+_FROZEN_DIGESTS_D = {
+    "antichain.csv":
+        "fbbba71592bd56ac9962b599474c727b2d65183921bc23a133785e88ddcc7f1d",
+    "antichain.json":
+        "3d9752ae4988c5723fc7f14ff582b56c52ed5aca4e048f2436d4d4395e8c8790",
+}
+
+
+@pytest.mark.filterwarnings("ignore:grid factor")
+def test_exact_outputs_frozen_carpet_d(tmp_path):
+    cfg = _config(tmp_path, n=4, m=2, k_min=2, k_max=4, maps=[
+        {"i": 0, "j": 0, "p": "3/4"}, {"i": 2, "j": 1, "p": "1/4"}])
+    out = tmp_path / "out"
+    assert main(["antichain", "--config", cfg, "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in _FROZEN_DIGESTS_D}
+    assert got == _FROZEN_DIGESTS_D
 
 
 def test_import_leaves_scipy_unloaded():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carpetq.coding import (
+    AntichainCollisionError, AntichainInvariantError, build_antichain,
     coding_predecessor, comparable, is_descendant, naive_comparable_pairs, raw_coding_antichain, swap_tail,
     verify_maximal_antichain, xi_sequence,
 )
@@ -133,8 +134,10 @@ def test_raw_equals_built_when_single_stage(cache_a):
     built = cache_a.antichain(4)
     assert built.stage_logs == ()
     assert raw.size == built.size
-    assert {h: sorted(zip(*block)) for h, block in raw.blocks.items()} \
-        == {h: sorted(zip(*block)) for h, block in built.blocks.items()}
+    assert {h: sorted(zip(map(bytes, rows), nus))
+            for h, (rows, nus) in raw.blocks.items()} \
+        == {h: sorted(zip(map(bytes, rows), nus))
+            for h, (rows, nus) in built.blocks.items()}
     assert verify_maximal_antichain(built).ok
 
 
@@ -226,6 +229,76 @@ def test_multi_stage_ladder_carpet_d(cache_d):
     # entropy sums agree exactly.
     assert chain.entropy_sum == pytest.approx(chain.base_entropy_sum,
                                               abs=1e-12)
+
+
+def _stage_family(part, siblings):
+    """The first replacement family of ``part`` with ``siblings`` removed
+    words: (removed words, inserted words, index of every word)."""
+    logs = build_antichain(part, keep_stage_words=True).stage_logs
+    removed, inserted = next(fam for log in logs for fam in log.families
+                             if len(fam[0]) == siblings)
+    index = {w: idx for idx, (w, _) in enumerate(part.iter_words())}
+    return removed, inserted, index
+
+
+@pytest.mark.parametrize("case,message", [
+    ("drop-sibling", "family over column 2 is missing siblings"),
+    ("inflate-rep", "inserted word at or above the stopping threshold"),
+    ("shrink-rep", "inserted word's predecessor below the threshold"),
+    ("double-sibling", "family mass not conserved"),
+])
+def test_build_rejects_tampered_family(cache_a, tamper, case, message):
+    # A two-sibling family of carpet A's k = 2 stage, with one word
+    # dropped or one mass changed.
+    params = cache_a.params
+    part = cache_a.partition(2)
+    removed, _, index = _stage_family(part, siblings=2)
+    rep, other = sorted(removed, key=lambda w: w.pairs[-1][0])
+    (i, j_l), j_t = rep.pairs[-1], rep.tail[-1]
+    # The least mass the family can factor: its stem's scaled mass is 1.
+    least = (params.prob(i, j_l) * params.q[j_t]
+             / params.denom_lcm ** (len(rep) - 2))
+    drop, add = {
+        "drop-sibling": (other, []),
+        "inflate-rep": (rep, [(rep, 1000 * word_mass(params, rep))]),
+        "shrink-rep": (rep, [(rep, least)]),
+        "double-sibling": (other, [(other, 2 * word_mass(params, other))]),
+    }[case]
+    with pytest.raises(AntichainInvariantError, match=message):
+        build_antichain(tamper(part, drop=[index[drop]], add=add))
+
+
+def test_build_rejects_unfactorable_family(cache_d, tamper):
+    # Carpet D's scaled factors include 3, so adding 1 to a scaled mass
+    # breaks the family's factorization.
+    params = cache_d.params
+    part = cache_d.partition(2)
+    (rep,), _, index = _stage_family(part, siblings=1)
+    bumped = word_mass(params, rep) + Fraction(
+        1, params.denom_lcm ** len(rep))
+    with pytest.raises(AntichainInvariantError,
+                       match="family mass not factorable"):
+        build_antichain(tamper(part, drop=[index[rep]], add=[(rep, bumped)]))
+
+
+def test_build_rejects_collision(cache_a, tamper):
+    # An extra survivor equal to a word the stage will insert.
+    params = cache_a.params
+    part = cache_a.partition(2)
+    _, (new, *_), _ = _stage_family(part, siblings=2)
+    with pytest.raises(AntichainCollisionError,
+                       match="replacement collision at length 6"):
+        build_antichain(tamper(part, add=[(new, word_mass(params, new))]))
+
+
+def test_build_rejects_empty_tail(cache_c, tamper):
+    # Square grids have no tail digits, so a nesting there has no swap.
+    params = cache_c.params
+    part = cache_c.partition(1)
+    parent = flat_predecessor(params, part.word_at(0))
+    with pytest.raises(AntichainInvariantError,
+                       match="replacement family with an empty tail"):
+        build_antichain(tamper(part, add=[(parent, word_mass(params, parent))]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,15 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carpetq import CarpetSpec, derive_params
+from carpetq.coding import (
+    build_antichain, naive_comparable_pairs, raw_coding_antichain,
+    verify_maximal_antichain,
+)
 from carpetq.partition import (
-    EnumerationCapError, PartitionLambdaK, check_phi_growth,
+    EnumerationCapError, check_phi_growth,
     check_square_disjointness, enumerate_lambda_k, local_dimension_estimate,
     partition_stats, sample_address, sample_digit_matrix, squares_overlap,
     stopped_statistics,
 )
 from carpetq.quantizer import lambda_codebook
 from carpetq.words import (
-    carpet_children, encode_word, flat_predecessor, make_word,
+    carpet_children, flat_predecessor, make_word,
     square_geometry, word_mass,
 )
 
@@ -223,34 +227,20 @@ def test_disjointness_brute_agreement(cache_a, carpet_a):
     assert check_square_disjointness(part).ok
 
 
-def _replace_word(part, idx, word):
-    # The partition with word ``idx`` swapped for ``word``.
-    blocks = {h: (list(encs), list(nus))
-              for h, (encs, nus) in part.blocks.items()}
-    h = len(part.word_at(idx))
-    pos = idx - part.offsets[h]
-    nu = blocks[h][1][pos]
-    del blocks[h][0][pos], blocks[h][1][pos]
-    encs, nus = blocks.setdefault(len(word), ([], []))
-    encs.append(encode_word(word))
-    nus.append(nu)
-    return PartitionLambdaK(part.params, part.k, blocks,
-                            entropy_sum=part.entropy_sum)
-
-
-def test_disjointness_detects_duplicate(carpet_a):
+def test_disjointness_detects_duplicate(carpet_a, tamper):
     part = enumerate_lambda_k(carpet_a, 1)
-    part = _replace_word(part, 1, part.word_at(0))
+    part = tamper(part, drop=[1], add=[(part.word_at(0), part.mass_at(0))])
     report = check_square_disjointness(part)
     assert not report.ok
     assert len(report.violations) >= 1
 
 
-def test_disjointness_detects_nesting(carpet_a):
+def test_disjointness_detects_nesting(carpet_a, tamper):
     part = enumerate_lambda_k(carpet_a, 1)
     child = part.word_at(0)
     parent = flat_predecessor(carpet_a, child)
-    part = _replace_word(part, 1, parent)
+    part = tamper(part, drop=[1],
+                  add=[(parent, word_mass(carpet_a, parent))])
     report = check_square_disjointness(part)
     assert not report.ok
 
@@ -326,3 +316,60 @@ def test_random_carpet_dp_equals_enumeration(n, m, cells, raw):
         assert stats.mass_total == part.mass_total
         assert stats.entropy_sum == pytest.approx(part.entropy_sum, abs=1e-9)
         assert check_square_disjointness(part).ok
+
+
+def _overlap_pairs(params, part):
+    # All-pairs oracle: the squares_overlap comparison, on integer
+    # corners over the finest grid, for every pair of squares.
+    squares = [square_geometry(params, w) for w, _ in part.iter_words()]
+    dx = max(sq.width.denominator for sq in squares)
+    dy = max(sq.height.denominator for sq in squares)
+    x0, x1, y0, y1 = np.array(
+        [[int(sq.x_low * dx), int(sq.x_high() * dx),
+          int(sq.y_low * dy), int(sq.y_high() * dy)] for sq in squares],
+        dtype=np.int64).T
+    pairs = []
+    for a in range(len(squares)):
+        rest = slice(a + 1, None)
+        hit = ((np.maximum(x0[a], x0[rest]) < np.minimum(x1[a], x1[rest]))
+               & (np.maximum(y0[a], y0[rest]) < np.minimum(y1[a], y1[rest])))
+        pairs.extend((a, a + 1 + b) for b in np.flatnonzero(hit).tolist())
+    assert all(squares_overlap(squares[a], squares[b]) for a, b in pairs)
+    return pairs
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(5, 7), m=st.integers(3, 4),
+       cells=st.lists(st.tuples(st.sampled_from([0, 2, 4]),
+                                st.sampled_from([0, 2])),
+                      min_size=2, max_size=3, unique=True),
+       raw=st.lists(st.integers(1, 2), min_size=3, max_size=3),
+       picks=st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)))
+def test_random_carpet_row_kernels_match_oracles(tamper, n, m, cells, raw,
+                                                 picks):
+    total = sum(raw[: len(cells)])
+    params = derive_params(CarpetSpec.of(
+        n, m, {c: f"{w}/{total}" for c, w in zip(cells, raw)}))
+    for k in (1, 2):
+        part = enumerate_lambda_k(params, k)
+        assert check_square_disjointness(part).violations == ()
+        assert _overlap_pairs(params, part) == []
+        # Two more copies of one word and two of another's parent square,
+        # so lookups meet runs of equal rows on both sides.
+        dup, child = (pick % part.phi_k for pick in picks)
+        add = [(part.word_at(dup), part.mass_at(dup))]
+        if len(part.word_at(child)) > 1:
+            parent = flat_predecessor(params, part.word_at(child))
+            add.append((parent, word_mass(params, parent)))
+        bad = tamper(part, add=2 * add)
+        assert list(check_square_disjointness(bad).violations) \
+            == _overlap_pairs(params, bad)
+
+        raw_chain = raw_coding_antichain(part)
+        words = [raw_chain.word_at(idx) for idx in range(raw_chain.size)]
+        assert list(verify_maximal_antichain(raw_chain).comparable_pairs) \
+            == naive_comparable_pairs(words)
+        for chain in (raw_chain, build_antichain(part)):
+            for rows, _ in chain.blocks.values():
+                encodings = list(map(bytes, rows))
+                assert encodings == sorted(encodings)

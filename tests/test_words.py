@@ -3,13 +3,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carpetq.words import (
-    CarpetWord, WordError, carpet_children, decode_word, ell, encode_word,
-    flat_predecessor, make_word, square_geometry, word_from_digits, word_mass,
+    CarpetWord, WordColumns, WordError, carpet_children, decode_word, ell,
+    encode_word, flat_predecessor, make_word, square_geometry,
+    word_from_digits, word_mass,
 )
 
 
@@ -159,6 +161,24 @@ def test_encode_decode_round_trip(carpet_a):
     w = make_word(carpet_a, [(0, 0), (2, 2)], [0])
     data = encode_word(w)
     assert decode_word(carpet_a, data, len(w)) == w
+
+
+def test_word_columns_rejects_malformed_blocks(carpet_a):
+    # Length-2 words of carpet A hold one pair and one tail digit.
+    rows = np.array([[0, 0, 2], [0, 2, 0]], dtype=np.uint8)
+    store = WordColumns(carpet_a, {2: (rows, [1, 2])})
+    assert store.word_at(1) == CarpetWord(((0, 2),), (0,))
+    assert store.mass_at(1) == Fraction(2, 9)
+    for block in [
+        ([encode_word(store.word_at(0))], [1]),       # bytes, not rows
+        (rows.astype(np.int64), [1, 2]),                # wrong dtype
+        (rows[:, :2].copy(), [1, 2]),                   # wrong width
+        (rows, [1]),                                    # one mass short
+        (rows[::-1], [1, 2]),                           # not C-contiguous
+        (rows[0], [1]),                                 # not a matrix
+    ]:
+        with pytest.raises(WordError):
+            WordColumns(carpet_a, {2: block})
 
 
 @settings(max_examples=80, deadline=None)
