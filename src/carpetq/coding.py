@@ -199,8 +199,7 @@ def _columns(params, k, blocks, indexes, xi_stages, base, stage_logs):
         for nu in set(nus):
             log_mass = math.log(nu) - h * log_l
             terms[nu] = math.exp(log_mass) * log_mass
-        for nu in nus:
-            entropy.add(terms[nu])
+        entropy.extend(map(terms.__getitem__, nus))
         out[h] = (rows[order], nus)
     base_size, base_entropy, base_mass_len = base
     return Antichain(
@@ -226,7 +225,7 @@ def raw_coding_antichain(partition) -> Antichain:
                     (partition.xi_min,), base, ())
 
 
-def build_antichain(partition, *, keep_stage_words: Optional[bool] = None
+def build_antichain(partition, *, keep_stage_words: bool = False
                     ) -> Antichain:
     """Rebuild a stopping set into a maximal antichain, stage by stage.
 
@@ -245,13 +244,10 @@ def build_antichain(partition, *, keep_stage_words: Optional[bool] = None
       while its predecessor sits at or above it;
     * no inserted word collides with a survivor or another insertion.
 
-    ``keep_stage_words`` attaches full word-level family logs (default:
-    only when k <= 4).
+    ``keep_stage_words`` attaches full word-level family logs.
     """
     params = partition.params
     k = partition.k
-    if keep_stage_words is None:
-        keep_stage_words = k <= 4
     L = params.denom_lcm
     log_l = math.log(L)
     a = {ij: int(w * L)

@@ -7,8 +7,8 @@ collects every word sigma whose mass first drops below eta^k:
 
 Each address ray crosses this frontier exactly once, so the collected
 squares tile the carpet and their masses sum to one exactly.  The
-enumerator walks the flat-predecessor tree depth first; every prune
-and emit decision is an exact integer comparison on scaled masses
+enumerator walks the flat-predecessor tree one length at a time; every
+prune and emit decision is an exact integer comparison on scaled masses
 nu = mass * L^len (L the common weight denominator), so the boundary
 case mass == eta^k needs no padding and is decided strictly.
 
@@ -19,10 +19,10 @@ asymptotic statements about it kick in only for k >= 1/theta.
 from __future__ import annotations
 
 import math
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,162 +55,49 @@ MAX_DP_STATES = 1_000_000
 _STOPPED = (1, 0.0, 0, 1, 0, 0)
 
 _SHARD_ROWS = 1 << 15
+_CHUNK = 1 << 12            # parents expanded at once: bounds the walk's scratch
 
 
 class EnumerationCapError(RuntimeError):
     """A work guard tripped: the enumerator's word cap or the DP's state bound."""
 
 
-class _Tables:
-    """Integer factor tables shared by the enumerator and the DP."""
+class _Move(NamedTuple):
+    """One step from a length-h word to a child of length h + 1.
 
-    def __init__(self, params: DerivedParams, k: int):
-        spec = params.spec
-        L = params.denom_lcm
-        self.L = L
-        self.k = k
-        self.a = {ij: int(w * L) for ij, w in zip(spec.digits, spec.weights)}
-        self.b = {j: int(params.q[j] * L) for j in params.gy}
-        self.appends = [(j, self.b[j]) for j in params.gy]
-        self.promotions = {
-            j: [(i, self.a[(i, j)]) for i in params.gx[j]] for j in params.gy
-        }
-        self.pair_roots = [(ij, self.a[ij]) for ij in spec.digits]
-        self.promote_fracs = {
-            j: [(Fraction(aa * bb, self.b[j] * L), jj)
-                for _, aa in self.promotions[j] for jj, bb in self.appends]
-            for j in params.gy
-        }
-        # Columns whose ordered promotion factors agree have identical
-        # futures in the DP; each maps to the first column of its class.
-        first: dict = {}
-        self.canon = {j: first.setdefault(tuple(f for f, _ in fracs), j)
-                      for j, fracs in self.promote_fracs.items()}
-        eta = params.eta
-        self.eta_den_k = eta.denominator ** k
-        eta_num_k = eta.numerator ** k
-
-        # Safe depth bound: the largest possible mass at length h is
-        # p_max^ell(h) * q_max^(h - ell(h)); the walk cannot go deeper
-        # than the first h where even that is below eta^k.
-        h = 1
-        top = Fraction(1)
-        threshold = eta ** k
-        while True:
-            l_prev = ell(params, h - 1)
-            l_now = ell(params, h)
-            top *= params.p_max if l_now > l_prev else params.q_max
-            if top < threshold:
-                break
-            h += 1
-            if h > 10_000_000:
-                raise RuntimeError("depth bound search runaway; spec degenerate")
-        self.h_max = h
-        self.emit_rhs = [eta_num_k * L ** hh for hh in range(h + 2)]
-        self.rises = [
-            ell(params, hh + 1) == ell(params, hh) + 1 for hh in range(h + 2)
-        ]
-
-
-def _walk(params: DerivedParams, tables: _Tables, cap: int
-          ) -> PartitionLambdaK:
-    """Depth-first walk from every root, in root order.
-
-    Each word's digits extend the byte buffer of its length in walk
-    order; the buffers become the blocks' row matrices without a copy.
-    Entropy terms are summed per root and then merged per length in
-    root order.
+    The child's row is the parent's with ``x`` (if any) inserted at the
+    pair boundary, column 2 * ell(h), and ``digit`` appended.  Its
+    scaled mass is nu * factor // divisor, an exact division.
     """
-    L = tables.L
-    log_l = math.log(L)
-    eta_den_k = tables.eta_den_k
-    rhs = tables.emit_rhs
-    rises = tables.rises
-    appends = tables.appends
-    promotions = tables.promotions
-    pair_roots = tables.pair_roots
-    b = tables.b
 
-    blocks: dict[int, tuple[bytearray, list[int]]] = {}
-    entropy: dict[int, KahanSum] = {}
-    root_entropy: dict[int, KahanSum] = {}
-    emitted = 0
-    buf = bytearray()
+    x: int | None
+    digit: int
+    factor: int
+    divisor: int
 
-    def emit(h: int, nu: int) -> None:
-        nonlocal emitted
-        block = blocks.get(h)
-        if block is None:
-            block = blocks[h] = (bytearray(), [])
-        block[0].extend(buf)
-        block[1].append(nu)
-        log_mass = math.log(nu) - h * log_l
-        acc = root_entropy.get(h)
-        if acc is None:
-            acc = root_entropy[h] = KahanSum()
-        acc.add(math.exp(log_mass) * log_mass)
-        emitted += 1
-        if emitted > cap:
-            raise EnumerationCapError(f"enumeration exceeded cap of {cap} words")
 
-    def go(h: int, nu: int, twol: int) -> None:
-        if rises[h]:
-            if twol == len(buf):
-                # no pending tail digit: the whole step appends one pair
-                for (i, j), fa in pair_roots:
-                    nu2 = nu * fa
-                    buf.extend((i, j))
-                    if nu2 * eta_den_k < rhs[h + 1]:
-                        emit(h + 1, nu2)
-                    else:
-                        go(h + 1, nu2, twol + 2)
-                    del buf[-2:]
-                return
-            jstar = buf[twol]
-            divisor = b[jstar]
-            for i, fa in promotions[jstar]:
-                base = nu * fa // divisor
-                buf.insert(twol, i)
-                for j, fb in appends:
-                    nu2 = base * fb
-                    buf.append(j)
-                    if nu2 * eta_den_k < rhs[h + 1]:
-                        emit(h + 1, nu2)
-                    else:
-                        go(h + 1, nu2, twol + 2)
-                    buf.pop()
-                del buf[twol]
-        else:
-            for j, fb in appends:
-                nu2 = nu * fb
-                buf.append(j)
-                if nu2 * eta_den_k < rhs[h + 1]:
-                    emit(h + 1, nu2)
-                else:
-                    go(h + 1, nu2, twol)
-                buf.pop()
+def _moves(params: DerivedParams) -> dict:
+    """The integer transitions shared by the enumerator and the DP.
 
-    for tag, nu0 in _roots(params, tables):
-        if isinstance(tag, tuple):
-            buf[:] = tag
-            twol0 = 2
-        else:
-            buf[:] = (tag,)
-            twol0 = 0
-        # No root stops: its mass is at least eta >= eta^k.
-        go(1, nu0, twol0)
-        for h, acc in root_entropy.items():
-            tgt = entropy.get(h)
-            if tgt is None:
-                tgt = entropy[h] = KahanSum()
-            tgt.merge(acc)
-        root_entropy.clear()
-    rows = {h: (np.frombuffer(data, dtype=np.uint8).reshape(len(nus), -1),
-                nus)
-            for h, (data, nus) in blocks.items()}
-    return PartitionLambdaK(
-        params, tables.k, rows,
-        entropy_sum=math.fsum(acc.total for acc in entropy.values()))
+    ``moves[rises][pending]`` lists, in walk order, the moves of a step
+    that does (``rises``) or does not grow the pair count, keyed by the
+    word's first pending tail digit where that decides them:
+    ``[False][None]`` appends a column digit; ``[True][j]`` promotes the
+    pending digit j into a pair (i, j) and appends a column digit;
+    ``[True][None]``, for words without a tail (theta = 1), appends a
+    whole pair.  The roots are the moves of the empty word.
+    """
+    spec, L = params.spec, params.denom_lcm
+    a = {ij: int(w * L) for ij, w in zip(spec.digits, spec.weights)}
+    b = {j: int(params.q[j] * L) for j in params.gy}
+    if ell(params, 1) == 1:
+        rise = {None: [_Move(i, j, a[i, j], 1) for i, j in spec.digits]}
+    else:
+        rise = {j: [_Move(i, jj, a[i, j] * b[jj], b[j])
+                    for i in params.gx[j] for jj in params.gy]
+                for j in params.gy}
+    return {False: {None: [_Move(None, j, b[j], 1) for j in params.gy]},
+            True: rise}
 
 
 class PartitionLambdaK(WordColumns):
@@ -232,12 +119,6 @@ class PartitionLambdaK(WordColumns):
         self.entropy_sum = entropy_sum
 
 
-def _roots(params: DerivedParams, tables: _Tables):
-    if ell(params, 1) == 1:
-        return [(ij, nu) for ij, nu in tables.pair_roots]
-    return [(j, nu) for j, nu in tables.appends]
-
-
 def enumerate_lambda_k(
     params: DerivedParams,
     k: int,
@@ -246,19 +127,131 @@ def enumerate_lambda_k(
 ) -> PartitionLambdaK:
     """Collect the level-k partition with exact per-word masses.
 
-    Raises ``EnumerationCapError`` once more than ``cap`` words are
-    emitted.  Levels too large to collect are aggregated by
-    ``stopped_statistics`` instead.
+    The walk is breadth first, one word length at a time.  Each live
+    word carries a root id and a mass class, an index into its length's
+    list of distinct exact nu, so the stop test and the entropy term run
+    once per class and a class's stored masses share one int.  Children
+    come in parent order, then move order: the tree's depth-first order,
+    in which each length's words are stored.  Entropy terms are summed
+    per root and length in row order, then merged per length in root
+    order.  Raises ``EnumerationCapError`` when the level has more than
+    ``cap`` words, before building the length that would pass the cap;
+    ``stopped_statistics`` aggregates levels too large to collect.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    tables = _Tables(params, k)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, tables.h_max + 500))
-    try:
-        return _walk(params, tables, cap)
-    finally:
-        sys.setrecursionlimit(limit)
+    L = params.denom_lcm
+    log_l = math.log(L)
+    eta_k = params.eta ** k
+    promoting = ell(params, 1) == 0
+    # Per step: the moves (grouped by pending digit, ascending), each
+    # digit's first move and move count (at 0 if unkeyed), x and digits.
+    steps = {}
+    for rises, groups in _moves(params).items():
+        moves = [mv for group in groups.values() for mv in group]
+        size = np.zeros(256, dtype=np.intp)
+        for j, group in groups.items():
+            size[j or 0] = len(group)
+        steps[rises] = (moves, np.cumsum(size) - size, size,
+                        np.array([mv.x or 0 for mv in moves], dtype=np.uint8),
+                        np.array([mv.digit for mv in moves], dtype=np.uint8))
+
+    blocks: dict[int, tuple[np.ndarray, list[int]]] = {}
+    entropy: list[KahanSum] = []
+    # The empty word, at length 0; its children are the roots.
+    rows = np.zeros((1, 0), dtype=np.uint8)
+    roots = cls = np.zeros(1, dtype=np.intp)
+    nus = [1]
+    emitted = h = 0
+    while len(rows):
+        h += 1
+        cut = 2 * ell(params, h - 1)
+        rises = ell(params, h) > cut // 2
+        width = rows.shape[1] + 1 + rises
+        rhs = eta_k.numerator * L ** h
+        moves, first, size, xs, digits = steps[rises]
+        pending = (rows[:, cut] if rises and promoting
+                   else np.zeros(len(rows), dtype=np.uint8))
+        fan = size[pending]
+        children = int(fan.sum())
+        # Every child is a word or has one below it.
+        if emitted + children > cap:
+            raise EnumerationCapError(
+                f"enumeration exceeded cap of {cap} words")
+
+        # This length's mass classes: one per distinct exact nu over the
+        # (parent class, move) pairs that occur.  Counting the stopped
+        # children sizes the length's matrices exactly.
+        kinds = np.bincount(cls * 256 + pending)
+        class_of = np.zeros((len(nus), len(moves)), dtype=np.intp)
+        ids: dict[int, int] = {}
+        stops, terms = [], []
+        stopping = 0
+        for key in np.flatnonzero(kinds).tolist():
+            c, j = divmod(key, 256)
+            for m in range(first[j], first[j] + size[j]):
+                nu = nus[c] * moves[m].factor // moves[m].divisor
+                if nu not in ids:
+                    ids[nu] = len(ids)
+                    stops.append(nu * eta_k.denominator < rhs)
+                    log_mass = math.log(nu) - h * log_l
+                    terms.append(math.exp(log_mass) * log_mass)
+                class_of[c, m] = ids[nu]
+                stopping += int(kinds[key]) * stops[ids[nu]]
+        nus, stops = list(ids), np.array(stops)
+
+        def grow(sel: np.ndarray, out: np.ndarray) -> None:
+            # Rows of the current chunk's children ``sel``, into ``out``.
+            p, m = parent[sel], move[sel]
+            out[:, :cut] = rows[p, :cut]
+            if rises:
+                out[:, cut] = xs[m]
+            out[:, cut + rises:-1] = rows[p, cut:]
+            out[:, -1] = digits[m]
+
+        done = np.empty((stopping, width), dtype=np.uint8)
+        live = np.empty((children - stopping, width), dtype=np.uint8)
+        live_cls = np.empty(len(live), dtype=np.intp)
+        live_roots = np.empty(len(live), dtype=np.intp)
+        block_nus: list[int] = []
+        root_sums: dict[int, KahanSum] = {}
+        lived = 0
+        for lo in range(0, len(rows), _CHUNK):
+            f = fan[lo:lo + _CHUNK]
+            parent = np.repeat(np.arange(lo, lo + len(f)), f)
+            move = np.arange(len(parent)) + np.repeat(
+                first[pending[lo:lo + _CHUNK]] - np.cumsum(f) + f, f)
+            child = class_of[cls[parent], move]
+            root = move if h == 1 else roots[parent]
+            stopped = stops[child]
+            sel = np.flatnonzero(stopped)
+            grow(sel, done[len(block_nus):len(block_nus) + len(sel)])
+            done_cls = child[sel].tolist()
+            block_nus.extend(map(nus.__getitem__, done_cls))
+            starts = np.flatnonzero(np.diff(root[sel], prepend=-1)).tolist()
+            for a, b in zip(starts, starts[1:] + [len(sel)]):
+                root_sums.setdefault(int(root[sel[a]]), KahanSum()).extend(
+                    map(terms.__getitem__, done_cls[a:b]))
+            sel = np.flatnonzero(~stopped)
+            span = slice(lived, lived + len(sel))
+            grow(sel, live[span])
+            live_cls[span], live_roots[span] = child[sel], root[sel]
+            lived += len(sel)
+
+        # An empty block is dropped by the store.
+        emitted += stopping
+        blocks[h] = (done, block_nus)
+        acc = KahanSum()
+        for root_sum in root_sums.values():
+            acc.merge(root_sum)
+        entropy.append(acc)
+        # The next length's classes: the live ones, renumbered in order.
+        nus = [nu for nu, stop in zip(nus, stops.tolist()) if not stop]
+        cls = (np.cumsum(~stops) - 1)[live_cls]
+        roots, rows = live_roots, live
+    return PartitionLambdaK(
+        params, k, blocks,
+        entropy_sum=math.fsum(acc.total for acc in entropy))
 
 
 @dataclass(frozen=True)
@@ -280,8 +273,8 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
     """Aggregate the level-k partition by dynamic programming.
 
     Subtrees of the walk coincide whenever the current length, the
-    mass-to-threshold ratio, and the pending tail columns (as
-    ``_Tables.canon`` representatives) coincide, and all emitted
+    mass-to-threshold ratio, and the pending tail columns (each as the
+    first column with its promotion factors) coincide, and all emitted
     quantities scale linearly with the subtree root mass.  A forward
     pass collects the live states of each length; a backward pass,
     deepest first, folds each state's stopped descendants from its
@@ -291,37 +284,39 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    tables = _Tables(params, k)
-    L = tables.L
+    L = params.denom_lcm
     eta_k = params.eta ** k
-    rises = tables.rises
-    canon = tables.canon
+    moves = _moves(params)
+    paired = ell(params, 1) == 1
+    # Columns whose ordered promotion factors agree have identical
+    # futures; each maps to the first column of its class.
+    first: dict = {}
+    canon = {j: first.setdefault(
+        tuple(Fraction(mv.factor, mv.divisor) for mv in group), j)
+        for j, group in moves[True].items()}
 
-    def moves(fracs):
-        # (factor, its float, its log, appended tail) per transition.
-        return [(f, float(f), math.log(float(f)), tail) for f, tail in fracs]
+    def step(move: _Move) -> tuple:
+        # (factor, its float, its log, appended tail) of one move.
+        f = Fraction(move.factor, move.divisor * L)
+        tail = () if paired else (canon[move.digit],)
+        return f, float(f), math.log(float(f)), tail
 
-    append_moves = moves((Fraction(bb, L), (canon[j],))
-                         for j, bb in tables.appends)
-    promote_moves = {j: moves((f, (canon[jj],)) for f, jj in fracs)
-                     for j, fracs in tables.promote_fracs.items()}
-    # Empty queue means every step appends a whole pair (square grids).
-    pair_moves = moves((Fraction(aa, L), ()) for _, aa in tables.pair_roots)
+    steps = {rises: {j: [step(mv) for mv in group]
+                     for j, group in groups.items()}
+             for rises, groups in moves.items()}
 
     def expand(h: int, ratio: Fraction, queue: tuple) -> list:
         # Each transition with its child state, or None if the child stops.
-        if not rises[h]:
-            base, opts = queue, append_moves
-        elif queue:
-            base, opts = queue[1:], promote_moves[queue[0]]
+        rises = ell(params, h + 1) > ell(params, h)
+        if rises and queue:
+            base, opts = queue[1:], steps[True][queue[0]]
         else:
-            base, opts = queue, pair_moves
+            base, opts = queue, steps[rises][None]
         return [(move, (r, base + move[3]) if (r := ratio * move[0]) >= 1
                  else None) for move in opts]
 
     inv_eta_k = 1 / eta_k
-    roots = [(Fraction(nu0, L), () if isinstance(tag, tuple) else (canon[tag],))
-             for tag, nu0 in _roots(params, tables)]
+    roots = [(f, tail) for f, _, _, tail in steps[paired][None]]
     # No root stops: its mass is at least eta >= eta^k.
     levels: list[dict] = []
     frontier = {(mass * inv_eta_k, queue): None for mass, queue in roots}

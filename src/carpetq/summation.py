@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 __all__ = ["KahanSum"]
 
 
@@ -19,16 +21,22 @@ class KahanSum:
         self._comp = 0.0
 
     def add(self, value: float) -> None:
-        t = self._sum + value
-        if abs(self._sum) >= abs(value):
-            self._comp += (self._sum - t) + value
-        else:
-            self._comp += (value - t) + self._sum
-        self._sum = t
+        self.extend((value,))
 
     def merge(self, other: "KahanSum") -> None:
-        self.add(other._sum)
-        self.add(other._comp)
+        self.extend((other._sum, other._comp))
+
+    def extend(self, values: Iterable[float]) -> None:
+        """Add each value in turn."""
+        s, comp = self._sum, self._comp
+        for value in values:
+            t = s + value
+            if abs(s) >= abs(value):
+                comp += (s - t) + value
+            else:
+                comp += (value - t) + s
+            s = t
+        self._sum, self._comp = s, comp
 
     @property
     def total(self) -> float:

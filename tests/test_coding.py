@@ -199,7 +199,7 @@ def test_stage_accounting(cache_a, cache_d):
 
 
 def test_stage_words_kept_for_small_k(cache_a):
-    chain = cache_a.antichain(2)
+    chain = build_antichain(cache_a.partition(2), keep_stage_words=True)
     assert chain.stage_logs
     for log in chain.stage_logs:
         assert log.families is not None

@@ -1,5 +1,6 @@
 """Stopping-set enumeration: exactness, aggregates, samplers, checks."""
 
+import hashlib
 import math
 import sys
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carpetq import CarpetSpec, derive_params
+from carpetq import CarpetSpec, derive_params, partition
 from carpetq.coding import (
     build_antichain, naive_comparable_pairs, raw_coding_antichain,
     verify_maximal_antichain,
@@ -31,6 +32,53 @@ from carpetq.words import (
 # and the memoized aggregate walk).
 PHI_A = {1: 18, 2: 189, 3: 1701, 4: 10935, 5: 118098, 6: 1062882,
          7: 8857350, 8: 79716150}
+
+
+# sha256 of every block of the collected partition, in length order
+# (length, word count, row bytes, masses as hex), and the entropy sum's
+# float.hex.  Word order within a length is pinned too: codebook rows,
+# violation indices and the walk order inside an antichain family all
+# follow it.
+WALK_DIGESTS = {
+    ("a", 1): ("e5fda47ccdef09e926669ceef36140c3b7b7471e7a0b526fc1df38f7d40cc457",
+                "-0x1.6ab7f382f2592p+1"),
+    ("a", 2): ("0c5c929a147a9cbc814414941390ed9dbd34068e743a5e41e01a5075bea3688d",
+                "-0x1.4a3a960040c25p+2"),
+    ("a", 3): ("f04a59069797598a528739a991df7d84d0164da31f9f622b91b330013d34fbd4",
+                "-0x1.d6d9e9d5a8da8p+2"),
+    ("a", 4): ("aaddf5f6f9aaab09ba2fba98604f6c3d3066716aad05f9202257f0ad57980b5c",
+                "-0x1.27e0f2d5fcd16p+3"),
+    ("a", 5): ("4dc70025896edd107d3b5e9de6ee6123d62f13aa9e43c70a8a220d0615a265d9",
+                "-0x1.7294fc3912a38p+3"),
+    ("b", 1): ("b35baf6d41bcc08c908152eb005735f618a12f406e13e68fc54e8ac4b2ba8a47",
+                "-0x1.62e42fefa39efp+0"),
+    ("b", 2): ("b97edb1acf0f18a0703f94572e237456e37fa39977babda3f1c804ae25f54d5b",
+                "-0x1.0a2b23f3bab74p+1"),
+    ("b", 3): ("b34280fcc9c1ceabe6f428ed42f627551aac9c5b35be237e5a4ee56098c5fa26",
+                "-0x1.62e42fefa39f1p+1"),
+    ("b", 4): ("291f9ec15315c60205e80509cb4cce59499ed994353a3a502242bb01a2b1fbe9",
+                "-0x1.bb9d3beb8c86dp+1"),
+    ("b", 5): ("9bd4626bc541ac50721628db04c4c5d5ec809cbf598e05bd301e779d02ffbea8",
+                "-0x1.0a2b23f3bab75p+2"),
+    ("c", 1): ("5cefa983ff2d6da48748c8ee6400f7342f16aa06c3d08f96ac8bae445534a577",
+                "-0x1.0a2b23f3bab74p+1"),
+    ("c", 2): ("397169217b56613d709372d794dada651e071d7ec0464b731cac69bc94c8fe86",
+                "-0x1.bb9d3beb8c86bp+1"),
+    ("c", 3): ("da5111c56cb42be8267a78f0037328b42b0b6804c62aadbf50e125dd50b5cc58",
+                "-0x1.3687a9f1af2b2p+2"),
+    ("c", 4): ("7c9e0ed8a52cd00fa03bd59c0ddb29b69daa827e199a4f9eb6fe1ad02006d185",
+                "-0x1.8f40b5ed9812dp+2"),
+    ("d", 1): ("ced8b563a944e03d57f4a63bb70ecbc0d912e4d213e7c2fa65a7e073b4a5ee8a",
+                "-0x1.9a6351597e365p+1"),
+    ("d", 2): ("d41995afc91adc3bc2bf05c3e2a6c381eda94e19d90ba2bcdd5d50b8ca1c615a",
+                "-0x1.7e903bd7ebc90p+2"),
+    ("d", 3): ("329db52a9975c5d8e45eb28bbcac3ea0166bc57d809090db245afe87acfbd02a",
+                "-0x1.192a5f8a0de5fp+3"),
+    ("d", 4): ("0d9c2e4be5e90e679e88df2b909c0666274932923d363e761ebd134267ee4629",
+                "-0x1.730203be4287cp+3"),
+    ("skewed", 1): ("cbb6a2b947b46872c0982a0173030f1a76da82b572011474199484656b2bbffc",
+                     "-0x1.5c742bc065c25p+3"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +174,43 @@ def test_brute_force_membership_other_carpets(carpet_c, carpet_d):
 def test_cap_enforced(carpet_a):
     with pytest.raises(EnumerationCapError):
         enumerate_lambda_k(carpet_a, 3, cap=100)
+
+
+@pytest.mark.parametrize("carpet,k", [("a", 3), ("skewed", 1)])
+def test_cap_exact(request, carpet, k):
+    # The cap trips exactly when the level has more words than the cap.
+    params = request.getfixturevalue(f"carpet_{carpet}")
+    phi = enumerate_lambda_k(params, k).phi_k
+    assert enumerate_lambda_k(params, k, cap=phi).phi_k == phi
+    with pytest.raises(EnumerationCapError):
+        enumerate_lambda_k(params, k, cap=phi - 1)
+
+
+def _blocks_digest(part):
+    digest = hashlib.sha256()
+    for h, (rows, nus) in part.blocks.items():
+        digest.update(f"{h}:{len(nus)}:".encode())
+        digest.update(rows.tobytes())
+        digest.update(",".join(map(hex, nus)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("carpet,k", sorted(WALK_DIGESTS))
+def test_walk_order_frozen(request, carpet, k):
+    params = request.getfixturevalue(f"carpet_{carpet}")
+    part = enumerate_lambda_k(params, k)
+    assert (_blocks_digest(part), part.entropy_sum.hex()) \
+        == WALK_DIGESTS[carpet, k]
+
+
+@pytest.mark.parametrize("carpet,k", [("a", 4), ("b", 5), ("c", 3), ("d", 3)])
+def test_walk_chunks_change_nothing(request, monkeypatch, carpet, k):
+    # Five parents a chunk: every length with more spans several chunks.
+    monkeypatch.setattr(partition, "_CHUNK", 5)
+    params = request.getfixturevalue(f"carpet_{carpet}")
+    part = enumerate_lambda_k(params, k)
+    assert (_blocks_digest(part), part.entropy_sum.hex()) \
+        == WALK_DIGESTS[carpet, k]
 
 
 def test_recursion_limit_left_unchanged(carpet_skewed):
@@ -308,6 +393,11 @@ def test_random_carpet_dp_equals_enumeration(n, m, cells, raw):
     params = derive_params(spec)
     for k in (1, 2):
         part = enumerate_lambda_k(params, k)
+        # Columns with unequal x-digit counts give the walk's promotion
+        # steps a fan-out that varies from word to word.
+        got = {(w.pairs, w.tail): mass for w, mass in part.iter_words()}
+        assert len(got) == part.phi_k
+        assert got == _brute_lambda_k(params, k)
         stats = stopped_statistics(params, k)
         assert part.mass_total == 1
         assert stats.phi_k == part.phi_k
