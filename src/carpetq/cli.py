@@ -413,13 +413,15 @@ def cmd_quantize(ctx: _Ctx) -> None:
 def cmd_report(ctx: _Ctx) -> None:
     seq_path = ctx.out / "sequences.csv"
     qnt_path = ctx.out / "quantize.csv"
-    if not seq_path.exists() and not qnt_path.exists():
+    # A table without rows has nothing to plot, like a missing one.
+    seq, qnt = (read_csv(p) if p.exists() else ([], []) for p in (seq_path, qnt_path))
+    if not seq[1] and not qnt[1]:
         raise ConfigError(
-            f"nothing to report: no sequences.csv or quantize.csv under "
-            f"{ctx.out}; run the sequences or quantize command first")
+            f"nothing to report: no rows in sequences.csv or quantize.csv "
+            f"under {ctx.out}; run the sequences or quantize command first")
     made = []
-    if seq_path.exists():
-        header, rows = read_csv(seq_path)
+    if seq[1]:
+        header, rows = seq
         col = {name: pos for pos, name in enumerate(header)}
         ks = [float(r[col["k"]]) for r in rows]
         series = {}
@@ -435,8 +437,8 @@ def cmd_report(ctx: _Ctx) -> None:
             y_label="ratio", hline=("s0", s0))
         write_text(ctx.out / "sequences.svg", svg)
         made.append("sequences.svg")
-    if qnt_path.exists():
-        header, rows = read_csv(qnt_path)
+    if qnt[1]:
+        header, rows = qnt
         col = {name: pos for pos, name in enumerate(header)}
         pts = [(float(r[col["k"]]), float(r[col["R_k"]])) for r in rows]
         svg = render_line_chart(

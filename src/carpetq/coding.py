@@ -14,7 +14,6 @@ carrying the same length-weighted mass as the stopping set it replaces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -24,7 +23,8 @@ import numpy as np
 from .measure import DerivedParams
 from .summation import KahanSum
 from .words import (
-    CarpetWord, RowIndex, WordColumns, WordError, decode_word, ell, row_keys,
+    CarpetWord, RowIndex, WordColumns, WordError, decode_word, ell,
+    entropy_terms, row_keys,
 )
 
 
@@ -152,11 +152,11 @@ class StageLog:
 class Antichain(WordColumns):
     """A finite set of words, blockwise incomparable, with stage history.
 
-    Words are stored per length like a partition's: a uint8 matrix of
-    encoded digit rows and a scaled integer mass per word (denominator
-    L**length, where L clears all weight denominators), each block
-    sorted by its rows' bytes.  ``base_*`` aggregates describe the
-    stopping set the construction started from.
+    Words are stored per length like a partition's, as rows, class ids
+    and a table of scaled integer masses (denominator L**length, where
+    L clears all weight denominators), each block sorted by its rows'
+    bytes.  ``base_*`` aggregates describe the stopping set the
+    construction started from.
     """
 
     def __init__(self, params: DerivedParams, k: int, blocks: dict, *,
@@ -187,20 +187,15 @@ def _columns(params, k, blocks, indexes, xi_stages, base, stage_logs):
     # Deterministic blocks: each length's rows sorted by their bytes,
     # with the entropy summed in that order.  ``indexes`` holds the
     # row indexes already built for some of ``blocks``.
-    log_l = math.log(params.denom_lcm)
     out = {}
     entropy = KahanSum()
     for h in sorted(blocks):
-        rows, nus = blocks[h]
+        rows, ids, nus = blocks[h]
         order = (indexes.get(h) or RowIndex(rows)).order
-        nus = [nus[i] for i in order.tolist()]
-        # Words of one length share few masses: one term per distinct nu.
-        terms = {}
-        for nu in set(nus):
-            log_mass = math.log(nu) - h * log_l
-            terms[nu] = math.exp(log_mass) * log_mass
-        entropy.extend(map(terms.__getitem__, nus))
-        out[h] = (rows[order], nus)
+        ids = ids[order]
+        terms = entropy_terms(nus, h, params.denom_lcm)
+        entropy.extend(map(terms.__getitem__, ids.tolist()))
+        out[h] = (rows[order], ids, nus)
     base_size, base_entropy, base_mass_len = base
     return Antichain(
         params, k, out,
@@ -249,7 +244,6 @@ def build_antichain(partition, *, keep_stage_words: bool = False
     params = partition.params
     k = partition.k
     L = params.denom_lcm
-    log_l = math.log(L)
     a = {ij: int(w * L)
          for ij, w in zip(params.spec.digits, params.spec.weights)}
     b = {j: int(params.q[j] * L) for j in params.gy}
@@ -265,10 +259,6 @@ def build_antichain(partition, *, keep_stage_words: bool = False
     xi_stages = xi_sequence(partition)
     stage_logs: list[StageLog] = []
 
-    def entropy_of(nu: int, h: int) -> float:
-        log_mass = math.log(nu) - h * log_l
-        return math.exp(log_mass) * log_mass
-
     def decoded(rows: np.ndarray, h: int) -> tuple[CarpetWord, ...]:
         data, width = rows.tobytes(), rows.shape[1]
         return tuple(decode_word(params, data[t:t + width], h)
@@ -278,10 +268,11 @@ def build_antichain(partition, *, keep_stage_words: bool = False
         target = xi_stages[pos]
         split = 2 * ell(params, target)
         width = target + split // 2
-        rows, nus = blocks.get(target, (np.empty((0, width), np.uint8), []))
+        rows, ids, nus = blocks.get(
+            target, (np.empty((0, width), np.uint8), np.empty(0, np.uint8), []))
         # Words at the target length whose blockwise ancestor survived at
         # some shorter length.
-        flags = np.zeros(len(nus), dtype=bool)
+        flags = np.zeros(len(ids), dtype=bool)
         for h in blocks:
             if h < target:
                 if h not in indexes:
@@ -308,10 +299,10 @@ def build_antichain(partition, *, keep_stage_words: bool = False
         fam_keys = row_keys(fam_rows[:, stem_cols])
         order = np.argsort(fam_keys, kind="stable")
         fam_rows, fam_keys = fam_rows[order], fam_keys[order]
-        fam_nus = [nus[i] for i in flagged[order].tolist()]
+        fam_ids = ids[flagged[order]].tolist()
         starts = np.flatnonzero(np.concatenate(
             ([True], fam_keys[1:] != fam_keys[:-1]))).tolist()
-        ends = starts[1:] + [len(fam_nus)]
+        ends = starts[1:] + [len(fam_ids)]
         xs_all = fam_rows[:, split - 2].tolist()
         jl_all = fam_rows[:, split - 1].tolist()
         jt_all = fam_rows[:, -1].tolist()
@@ -322,10 +313,14 @@ def build_antichain(partition, *, keep_stage_words: bool = False
         max_gap = 0.0
         h_scale = L ** target
         bound = eta_num_k * h_scale
-        # (family's first sorted row, new x digit, scaled mass) per insert
+        # An inserted mass not yet in the length's table gets a new class.
+        table = list(nus)
+        class_of = {nu: c for c, nu in enumerate(table)}
+        terms = entropy_terms(table, target, L)
+        # (family's first sorted row, new x digit, class) per insert
         ins_src: list[int] = []
         ins_x: list[int] = []
-        ins_nus: list[int] = []
+        ins_ids: list[int] = []
 
         for s, e in zip(starts, ends):
             xs = xs_all[s:e]
@@ -335,16 +330,16 @@ def build_antichain(partition, *, keep_stage_words: bool = False
                 raise AntichainInvariantError(
                     f"family over column {j_l} is missing siblings")
             rep_i = min(xs)
-            stem_nu, rem = divmod(fam_nus[s + xs.index(rep_i)],
+            stem_nu, rem = divmod(table[fam_ids[s + xs.index(rep_i)]],
                                   a[(rep_i, j_l)] * b[j_t])
             if rem:
                 raise AntichainInvariantError("family mass not factorable")
 
             fam_nu = 0
             fam_removed_e = 0.0
-            for nu in fam_nus[s:e]:
-                fam_nu += nu
-                ent = entropy_of(nu, target)
+            for c in fam_ids[s:e]:
+                fam_nu += table[c]
+                ent = terms[c]
                 fam_removed_e += ent
                 removed_entropy.add(ent)
             removed_nu += fam_nu
@@ -361,12 +356,16 @@ def build_antichain(partition, *, keep_stage_words: bool = False
                     raise AntichainInvariantError(
                         "inserted word's predecessor below the threshold")
                 fam_g_nu += nu_g
-                ent = entropy_of(nu_g, target)
+                c = class_of.setdefault(nu_g, len(table))
+                if c == len(table):
+                    table.append(nu_g)
+                    terms += entropy_terms([nu_g], target, L)
+                ent = terms[c]
                 fam_inserted_e += ent
                 inserted_entropy.add(ent)
                 ins_src.append(s)
                 ins_x.append(i)
-                ins_nus.append(nu_g)
+                ins_ids.append(c)
             if fam_g_nu != fam_nu:
                 raise AntichainInvariantError("family mass not conserved")
             gap = abs(fam_inserted_e - fam_removed_e) / (fam_nu / h_scale)
@@ -386,7 +385,9 @@ def build_antichain(partition, *, keep_stage_words: bool = False
         if any(b_idx >= len(keep) for _, b_idx in index.duplicates()):
             raise AntichainCollisionError(
                 f"replacement collision at length {target}")
-        blocks[target] = (new_rows, [nus[i] for i in keep.tolist()] + ins_nus)
+        new_ids = np.append(ids[keep], ins_ids).astype(
+            np.min_scalar_type(len(table)))
+        blocks[target] = (new_rows, new_ids, table)
         indexes[target] = index
 
         logged_families = None
@@ -404,7 +405,7 @@ def build_antichain(partition, *, keep_stage_words: bool = False
             target_length=target,
             family_count=len(starts),
             removed_count=len(flagged),
-            inserted_count=len(ins_nus),
+            inserted_count=len(ins_ids),
             removed_mass=Fraction(removed_nu, h_scale),
             removed_entropy=removed_entropy.total,
             inserted_entropy=inserted_entropy.total,
@@ -436,12 +437,12 @@ class AntichainReport:
 def verify_maximal_antichain(antichain: Antichain) -> AntichainReport:
     """Certify maximality from scratch.
 
-    Masses are resummed exactly from the stored integers, not read from
-    the store's aggregates.  For the incomparability scan, each word's
-    unique candidate ancestor at every shorter occupied length is looked
-    up by binary search in that length's sorted rows, and equal rows
-    within a length are caught by the same sort.  Comparable pairs are
-    sorted index pairs (a, b) with a < b.
+    Masses are resummed exactly from each length's class counts and
+    mass table, not read from the store's aggregates.  For the
+    incomparability scan, each word's unique candidate ancestor at every
+    shorter occupied length is looked up by binary search in that
+    length's sorted rows, and equal rows within a length are caught by
+    the same sort.  Comparable pairs are sorted index pairs (a, b), a < b.
     Exact mass one plus pairwise incomparability certify that the
     cylinders tile the whole product space.
     """
@@ -452,9 +453,11 @@ def verify_maximal_antichain(antichain: Antichain) -> AntichainReport:
 
     nu_by_len: dict[int, int] = {}
     below = True
-    for h, (_, nus) in antichain.blocks.items():
-        nu_by_len[h] = sum(nus)
-        if max(nus) * eta_den_k >= eta_num_k * L ** h:
+    for h, (_, ids, nus) in antichain.blocks.items():
+        used = [(c, nu) for c, nu in zip(np.bincount(ids).tolist(), nus)
+                if c]
+        nu_by_len[h] = sum(c * nu for c, nu in used)
+        if max(nu for _, nu in used) * eta_den_k >= eta_num_k * L ** h:
             below = False
     mass_total = sum(
         (Fraction(nu, L ** h) for h, nu in nu_by_len.items()), Fraction(0))

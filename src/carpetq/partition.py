@@ -28,7 +28,7 @@ import numpy as np
 
 from .measure import DerivedParams
 from .summation import KahanSum
-from .words import CarpetWord, WordColumns, ell, word_from_digits
+from .words import CarpetWord, WordColumns, ell, entropy_terms, word_from_digits
 
 __all__ = [
     "DEFAULT_CAP",
@@ -103,8 +103,8 @@ def _moves(params: DerivedParams) -> dict:
 class PartitionLambdaK(WordColumns):
     """One collected stopping-time partition.
 
-    Words are stored per length: a uint8 matrix of encoded digit rows
-    and scaled integer masses nu with mass = nu / L^length.  The word
+    Words are stored per length as rows, class ids and a table of scaled
+    integer masses nu, with mass = nu / L^length.  The word
     count ``phi_k`` and the length window ``[xi_min, xi_max]`` are the
     store's size and length window; the entropy sum is accumulated
     during the walk.
@@ -130,7 +130,7 @@ def enumerate_lambda_k(
     The walk is breadth first, one word length at a time.  Each live
     word carries a root id and a mass class, an index into its length's
     list of distinct exact nu, so the stop test and the entropy term run
-    once per class and a class's stored masses share one int.  Children
+    once per class, and the class list is the stored mass table.  Children
     come in parent order, then move order: the tree's depth-first order,
     in which each length's words are stored.  Entropy terms are summed
     per root and length in row order, then merged per length in root
@@ -141,7 +141,6 @@ def enumerate_lambda_k(
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     L = params.denom_lcm
-    log_l = math.log(L)
     eta_k = params.eta ** k
     promoting = ell(params, 1) == 0
     # Per step: the moves (grouped by pending digit, ascending), each
@@ -156,7 +155,7 @@ def enumerate_lambda_k(
                         np.array([mv.x or 0 for mv in moves], dtype=np.uint8),
                         np.array([mv.digit for mv in moves], dtype=np.uint8))
 
-    blocks: dict[int, tuple[np.ndarray, list[int]]] = {}
+    blocks: dict[int, tuple[np.ndarray, np.ndarray, list[int]]] = {}
     entropy: list[KahanSum] = []
     # The empty word, at length 0; its children are the roots.
     rows = np.zeros((1, 0), dtype=np.uint8)
@@ -185,7 +184,7 @@ def enumerate_lambda_k(
         kinds = np.bincount(cls * 256 + pending)
         class_of = np.zeros((len(nus), len(moves)), dtype=np.intp)
         ids: dict[int, int] = {}
-        stops, terms = [], []
+        stops = []
         stopping = 0
         for key in np.flatnonzero(kinds).tolist():
             c, j = divmod(key, 256)
@@ -194,11 +193,10 @@ def enumerate_lambda_k(
                 if nu not in ids:
                     ids[nu] = len(ids)
                     stops.append(nu * eta_k.denominator < rhs)
-                    log_mass = math.log(nu) - h * log_l
-                    terms.append(math.exp(log_mass) * log_mass)
                 class_of[c, m] = ids[nu]
                 stopping += int(kinds[key]) * stops[ids[nu]]
         nus, stops = list(ids), np.array(stops)
+        terms = entropy_terms(nus, h, L)
 
         def grow(sel: np.ndarray, out: np.ndarray) -> None:
             # Rows of the current chunk's children ``sel``, into ``out``.
@@ -210,12 +208,12 @@ def enumerate_lambda_k(
             out[:, -1] = digits[m]
 
         done = np.empty((stopping, width), dtype=np.uint8)
+        done_ids = np.empty(stopping, dtype=np.min_scalar_type(len(nus)))
         live = np.empty((children - stopping, width), dtype=np.uint8)
         live_cls = np.empty(len(live), dtype=np.intp)
         live_roots = np.empty(len(live), dtype=np.intp)
-        block_nus: list[int] = []
         root_sums: dict[int, KahanSum] = {}
-        lived = 0
+        lived = doned = 0
         for lo in range(0, len(rows), _CHUNK):
             f = fan[lo:lo + _CHUNK]
             parent = np.repeat(np.arange(lo, lo + len(f)), f)
@@ -225,9 +223,11 @@ def enumerate_lambda_k(
             root = move if h == 1 else roots[parent]
             stopped = stops[child]
             sel = np.flatnonzero(stopped)
-            grow(sel, done[len(block_nus):len(block_nus) + len(sel)])
+            span = slice(doned, doned + len(sel))
+            grow(sel, done[span])
+            done_ids[span] = child[sel]
             done_cls = child[sel].tolist()
-            block_nus.extend(map(nus.__getitem__, done_cls))
+            doned += len(sel)
             starts = np.flatnonzero(np.diff(root[sel], prepend=-1)).tolist()
             for a, b in zip(starts, starts[1:] + [len(sel)]):
                 root_sums.setdefault(int(root[sel[a]]), KahanSum()).extend(
@@ -240,7 +240,7 @@ def enumerate_lambda_k(
 
         # An empty block is dropped by the store.
         emitted += stopping
-        blocks[h] = (done, block_nus)
+        blocks[h] = (done, done_ids, nus)
         acc = KahanSum()
         for root_sum in root_sums.values():
             acc.merge(root_sum)

@@ -105,7 +105,7 @@ def lambda_codebook(partition: PartitionLambdaK) -> Codebook:
     n = float(params.n)
     m = float(params.m)
     pts = np.empty((partition.phi_k, 2), dtype=np.float64)
-    for h, (rows, _) in partition.blocks.items():
+    for h, (rows, _, _) in partition.blocks.items():
         l = ell(params, h)
         grid = rows.astype(np.float64)
         iw = np.power(n, -np.arange(1, l + 1, dtype=np.float64))

@@ -38,6 +38,7 @@ __all__ = [
     "square_geometry",
     "encode_word",
     "decode_word",
+    "entropy_terms",
     "row_keys",
     "RowIndex",
     "WordColumns",
@@ -294,36 +295,44 @@ class RowIndex:
         return pairs
 
 
+def entropy_terms(nus: Sequence[int], h: int, L: int) -> list[float]:
+    """mass * log(mass) per scaled mass nu of a length-h table, mass = nu / L^h."""
+    log_masses = [math.log(nu) - h * math.log(L) for nu in nus]
+    return [math.exp(log_mass) * log_mass for log_mass in log_masses]
+
+
 class WordColumns:
     """A word store keyed by word length.
 
     ``blocks`` maps each occupied length h, in ascending order, to a
-    pair ``(rows, nus)``: a C-contiguous uint8 matrix holding one
-    ``encode_word`` row of h + ell(h) digits per word, and a list of the
-    words' scaled integer masses nu with mass = nu / L^h (Python ints,
-    since they outgrow 64 bits).  Word indices run in this length-major
-    order; ``offsets[h]`` is the index of the first length-h word.  The
-    counts, the length window and the exact mass aggregates are derived
-    once, here, so no consumer regroups words by length.
+    triple ``(rows, ids, nus)``: a C-contiguous uint8 matrix holding one
+    ``encode_word`` row of h + ell(h) digits per word, an unsigned class
+    id per row, and a table of the length's exact scaled masses (Python
+    ints; an entry may have no word): word t has mass nus[ids[t]] / L^h.
+    Word indices run in this length-major order; ``offsets[h]`` is the
+    index of the first length-h word.  The counts, the length window and
+    the exact mass aggregates are derived once, here, so no consumer
+    regroups words by length.
     """
 
     def __init__(self, params: DerivedParams,
-                 blocks: dict[int, tuple[np.ndarray, list[int]]]):
+                 blocks: dict[int, tuple[np.ndarray, np.ndarray, list[int]]]):
         L = params.denom_lcm
-        for h, (rows, nus) in blocks.items():
+        for h, (rows, ids, nus) in blocks.items():
             width = h + ell(params, h)
             if not (isinstance(rows, np.ndarray) and rows.dtype == np.uint8
-                    and rows.shape == (len(nus), width)
-                    and rows.flags.c_contiguous):
+                    and isinstance(ids, np.ndarray) and ids.dtype.kind == "u"
+                    and rows.shape == ids.shape + (width,)
+                    and rows.flags.c_contiguous and (ids < len(nus)).all()):
                 raise WordError(
-                    f"length-{h} block needs a C-contiguous uint8 matrix of "
-                    f"shape ({len(nus)}, {width}) to match its masses")
+                    f"length-{h} block needs C-contiguous uint8 rows of width "
+                    f"{width}, each with an unsigned class id below {len(nus)}")
         self.params = params
-        self.blocks = {h: blocks[h] for h in sorted(blocks) if blocks[h][1]}
-        self.length_counts = {h: len(nus)
-                              for h, (_, nus) in self.blocks.items()}
-        self.length_nu_sums = {h: sum(nus)
-                               for h, (_, nus) in self.blocks.items()}
+        self.blocks = {h: b for h, b in sorted(blocks.items()) if len(b[1])}
+        self.length_counts = {h: len(b[1]) for h, b in self.blocks.items()}
+        self.length_nu_sums = {
+            h: sum(c * nu for c, nu in zip(np.bincount(ids).tolist(), nus))
+            for h, (_, ids, nus) in self.blocks.items()}
         self.offsets: dict[int, int] = {}
         self.size = 0
         for h, count in self.length_counts.items():
@@ -331,11 +340,12 @@ class WordColumns:
             self.size += count
         self.l_min = min(self.blocks, default=0)
         self.l_max = max(self.blocks, default=0)
-        masses = [(h, Fraction(s, L ** h))
-                  for h, s in self.length_nu_sums.items()]
-        self.mass_total = sum((mass for _, mass in masses), Fraction(0))
-        self.mass_len_total = sum((h * mass for h, mass in masses),
-                                  Fraction(0))
+        # Exact sums over the common denominator L^l_max: no gcd per length.
+        scaled = {h: s * L ** (self.l_max - h)
+                  for h, s in self.length_nu_sums.items()}
+        self.mass_total = Fraction(sum(scaled.values()), L ** self.l_max)
+        self.mass_len_total = Fraction(
+            sum(h * s for h, s in scaled.items()), L ** self.l_max)
 
     def __len__(self) -> int:
         return self.size
@@ -346,15 +356,16 @@ class WordColumns:
 
     def mass_at(self, idx: int) -> Fraction:
         h, pos = self._locate(idx)
-        return Fraction(self.blocks[h][1][pos], self.params.denom_lcm ** h)
+        _, ids, nus = self.blocks[h]
+        return Fraction(nus[ids[pos]], self.params.denom_lcm ** h)
 
     def iter_words(self) -> Iterator[tuple[CarpetWord, Fraction]]:
         L = self.params.denom_lcm
-        for h, (rows, nus) in self.blocks.items():
+        for h, (rows, ids, nus) in self.blocks.items():
             scale = L ** h
-            for row, nu in zip(rows, nus):
+            for row, c in zip(rows, ids.tolist()):
                 yield (decode_word(self.params, row.tobytes(), h),
-                       Fraction(nu, scale))
+                       Fraction(nus[c], scale))
 
     def matching_pairs(self, columns: Callable[[int, int], list[int]]
                        ) -> tuple[tuple[int, int], ...]:
@@ -367,7 +378,7 @@ class WordColumns:
         """
         indexes: dict[int, RowIndex] = {}
         pairs: list[tuple[int, int]] = []
-        for h, (rows, _) in self.blocks.items():
+        for h, (rows, _, _) in self.blocks.items():
             base = self.offsets[h]
             for hp, shorter in indexes.items():
                 found, anc = shorter.matches(row_keys(rows[:, columns(h, hp)]))

@@ -90,17 +90,19 @@ def _tamper(part, drop=(), add=()):
     L = part.params.denom_lcm
     drop = set(drop)
     blocks = {}
-    for h, (rows, nus) in part.blocks.items():
-        keep = [pos for pos in range(len(nus))
+    for h, (rows, ids, nus) in part.blocks.items():
+        keep = [pos for pos in range(len(ids))
                 if part.offsets[h] + pos not in drop]
-        blocks[h] = (rows[keep], [nus[pos] for pos in keep])
+        blocks[h] = (rows[keep], ids[keep], nus)
     for word, mass in add:
         h = len(word)
         nu = mass * L ** h
         assert nu.denominator == 1
         row = np.frombuffer(encode_word(word), dtype=np.uint8)[None, :]
-        rows, nus = blocks.get(h, (row[:0], []))
-        blocks[h] = (np.concatenate([rows, row]), nus + [int(nu)])
+        rows, ids, nus = blocks.get(h, (row[:0], np.empty(0, np.uint8), []))
+        nus = nus + [int(nu)]
+        ids = np.append(ids, len(nus) - 1).astype(np.min_scalar_type(len(nus)))
+        blocks[h] = (np.concatenate([rows, row]), ids, nus)
     return PartitionLambdaK(part.params, part.k, blocks,
                             entropy_sum=part.entropy_sum)
 

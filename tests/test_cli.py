@@ -202,6 +202,22 @@ def test_report_nothing_to_report(tmp_path, capsys):
     assert "nothing to report" in capsys.readouterr().err
 
 
+def test_report_rowless_table_exits_2(tmp_path, capsys):
+    # Above --cap-words every level is skipped, so quantize writes a
+    # header-only table.
+    cfg = _config(tmp_path, k_min=3, k_max=3)
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", cfg, "--out", str(out),
+                 "--cap-words", "10"]) == 0
+    assert (out / "quantize.csv").read_text().count("\n") == 1
+    capsys.readouterr()
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "nothing to report" in json.loads(err)["error"]
+    assert not (out / "quantize.svg").exists()
+
+
 def test_runs_byte_identical(tmp_path):
     cfg = _config(tmp_path)
     blobs = []
@@ -368,9 +384,10 @@ def test_exact_outputs_frozen(tmp_path):
 
 
 # sha256 of the antichain tables for carpet D at k = 2..4.  Each level
-# runs 10 to 15 replacement stages, so these pin the family order, the
-# stage logs' Kahan sums and max_family_gap, which carpet A's
-# single-stage levels leave untested.
+# runs 8 to 15 replacement stages, so these pin the family order and the
+# stage logs' max_family_gap and removed mass, which carpet A's
+# single-stage levels leave untested.  The tables carry no stage entropy
+# sums; test_coding.STAGE_LOG_DIGESTS pins those.
 _FROZEN_DIGESTS_D = {
     "antichain.csv":
         "fbbba71592bd56ac9962b599474c727b2d65183921bc23a133785e88ddcc7f1d",

@@ -1,5 +1,6 @@
 """Blockwise coding order, replacement stages, antichain certification."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -134,10 +135,10 @@ def test_raw_equals_built_when_single_stage(cache_a):
     built = cache_a.antichain(4)
     assert built.stage_logs == ()
     assert raw.size == built.size
-    assert {h: sorted(zip(map(bytes, rows), nus))
-            for h, (rows, nus) in raw.blocks.items()} \
-        == {h: sorted(zip(map(bytes, rows), nus))
-            for h, (rows, nus) in built.blocks.items()}
+    assert {h: sorted(zip(map(bytes, rows), map(nus.__getitem__, ids)))
+            for h, (rows, ids, nus) in raw.blocks.items()} \
+        == {h: sorted(zip(map(bytes, rows), map(nus.__getitem__, ids)))
+            for h, (rows, ids, nus) in built.blocks.items()}
     assert verify_maximal_antichain(built).ok
 
 
@@ -196,6 +197,31 @@ def test_stage_accounting(cache_a, cache_d):
         assert size == chain.size
         assert shift == pytest.approx(
             chain.entropy_sum - chain.base_entropy_sum, abs=1e-9)
+
+
+# Per level: the stage count and the sha256 of one line per stage,
+# "stage:target:removed_mass:removed_entropy:inserted_entropy:gap" with
+# the floats as float.hex.  The CLI tables carry only the gap and the
+# removed mass, so these pin the stage logs' entropy sums.
+STAGE_LOG_DIGESTS = {
+    ("a", 2): (1, "9551a850c663a128d63a9d5ff0d7e0f137c1d8a97aeacfdde8ebbf75a02cb9ad"),
+    ("a", 3): (1, "7ef0351783c1105cea5d44868c9fc7945ebfd09071c479bb34abc87c84db2247"),
+    ("a", 4): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("a", 5): (1, "a92c0aac5dad09f0e012c364ad10b8603e6ffe410ffa26524d3eef0a232196dd"),
+    ("d", 2): (8, "3365d228db9e4d76ef96c94e0acf8ce19395858193a04bd0ba70cd0e70450c5e"),
+    ("d", 3): (11, "6b402eb03cf538e049e6022a42c34ccbef81314b8eafaed897370f11e2d109b1"),
+    ("d", 4): (15, "c34c2ecbb9fdb0b732d5e4bd38a9958ed177c7b2ed3896069fa7623080a3bb22"),
+}
+
+
+@pytest.mark.parametrize("carpet,k", sorted(STAGE_LOG_DIGESTS))
+def test_stage_logs_frozen(request, carpet, k):
+    chain = request.getfixturevalue(f"cache_{carpet}").antichain(k)
+    lines = [f"{log.stage}:{log.target_length}:{log.removed_mass}:"
+             f"{log.removed_entropy.hex()}:{log.inserted_entropy.hex()}:"
+             f"{log.max_family_gap.hex()}" for log in chain.stage_logs]
+    assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) \
+        == STAGE_LOG_DIGESTS[carpet, k]
 
 
 def test_stage_words_kept_for_small_k(cache_a):

@@ -166,16 +166,21 @@ def test_encode_decode_round_trip(carpet_a):
 def test_word_columns_rejects_malformed_blocks(carpet_a):
     # Length-2 words of carpet A hold one pair and one tail digit.
     rows = np.array([[0, 0, 2], [0, 2, 0]], dtype=np.uint8)
-    store = WordColumns(carpet_a, {2: (rows, [1, 2])})
+    ids = np.array([0, 1], dtype=np.uint8)
+    store = WordColumns(carpet_a, {2: (rows, ids, [1, 2])})
     assert store.word_at(1) == CarpetWord(((0, 2),), (0,))
     assert store.mass_at(1) == Fraction(2, 9)
     for block in [
-        ([encode_word(store.word_at(0))], [1]),       # bytes, not rows
-        (rows.astype(np.int64), [1, 2]),                # wrong dtype
-        (rows[:, :2].copy(), [1, 2]),                   # wrong width
-        (rows, [1]),                                    # one mass short
-        (rows[::-1], [1, 2]),                           # not C-contiguous
-        (rows[0], [1]),                                 # not a matrix
+        ([encode_word(store.word_at(0))], ids[:1], [1]),  # bytes, not rows
+        (rows.astype(np.int64), ids, [1, 2]),           # wrong dtype
+        (rows[:, :2].copy(), ids, [1, 2]),              # wrong width
+        (rows, ids, [1]),                               # id at table length
+        (rows, np.array([0, 5], np.uint8), [1, 2]),     # id past the table
+        (rows, ids.astype(np.int8), [1, 2]),            # signed ids
+        (rows, ids[:1], [1, 2]),                        # one id short
+        (rows, [0, 1], [1, 2]),                         # ids not an array
+        (rows[::-1], ids, [1, 2]),                      # not C-contiguous
+        (rows[0], ids[:1], [1]),                        # not a matrix
     ]:
         with pytest.raises(WordError):
             WordColumns(carpet_a, {2: block})
