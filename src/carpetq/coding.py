@@ -14,6 +14,7 @@ carrying the same length-weighted mass as the stopping set it replaces.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .measure import DerivedParams
-from .summation import KahanSum
+from .summation import neumaier
 from .words import (
     CarpetWord, RowIndex, WordColumns, WordError, decode_word, ell,
     entropy_terms, row_keys,
@@ -155,19 +156,21 @@ class Antichain(WordColumns):
     Words are stored per length like a partition's, as rows, class ids
     and a table of scaled integer masses (denominator L**length, where
     L clears all weight denominators), each block sorted by its rows'
-    bytes.  ``base_*`` aggregates describe the stopping set the
+    bytes.  The entropy sum is one compensated pass over all words in
+    that order.  ``base_*`` aggregates describe the stopping set the
     construction started from.
     """
 
     def __init__(self, params: DerivedParams, k: int, blocks: dict, *,
-                 xi_stages: tuple[int, ...], entropy_sum: float,
+                 xi_stages: tuple[int, ...],
                  base_size: int, base_entropy_sum: float,
                  base_mass_len_total: Fraction,
                  stage_logs: tuple[StageLog, ...]):
         super().__init__(params, blocks)
         self.k = k
         self.xi_stages = xi_stages
-        self.entropy_sum = entropy_sum
+        self.entropy_sum = neumaier(itertools.chain.from_iterable(
+            map(self._entropy_terms, self.blocks)))
         self.base_size = base_size
         self.base_entropy_sum = base_entropy_sum
         self.base_mass_len_total = base_mass_len_total
@@ -185,22 +188,17 @@ def _ancestor_columns(params: DerivedParams, h: int, hp: int) -> list[int]:
 
 def _columns(params, k, blocks, indexes, xi_stages, base, stage_logs):
     # Deterministic blocks: each length's rows sorted by their bytes,
-    # with the entropy summed in that order.  ``indexes`` holds the
+    # read from the sorted keys of its row index.  ``indexes`` holds the
     # row indexes already built for some of ``blocks``.
     out = {}
-    entropy = KahanSum()
-    for h in sorted(blocks):
-        rows, ids, nus = blocks[h]
-        order = (indexes.get(h) or RowIndex(rows)).order
-        ids = ids[order]
-        terms = entropy_terms(nus, h, params.denom_lcm)
-        entropy.extend(map(terms.__getitem__, ids.tolist()))
-        out[h] = (rows[order], ids, nus)
+    for h, (rows, ids, nus) in blocks.items():
+        index = indexes.get(h) or RowIndex(rows)
+        out[h] = (index.keys.view(np.uint8).reshape(rows.shape),
+                  ids[index.order], nus)
     base_size, base_entropy, base_mass_len = base
     return Antichain(
         params, k, out,
         xi_stages=xi_stages,
-        entropy_sum=entropy.total,
         base_size=base_size,
         base_entropy_sum=base_entropy,
         base_mass_len_total=base_mass_len,
@@ -244,9 +242,7 @@ def build_antichain(partition, *, keep_stage_words: bool = False
     params = partition.params
     k = partition.k
     L = params.denom_lcm
-    a = {ij: int(w * L)
-         for ij, w in zip(params.spec.digits, params.spec.weights)}
-    b = {j: int(params.q[j] * L) for j in params.gy}
+    a, b = params._scaled
     gx = {j: list(params.gx[j]) for j in params.gy}
     eta_k = params.eta ** k
     eta_num_k, eta_den_k = eta_k.numerator, eta_k.denominator
@@ -308,8 +304,6 @@ def build_antichain(partition, *, keep_stage_words: bool = False
         jt_all = fam_rows[:, -1].tolist()
 
         removed_nu = 0
-        removed_entropy = KahanSum()
-        inserted_entropy = KahanSum()
         max_gap = 0.0
         h_scale = L ** target
         bound = eta_num_k * h_scale
@@ -339,9 +333,7 @@ def build_antichain(partition, *, keep_stage_words: bool = False
             fam_removed_e = 0.0
             for c in fam_ids[s:e]:
                 fam_nu += table[c]
-                ent = terms[c]
-                fam_removed_e += ent
-                removed_entropy.add(ent)
+                fam_removed_e += terms[c]
             removed_nu += fam_nu
 
             fam_g_nu = 0
@@ -360,9 +352,7 @@ def build_antichain(partition, *, keep_stage_words: bool = False
                 if c == len(table):
                     table.append(nu_g)
                     terms += entropy_terms([nu_g], target, L)
-                ent = terms[c]
-                fam_inserted_e += ent
-                inserted_entropy.add(ent)
+                fam_inserted_e += terms[c]
                 ins_src.append(s)
                 ins_x.append(i)
                 ins_ids.append(c)
@@ -407,8 +397,8 @@ def build_antichain(partition, *, keep_stage_words: bool = False
             removed_count=len(flagged),
             inserted_count=len(ins_ids),
             removed_mass=Fraction(removed_nu, h_scale),
-            removed_entropy=removed_entropy.total,
-            inserted_entropy=inserted_entropy.total,
+            removed_entropy=neumaier(map(terms.__getitem__, fam_ids)),
+            inserted_entropy=neumaier(map(terms.__getitem__, ins_ids)),
             max_family_gap=max_gap,
             families=logged_families,
         ))

@@ -241,8 +241,13 @@ class DerivedParams:
         return self._pmap[(i, j)]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_pmap", dict(zip(self.spec.digits, self.spec.weights)))
+        pmap = dict(zip(self.spec.digits, self.spec.weights))
+        object.__setattr__(self, "_pmap", pmap)
+        # p_ij * L and q_j * L as ints: the walk's and the repair's weights.
+        L = self.denom_lcm
+        object.__setattr__(self, "_scaled", (
+            {ij: int(w * L) for ij, w in pmap.items()},
+            {j: int(qj * L) for j, qj in self.q.items()}))
 
 
 def derive_params(spec: CarpetSpec) -> DerivedParams:

@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .measure import DerivedParams
-from .summation import KahanSum
-from .words import CarpetWord, WordColumns, ell, entropy_terms, word_from_digits
+from .summation import neumaier
+from .words import CarpetWord, WordColumns, ell, word_from_digits
 
 __all__ = [
     "DEFAULT_CAP",
@@ -87,11 +87,9 @@ def _moves(params: DerivedParams) -> dict:
     ``[True][None]``, for words without a tail (theta = 1), appends a
     whole pair.  The roots are the moves of the empty word.
     """
-    spec, L = params.spec, params.denom_lcm
-    a = {ij: int(w * L) for ij, w in zip(spec.digits, spec.weights)}
-    b = {j: int(params.q[j] * L) for j in params.gy}
+    a, b = params._scaled
     if ell(params, 1) == 1:
-        rise = {None: [_Move(i, j, a[i, j], 1) for i, j in spec.digits]}
+        rise = {None: [_Move(i, j, w, 1) for (i, j), w in a.items()]}
     else:
         rise = {j: [_Move(i, jj, a[i, j] * b[jj], b[j])
                     for i in params.gx[j] for jj in params.gy]
@@ -106,17 +104,17 @@ class PartitionLambdaK(WordColumns):
     Words are stored per length as rows, class ids and a table of scaled
     integer masses nu, with mass = nu / L^length.  The word
     count ``phi_k`` and the length window ``[xi_min, xi_max]`` are the
-    store's size and length window; the entropy sum is accumulated
-    during the walk.
+    store's size and length window.  The entropy sum is one compensated
+    pass per length in row order, then an exact sum over the lengths.
     """
 
-    def __init__(self, params: DerivedParams, k: int, blocks: dict, *,
-                 entropy_sum: float):
+    def __init__(self, params: DerivedParams, k: int, blocks: dict):
         super().__init__(params, blocks)
         self.k = k
         self.eta_k: Fraction = params.eta ** k
         self.phi_k, self.xi_min, self.xi_max = self.size, self.l_min, self.l_max
-        self.entropy_sum = entropy_sum
+        self.entropy_sum = math.fsum(
+            neumaier(self._entropy_terms(h)) for h in self.blocks)
 
 
 def enumerate_lambda_k(
@@ -128,15 +126,14 @@ def enumerate_lambda_k(
     """Collect the level-k partition with exact per-word masses.
 
     The walk is breadth first, one word length at a time.  Each live
-    word carries a root id and a mass class, an index into its length's
-    list of distinct exact nu, so the stop test and the entropy term run
-    once per class, and the class list is the stored mass table.  Children
-    come in parent order, then move order: the tree's depth-first order,
-    in which each length's words are stored.  Entropy terms are summed
-    per root and length in row order, then merged per length in root
-    order.  Raises ``EnumerationCapError`` when the level has more than
-    ``cap`` words, before building the length that would pass the cap;
-    ``stopped_statistics`` aggregates levels too large to collect.
+    word carries a mass class, an index into its length's list of
+    distinct exact nu, so the stop test runs once per class, and the
+    class list is the stored mass table.  Children come in parent order,
+    then move order: the tree's depth-first order, in which each length's
+    words are stored.  Raises ``EnumerationCapError`` when the level has
+    more than ``cap`` words, before building the length that would pass
+    the cap; ``stopped_statistics`` aggregates levels too large to
+    collect.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -156,10 +153,9 @@ def enumerate_lambda_k(
                         np.array([mv.digit for mv in moves], dtype=np.uint8))
 
     blocks: dict[int, tuple[np.ndarray, np.ndarray, list[int]]] = {}
-    entropy: list[KahanSum] = []
     # The empty word, at length 0; its children are the roots.
     rows = np.zeros((1, 0), dtype=np.uint8)
-    roots = cls = np.zeros(1, dtype=np.intp)
+    cls = np.zeros(1, dtype=np.intp)
     nus = [1]
     emitted = h = 0
     while len(rows):
@@ -196,7 +192,6 @@ def enumerate_lambda_k(
                 class_of[c, m] = ids[nu]
                 stopping += int(kinds[key]) * stops[ids[nu]]
         nus, stops = list(ids), np.array(stops)
-        terms = entropy_terms(nus, h, L)
 
         def grow(sel: np.ndarray, out: np.ndarray) -> None:
             # Rows of the current chunk's children ``sel``, into ``out``.
@@ -211,8 +206,6 @@ def enumerate_lambda_k(
         done_ids = np.empty(stopping, dtype=np.min_scalar_type(len(nus)))
         live = np.empty((children - stopping, width), dtype=np.uint8)
         live_cls = np.empty(len(live), dtype=np.intp)
-        live_roots = np.empty(len(live), dtype=np.intp)
-        root_sums: dict[int, KahanSum] = {}
         lived = doned = 0
         for lo in range(0, len(rows), _CHUNK):
             f = fan[lo:lo + _CHUNK]
@@ -220,38 +213,26 @@ def enumerate_lambda_k(
             move = np.arange(len(parent)) + np.repeat(
                 first[pending[lo:lo + _CHUNK]] - np.cumsum(f) + f, f)
             child = class_of[cls[parent], move]
-            root = move if h == 1 else roots[parent]
             stopped = stops[child]
             sel = np.flatnonzero(stopped)
             span = slice(doned, doned + len(sel))
             grow(sel, done[span])
             done_ids[span] = child[sel]
-            done_cls = child[sel].tolist()
             doned += len(sel)
-            starts = np.flatnonzero(np.diff(root[sel], prepend=-1)).tolist()
-            for a, b in zip(starts, starts[1:] + [len(sel)]):
-                root_sums.setdefault(int(root[sel[a]]), KahanSum()).extend(
-                    map(terms.__getitem__, done_cls[a:b]))
             sel = np.flatnonzero(~stopped)
             span = slice(lived, lived + len(sel))
             grow(sel, live[span])
-            live_cls[span], live_roots[span] = child[sel], root[sel]
+            live_cls[span] = child[sel]
             lived += len(sel)
 
         # An empty block is dropped by the store.
         emitted += stopping
         blocks[h] = (done, done_ids, nus)
-        acc = KahanSum()
-        for root_sum in root_sums.values():
-            acc.merge(root_sum)
-        entropy.append(acc)
         # The next length's classes: the live ones, renumbered in order.
         nus = [nu for nu, stop in zip(nus, stops.tolist()) if not stop]
         cls = (np.cumsum(~stops) - 1)[live_cls]
-        roots, rows = live_roots, live
-    return PartitionLambdaK(
-        params, k, blocks,
-        entropy_sum=math.fsum(acc.total for acc in entropy))
+        rows = live
+    return PartitionLambdaK(params, k, blocks)
 
 
 @dataclass(frozen=True)
@@ -354,7 +335,7 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
     # root.
     mass_total = Fraction(0)
     mass_len_total = Fraction(0)
-    entropy = KahanSum()
+    entropy = []
     phi = 0
     xi_min, xi_max = math.inf, 0
     for mass, queue in roots:
@@ -362,7 +343,7 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
         r0, r1, rl, cnt, dmin, dmax = rel[(mass * inv_eta_k, queue)]
         mass_total += mass * r0
         mass_len_total += mass * (rl + r0)
-        entropy.add(mf * r1 + mf * math.log(mf) * float(r0))
+        entropy.append(mf * r1 + mf * math.log(mf) * float(r0))
         phi += cnt
         xi_min = min(xi_min, 1 + dmin)
         xi_max = max(xi_max, 1 + dmax)
@@ -376,7 +357,7 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
         xi_max=xi_max,
         mass_total=mass_total,
         mass_len_total=mass_len_total,
-        entropy_sum=entropy.total,
+        entropy_sum=neumaier(entropy),
     )
 
 

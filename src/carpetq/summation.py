@@ -1,43 +1,24 @@
-"""Compensated accumulation for long streams of small float terms."""
+"""Compensated summation for long runs of small float terms."""
 
 from __future__ import annotations
 
 from typing import Iterable
 
-__all__ = ["KahanSum"]
+__all__ = ["neumaier"]
 
 
-class KahanSum:
-    """Neumaier-variant compensated sum.
+def neumaier(values: Iterable[float]) -> float:
+    """Neumaier-variant compensated sum of ``values``, in the order given.
 
-    Streaming counterpart of math.fsum for places where terms arrive
-    one at a time and holding them all would defeat the point.
+    Cheaper than math.fsum and not correctly rounded; the order of the
+    values is part of the result.
     """
-
-    __slots__ = ("_sum", "_comp")
-
-    def __init__(self, value: float = 0.0):
-        self._sum = float(value)
-        self._comp = 0.0
-
-    def add(self, value: float) -> None:
-        self.extend((value,))
-
-    def merge(self, other: "KahanSum") -> None:
-        self.extend((other._sum, other._comp))
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Add each value in turn."""
-        s, comp = self._sum, self._comp
-        for value in values:
-            t = s + value
-            if abs(s) >= abs(value):
-                comp += (s - t) + value
-            else:
-                comp += (value - t) + s
-            s = t
-        self._sum, self._comp = s, comp
-
-    @property
-    def total(self) -> float:
-        return self._sum + self._comp
+    s = comp = 0.0
+    for value in values:
+        t = s + value
+        if abs(s) >= abs(value):
+            comp += (s - t) + value
+        else:
+            comp += (value - t) + s
+        s = t
+    return s + comp

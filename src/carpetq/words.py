@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -356,16 +356,26 @@ class WordColumns:
 
     def mass_at(self, idx: int) -> Fraction:
         h, pos = self._locate(idx)
-        _, ids, nus = self.blocks[h]
-        return Fraction(nus[ids[pos]], self.params.denom_lcm ** h)
+        return self._class_masses[h][self.blocks[h][1][pos]]
 
     def iter_words(self) -> Iterator[tuple[CarpetWord, Fraction]]:
-        L = self.params.denom_lcm
-        for h, (rows, ids, nus) in self.blocks.items():
-            scale = L ** h
+        for h, (rows, ids, _) in self.blocks.items():
+            masses = self._class_masses[h]
             for row, c in zip(rows, ids.tolist()):
-                yield (decode_word(self.params, row.tobytes(), h),
-                       Fraction(nus[c], scale))
+                yield decode_word(self.params, row.tobytes(), h), masses[c]
+
+    @cached_property
+    def _class_masses(self) -> dict[int, list[Fraction]]:
+        # Each length's mass table as exact fractions, one per class.
+        L = self.params.denom_lcm
+        return {h: [Fraction(nu, L ** h) for nu in nus]
+                for h, (_, _, nus) in self.blocks.items()}
+
+    def _entropy_terms(self, h: int) -> Iterator[float]:
+        # mass * log(mass) of each length-h word, in row order.
+        _, ids, nus = self.blocks[h]
+        terms = entropy_terms(nus, h, self.params.denom_lcm)
+        return map(terms.__getitem__, ids.tolist())
 
     def matching_pairs(self, columns: Callable[[int, int], list[int]]
                        ) -> tuple[tuple[int, int], ...]:

@@ -6,6 +6,9 @@ trivial (q = 1) and several bounds degenerate.  Carpet C is square
 (n = m), the theta = 1 edge where words are all pairs.  Carpet D has
 skewed weights on a height-2 grid, giving wide stopping windows and
 many replacement stages; it triggers the small-grid warning by design.
+Carpet E (5x3, four maps of three different weights) pins summation
+order: at k = 2 one pass over all lengths already differs in the last
+bit from the per-length entropy sums.
 """
 
 import warnings
@@ -43,6 +46,12 @@ def carpet_c():
 @pytest.fixture(scope="session")
 def carpet_d():
     return _derive(4, 2, {(0, 0): "3/4", (2, 1): "1/4"})
+
+
+@pytest.fixture(scope="session")
+def carpet_e():
+    return _derive(5, 3, {(0, 0): "1/6", (2, 0): "1/3", (1, 2): "1/4",
+                          (4, 2): "1/4"})
 
 
 class LevelCache:
@@ -103,8 +112,7 @@ def _tamper(part, drop=(), add=()):
         nus = nus + [int(nu)]
         ids = np.append(ids, len(nus) - 1).astype(np.min_scalar_type(len(nus)))
         blocks[h] = (np.concatenate([rows, row]), ids, nus)
-    return PartitionLambdaK(part.params, part.k, blocks,
-                            entropy_sum=part.entropy_sum)
+    return PartitionLambdaK(part.params, part.k, blocks)
 
 
 @pytest.fixture(scope="session")

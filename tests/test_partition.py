@@ -50,6 +50,8 @@ WALK_DIGESTS = {
                 "-0x1.27e0f2d5fcd16p+3"),
     ("a", 5): ("4dc70025896edd107d3b5e9de6ee6123d62f13aa9e43c70a8a220d0615a265d9",
                 "-0x1.7294fc3912a38p+3"),
+    ("a", 6): ("1a221572406ea8b62690fffdf649b8dc972eb76faa8c0e54ae1f5c9905d15cfa",
+                "-0x1.b8e4a623c6af5p+3"),
     ("b", 1): ("b35baf6d41bcc08c908152eb005735f618a12f406e13e68fc54e8ac4b2ba8a47",
                 "-0x1.62e42fefa39efp+0"),
     ("b", 2): ("b97edb1acf0f18a0703f94572e237456e37fa39977babda3f1c804ae25f54d5b",
@@ -76,6 +78,18 @@ WALK_DIGESTS = {
                 "-0x1.192a5f8a0de5fp+3"),
     ("d", 4): ("0d9c2e4be5e90e679e88df2b909c0666274932923d363e761ebd134267ee4629",
                 "-0x1.730203be4287cp+3"),
+    ("d", 5): ("6f6b25803dbee77074959c8bd0b9b078608e0b6625be1046803c5b84a924f012",
+                "-0x1.cc4b220ce153fp+3"),
+    ("e", 1): ("5ab8493b9a0f6d8302320d97908e2874046aacaf7f3a707bd64a07f13323dc47",
+                "-0x1.b45d7bc7c5c74p+1"),
+    ("e", 2): ("6fd19d187c3c9b624e0b372adfe2d31ea984e753825566f88a4c6877f6c01c27",
+                "-0x1.6f2899ac39cf0p+2"),
+    ("e", 3): ("f187e0c4f0b0527be5e2c31b8870b8d06b32a2ab466aeb0bed1ef45679fbb399",
+                "-0x1.0738b55d86452p+3"),
+    ("e", 4): ("445b1fd4eb3df51ce89846425e9484ee78e8756bbed08ef069819849ff7ca935",
+                "-0x1.51c2327f0a7f6p+3"),
+    ("e", 5): ("4e22dc4d97d9bc1952d38f436b622eef8a53c14d7e86514f4d3539b7e6f07e68",
+                "-0x1.a5b5e67b5d2d9p+3"),
     ("skewed", 1): ("cbb6a2b947b46872c0982a0173030f1a76da82b572011474199484656b2bbffc",
                      "-0x1.5c742bc065c25p+3"),
 }
