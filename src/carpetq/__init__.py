@@ -91,7 +91,6 @@ from .quantizer import (
     lambda_codebook,
     log_distortion,
     r_k_diagnostic,
-    refine_codebook,
 )
 
 __version__ = "0.1.0"
@@ -115,6 +114,6 @@ __all__ = [
     "t_bound",
     "BallBoundReport", "Codebook", "DistortionEstimate", "QuantDiagnostics",
     "SampleCloud", "ball_bound_check", "draw_cloud", "lambda_codebook",
-    "log_distortion", "r_k_diagnostic", "refine_codebook",
+    "log_distortion", "r_k_diagnostic",
     "__version__",
 ]

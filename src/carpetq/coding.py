@@ -14,7 +14,7 @@ carrying the same length-weighted mass as the stopping set it replaces.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from .measure import DerivedParams
-from .summation import neumaier
 from .words import (
     CarpetWord, RowIndex, WordColumns, WordError, decode_word, ell,
     entropy_terms, row_keys,
@@ -155,25 +154,22 @@ class Antichain(WordColumns):
 
     Words are stored per length like a partition's, as rows, class ids
     and a table of scaled integer masses (denominator L**length, where
-    L clears all weight denominators), each block sorted by its rows'
-    bytes.  The entropy sum is one compensated pass over all words in
-    that order.  ``base_*`` aggregates describe the stopping set the
-    construction started from.
+    L clears all weight denominators); a block no stage touched is the
+    partition's own.  The entropy sum is the exact total of the
+    per-length sums, rounded once.  ``base_*`` aggregates describe
+    ``partition``, the stopping set the construction started from.
     """
 
-    def __init__(self, params: DerivedParams, k: int, blocks: dict, *,
-                 xi_stages: tuple[int, ...],
-                 base_size: int, base_entropy_sum: float,
-                 base_mass_len_total: Fraction,
-                 stage_logs: tuple[StageLog, ...]):
-        super().__init__(params, blocks)
-        self.k = k
+    def __init__(self, partition, blocks: dict, *,
+                 xi_stages: tuple[int, ...], stage_logs: tuple[StageLog, ...]):
+        super().__init__(partition.params, blocks)
+        self.k = partition.k
         self.xi_stages = xi_stages
-        self.entropy_sum = neumaier(itertools.chain.from_iterable(
-            map(self._entropy_terms, self.blocks)))
-        self.base_size = base_size
-        self.base_entropy_sum = base_entropy_sum
-        self.base_mass_len_total = base_mass_len_total
+        self.entropy_sum = float(
+            sum(self.length_entropy_sums.values(), Fraction(0)))
+        self.base_size = partition.phi_k
+        self.base_entropy_sum = partition.entropy_sum
+        self.base_mass_len_total = partition.mass_len_total
         self.stage_logs = stage_logs
 
 
@@ -186,26 +182,6 @@ def _ancestor_columns(params: DerivedParams, h: int, hp: int) -> list[int]:
     return list(range(2 * lp)) + list(range(2 * l, 2 * l + hp - lp))
 
 
-def _columns(params, k, blocks, indexes, xi_stages, base, stage_logs):
-    # Deterministic blocks: each length's rows sorted by their bytes,
-    # read from the sorted keys of its row index.  ``indexes`` holds the
-    # row indexes already built for some of ``blocks``.
-    out = {}
-    for h, (rows, ids, nus) in blocks.items():
-        index = indexes.get(h) or RowIndex(rows)
-        out[h] = (index.keys.view(np.uint8).reshape(rows.shape),
-                  ids[index.order], nus)
-    base_size, base_entropy, base_mass_len = base
-    return Antichain(
-        params, k, out,
-        xi_stages=xi_stages,
-        base_size=base_size,
-        base_entropy_sum=base_entropy,
-        base_mass_len_total=base_mass_len,
-        stage_logs=tuple(stage_logs),
-    )
-
-
 def raw_coding_antichain(partition) -> Antichain:
     """The stopping set reinterpreted blockwise, with no replacements.
 
@@ -213,9 +189,8 @@ def raw_coding_antichain(partition) -> Antichain:
     may contain nested pairs under the blockwise order; feed it to
     ``verify_maximal_antichain`` to surface them.
     """
-    base = (partition.phi_k, partition.entropy_sum, partition.mass_len_total)
-    return _columns(partition.params, partition.k, partition.blocks, {},
-                    (partition.xi_min,), base, ())
+    return Antichain(partition, partition.blocks,
+                     xi_stages=(partition.xi_min,), stage_logs=())
 
 
 def build_antichain(partition, *, keep_stage_words: bool = False
@@ -240,18 +215,16 @@ def build_antichain(partition, *, keep_stage_words: bool = False
     ``keep_stage_words`` attaches full word-level family logs.
     """
     params = partition.params
-    k = partition.k
     L = params.denom_lcm
     a, b = params._scaled
     gx = {j: list(params.gx[j]) for j in params.gy}
-    eta_k = params.eta ** k
+    eta_k = params.eta ** partition.k
     eta_num_k, eta_den_k = eta_k.numerator, eta_k.denominator
 
     # Ladder lengths get new blocks as their stages run; every length
     # below the current target is final, so its index is built once.
     blocks = dict(partition.blocks)
     indexes: dict[int, RowIndex] = {}
-    base = (partition.phi_k, partition.entropy_sum, partition.mass_len_total)
     xi_stages = xi_sequence(partition)
     stage_logs: list[StageLog] = []
 
@@ -397,13 +370,14 @@ def build_antichain(partition, *, keep_stage_words: bool = False
             removed_count=len(flagged),
             inserted_count=len(ins_ids),
             removed_mass=Fraction(removed_nu, h_scale),
-            removed_entropy=neumaier(map(terms.__getitem__, fam_ids)),
-            inserted_entropy=neumaier(map(terms.__getitem__, ins_ids)),
+            removed_entropy=math.fsum(map(terms.__getitem__, fam_ids)),
+            inserted_entropy=math.fsum(map(terms.__getitem__, ins_ids)),
             max_family_gap=max_gap,
             families=logged_families,
         ))
 
-    return _columns(params, k, blocks, indexes, xi_stages, base, stage_logs)
+    return Antichain(partition, blocks, xi_stages=xi_stages,
+                     stage_logs=tuple(stage_logs))
 
 
 @dataclass(frozen=True)

@@ -84,12 +84,6 @@ class CarpetSpec:
         weights = tuple(_as_fraction(w) for _, w in items)
         return cls(int(n), int(m), digits, weights)
 
-    def prob(self, i: int, j: int) -> Fraction:
-        for ij, w in zip(self.digits, self.weights):
-            if ij == (i, j):
-                return w
-        raise KeyError((i, j))
-
 
 @dataclass(frozen=True)
 class CheckResult:

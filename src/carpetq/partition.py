@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .measure import DerivedParams
-from .summation import neumaier
 from .words import CarpetWord, WordColumns, ell, word_from_digits
 
 __all__ = [
@@ -104,8 +103,8 @@ class PartitionLambdaK(WordColumns):
     Words are stored per length as rows, class ids and a table of scaled
     integer masses nu, with mass = nu / L^length.  The word
     count ``phi_k`` and the length window ``[xi_min, xi_max]`` are the
-    store's size and length window.  The entropy sum is one compensated
-    pass per length in row order, then an exact sum over the lengths.
+    store's size and length window.  The entropy sum rounds each
+    length's exact sum once, then adds the lengths with ``math.fsum``.
     """
 
     def __init__(self, params: DerivedParams, k: int, blocks: dict):
@@ -113,8 +112,8 @@ class PartitionLambdaK(WordColumns):
         self.k = k
         self.eta_k: Fraction = params.eta ** k
         self.phi_k, self.xi_min, self.xi_max = self.size, self.l_min, self.l_max
-        self.entropy_sum = math.fsum(
-            neumaier(self._entropy_terms(h)) for h in self.blocks)
+        self.entropy_sum = math.fsum(map(float,
+                                         self.length_entropy_sums.values()))
 
 
 def enumerate_lambda_k(
@@ -357,7 +356,7 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
         xi_max=xi_max,
         mass_total=mass_total,
         mass_len_total=mass_len_total,
-        entropy_sum=neumaier(entropy),
+        entropy_sum=math.fsum(entropy),
     )
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "draw_cloud",
     "lambda_codebook",
     "log_distortion",
-    "refine_codebook",
     "diameter_log",
     "r_k_diagnostic",
     "ball_bound_check",
@@ -64,7 +62,7 @@ class Codebook:
     """Finite point set targets for nearest-distance queries."""
 
     points: np.ndarray        # (card, 2) float64
-    origin: str               # "lambda-centers" | "refined" | "external"
+    origin: str               # "lambda-centers" | "external"
 
     @property
     def card(self) -> int:
@@ -151,53 +149,6 @@ def log_distortion(cloud: SampleCloud, codebook: Codebook,
         floored=floored,
         count=cloud.size,
     )
-
-
-def refine_codebook(params: DerivedParams, cloud: SampleCloud,
-                    codebook: Codebook, k: int, iters: int,
-                    workers: int = 1) -> Codebook:
-    """Local search on code points, keeping the best iterate.
-
-    Each pass assigns cloud points to nearest centers and moves every
-    center to the inverse-square-distance weighted mean of its cell,
-    with distances floored at the cell scale m^-(k+5).  The floored log
-    objective is evaluated after every pass and the best-scoring point
-    set is returned; monotone improvement is not guaranteed, since the
-    unfloored objective diverges on atoms.  Exploration aid only: no
-    certification rests on it.
-    """
-    if iters < 0:
-        raise ValueError(f"need iters >= 0, got {iters}")
-    pts = codebook.points.copy()
-    if iters == 0:
-        return Codebook(points=pts, origin="refined")
-    from scipy.spatial import cKDTree
-    cell_floor = float(params.m) ** (-(k + 5))
-    best = pts.copy()
-    best_obj = log_distortion(cloud, Codebook(pts, "refined"),
-                              workers=workers).estimate
-    cloud_pts = cloud.points
-    for _ in range(iters):
-        tree = cKDTree(pts)
-        _, owner = tree.query(cloud_pts, k=1, workers=workers)
-        order = np.argsort(owner, kind="stable")
-        sorted_pts = cloud_pts[order]
-        bounds = np.searchsorted(owner[order], np.arange(pts.shape[0] + 1))
-        for c in range(pts.shape[0]):
-            cell = sorted_pts[bounds[c]:bounds[c + 1]]
-            if cell.shape[0] == 0:
-                continue
-            diff = cell - pts[c]
-            d2 = np.maximum(np.einsum("ij,ij->i", diff, diff),
-                            cell_floor * cell_floor)
-            w = 1.0 / d2
-            pts[c] = (cell * w[:, None]).sum(axis=0) / w.sum()
-        obj = log_distortion(cloud, Codebook(pts, "refined"),
-                             workers=workers).estimate
-        if obj < best_obj:
-            best_obj = obj
-            best = pts.copy()
-    return Codebook(points=best, origin="refined")
 
 
 def diameter_log(params: DerivedParams, h: int) -> float:

@@ -310,9 +310,11 @@ class WordColumns:
     id per row, and a table of the length's exact scaled masses (Python
     ints; an entry may have no word): word t has mass nus[ids[t]] / L^h.
     Word indices run in this length-major order; ``offsets[h]`` is the
-    index of the first length-h word.  The counts, the length window and
-    the exact mass aggregates are derived once, here, so no consumer
-    regroups words by length.
+    index of the first length-h word.  The counts, the length window,
+    the exact mass aggregates and each length's exact sum of
+    mass * log(mass) (class count times ``entropy_terms``, as a
+    fraction) are derived once, here, so no consumer regroups words by
+    length.
     """
 
     def __init__(self, params: DerivedParams,
@@ -330,9 +332,14 @@ class WordColumns:
         self.params = params
         self.blocks = {h: b for h, b in sorted(blocks.items()) if len(b[1])}
         self.length_counts = {h: len(b[1]) for h, b in self.blocks.items()}
+        counts = {h: np.bincount(b[1]).tolist() for h, b in self.blocks.items()}
         self.length_nu_sums = {
-            h: sum(c * nu for c, nu in zip(np.bincount(ids).tolist(), nus))
-            for h, (_, ids, nus) in self.blocks.items()}
+            h: sum(c * nu for c, nu in zip(counts[h], nus))
+            for h, (_, _, nus) in self.blocks.items()}
+        self.length_entropy_sums = {
+            h: sum(c * Fraction(t)
+                   for c, t in zip(counts[h], entropy_terms(nus, h, L)))
+            for h, (_, _, nus) in self.blocks.items()}
         self.offsets: dict[int, int] = {}
         self.size = 0
         for h, count in self.length_counts.items():
@@ -370,12 +377,6 @@ class WordColumns:
         L = self.params.denom_lcm
         return {h: [Fraction(nu, L ** h) for nu in nus]
                 for h, (_, _, nus) in self.blocks.items()}
-
-    def _entropy_terms(self, h: int) -> Iterator[float]:
-        # mass * log(mass) of each length-h word, in row order.
-        _, ids, nus = self.blocks[h]
-        terms = entropy_terms(nus, h, self.params.denom_lcm)
-        return map(terms.__getitem__, ids.tolist())
 
     def matching_pairs(self, columns: Callable[[int, int], list[int]]
                        ) -> tuple[tuple[int, int], ...]:

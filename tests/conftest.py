@@ -6,9 +6,10 @@ trivial (q = 1) and several bounds degenerate.  Carpet C is square
 (n = m), the theta = 1 edge where words are all pairs.  Carpet D has
 skewed weights on a height-2 grid, giving wide stopping windows and
 many replacement stages; it triggers the small-grid warning by design.
-Carpet E (5x3, four maps of three different weights) pins summation
-order: at k = 2 one pass over all lengths already differs in the last
-bit from the per-length entropy sums.
+Carpet E (5x3, four maps of three different weights) pins the
+partition's per-length entropy grouping: at k = 2 one correctly rounded
+total over all lengths differs in the last bit from math.fsum over the
+rounded per-length sums.
 """
 
 import warnings

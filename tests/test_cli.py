@@ -355,8 +355,8 @@ def test_check_failure_exits_1(tmp_path, capsys, monkeypatch, command, attr,
 
 # sha256 of every table the exact commands write for carpet A at
 # k = 2..4.  The entropy cells hold the bits of three float sums: the
-# walk's per-root Kahan sums, the antichain's sorted Kahan sum and the
-# stage logs' sums.
+# partition's per-length sums added with math.fsum, the antichain's
+# correctly rounded total and the stage logs' sums.
 _FROZEN_DIGESTS = {
     "partition.csv":
         "398885844aa507418acbb6b8e851d25dc403b2d6fc7900dd0878bd76deeea436",

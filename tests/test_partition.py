@@ -24,7 +24,7 @@ from carpetq.partition import (
 )
 from carpetq.quantizer import lambda_codebook
 from carpetq.words import (
-    carpet_children, flat_predecessor, make_word,
+    carpet_children, entropy_terms, flat_predecessor, make_word,
     square_geometry, word_mass,
 )
 
@@ -268,7 +268,9 @@ def test_store_aggregates_recount(carpet_a, carpet_c, carpet_d,
                                   carpet_skewed):
     # Every aggregate the word store derives equals a recount over its
     # words, and codebook row i is the centre of word i.  Masses are
-    # recounted per word in integers and summed per length as fractions.
+    # recounted per word in integers and summed per length as fractions;
+    # entropy terms are read per word by class id and summed per length,
+    # then over lengths, with math.fsum.
     # The skewed carpet's 106,489 words span 915 lengths with
     # denominators up to 100^917, so its exact per-word checks (3 ms a
     # word) run on every 499th word.
@@ -279,10 +281,12 @@ def test_store_aggregates_recount(carpet_a, carpet_c, carpet_d,
         L = params.denom_lcm
         for k in ks:
             part = enumerate_lambda_k(params, k)
-            counts, nu_sums = {}, {}
+            counts, nu_sums, entropies = {}, {}, {}
             for h, (_, ids, nus) in part.blocks.items():
                 counts[h] = len(ids)
                 nu_sums[h] = sum(map(nus.__getitem__, ids.tolist()))
+                terms = entropy_terms(nus, h, L)
+                entropies[h] = math.fsum(map(terms.__getitem__, ids.tolist()))
             masses = {h: Fraction(s, L ** h) for h, s in nu_sums.items()}
             assert part.phi_k == sum(counts.values()) == len(part)
             assert (part.xi_min, part.xi_max) == (min(counts), max(counts))
@@ -292,6 +296,7 @@ def test_store_aggregates_recount(carpet_a, carpet_c, carpet_d,
             assert part.mass_total == sum(masses.values(), Fraction(0))
             assert part.mass_len_total == sum(
                 (h * mass for h, mass in masses.items()), Fraction(0))
+            assert part.entropy_sum == math.fsum(entropies.values())
             book = lambda_codebook(part)
             for idx in range(0, part.phi_k, stride):
                 w = part.word_at(idx)
@@ -480,7 +485,14 @@ def test_random_carpet_row_kernels_match_oracles(tamper, n, m, cells, raw,
         words = [raw_chain.word_at(idx) for idx in range(raw_chain.size)]
         assert list(verify_maximal_antichain(raw_chain).comparable_pairs) \
             == naive_comparable_pairs(words)
-        for chain in (raw_chain, build_antichain(part)):
-            for rows, _, _ in chain.blocks.values():
-                encodings = list(map(bytes, rows))
-                assert encodings == sorted(encodings)
+        built = build_antichain(part)
+        for h, block in part.blocks.items():
+            assert raw_chain.blocks[h][0] is block[0]
+            if h not in built.xi_stages[1:]:
+                assert built.blocks[h][0] is block[0]
+        for chain in (raw_chain, built):
+            L = chain.params.denom_lcm
+            assert chain.entropy_sum == math.fsum(
+                entropy_terms([nus[c]], h, L)[0]
+                for h, (_, ids, nus) in chain.blocks.items()
+                for c in ids.tolist())

@@ -8,7 +8,6 @@ import pytest
 from carpetq.quantizer import (
     Codebook, DISTANCE_FLOOR, SampleCloud, ball_bound_check, diameter_log,
     draw_cloud, lambda_codebook, log_distortion, r_k_diagnostic,
-    refine_codebook,
 )
 from carpetq.words import square_geometry
 
@@ -88,36 +87,6 @@ def test_log_distortion_workers_identical(cloud_a, cache_a):
     one = log_distortion(cloud_a, book, workers=1)
     many = log_distortion(cloud_a, book, workers=4)
     assert one == many
-
-
-def test_refine_identity_at_zero_iters(carpet_a):
-    cloud = SampleCloud(points=np.array([[0.0, 0.0], [2.0, 0.0]]),
-                        seed=0, depth=40)
-    book = Codebook(points=np.array([[0.5, 0.0]]), origin="external")
-    out = refine_codebook(carpet_a, cloud, book, k=1, iters=0)
-    assert np.array_equal(out.points, book.points)
-    assert out.origin == "refined"
-    with pytest.raises(ValueError):
-        refine_codebook(carpet_a, cloud, book, k=1, iters=-1)
-
-
-def test_refine_single_cell_update(carpet_a):
-    # Inverse-square weights pull the center to 0.2: weights 4 and 4/9
-    # on points 0 and 2 give (8/9) / (40/9).
-    cloud = SampleCloud(points=np.array([[0.0, 0.0], [2.0, 0.0]]),
-                        seed=0, depth=40)
-    book = Codebook(points=np.array([[0.5, 0.0]]), origin="external")
-    out = refine_codebook(carpet_a, cloud, book, k=1, iters=1)
-    assert out.points[0, 0] == pytest.approx(0.2, abs=1e-12)
-    assert out.points[0, 1] == pytest.approx(0.0, abs=1e-15)
-
-
-def test_refine_keeps_best_iterate(carpet_a, cloud_a, cache_a):
-    book = lambda_codebook(cache_a.partition(2))
-    base = log_distortion(cloud_a, book).estimate
-    refined = refine_codebook(carpet_a, cloud_a, book, k=2, iters=2)
-    after = log_distortion(cloud_a, refined).estimate
-    assert after <= base + 1e-9
 
 
 def test_diameter_log(carpet_a):

@@ -136,9 +136,9 @@ def test_delta_budget(cache_a, carpet_a):
 
 
 def test_delta_zero_cases(cache_a, cache_d):
-    # Both antichains move no entropy; the sums are rebuilt in sorted
-    # word order, so only summation-order ulps separate them from the
-    # enumeration-order base.
+    # Both antichains move no entropy; the antichain rounds its exact
+    # total once and the partition rounds each length first, so only
+    # rounding ulps separate them.
     assert delta_k(cache_a.antichain(4)) <= 1e-12   # no replacements ran
     assert delta_k(cache_d.antichain(3)) <= 1e-12   # swaps preserve mass
 
