@@ -351,6 +351,13 @@ def cmd_quantize(ctx: _Ctx) -> None:
     params = ctx.params()
     cloud = draw_cloud(params, ctx.cfg.cloud_size, depth=ctx.cfg.depth,
                        seed=ctx.cfg.seed, threads=ctx.threads)
+    # The ball check runs first, so its KD-tree over the cloud is gone
+    # before any level's partition and codebook exist; its line and its
+    # failure still come after the levels'.
+    radii = tuple(float(params.spec.m) ** (-e) for e in range(2, 9))
+    ball = ball_bound_check(
+        params, cloud, centers=min(100, cloud.size), radii=radii,
+        workers=ctx.threads)
     header = ["k", "phi_k", "lower_anchor", "upper_anchor", "e_hat_est",
               "stderr", "R_k"]
     rows = []
@@ -361,6 +368,10 @@ def cmd_quantize(ctx: _Ctx) -> None:
         if part is None:
             continue
         diag = r_k_diagnostic(part, cloud, workers=ctx.threads)
+        if diag.unreached:
+            ctx.fail(command="quantize", k=k, check="nearest-centre-reach",
+                     detail=f"{diag.unreached} of {diag.cloud_size} points "
+                            f"have no centre within the codebook's reach")
         if diag.e_hat_est > diag.upper_anchor + 3 * diag.stderr:
             ctx.fail(command="quantize", k=k, check="upper-anchor",
                      detail=f"estimate {diag.e_hat_est} above "
@@ -381,10 +392,6 @@ def cmd_quantize(ctx: _Ctx) -> None:
         print(f"quantize k={k}: e_hat={diag.e_hat_est:.6f} anchors "
               f"[{diag.lower_anchor:.6f}, {diag.upper_anchor:.6f}] "
               f"R_k={diag.r_k:.6f}")
-    radii = tuple(float(params.spec.m) ** (-e) for e in range(2, 9))
-    ball = ball_bound_check(
-        params, cloud, centers=min(100, cloud.size), radii=radii,
-        workers=ctx.threads)
     if ball.skipped:
         print(f"quantize ball bound: skipped ({ball.reason})")
     else:

@@ -22,7 +22,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,6 +44,8 @@ __all__ = [
     "check_phi_growth",
     "check_square_disjointness",
     "squares_overlap",
+    "uniform_digits",
+    "sample_digit_shards",
     "sample_digit_matrix",
     "sample_address",
     "local_dimension_estimate",
@@ -474,30 +476,37 @@ def squares_overlap(a, b) -> bool:
             and max(a.y_low, b.y_low) < min(a.y_high(), b.y_high()))
 
 
-def sample_digit_matrix(
-    params: DerivedParams, count: int, depth: int, seed: int, threads: int = 1
-) -> np.ndarray:
-    """Draw an i.i.d. digit-index matrix of shape (count, depth).
+def uniform_digits(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """The uint8 digit index of each uniform in ``u`` under the cumulative
+    map weights ``cum``: the number of entries of ``cum[:-1]`` that are
+    <= u.  That is ``searchsorted(cum, u, "right")`` clamped to the last
+    map, counted by comparisons straight into the uint8 result."""
+    digits = np.zeros(u.shape, dtype=np.uint8)
+    for cut in cum[:-1]:
+        digits += u >= cut
+    return digits
 
-    Sampling is sharded in fixed row blocks with per-shard generators
-    seeded by (seed, shard); the result is byte-identical for any
-    thread count.
+
+def sample_digit_shards(
+    params: DerivedParams, count: int, depth: int, seed: int,
+    consume: Callable[[int, int, np.ndarray], None], threads: int = 1,
+) -> None:
+    """Draw i.i.d. digit indices for rows 0..count and hand them over in
+    fixed row blocks: ``consume(lo, hi, digits)`` receives the uint8
+    ``digits`` of rows lo..hi, shape (hi - lo, depth).
+
+    Each block has its own generator seeded by (seed, block), so the
+    digits are byte-identical for any thread count; with threads > 1,
+    ``consume`` runs concurrently on disjoint row ranges.
     """
-    probs = np.array([float(w) for w in params.spec.weights])
-    cum = np.cumsum(probs)
-    card = len(probs)
-    out = np.empty((count, depth), dtype=np.uint8)
-
+    cum = np.cumsum([float(w) for w in params.spec.weights])
     shards = [(s, lo, min(lo + _SHARD_ROWS, count))
               for s, lo in enumerate(range(0, count, _SHARD_ROWS))]
 
     def fill(shard):
         s, lo, hi = shard
-        rng = np.random.default_rng([int(seed), s])
-        u = rng.random((hi - lo, depth))
-        idx = np.searchsorted(cum, u, side="right")
-        np.minimum(idx, card - 1, out=idx)
-        out[lo:hi] = idx.astype(np.uint8)
+        u = np.random.default_rng([int(seed), s]).random((hi - lo, depth))
+        consume(lo, hi, uniform_digits(u, cum))
 
     if threads <= 1 or len(shards) <= 1:
         for shard in shards:
@@ -505,6 +514,19 @@ def sample_digit_matrix(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, shards))
+
+
+def sample_digit_matrix(
+    params: DerivedParams, count: int, depth: int, seed: int, threads: int = 1
+) -> np.ndarray:
+    """The digit-index matrix of shape (count, depth) that
+    ``sample_digit_shards`` draws, in one array."""
+    out = np.empty((count, depth), dtype=np.uint8)
+
+    def store(lo, hi, digits):
+        out[lo:hi] = digits
+
+    sample_digit_shards(params, count, depth, seed, store, threads=threads)
     return out
 
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
 from .measure import DerivedParams
-from .partition import PartitionLambdaK, sample_digit_matrix
+from .partition import PartitionLambdaK, sample_digit_shards
 from .words import ell
 
 
@@ -32,6 +33,7 @@ __all__ = [
     "DISTANCE_FLOOR",
     "draw_cloud",
     "lambda_codebook",
+    "nearest_distances",
     "log_distortion",
     "diameter_log",
     "r_k_diagnostic",
@@ -41,7 +43,8 @@ __all__ = [
 
 DISTANCE_FLOOR = 1e-300
 
-_CHUNK = 1 << 15
+_CHUNK = 1 << 16            # cloud rows per Morton-code or query batch
+_MORTON_BITS = 10           # grid cells per axis: 2^10
 
 
 @dataclass(frozen=True)
@@ -56,13 +59,38 @@ class SampleCloud:
     def size(self) -> int:
         return int(self.points.shape[0])
 
+    @cached_property
+    def order(self) -> np.ndarray:
+        """A permutation of the rows in Morton (Z-curve) order of their
+        cells on a 2^10 x 2^10 grid over the unit square.  Queries taken
+        in this order visit the KD-tree with locality; it changes no
+        result.  Computed once per cloud."""
+        v = np.arange(1 << _MORTON_BITS, dtype=np.uint32)
+        spread = np.zeros_like(v)
+        for bit in range(_MORTON_BITS):
+            spread |= ((v >> bit) & 1) << (2 * bit)
+        top = (1 << _MORTON_BITS) - 1
+        codes = np.empty(self.size, dtype=np.uint32)
+        for lo in range(0, self.size, _CHUNK):
+            cells = np.clip(self.points[lo:lo + _CHUNK] * (1 << _MORTON_BITS),
+                            0, top).astype(np.uint32)
+            codes[lo:lo + _CHUNK] = (spread[cells[:, 0]]
+                                     | (spread[cells[:, 1]] << 1))
+        return np.argsort(codes, kind="stable")
+
 
 @dataclass(frozen=True)
 class Codebook:
-    """Finite point set targets for nearest-distance queries."""
+    """Finite point set targets for nearest-distance queries.
+
+    ``reach`` bounds the distance from any point of the measure's support
+    to its nearest code point, so queries search no farther; inf when
+    nothing is known.
+    """
 
     points: np.ndarray        # (card, 2) float64
     origin: str               # "lambda-centers" | "external"
+    reach: float = math.inf
 
     @property
     def card(self) -> int:
@@ -86,33 +114,47 @@ def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
     yj = np.array([j for _, j in digits], dtype=np.float64)
     xw = np.power(float(params.n), -np.arange(1, depth + 1, dtype=np.float64))
     yw = np.power(float(params.m), -np.arange(1, depth + 1, dtype=np.float64))
-    mat = sample_digit_matrix(params, size, depth, seed, threads=threads)
     pts = np.empty((size, 2), dtype=np.float64)
-    for lo in range(0, size, _CHUNK):
-        hi = min(lo + _CHUNK, size)
-        block = mat[lo:hi]
+
+    def place(lo, hi, block):
         pts[lo:hi, 0] = xi[block] @ xw
         pts[lo:hi, 1] = yj[block] @ yw
+
+    # Each digit block becomes points as soon as it is drawn, so the
+    # (size, depth) digit matrix never exists.
+    sample_digit_shards(params, size, depth, seed, place, threads=threads)
     return SampleCloud(points=pts, seed=seed, depth=depth)
 
 
 def lambda_codebook(partition: PartitionLambdaK) -> Codebook:
     """One point per stopping word, the center of its rectangle; row i
-    is word i of the partition."""
+    is word i of the partition.
+
+    Every point of the carpet lies in its own stopping rectangle, so its
+    center is within half that rectangle's diagonal: the reach is half
+    the level's largest diagonal, widened by a relative 1e-9 for
+    rounding.
+    """
     params = partition.params
     n = float(params.n)
     m = float(params.m)
     pts = np.empty((partition.phi_k, 2), dtype=np.float64)
     for h, (rows, _, _) in partition.blocks.items():
         l = ell(params, h)
-        grid = rows.astype(np.float64)
         iw = np.power(n, -np.arange(1, l + 1, dtype=np.float64))
-        ydig = np.concatenate([grid[:, 1:2 * l:2], grid[:, 2 * l:]], axis=1)
         yweights = np.power(m, -np.arange(1, h + 1, dtype=np.float64))
         out = slice(partition.offsets[h], partition.offsets[h] + len(rows))
-        pts[out, 0] = grid[:, 0:2 * l:2] @ iw + 0.5 * n ** (-l)
-        pts[out, 1] = ydig @ yweights + 0.5 * m ** (-float(h))
-    return Codebook(points=pts, origin="lambda-centers")
+        # Widen only the digits read, from uint8, one axis at a time.  The
+        # x operand stays a strided view: a contiguous copy, or row chunks
+        # of the product, would move the last bit of some centers.
+        pts[out, 0] = (rows[:, :2 * l].astype(np.float64)[:, ::2] @ iw
+                       + 0.5 * n ** (-l))
+        ydig = np.concatenate([rows[:, 1:2 * l:2], rows[:, 2 * l:]], axis=1)
+        pts[out, 1] = (ydig.astype(np.float64) @ yweights
+                       + 0.5 * m ** (-float(h)))
+    reach = 0.5 * max(_diameter(params, h) for h in partition.blocks)
+    return Codebook(points=pts, origin="lambda-centers",
+                    reach=reach * (1 + 1e-9))
 
 
 @dataclass(frozen=True)
@@ -123,6 +165,33 @@ class DistortionEstimate:
     stderr: float
     floored: int              # samples clamped at the distance floor
     count: int
+    unreached: int            # samples with no code point within the reach
+
+
+def nearest_distances(cloud: SampleCloud, codebook: Codebook,
+                      workers: int = 1) -> tuple[np.ndarray, int]:
+    """Distance from each cloud point, in row order, to its nearest code
+    point, and the number of points with no code point within the
+    codebook's reach.
+
+    The queries search no farther than the reach and run over the cloud
+    in its Morton order; neither changes a distance.  A point beyond the
+    reach disproves it; such points are queried again without a bound,
+    so every distance is exact either way.
+    """
+    from scipy.spatial import cKDTree
+    tree = cKDTree(codebook.points)
+    dist = np.empty(cloud.size, dtype=np.float64)
+    for lo in range(0, cloud.size, _CHUNK):
+        rows = cloud.order[lo:lo + _CHUNK]
+        dist[rows], _ = tree.query(
+            np.take(cloud.points, rows, axis=0), k=1,
+            distance_upper_bound=codebook.reach, workers=workers)
+    missed = np.flatnonzero(dist == math.inf)
+    if missed.size:
+        dist[missed], _ = tree.query(
+            np.take(cloud.points, missed, axis=0), k=1, workers=workers)
+    return dist, int(missed.size)
 
 
 def log_distortion(cloud: SampleCloud, codebook: Codebook,
@@ -133,14 +202,13 @@ def log_distortion(cloud: SampleCloud, codebook: Codebook,
     clamped at a floor so the mean stays finite, and every clamped
     sample is counted in the result.  The reduction is a full-precision
     sum in fixed order, so the estimate does not depend on ``workers``.
+    Samples beyond the codebook's reach are counted as unreached.
     """
     if cloud.size < 1 or codebook.card < 1:
         raise ValueError("need a nonempty cloud and codebook")
-    from scipy.spatial import cKDTree
-    tree = cKDTree(codebook.points)
-    dist, _ = tree.query(cloud.points, k=1, workers=workers)
+    dist, unreached = nearest_distances(cloud, codebook, workers=workers)
     floored = int(np.count_nonzero(dist < DISTANCE_FLOOR))
-    logs = np.log(np.maximum(dist, DISTANCE_FLOOR))
+    logs = np.log(np.maximum(dist, DISTANCE_FLOOR, out=dist), out=dist)
     est = math.fsum(logs) / cloud.size
     sd = float(np.std(logs, ddof=1)) if cloud.size > 1 else 0.0
     return DistortionEstimate(
@@ -148,14 +216,18 @@ def log_distortion(cloud: SampleCloud, codebook: Codebook,
         stderr=sd / math.sqrt(cloud.size),
         floored=floored,
         count=cloud.size,
+        unreached=unreached,
     )
+
+
+def _diameter(params: DerivedParams, h: int) -> float:
+    l = ell(params, h)
+    return math.hypot(float(params.n) ** (-l), float(params.m) ** (-h))
 
 
 def diameter_log(params: DerivedParams, h: int) -> float:
     """log of the rectangle diameter shared by all length-h words."""
-    l = ell(params, h)
-    return math.log(math.hypot(
-        float(params.n) ** (-l), float(params.m) ** (-h)))
+    return math.log(_diameter(params, h))
 
 
 @dataclass(frozen=True)
@@ -179,6 +251,7 @@ class QuantDiagnostics:
     floored: int
     cloud_size: int
     seed: int
+    unreached: int            # samples beyond the codebook's reach
 
     @property
     def anchor_gap(self) -> float:
@@ -210,6 +283,7 @@ def r_k_diagnostic(partition: PartitionLambdaK, cloud: SampleCloud,
         floored=est.floored,
         cloud_size=cloud.size,
         seed=cloud.seed,
+        unreached=est.unreached,
     )
 
 

@@ -21,8 +21,7 @@ from carpetq.partition import (
     check_square_disjointness, enumerate_lambda_k, partition_stats,
     stopped_statistics,
 )
-from carpetq.quantizer import draw_cloud, lambda_codebook, log_distortion, \
-    ball_bound_check, r_k_diagnostic
+from carpetq.quantizer import ball_bound_check, draw_cloud, r_k_diagnostic
 from carpetq.sequences import compute_d_k, compute_s_k, d_k_bound, delta_k, \
     s_k_bound
 from carpetq.words import flat_predecessor, word_mass

@@ -8,12 +8,14 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import carpetq
 import carpetq.cli as cli
 import carpetq.partition as partition
+import carpetq.quantizer as quantizer
 from carpetq.cli import ConfigError, load_config, main
 from carpetq.coding import AntichainCollisionError, AntichainInvariantError
 from carpetq.partition import DisjointnessReport
@@ -320,6 +322,21 @@ def _replacing(**fields):
         real(*args, **kwargs), **fields)
 
 
+def _short_reach(real):
+    # Runs the layer call with every codebook claiming a reach a million
+    # times shorter than its rectangles' half diagonals.
+    codebook = quantizer.lambda_codebook
+
+    def short(part):
+        book = codebook(part)
+        return dataclasses.replace(book, reach=book.reach * 1e-6)
+
+    def run(*args, **kwargs):
+        with mock.patch.object(quantizer, "lambda_codebook", short):
+            return real(*args, **kwargs)
+    return run
+
+
 # (command, cli attribute, wrapper for it, check that must fail)
 _FAULTS = [
     ("partition", "partition_stats", _replacing(phi_window_ok=False),
@@ -330,6 +347,7 @@ _FAULTS = [
      "upper-anchor"),
     ("quantize", "r_k_diagnostic", _replacing(lower_anchor=0.0),
      "anchor-gap"),
+    ("quantize", "r_k_diagnostic", _short_reach, "nearest-centre-reach"),
     ("quantize", "ball_bound_check",
      _replacing(failures=((0, 0.1, 0.5, 0.25),)), "ball-bound"),
 ]
@@ -405,6 +423,32 @@ def test_exact_outputs_frozen_carpet_d(tmp_path):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in _FROZEN_DIGESTS_D}
     assert got == _FROZEN_DIGESTS_D
+
+
+# sha256 of quantize.csv and quantize.json for carpets A and E at
+# k = 2..4 from a 50,000-point cloud at seed 24301.  They pin the sampled
+# cloud, the codebook centers, every nearest distance (through the
+# order-sensitive stderr) and the ball check's ratios.
+_FROZEN_QUANTIZE = {
+    "A": ("cf2232416100883a7f4cfa1019cc685f1a2ad283d03cdb8d25dabb9cb6bd947d",
+          "798d86379862b84f434f2a3eadd4314cee58645bb3ba51c5131893af0d77ca31"),
+    "E": ("b4b998e21ab3fe01d2cda9083330f897211baaaded846efcecc4c6d73bdc957f",
+          "4c24275d68fe47570c232175ef97f4c36fb04c273f3dae9f58281dc49d87d9d3"),
+}
+_CARPET_E = dict(n=5, m=3, maps=[
+    {"i": 0, "j": 0, "p": "1/6"}, {"i": 2, "j": 0, "p": "1/3"},
+    {"i": 1, "j": 2, "p": "1/4"}, {"i": 4, "j": 2, "p": "1/4"}])
+
+
+@pytest.mark.parametrize("carpet", sorted(_FROZEN_QUANTIZE))
+def test_quantize_outputs_frozen(tmp_path, carpet):
+    extra = _CARPET_E if carpet == "E" else {}
+    cfg = _config(tmp_path, k_min=2, k_max=4, cloud_size=50_000, **extra)
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("quantize.csv", "quantize.json"))
+    assert got == _FROZEN_QUANTIZE[carpet]
 
 
 def test_import_leaves_scipy_unloaded():

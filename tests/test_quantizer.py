@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from carpetq.partition import (
+    enumerate_lambda_k, sample_digit_matrix, uniform_digits,
+)
 from carpetq.quantizer import (
     Codebook, DISTANCE_FLOOR, SampleCloud, ball_bound_check, diameter_log,
-    draw_cloud, lambda_codebook, log_distortion, r_k_diagnostic,
+    draw_cloud, lambda_codebook, log_distortion, nearest_distances,
+    r_k_diagnostic,
 )
-from carpetq.words import square_geometry
+from carpetq.words import ell, square_geometry
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +150,126 @@ def test_ball_bound_validates_centers(carpet_a, cloud_a):
     with pytest.raises(ValueError):
         ball_bound_check(carpet_a, cloud_a, centers=cloud_a.size + 1,
                          radii=[0.1])
+
+
+# -- oracles for the sampling and query kernels ---------------------------
+
+def _searchsorted_digits(u, cum):
+    # The digit formula the comparison kernel replaced.
+    idx = np.searchsorted(cum, u, side="right")
+    np.minimum(idx, len(cum) - 1, out=idx)
+    return idx.astype(np.uint8)
+
+
+def _searchsorted_cloud(params, size, depth, seed):
+    # The sampler before the per-block kernel: the whole digit matrix by
+    # searchsorted, then the points in blocks of 32768 rows.
+    cum = np.cumsum(np.array([float(w) for w in params.spec.weights]))
+    mat = np.empty((size, depth), dtype=np.uint8)
+    for s, lo in enumerate(range(0, size, 1 << 15)):
+        hi = min(lo + (1 << 15), size)
+        u = np.random.default_rng([seed, s]).random((hi - lo, depth))
+        mat[lo:hi] = _searchsorted_digits(u, cum)
+    xi = np.array([i for i, _ in params.spec.digits], dtype=np.float64)
+    yj = np.array([j for _, j in params.spec.digits], dtype=np.float64)
+    xw = np.power(float(params.n), -np.arange(1, depth + 1, dtype=np.float64))
+    yw = np.power(float(params.m), -np.arange(1, depth + 1, dtype=np.float64))
+    pts = np.empty((size, 2), dtype=np.float64)
+    for lo in range(0, size, 1 << 15):
+        block = mat[lo:lo + (1 << 15)]
+        pts[lo:lo + (1 << 15), 0] = xi[block] @ xw
+        pts[lo:lo + (1 << 15), 1] = yj[block] @ yw
+    return mat, pts
+
+
+def _widened_centers(partition):
+    # lambda_codebook before it widened only the digits it reads.
+    params = partition.params
+    n, m = float(params.n), float(params.m)
+    pts = np.empty((partition.phi_k, 2), dtype=np.float64)
+    for h, (rows, _, _) in partition.blocks.items():
+        l = ell(params, h)
+        grid = rows.astype(np.float64)
+        iw = np.power(n, -np.arange(1, l + 1, dtype=np.float64))
+        ydig = np.concatenate([grid[:, 1:2 * l:2], grid[:, 2 * l:]], axis=1)
+        yweights = np.power(m, -np.arange(1, h + 1, dtype=np.float64))
+        out = slice(partition.offsets[h], partition.offsets[h] + len(rows))
+        pts[out, 0] = grid[:, 0:2 * l:2] @ iw + 0.5 * n ** (-l)
+        pts[out, 1] = ydig @ yweights + 0.5 * m ** (-float(h))
+    return pts
+
+
+@pytest.mark.parametrize("name", ["a", "d", "e"])
+def test_uniform_digits_match_searchsorted(request, name):
+    params = request.getfixturevalue(f"carpet_{name}")
+    cum = np.cumsum(np.array([float(w) for w in params.spec.weights]))
+    # Every cumulative weight exactly, its float neighbours, both ends.
+    edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+                            [0.0, np.nextafter(1.0, 0.0)]])
+    u = np.concatenate([np.random.default_rng(5).random(40_000), edges])
+    got = uniform_digits(u, cum)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, _searchsorted_digits(u, cum))
+    assert set(np.unique(got)) == set(range(len(cum)))
+
+
+@pytest.mark.parametrize("name", ["a", "d", "e"])
+def test_sampling_matches_searchsorted_formula(request, name):
+    params = request.getfixturevalue(f"carpet_{name}")
+    mat, pts = _searchsorted_cloud(params, 70_000, 24, seed=31)
+    for threads in (1, 2):
+        assert np.array_equal(
+            sample_digit_matrix(params, 70_000, 24, 31, threads=threads), mat)
+        cloud = draw_cloud(params, 70_000, depth=24, seed=31, threads=threads)
+        assert cloud.points.tobytes() == pts.tobytes()
+
+
+def test_cloud_order_is_permutation(cloud_a):
+    order = cloud_a.order
+    assert np.array_equal(np.sort(order), np.arange(cloud_a.size))
+    assert cloud_a.order is order
+
+
+@pytest.mark.parametrize("name,levels", [
+    ("a", range(2, 6)), ("d", range(2, 5)), ("e", range(2, 5)),
+])
+def test_bounded_ordered_distances_match_plain_query(request, name, levels):
+    params = request.getfixturevalue(f"carpet_{name}")
+    cloud = draw_cloud(params, 60_000, seed=77)
+    for k in levels:
+        book = lambda_codebook(enumerate_lambda_k(params, k))
+        plain, _ = cKDTree(book.points).query(cloud.points, k=1)
+        dist, unreached = nearest_distances(cloud, book)
+        assert unreached == 0
+        assert math.isfinite(book.reach) and plain.max() <= book.reach
+        assert dist.tobytes() == plain.tobytes()
+
+
+def test_short_reach_counted_and_distances_exact(cache_a, cloud_a):
+    book = lambda_codebook(cache_a.partition(3))
+    short = Codebook(points=book.points, origin=book.origin,
+                     reach=book.reach / 4)
+    plain, _ = cKDTree(book.points).query(cloud_a.points, k=1)
+    dist, unreached = nearest_distances(cloud_a, short)
+    assert unreached == int(np.count_nonzero(plain >= short.reach)) > 0
+    assert dist.tobytes() == plain.tobytes()
+    assert log_distortion(cloud_a, short).unreached == unreached
+
+
+def test_external_codebook_reach_unbounded():
+    book = Codebook(points=np.zeros((1, 2)), origin="external")
+    assert book.reach == math.inf
+
+
+@pytest.mark.parametrize("name,levels", [
+    ("a", range(1, 7)), ("c", range(1, 5)), ("d", range(1, 6)),
+    ("e", range(1, 7)),
+])
+def test_lambda_codebook_matches_full_widening(request, name, levels):
+    params = request.getfixturevalue(f"carpet_{name}")
+    for k in levels:
+        part = enumerate_lambda_k(params, k)
+        book = lambda_codebook(part)
+        assert book.points.tobytes() == _widened_centers(part).tobytes()
+        half = max(math.exp(diameter_log(params, h)) for h in part.blocks) / 2
+        assert book.reach == pytest.approx(half, rel=2e-9) and book.reach > half

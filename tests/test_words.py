@@ -1,6 +1,5 @@
 """Word mechanics: lengths, predecessors, children, masses, geometry."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
