@@ -5,15 +5,16 @@ The package is layered bottom-up:
 - measure: carpet descriptions, validation, derived exact and floating
   constants (dimension s0, stopping ratio eta, bound coefficients).
 - words: symbolic addresses mixing full digit pairs with column digits,
-  their masses, and the rectangles they name.
+  stored as byte rows per length with exact mass tables.
 - partition: stopping-time partitions Lambda_k, enumerated exactly or
-  aggregated by dynamic programming, plus samplers and checks.
+  aggregated by dynamic programming, plus their exact checks.
 - coding: the product-order view of stopping words and the repair of
   its order violations into certified maximal antichains.
 - sequences: the entropy-to-scale ratios d_k, t_k, s_k with their
   explicit error bounds.
-- quantizer: Monte Carlo distortion estimates, exact anchor brackets,
-  and the normalized error R_k whose boundedness is the headline check.
+- quantizer: sampling of the measure, Monte Carlo distortion estimates,
+  exact anchor brackets, and the normalized error R_k whose boundedness
+  is the headline check.
 - report, cli: deterministic tables, charts, and the command line.
 """
 
@@ -26,31 +27,15 @@ from .measure import (
     derive_params,
     validate_spec,
 )
-from .words import (
-    ApproxSquare,
-    CarpetWord,
-    carpet_children,
-    decode_word,
-    ell,
-    encode_word,
-    flat_predecessor,
-    make_word,
-    square_geometry,
-    word_from_digits,
-    word_mass,
-)
+from .words import ell
 from .partition import (
     EnumerationCapError,
     PartitionLambdaK,
     PartitionStats,
     StoppedStats,
-    check_phi_growth,
     check_square_disjointness,
     enumerate_lambda_k,
-    local_dimension_estimate,
     partition_stats,
-    sample_address,
-    sample_digit_matrix,
     stopped_statistics,
 )
 from .coding import (
@@ -60,11 +45,6 @@ from .coding import (
     AntichainReport,
     StageLog,
     build_antichain,
-    coding_predecessor,
-    comparable,
-    is_descendant,
-    raw_coding_antichain,
-    swap_tail,
     verify_maximal_antichain,
     xi_sequence,
 )
@@ -98,16 +78,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CarpetSpec", "DerivedParams", "InvalidSpecError", "ValidationReport",
     "check_separation", "derive_params", "validate_spec",
-    "ApproxSquare", "CarpetWord", "carpet_children", "decode_word", "ell",
-    "encode_word", "flat_predecessor", "make_word", "square_geometry",
-    "word_from_digits", "word_mass",
+    "ell",
     "EnumerationCapError", "PartitionLambdaK", "PartitionStats",
-    "StoppedStats", "check_phi_growth", "check_square_disjointness",
-    "enumerate_lambda_k", "local_dimension_estimate", "partition_stats",
-    "sample_address", "sample_digit_matrix", "stopped_statistics",
+    "StoppedStats", "check_square_disjointness", "enumerate_lambda_k",
+    "partition_stats", "stopped_statistics",
     "Antichain", "AntichainCollisionError", "AntichainInvariantError",
-    "AntichainReport", "StageLog", "build_antichain", "coding_predecessor",
-    "comparable", "is_descendant", "raw_coding_antichain", "swap_tail",
+    "AntichainReport", "StageLog", "build_antichain",
     "verify_maximal_antichain", "xi_sequence",
     "SequencePoint", "compute_d_k", "compute_s_k", "compute_t",
     "compute_u_k", "d_k_bound", "delta_k", "s_k_bound", "sequence_point",

@@ -6,8 +6,14 @@ entropy-ratio sequences, run the quantization diagnostics, and render
 charts from previously written tables.  Exit code 0 means every
 asserted invariant held; 1 means at least one failed (the failures are
 printed to stderr as JSON); 2 means the invocation or config was
-unusable or a work guard tripped.  All outputs are deterministic for a fixed config and seed,
-whatever the thread count.
+unusable, a table to report on is malformed, or a work guard tripped.
+
+For a fixed config and seed every output byte is the same at any
+``--threads`` value.  The quantize floats are not pinned across
+machines, though: the codebook centres come from an OpenBLAS
+matrix-vector product whose last bits depend on how OpenBLAS splits it
+over its own threads (on carpet A, ``OPENBLAS_NUM_THREADS=1`` moved the
+last digits of the k = 5 stderr cell).
 """
 
 from __future__ import annotations
@@ -417,37 +423,59 @@ def cmd_quantize(ctx: _Ctx) -> None:
         })
 
 
+def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Header and rows of a table written earlier; none when it is missing."""
+    if not path.exists():
+        return [], []
+    try:
+        return read_csv(path)
+    except ValueError as exc:
+        raise ConfigError(f"cannot read {path.name}: {exc}") from exc
+
+
+def _numbers(path: Path, table, name: str, blank_ok: bool = False) -> list:
+    """Column ``name`` of a table as floats; a blank cell is None where
+    ``blank_ok``.  A missing column or any other non-number is a
+    ConfigError."""
+    header, rows = table
+    if name not in header:
+        raise ConfigError(f"{path.name} has no {name!r} column")
+    col = header.index(name)
+    try:
+        return [None if blank_ok and not row[col] else float(row[col])
+                for row in rows]
+    except ValueError as exc:
+        raise ConfigError(f"{path.name} column {name!r}: {exc}") from exc
+
+
 def cmd_report(ctx: _Ctx) -> None:
     seq_path = ctx.out / "sequences.csv"
     qnt_path = ctx.out / "quantize.csv"
     # A table without rows has nothing to plot, like a missing one.
-    seq, qnt = (read_csv(p) if p.exists() else ([], []) for p in (seq_path, qnt_path))
+    seq, qnt = _read_table(seq_path), _read_table(qnt_path)
     if not seq[1] and not qnt[1]:
         raise ConfigError(
             f"nothing to report: no rows in sequences.csv or quantize.csv "
             f"under {ctx.out}; run the sequences or quantize command first")
     made = []
     if seq[1]:
-        header, rows = seq
-        col = {name: pos for pos, name in enumerate(header)}
-        ks = [float(r[col["k"]]) for r in rows]
+        ks, d_k, t_k, s_k, s0 = (
+            _numbers(seq_path, seq, name, blank_ok=name == "t_k")
+            for name in ("k", "d_k", "t_k", "s_k", "s0"))
         series = {}
-        series["d_k"] = [(x, float(r[col["d_k"]])) for x, r in zip(ks, rows)]
-        t_pts = [(x, float(r[col["t_k"]])) for x, r in zip(ks, rows)
-                 if r[col["t_k"]]]
+        series["d_k"] = list(zip(ks, d_k))
+        t_pts = [(x, t) for x, t in zip(ks, t_k) if t is not None]
         if t_pts:
             series["t_k"] = t_pts
-        series["s_k"] = [(x, float(r[col["s_k"]])) for x, r in zip(ks, rows)]
-        s0 = float(rows[0][col["s0"]])
+        series["s_k"] = list(zip(ks, s_k))
         svg = render_line_chart(
             series, title="Entropy ratio sequences", x_label="k",
-            y_label="ratio", hline=("s0", s0))
+            y_label="ratio", hline=("s0", s0[0]))
         write_text(ctx.out / "sequences.svg", svg)
         made.append("sequences.svg")
     if qnt[1]:
-        header, rows = qnt
-        col = {name: pos for pos, name in enumerate(header)}
-        pts = [(float(r[col["k"]]), float(r[col["R_k"]])) for r in rows]
+        pts = list(zip(_numbers(qnt_path, qnt, "k"),
+                       _numbers(qnt_path, qnt, "R_k")))
         svg = render_line_chart(
             {"R_k": pts}, title="Normalized quantization error",
             x_label="k", y_label="R_k")

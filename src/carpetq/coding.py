@@ -17,15 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from .measure import DerivedParams
-from .words import (
-    CarpetWord, RowIndex, WordColumns, WordError, decode_word, ell,
-    entropy_terms, row_keys,
-)
+from .words import RowIndex, WordColumns, ell, entropy_terms, row_keys
 
 
 __all__ = [
@@ -34,13 +30,7 @@ __all__ = [
     "StageLog",
     "Antichain",
     "AntichainReport",
-    "coding_predecessor",
-    "is_descendant",
-    "comparable",
-    "naive_comparable_pairs",
     "xi_sequence",
-    "swap_tail",
-    "raw_coding_antichain",
     "build_antichain",
     "verify_maximal_antichain",
 ]
@@ -52,42 +42,6 @@ class AntichainInvariantError(RuntimeError):
 
 class AntichainCollisionError(AntichainInvariantError):
     """Two replacement families produced the same word."""
-
-
-def coding_predecessor(params: DerivedParams, w: CarpetWord) -> CarpetWord:
-    """Blockwise parent: drop the last tail digit, or the last pair when
-    ``ell`` stepped."""
-    total = len(w)
-    if total < 2:
-        raise WordError("length-1 words have no predecessor")
-    if ell(params, total) == ell(params, total - 1):
-        return CarpetWord(w.pairs, w.tail[:-1])
-    return CarpetWord(w.pairs[:-1], w.tail)
-
-
-def is_descendant(a: CarpetWord, b: CarpetWord) -> bool:
-    """True iff both blocks of ``a`` are prefixes of those of ``b``."""
-    return (len(a.pairs) <= len(b.pairs)
-            and len(a.tail) <= len(b.tail)
-            and a.pairs == b.pairs[:len(a.pairs)]
-            and a.tail == b.tail[:len(a.tail)])
-
-
-def comparable(a: CarpetWord, b: CarpetWord) -> bool:
-    return is_descendant(a, b) or is_descendant(b, a)
-
-
-def naive_comparable_pairs(words) -> list[tuple[int, int]]:
-    """All-pairs blockwise comparability scan; a slow oracle for small sets."""
-    words = list(words)
-    if len(words) > 10_000:
-        raise ValueError("all-pairs scan refused above 10^4 words")
-    hits = []
-    for x in range(len(words)):
-        for y in range(x + 1, len(words)):
-            if comparable(words[x], words[y]):
-                hits.append((x, y))
-    return hits
 
 
 def xi_sequence(partition) -> tuple[int, ...]:
@@ -112,23 +66,6 @@ def xi_sequence(partition) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def swap_tail(params: DerivedParams, w: CarpetWord, i: int) -> CarpetWord:
-    """Interchange the last pair's column digit with the last tail digit.
-
-    The last pair (i_l, j_l) becomes (i, j_t) where j_t is the final
-    tail digit, and the final tail digit becomes j_l.  Total length and
-    block lengths are unchanged, so the result is again a valid word;
-    its mass differs only through the swapped pair weight.
-    """
-    if not w.pairs or not w.tail:
-        raise WordError("swap needs both a pair block and a tail")
-    j_l = w.pairs[-1][1]
-    j_t = w.tail[-1]
-    if i not in params.gx[j_t]:
-        raise WordError(f"digit {i} does not occupy column {j_t}")
-    return CarpetWord(w.pairs[:-1] + ((i, j_t),), w.tail[:-1] + (j_l,))
-
-
 @dataclass(frozen=True)
 class StageLog:
     """Summary of one replacement stage."""
@@ -142,7 +79,6 @@ class StageLog:
     removed_entropy: float    # sum of mass*log(mass) over removed words
     inserted_entropy: float
     max_family_gap: float     # max over families of |entropy gap| / mass
-    families: Optional[tuple] = None  # (removed words, inserted words) pairs
 
     @property
     def entropy_shift(self) -> float:
@@ -182,37 +118,25 @@ def _ancestor_columns(params: DerivedParams, h: int, hp: int) -> list[int]:
     return list(range(2 * lp)) + list(range(2 * l, 2 * l + hp - lp))
 
 
-def raw_coding_antichain(partition) -> Antichain:
-    """The stopping set reinterpreted blockwise, with no replacements.
-
-    This is the construction's starting point.  It conserves mass but
-    may contain nested pairs under the blockwise order; feed it to
-    ``verify_maximal_antichain`` to surface them.
-    """
-    return Antichain(partition, partition.blocks,
-                     xi_stages=(partition.xi_min,), stage_logs=())
-
-
-def build_antichain(partition, *, keep_stage_words: bool = False
-                    ) -> Antichain:
+def build_antichain(partition) -> Antichain:
     """Rebuild a stopping set into a maximal antichain, stage by stage.
 
     Stage l+1 targets the ladder length xi_{l+1}.  Words of that length
     with a blockwise ancestor among the shorter survivors are grouped
     into sibling families (same word up to the x digit of the final
-    pair); each family is swapped for the equal-mass family produced by
-    ``swap_tail`` on its smallest-x representative.  Ancestors are found
-    by binary search in each shorter length's sorted rows; families are
-    taken in sorted order, with their members in walk order.  All mass
-    identities are checked in exact integers as the stages run:
+    pair); each family is swapped for the equal-mass family obtained from
+    its smallest-x representative by interchanging the last pair's column
+    digit with the last tail digit, one word per x digit of the new
+    column.  Ancestors are found by binary search in each shorter
+    length's sorted rows; families are taken in sorted order, with their
+    members in walk order.  All mass identities are checked in exact
+    integers as the stages run:
 
     * each family is complete (one sibling per occupant of its column);
     * removed and inserted family masses agree exactly;
     * every inserted word sits strictly below the stopping threshold
       while its predecessor sits at or above it;
     * no inserted word collides with a survivor or another insertion.
-
-    ``keep_stage_words`` attaches full word-level family logs.
     """
     params = partition.params
     L = params.denom_lcm
@@ -227,11 +151,6 @@ def build_antichain(partition, *, keep_stage_words: bool = False
     indexes: dict[int, RowIndex] = {}
     xi_stages = xi_sequence(partition)
     stage_logs: list[StageLog] = []
-
-    def decoded(rows: np.ndarray, h: int) -> tuple[CarpetWord, ...]:
-        data, width = rows.tobytes(), rows.shape[1]
-        return tuple(decode_word(params, data[t:t + width], h)
-                     for t in range(0, len(data), width))
 
     for pos in range(1, len(xi_stages)):
         target = xi_stages[pos]
@@ -254,8 +173,7 @@ def build_antichain(partition, *, keep_stage_words: bool = False
                 stage=pos + 1, target_length=target, family_count=0,
                 removed_count=0, inserted_count=0,
                 removed_mass=Fraction(0), removed_entropy=0.0,
-                inserted_entropy=0.0, max_family_gap=0.0,
-                families=() if keep_stage_words else None))
+                inserted_entropy=0.0, max_family_gap=0.0))
             continue
         if split == width:
             raise AntichainInvariantError(
@@ -353,16 +271,6 @@ def build_antichain(partition, *, keep_stage_words: bool = False
         blocks[target] = (new_rows, new_ids, table)
         indexes[target] = index
 
-        logged_families = None
-        if keep_stage_words:
-            removed_words = decoded(fam_rows, target)
-            inserted_words = decoded(inserted, target)
-            ins_starts = np.searchsorted(ins_src, starts).tolist()
-            ins_ends = ins_starts[1:] + [len(ins_src)]
-            logged_families = tuple(
-                (removed_words[s:e], inserted_words[p:q])
-                for s, e, p, q in zip(starts, ends, ins_starts, ins_ends))
-
         stage_logs.append(StageLog(
             stage=pos + 1,
             target_length=target,
@@ -373,7 +281,6 @@ def build_antichain(partition, *, keep_stage_words: bool = False
             removed_entropy=math.fsum(map(terms.__getitem__, fam_ids)),
             inserted_entropy=math.fsum(map(terms.__getitem__, ins_ids)),
             max_family_gap=max_gap,
-            families=logged_families,
         ))
 
     return Antichain(partition, blocks, xi_stages=xi_stages,

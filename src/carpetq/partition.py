@@ -3,12 +3,14 @@
 For a threshold ratio eta = p_min * q_min, the level-k partition
 collects every word sigma whose mass first drops below eta^k:
 
-    mass(flat_predecessor(sigma)) >= eta^k > mass(sigma).
+    mass(flat_predecessor(sigma)) >= eta^k > mass(sigma),
 
-Each address ray crosses this frontier exactly once, so the collected
-squares tile the carpet and their masses sum to one exactly.  The
-enumerator walks the flat-predecessor tree one length at a time; every
-prune and emit decision is an exact integer comparison on scaled masses
+where the flat predecessor of a length-h word is the length h - 1 word
+whose square contains its square.  Each address ray crosses this
+frontier exactly once, so the collected squares tile the carpet and
+their masses sum to one exactly.  The enumerator walks the
+flat-predecessor tree one length at a time; every prune and emit
+decision is an exact integer comparison on scaled masses
 nu = mass * L^len (L the common weight denominator), so the boundary
 case mass == eta^k needs no padding and is decided strictly.
 
@@ -19,15 +21,14 @@ asymptotic statements about it kick in only for k >= 1/theta.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .measure import DerivedParams
-from .words import CarpetWord, WordColumns, ell, word_from_digits
+from .words import WordColumns, ell
 
 __all__ = [
     "DEFAULT_CAP",
@@ -37,25 +38,16 @@ __all__ = [
     "PartitionStats",
     "StoppedStats",
     "DisjointnessReport",
-    "LocalDimEstimate",
     "enumerate_lambda_k",
     "stopped_statistics",
     "partition_stats",
-    "check_phi_growth",
     "check_square_disjointness",
-    "squares_overlap",
-    "uniform_digits",
-    "sample_digit_shards",
-    "sample_digit_matrix",
-    "sample_address",
-    "local_dimension_estimate",
 ]
 
 DEFAULT_CAP = 10_000_000
 MAX_DP_STATES = 1_000_000
 _STOPPED = (1, 0.0, 0, 1, 0, 0)
 
-_SHARD_ROWS = 1 << 15
 _CHUNK = 1 << 12            # parents expanded at once: bounds the walk's scratch
 
 
@@ -422,15 +414,6 @@ def partition_stats(partition) -> PartitionStats:
     )
 
 
-def check_phi_growth(earlier, later) -> bool:
-    """phi_k <= phi_{k+1} <= eta^-2 phi_k, exactly."""
-    if later.k != earlier.k + 1:
-        raise ValueError("growth check needs consecutive levels")
-    eta = earlier.params.eta
-    return (earlier.phi_k <= later.phi_k
-            and Fraction(later.phi_k) <= Fraction(earlier.phi_k) * (1 / eta) ** 2)
-
-
 @dataclass(frozen=True)
 class DisjointnessReport:
     checked: int
@@ -468,110 +451,3 @@ def check_square_disjointness(partition: PartitionLambdaK) -> DisjointnessReport
         checked=partition.phi_k,
         violations=partition.matching_pairs(
             lambda h, hp: _overlap_columns(params, h, hp)))
-
-
-def squares_overlap(a, b) -> bool:
-    """Exact interior-overlap test for two approximate squares (oracle path)."""
-    return (max(a.x_low, b.x_low) < min(a.x_high(), b.x_high())
-            and max(a.y_low, b.y_low) < min(a.y_high(), b.y_high()))
-
-
-def uniform_digits(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """The uint8 digit index of each uniform in ``u`` under the cumulative
-    map weights ``cum``: the number of entries of ``cum[:-1]`` that are
-    <= u.  That is ``searchsorted(cum, u, "right")`` clamped to the last
-    map, counted by comparisons straight into the uint8 result."""
-    digits = np.zeros(u.shape, dtype=np.uint8)
-    for cut in cum[:-1]:
-        digits += u >= cut
-    return digits
-
-
-def sample_digit_shards(
-    params: DerivedParams, count: int, depth: int, seed: int,
-    consume: Callable[[int, int, np.ndarray], None], threads: int = 1,
-) -> None:
-    """Draw i.i.d. digit indices for rows 0..count and hand them over in
-    fixed row blocks: ``consume(lo, hi, digits)`` receives the uint8
-    ``digits`` of rows lo..hi, shape (hi - lo, depth).
-
-    Each block has its own generator seeded by (seed, block), so the
-    digits are byte-identical for any thread count; with threads > 1,
-    ``consume`` runs concurrently on disjoint row ranges.
-    """
-    cum = np.cumsum([float(w) for w in params.spec.weights])
-    shards = [(s, lo, min(lo + _SHARD_ROWS, count))
-              for s, lo in enumerate(range(0, count, _SHARD_ROWS))]
-
-    def fill(shard):
-        s, lo, hi = shard
-        u = np.random.default_rng([int(seed), s]).random((hi - lo, depth))
-        consume(lo, hi, uniform_digits(u, cum))
-
-    if threads <= 1 or len(shards) <= 1:
-        for shard in shards:
-            fill(shard)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, shards))
-
-
-def sample_digit_matrix(
-    params: DerivedParams, count: int, depth: int, seed: int, threads: int = 1
-) -> np.ndarray:
-    """The digit-index matrix of shape (count, depth) that
-    ``sample_digit_shards`` draws, in one array."""
-    out = np.empty((count, depth), dtype=np.uint8)
-
-    def store(lo, hi, digits):
-        out[lo:hi] = digits
-
-    sample_digit_shards(params, count, depth, seed, store, threads=threads)
-    return out
-
-
-def sample_address(
-    params: DerivedParams, depth: int, seed: int
-) -> tuple[CarpetWord, tuple[float, float]]:
-    """One random address: the depth-long word and the sampled point."""
-    idx = sample_digit_matrix(params, 1, depth, seed)[0]
-    digits = params.spec.digits
-    address = [digits[t] for t in idx]
-    word = word_from_digits(params, address, depth)
-    x = math.fsum(i / params.n ** t for t, (i, _) in enumerate(address, start=1))
-    y = math.fsum(j / params.m ** t for t, (_, j) in enumerate(address, start=1))
-    return word, (x, y)
-
-
-@dataclass(frozen=True)
-class LocalDimEstimate:
-    k: int
-    samples: int
-    mean: float
-    std: float
-    stderr: float
-
-
-def local_dimension_estimate(
-    params: DerivedParams, k: int, samples: int, seed: int, threads: int = 1
-) -> LocalDimEstimate:
-    """Monte Carlo mean of log mass(word(x, k)) / (-k log m).
-
-    The level-k word of a sampled address keeps the first ell(k) digit
-    pairs whole and only the column digit beyond, so its log mass is a
-    sum of per-digit table lookups.
-    """
-    if k < 1 or samples < 1:
-        raise ValueError("need k >= 1 and samples >= 1")
-    idx = sample_digit_matrix(params, samples, k, seed, threads=threads)
-    log_p = np.array([math.log(w) for w in params.spec.weights])
-    log_q = np.array([math.log(params.q[j]) for _, j in params.spec.digits])
-    l = ell(params, k)
-    log_mass = log_p[idx[:, :l]].sum(axis=1) + log_q[idx[:, l:]].sum(axis=1)
-    vals = log_mass / (-k * math.log(params.m))
-    mean = float(np.mean(vals))
-    std = float(np.std(vals, ddof=1)) if samples > 1 else 0.0
-    return LocalDimEstimate(
-        k=k, samples=samples, mean=mean, std=std,
-        stderr=std / math.sqrt(samples),
-    )

@@ -13,14 +13,16 @@ cannot certify anything on its own.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .measure import DerivedParams
-from .partition import PartitionLambdaK, sample_digit_shards
+from .partition import PartitionLambdaK
 from .words import ell
 
 
@@ -31,6 +33,8 @@ __all__ = [
     "QuantDiagnostics",
     "BallBoundReport",
     "DISTANCE_FLOOR",
+    "uniform_digits",
+    "sample_digit_shards",
     "draw_cloud",
     "lambda_codebook",
     "nearest_distances",
@@ -43,6 +47,7 @@ __all__ = [
 
 DISTANCE_FLOOR = 1e-300
 
+_SHARD_ROWS = 1 << 15       # rows per sampling block, one generator each
 _CHUNK = 1 << 16            # cloud rows per Morton-code or query batch
 _MORTON_BITS = 10           # grid cells per axis: 2^10
 
@@ -89,7 +94,6 @@ class Codebook:
     """
 
     points: np.ndarray        # (card, 2) float64
-    origin: str               # "lambda-centers" | "external"
     reach: float = math.inf
 
     @property
@@ -97,13 +101,59 @@ class Codebook:
         return int(self.points.shape[0])
 
 
+def uniform_digits(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """The uint8 digit index of each uniform in ``u`` under the cumulative
+    map weights ``cum``: the number of entries of ``cum[:-1]`` that are
+    <= u.  That is ``searchsorted(cum, u, "right")`` clamped to the last
+    map, counted by comparisons straight into the uint8 result."""
+    digits = np.zeros(u.shape, dtype=np.uint8)
+    for cut in cum[:-1]:
+        digits += u >= cut
+    return digits
+
+
+def sample_digit_shards(
+    params: DerivedParams, count: int, depth: int, seed: int,
+    consume: Callable[[int, int, np.ndarray], None], threads: int = 1,
+) -> None:
+    """Draw i.i.d. digit indices for rows 0..count and hand them over in
+    fixed row blocks: ``consume(lo, hi, digits)`` receives the uint8
+    ``digits`` of rows lo..hi, shape (hi - lo, depth).
+
+    Each block has its own generator seeded by (seed, block), so the
+    digits are byte-identical for any thread count; with threads > 1,
+    ``consume`` runs concurrently on disjoint row ranges.
+    """
+    cum = np.cumsum([float(w) for w in params.spec.weights])
+    shards = [(s, lo, min(lo + _SHARD_ROWS, count))
+              for s, lo in enumerate(range(0, count, _SHARD_ROWS))]
+
+    def fill(shard):
+        s, lo, hi = shard
+        u = np.random.default_rng([int(seed), s]).random((hi - lo, depth))
+        consume(lo, hi, uniform_digits(u, cum))
+
+    if threads <= 1 or len(shards) <= 1:
+        for shard in shards:
+            fill(shard)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, shards))
+
+
 def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
                seed: int = 0x5EED, threads: int = 1) -> SampleCloud:
     """Sample points by truncated digit series.
 
     Digit columns are drawn i.i.d. from the map weights; the point is
-    the image of the digit string under the base-(n, m) series.  Beyond
-    depth 40 the truncation error is far below float resolution.
+    the image of the digit string under the base-(n, m) series, cut
+    after ``depth`` digits.  The cut moves a point by up to n^-depth in
+    x and m^-depth in y.  At the default depth 40 that is 3^-40 (about
+    8e-20) for m = 3, far below float resolution, but 2^-40 (about
+    9e-13) for m = 2.  That is not small against the cells of a skewed
+    m = 2 carpet: the 4x2 carpet with weights 3/4 | 1/4 has cells 2^-39
+    high at k = 4 and 2^-49 at k = 5.  There a truncated point can land
+    exactly on a centre, and its floored distance biases the estimate.
     """
     if size < 1:
         raise ValueError(f"need size >= 1, got {size}")
@@ -153,8 +203,7 @@ def lambda_codebook(partition: PartitionLambdaK) -> Codebook:
         pts[out, 1] = (ydig.astype(np.float64) @ yweights
                        + 0.5 * m ** (-float(h)))
     reach = 0.5 * max(_diameter(params, h) for h in partition.blocks)
-    return Codebook(points=pts, origin="lambda-centers",
-                    reach=reach * (1 + 1e-9))
+    return Codebook(points=pts, reach=reach * (1 + 1e-9))
 
 
 @dataclass(frozen=True)

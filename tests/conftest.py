@@ -20,7 +20,7 @@ import pytest
 from carpetq import CarpetSpec, derive_params
 from carpetq.coding import build_antichain
 from carpetq.partition import PartitionLambdaK, enumerate_lambda_k
-from carpetq.words import encode_word
+from oracles import encode_word
 
 
 def _derive(n, m, table):

@@ -1,0 +1,373 @@
+"""Word-level oracles: the tuple word type and the slow checks built on it.
+
+The library stores words only as uint8 rows (see ``carpetq.words``).
+Here a word is a ``CarpetWord`` of digit-pair and tail tuples with an
+exact ``Fraction`` mass and exact rectangle, so the tests can check the
+row kernels against an independent and plainly correct route.  Nothing
+in the library or the command line reaches this module.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+from carpetq.coding import Antichain, xi_sequence
+from carpetq.measure import DerivedParams
+from carpetq.quantizer import sample_digit_shards
+from carpetq.words import WordError, ell
+
+
+@dataclass(frozen=True)
+class CarpetWord:
+    """A validated word: ``pairs`` in G, ``tail`` of column digits."""
+
+    pairs: tuple[tuple[int, int], ...]
+    tail: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.pairs) + len(self.tail)
+
+    def y_digits(self) -> tuple[int, ...]:
+        return tuple(j for _, j in self.pairs) + self.tail
+
+    def x_digits(self) -> tuple[int, ...]:
+        return tuple(i for i, _ in self.pairs)
+
+
+def make_word(
+    params: DerivedParams,
+    pairs: Sequence[tuple[int, int]],
+    tail: Sequence[int],
+) -> CarpetWord:
+    """Build a word, enforcing the pair/tail split and digit membership."""
+    pairs = tuple((int(i), int(j)) for i, j in pairs)
+    tail = tuple(int(j) for j in tail)
+    k = len(pairs) + len(tail)
+    if k < 1:
+        raise WordError("word must have length >= 1")
+    want = ell(params, k)
+    if len(pairs) != want:
+        raise WordError(
+            f"length-{k} word needs exactly {want} leading pairs, got {len(pairs)}")
+    digits = set(params.spec.digits)
+    for p in pairs:
+        if p not in digits:
+            raise WordError(f"pair {p} not a digit cell")
+    for j in tail:
+        if j not in params.gx:
+            raise WordError(f"tail digit {j} not an occupied column")
+    return CarpetWord(pairs, tail)
+
+
+def word_from_digits(params: DerivedParams, address: Sequence[tuple[int, int]],
+                     k: int) -> CarpetWord:
+    """Level-k word of a point with the given (i, j) digit address.
+
+    The first ell(k) address pairs are kept whole; pairs ell(k)+1..k
+    contribute only their column digit.
+    """
+    if not 1 <= k <= len(address):
+        raise WordError(f"need 1 <= k <= len(address), got k={k}")
+    l = ell(params, k)
+    return make_word(params, address[:l], [j for _, j in address[l:k]])
+
+
+def flat_predecessor(params: DerivedParams, word: CarpetWord) -> CarpetWord:
+    """The length k-1 word whose square contains this word's square.
+
+    Drops the last column digit; when the pair count shrinks too, the
+    last pair is demoted to a bare column digit at the front of the
+    tail.
+    """
+    k = len(word)
+    if k < 2:
+        raise WordError("length-1 words have no predecessor")
+    if ell(params, k - 1) == ell(params, k):
+        return CarpetWord(word.pairs, word.tail[:-1])
+    (i, j) = word.pairs[-1]
+    return CarpetWord(word.pairs[:-1], ((j,) + word.tail)[:-1])
+
+
+def carpet_children(params: DerivedParams, word: CarpetWord) -> tuple[CarpetWord, ...]:
+    """All length k+1 words whose flat predecessor is ``word``.
+
+    Deterministic order: promoted x-digit ascending (when the pair
+    count grows), then appended column digit ascending.
+    """
+    k = len(word)
+    out = []
+    if ell(params, k + 1) == ell(params, k):
+        for j in params.gy:
+            out.append(CarpetWord(word.pairs, word.tail + (j,)))
+    else:
+        if word.tail:
+            jstar = word.tail[0]
+            rest = word.tail[1:]
+            for i in params.gx[jstar]:
+                for j in params.gy:
+                    out.append(CarpetWord(word.pairs + ((i, jstar),), rest + (j,)))
+        else:
+            # theta = 1: children append one full pair
+            for (i, j) in params.spec.digits:
+                out.append(CarpetWord(word.pairs + ((i, j),), ()))
+    return tuple(out)
+
+
+def word_mass(params: DerivedParams, word: CarpetWord) -> Fraction:
+    """Exact measure of the word's square: prod p over pairs, prod q over tail."""
+    factors = ([params.prob(i, j) for i, j in word.pairs]
+               + [params.q[j] for j in word.tail])
+    return Fraction(math.prod(f.numerator for f in factors),
+                    math.prod(f.denominator for f in factors))
+
+
+@dataclass(frozen=True)
+class ApproxSquare:
+    """Axis-aligned rectangle [x_low, x_low+width] x [y_low, y_low+height]."""
+
+    word: CarpetWord
+    x_low: Fraction
+    y_low: Fraction
+    width: Fraction
+    height: Fraction
+    diameter: float
+    mass: Fraction
+
+    def x_high(self) -> Fraction:
+        return self.x_low + self.width
+
+    def y_high(self) -> Fraction:
+        return self.y_low + self.height
+
+
+def square_geometry(params: DerivedParams, word: CarpetWord) -> ApproxSquare:
+    """Exact geometry of the approximate square addressed by ``word``."""
+    n, m = params.n, params.m
+    k = len(word)
+    l = len(word.pairs)
+    x_low = Fraction(0)
+    for t, i in enumerate(word.x_digits(), start=1):
+        x_low += Fraction(i, n ** t)
+    y_low = Fraction(0)
+    for t, j in enumerate(word.y_digits(), start=1):
+        y_low += Fraction(j, m ** t)
+    width = Fraction(1, n ** l)
+    height = Fraction(1, m ** k)
+    diameter = math.hypot(float(width), float(height))
+    return ApproxSquare(
+        word=word, x_low=x_low, y_low=y_low, width=width, height=height,
+        diameter=diameter, mass=word_mass(params, word),
+    )
+
+
+def squares_overlap(a: ApproxSquare, b: ApproxSquare) -> bool:
+    """Exact interior-overlap test for two approximate squares."""
+    return (max(a.x_low, b.x_low) < min(a.x_high(), b.x_high())
+            and max(a.y_low, b.y_low) < min(a.y_high(), b.y_high()))
+
+
+# The row encoding of the word stores: the interleaved pair digits
+# i1, j1, ..., iL, jL followed by the tail digits.
+
+def encode_word(word: CarpetWord) -> bytes:
+    flat = bytearray()
+    for (i, j) in word.pairs:
+        flat.append(i)
+        flat.append(j)
+    flat.extend(word.tail)
+    return bytes(flat)
+
+
+def decode_word(params: DerivedParams, data: bytes, k: int) -> CarpetWord:
+    l = ell(params, k)
+    if len(data) != k + l:
+        raise WordError(f"encoded length {len(data)} does not match k={k} (want {k + l})")
+    pairs = tuple(zip(data[0:2 * l:2], data[1:2 * l:2]))
+    tail = tuple(data[2 * l:])
+    return CarpetWord(pairs, tail)
+
+
+# -- reading a row store word by word --------------------------------------
+
+def _locate(store, idx: int) -> tuple[int, int]:
+    # (length, position in its block) of word ``idx``.
+    if not 0 <= idx < len(store):
+        raise IndexError(f"word index {idx} out of range")
+    h = max(h for h, start in store.offsets.items() if start <= idx)
+    return h, idx - store.offsets[h]
+
+
+def word_at(store, idx: int) -> CarpetWord:
+    """Word ``idx`` of a row store, decoded."""
+    h, pos = _locate(store, idx)
+    return decode_word(store.params, store.blocks[h][0][pos].tobytes(), h)
+
+
+def mass_at(store, idx: int) -> Fraction:
+    """Exact mass of word ``idx`` of a row store."""
+    h, pos = _locate(store, idx)
+    _, ids, nus = store.blocks[h]
+    return Fraction(nus[ids[pos]], store.params.denom_lcm ** h)
+
+
+def words(store) -> list[tuple[CarpetWord, Fraction]]:
+    """Every (word, exact mass) of a row store, in word index order."""
+    L = store.params.denom_lcm
+    out = []
+    for h, (rows, ids, nus) in store.blocks.items():
+        masses = [Fraction(nu, L ** h) for nu in nus]
+        out.extend((decode_word(store.params, row.tobytes(), h), masses[c])
+                   for row, c in zip(rows, ids.tolist()))
+    return out
+
+
+def store_rows(store) -> dict[int, dict[bytes, int]]:
+    """Each length's words as {row bytes: scaled mass nu}, mass = nu / L^h.
+    Fails on a repeated row, which a dict would hide."""
+    out = {}
+    for h, (rows, ids, nus) in store.blocks.items():
+        out[h] = dict(zip(map(bytes, rows), map(nus.__getitem__, ids.tolist())))
+        assert len(out[h]) == len(ids), f"repeated row at length {h}"
+    return out
+
+
+# -- the blockwise coding order ----------------------------------------------
+
+def coding_predecessor(params: DerivedParams, w: CarpetWord) -> CarpetWord:
+    """Blockwise parent: drop the last tail digit, or the last pair when
+    ``ell`` stepped."""
+    total = len(w)
+    if total < 2:
+        raise WordError("length-1 words have no predecessor")
+    if ell(params, total) == ell(params, total - 1):
+        return CarpetWord(w.pairs, w.tail[:-1])
+    return CarpetWord(w.pairs[:-1], w.tail)
+
+
+def is_descendant(a: CarpetWord, b: CarpetWord) -> bool:
+    """True iff both blocks of ``a`` are prefixes of those of ``b``."""
+    return (len(a.pairs) <= len(b.pairs)
+            and len(a.tail) <= len(b.tail)
+            and a.pairs == b.pairs[:len(a.pairs)]
+            and a.tail == b.tail[:len(a.tail)])
+
+
+def comparable(a: CarpetWord, b: CarpetWord) -> bool:
+    return is_descendant(a, b) or is_descendant(b, a)
+
+
+def naive_comparable_pairs(words) -> list[tuple[int, int]]:
+    """All-pairs blockwise comparability scan; a slow oracle for small sets."""
+    words = list(words)
+    if len(words) > 10_000:
+        raise ValueError("all-pairs scan refused above 10^4 words")
+    hits = []
+    for x in range(len(words)):
+        for y in range(x + 1, len(words)):
+            if comparable(words[x], words[y]):
+                hits.append((x, y))
+    return hits
+
+
+def swap_tail(params: DerivedParams, w: CarpetWord, i: int) -> CarpetWord:
+    """Interchange the last pair's column digit with the last tail digit.
+
+    The last pair (i_l, j_l) becomes (i, j_t) where j_t is the final
+    tail digit, and the final tail digit becomes j_l.  Total length and
+    block lengths are unchanged, so the result is again a valid word;
+    its mass differs only through the swapped pair weight.
+    """
+    if not w.pairs or not w.tail:
+        raise WordError("swap needs both a pair block and a tail")
+    j_l = w.pairs[-1][1]
+    j_t = w.tail[-1]
+    if i not in params.gx[j_t]:
+        raise WordError(f"digit {i} does not occupy column {j_t}")
+    return CarpetWord(w.pairs[:-1] + ((i, j_t),), w.tail[:-1] + (j_l,))
+
+
+def raw_coding_antichain(partition) -> Antichain:
+    """The stopping set reinterpreted blockwise, with no replacements.
+
+    This is the construction's starting point.  It conserves mass but
+    may contain nested pairs under the blockwise order; feed it to
+    ``verify_maximal_antichain`` to surface them.
+    """
+    return Antichain(partition, partition.blocks,
+                     xi_stages=(partition.xi_min,), stage_logs=())
+
+
+def replay_stages(partition):
+    """``build_antichain``'s stages replayed on decoded words.
+
+    At each ladder length after the first, a family is a set of
+    target-length words that have a blockwise ancestor (reached by
+    ``coding_predecessor`` steps) among the current shorter words and
+    agree in everything but the last pair's x digit.  The family is
+    replaced by ``swap_tail`` of its smallest-x member, once per x digit
+    of the new column.  Returns each stage's families as (removed words,
+    inserted words) in sorted order, and the resulting store as
+    ``store_rows`` gives it.
+    """
+    params = partition.params
+    L = params.denom_lcm
+    blocks = store_rows(partition)
+    stages = []
+    for target in xi_sequence(partition)[1:]:
+        lo = min(blocks)
+        families: dict[tuple, list[CarpetWord]] = {}
+        for data in blocks.get(target, {}):
+            w = a = decode_word(params, data, target)
+            while len(a) > lo:
+                a = coding_predecessor(params, a)
+                if encode_word(a) in blocks.get(len(a), {}):
+                    key = (w.pairs[:-1], w.pairs[-1][1], w.tail)
+                    families.setdefault(key, []).append(w)
+                    break
+        stage = []
+        for key in sorted(families):
+            removed = families[key]
+            rep = min(removed, key=lambda w: w.pairs[-1][0])
+            inserted = [swap_tail(params, rep, i)
+                        for i in params.gx[rep.tail[-1]]]
+            stage.append((tuple(removed), tuple(inserted)))
+            for w in removed:
+                del blocks[target][encode_word(w)]
+        for _, inserted in stage:
+            for w in inserted:
+                data = encode_word(w)
+                assert data not in blocks[target], "replacement collision"
+                nu = word_mass(params, w) * L ** target
+                assert nu.denominator == 1
+                blocks[target][data] = int(nu)
+        stages.append(stage)
+    return stages, blocks
+
+
+def check_phi_growth(earlier, later) -> bool:
+    """phi_k <= phi_{k+1} <= eta^-2 phi_k, exactly."""
+    if later.k != earlier.k + 1:
+        raise ValueError("growth check needs consecutive levels")
+    eta = earlier.params.eta
+    return (earlier.phi_k <= later.phi_k
+            and Fraction(later.phi_k) <= Fraction(earlier.phi_k) * (1 / eta) ** 2)
+
+
+# -- sampling ------------------------------------------------------------------
+
+def sample_digit_matrix(params: DerivedParams, count: int, depth: int,
+                        seed: int, threads: int = 1) -> np.ndarray:
+    """The digit-index matrix of shape (count, depth) that
+    ``sample_digit_shards`` draws, in one array."""
+    out = np.empty((count, depth), dtype=np.uint8)
+
+    def store(lo, hi, digits):
+        out[lo:hi] = digits
+
+    sample_digit_shards(params, count, depth, seed, store, threads=threads)
+    return out

@@ -24,7 +24,9 @@ from carpetq.partition import (
 from carpetq.quantizer import ball_bound_check, draw_cloud, r_k_diagnostic
 from carpetq.sequences import compute_d_k, compute_s_k, d_k_bound, delta_k, \
     s_k_bound
-from carpetq.words import flat_predecessor, word_mass
+from oracles import (
+    flat_predecessor, replay_stages, store_rows, word_mass, words,
+)
 
 
 def _announce(num, detail):
@@ -41,8 +43,7 @@ def parts_a(carpet_a, cache_a):
 
 @pytest.fixture(scope="module")
 def chains_a(parts_a):
-    return {k: build_antichain(parts_a[k], keep_stage_words=True)
-            for k in (2, 3, 4, 5, 6)}
+    return {k: build_antichain(parts_a[k]) for k in (2, 3, 4, 5, 6)}
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +103,7 @@ def test_criterion_2_partition_exactness(carpet_a, parts_a):
         assert check_square_disjointness(part).ok
         assert partition_stats(part).ratio_bounds_ok
         if k <= 4:
-            for w, mass in part.iter_words():
+            for w, mass in words(part):
                 ratio = mass / word_mass(carpet_a,
                                          flat_predecessor(carpet_a, w))
                 assert eta <= ratio <= q_max
@@ -146,7 +147,7 @@ def test_criterion_3_d_k_bound(carpet_a, carpet_c):
                  f"closed form = brute force to 1e-12 ({elapsed:.2f}s)")
 
 
-def test_criterion_4_antichain_certification(carpet_a, chains_a):
+def test_criterion_4_antichain_certification(carpet_a, parts_a, chains_a):
     start = time.monotonic()
     c1 = 8 * math.log(3)
     for k in range(2, 7):
@@ -157,8 +158,11 @@ def test_criterion_4_antichain_certification(carpet_a, chains_a):
         assert chain.mass_total == 1
         assert chain.mass_len_total == chain.base_mass_len_total
         assert report.below_threshold
-        for log in chain.stage_logs:
-            for removed, inserted in log.families:
+        # The stages replayed word by word build the same antichain.
+        stages, blocks = replay_stages(parts_a[k])
+        assert store_rows(chain) == blocks
+        for families in stages:
+            for removed, inserted in families:
                 r = sum((word_mass(carpet_a, w) for w in removed),
                         Fraction(0))
                 i = sum((word_mass(carpet_a, w) for w in inserted),

@@ -220,6 +220,23 @@ def test_report_rowless_table_exits_2(tmp_path, capsys):
     assert not (out / "quantize.svg").exists()
 
 
+@pytest.mark.parametrize("table,needle", [
+    ("k,t_k,s_k,s0\n2,,0.9,0.91\n", "sequences.csv has no 'd_k' column"),
+    ("", "cannot read sequences.csv"),
+    ("k,d_k,t_k,s_k,s0\n2,oops,,0.9,0.91\n", "column 'd_k'"),
+], ids=["missing-column", "empty", "non-numeric"])
+def test_report_malformed_table_exits_2(tmp_path, capsys, table, needle):
+    cfg = _config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "sequences.csv").write_text(table)
+    assert main(["report", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert needle in json.loads(err)["error"]
+    assert not (out / "sequences.svg").exists()
+
+
 def test_runs_byte_identical(tmp_path):
     cfg = _config(tmp_path)
     blobs = []

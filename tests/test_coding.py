@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from carpetq.coding import (
     AntichainCollisionError, AntichainInvariantError, build_antichain,
-    coding_predecessor, comparable, is_descendant, naive_comparable_pairs, raw_coding_antichain, swap_tail,
     verify_maximal_antichain, xi_sequence,
 )
-from carpetq.words import (
-    CarpetWord, WordError, carpet_children, ell, flat_predecessor, make_word,
-    word_mass,
+from carpetq.words import WordError, ell
+from oracles import (
+    CarpetWord, carpet_children, coding_predecessor, comparable,
+    flat_predecessor, is_descendant, make_word, naive_comparable_pairs,
+    raw_coding_antichain, replay_stages, store_rows, swap_tail, word_at,
+    word_mass, words,
 )
 
 
@@ -22,7 +24,7 @@ def test_l_map_round_trip(cache_a, carpet_a):
     # The map L into the coding space keeps every digit: each stopping
     # word is already a valid coding word, with the same product mass.
     for k in (1, 2, 3):
-        for w, mass in cache_a.partition(k).iter_words():
+        for w, mass in words(cache_a.partition(k)):
             assert make_word(carpet_a, w.pairs, w.tail) == w
             assert word_mass(carpet_a, w) == mass
 
@@ -119,8 +121,7 @@ def test_swap_tail_validates_digits(carpet_a):
 
 def test_raw_coding_order_violations(cache_a):
     raw = raw_coding_antichain(cache_a.partition(2))
-    words = [raw.word_at(idx) for idx in range(raw.size)]
-    pairs = naive_comparable_pairs(words)
+    pairs = naive_comparable_pairs(w for w, _ in words(raw))
     assert len(pairs) == 54
     report = verify_maximal_antichain(raw)
     assert len(report.comparable_pairs) == 54
@@ -164,7 +165,7 @@ def test_antichain_exact_mass_and_identity(cache_a, cache_d):
     for cache, k in ((cache_a, 2), (cache_a, 3), (cache_d, 3)):
         chain = cache.antichain(k)
         assert chain.mass_total == 1
-        total = sum((m for _, m in chain.iter_words()), Fraction(0))
+        total = sum((m for _, m in words(chain)), Fraction(0))
         assert total == 1
         # Length-weighted mass is preserved exactly by every swap.
         assert chain.mass_len_total == chain.base_mass_len_total
@@ -172,10 +173,10 @@ def test_antichain_exact_mass_and_identity(cache_a, cache_d):
 
 def test_antichain_incomparability_naive(cache_a, carpet_a):
     chain = cache_a.antichain(2)
-    words = [chain.word_at(idx) for idx in range(chain.size)]
-    assert naive_comparable_pairs(words) == []
+    pairs = words(chain)
+    assert naive_comparable_pairs(w for w, _ in pairs) == []
     eta_k = carpet_a.eta ** 2
-    for w, mass in chain.iter_words():
+    for w, mass in pairs:
         assert mass < eta_k
 
 
@@ -224,18 +225,30 @@ def test_stage_logs_frozen(request, carpet, k):
         == STAGE_LOG_DIGESTS[carpet, k]
 
 
-def test_stage_words_kept_for_small_k(cache_a):
-    chain = build_antichain(cache_a.partition(2), keep_stage_words=True)
-    assert chain.stage_logs
-    for log in chain.stage_logs:
-        assert log.families is not None
-        for removed, inserted in log.families:
-            r_mass = sum((word_mass(cache_a.params, w) for w in removed),
-                         Fraction(0))
-            i_mass = sum((word_mass(cache_a.params, w) for w in inserted),
-                         Fraction(0))
-            assert r_mass == i_mass         # per-family mass identity
-            assert len(set(inserted)) == len(inserted)
+def test_stage_replay_matches_build(cache_a, cache_d):
+    # The word-level replay of every stage builds the same blocks, with
+    # the logged family and word counts and removed mass.
+    for cache, k in ((cache_a, 2), (cache_a, 3), (cache_d, 2), (cache_d, 3)):
+        params = cache.params
+        chain = cache.antichain(k)
+        stages, blocks = replay_stages(cache.partition(k))
+        assert any(stages)
+        assert store_rows(chain) == blocks
+        assert len(stages) == len(chain.stage_logs)
+        for log, families in zip(chain.stage_logs, stages):
+            assert log.family_count == len(families)
+            assert log.removed_count == sum(len(r) for r, _ in families)
+            assert log.inserted_count == sum(len(i) for _, i in families)
+            removed_mass = Fraction(0)
+            for removed, inserted in families:
+                r_mass = sum((word_mass(params, w) for w in removed),
+                             Fraction(0))
+                i_mass = sum((word_mass(params, w) for w in inserted),
+                             Fraction(0))
+                assert r_mass == i_mass         # per-family mass identity
+                assert len(set(inserted)) == len(inserted)
+                removed_mass += r_mass
+            assert log.removed_mass == removed_mass
 
 
 def test_delta_within_per_mass_budget(cache_a):
@@ -260,10 +273,10 @@ def test_multi_stage_ladder_carpet_d(cache_d):
 def _stage_family(part, siblings):
     """The first replacement family of ``part`` with ``siblings`` removed
     words: (removed words, inserted words, index of every word)."""
-    logs = build_antichain(part, keep_stage_words=True).stage_logs
-    removed, inserted = next(fam for log in logs for fam in log.families
+    stages, _ = replay_stages(part)
+    removed, inserted = next(fam for families in stages for fam in families
                              if len(fam[0]) == siblings)
-    index = {w: idx for idx, (w, _) in enumerate(part.iter_words())}
+    index = {w: idx for idx, (w, _) in enumerate(words(part))}
     return removed, inserted, index
 
 
@@ -321,7 +334,7 @@ def test_build_rejects_empty_tail(cache_c, tamper):
     # Square grids have no tail digits, so a nesting there has no swap.
     params = cache_c.params
     part = cache_c.partition(1)
-    parent = flat_predecessor(params, part.word_at(0))
+    parent = flat_predecessor(params, word_at(part, 0))
     with pytest.raises(AntichainInvariantError,
                        match="replacement family with an empty tail"):
         build_antichain(tamper(part, add=[(parent, word_mass(params, parent))]))

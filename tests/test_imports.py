@@ -1,6 +1,8 @@
-"""Source hygiene: every imported name is read by the module importing it."""
+"""Source hygiene: every imported name is read by the module importing it,
+and every name the package exports has a reader."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,3 +40,25 @@ def test_no_unused_imports():
                    if path.name != "__init__.py")
     assert paths
     assert [hit for path in paths for hit in unused_imports(path)] == []
+
+
+def test_public_names_are_used():
+    # Every name the package exports is read by the library outside
+    # __init__.py, read by the benchmark, or shown in the README, so
+    # test-only API does not return to src/.
+    import carpetq
+    read = set()
+    paths = [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    read.update(re.findall(r"\w+", readme))
+    assert [name for name in carpetq.__all__ if name not in read] == []

@@ -12,20 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carpetq import CarpetSpec, derive_params, partition
-from carpetq.coding import (
-    build_antichain, naive_comparable_pairs, raw_coding_antichain,
-    verify_maximal_antichain,
-)
+from carpetq.coding import build_antichain, verify_maximal_antichain
 from carpetq.partition import (
-    EnumerationCapError, check_phi_growth,
-    check_square_disjointness, enumerate_lambda_k, local_dimension_estimate,
-    partition_stats, sample_address, sample_digit_matrix, squares_overlap,
-    stopped_statistics,
+    EnumerationCapError, check_square_disjointness, enumerate_lambda_k,
+    partition_stats, stopped_statistics,
 )
 from carpetq.quantizer import lambda_codebook
-from carpetq.words import (
-    carpet_children, entropy_terms, flat_predecessor, make_word,
-    square_geometry, word_mass,
+from carpetq.words import entropy_terms
+from oracles import (
+    carpet_children, check_phi_growth, flat_predecessor, make_word, mass_at,
+    naive_comparable_pairs, raw_coding_antichain, sample_digit_matrix,
+    square_geometry, squares_overlap, word_at, word_mass, words,
 )
 
 # Word counts confirmed by two independent routes (direct enumeration
@@ -132,7 +129,7 @@ def test_lambda_1_carpet_a(cache_a):
     assert part.phi_k == 18
     assert part.xi_min == part.xi_max == 3
     assert part.mass_total == 1
-    lengths = {len(w) for w, _ in part.iter_words()}
+    lengths = {len(w) for w, _ in words(part)}
     assert lengths == {3}
 
 
@@ -149,7 +146,7 @@ def test_exact_invariants(cache_a):
         stats = partition_stats(part)
         assert stats.ok
         assert part.mass_total == 1
-        total = sum((m for _, m in part.iter_words()), Fraction(0))
+        total = sum((m for _, m in words(part)), Fraction(0))
         assert total == 1
 
 
@@ -163,7 +160,7 @@ def test_membership_definition(cache_a, carpet_a):
     # Every emitted word sits strictly below the threshold, its parent
     # at or above it.
     eta_k = carpet_a.eta ** 2
-    for w, mass in cache_a.partition(2).iter_words():
+    for w, mass in words(cache_a.partition(2)):
         assert mass < eta_k
         assert word_mass(carpet_a, flat_predecessor(carpet_a, w)) >= eta_k
 
@@ -172,7 +169,7 @@ def test_membership_definition(cache_a, carpet_a):
 def test_brute_force_membership(cache_a, carpet_a, k):
     brute = _brute_lambda_k(carpet_a, k)
     part = cache_a.partition(k)
-    got = {(w.pairs, w.tail): m for w, m in part.iter_words()}
+    got = {(w.pairs, w.tail): m for w, m in words(part)}
     assert got == brute
 
 
@@ -181,7 +178,7 @@ def test_brute_force_membership_other_carpets(carpet_c, carpet_d):
         for k in (1, 2):
             brute = _brute_lambda_k(params, k)
             part = enumerate_lambda_k(params, k)
-            got = {(w.pairs, w.tail): m for w, m in part.iter_words()}
+            got = {(w.pairs, w.tail): m for w, m in words(part)}
             assert got == brute
 
 
@@ -299,10 +296,10 @@ def test_store_aggregates_recount(carpet_a, carpet_c, carpet_d,
             assert part.entropy_sum == math.fsum(entropies.values())
             book = lambda_codebook(part)
             for idx in range(0, part.phi_k, stride):
-                w = part.word_at(idx)
+                w = word_at(part, idx)
                 assert 0 <= idx - part.offsets[len(w)] < counts[len(w)]
                 sq = square_geometry(params, w)
-                assert part.mass_at(idx) == sq.mass
+                assert mass_at(part, idx) == sq.mass
                 assert book.points[idx, 0] == pytest.approx(
                     float(sq.x_low + sq.width / 2), abs=1e-15)
                 assert book.points[idx, 1] == pytest.approx(
@@ -327,7 +324,7 @@ def test_disjointness_clean(cache_a, cache_d):
 
 def test_disjointness_brute_agreement(cache_a, carpet_a):
     part = cache_a.partition(2)
-    squares = [square_geometry(carpet_a, w) for w, _ in part.iter_words()]
+    squares = [square_geometry(carpet_a, w) for w, _ in words(part)]
     brute = [
         (a, b)
         for a in range(len(squares))
@@ -340,7 +337,7 @@ def test_disjointness_brute_agreement(cache_a, carpet_a):
 
 def test_disjointness_detects_duplicate(carpet_a, tamper):
     part = enumerate_lambda_k(carpet_a, 1)
-    part = tamper(part, drop=[1], add=[(part.word_at(0), part.mass_at(0))])
+    part = tamper(part, drop=[1], add=[(word_at(part, 0), mass_at(part, 0))])
     report = check_square_disjointness(part)
     assert not report.ok
     assert len(report.violations) >= 1
@@ -348,7 +345,7 @@ def test_disjointness_detects_duplicate(carpet_a, tamper):
 
 def test_disjointness_detects_nesting(carpet_a, tamper):
     part = enumerate_lambda_k(carpet_a, 1)
-    child = part.word_at(0)
+    child = word_at(part, 0)
     parent = flat_predecessor(carpet_a, child)
     part = tamper(part, drop=[1],
                   add=[(parent, word_mass(carpet_a, parent))])
@@ -385,22 +382,6 @@ def test_sample_digit_matrix_marginals(carpet_a):
         assert abs(counts[idx] / total - p) < 4 * se
 
 
-def test_sample_address_in_square(carpet_a):
-    word, (x, y) = sample_address(carpet_a, depth=12, seed=3)
-    assert len(word) == 12
-    sq = square_geometry(carpet_a, word)
-    assert float(sq.x_low) <= x <= float(sq.x_high())
-    assert float(sq.y_low) <= y <= float(sq.y_high())
-
-
-def test_local_dimension_estimate(carpet_a):
-    from carpetq.sequences import compute_d_k
-    est = local_dimension_estimate(carpet_a, k=24, samples=60_000, seed=2)
-    d = compute_d_k(carpet_a, 24)
-    assert abs(est.mean - d) <= 4 * est.stderr
-    assert est.samples == 60_000
-
-
 _cells = st.lists(
     st.tuples(st.sampled_from([0, 2, 4]), st.sampled_from([0, 2])),
     min_size=2, max_size=4, unique=True)
@@ -421,7 +402,7 @@ def test_random_carpet_dp_equals_enumeration(n, m, cells, raw):
         part = enumerate_lambda_k(params, k)
         # Columns with unequal x-digit counts give the walk's promotion
         # steps a fan-out that varies from word to word.
-        got = {(w.pairs, w.tail): mass for w, mass in part.iter_words()}
+        got = {(w.pairs, w.tail): mass for w, mass in words(part)}
         assert len(got) == part.phi_k
         assert got == _brute_lambda_k(params, k)
         stats = stopped_statistics(params, k)
@@ -437,7 +418,7 @@ def test_random_carpet_dp_equals_enumeration(n, m, cells, raw):
 def _overlap_pairs(params, part):
     # All-pairs oracle: the squares_overlap comparison, on integer
     # corners over the finest grid, for every pair of squares.
-    squares = [square_geometry(params, w) for w, _ in part.iter_words()]
+    squares = [square_geometry(params, w) for w, _ in words(part)]
     dx = max(sq.width.denominator for sq in squares)
     dy = max(sq.height.denominator for sq in squares)
     x0, x1, y0, y1 = np.array(
@@ -473,18 +454,17 @@ def test_random_carpet_row_kernels_match_oracles(tamper, n, m, cells, raw,
         # Two more copies of one word and two of another's parent square,
         # so lookups meet runs of equal rows on both sides.
         dup, child = (pick % part.phi_k for pick in picks)
-        add = [(part.word_at(dup), part.mass_at(dup))]
-        if len(part.word_at(child)) > 1:
-            parent = flat_predecessor(params, part.word_at(child))
+        add = [(word_at(part, dup), mass_at(part, dup))]
+        if len(word_at(part, child)) > 1:
+            parent = flat_predecessor(params, word_at(part, child))
             add.append((parent, word_mass(params, parent)))
         bad = tamper(part, add=2 * add)
         assert list(check_square_disjointness(bad).violations) \
             == _overlap_pairs(params, bad)
 
         raw_chain = raw_coding_antichain(part)
-        words = [raw_chain.word_at(idx) for idx in range(raw_chain.size)]
         assert list(verify_maximal_antichain(raw_chain).comparable_pairs) \
-            == naive_comparable_pairs(words)
+            == naive_comparable_pairs(w for w, _ in words(raw_chain))
         built = build_antichain(part)
         for h, block in part.blocks.items():
             assert raw_chain.blocks[h][0] is block[0]

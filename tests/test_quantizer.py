@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from carpetq.partition import (
-    enumerate_lambda_k, sample_digit_matrix, uniform_digits,
-)
+from carpetq.partition import enumerate_lambda_k
 from carpetq.quantizer import (
     Codebook, DISTANCE_FLOOR, SampleCloud, ball_bound_check, diameter_log,
     draw_cloud, lambda_codebook, log_distortion, nearest_distances,
-    r_k_diagnostic,
+    r_k_diagnostic, uniform_digits,
 )
-from carpetq.words import ell, square_geometry
+from carpetq.words import ell
+from oracles import sample_digit_matrix, square_geometry, word_at
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +57,8 @@ def test_lambda_codebook_centers(cache_a, carpet_a):
     part = cache_a.partition(2)
     book = lambda_codebook(part)
     assert book.card == part.phi_k
-    assert book.origin == "lambda-centers"
     for idx in (0, 1, 60, 188):
-        sq = square_geometry(carpet_a, part.word_at(idx))
+        sq = square_geometry(carpet_a, word_at(part, idx))
         assert book.points[idx, 0] == pytest.approx(
             float(sq.x_low + sq.width / 2), abs=1e-15)
         assert book.points[idx, 1] == pytest.approx(
@@ -70,7 +68,7 @@ def test_lambda_codebook_centers(cache_a, carpet_a):
 def test_log_distortion_hand_value():
     cloud = SampleCloud(points=np.array([[0.0, 0.0], [1.0, 0.0]]),
                         seed=0, depth=40)
-    book = Codebook(points=np.array([[0.5, 0.0]]), origin="external")
+    book = Codebook(points=np.array([[0.5, 0.0]]))
     est = log_distortion(cloud, book)
     assert est.estimate == pytest.approx(math.log(0.5), abs=1e-15)
     assert est.floored == 0 and est.count == 2
@@ -80,7 +78,7 @@ def test_log_distortion_hand_value():
 def test_log_distortion_floors_zero_distance():
     cloud = SampleCloud(points=np.array([[0.25, 0.25], [0.5, 0.5]]),
                         seed=0, depth=40)
-    book = Codebook(points=np.array([[0.25, 0.25]]), origin="external")
+    book = Codebook(points=np.array([[0.25, 0.25]]))
     est = log_distortion(cloud, book)
     assert est.floored == 1
     assert math.isfinite(est.estimate)
@@ -247,8 +245,7 @@ def test_bounded_ordered_distances_match_plain_query(request, name, levels):
 
 def test_short_reach_counted_and_distances_exact(cache_a, cloud_a):
     book = lambda_codebook(cache_a.partition(3))
-    short = Codebook(points=book.points, origin=book.origin,
-                     reach=book.reach / 4)
+    short = Codebook(points=book.points, reach=book.reach / 4)
     plain, _ = cKDTree(book.points).query(cloud_a.points, k=1)
     dist, unreached = nearest_distances(cloud_a, short)
     assert unreached == int(np.count_nonzero(plain >= short.reach)) > 0
@@ -257,7 +254,7 @@ def test_short_reach_counted_and_distances_exact(cache_a, cloud_a):
 
 
 def test_external_codebook_reach_unbounded():
-    book = Codebook(points=np.zeros((1, 2)), origin="external")
+    book = Codebook(points=np.zeros((1, 2)))
     assert book.reach == math.inf
 
 
