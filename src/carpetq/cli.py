@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -155,18 +156,25 @@ class _Ctx:
     def fail(self, **fields) -> None:
         self.failures.append(fields)
 
-    def params(self) -> DerivedParams:
-        return derive_params(self.cfg.spec)
+    def table(self, name: str, header: list, rows: list, doc: dict) -> None:
+        """``<name>.csv`` and its JSON mirror, as the outputs ask."""
+        if self.cfg.want("csv"):
+            write_csv(self.out / f"{name}.csv", header, rows)
+        if self.cfg.want("json"):
+            write_json(self.out / f"{name}.json", doc)
 
 
-def _collectable(params: DerivedParams, k: int, ctx: _Ctx):
-    """Stats for level k, plus the collected partition when it fits."""
-    stats = stopped_statistics(params, k)
-    if stats.phi_k <= ctx.cap_words:
-        return stats, enumerate_lambda_k(params, k, cap=ctx.cap_words)
-    print(f"level k={k}: {stats.phi_k} words exceed --cap-words "
-          f"{ctx.cap_words}, aggregates only")
-    return stats, None
+def _levels(ctx: _Ctx, params: DerivedParams):
+    """``(k, stats, part)`` for each configured level: the aggregates, and
+    the collected partition when the level fits --cap-words, else None."""
+    for k in range(ctx.cfg.k_min, ctx.cfg.k_max + 1):
+        stats = stopped_statistics(params, k)
+        if stats.phi_k <= ctx.cap_words:
+            yield k, stats, enumerate_lambda_k(params, k, cap=ctx.cap_words)
+        else:
+            print(f"level k={k}: {stats.phi_k} words exceed --cap-words "
+                  f"{ctx.cap_words}, aggregates only")
+            yield k, stats, None
 
 
 def _antichain(ctx: _Ctx, command: str, k: int, part):
@@ -188,6 +196,7 @@ def _pairs_cell(pairs) -> str:
 
 
 def cmd_validate(ctx: _Ctx) -> None:
+    """check a carpet description and print derived constants"""
     report = validate_spec(ctx.cfg.spec)
     for check in report.checks:
         mark = "ok" if check.ok else "FAIL"
@@ -196,35 +205,32 @@ def cmd_validate(ctx: _Ctx) -> None:
         if not check.ok:
             ctx.fail(command="validate", check=check.name,
                      detail=check.detail)
+    doc = {"checks": [
+        {"name": c.name, "ok": c.ok} if report.ok
+        else {"name": c.name, "ok": c.ok, "detail": c.detail}
+        for c in report.checks
+    ]}
     if report.ok:
-        params = derive_params(ctx.cfg.spec)
+        with warnings.catch_warnings():
+            # validate_spec above has already given this warning.
+            warnings.filterwarnings("ignore", "grid factor", UserWarning)
+            params = derive_params(ctx.cfg.spec)
         print(f"validate s0 = {params.s0:.12f}  theta = {params.theta:.12f}")
-        if ctx.cfg.want("json"):
-            write_json(ctx.out / "validate.json", {
-                "checks": [{"name": c.name, "ok": c.ok} for c in report.checks],
-                "s0": params.s0,
-                "theta": params.theta,
-                "eta": str(params.eta),
-                "k0": params.k0,
-            })
-    elif ctx.cfg.want("json"):
-        write_json(ctx.out / "validate.json", {
-            "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail}
-                for c in report.checks
-            ],
-        })
+        doc.update(s0=params.s0, theta=params.theta, eta=str(params.eta),
+                   k0=params.k0)
+    if ctx.cfg.want("json"):
+        write_json(ctx.out / "validate.json", doc)
 
 
 def cmd_partition(ctx: _Ctx) -> None:
-    params = ctx.params()
+    """tabulate stopping partitions with exact invariants"""
+    params = derive_params(ctx.cfg.spec)
     header = ["k", "phi_k", "xi_min", "xi_max", "entropy_sum", "mass_len",
               "mass_exact", "phi_window", "xi_window", "ratio_bounds",
               "disjoint", "pass"]
     rows = []
     detail = []
-    for k in range(ctx.cfg.k_min, ctx.cfg.k_max + 1):
-        stats, part = _collectable(params, k, ctx)
+    for k, stats, part in _levels(ctx, params):
         checks = partition_stats(part if part is not None else stats)
         if part is not None:
             dis = check_square_disjointness(part)
@@ -257,20 +263,17 @@ def cmd_partition(ctx: _Ctx) -> None:
         print(f"partition k={k}: phi={checks.phi_k} "
               f"xi=[{checks.xi_min},{checks.xi_max}] "
               f"{'pass' if ok else 'FAIL'}")
-    if ctx.cfg.want("csv"):
-        write_csv(ctx.out / "partition.csv", header, rows)
-    if ctx.cfg.want("json"):
-        write_json(ctx.out / "partition.json", {"levels": detail})
+    ctx.table("partition", header, rows, {"levels": detail})
 
 
 def cmd_antichain(ctx: _Ctx) -> None:
-    params = ctx.params()
+    """build and certify maximal antichains"""
+    params = derive_params(ctx.cfg.spec)
     header = ["k", "size", "base_size", "stages", "removed_mass", "delta_k",
               "c1", "comparable_pairs", "mass_exact", "delta_le_c1", "pass"]
     rows = []
     detail = []
-    for k in range(ctx.cfg.k_min, ctx.cfg.k_max + 1):
-        stats, part = _collectable(params, k, ctx)
+    for k, _, part in _levels(ctx, params):
         chain = _antichain(ctx, "antichain", k, part)
         if chain is None:
             continue
@@ -317,19 +320,16 @@ def cmd_antichain(ctx: _Ctx) -> None:
               f"{'true' if report.ok else 'FALSE'}, mass: "
               f"{'1 (exact)' if report.mass_exact else 'INEXACT'}, "
               f"delta_k <= C1: {'true' if delta_ok else 'FALSE'}")
-    if ctx.cfg.want("csv"):
-        write_csv(ctx.out / "antichain.csv", header, rows)
-    if ctx.cfg.want("json"):
-        write_json(ctx.out / "antichain.json", {"levels": detail})
+    ctx.table("antichain", header, rows, {"levels": detail})
 
 
 def cmd_sequences(ctx: _Ctx) -> None:
-    params = ctx.params()
+    """emit d_k / t_k / s_k tables with error bounds"""
+    params = derive_params(ctx.cfg.spec)
     header = ["k", "phi_k", "xi_min", "xi_max", "d_k", "t_k", "s_k", "s0",
               "bound_dk", "bound_sk", "pass"]
     rows = []
-    for k in range(ctx.cfg.k_min, ctx.cfg.k_max + 1):
-        stats, part = _collectable(params, k, ctx)
+    for k, stats, part in _levels(ctx, params):
         chain = _antichain(ctx, "sequences", k, part)
         point = sequence_point(params, k, stats=stats, antichain=chain)
         ok = point.within_bounds
@@ -345,16 +345,13 @@ def cmd_sequences(ctx: _Ctx) -> None:
         print(f"sequences k={k}: d_k={point.d_k:.9f}{t_txt} "
               f"s_k={point.s_k:.9f} s0={point.s0:.9f} "
               f"{'pass' if ok else 'FAIL'}")
-    if ctx.cfg.want("csv"):
-        write_csv(ctx.out / "sequences.csv", header, rows)
-    if ctx.cfg.want("json"):
-        write_json(ctx.out / "sequences.json", {
-            "levels": [dict(zip(header, row)) for row in rows],
-        })
+    ctx.table("sequences", header, rows,
+              {"levels": [dict(zip(header, row)) for row in rows]})
 
 
 def cmd_quantize(ctx: _Ctx) -> None:
-    params = ctx.params()
+    """Monte Carlo quantization diagnostics"""
+    params = derive_params(ctx.cfg.spec)
     cloud = draw_cloud(params, ctx.cfg.cloud_size, depth=ctx.cfg.depth,
                        seed=ctx.cfg.seed, threads=ctx.threads)
     # The ball check runs first, so its KD-tree over the cloud is gone
@@ -369,8 +366,7 @@ def cmd_quantize(ctx: _Ctx) -> None:
     rows = []
     detail = []
     gap_cap = math.log(math.sqrt(params.spec.n ** 2 + 1))
-    for k in range(ctx.cfg.k_min, ctx.cfg.k_max + 1):
-        stats, part = _collectable(params, k, ctx)
+    for k, _, part in _levels(ctx, params):
         if part is None:
             continue
         diag = r_k_diagnostic(part, cloud, workers=ctx.threads)
@@ -407,20 +403,17 @@ def cmd_quantize(ctx: _Ctx) -> None:
             ctx.fail(command="quantize", check="ball-bound",
                      detail=f"{len(ball.failures)} center/radius pairs "
                             f"exceed the mass bound")
-    if ctx.cfg.want("csv"):
-        write_csv(ctx.out / "quantize.csv", header, rows)
-    if ctx.cfg.want("json"):
-        write_json(ctx.out / "quantize.json", {
-            "levels": detail,
-            "ball": {
-                "skipped": ball.skipped,
-                "reason": ball.reason,
-                "exponent": ball.exponent,
-                "coefficient": ball.coefficient,
-                "max_ratio": ball.max_ratio,
-                "failures": len(ball.failures),
-            },
-        })
+    ctx.table("quantize", header, rows, {
+        "levels": detail,
+        "ball": {
+            "skipped": ball.skipped,
+            "reason": ball.reason,
+            "exponent": ball.exponent,
+            "coefficient": ball.coefficient,
+            "max_ratio": ball.max_ratio,
+            "failures": len(ball.failures),
+        },
+    })
 
 
 def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -449,6 +442,7 @@ def _numbers(path: Path, table, name: str, blank_ok: bool = False) -> list:
 
 
 def cmd_report(ctx: _Ctx) -> None:
+    """render SVG charts from previously written tables"""
     seq_path = ctx.out / "sequences.csv"
     qnt_path = ctx.out / "quantize.csv"
     # A table without rows has nothing to plot, like a missing one.
@@ -484,14 +478,10 @@ def cmd_report(ctx: _Ctx) -> None:
     print(f"report: wrote {', '.join(made)} under {ctx.out}")
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "partition": cmd_partition,
-    "antichain": cmd_antichain,
-    "sequences": cmd_sequences,
-    "quantize": cmd_quantize,
-    "report": cmd_report,
-}
+# Subcommand name -> its function, whose docstring is the help text.
+_COMMANDS = {fn.__name__.removeprefix("cmd_"): fn for fn in (
+    cmd_validate, cmd_partition, cmd_antichain, cmd_sequences, cmd_quantize,
+    cmd_report)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -501,15 +491,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "diagnostics for grid self-affine measures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("validate", "check a carpet description and print derived constants"),
-        ("partition", "tabulate stopping partitions with exact invariants"),
-        ("antichain", "build and certify maximal antichains"),
-        ("sequences", "emit d_k / t_k / s_k tables with error bounds"),
-        ("quantize", "Monte Carlo quantization diagnostics"),
-        ("report", "render SVG charts from previously written tables"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", required=True,
                        help="path to the JSON run config")
         p.add_argument("--out", default="carpetq-out",
@@ -530,27 +513,18 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    if args.cap_words < 1 or args.threads < 1:
-        print(json.dumps({"error": "--cap-words and --threads must be >= 1"}),
-              file=sys.stderr)
-        return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ctx = _Ctx(cfg=cfg, out=out, cap_words=args.cap_words,
-               threads=args.threads, failures=[])
-    try:
+        if args.cap_words < 1 or args.threads < 1:
+            raise ConfigError("--cap-words and --threads must be >= 1")
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        ctx = _Ctx(cfg=cfg, out=out, cap_words=args.cap_words,
+                   threads=args.threads, failures=[])
         _COMMANDS[args.command](ctx)
-    except ConfigError as exc:
+    except (ConfigError, EnumerationCapError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except InvalidSpecError as exc:
         print(json.dumps({"error": f"invalid carpet: {exc}"}), file=sys.stderr)
-        return 2
-    except EnumerationCapError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     if ctx.failures:
         print(json.dumps({"failures": ctx.failures}), file=sys.stderr)

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +21,10 @@ from carpetq.cli import ConfigError, load_config, main
 from carpetq.coding import AntichainCollisionError, AntichainInvariantError
 from carpetq.partition import DisjointnessReport
 from carpetq.report import read_csv
+
+
+_CARPET_D = dict(n=4, m=2, maps=[
+    {"i": 0, "j": 0, "p": "3/4"}, {"i": 2, "j": 1, "p": "1/4"}])
 
 
 def _config(tmp_path, **overrides):
@@ -93,6 +98,18 @@ def test_validate_command_fails_bad_carpet(tmp_path, capsys):
                  str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "separation" in err
+
+
+def test_validate_warns_once(tmp_path):
+    # validate checks the spec and then derives its constants, which
+    # checks it again; the grid-factor warning still comes once.
+    cfg = _config(tmp_path, **_CARPET_D)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", "--config", cfg, "--out",
+                     str(tmp_path / "out")]) == 0
+    grid = [w for w in caught if issubclass(w.category, UserWarning)]
+    assert len(grid) == 1 and "grid factor" in str(grid[0].message)
 
 
 def test_invalid_carpet_other_commands_exit_2(tmp_path, capsys):
@@ -262,15 +279,52 @@ def test_csv_values_round_trip_library(tmp_path, carpet_a):
         assert float(row[header.index("d_k")]) == compute_d_k(carpet_a, k)
 
 
-def test_cap_words_streams_large_levels(tmp_path, capsys):
-    cfg = _config(tmp_path, k_min=3, k_max=3)
+_CAP_NOTE = "level k=3: 1701 words exceed --cap-words 200, aggregates only"
+
+# stdout of each level command on carpet A at k = 2..3 with --cap-words
+# 200: k = 2 (189 words) is collected and k = 3 (1,701) is aggregates only.
+_OVER_CAP_STDOUT = {
+    "partition": [
+        "partition k=2: phi=189 xi=[5,6] pass",
+        _CAP_NOTE,
+        "partition k=3: phi=1701 xi=[7,8] pass",
+    ],
+    "antichain": [
+        "antichain k=2: maximal: true, mass: 1 (exact), delta_k <= C1: true",
+        _CAP_NOTE,
+    ],
+    "sequences": [
+        "sequences k=2: d_k=0.789690082 t_k=0.845486591 s_k=0.862654748 "
+        "s0=0.912713498 pass",
+        _CAP_NOTE,
+        "sequences k=3: d_k=0.859793388 s_k=0.899553472 s0=0.912713498 pass",
+    ],
+    "quantize": [
+        "quantize k=2: e_hat=-6.018387 anchors [-5.981334, -4.730543] "
+        "R_k=-0.275350",
+        _CAP_NOTE,
+        "quantize ball bound: pass (max ratio 0.0016)",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OVER_CAP_STDOUT))
+def test_cap_words_streams_large_levels(tmp_path, capsys, command):
+    cfg = _config(tmp_path, cloud_size=5000)
     out = tmp_path / "out"
-    assert main(["partition", "--config", cfg, "--out", str(out),
+    assert main([command, "--config", cfg, "--out", str(out),
                  "--cap-words", "200"]) == 0
-    text = capsys.readouterr().out
-    assert "exceed --cap-words" in text
-    header, rows = read_csv(out / "partition.csv")
-    assert rows[0][header.index("disjoint")] == "skipped"
+    assert capsys.readouterr().out.splitlines() == _OVER_CAP_STDOUT[command]
+    header, rows = read_csv(out / f"{command}.csv")
+    cells = {row[0]: dict(zip(header, row)) for row in rows}
+    if command in ("antichain", "quantize"):
+        assert list(cells) == ["2"]
+    elif command == "partition":
+        assert [cells[k]["disjoint"] for k in ("2", "3")] == ["true",
+                                                             "skipped"]
+    else:
+        assert list(cells) == ["2", "3"]
+        assert cells["2"]["t_k"] != "" and cells["3"]["t_k"] == ""
 
 
 def test_partition_disjointness_failure_exits_1(tmp_path, capsys,
@@ -389,9 +443,12 @@ def test_check_failure_exits_1(tmp_path, capsys, monkeypatch, command, attr,
 
 
 # sha256 of every table the exact commands write for carpet A at
-# k = 2..4.  The entropy cells hold the bits of three float sums: the
-# partition's per-length sums added with math.fsum, the antichain's
-# correctly rounded total and the stage logs' sums.
+# k = 2..4.  The entropy cells hold the bits of four float sums: the
+# aggregate program's (stopped_statistics), which partition.csv's
+# entropy_sum and sequences.csv's s_k show on every level, collected or
+# not; the collected partition's per-length sums added with math.fsum,
+# which reach only antichain.csv's delta_k; the antichain's correctly
+# rounded total; and the stage logs' sums.
 _FROZEN_DIGESTS = {
     "partition.csv":
         "398885844aa507418acbb6b8e851d25dc403b2d6fc7900dd0878bd76deeea436",
@@ -433,8 +490,7 @@ _FROZEN_DIGESTS_D = {
 
 @pytest.mark.filterwarnings("ignore:grid factor")
 def test_exact_outputs_frozen_carpet_d(tmp_path):
-    cfg = _config(tmp_path, n=4, m=2, k_min=2, k_max=4, maps=[
-        {"i": 0, "j": 0, "p": "3/4"}, {"i": 2, "j": 1, "p": "1/4"}])
+    cfg = _config(tmp_path, k_min=2, k_max=4, **_CARPET_D)
     out = tmp_path / "out"
     assert main(["antichain", "--config", cfg, "--out", str(out)]) == 0
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
@@ -482,8 +538,7 @@ def test_import_leaves_scipy_unloaded():
 @pytest.mark.filterwarnings("ignore:grid factor")
 def test_dp_state_guard_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(partition, "MAX_DP_STATES", 2)
-    cfg = _config(tmp_path, n=4, m=2, k_min=2, k_max=4, maps=[
-        {"i": 0, "j": 0, "p": "3/4"}, {"i": 2, "j": 1, "p": "1/4"}])
+    cfg = _config(tmp_path, k_min=2, k_max=4, **_CARPET_D)
     out = tmp_path / "out"
     assert main(["partition", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -492,17 +547,42 @@ def test_dp_state_guard_exits_2(tmp_path, capsys, monkeypatch):
         "error": "stopped_statistics exceeded 2 states"}
 
 
-def test_benchmark_contract_names_resolve():
-    # The traced benchmark pass wraps these cli attributes by name.
+def _perfbench_worker():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
     spec = importlib.util.spec_from_file_location("perfbench_worker", path)
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)
-    missing = [attr for attr in worker.CLI_LAYER_CALLS
+    return worker
+
+
+def test_benchmark_contract_names_resolve():
+    # The traced benchmark pass wraps these cli attributes by name.
+    missing = [attr for attr in _perfbench_worker().CLI_LAYER_CALLS
                if not hasattr(cli, attr)]
     assert missing == []
     for name in carpetq.__all__:
         getattr(carpetq, name)
+
+
+def test_benchmark_contract_names_are_called(tmp_path, monkeypatch):
+    # The six commands reach every wrapped layer call through its cli
+    # attribute, so the traced pass sees each one.
+    worker = _perfbench_worker()
+    calls = dict.fromkeys(worker.CLI_LAYER_CALLS, 0)
+
+    def counting(attr, real):
+        def call(*args, **kwargs):
+            calls[attr] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for attr in calls:
+        monkeypatch.setattr(cli, attr, counting(attr, getattr(cli, attr)))
+    cfg = _config(tmp_path, cloud_size=5000)
+    out = tmp_path / "out"
+    for command in worker.CLI_COMMANDS:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert [attr for attr, count in calls.items() if count == 0] == []
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
