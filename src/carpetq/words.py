@@ -20,16 +20,17 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .measure import DerivedParams
+from .measure import CarpetSpec, DerivedParams
 
 __all__ = [
     "WordError",
     "ell",
     "entropy_terms",
+    "cut_keys",
     "row_keys",
     "RowIndex",
     "WordColumns",
@@ -62,26 +63,127 @@ def ell(params: DerivedParams, k: int) -> int:
     return _ell_exact(params.n, params.m, k)
 
 
-def row_keys(rows: np.ndarray) -> np.ndarray:
-    """One ``np.void`` key per row of a uint8 matrix.
+_CHUNK = 1 << 12            # rows packed at once: bounds the lookup scratch
+_WORD_BITS = 53             # key bits one float64 dot product packs exactly
 
-    Keys compare as the rows' bytes do, so sorting them sorts the rows
-    by their digits, first column most significant.
+
+@lru_cache(maxsize=None)
+def _digit_ranks(spec: CarpetSpec) -> tuple[np.ndarray, np.ndarray]:
+    # Rank of each cell (i, j) in the sorted digit set G, at i + 256 j,
+    # and of each occupied column j in sorted gy, at j; -1 elsewhere.
+    # Each table ends in a -1 that ``np.take(..., mode="clip")`` returns
+    # for any larger index, so a digit off the grid reads -1 too.  The
+    # ranks keep the digits' byte order.
+    cells = sorted(spec.digits)
+    pair = np.full(256 * (spec.m - 1) + spec.n + 1, -1.0)
+    pair[[i + 256 * j for i, j in cells]] = np.arange(len(cells))
+    cols = sorted({j for _, j in cells})
+    col = np.full(spec.m + 1, -1.0)
+    col[cols] = np.arange(len(cols))
+    return pair, col
+
+
+def _word_weights(radices: list[int]) -> tuple[list[int], list[int], int]:
+    # Mixed-radix digits split, first to last, into key words of at most
+    # _WORD_BITS bits: each digit's word and weight (the product of the
+    # radices after it in its word), and the word count.
+    word_of, word, size = [], 0, 1
+    for radix in radices:
+        if size * radix > 1 << _WORD_BITS:
+            word, size = word + 1, 1
+        word_of.append(word)
+        size *= radix
+    weight = [1] * len(radices)
+    for t in range(len(radices) - 2, -1, -1):
+        if word_of[t] == word_of[t + 1]:
+            weight[t] = weight[t + 1] * radices[t + 1]
+    return word_of, weight, word + 1
+
+
+def cut_keys(params: DerivedParams, rows: np.ndarray, pairs: int,
+             cuts: Sequence[tuple[Sequence[int], int]]
+             ) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """Sort keys of ``rows`` cut down to each of ``cuts``, a chunk at a time.
+
+    ``rows`` is a uint8 matrix whose first ``pairs`` column pairs (i, j)
+    are cells of the carpet's digit set G and whose other columns are
+    occupied column digits.  A cut ``(cols, cut_pairs)`` spells a row
+    from the columns ``cols``, in order: ``cut_pairs`` whole pairs of
+    the row, then lone column digits (a pair's j or a tail digit).  Its
+    key reads that row as a mixed-radix number, first column most
+    significant: a pair is the digit of its rank in sorted G (base
+    |G|), a lone digit that of its rank in sorted gy (base |gy|).  So
+    keys compare as the cut rows' bytes do, at log2 |G| bits a pair and
+    log2 |gy| bits a lone digit.  A cut of at most 53 bits, as every
+    row of every reference level is, gets ``uint64`` keys; a wider one
+    packs into big-endian 64-bit words of up to 53 bits each, a key
+    viewed as their bytes.  A pair outside G, or a lone digit outside gy
+    that a cut reads, raises ``WordError``.
+
+    Yields, for the ``_CHUNK`` rows from row ``lo`` on, ``lo`` and one
+    key array per cut.  A chunk's ranks are looked up once for all cuts.
     """
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    pair_rank, col_rank = _digit_ranks(params.spec)
+    lone = sorted({c for cols, cut_pairs in cuts
+                   for c in cols[2 * cut_pairs:]})
+    at = {c: t for t, c in enumerate(lone)}
+    # Each cut's key words, and per word the weight of every rank.
+    spans, places, words = [], [], 0
+    for cols, cut_pairs in cuts:
+        word_of, weight, count = _word_weights(
+            [len(params.spec.digits)] * cut_pairs
+            + [len(params.gy)] * (len(cols) - 2 * cut_pairs))
+        spans.append((words, words + count))
+        places += [(words + w, cols[2 * t] // 2 if t < cut_pairs
+                    else pairs + at[cols[cut_pairs + t]], wt)
+                   for t, (w, wt) in enumerate(zip(word_of, weight))]
+        words += count
+    weights = np.zeros((words, pairs + len(lone)))
+    for word, place, weight in places:
+        weights[word, place] += weight
+    cell_w, lone_w = weights[:, :pairs].copy(), weights[:, pairs:].copy()
+    for lo in range(0, max(len(rows), 1), _CHUNK):
+        chunk = np.ascontiguousarray(rows[lo:lo + _CHUNK])
+        cells = np.take(pair_rank, chunk[:, :2 * pairs].view("<u2"),
+                        mode="clip")
+        digits = np.take(col_rank, chunk[:, lone], mode="clip")
+        if min(cells.min(initial=0), digits.min(initial=0)) < 0:
+            raise WordError("row digit outside the carpet's cells or "
+                            "occupied columns")
+        # One float64 dot product per key word, exact below 2^53.  Not one
+        # matrix product for all words: OpenBLAS runs that on two threads,
+        # which doubled the CPU time of the lookups on carpet D.
+        packed = np.empty((len(chunk), len(weights)))
+        for w in range(len(weights)):
+            packed[:, w] = cells @ cell_w[w] + digits @ lone_w[w]
+        yield lo, [packed[:, a].astype(np.uint64) if b == a + 1 else
+                   packed[:, a:b].astype(">u8").view(
+                       np.dtype((np.void, 8 * (b - a)))).ravel()
+                   for a, b in spans]
+
+
+def row_keys(params: DerivedParams, rows: np.ndarray,
+             pairs: int) -> np.ndarray:
+    """The ``cut_keys`` of whole rows: ``pairs`` cells, then column digits."""
+    keys = None
+    for lo, (chunk,) in cut_keys(params, rows, pairs,
+                                 [(range(rows.shape[1]), pairs)]):
+        if keys is None:
+            keys = np.empty(len(rows), chunk.dtype)
+        keys[lo:lo + len(chunk)] = chunk
+    return keys
 
 
 class RowIndex:
-    """The rows of one uint8 matrix, sorted once for exact row lookups.
+    """Sort keys of one matrix's rows, sorted once for exact lookups.
 
-    ``order`` is the stable sort of the rows by their bytes: equal rows
-    keep their input order, and the sorted rows come out in
-    ``sorted(bytes)`` order.
+    ``order`` is the stable sort of the rows by their keys: equal rows
+    keep their input order, and with ``row_keys`` the sorted rows come
+    out in ``sorted(bytes)`` order.  Query keys must come from the same
+    layout as the indexed ones.
     """
 
-    def __init__(self, rows: np.ndarray):
-        keys = row_keys(rows)
+    def __init__(self, keys: np.ndarray):
         # Timsort: rows in walk order come in long sorted runs.
         self.order = np.argsort(keys, kind="stable")
         self.keys = keys[self.order]
@@ -110,7 +212,7 @@ class RowIndex:
     def duplicates(self) -> list[tuple[int, int]]:
         """Every pair (a, b), a < b, of equal rows."""
         same = (self.keys[1:] == self.keys[:-1]).view(np.int8)
-        edges = np.diff(np.concatenate(([0], same, [0])))
+        edges = np.diff(same, prepend=np.int8(0), append=np.int8(0))
         pairs = []
         for start, stop in zip(np.flatnonzero(edges == 1).tolist(),
                                (np.flatnonzero(edges == -1) + 1).tolist()):
@@ -188,16 +290,25 @@ class WordColumns:
         A length-h word b matches a word a of length hp < h when b's row
         cut down to ``columns(h, hp)`` equals a's row, and a word of its
         own length when the two rows are equal.  Each length's rows are
-        sorted once; every cut-down row is one binary search.
+        packed once, a chunk at a time, into their own keys and those of
+        their cuts to every shorter length; each length's own keys are
+        sorted once, and every cut-down row is one binary search.
         """
         indexes: dict[int, RowIndex] = {}
         pairs: list[tuple[int, int]] = []
         for h, (rows, _, _) in self.blocks.items():
-            base = self.offsets[h]
-            for hp, shorter in indexes.items():
-                found, anc = shorter.matches(row_keys(rows[:, columns(h, hp)]))
-                pairs.extend(zip((anc + self.offsets[hp]).tolist(),
-                                 (found + base).tolist()))
-            index = indexes[h] = RowIndex(rows)
+            base, l = self.offsets[h], ell(self.params, h)
+            cuts = [(range(rows.shape[1]), l)] + [
+                (columns(h, hp), ell(self.params, hp)) for hp in indexes]
+            keys = None
+            for lo, (own, *cut) in cut_keys(self.params, rows, l, cuts):
+                if keys is None:
+                    keys = np.empty(len(rows), own.dtype)
+                keys[lo:lo + len(own)] = own
+                for (hp, shorter), query in zip(indexes.items(), cut):
+                    found, anc = shorter.matches(query)
+                    pairs.extend(zip((anc + self.offsets[hp]).tolist(),
+                                     (found + base + lo).tolist()))
+            index = indexes[h] = RowIndex(keys)
             pairs.extend((base + a, base + b) for a, b in index.duplicates())
         return tuple(sorted(pairs))

@@ -94,6 +94,11 @@ def cache_d(carpet_d):
     return LevelCache(carpet_d)
 
 
+@pytest.fixture(scope="session")
+def cache_e(carpet_e):
+    return LevelCache(carpet_e)
+
+
 def _tamper(part, drop=(), add=()):
     """``part`` without the words at indices ``drop``, and with each
     (word, mass) of ``add`` appended to the block of its length."""

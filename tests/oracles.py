@@ -16,10 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from carpetq.coding import Antichain, xi_sequence
+from carpetq.coding import (
+    Antichain, AntichainCollisionError, AntichainInvariantError, StageLog,
+    _ancestor_columns, xi_sequence,
+)
 from carpetq.measure import DerivedParams
 from carpetq.quantizer import sample_digit_shards
-from carpetq.words import WordError, ell
+from carpetq.words import WordError, ell, entropy_terms
 
 
 @dataclass(frozen=True)
@@ -347,6 +350,138 @@ def replay_stages(partition):
                 blocks[target][data] = int(nu)
         stages.append(stage)
     return stages, blocks
+
+
+def build_antichain_by_family(partition) -> Antichain:
+    """``build_antichain`` with one pass of the exact checks per family.
+
+    Ancestors are found in sets of row bytes and families by a stable
+    sort of their stem bytes; each family then runs the completeness,
+    factorability, threshold, predecessor and conservation checks and
+    the entropy gap on its own, in sorted family order with walk order
+    inside.  The library runs them once per distinct family signature;
+    this is the loop it must agree with, block for block and bit for bit.
+    """
+    params = partition.params
+    L = params.denom_lcm
+    a, b = params._scaled
+    gx = {j: list(params.gx[j]) for j in params.gy}
+    eta_k = params.eta ** partition.k
+    eta_num_k, eta_den_k = eta_k.numerator, eta_k.denominator
+    blocks = dict(partition.blocks)
+    xi_stages = xi_sequence(partition)
+    stage_logs = []
+    for pos, target in enumerate(xi_stages[1:], start=2):
+        split = 2 * ell(params, target)
+        width = target + split // 2
+        rows, ids, nus = blocks.get(
+            target, (np.empty((0, width), np.uint8), np.empty(0, np.uint8), []))
+        flags = np.zeros(len(ids), dtype=bool)
+        for h in blocks:
+            if h < target:
+                shorter = set(map(bytes, blocks[h][0]))
+                cols = _ancestor_columns(params, target, h)
+                flags |= [bytes(row[cols]) in shorter for row in rows]
+        flagged = np.flatnonzero(flags)
+        if not len(flagged):
+            stage_logs.append(StageLog(
+                stage=pos, target_length=target, family_count=0,
+                removed_count=0, inserted_count=0,
+                removed_mass=Fraction(0), removed_entropy=0.0,
+                inserted_entropy=0.0, max_family_gap=0.0))
+            continue
+        if split == width:
+            raise AntichainInvariantError(
+                "replacement family with an empty tail")
+        stem_cols = [c for c in range(width) if c != split - 2]
+        stems = [bytes(rows[t, stem_cols]) for t in flagged.tolist()]
+        order = sorted(range(len(flagged)), key=stems.__getitem__)
+        fam_rows = rows[flagged[order]]
+        fam_ids = ids[flagged[order]].tolist()
+        stems = [stems[t] for t in order]
+        starts = [t for t in range(len(stems))
+                  if t == 0 or stems[t] != stems[t - 1]]
+        ends = starts[1:] + [len(stems)]
+
+        removed_nu = 0
+        max_gap = 0.0
+        h_scale = L ** target
+        bound = eta_num_k * h_scale
+        table = list(nus)
+        class_of = {nu: c for c, nu in enumerate(table)}
+        terms = entropy_terms(table, target, L)
+        ins_src, ins_x, ins_ids = [], [], []
+        for s, e in zip(starts, ends):
+            xs = fam_rows[s:e, split - 2].tolist()
+            j_l, j_t = int(fam_rows[s, split - 1]), int(fam_rows[s, -1])
+            if sorted(xs) != gx[j_l]:
+                raise AntichainInvariantError(
+                    f"family over column {j_l} is missing siblings")
+            rep_i = min(xs)
+            stem_nu, rem = divmod(table[fam_ids[s + xs.index(rep_i)]],
+                                  a[(rep_i, j_l)] * b[j_t])
+            if rem:
+                raise AntichainInvariantError("family mass not factorable")
+            fam_nu = 0
+            fam_removed_e = 0.0
+            for c in fam_ids[s:e]:
+                fam_nu += table[c]
+                fam_removed_e += terms[c]
+            removed_nu += fam_nu
+            fam_g_nu = 0
+            fam_inserted_e = 0.0
+            for i in gx[j_t]:
+                fa = a[(i, j_t)]
+                nu_g = stem_nu * fa * b[j_l]
+                if nu_g * eta_den_k >= bound:
+                    raise AntichainInvariantError(
+                        "inserted word at or above the stopping threshold")
+                if nu_g // fa * eta_den_k * L < bound:
+                    raise AntichainInvariantError(
+                        "inserted word's predecessor below the threshold")
+                fam_g_nu += nu_g
+                c = class_of.setdefault(nu_g, len(table))
+                if c == len(table):
+                    table.append(nu_g)
+                    terms += entropy_terms([nu_g], target, L)
+                fam_inserted_e += terms[c]
+                ins_src.append(s)
+                ins_x.append(i)
+                ins_ids.append(c)
+            if fam_g_nu != fam_nu:
+                raise AntichainInvariantError("family mass not conserved")
+            gap = abs(fam_inserted_e - fam_removed_e) / (fam_nu / h_scale)
+            max_gap = max(max_gap, gap)
+
+        inserted = fam_rows[ins_src]
+        j_l_col = inserted[:, split - 1].copy()
+        inserted[:, split - 2] = ins_x
+        inserted[:, split - 1] = inserted[:, -1]
+        inserted[:, -1] = j_l_col
+        keep = np.flatnonzero(~flags)
+        survivors = set(map(bytes, rows[keep]))
+        new = list(map(bytes, inserted))
+        if len(set(new)) < len(new) or survivors.intersection(new):
+            raise AntichainCollisionError(
+                f"replacement collision at length {target}")
+        blocks[target] = (
+            np.concatenate([rows[keep], inserted]),
+            np.append(ids[keep], ins_ids).astype(
+                np.min_scalar_type(len(table))),
+            table)
+        stage_logs.append(StageLog(
+            stage=pos,
+            target_length=target,
+            family_count=len(starts),
+            removed_count=len(flagged),
+            inserted_count=len(ins_ids),
+            removed_mass=Fraction(removed_nu, h_scale),
+            removed_entropy=math.fsum(map(terms.__getitem__, fam_ids)),
+            inserted_entropy=math.fsum(map(terms.__getitem__, ins_ids)),
+            max_family_gap=max_gap,
+        ))
+    return Antichain(partition, blocks, xi_stages=xi_stages,
+                     stage_logs=tuple(stage_logs))
 
 
 def check_phi_growth(earlier, later) -> bool:

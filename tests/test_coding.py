@@ -3,6 +3,7 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,10 +14,10 @@ from carpetq.coding import (
 )
 from carpetq.words import WordError, ell
 from oracles import (
-    CarpetWord, carpet_children, coding_predecessor, comparable,
-    flat_predecessor, is_descendant, make_word, naive_comparable_pairs,
-    raw_coding_antichain, replay_stages, store_rows, swap_tail, word_at,
-    word_mass, words,
+    CarpetWord, build_antichain_by_family, carpet_children,
+    coding_predecessor, comparable, flat_predecessor, is_descendant,
+    make_word, naive_comparable_pairs, raw_coding_antichain, replay_stages,
+    store_rows, swap_tail, word_at, word_mass, words,
 )
 
 
@@ -225,6 +226,32 @@ def test_stage_logs_frozen(request, carpet, k):
         == STAGE_LOG_DIGESTS[carpet, k]
 
 
+def _log_fields(log):
+    # A stage log with its floats as float.hex: equal means bit-identical.
+    return [v.hex() if isinstance(v, float) else v
+            for v in vars(log).values()]
+
+
+@pytest.mark.parametrize("carpet,k", [("a", 2), ("a", 3), ("a", 4), ("a", 5),
+                                      ("d", 2), ("d", 3), ("d", 4),
+                                      ("e", 2), ("e", 3), ("e", 4)])
+def test_family_pass_matches_per_family_oracle(request, carpet, k):
+    # One run of the checks per family signature builds what one run per
+    # family builds: the same rows, ids and mass tables, and stage logs
+    # equal to the last bit.
+    cache = request.getfixturevalue(f"cache_{carpet}")
+    chain = cache.antichain(k)
+    oracle = build_antichain_by_family(cache.partition(k))
+    assert list(chain.blocks) == list(oracle.blocks)
+    for h, (rows, ids, nus) in chain.blocks.items():
+        o_rows, o_ids, o_nus = oracle.blocks[h]
+        assert rows.dtype == o_rows.dtype and np.array_equal(rows, o_rows)
+        assert ids.dtype == o_ids.dtype and np.array_equal(ids, o_ids)
+        assert nus == o_nus
+    assert [_log_fields(log) for log in chain.stage_logs] \
+        == [_log_fields(log) for log in oracle.stage_logs]
+
+
 def test_stage_replay_matches_build(cache_a, cache_d):
     # The word-level replay of every stage builds the same blocks, with
     # the logged family and word counts and removed mass.
@@ -280,30 +307,75 @@ def _stage_family(part, siblings):
     return removed, inserted, index
 
 
-@pytest.mark.parametrize("case,message", [
-    ("drop-sibling", "family over column 2 is missing siblings"),
-    ("inflate-rep", "inserted word at or above the stopping threshold"),
-    ("shrink-rep", "inserted word's predecessor below the threshold"),
-    ("double-sibling", "family mass not conserved"),
-])
-def test_build_rejects_tampered_family(cache_a, tamper, case, message):
-    # A two-sibling family of carpet A's k = 2 stage, with one word
-    # dropped or one mass changed.
-    params = cache_a.params
-    part = cache_a.partition(2)
-    removed, _, index = _stage_family(part, siblings=2)
+def _tampered_family(params, removed, case):
+    """(word to drop, (word, mass) to add) that makes a two-sibling family
+    fail as ``case`` names."""
     rep, other = sorted(removed, key=lambda w: w.pairs[-1][0])
     (i, j_l), j_t = rep.pairs[-1], rep.tail[-1]
     # The least mass the family can factor: its stem's scaled mass is 1.
     least = (params.prob(i, j_l) * params.q[j_t]
              / params.denom_lcm ** (len(rep) - 2))
-    drop, add = {
+    return {
         "drop-sibling": (other, []),
         "inflate-rep": (rep, [(rep, 1000 * word_mass(params, rep))]),
         "shrink-rep": (rep, [(rep, least)]),
         "double-sibling": (other, [(other, 2 * word_mass(params, other))]),
     }[case]
+
+
+TAMPER_MESSAGES = {
+    "drop-sibling": "family over column 2 is missing siblings",
+    "inflate-rep": "inserted word at or above the stopping threshold",
+    "shrink-rep": "inserted word's predecessor below the threshold",
+    "double-sibling": "family mass not conserved",
+}
+
+
+@pytest.mark.parametrize("case,message", TAMPER_MESSAGES.items())
+def test_build_rejects_tampered_family(cache_a, tamper, case, message):
+    # A two-sibling family of carpet A's k = 2 stage, with one word
+    # dropped or one mass changed.
+    part = cache_a.partition(2)
+    removed, _, index = _stage_family(part, siblings=2)
+    drop, add = _tampered_family(cache_a.params, removed, case)
     with pytest.raises(AntichainInvariantError, match=message):
+        build_antichain(tamper(part, drop=[index[drop]], add=add))
+
+
+@pytest.mark.parametrize("first,last", [("drop-sibling", "inflate-rep"),
+                                        ("inflate-rep", "drop-sibling")])
+def test_build_rejects_first_failing_family(cache_a, tamper, first, last):
+    # The first and last families of carpet A's k = 2 stage fail in two
+    # ways, so their signatures differ; the family first in sorted order
+    # decides the message, whichever way it fails.
+    params = cache_a.params
+    part = cache_a.partition(2)
+    (families,) = replay_stages(part)[0]
+    index = {w: idx for idx, (w, _) in enumerate(words(part))}
+    drops, adds = [], []
+    for (removed, _), case in ((families[0], first), (families[-1], last)):
+        drop, add = _tampered_family(params, removed, case)
+        drops.append(index[drop])
+        adds.extend(add)
+    with pytest.raises(AntichainInvariantError,
+                       match=TAMPER_MESSAGES[first]):
+        build_antichain(tamper(part, drop=drops, add=adds))
+
+
+@pytest.mark.parametrize("case", ["inflate-rep", "shrink-rep",
+                                  "double-sibling"])
+def test_build_rejects_late_family(cache_a, tamper, case):
+    # Only the last family of carpet A's k = 2 stage gets a wrong mass,
+    # so it fails after every family before it has passed.  With the
+    # other sibling's mass doubled, its members' x digits come in the
+    # same order as theirs, and only its mass classes tell its signature
+    # apart.
+    part = cache_a.partition(2)
+    (families,) = replay_stages(part)[0]
+    index = {w: idx for idx, (w, _) in enumerate(words(part))}
+    drop, add = _tampered_family(cache_a.params, families[-1][0], case)
+    with pytest.raises(AntichainInvariantError,
+                       match=TAMPER_MESSAGES[case]):
         build_antichain(tamper(part, drop=[index[drop]], add=add))
 
 

@@ -7,11 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carpetq.words import WordColumns, WordError, ell
+from carpetq import words as words_mod
+from carpetq.coding import (
+    _ancestor_columns, build_antichain, verify_maximal_antichain,
+)
+from carpetq.partition import (
+    _overlap_columns, check_square_disjointness, enumerate_lambda_k,
+)
+from carpetq.words import (
+    RowIndex, WordColumns, WordError, cut_keys, ell, row_keys,
+)
 from oracles import (
     CarpetWord, carpet_children, decode_word, encode_word, flat_predecessor,
-    make_word, mass_at, square_geometry, word_at, word_from_digits,
-    word_mass,
+    make_word, mass_at, raw_coding_antichain, square_geometry, store_rows,
+    word_at, word_from_digits, word_mass,
 )
 
 
@@ -202,3 +211,151 @@ def test_random_descent_round_trips(carpet_a, carpet_c, carpet_d, steps, pick):
     assert w in carpet_children(params, pred)
     ratio = word_mass(params, w) / word_mass(params, pred)
     assert params.eta <= ratio <= params.q_max
+
+
+def _random_rows(params, pairs, lone, picks):
+    # One uint8 row per pick: ``pairs`` cells of G, then ``lone`` occupied
+    # column digits, each chosen by an index into its sorted set.
+    cells, cols = sorted(params.spec.digits), list(params.gy)
+    out = np.empty((len(picks), 2 * pairs + lone), dtype=np.uint8)
+    for t, pick in enumerate(picks):
+        for c in range(pairs):
+            out[t, 2 * c:2 * c + 2] = cells[pick[c] % len(cells)]
+        for c in range(lone):
+            out[t, 2 * pairs + c] = cols[pick[pairs + c] % len(cols)]
+    return out
+
+
+def _mixed_radix(params, row, pairs):
+    # The key's integer by definition: ranks in sorted G, then in gy.
+    cells, cols = sorted(params.spec.digits), list(params.gy)
+    value = 0
+    for c in range(pairs):
+        value = value * len(cells) + cells.index(tuple(row[2 * c:2 * c + 2]))
+    for j in row[2 * pairs:]:
+        value = value * len(cols) + cols.index(j)
+    return value
+
+
+def _oracle_index(rows):
+    # Row bytes -> the indices of the rows that spell them, ascending.
+    index = {}
+    for t, row in enumerate(rows):
+        index.setdefault(row.tobytes(), []).append(t)
+    return index
+
+
+@settings(max_examples=60, deadline=None)
+@given(pick=st.integers(0, 2),
+       layout=st.sampled_from(["full", "stem", "wide"]),
+       h=st.integers(2, 12), extra=st.integers(0, 3),
+       pool=st.lists(st.lists(st.integers(0, 255), min_size=80, max_size=80),
+                     min_size=1, max_size=6),
+       draws=st.lists(st.integers(0, 5), min_size=1, max_size=30))
+def test_row_keys_sort_and_look_up_as_bytes(carpet_a, carpet_d, carpet_e,
+                                             pick, layout, h, extra, pool,
+                                             draws):
+    # Rows drawn with repeats from a small pool, in the layout of a whole
+    # word, of a family stem (one pair fewer, its column digit kept) or
+    # wider than 64 bits.
+    params = (carpet_a, carpet_d, carpet_e)[pick]
+    l = ell(params, h)
+    pairs, lone = {
+        "full": (l, h - l),
+        "stem": (l - 1, h - l + 1),
+        "wide": (64 // int(np.log2(len(params.spec.digits))) + 1 + extra,
+                 extra),
+    }[layout]
+    rows = _random_rows(params, pairs, lone,
+                        [pool[d % len(pool)] for d in draws])
+    keys = row_keys(params, rows, pairs)
+    if layout == "wide":
+        assert keys.dtype.kind == "V" and keys.dtype.itemsize in (16, 24)
+    else:
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [_mixed_radix(params, row, pairs)
+                                 for row in rows]
+    assert np.argsort(keys, kind="stable").tolist() \
+        == sorted(range(len(rows)), key=lambda t: rows[t].tobytes())
+
+    index, oracle = RowIndex(keys), _oracle_index(rows)
+    assert sorted(index.duplicates()) == sorted(
+        (a, b) for run in oracle.values()
+        for x, a in enumerate(run) for b in run[x + 1:])
+    # Queries: a fresh row set of the same layout.
+    queries = _random_rows(params, pairs, lone,
+                           [pool[(d + 1) % len(pool)] for d in draws])
+    query_keys = row_keys(params, queries, pairs)
+    hits = [oracle.get(q.tobytes(), []) for q in queries]
+    assert index.contains(query_keys).tolist() == [bool(r) for r in hits]
+    found, at = index.matches(query_keys)
+    assert list(zip(found.tolist(), at.tolist())) \
+        == [(q, t) for q, run in enumerate(hits) for t in run]
+
+    # One digit outside its set: a cell off G, or a column off gy, inside
+    # the grid (1) or past it (255).
+    bad = rows.copy()
+    col = draws[0] % bad.shape[1]
+    off = 1 if 1 not in params.gy else 255
+    if col < 2 * pairs:
+        bad[0, col - col % 2:col - col % 2 + 2] = (off, off)
+    else:
+        bad[0, col] = off
+    with pytest.raises(WordError):
+        row_keys(params, bad, pairs)
+    bad[0] = 255
+    with pytest.raises(WordError):
+        row_keys(params, bad, pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pick=st.integers(0, 2), h=st.integers(3, 12), cut=st.integers(1, 11),
+       pool=st.lists(st.lists(st.integers(0, 255), min_size=30, max_size=30),
+                     min_size=1, max_size=5),
+       draws=st.lists(st.integers(0, 4), min_size=1, max_size=20))
+def test_cut_keys_look_up_as_bytes(carpet_a, carpet_d, carpet_e, pick, h, cut,
+                                   pool, draws):
+    # Longer rows cut down to their blockwise ancestor and to their
+    # overlap candidate at a shorter length, packed in one pass, and
+    # looked up among rows of that length.  Every other indexed row is a
+    # cut of a query row, so hits occur.
+    params = (carpet_a, carpet_d, carpet_e)[pick]
+    hp = 1 + cut % (h - 1)
+    l, lp = ell(params, h), ell(params, hp)
+    longer = _random_rows(params, l, h - l,
+                          [pool[d % len(pool)] for d in draws])
+    cuts = [(_ancestor_columns(params, h, hp), lp),
+            (_overlap_columns(params, h, hp), lp)]
+    [(_, queries)] = cut_keys(params, longer, l, cuts)
+    for (cols, _), keys in zip(cuts, queries):
+        short = _random_rows(params, lp, hp - lp,
+                             [pool[(d + 1) % len(pool)] for d in draws])
+        short[::2] = longer[::2][:, cols]
+        index = RowIndex(row_keys(params, short, lp))
+        oracle = _oracle_index(short)
+        assert keys.tolist() == row_keys(params, longer[:, cols], lp).tolist()
+        hits = [oracle.get(q[cols].tobytes(), []) for q in longer]
+        assert index.contains(keys).tolist() == [bool(r) for r in hits]
+        found, at = index.matches(keys)
+        assert list(zip(found.tolist(), at.tolist())) \
+            == [(q, t) for q, run in enumerate(hits) for t in run]
+
+
+@pytest.mark.parametrize("carpet,k", [("a", 2), ("a", 3), ("d", 2)])
+def test_lookup_chunks_change_nothing(request, monkeypatch, carpet, k):
+    # Five rows a chunk: every packing and lookup spans several chunks.
+    # The raw antichain has comparable pairs, so matches are found in
+    # many chunks.
+    params = request.getfixturevalue(f"carpet_{carpet}")
+    part = enumerate_lambda_k(params, k)
+
+    def run():
+        chain = build_antichain(part)
+        return (check_square_disjointness(part), store_rows(chain),
+                chain.stage_logs, verify_maximal_antichain(chain),
+                verify_maximal_antichain(raw_coding_antichain(part)))
+
+    whole = run()
+    monkeypatch.setattr(words_mod, "_CHUNK", 5)
+    assert run() == whole
+    assert whole[-1].comparable_pairs
