@@ -74,6 +74,11 @@ class RunConfig:
         return kind in self.outputs
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bools, which Python counts as ints.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_int(raw: dict, key: str, default: Optional[int],
                  minimum: int) -> int:
     if key not in raw:
@@ -81,7 +86,7 @@ def _require_int(raw: dict, key: str, default: Optional[int],
             raise ConfigError(f"config is missing required key {key!r}")
         return default
     value = raw[key]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ConfigError(f"config key {key!r} must be an integer, "
                           f"got {value!r}")
     if value < minimum:
@@ -114,8 +119,8 @@ def load_config(path) -> RunConfig:
     for entry in maps:
         if (not isinstance(entry, dict)
                 or set(entry) != {"i", "j", "p"}
-                or not isinstance(entry["i"], int)
-                or not isinstance(entry["j"], int)
+                or not _is_int(entry["i"])
+                or not _is_int(entry["j"])
                 or not isinstance(entry["p"], str)):
             raise ConfigError(
                 "each map must be {\"i\": int, \"j\": int, \"p\": \"num/den\"},"

@@ -49,23 +49,15 @@ class AntichainCollisionError(AntichainInvariantError):
 def xi_sequence(partition) -> tuple[int, ...]:
     """The ladder of lengths at which the pair block grows.
 
-    Starts at the shortest word length; each later entry is the first
-    length in the window with one more pair than its predecessor.  The
-    entry count always equals the pair-count spread plus one.
+    Starts at the shortest word length; each later entry is a length in
+    the window with one more pair than its predecessor.  Since n >= m,
+    the pair count grows by at most one per length, so the entry count
+    is the pair-count spread plus one.
     """
     params = partition.params
     lo, hi = partition.xi_min, partition.xi_max
-    seq = [lo]
-    cur = lo
-    while ell(params, cur) < ell(params, hi):
-        h = cur + 1
-        while ell(params, h) != ell(params, cur) + 1:
-            h += 1
-        seq.append(h)
-        cur = h
-    if len(seq) != ell(params, hi) - ell(params, lo) + 1:
-        raise AntichainInvariantError("length ladder miscounted")
-    return tuple(seq)
+    return (lo,) + tuple(h for h in range(lo + 1, hi + 1)
+                         if ell(params, h) > ell(params, h - 1))
 
 
 @dataclass(frozen=True)
@@ -107,7 +99,6 @@ class Antichain(WordColumns):
             sum(self.length_entropy_sums.values(), Fraction(0)))
         self.base_size = partition.phi_k
         self.base_entropy_sum = partition.entropy_sum
-        self.base_mass_len_total = partition.mass_len_total
         self.stage_logs = stage_logs
 
 
@@ -349,14 +340,11 @@ def build_antichain(partition) -> Antichain:
 class AntichainReport:
     """Maximality certificate: exact mass plus pairwise incomparability."""
 
-    k: int
     size: int
     mass_total: Fraction
     mass_exact: bool
     comparable_pairs: tuple[tuple[int, int], ...]
     below_threshold: bool     # every mass < eta^k
-    l_min: int
-    l_max: int
 
     @property
     def ok(self) -> bool:
@@ -393,12 +381,9 @@ def verify_maximal_antichain(antichain: Antichain) -> AntichainReport:
     violations = antichain.matching_pairs(
         lambda h, hp: _ancestor_columns(params, h, hp))
     return AntichainReport(
-        k=antichain.k,
         size=antichain.size,
         mass_total=mass_total,
         mass_exact=mass_total == 1,
         comparable_pairs=violations,
         below_threshold=below,
-        l_min=antichain.l_min,
-        l_max=antichain.l_max,
     )

@@ -212,15 +212,9 @@ class DerivedParams:
     s0: float                 # Hausdorff dimension of the measure
     entropy_p: float          # sum p log(1/p)
     entropy_q: float          # sum q log(1/q)
-    c0: float                 # -2 q_max^2 log p_min
-    c1: float                 # q_min^{-2} c0, per-stage entropy budget
-    delta: float              # (n^2+1)^{-1/2}
-    a1: int                   # floor(16/delta + 5)^2, covering count
-    a2: int                   # floor(16/delta + 3)^2, covering count
-    d0: float                 # 4 pi (n^2+1)
+    c1: float                 # -2 q_max^2 log p_min / q_min^2, per-stage
+                              # entropy budget
     ball_exponent: float      # -log q_max / log m (0 when q_max = 1)
-    eps0: float               # sqrt(n^2+1) / m
-    d_ball: float
     c_ball: float
 
     @property
@@ -281,7 +275,6 @@ def derive_params(spec: CarpetSpec) -> DerivedParams:
     d_ball = d0 * q_max_f ** ((math.log(root) - log_m) / log_m)
     c_ball = 2.0 ** ball_exponent * max(d_ball, eps0 ** (-ball_exponent))
 
-    delta = 1.0 / root
     c0 = -2.0 * q_max_f * q_max_f * math.log(float(p_min))
 
     return DerivedParams(
@@ -300,14 +293,7 @@ def derive_params(spec: CarpetSpec) -> DerivedParams:
         s0=s0,
         entropy_p=-sum_p_log,
         entropy_q=-sum_q_log,
-        c0=c0,
         c1=c0 / float(q_min) ** 2,
-        delta=delta,
-        a1=int(16.0 / delta + 5.0) ** 2,
-        a2=int(16.0 / delta + 3.0) ** 2,
-        d0=d0,
         ball_exponent=ball_exponent,
-        eps0=eps0,
-        d_ball=d_ball,
         c_ball=c_ball,
     )

@@ -104,7 +104,6 @@ class PartitionLambdaK(WordColumns):
     def __init__(self, params: DerivedParams, k: int, blocks: dict):
         super().__init__(params, blocks)
         self.k = k
-        self.eta_k: Fraction = params.eta ** k
         self.phi_k, self.xi_min, self.xi_max = self.size, self.l_min, self.l_max
         self.entropy_sum = math.fsum(map(float,
                                          self.length_entropy_sums.values()))
@@ -234,7 +233,6 @@ class StoppedStats:
 
     params: DerivedParams
     k: int
-    eta_k: Fraction
     phi_k: int
     xi_min: int
     xi_max: int
@@ -344,7 +342,6 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
     return StoppedStats(
         params=params,
         k=k,
-        eta_k=eta_k,
         phi_k=phi,
         xi_min=xi_min,
         xi_max=xi_max,

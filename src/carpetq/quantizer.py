@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "BallBoundReport",
     "DISTANCE_FLOOR",
     "uniform_digits",
-    "sample_digit_shards",
     "draw_cloud",
     "lambda_codebook",
     "nearest_distances",
@@ -58,7 +56,6 @@ class SampleCloud:
 
     points: np.ndarray        # (size, 2) float64 in [0,1]^2
     seed: int
-    depth: int
 
     @property
     def size(self) -> int:
@@ -112,35 +109,6 @@ def uniform_digits(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     return digits
 
 
-def sample_digit_shards(
-    params: DerivedParams, count: int, depth: int, seed: int,
-    consume: Callable[[int, int, np.ndarray], None], threads: int = 1,
-) -> None:
-    """Draw i.i.d. digit indices for rows 0..count and hand them over in
-    fixed row blocks: ``consume(lo, hi, digits)`` receives the uint8
-    ``digits`` of rows lo..hi, shape (hi - lo, depth).
-
-    Each block has its own generator seeded by (seed, block), so the
-    digits are byte-identical for any thread count; with threads > 1,
-    ``consume`` runs concurrently on disjoint row ranges.
-    """
-    cum = np.cumsum([float(w) for w in params.spec.weights])
-    shards = [(s, lo, min(lo + _SHARD_ROWS, count))
-              for s, lo in enumerate(range(0, count, _SHARD_ROWS))]
-
-    def fill(shard):
-        s, lo, hi = shard
-        u = np.random.default_rng([int(seed), s]).random((hi - lo, depth))
-        consume(lo, hi, uniform_digits(u, cum))
-
-    if threads <= 1 or len(shards) <= 1:
-        for shard in shards:
-            fill(shard)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, shards))
-
-
 def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
                seed: int = 0x5EED, threads: int = 1) -> SampleCloud:
     """Sample points by truncated digit series.
@@ -154,26 +122,40 @@ def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
     m = 2 carpet: the 4x2 carpet with weights 3/4 | 1/4 has cells 2^-39
     high at k = 4 and 2^-49 at k = 5.  There a truncated point can land
     exactly on a centre, and its floored distance biases the estimate.
+
+    Rows are drawn in fixed blocks, each with its own generator seeded
+    by (seed, block), so the cloud is byte-identical for any thread
+    count; with threads > 1, blocks run concurrently.  Each block
+    becomes points as soon as it is drawn, so the (size, depth) digit
+    matrix never exists.
     """
     if size < 1:
         raise ValueError(f"need size >= 1, got {size}")
     if depth < 20:
         raise ValueError(f"need depth >= 20, got {depth}")
     digits = params.spec.digits
+    cum = np.cumsum([float(w) for w in params.spec.weights])
     xi = np.array([i for i, _ in digits], dtype=np.float64)
     yj = np.array([j for _, j in digits], dtype=np.float64)
     xw = np.power(float(params.n), -np.arange(1, depth + 1, dtype=np.float64))
     yw = np.power(float(params.m), -np.arange(1, depth + 1, dtype=np.float64))
     pts = np.empty((size, 2), dtype=np.float64)
 
-    def place(lo, hi, block):
-        pts[lo:hi, 0] = xi[block] @ xw
-        pts[lo:hi, 1] = yj[block] @ yw
+    def fill(lo: int) -> None:
+        hi = min(lo + _SHARD_ROWS, size)
+        rng = np.random.default_rng([int(seed), lo // _SHARD_ROWS])
+        idx = uniform_digits(rng.random((hi - lo, depth)), cum)
+        pts[lo:hi, 0] = xi[idx] @ xw
+        pts[lo:hi, 1] = yj[idx] @ yw
 
-    # Each digit block becomes points as soon as it is drawn, so the
-    # (size, depth) digit matrix never exists.
-    sample_digit_shards(params, size, depth, seed, place, threads=threads)
-    return SampleCloud(points=pts, seed=seed, depth=depth)
+    starts = range(0, size, _SHARD_ROWS)
+    if threads <= 1 or len(starts) <= 1:
+        for lo in starts:
+            fill(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, starts))
+    return SampleCloud(points=pts, seed=seed)
 
 
 def lambda_codebook(partition: PartitionLambdaK) -> Codebook:
@@ -213,7 +195,6 @@ class DistortionEstimate:
     estimate: float
     stderr: float
     floored: int              # samples clamped at the distance floor
-    count: int
     unreached: int            # samples with no code point within the reach
 
 
@@ -264,7 +245,6 @@ def log_distortion(cloud: SampleCloud, codebook: Codebook,
         estimate=est,
         stderr=sd / math.sqrt(cloud.size),
         floored=floored,
-        count=cloud.size,
         unreached=unreached,
     )
 
@@ -344,8 +324,6 @@ class BallBoundReport:
     reason: str
     exponent: float
     coefficient: float
-    centers: int
-    radii: tuple[float, ...]
     failures: tuple[tuple[int, float, float, float], ...]
     max_ratio: float          # worst observed mass / threshold
 
@@ -370,7 +348,7 @@ def ball_bound_check(params: DerivedParams, cloud: SampleCloud,
             skipped=True,
             reason="a full-mass column makes the ball exponent zero",
             exponent=0.0, coefficient=params.c_ball,
-            centers=0, radii=radii, failures=(), max_ratio=0.0)
+            failures=(), max_ratio=0.0)
     if centers < 1 or centers > cloud.size:
         raise ValueError("centers must be in [1, cloud size]")
     t = params.ball_exponent
@@ -381,7 +359,7 @@ def ball_bound_check(params: DerivedParams, cloud: SampleCloud,
     pivots = cloud.points[:centers]
     failures = []
     max_ratio = 0.0
-    for r_idx, eps in enumerate(radii):
+    for eps in radii:
         counts = tree.query_ball_point(
             pivots, r=eps, return_length=True, workers=workers)
         frac = np.asarray(counts, dtype=np.float64) / n_pts
@@ -399,8 +377,6 @@ def ball_bound_check(params: DerivedParams, cloud: SampleCloud,
         reason="",
         exponent=t,
         coefficient=c,
-        centers=centers,
-        radii=radii,
         failures=tuple(failures),
         max_ratio=max_ratio,
     )

@@ -16,7 +16,6 @@ from typing import Optional
 
 from .coding import Antichain
 from .measure import DerivedParams
-from .partition import stopped_statistics
 from .words import ell
 
 
@@ -124,17 +123,14 @@ class SequencePoint:
 
 
 def sequence_point(params: DerivedParams, k: int, *,
-                   stats=None, antichain: Optional[Antichain] = None
+                   stats, antichain: Optional[Antichain] = None
                    ) -> SequencePoint:
     """Assemble the convergence row for level k.
 
-    ``stats`` may be a collected partition or memoized aggregates; when
-    omitted the aggregates are computed here.  ``t_k`` is filled only
-    when an antichain is supplied, since building one requires the
-    collected word list.
+    ``stats`` may be a collected partition or its aggregates from
+    ``stopped_statistics``.  ``t_k`` is filled only when an antichain is
+    supplied, since building one requires the collected word list.
     """
-    if stats is None:
-        stats = stopped_statistics(params, k)
     if stats.k != k:
         raise ValueError(f"stats are for level {stats.k}, not {k}")
     t_k = None

@@ -21,7 +21,7 @@ from carpetq.coding import (
     _ancestor_columns, xi_sequence,
 )
 from carpetq.measure import DerivedParams
-from carpetq.quantizer import sample_digit_shards
+from carpetq.quantizer import _SHARD_ROWS, uniform_digits
 from carpetq.words import WordError, ell, entropy_terms
 
 
@@ -496,13 +496,14 @@ def check_phi_growth(earlier, later) -> bool:
 # -- sampling ------------------------------------------------------------------
 
 def sample_digit_matrix(params: DerivedParams, count: int, depth: int,
-                        seed: int, threads: int = 1) -> np.ndarray:
-    """The digit-index matrix of shape (count, depth) that
-    ``sample_digit_shards`` draws, in one array."""
+                        seed: int) -> np.ndarray:
+    """The digit-index matrix of shape (count, depth) that ``draw_cloud``
+    turns into points, in one array: rows in blocks of ``_SHARD_ROWS``,
+    block b drawn by the generator seeded by (seed, b)."""
+    cum = np.cumsum([float(w) for w in params.spec.weights])
     out = np.empty((count, depth), dtype=np.uint8)
-
-    def store(lo, hi, digits):
-        out[lo:hi] = digits
-
-    sample_digit_shards(params, count, depth, seed, store, threads=threads)
+    for block, lo in enumerate(range(0, count, _SHARD_ROWS)):
+        hi = min(lo + _SHARD_ROWS, count)
+        u = np.random.default_rng([int(seed), block]).random((hi - lo, depth))
+        out[lo:hi] = uniform_digits(u, cum)
     return out

@@ -156,7 +156,7 @@ def test_criterion_4_antichain_certification(carpet_a, parts_a, chains_a):
         assert report.ok                      # incomparable, mass 1 exact
         assert report.mass_exact
         assert chain.mass_total == 1
-        assert chain.mass_len_total == chain.base_mass_len_total
+        assert chain.mass_len_total == parts_a[k].mass_len_total
         assert report.below_threshold
         # The stages replayed word by word build the same antichain.
         stages, blocks = replay_stages(parts_a[k])

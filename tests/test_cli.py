@@ -81,6 +81,18 @@ def test_load_config_duplicate_cell(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("maps", [
+    [{"i": False, "j": 0, "p": "1/2"}, {"i": 2, "j": 2, "p": "1/2"}],
+    [{"i": 0, "j": 0, "p": "1/2"}, {"i": 2, "j": True, "p": "1/2"}],
+])
+def test_validate_rejects_boolean_map_digits(tmp_path, capsys, maps):
+    # As ints, false and true would be the valid cells (0, 0) and (2, 1).
+    cfg = _config(tmp_path, maps=maps)
+    assert main(["validate", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "each map must be" in capsys.readouterr().err
+
+
 def test_validate_command(tmp_path, capsys):
     cfg = _config(tmp_path)
     out = tmp_path / "out"
@@ -410,8 +422,13 @@ def _short_reach(real):
 
 # (command, cli attribute, wrapper for it, check that must fail)
 _FAULTS = [
+    ("partition", "partition_stats", _replacing(mass_exact=False), "mass"),
     ("partition", "partition_stats", _replacing(phi_window_ok=False),
      "phi-window"),
+    ("partition", "partition_stats", _replacing(xi_window_ok=False),
+     "xi-window"),
+    ("partition", "partition_stats", _replacing(ratio_bounds_ok=False),
+     "ratio-bounds"),
     ("antichain", "delta_k", lambda real: lambda chain: 1e6, "delta-bound"),
     ("sequences", "sequence_point", _replacing(s_k=100.0), "bounds"),
     ("quantize", "r_k_diagnostic", _replacing(e_hat_est=10.0),

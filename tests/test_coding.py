@@ -169,7 +169,7 @@ def test_antichain_exact_mass_and_identity(cache_a, cache_d):
         total = sum((m for _, m in words(chain)), Fraction(0))
         assert total == 1
         # Length-weighted mass is preserved exactly by every swap.
-        assert chain.mass_len_total == chain.base_mass_len_total
+        assert chain.mass_len_total == cache.partition(k).mass_len_total
 
 
 def test_antichain_incomparability_naive(cache_a, carpet_a):

@@ -20,11 +20,7 @@ HP_A = 1.098612288668109691395          # log 3
 HQ_A = 0.636514168294812818450
 C1_A = 8.788898309344877531162          # 8 log 3
 BALL_T_A = 0.369070246428542562901
-EPS0_A = 1.374368541872553516607        # sqrt(17)/3
-D0_A = 213.628300444105940216           # 68 pi
-D_BALL_A = 189.971740254558333647
 C_BALL_A = 245.352346489682156649
-DELTA_A = 0.242535625036332973519       # 1/sqrt(17)
 S0_C = 0.630929753571457437100          # log 2 / log 3
 S0_D = 0.811278124459132863910
 
@@ -38,13 +34,7 @@ def test_carpet_a_constants(carpet_a):
     assert p.entropy_q == pytest.approx(HQ_A, abs=1e-14)
     assert p.c1 == pytest.approx(C1_A, abs=1e-12)
     assert p.ball_exponent == pytest.approx(BALL_T_A, abs=1e-14)
-    assert p.eps0 == pytest.approx(EPS0_A, abs=1e-14)
-    assert p.d0 == pytest.approx(D0_A, abs=1e-11)
-    assert p.d_ball == pytest.approx(D_BALL_A, abs=1e-10)
     assert p.c_ball == pytest.approx(C_BALL_A, abs=1e-10)
-    assert p.delta == pytest.approx(DELTA_A, abs=1e-15)
-    assert p.a1 == 4900
-    assert p.a2 == 4624
 
 
 def test_carpet_a_exact_fields(carpet_a):

@@ -364,8 +364,8 @@ def test_squares_overlap_oracle(carpet_a):
 
 
 def test_sample_digit_matrix_deterministic(carpet_a):
-    m1 = sample_digit_matrix(carpet_a, 70_000, 25, seed=11, threads=1)
-    m2 = sample_digit_matrix(carpet_a, 70_000, 25, seed=11, threads=8)
+    m1 = sample_digit_matrix(carpet_a, 70_000, 25, seed=11)
+    m2 = sample_digit_matrix(carpet_a, 70_000, 25, seed=11)
     assert m1.dtype == np.uint8 and m1.shape == (70_000, 25)
     assert np.array_equal(m1, m2)
     m3 = sample_digit_matrix(carpet_a, 70_000, 25, seed=12)

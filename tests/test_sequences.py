@@ -154,7 +154,7 @@ def test_sequence_point_assembly(carpet_a, cache_a):
 
 
 def test_sequence_point_without_antichain(carpet_a):
-    point = sequence_point(carpet_a, 7)
+    point = sequence_point(carpet_a, 7, stats=stopped_statistics(carpet_a, 7))
     assert point.t_k is None
     assert point.phi_k == 8857350
     assert point.within_bounds
@@ -168,7 +168,8 @@ def test_sequence_point_k_mismatch(carpet_a, cache_a):
 def test_sequence_points_all_carpets(carpet_a, carpet_b, carpet_c, carpet_d):
     for params in (carpet_a, carpet_b, carpet_c, carpet_d):
         for k in (2, 3, 4):
-            assert sequence_point(params, k).within_bounds
+            stats = stopped_statistics(params, k)
+            assert sequence_point(params, k, stats=stats).within_bounds
 
 
 def test_u_k_rejects_nonpositive(carpet_a):
