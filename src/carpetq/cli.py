@@ -9,11 +9,15 @@ printed to stderr as JSON); 2 means the invocation or config was
 unusable, a table to report on is malformed, or a work guard tripped.
 
 For a fixed config and seed every output byte is the same at any
-``--threads`` value.  The quantize floats are not pinned across
-machines, though: the codebook centres come from an OpenBLAS
-matrix-vector product whose last bits depend on how OpenBLAS splits it
-over its own threads (on carpet A, ``OPENBLAS_NUM_THREADS=1`` moved the
-last digits of the k = 5 stderr cell).
+``--threads`` value.  The sample cloud does not depend on OpenBLAS's
+thread count either: its matrix-vector products are cut into chunks
+that OpenBLAS runs on the calling thread.  The distortion sum is an
+exact sum, rounded once, equal to ``math.fsum``.  The quantize floats
+are still not pinned across machines, though: the codebook centres come
+from an OpenBLAS matrix-vector product whose last bits depend on how
+OpenBLAS splits it over its own threads (on carpet A,
+``OPENBLAS_NUM_THREADS=1`` moved the last digits of the k = 5 stderr
+cell).
 """
 
 from __future__ import annotations
@@ -38,7 +42,9 @@ from .partition import (
     EnumerationCapError, check_square_disjointness, enumerate_lambda_k,
     partition_stats, stopped_statistics,
 )
-from .quantizer import ball_bound_check, draw_cloud, r_k_diagnostic
+from .quantizer import (
+    MAX_DEPTH, ball_bound_check, draw_cloud, r_k_diagnostic,
+)
 from .report import read_csv, render_line_chart, write_csv, write_json, write_text
 from .sequences import delta_k, sequence_point
 
@@ -137,6 +143,9 @@ def load_config(path) -> RunConfig:
     k_max = _require_int(raw, "k_max", max(k_min, 4), k_min)
     cloud_size = _require_int(raw, "cloud_size", DEFAULT_CLOUD, 1)
     depth = _require_int(raw, "depth", DEFAULT_DEPTH, 20)
+    if depth > MAX_DEPTH:
+        raise ConfigError(f"config key 'depth' must be <= {MAX_DEPTH}, "
+                          f"past which every digit weight is 0.0, got {depth}")
     seed = _require_int(raw, "seed", DEFAULT_SEED, 0)
     outputs = raw.get("outputs", ["csv"])
     if (not isinstance(outputs, list)
@@ -359,13 +368,12 @@ def cmd_quantize(ctx: _Ctx) -> None:
     params = derive_params(ctx.cfg.spec)
     cloud = draw_cloud(params, ctx.cfg.cloud_size, depth=ctx.cfg.depth,
                        seed=ctx.cfg.seed, threads=ctx.threads)
-    # The ball check runs first, so its KD-tree over the cloud is gone
+    # The ball check runs first, so its sorted copy of the cloud is gone
     # before any level's partition and codebook exist; its line and its
     # failure still come after the levels'.
     radii = tuple(float(params.spec.m) ** (-e) for e in range(2, 9))
     ball = ball_bound_check(
-        params, cloud, centers=min(100, cloud.size), radii=radii,
-        workers=ctx.threads)
+        params, cloud, centers=min(100, cloud.size), radii=radii)
     header = ["k", "phi_k", "lower_anchor", "upper_anchor", "e_hat_est",
               "stderr", "R_k"]
     rows = []

@@ -32,6 +32,7 @@ __all__ = [
     "QuantDiagnostics",
     "BallBoundReport",
     "DISTANCE_FLOOR",
+    "MAX_DEPTH",
     "uniform_digits",
     "draw_cloud",
     "lambda_codebook",
@@ -45,9 +46,13 @@ __all__ = [
 
 DISTANCE_FLOOR = 1e-300
 
+MAX_DEPTH = 1074            # digit weights past this are 0.0 for n, m >= 2
+
 _SHARD_ROWS = 1 << 15       # rows per sampling block, one generator each
-_CHUNK = 1 << 16            # cloud rows per Morton-code or query batch
+_GEMV_SIZE = 1 << 17        # most digit entries per matrix-vector product
+_CHUNK = 1 << 16            # cloud rows per Morton-code, query or sum batch
 _MORTON_BITS = 10           # grid cells per axis: 2^10
+_SLAB_PAD = 2.0 ** -40      # slab widening, far above the rounding of dx
 
 
 @dataclass(frozen=True)
@@ -66,19 +71,23 @@ class SampleCloud:
         """A permutation of the rows in Morton (Z-curve) order of their
         cells on a 2^10 x 2^10 grid over the unit square.  Queries taken
         in this order visit the KD-tree with locality; it changes no
-        result.  Computed once per cloud."""
+        result.  Computed once per cloud, by a lexicographic sort of the
+        10-bit halves of the 20-bit codes, two stable uint16 radix
+        passes: the permutation of a stable sort of the codes."""
         v = np.arange(1 << _MORTON_BITS, dtype=np.uint32)
         spread = np.zeros_like(v)
         for bit in range(_MORTON_BITS):
             spread |= ((v >> bit) & 1) << (2 * bit)
         top = (1 << _MORTON_BITS) - 1
-        codes = np.empty(self.size, dtype=np.uint32)
+        low = np.empty(self.size, dtype=np.uint16)
+        high = np.empty(self.size, dtype=np.uint16)
         for lo in range(0, self.size, _CHUNK):
             cells = np.clip(self.points[lo:lo + _CHUNK] * (1 << _MORTON_BITS),
                             0, top).astype(np.uint32)
-            codes[lo:lo + _CHUNK] = (spread[cells[:, 0]]
-                                     | (spread[cells[:, 1]] << 1))
-        return np.argsort(codes, kind="stable")
+            codes = spread[cells[:, 0]] | (spread[cells[:, 1]] << 1)
+            low[lo:lo + _CHUNK] = codes & top
+            high[lo:lo + _CHUNK] = codes >> _MORTON_BITS
+        return np.lexsort((low, high))
 
 
 @dataclass(frozen=True)
@@ -125,28 +134,37 @@ def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
 
     Rows are drawn in fixed blocks, each with its own generator seeded
     by (seed, block), so the cloud is byte-identical for any thread
-    count; with threads > 1, blocks run concurrently.  Each block
-    becomes points as soon as it is drawn, so the (size, depth) digit
-    matrix never exists.
+    count; with threads > 1, blocks run concurrently.  Each block is
+    drawn and becomes points in row chunks, so the (size, depth) digit
+    matrix never exists.  A chunk is a whole number of 64-row groups of
+    at most 2^17 digits, small enough that OpenBLAS computes its two
+    matrix-vector products on the calling thread, so no helper thread
+    spins between them and the cloud does not depend on OpenBLAS's
+    thread count.  The chunks give the bits one product per block
+    gives.  Digit weights past ``MAX_DEPTH`` are 0.0, so a deeper cut
+    is refused.
     """
     if size < 1:
         raise ValueError(f"need size >= 1, got {size}")
-    if depth < 20:
-        raise ValueError(f"need depth >= 20, got {depth}")
+    if not 20 <= depth <= MAX_DEPTH:
+        raise ValueError(f"need 20 <= depth <= {MAX_DEPTH}, got {depth}")
     digits = params.spec.digits
     cum = np.cumsum([float(w) for w in params.spec.weights])
     xi = np.array([i for i, _ in digits], dtype=np.float64)
     yj = np.array([j for _, j in digits], dtype=np.float64)
     xw = np.power(float(params.n), -np.arange(1, depth + 1, dtype=np.float64))
     yw = np.power(float(params.m), -np.arange(1, depth + 1, dtype=np.float64))
+    step = max(64, _GEMV_SIZE // depth // 64 * 64)
     pts = np.empty((size, 2), dtype=np.float64)
 
     def fill(lo: int) -> None:
-        hi = min(lo + _SHARD_ROWS, size)
+        end = min(lo + _SHARD_ROWS, size)
         rng = np.random.default_rng([int(seed), lo // _SHARD_ROWS])
-        idx = uniform_digits(rng.random((hi - lo, depth)), cum)
-        pts[lo:hi, 0] = xi[idx] @ xw
-        pts[lo:hi, 1] = yj[idx] @ yw
+        for a in range(lo, end, step):
+            b = min(a + step, end)
+            idx = uniform_digits(rng.random((b - a, depth)), cum)
+            pts[a:b, 0] = xi[idx] @ xw
+            pts[a:b, 1] = yj[idx] @ yw
 
     starts = range(0, size, _SHARD_ROWS)
     if threads <= 1 or len(starts) <= 1:
@@ -209,11 +227,16 @@ def nearest_distances(cloud: SampleCloud, codebook: Codebook,
     reach disproves it; such points are queried again without a bound,
     so every distance is exact either way.
     """
+    # The order is taken before the tree and ``dist`` exist, so its sort
+    # buffers are freed first: on carpet A at k = 2..5 the quantize
+    # process then peaked at 117 MB, against 123.5 MB when it was taken
+    # in the loop.
+    order = cloud.order
     from scipy.spatial import cKDTree
     tree = cKDTree(codebook.points)
     dist = np.empty(cloud.size, dtype=np.float64)
     for lo in range(0, cloud.size, _CHUNK):
-        rows = cloud.order[lo:lo + _CHUNK]
+        rows = order[lo:lo + _CHUNK]
         dist[rows], _ = tree.query(
             np.take(cloud.points, rows, axis=0), k=1,
             distance_upper_bound=codebook.reach, workers=workers)
@@ -230,16 +253,17 @@ def log_distortion(cloud: SampleCloud, codebook: Codebook,
 
     Distances are exact nearest-neighbor values; zero distances are
     clamped at a floor so the mean stays finite, and every clamped
-    sample is counted in the result.  The reduction is a full-precision
-    sum in fixed order, so the estimate does not depend on ``workers``.
-    Samples beyond the codebook's reach are counted as unreached.
+    sample is counted in the result.  The logs are added by an exact
+    sum, rounded once: the float ``math.fsum`` gives, so the estimate
+    does not depend on ``workers`` or on summation order.  Samples
+    beyond the codebook's reach are counted as unreached.
     """
     if cloud.size < 1 or codebook.card < 1:
         raise ValueError("need a nonempty cloud and codebook")
     dist, unreached = nearest_distances(cloud, codebook, workers=workers)
     floored = int(np.count_nonzero(dist < DISTANCE_FLOOR))
     logs = np.log(np.maximum(dist, DISTANCE_FLOOR, out=dist), out=dist)
-    est = math.fsum(logs) / cloud.size
+    est = _exact_sum(logs) / cloud.size
     sd = float(np.std(logs, ddof=1)) if cloud.size > 1 else 0.0
     return DistortionEstimate(
         estimate=est,
@@ -247,6 +271,34 @@ def log_distortion(cloud: SampleCloud, codebook: Codebook,
         floored=floored,
         unreached=unreached,
     )
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """The correctly rounded sum of finite float64 ``values``: the float
+    ``math.fsum`` returns, computed in bounded chunks.
+
+    Each value is q * 2^(e - 53) with q = frexp mantissa * 2^53, an
+    integer below 2^53 in magnitude.  Per chunk, the high and low 26-bit
+    parts of q are added per exponent e by ``bincount``; every bin stays
+    below 2^53, so its float sum is exact.  The bins are added up as
+    Python integers and rounded once by integer true division.
+    """
+    # frexp exponents run from -1073 (2^-1074) to 1024; bin b holds
+    # exponent b - 1073, so its values are q * 2^(b - 1126).
+    high = np.zeros(2098, dtype=np.int64)
+    low = np.zeros(2098, dtype=np.int64)
+    for lo in range(0, len(values), _CHUNK):
+        mant, exp = np.frexp(values[lo:lo + _CHUNK])
+        q = np.ldexp(mant, 53).astype(np.int64)
+        exp += 1073
+        high += np.bincount(exp, weights=q >> 26, minlength=2098).astype(
+            np.int64)
+        low += np.bincount(exp, weights=q & ((1 << 26) - 1),
+                           minlength=2098).astype(np.int64)
+    total = 0
+    for b in np.flatnonzero(high | low).tolist():
+        total += ((int(high[b]) << 26) + int(low[b])) << b
+    return total / (1 << 1126)
 
 
 def _diameter(params: DerivedParams, h: int) -> float:
@@ -332,12 +384,47 @@ class BallBoundReport:
         return self.skipped or not self.failures
 
 
+def _ball_counts(points: np.ndarray, pivots: np.ndarray, radii
+                 ) -> np.ndarray:
+    """The number of ``points`` within each radius of each pivot, as a
+    (len(pivots), len(radii)) array: the points whose squared distance
+    dx^2 + dy^2 is at most r^2, counted as a KD-tree's ball query counts
+    them.
+
+    A sweep over the points sorted by x: each pivot's slab of x within
+    the widest radius is a contiguous run whose squared distances are
+    computed once; a narrower radius is a sub-run of it.  For points in
+    the unit square the slabs are widened by far more than the rounding
+    of dx, so only the exact test decides.
+    """
+    by_x = np.argsort(points[:, 0])
+    xs = points[by_x, 0]
+    ys = points[by_x, 1]
+    del by_x
+    radii = [float(r) for r in radii]
+    widest = max(radii, default=0.0)
+    counts = np.zeros((len(pivots), len(radii)), dtype=np.int64)
+    for i, (px, py) in enumerate(pivots.tolist()):
+        lo, hi = np.searchsorted(
+            xs, [px - widest - _SLAB_PAD, px + widest + _SLAB_PAD]).tolist()
+        d2 = xs[lo:hi] - px
+        d2 *= d2
+        dy = ys[lo:hi] - py
+        dy *= dy
+        d2 += dy
+        for j, r in enumerate(radii):
+            a, b = np.searchsorted(
+                xs[lo:hi], [px - r - _SLAB_PAD, px + r + _SLAB_PAD]).tolist()
+            counts[i, j] = np.count_nonzero(d2[a:b] <= r * r)
+    return counts
+
+
 def ball_bound_check(params: DerivedParams, cloud: SampleCloud,
-                     centers: int, radii, workers: int = 1
-                     ) -> BallBoundReport:
+                     centers: int, radii) -> BallBoundReport:
     """Test empirical ball masses against C * eps^t at sampled centers.
 
-    The exponent t is -log q_max / log m, which degenerates to zero for
+    The centers are the cloud's first ``centers`` points.  The exponent
+    t is -log q_max / log m, which degenerates to zero for
     single-column-mass carpets; those are reported as skipped because
     the bound carries no content there.  Thresholds include a three
     sigma binomial allowance plus one sample of slack.
@@ -354,15 +441,11 @@ def ball_bound_check(params: DerivedParams, cloud: SampleCloud,
     t = params.ball_exponent
     c = params.c_ball
     n_pts = cloud.size
-    from scipy.spatial import cKDTree
-    tree = cKDTree(cloud.points)
-    pivots = cloud.points[:centers]
+    counts = _ball_counts(cloud.points, cloud.points[:centers], radii)
     failures = []
     max_ratio = 0.0
-    for eps in radii:
-        counts = tree.query_ball_point(
-            pivots, r=eps, return_length=True, workers=workers)
-        frac = np.asarray(counts, dtype=np.float64) / n_pts
+    for col, eps in enumerate(radii):
+        frac = counts[:, col].astype(np.float64) / n_pts
         se = np.sqrt(np.maximum(frac * (1.0 - frac), 0.0) / n_pts)
         threshold = c * eps ** t + 3.0 * se + 1.0 / n_pts
         ratio = frac / threshold

@@ -67,6 +67,7 @@ def test_load_config_defaults(tmp_path):
     ({"outputs": ["pdf"]}, "outputs"),
     ({"depth": 5}, "depth"),
     ({"bogus": 1}, "bogus"),
+    ({"depth": 1075}, "depth"),
 ])
 def test_load_config_rejects(tmp_path, broken, needle):
     path = _config(tmp_path, **broken)

@@ -1,16 +1,24 @@
 """Sampling, codebooks, distortion estimates, anchors, ball masses."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import carpetq
 from carpetq.partition import enumerate_lambda_k
 from carpetq.quantizer import (
-    Codebook, DISTANCE_FLOOR, SampleCloud, ball_bound_check, diameter_log,
-    draw_cloud, lambda_codebook, log_distortion, nearest_distances,
-    r_k_diagnostic, uniform_digits,
+    _CHUNK, Codebook, DISTANCE_FLOOR, MAX_DEPTH, SampleCloud, _ball_counts,
+    _exact_sum, ball_bound_check, diameter_log, draw_cloud, lambda_codebook,
+    log_distortion, nearest_distances, r_k_diagnostic, uniform_digits,
 )
 from carpetq.words import ell
 from oracles import sample_digit_matrix, square_geometry, word_at
@@ -33,6 +41,8 @@ def test_draw_cloud_validation(carpet_a):
         draw_cloud(carpet_a, 0)
     with pytest.raises(ValueError):
         draw_cloud(carpet_a, 10, depth=8)
+    with pytest.raises(ValueError, match="depth"):
+        draw_cloud(carpet_a, 10, depth=MAX_DEPTH + 1)
 
 
 def test_cloud_in_unit_square(cloud_a):
@@ -269,3 +279,122 @@ def test_lambda_codebook_matches_full_widening(request, name, levels):
         assert book.points.tobytes() == _widened_centers(part).tobytes()
         half = max(math.exp(diameter_log(params, h)) for h in part.blocks) / 2
         assert book.reach == pytest.approx(half, rel=2e-9) and book.reach > half
+
+
+# -- oracles for the chunked draw, the exact sum, the ball sweep, the order --
+
+_DRAW_DIGESTS = """
+import hashlib, json, sys
+from carpetq import CarpetSpec, derive_params
+from carpetq.quantizer import draw_cloud
+out = {}
+for name, (n, m, cells) in json.loads(sys.argv[1]).items():
+    params = derive_params(CarpetSpec.of(n, m, {
+        (i, j): p for i, j, p in cells}))
+    for depth in (40, 64):
+        pts = draw_cloud(params, 300_001, depth=depth, seed=0x5EED).points
+        out[f"{name}{depth}"] = hashlib.sha256(pts.tobytes()).hexdigest()
+print(json.dumps(out))
+"""
+
+_DRAW_CARPETS = {
+    "A": (4, 3, [(0, 0, "1/3"), (0, 2, "1/3"), (2, 2, "1/3")]),
+    "D": (4, 2, [(0, 0, "3/4"), (2, 1, "1/4")]),
+    "E": (5, 3, [(0, 0, "1/6"), (2, 0, "1/3"), (1, 2, "1/4"), (4, 2, "1/4")]),
+}
+
+
+def test_cloud_independent_of_openblas_threads():
+    # An odd size and two depths leave partial chunks and blocks.
+    src = Path(carpetq.__file__).resolve().parents[1]
+    digests = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", _DRAW_DIGESTS,
+             json.dumps(_DRAW_CARPETS)],
+            cwd=src, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(json.loads(done.stdout))
+    assert len(digests[0]) == 6
+    assert digests[0] == digests[1]
+
+
+def _same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+_spread = st.builds(math.ldexp, st.integers(-(2 ** 53), 2 ** 53),
+                    st.integers(-1074, 940))
+_finite = st.floats(min_value=-1e300, max_value=1e300)
+_subnormal = st.floats(min_value=-2.0 ** -1022, max_value=2.0 ** -1022)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(_finite, _spread, _subnormal),
+                       min_size=1, max_size=40),
+       size=st.sampled_from([None, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                             2 * _CHUNK + 7]))
+@example(values=[-0.0], size=None)
+@example(values=[1.0, -1.0], size=None)
+@example(values=[1e300, 1.0, -1e300], size=None)
+@example(values=[2.0 ** -1074], size=3)
+def test_exact_sum_is_fsum(values, size):
+    # Sizes at the chunk edges repeat the drawn values.
+    arr = np.array(values, dtype=np.float64)
+    if size is not None:
+        arr = np.resize(arr, size)
+    assert _same_float(_exact_sum(arr), math.fsum(arr))
+
+
+def _edge_cloud(cloud, pivots, radii):
+    # Points at distance r from each pivot along both axes and on the
+    # diagonal of a 3-4-5 triangle, with their float neighbours and at
+    # the sweep's slab edge r + 2^-40, so that the <= test and the slab
+    # edges are both exercised; at the pivot (0.5, 0.5) and r = 0.25 the
+    # axis points lie exactly on the circle.
+    extra = []
+    for px, py in pivots:
+        for r in radii:
+            for d in (r, np.nextafter(r, 0.0), np.nextafter(r, 1.0),
+                      r + 2.0 ** -40):
+                extra += [(px + d, py), (px - d, py), (px, py + d),
+                          (px, py - d), (px + 0.6 * d, py + 0.8 * d)]
+    pts = np.concatenate([cloud.points, np.array(extra)])
+    return pts[np.all((pts >= 0.0) & (pts <= 1.0), axis=1)]
+
+
+@pytest.mark.parametrize("name", ["a", "d", "e"])
+def test_ball_counts_match_tree(request, name):
+    params = request.getfixturevalue(f"carpet_{name}")
+    radii = [float(params.m) ** (-e) for e in range(2, 9)] + [0.25, 0.0]
+    cloud = draw_cloud(params, 60_000, seed=41)
+    pivots = np.concatenate([cloud.points[:40], [[0.5, 0.5], [0.0, 1.0]]])
+    pts = _edge_cloud(cloud, pivots, radii)
+    got = _ball_counts(pts, pivots, radii)
+    tree = cKDTree(pts)
+    for j, r in enumerate(radii):
+        want = tree.query_ball_point(pivots, r=r, return_length=True)
+        assert got[:, j].tolist() == list(want), r
+
+
+def _morton_codes(points):
+    # Bit by bit: cell bit b of x goes to code bit 2b, of y to 2b + 1.
+    cells = np.clip(points * 1024, 0, 1023).astype(np.uint32)
+    codes = np.zeros(len(points), dtype=np.uint32)
+    for bit in range(10):
+        codes |= ((cells[:, 0] >> bit) & 1) << (2 * bit)
+        codes |= ((cells[:, 1] >> bit) & 1) << (2 * bit + 1)
+    return codes
+
+
+def test_order_is_stable_sort_of_morton_codes(cloud_a):
+    # A coarse grid makes many equal codes, so stability shows.
+    coarse = np.random.default_rng(3).integers(0, 9, (100_003, 2)) / 8
+    for points in (cloud_a.points, coarse):
+        cloud = SampleCloud(points=points, seed=0)
+        want = np.argsort(_morton_codes(points), kind="stable")
+        assert np.array_equal(cloud.order, want)
