@@ -62,13 +62,11 @@ from .sequences import (
 )
 from .quantizer import (
     BallBoundReport,
-    Codebook,
     DistortionEstimate,
     QuantDiagnostics,
     SampleCloud,
     ball_bound_check,
     draw_cloud,
-    lambda_codebook,
     log_distortion,
     r_k_diagnostic,
 )
@@ -88,8 +86,8 @@ __all__ = [
     "SequencePoint", "compute_d_k", "compute_s_k", "compute_t",
     "compute_u_k", "d_k_bound", "delta_k", "s_k_bound", "sequence_point",
     "t_bound",
-    "BallBoundReport", "Codebook", "DistortionEstimate", "QuantDiagnostics",
-    "SampleCloud", "ball_bound_check", "draw_cloud", "lambda_codebook",
-    "log_distortion", "r_k_diagnostic",
+    "BallBoundReport", "DistortionEstimate", "QuantDiagnostics",
+    "SampleCloud", "ball_bound_check", "draw_cloud", "log_distortion",
+    "r_k_diagnostic",
     "__version__",
 ]

@@ -11,13 +11,10 @@ unusable, a table to report on is malformed, or a work guard tripped.
 For a fixed config and seed every output byte is the same at any
 ``--threads`` value.  The sample cloud does not depend on OpenBLAS's
 thread count either: its matrix-vector products are cut into chunks
-that OpenBLAS runs on the calling thread.  The distortion sum is an
-exact sum, rounded once, equal to ``math.fsum``.  The quantize floats
-are still not pinned across machines, though: the codebook centres come
-from an OpenBLAS matrix-vector product whose last bits depend on how
-OpenBLAS splits it over its own threads (on carpet A,
-``OPENBLAS_NUM_THREADS=1`` moved the last digits of the k = 5 stderr
-cell).
+that OpenBLAS runs on the calling thread.  Each sample is measured
+against its own stopping cell, found from its digits by integer
+arithmetic, and the log distances and their squared deviations are
+exact sums, rounded once, equal to ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -43,7 +40,8 @@ from .partition import (
     partition_stats, stopped_statistics,
 )
 from .quantizer import (
-    MAX_DEPTH, ball_bound_check, draw_cloud, r_k_diagnostic,
+    MAX_DEPTH, MIN_TAIL, ShallowCloudError, ball_bound_check, draw_cloud,
+    r_k_diagnostic,
 )
 from .report import read_csv, render_line_chart, write_csv, write_json, write_text
 from .sequences import delta_k, sequence_point
@@ -142,7 +140,7 @@ def load_config(path) -> RunConfig:
     k_min = _require_int(raw, "k_min", 2, 1)
     k_max = _require_int(raw, "k_max", max(k_min, 4), k_min)
     cloud_size = _require_int(raw, "cloud_size", DEFAULT_CLOUD, 1)
-    depth = _require_int(raw, "depth", DEFAULT_DEPTH, 20)
+    depth = _require_int(raw, "depth", DEFAULT_DEPTH, MIN_TAIL)
     if depth > MAX_DEPTH:
         raise ConfigError(f"config key 'depth' must be <= {MAX_DEPTH}, "
                           f"past which every digit weight is 0.0, got {depth}")
@@ -369,8 +367,9 @@ def cmd_quantize(ctx: _Ctx) -> None:
     cloud = draw_cloud(params, ctx.cfg.cloud_size, depth=ctx.cfg.depth,
                        seed=ctx.cfg.seed, threads=ctx.threads)
     # The ball check runs first, so its sorted copy of the cloud is gone
-    # before any level's partition and codebook exist; its line and its
-    # failure still come after the levels'.
+    # before any level's partition and cell keys exist; its line and its
+    # failure still come after the levels'.  A level too deep for the
+    # cloud is a tripped guard, not a failed check.
     radii = tuple(float(params.spec.m) ** (-e) for e in range(2, 9))
     ball = ball_bound_check(
         params, cloud, centers=min(100, cloud.size), radii=radii)
@@ -382,11 +381,14 @@ def cmd_quantize(ctx: _Ctx) -> None:
     for k, _, part in _levels(ctx, params):
         if part is None:
             continue
-        diag = r_k_diagnostic(part, cloud, workers=ctx.threads)
-        if diag.unreached:
-            ctx.fail(command="quantize", k=k, check="nearest-centre-reach",
-                     detail=f"{diag.unreached} of {diag.cloud_size} points "
-                            f"have no centre within the codebook's reach")
+        try:
+            diag = r_k_diagnostic(part, cloud)
+        except ShallowCloudError as exc:
+            raise ConfigError(f"quantize k={k}: {exc}") from exc
+        if diag.unlocated:
+            ctx.fail(command="quantize", k=k, check="own-cell-located",
+                     detail=f"{diag.unlocated} of {diag.cloud_size} points "
+                            f"lie in no stopping word or in several")
         if diag.e_hat_est > diag.upper_anchor + 3 * diag.stderr:
             ctx.fail(command="quantize", k=k, check="upper-anchor",
                      detail=f"estimate {diag.e_hat_est} above "
@@ -513,8 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap-words", type=int, default=DEFAULT_CAP,
                        help="skip word-materializing steps above this count")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sampling and "
-                            "nearest-neighbour queries")
+                       help="worker threads for sampling the cloud")
     return parser
 
 
@@ -535,6 +536,10 @@ def main(argv=None) -> int:
         _COMMANDS[args.command](ctx)
     except (ConfigError, EnumerationCapError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(json.dumps({"error": f"{args.command}: out of memory"}),
+              file=sys.stderr)
         return 2
     except InvalidSpecError as exc:
         print(json.dumps({"error": f"invalid carpet: {exc}"}), file=sys.stderr)

@@ -2,12 +2,18 @@
 
 The normalized error R_k = s0^{-1} log phi_k + e_hat couples the word
 count of a stopping level with the mean log-distance from a sample of
-the measure to a codebook of that cardinality.  Boundedness of R_k over
-k is the numerical signature that the quantization dimension of order
-zero exists and equals s0.  Everything here estimates e_hat by Monte
-Carlo against fixed codebooks and brackets it with exact anchor sums,
-because the empirical log objective is unbounded below on atoms and
-cannot certify anything on its own.
+the measure to a set of centres of that cardinality.  Boundedness of R_k
+over k is the numerical signature that the quantization dimension for
+the geometric mean error (r = 0) exists and equals s0.  Everything here estimates e_hat by Monte
+Carlo against the level's rectangle centres and brackets it with exact
+anchor sums, because the empirical log objective is unbounded below on
+atoms and cannot certify anything on its own.
+
+Each sample is measured against the centre of its own stopping
+rectangle, found exactly from its digits.  By Graf and Luschgy's
+cellwise decomposition of the geometric mean error, that own-cell error
+is an upper bound on the error of the nearest-centre (Voronoi)
+assignment to the same centres.
 """
 
 from __future__ import annotations
@@ -15,28 +21,28 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
 from .measure import DerivedParams
 from .partition import PartitionLambdaK
-from .words import ell
+from .words import ell, key_words
 
 
 __all__ = [
     "SampleCloud",
-    "Codebook",
     "DistortionEstimate",
     "QuantDiagnostics",
     "BallBoundReport",
+    "ShallowCloudError",
     "DISTANCE_FLOOR",
     "MAX_DEPTH",
+    "MIN_TAIL",
     "uniform_digits",
     "draw_cloud",
-    "lambda_codebook",
-    "nearest_distances",
+    "locate",
+    "own_cell_distances",
     "log_distortion",
     "diameter_log",
     "r_k_diagnostic",
@@ -44,67 +50,66 @@ __all__ = [
 ]
 
 
-DISTANCE_FLOOR = 1e-300
+DISTANCE_FLOOR = 1e-300     # clamp for an exactly zero own-cell distance
 
 MAX_DEPTH = 1074            # digit weights past this are 0.0 for n, m >= 2
+MIN_TAIL = 20               # cloud digits a located cell must leave unread
 
 _SHARD_ROWS = 1 << 15       # rows per sampling block, one generator each
 _GEMV_SIZE = 1 << 17        # most digit entries per matrix-vector product
-_CHUNK = 1 << 16            # cloud rows per Morton-code, query or sum batch
-_MORTON_BITS = 10           # grid cells per axis: 2^10
+_CHUNK = 1 << 16            # cloud rows per location or sum batch
 _SLAB_PAD = 2.0 ** -40      # slab widening, far above the rounding of dx
+
+
+def _places(base: int, limit: int = 1 << 63) -> int:
+    """The largest S with base^S < limit: by default the digits of a
+    packed prefix."""
+    places = 0
+    while base ** (places + 1) < limit:
+        places += 1
+    return places
+
+
+class ShallowCloudError(ValueError):
+    """A level's words are too deep for the cloud to locate its samples."""
 
 
 @dataclass(frozen=True)
 class SampleCloud:
-    """Monte Carlo draw from the carpet measure, reproducible by seed."""
+    """Monte Carlo draw from the carpet measure, reproducible by seed.
 
-    points: np.ndarray        # (size, 2) float64 in [0,1]^2
+    Each sample is held as its digit expansion on both axes: ``prefix``
+    row 0 is the base-n integer of the first S_x x digits, row 1 the
+    base-m integer of the first S_y y digits, with S the largest count
+    whose base^S is below 2^63 (31 for base 4, 39 for base 3, 62 for
+    base 2); ``suffix`` holds the later digits of the ``depth`` drawn as
+    a fraction in [0, 1), so x = (prefix + suffix) * n^-S_x.  Digits
+    past ``depth`` are zero.
+    """
+
+    prefix: np.ndarray        # (2, size) uint64
+    suffix: np.ndarray        # (2, size) float64 in [0, 1)
+    bases: tuple[int, int]    # (n, m)
+    depth: int
     seed: int
 
     @property
     def size(self) -> int:
-        return int(self.points.shape[0])
+        return int(self.prefix.shape[1])
 
-    @cached_property
-    def order(self) -> np.ndarray:
-        """A permutation of the rows in Morton (Z-curve) order of their
-        cells on a 2^10 x 2^10 grid over the unit square.  Queries taken
-        in this order visit the KD-tree with locality; it changes no
-        result.  Computed once per cloud, by a lexicographic sort of the
-        10-bit halves of the 20-bit codes, two stable uint16 radix
-        passes: the permutation of a stable sort of the codes."""
-        v = np.arange(1 << _MORTON_BITS, dtype=np.uint32)
-        spread = np.zeros_like(v)
-        for bit in range(_MORTON_BITS):
-            spread |= ((v >> bit) & 1) << (2 * bit)
-        top = (1 << _MORTON_BITS) - 1
-        low = np.empty(self.size, dtype=np.uint16)
-        high = np.empty(self.size, dtype=np.uint16)
-        for lo in range(0, self.size, _CHUNK):
-            cells = np.clip(self.points[lo:lo + _CHUNK] * (1 << _MORTON_BITS),
-                            0, top).astype(np.uint32)
-            codes = spread[cells[:, 0]] | (spread[cells[:, 1]] << 1)
-            low[lo:lo + _CHUNK] = codes & top
-            high[lo:lo + _CHUNK] = codes >> _MORTON_BITS
-        return np.lexsort((low, high))
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """Finite point set targets for nearest-distance queries.
-
-    ``reach`` bounds the distance from any point of the measure's support
-    to its nearest code point, so queries search no farther; inf when
-    nothing is known.
-    """
-
-    points: np.ndarray        # (card, 2) float64
-    reach: float = math.inf
+    def coordinate(self, axis: int, stop: int | None = None) -> np.ndarray:
+        """Axis ``axis`` (0 for x, 1 for y) of the first ``stop`` samples,
+        all by default, as a new float64 array in [0, 1]."""
+        base = self.bases[axis]
+        out = self.prefix[axis, :stop].astype(np.float64)
+        out += self.suffix[axis, :stop]
+        out *= float(base) ** -_places(base)
+        return out
 
     @property
-    def card(self) -> int:
-        return int(self.points.shape[0])
+    def points(self) -> np.ndarray:
+        """The samples as a new (size, 2) float64 array in [0, 1]^2."""
+        return np.stack([self.coordinate(0), self.coordinate(1)], axis=1)
 
 
 def uniform_digits(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
@@ -120,42 +125,50 @@ def uniform_digits(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
 
 def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
                seed: int = 0x5EED, threads: int = 1) -> SampleCloud:
-    """Sample points by truncated digit series.
-
-    Digit columns are drawn i.i.d. from the map weights; the point is
-    the image of the digit string under the base-(n, m) series, cut
-    after ``depth`` digits.  The cut moves a point by up to n^-depth in
-    x and m^-depth in y.  At the default depth 40 that is 3^-40 (about
-    8e-20) for m = 3, far below float resolution, but 2^-40 (about
-    9e-13) for m = 2.  That is not small against the cells of a skewed
-    m = 2 carpet: the 4x2 carpet with weights 3/4 | 1/4 has cells 2^-39
-    high at k = 4 and 2^-49 at k = 5.  There a truncated point can land
-    exactly on a centre, and its floored distance biases the estimate.
+    """Sample the measure by ``depth`` i.i.d. digits drawn from the map
+    weights.
 
     Rows are drawn in fixed blocks, each with its own generator seeded
     by (seed, block), so the cloud is byte-identical for any thread
     count; with threads > 1, blocks run concurrently.  Each block is
-    drawn and becomes points in row chunks, so the (size, depth) digit
-    matrix never exists.  A chunk is a whole number of 64-row groups of
-    at most 2^17 digits, small enough that OpenBLAS computes its two
-    matrix-vector products on the calling thread, so no helper thread
-    spins between them and the cloud does not depend on OpenBLAS's
-    thread count.  The chunks give the bits one product per block
-    gives.  Digit weights past ``MAX_DEPTH`` are 0.0, so a deeper cut
+    drawn and packed in row chunks, so the (size, depth) digit matrix
+    never exists.  Per axis, a chunk's prefix is two float64
+    matrix-vector products over the digit values, each exact because its
+    every partial sum is an integer below 2^53, joined as integers; its
+    suffix is one more product.  A chunk is a whole number of 64-row
+    groups of at most 2^17 digits, small enough that OpenBLAS computes
+    its products on the calling thread, so no helper thread spins
+    between them and the suffixes do not depend on OpenBLAS's thread
+    count.  Digit weights past ``MAX_DEPTH`` are 0.0, so a deeper draw
     is refused.
     """
     if size < 1:
         raise ValueError(f"need size >= 1, got {size}")
-    if not 20 <= depth <= MAX_DEPTH:
-        raise ValueError(f"need 20 <= depth <= {MAX_DEPTH}, got {depth}")
+    if not MIN_TAIL <= depth <= MAX_DEPTH:
+        raise ValueError(
+            f"need {MIN_TAIL} <= depth <= {MAX_DEPTH}, got {depth}")
     digits = params.spec.digits
     cum = np.cumsum([float(w) for w in params.spec.weights])
-    xi = np.array([i for i, _ in digits], dtype=np.float64)
-    yj = np.array([j for _, j in digits], dtype=np.float64)
-    xw = np.power(float(params.n), -np.arange(1, depth + 1, dtype=np.float64))
-    yw = np.power(float(params.m), -np.arange(1, depth + 1, dtype=np.float64))
+    # Per axis: digit values, then the column ranges and weights of the
+    # prefix's high and low parts and of the suffix, and the integer
+    # factors joining the parts.
+    axes = []
+    for axis, base in enumerate((params.n, params.m)):
+        places = _places(base)
+        kept = min(places, depth)
+        # The most digits whose value a float64 product sums exactly.
+        high = min(kept, _places(base, (1 << 53) + 1))
+        axes.append((
+            np.array([d[axis] for d in digits], dtype=np.float64),
+            high, kept, places,
+            np.power(float(base), np.arange(high - 1, -1, -1.0)),
+            np.power(float(base), np.arange(kept - high - 1, -1, -1.0)),
+            np.power(float(base), -np.arange(1.0, depth - places + 1)),
+            np.uint64(base ** (kept - high)), np.uint64(base ** (places - kept)),
+        ))
     step = max(64, _GEMV_SIZE // depth // 64 * 64)
-    pts = np.empty((size, 2), dtype=np.float64)
+    prefix = np.empty((2, size), dtype=np.uint64)
+    suffix = np.zeros((2, size), dtype=np.float64)
 
     def fill(lo: int) -> None:
         end = min(lo + _SHARD_ROWS, size)
@@ -163,113 +176,200 @@ def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
         for a in range(lo, end, step):
             b = min(a + step, end)
             idx = uniform_digits(rng.random((b - a, depth)), cum)
-            pts[a:b, 0] = xi[idx] @ xw
-            pts[a:b, 1] = yj[idx] @ yw
+            for axis, (vals, high, kept, places, hw, lw, sw, join, pad) in (
+                    enumerate(axes)):
+                v = vals[idx]
+                top = (v[:, :high] @ hw).astype(np.uint64) * join
+                if kept > high:
+                    top += (v[:, high:kept] @ lw).astype(np.uint64)
+                prefix[axis, a:b] = top * pad
+                if depth > places:
+                    suffix[axis, a:b] = v[:, places:] @ sw
 
     starts = range(0, size, _SHARD_ROWS)
     if threads <= 1 or len(starts) <= 1:
         for lo in starts:
             fill(lo)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(threads) as pool:
             list(pool.map(fill, starts))
-    return SampleCloud(points=pts, seed=seed)
+    return SampleCloud(prefix=prefix, suffix=suffix,
+                       bases=(params.n, params.m), depth=depth, seed=seed)
 
 
-def lambda_codebook(partition: PartitionLambdaK) -> Codebook:
-    """One point per stopping word, the center of its rectangle; row i
-    is word i of the partition.
+def _radix(digits: np.ndarray, base: int) -> np.ndarray:
+    """Each row of a uint8 digit matrix as a base-``base`` uint64, first
+    column most significant."""
+    value = np.zeros(len(digits), dtype=np.uint64)
+    for col in range(digits.shape[1]):
+        value *= np.uint64(base)
+        value += digits[:, col]
+    return value
 
-    Every point of the carpet lies in its own stopping rectangle, so its
-    center is within half that rectangle's diagonal: the reach is half
-    the level's largest diagonal, widened by a relative 1e-9 for
-    rounding.
-    """
+
+def _check_depth(partition: PartitionLambdaK, cloud: SampleCloud) -> None:
+    # Every level word must sit inside the packed prefixes and leave at
+    # least MIN_TAIL drawn digits after it, or its samples' offsets
+    # would be cut short.
     params = partition.params
-    n = float(params.n)
-    m = float(params.m)
-    pts = np.empty((partition.phi_k, 2), dtype=np.float64)
+    if cloud.bases != (params.n, params.m):
+        raise ValueError(f"cloud drawn for bases {cloud.bases}, carpet has "
+                         f"({params.n}, {params.m})")
+    h = partition.xi_max
+    if ell(params, h) > _places(params.n) or h > _places(params.m):
+        raise ShallowCloudError(
+            f"words of length {h} are deeper than the packed prefix of "
+            f"{_places(params.n)} x digits and {_places(params.m)} y digits")
+    if cloud.depth < h + MIN_TAIL:
+        raise ShallowCloudError(
+            f"words of length {h} need a cloud depth of at least "
+            f"{h + MIN_TAIL}, got {cloud.depth}")
+
+
+def locate(partition: PartitionLambdaK, cloud: SampleCloud) -> np.ndarray:
+    """The length of each sample's stopping word, as a uint8 array; 0 for
+    a sample that lies in no word of the partition, or in more than one.
+
+    A length-h word is the cell of x index X < n^ell(h) and y index
+    Y < m^h that its digits spell; a sample lies in it when X and Y are
+    the integers of its first ell(h) x and h y digits, two floor
+    divisions of its prefixes.  Each length's cell keys are sorted once
+    and every sample is looked up at every length.  A key that does not
+    fit one 64-bit word uses the multi-word layout of ``key_words``.
+    Raises ``ShallowCloudError`` when the level's longest words are too
+    deep for the cloud.
+    """
+    _check_depth(partition, cloud)
+    params = partition.params
+    n, m = params.n, params.m
+    sx, sy = _places(n), _places(m)
+    tables = []
     for h, (rows, _, _) in partition.blocks.items():
         l = ell(params, h)
-        iw = np.power(n, -np.arange(1, l + 1, dtype=np.float64))
-        yweights = np.power(m, -np.arange(1, h + 1, dtype=np.float64))
-        out = slice(partition.offsets[h], partition.offsets[h] + len(rows))
-        # Widen only the digits read, from uint8, one axis at a time.  The
-        # x operand stays a strided view: a contiguous copy, or row chunks
-        # of the product, would move the last bit of some centers.
-        pts[out, 0] = (rows[:, :2 * l].astype(np.float64)[:, ::2] @ iw
-                       + 0.5 * n ** (-l))
-        ydig = np.concatenate([rows[:, 1:2 * l:2], rows[:, 2 * l:]], axis=1)
-        pts[out, 1] = (ydig.astype(np.float64) @ yweights
-                       + 0.5 * m ** (-float(h)))
-    reach = 0.5 * max(_diameter(params, h) for h in partition.blocks)
-    return Codebook(points=pts, reach=reach * (1 + 1e-9))
+        wide = n ** l * m ** h > 1 << 64
+        x = _radix(rows[:, 0:2 * l:2], n)
+        y = _radix(np.concatenate([rows[:, 1:2 * l:2], rows[:, 2 * l:]],
+                                  axis=1), m)
+        keys = np.sort(_cell_keys(x, y, m ** h, wide))
+        tables.append((h, np.uint64(n ** (sx - l)), np.uint64(m ** (sy - h)),
+                       m ** h, wide, keys))
+    found = np.zeros(cloud.size, dtype=np.uint8)
+    for lo in range(0, cloud.size, _CHUNK):
+        px, py = cloud.prefix[:, lo:lo + _CHUNK]
+        hits = np.zeros(len(px), dtype=np.uint8)
+        at = found[lo:lo + _CHUNK]
+        for h, dx, dy, mh, wide, keys in tables:
+            hit = _members(keys, _cell_keys(px // dx, py // dy, mh, wide))
+            hits += hit
+            at[hit] = h
+        at[hits != 1] = 0
+    return found
+
+
+def _members(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    # Whether each query is one of the sorted ``keys``.  The queries are
+    # searched sorted, which keeps the searches within cache: three
+    # times faster than searching them as they come.
+    perm = np.argsort(query)
+    query = query[perm]
+    pos = np.searchsorted(keys, query)
+    hit = np.empty(len(query), dtype=bool)
+    hit[perm] = keys[np.minimum(pos, len(keys) - 1)] == query
+    return hit
+
+
+def _cell_keys(x: np.ndarray, y: np.ndarray, mh: int,
+               wide: bool) -> np.ndarray:
+    # Keys of cells (x, y), y < mh, that compare as the pairs (x, y) do.
+    if wide:
+        return key_words(np.stack([x, y], axis=1))
+    return x * np.uint64(mh) + y
+
+
+def own_cell_distances(partition: PartitionLambdaK,
+                       cloud: SampleCloud) -> np.ndarray:
+    """Distance from each located sample (``locate`` nonzero), samples
+    first to last, to the centre of its own stopping cell.
+
+    The offset from the centre is read in cell-local coordinates: on an
+    axis where the cell has length ell and the prefix S digits, it is
+    (P mod base^(S - ell) + suffix) / base^(S - ell) - 1/2 cell sides,
+    so it keeps full float precision at any cell depth.  The distance is
+    the root of the two offsets' squares, each scaled by its cell side.
+    """
+    found = locate(partition, cloud)
+    params = partition.params
+    n, m = params.n, params.m
+    sx, sy = _places(n), _places(m)
+    # Per length h: the divisors down to the cell's digits and its sides.
+    top = max(partition.blocks, default=0) + 1
+    div = np.ones((2, top), dtype=np.uint64)
+    side = np.zeros((2, top))
+    for h in partition.blocks:
+        l = ell(params, h)
+        div[:, h] = n ** (sx - l), m ** (sy - h)
+        side[:, h] = float(n) ** -l, float(m) ** -h
+    out = np.empty(cloud.size)
+    done = 0
+    for lo in range(0, cloud.size, _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        h = found[rows]
+        dist = np.zeros(len(h))
+        for axis in (0, 1):
+            d = div[axis, h]
+            off = (cloud.prefix[axis, rows] % d).astype(np.float64)
+            off += cloud.suffix[axis, rows]
+            off /= d
+            off -= 0.5
+            off *= side[axis, h]
+            off *= off
+            dist += off
+        if not h.all():
+            dist = dist[h != 0]
+        np.sqrt(dist, out=out[done:done + len(dist)])
+        done += len(dist)
+    return out[:done]
 
 
 @dataclass(frozen=True)
 class DistortionEstimate:
-    """Monte Carlo mean of log nearest-distance, with floor accounting."""
+    """Monte Carlo mean of the log own-cell distance."""
 
     estimate: float
     stderr: float
-    floored: int              # samples clamped at the distance floor
-    unreached: int            # samples with no code point within the reach
+    floored: int              # zero distances clamped at DISTANCE_FLOOR
+    unlocated: int            # samples in no stopping word, or in several
 
 
-def nearest_distances(cloud: SampleCloud, codebook: Codebook,
-                      workers: int = 1) -> tuple[np.ndarray, int]:
-    """Distance from each cloud point, in row order, to its nearest code
-    point, and the number of points with no code point within the
-    codebook's reach.
+def log_distortion(partition: PartitionLambdaK,
+                   cloud: SampleCloud) -> DistortionEstimate:
+    """Mean log distance from the located samples to their own cells'
+    centres (``own_cell_distances``).
 
-    The queries search no farther than the reach and run over the cloud
-    in its Morton order; neither changes a distance.  A point beyond the
-    reach disproves it; such points are queried again without a bound,
-    so every distance is exact either way.
+    An exactly zero distance is clamped at ``DISTANCE_FLOOR`` and
+    counted.  The logs are added by an exact sum, rounded once, the
+    float ``math.fsum`` gives; their squared deviations from that mean
+    are formed in place, a chunk at a time, and added the same way.
+    Unlocated samples are left out and counted.
     """
-    # The order is taken before the tree and ``dist`` exist, so its sort
-    # buffers are freed first: on carpet A at k = 2..5 the quantize
-    # process then peaked at 117 MB, against 123.5 MB when it was taken
-    # in the loop.
-    order = cloud.order
-    from scipy.spatial import cKDTree
-    tree = cKDTree(codebook.points)
-    dist = np.empty(cloud.size, dtype=np.float64)
-    for lo in range(0, cloud.size, _CHUNK):
-        rows = order[lo:lo + _CHUNK]
-        dist[rows], _ = tree.query(
-            np.take(cloud.points, rows, axis=0), k=1,
-            distance_upper_bound=codebook.reach, workers=workers)
-    missed = np.flatnonzero(dist == math.inf)
-    if missed.size:
-        dist[missed], _ = tree.query(
-            np.take(cloud.points, missed, axis=0), k=1, workers=workers)
-    return dist, int(missed.size)
-
-
-def log_distortion(cloud: SampleCloud, codebook: Codebook,
-                   workers: int = 1) -> DistortionEstimate:
-    """Mean log distance from cloud points to their nearest code point.
-
-    Distances are exact nearest-neighbor values; zero distances are
-    clamped at a floor so the mean stays finite, and every clamped
-    sample is counted in the result.  The logs are added by an exact
-    sum, rounded once: the float ``math.fsum`` gives, so the estimate
-    does not depend on ``workers`` or on summation order.  Samples
-    beyond the codebook's reach are counted as unreached.
-    """
-    if cloud.size < 1 or codebook.card < 1:
-        raise ValueError("need a nonempty cloud and codebook")
-    dist, unreached = nearest_distances(cloud, codebook, workers=workers)
-    floored = int(np.count_nonzero(dist < DISTANCE_FLOOR))
-    logs = np.log(np.maximum(dist, DISTANCE_FLOOR, out=dist), out=dist)
-    est = _exact_sum(logs) / cloud.size
-    sd = float(np.std(logs, ddof=1)) if cloud.size > 1 else 0.0
+    logs = own_cell_distances(partition, cloud)
+    done = len(logs)
+    if not done:
+        raise ValueError("no sample of the cloud lies in exactly one word "
+                         "of the partition")
+    floored = int(np.count_nonzero(logs < DISTANCE_FLOOR))
+    np.log(np.maximum(logs, DISTANCE_FLOOR, out=logs), out=logs)
+    est = _exact_sum(logs) / done
+    for lo in range(0, done, _CHUNK):
+        dev = logs[lo:lo + _CHUNK]
+        dev -= est
+        dev *= dev
+    sd = math.sqrt(_exact_sum(logs) / (done - 1)) if done > 1 else 0.0
     return DistortionEstimate(
         estimate=est,
-        stderr=sd / math.sqrt(cloud.size),
+        stderr=sd / math.sqrt(done),
         floored=floored,
-        unreached=unreached,
+        unlocated=cloud.size - done,
     )
 
 
@@ -301,14 +401,11 @@ def _exact_sum(values: np.ndarray) -> float:
     return total / (1 << 1126)
 
 
-def _diameter(params: DerivedParams, h: int) -> float:
-    l = ell(params, h)
-    return math.hypot(float(params.n) ** (-l), float(params.m) ** (-h))
-
-
 def diameter_log(params: DerivedParams, h: int) -> float:
     """log of the rectangle diameter shared by all length-h words."""
-    return math.log(_diameter(params, h))
+    l = ell(params, h)
+    return math.log(math.hypot(float(params.n) ** (-l),
+                               float(params.m) ** (-h)))
 
 
 @dataclass(frozen=True)
@@ -332,16 +429,17 @@ class QuantDiagnostics:
     floored: int
     cloud_size: int
     seed: int
-    unreached: int            # samples beyond the codebook's reach
+    unlocated: int            # samples in no stopping word, or in several
 
     @property
     def anchor_gap(self) -> float:
         return self.upper_anchor - self.lower_anchor
 
 
-def r_k_diagnostic(partition: PartitionLambdaK, cloud: SampleCloud,
-                   workers: int = 1) -> QuantDiagnostics:
-    """Exact anchors plus a Monte Carlo distortion estimate for level k."""
+def r_k_diagnostic(partition: PartitionLambdaK,
+                   cloud: SampleCloud) -> QuantDiagnostics:
+    """Exact anchors plus a Monte Carlo own-cell distortion estimate for
+    level k."""
     params = partition.params
     L = params.denom_lcm
     log_m = math.log(params.spec.m)
@@ -351,7 +449,7 @@ def r_k_diagnostic(partition: PartitionLambdaK, cloud: SampleCloud,
         mass_h = float(Fraction(nu_sum, L ** h))
         lower += mass_h * (-h * log_m)
         upper += mass_h * diameter_log(params, h)
-    est = log_distortion(cloud, lambda_codebook(partition), workers=workers)
+    est = log_distortion(partition, cloud)
     r_k = math.log(partition.phi_k) / params.s0 + est.estimate
     return QuantDiagnostics(
         k=partition.k,
@@ -364,7 +462,7 @@ def r_k_diagnostic(partition: PartitionLambdaK, cloud: SampleCloud,
         floored=est.floored,
         cloud_size=cloud.size,
         seed=cloud.seed,
-        unreached=est.unreached,
+        unlocated=est.unlocated,
     )
 
 
@@ -384,23 +482,19 @@ class BallBoundReport:
         return self.skipped or not self.failures
 
 
-def _ball_counts(points: np.ndarray, pivots: np.ndarray, radii
-                 ) -> np.ndarray:
-    """The number of ``points`` within each radius of each pivot, as a
-    (len(pivots), len(radii)) array: the points whose squared distance
-    dx^2 + dy^2 is at most r^2, counted as a KD-tree's ball query counts
-    them.
+def _ball_counts(xs: np.ndarray, ys: np.ndarray, pivots: np.ndarray,
+                 radii) -> np.ndarray:
+    """The number of points (``xs``, ``ys``), sorted by x, within each
+    radius of each pivot, as a (len(pivots), len(radii)) array: the
+    points whose squared distance dx^2 + dy^2 is at most r^2, counted as
+    a KD-tree's ball query counts them.
 
-    A sweep over the points sorted by x: each pivot's slab of x within
-    the widest radius is a contiguous run whose squared distances are
-    computed once; a narrower radius is a sub-run of it.  For points in
-    the unit square the slabs are widened by far more than the rounding
-    of dx, so only the exact test decides.
+    A sweep: each pivot's slab of x within the widest radius is a
+    contiguous run whose squared distances are computed once; a narrower
+    radius is a sub-run of it.  For points in the unit square the slabs
+    are widened by far more than the rounding of dx, so only the exact
+    test decides.
     """
-    by_x = np.argsort(points[:, 0])
-    xs = points[by_x, 0]
-    ys = points[by_x, 1]
-    del by_x
     radii = [float(r) for r in radii]
     widest = max(radii, default=0.0)
     counts = np.zeros((len(pivots), len(radii)), dtype=np.int64)
@@ -441,7 +535,19 @@ def ball_bound_check(params: DerivedParams, cloud: SampleCloud,
     t = params.ball_exponent
     c = params.c_ball
     n_pts = cloud.size
-    counts = _ball_counts(cloud.points, cloud.points[:centers], radii)
+    # One coordinate at a time, so that at most four cloud-sized arrays
+    # are alive: the sorting permutation, both sorted axes and one
+    # unsorted axis.
+    x = cloud.coordinate(0)
+    by_x = np.argsort(x)
+    xs = x[by_x]
+    del x
+    ys = cloud.coordinate(1)[by_x]
+    del by_x
+    pivots = np.stack([cloud.coordinate(0, centers),
+                       cloud.coordinate(1, centers)], axis=1)
+    counts = _ball_counts(xs, ys, pivots, radii)
+    del xs, ys
     failures = []
     max_ratio = 0.0
     for col, eps in enumerate(radii):

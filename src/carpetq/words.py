@@ -31,6 +31,7 @@ __all__ = [
     "ell",
     "entropy_terms",
     "cut_keys",
+    "key_words",
     "row_keys",
     "RowIndex",
     "WordColumns",
@@ -156,10 +157,19 @@ def cut_keys(params: DerivedParams, rows: np.ndarray, pairs: int,
         packed = np.empty((len(chunk), len(weights)))
         for w in range(len(weights)):
             packed[:, w] = cells @ cell_w[w] + digits @ lone_w[w]
-        yield lo, [packed[:, a].astype(np.uint64) if b == a + 1 else
-                   packed[:, a:b].astype(">u8").view(
-                       np.dtype((np.void, 8 * (b - a)))).ravel()
+        yield lo, [key_words(packed[:, a:b].astype(np.uint64))
                    for a, b in spans]
+
+
+def key_words(words: np.ndarray) -> np.ndarray:
+    """One sort key per row of a (rows, w) ``uint64`` array of key words,
+    first word most significant: the word itself when w = 1, else the
+    row's big-endian bytes viewed as one void value, which compares as
+    the words do."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return words.astype(">u8").view(
+        np.dtype((np.void, 8 * words.shape[1]))).ravel()
 
 
 def row_keys(params: DerivedParams, rows: np.ndarray,

@@ -3,8 +3,10 @@
 The library stores words only as uint8 rows (see ``carpetq.words``).
 Here a word is a ``CarpetWord`` of digit-pair and tail tuples with an
 exact ``Fraction`` mass and exact rectangle, so the tests can check the
-row kernels against an independent and plainly correct route.  Nothing
-in the library or the command line reaches this module.
+row kernels against an independent and plainly correct route.  The
+KD-tree nearest-centre estimator lives here too: the library's own-cell
+distances must never fall below its distances.  Nothing in the library
+or the command line reaches this module.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from carpetq.coding import (
     Antichain, AntichainCollisionError, AntichainInvariantError, StageLog,
@@ -507,3 +510,61 @@ def sample_digit_matrix(params: DerivedParams, count: int, depth: int,
         u = np.random.default_rng([int(seed), block]).random((hi - lo, depth))
         out[lo:hi] = uniform_digits(u, cum)
     return out
+
+
+# -- the nearest-centre estimator ----------------------------------------------
+
+def lambda_codebook(partition) -> np.ndarray:
+    """One point per stopping word, the center of its rectangle; row i
+    is word i of the partition."""
+    params = partition.params
+    n = float(params.n)
+    m = float(params.m)
+    pts = np.empty((partition.phi_k, 2), dtype=np.float64)
+    for h, (rows, _, _) in partition.blocks.items():
+        l = ell(params, h)
+        iw = np.power(n, -np.arange(1, l + 1, dtype=np.float64))
+        yweights = np.power(m, -np.arange(1, h + 1, dtype=np.float64))
+        out = slice(partition.offsets[h], partition.offsets[h] + len(rows))
+        pts[out, 0] = (rows[:, :2 * l].astype(np.float64)[:, ::2] @ iw
+                       + 0.5 * n ** (-l))
+        ydig = np.concatenate([rows[:, 1:2 * l:2], rows[:, 2 * l:]], axis=1)
+        pts[out, 1] = (ydig.astype(np.float64) @ yweights
+                       + 0.5 * m ** (-float(h)))
+    return pts
+
+
+def nearest_distances(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Distance from each point to its nearest centre, by a KD-tree."""
+    return cKDTree(centres).query(points, k=1)[0]
+
+
+def nearest_log_distortion(points: np.ndarray, centres: np.ndarray,
+                           floor: float) -> tuple[float, float, int]:
+    """Mean log distance from the points to their nearest centres, its
+    standard error, and the number of distances below ``floor``, which
+    are clamped at it."""
+    dist = nearest_distances(points, centres)
+    floored = int(np.count_nonzero(dist < floor))
+    logs = np.log(np.maximum(dist, floor))
+    sd = float(np.std(logs, ddof=1)) if len(logs) > 1 else 0.0
+    return (math.fsum(logs) / len(logs), sd / math.sqrt(len(logs)),
+            floored)
+
+
+def brute_locate(params: DerivedParams, store, digits: np.ndarray
+                 ) -> list[int]:
+    """The stopping length of each sample, given its map-index digit row
+    (``sample_digit_matrix``): the one length h whose word spelled by
+    the sample's first h digits is a row of ``store``; 0 when there is
+    none or more than one."""
+    rows = store_rows(store)
+    cells = params.spec.digits
+    found = []
+    for row in digits.tolist():
+        address = [cells[d] for d in row]
+        hits = [h for h in rows
+                if encode_word(word_from_digits(params, address, h))
+                in rows[h]]
+        found.append(hits[0] if len(hits) == 1 else 0)
+    return found

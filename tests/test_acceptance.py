@@ -201,7 +201,7 @@ def test_criterion_6_quantization_sandwich(carpet_a, parts_a, cloud_m):
     gap_cap = math.log(math.sqrt(17))
     r_values = []
     for k in range(2, 7):
-        diag = r_k_diagnostic(parts_a[k], cloud_m, workers=4)
+        diag = r_k_diagnostic(parts_a[k], cloud_m)
         assert diag.e_hat_est <= diag.upper_anchor + 3 * diag.stderr
         assert 0 < diag.anchor_gap <= gap_cap + 1e-12
         r_values.append(diag.r_k)

@@ -9,18 +9,17 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
 import carpetq
 import carpetq.cli as cli
 import carpetq.partition as partition
-import carpetq.quantizer as quantizer
 from carpetq.cli import ConfigError, load_config, main
 from carpetq.coding import AntichainCollisionError, AntichainInvariantError
 from carpetq.partition import DisjointnessReport
 from carpetq.report import read_csv
+from conftest import _tamper
 
 
 _CARPET_D = dict(n=4, m=2, maps=[
@@ -313,8 +312,8 @@ _OVER_CAP_STDOUT = {
         "sequences k=3: d_k=0.859793388 s_k=0.899553472 s0=0.912713498 pass",
     ],
     "quantize": [
-        "quantize k=2: e_hat=-6.018387 anchors [-5.981334, -4.730543] "
-        "R_k=-0.275350",
+        "quantize k=2: e_hat=-5.993900 anchors [-5.981334, -4.730543] "
+        "R_k=-0.250863",
         _CAP_NOTE,
         "quantize ball bound: pass (max ratio 0.0016)",
     ],
@@ -406,19 +405,10 @@ def _replacing(**fields):
         real(*args, **kwargs), **fields)
 
 
-def _short_reach(real):
-    # Runs the layer call with every codebook claiming a reach a million
-    # times shorter than its rectangles' half diagonals.
-    codebook = quantizer.lambda_codebook
-
-    def short(part):
-        book = codebook(part)
-        return dataclasses.replace(book, reach=book.reach * 1e-6)
-
-    def run(*args, **kwargs):
-        with mock.patch.object(quantizer, "lambda_codebook", short):
-            return real(*args, **kwargs)
-    return run
+def _drop_word(real):
+    # Runs the layer call on the level without its first word, so the
+    # samples in that word's cell lie in no word.
+    return lambda part, cloud: real(_tamper(part, drop=[0]), cloud)
 
 
 # (command, cli attribute, wrapper for it, check that must fail)
@@ -436,7 +426,7 @@ _FAULTS = [
      "upper-anchor"),
     ("quantize", "r_k_diagnostic", _replacing(lower_anchor=0.0),
      "anchor-gap"),
-    ("quantize", "r_k_diagnostic", _short_reach, "nearest-centre-reach"),
+    ("quantize", "r_k_diagnostic", _drop_word, "own-cell-located"),
     ("quantize", "ball_bound_check",
      _replacing(failures=((0, 0.1, 0.5, 0.25),)), "ball-bound"),
 ]
@@ -518,13 +508,13 @@ def test_exact_outputs_frozen_carpet_d(tmp_path):
 
 # sha256 of quantize.csv and quantize.json for carpets A and E at
 # k = 2..4 from a 50,000-point cloud at seed 24301.  They pin the sampled
-# cloud, the codebook centers, every nearest distance (through the
-# order-sensitive stderr) and the ball check's ratios.
+# cloud, every sample's located cell and own-cell distance (through the
+# mean and the stderr) and the ball check's ratios.
 _FROZEN_QUANTIZE = {
-    "A": ("cf2232416100883a7f4cfa1019cc685f1a2ad283d03cdb8d25dabb9cb6bd947d",
-          "798d86379862b84f434f2a3eadd4314cee58645bb3ba51c5131893af0d77ca31"),
-    "E": ("b4b998e21ab3fe01d2cda9083330f897211baaaded846efcecc4c6d73bdc957f",
-          "4c24275d68fe47570c232175ef97f4c36fb04c273f3dae9f58281dc49d87d9d3"),
+    "A": ("ac6f0e573d2cd560ed70ca46a05fbb82acbe8fa08b5e75a93620a63e19fa899d",
+          "7ad7973e0d07151f0c312b9164ded269c09fa33ef9a64e9917f49edcdf532a67"),
+    "E": ("fe6f3943caa12593bd4e22729db5d36eec25d20d45e2e909a400363baecc79ef",
+          "349ec58b0de477013a9603eb5d901b334d3a33529b1c6db8fcd2296342c2dcaa"),
 }
 _CARPET_E = dict(n=5, m=3, maps=[
     {"i": 0, "j": 0, "p": "1/6"}, {"i": 2, "j": 0, "p": "1/3"},
@@ -542,15 +532,61 @@ def test_quantize_outputs_frozen(tmp_path, carpet):
     assert got == _FROZEN_QUANTIZE[carpet]
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is loaded only by the functions that build a KD-tree.
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # scipy is a test dependency only: neither the import nor a quantize
+    # run loads it.
     src = Path(carpetq.__file__).resolve().parents[1]
+    cfg = _config(tmp_path, cloud_size=2000)
     code = ("import sys, carpetq, carpetq.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"code = carpetq.cli.main(['quantize', '--config', {cfg!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "print(code, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", code], cwd=src,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip().splitlines()[-1] == "0 []"
+
+
+@pytest.mark.filterwarnings("ignore:grid factor")
+def test_shallow_cloud_guard_exits_2(tmp_path, capsys):
+    # Carpet D at k = 3 has words of length 29, at k = 4 of length 39; a
+    # depth-40 cloud leaves fewer than 20 digits past either.
+    cfg = _config(tmp_path, k_min=2, k_max=4, cloud_size=2000, **_CARPET_D)
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err) == {
+        "error": "quantize k=3: words of length 29 need a cloud depth of "
+                 "at least 49, got 40"}
+
+
+@pytest.mark.filterwarnings("ignore:grid factor")
+def test_deep_cloud_quantizes_carpet_d_unfloored(tmp_path):
+    cfg = _config(tmp_path, k_min=2, k_max=4, cloud_size=20_000, depth=60,
+                  **_CARPET_D)
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0
+    levels = json.loads((out / "quantize.json").read_text())["levels"]
+    assert [(level["k"], level["floored"]) for level in levels] == [
+        (2, 0), (3, 0), (4, 0)]
+
+
+@pytest.mark.parametrize("command,attr", [
+    ("partition", "enumerate_lambda_k"), ("quantize", "draw_cloud"),
+])
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command, attr):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, attr, exhausted)
+    cfg = _config(tmp_path, cloud_size=2000)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": f"{command}: out of memory"}
 
 
 @pytest.mark.filterwarnings("ignore:grid factor")

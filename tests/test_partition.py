@@ -17,12 +17,12 @@ from carpetq.partition import (
     EnumerationCapError, check_square_disjointness, enumerate_lambda_k,
     partition_stats, stopped_statistics,
 )
-from carpetq.quantizer import lambda_codebook
 from carpetq.words import entropy_terms
 from oracles import (
-    carpet_children, check_phi_growth, flat_predecessor, make_word, mass_at,
-    naive_comparable_pairs, raw_coding_antichain, sample_digit_matrix,
-    square_geometry, squares_overlap, word_at, word_mass, words,
+    carpet_children, check_phi_growth, flat_predecessor, lambda_codebook,
+    make_word, mass_at, naive_comparable_pairs, raw_coding_antichain,
+    sample_digit_matrix, square_geometry, squares_overlap, word_at,
+    word_mass, words,
 )
 
 # Word counts confirmed by two independent routes (direct enumeration
@@ -300,9 +300,9 @@ def test_store_aggregates_recount(carpet_a, carpet_c, carpet_d,
                 assert 0 <= idx - part.offsets[len(w)] < counts[len(w)]
                 sq = square_geometry(params, w)
                 assert mass_at(part, idx) == sq.mass
-                assert book.points[idx, 0] == pytest.approx(
+                assert book[idx, 0] == pytest.approx(
                     float(sq.x_low + sq.width / 2), abs=1e-15)
-                assert book.points[idx, 1] == pytest.approx(
+                assert book[idx, 1] == pytest.approx(
                     float(sq.y_low + sq.height / 2), abs=1e-15)
 
 
