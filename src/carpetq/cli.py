@@ -40,8 +40,8 @@ from .partition import (
     partition_stats, stopped_statistics,
 )
 from .quantizer import (
-    MAX_DEPTH, MIN_TAIL, ShallowCloudError, ball_bound_check, draw_cloud,
-    r_k_diagnostic,
+    MAX_DEPTH, MIN_TAIL, ShallowCloudError, _check_depth, ball_bound_check,
+    draw_cloud, r_k_diagnostic,
 )
 from .report import read_csv, render_line_chart, write_csv, write_json, write_text
 from .sequences import delta_k, sequence_point
@@ -176,11 +176,12 @@ class _Ctx:
             write_json(self.out / f"{name}.json", doc)
 
 
-def _levels(ctx: _Ctx, params: DerivedParams):
+def _levels(ctx: _Ctx, params: DerivedParams, known: Optional[dict] = None):
     """``(k, stats, part)`` for each configured level: the aggregates, and
-    the collected partition when the level fits --cap-words, else None."""
+    the collected partition when the level fits --cap-words, else None.
+    The aggregates are taken from ``known``, by k, when given."""
     for k in range(ctx.cfg.k_min, ctx.cfg.k_max + 1):
-        stats = stopped_statistics(params, k)
+        stats = known[k] if known else stopped_statistics(params, k)
         if stats.phi_k <= ctx.cap_words:
             yield k, stats, enumerate_lambda_k(params, k, cap=ctx.cap_words)
         else:
@@ -364,12 +365,22 @@ def cmd_sequences(ctx: _Ctx) -> None:
 def cmd_quantize(ctx: _Ctx) -> None:
     """Monte Carlo quantization diagnostics"""
     params = derive_params(ctx.cfg.spec)
+    # A level too deep for the cloud is a tripped guard, not a failed
+    # check, and trips before anything is drawn.
+    known = {k: stopped_statistics(params, k)
+             for k in range(ctx.cfg.k_min, ctx.cfg.k_max + 1)}
+    for k, stats in known.items():
+        if stats.phi_k > ctx.cap_words:
+            continue
+        try:
+            _check_depth(params, stats.xi_max, ctx.cfg.depth)
+        except ShallowCloudError as exc:
+            raise ConfigError(f"quantize k={k}: {exc}") from exc
     cloud = draw_cloud(params, ctx.cfg.cloud_size, depth=ctx.cfg.depth,
                        seed=ctx.cfg.seed, threads=ctx.threads)
     # The ball check runs first, so its sorted copy of the cloud is gone
-    # before any level's partition and cell keys exist; its line and its
-    # failure still come after the levels'.  A level too deep for the
-    # cloud is a tripped guard, not a failed check.
+    # before any level's partition and cell tables exist; its line and
+    # its failure still come after the levels'.
     radii = tuple(float(params.spec.m) ** (-e) for e in range(2, 9))
     ball = ball_bound_check(
         params, cloud, centers=min(100, cloud.size), radii=radii)
@@ -378,13 +389,10 @@ def cmd_quantize(ctx: _Ctx) -> None:
     rows = []
     detail = []
     gap_cap = math.log(math.sqrt(params.spec.n ** 2 + 1))
-    for k, _, part in _levels(ctx, params):
+    for k, _, part in _levels(ctx, params, known):
         if part is None:
             continue
-        try:
-            diag = r_k_diagnostic(part, cloud)
-        except ShallowCloudError as exc:
-            raise ConfigError(f"quantize k={k}: {exc}") from exc
+        diag = r_k_diagnostic(part, cloud)
         if diag.unlocated:
             ctx.fail(command="quantize", k=k, check="own-cell-located",
                      detail=f"{diag.unlocated} of {diag.cloud_size} points "

@@ -27,7 +27,7 @@ import numpy as np
 
 from .measure import DerivedParams
 from .partition import PartitionLambdaK
-from .words import ell, key_words
+from .words import ell
 
 
 __all__ = [
@@ -178,7 +178,7 @@ def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
             idx = uniform_digits(rng.random((b - a, depth)), cum)
             for axis, (vals, high, kept, places, hw, lw, sw, join, pad) in (
                     enumerate(axes)):
-                v = vals[idx]
+                v = vals.take(idx)
                 top = (v[:, :high] @ hw).astype(np.uint64) * join
                 if kept > high:
                     top += (v[:, high:kept] @ lw).astype(np.uint64)
@@ -207,23 +207,81 @@ def _radix(digits: np.ndarray, base: int) -> np.ndarray:
     return value
 
 
-def _check_depth(partition: PartitionLambdaK, cloud: SampleCloud) -> None:
-    # Every level word must sit inside the packed prefixes and leave at
-    # least MIN_TAIL drawn digits after it, or its samples' offsets
-    # would be cut short.
-    params = partition.params
-    if cloud.bases != (params.n, params.m):
-        raise ValueError(f"cloud drawn for bases {cloud.bases}, carpet has "
-                         f"({params.n}, {params.m})")
-    h = partition.xi_max
-    if ell(params, h) > _places(params.n) or h > _places(params.m):
+def _check_depth(params: DerivedParams, xi_max: int, depth: int) -> None:
+    """Raise ``ShallowCloudError`` unless a cloud of ``depth`` digits can
+    locate words up to length ``xi_max``: every such word must sit inside
+    the packed prefixes and leave at least ``MIN_TAIL`` drawn digits
+    after it, or its samples' offsets would be cut short."""
+    if ell(params, xi_max) > _places(params.n) or xi_max > _places(params.m):
         raise ShallowCloudError(
-            f"words of length {h} are deeper than the packed prefix of "
+            f"words of length {xi_max} are deeper than the packed prefix of "
             f"{_places(params.n)} x digits and {_places(params.m)} y digits")
-    if cloud.depth < h + MIN_TAIL:
+    if depth < xi_max + MIN_TAIL:
         raise ShallowCloudError(
-            f"words of length {h} need a cloud depth of at least "
-            f"{h + MIN_TAIL}, got {cloud.depth}")
+            f"words of length {xi_max} need a cloud depth of at least "
+            f"{xi_max + MIN_TAIL}, got {depth}")
+
+
+_HASH = np.uint64(0x9E3779B97F4A7C15)   # 2^64 / golden ratio, odd
+
+
+def _slot_bits(count: int) -> int:
+    """log2 of a cell table's slot count for ``count`` words: the
+    smallest power of two of at least 2 * count slots, so fewer than 4
+    per word, and at least 2."""
+    return max(1, (2 * count - 1).bit_length())
+
+
+class _CellTable:
+    """The cells (X, Y) of one word length, hashed for exact membership.
+
+    A cell's slot is the top ``_slot_bits`` bits of a fixed
+    multiplicative hash of its two ``uint64`` indices.  The cells are
+    held in slot order, a stable argsort of their slots, and
+    ``start[b]:start[b + 1]`` are the cells of slot b; one padding cell
+    at the end keeps ``start[b]`` a valid position for an empty last
+    slot.  The hash only decides where to look: a query is a member when
+    it equals a cell of its slot in both indices.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        bits = _slot_bits(len(x))
+        self.shift = np.uint64(64 - bits)
+        slot = self.slots(x, y)
+        order = np.argsort(slot, kind="stable")
+        self.x = np.append(x[order], np.uint64(0))
+        self.y = np.append(y[order], np.uint64(0))
+        # 32-bit positions halve the cache lines the lookups touch.
+        self.start = np.zeros((1 << bits) + 1, dtype=np.int32
+                              if len(x) < 1 << 31 else np.int64)
+        np.cumsum(np.bincount(slot, minlength=1 << bits), out=self.start[1:])
+
+    def slots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        mixed = x * _HASH
+        mixed ^= y
+        mixed *= _HASH
+        mixed >>= self.shift
+        return mixed.view(np.int64)
+
+    def contains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Whether each query (``x``, ``y``) is a cell of the table."""
+        slot = self.slots(x, y)
+        pos = self.start.take(slot)
+        end = self.start[1:].take(slot)
+        hit = self.x.take(pos) == x
+        hit &= self.y.take(pos) == y
+        hit &= pos < end
+        # The first probe decides every query whose slot holds at most
+        # one cell; the rest walk their slots a cell at a time.
+        rest = np.flatnonzero(~hit & (end - pos > 1))
+        while len(rest):
+            pos_r = pos[rest] + 1
+            pos[rest] = pos_r
+            found = ((self.x.take(pos_r) == x[rest])
+                     & (self.y.take(pos_r) == y[rest]))
+            hit[rest[found]] = True
+            rest = rest[~found & (end[rest] - pos_r > 1)]
+        return hit
 
 
 def locate(partition: PartitionLambdaK, cloud: SampleCloud) -> np.ndarray:
@@ -233,57 +291,38 @@ def locate(partition: PartitionLambdaK, cloud: SampleCloud) -> np.ndarray:
     A length-h word is the cell of x index X < n^ell(h) and y index
     Y < m^h that its digits spell; a sample lies in it when X and Y are
     the integers of its first ell(h) x and h y digits, two floor
-    divisions of its prefixes.  Each length's cell keys are sorted once
-    and every sample is looked up at every length.  A key that does not
-    fit one 64-bit word uses the multi-word layout of ``key_words``.
-    Raises ``ShallowCloudError`` when the level's longest words are too
-    deep for the cloud.
+    divisions of its prefixes.  Each length's cells are put in a hashed
+    ``_CellTable`` once, and every sample is looked up at every length
+    by comparing both indices exactly, at any cell width.  Raises
+    ``ShallowCloudError`` when the level's longest words are too deep
+    for the cloud.
     """
-    _check_depth(partition, cloud)
     params = partition.params
+    if cloud.bases != (params.n, params.m):
+        raise ValueError(f"cloud drawn for bases {cloud.bases}, carpet has "
+                         f"({params.n}, {params.m})")
+    _check_depth(params, partition.xi_max, cloud.depth)
     n, m = params.n, params.m
     sx, sy = _places(n), _places(m)
     tables = []
     for h, (rows, _, _) in partition.blocks.items():
         l = ell(params, h)
-        wide = n ** l * m ** h > 1 << 64
         x = _radix(rows[:, 0:2 * l:2], n)
         y = _radix(np.concatenate([rows[:, 1:2 * l:2], rows[:, 2 * l:]],
                                   axis=1), m)
-        keys = np.sort(_cell_keys(x, y, m ** h, wide))
         tables.append((h, np.uint64(n ** (sx - l)), np.uint64(m ** (sy - h)),
-                       m ** h, wide, keys))
+                       _CellTable(x, y)))
     found = np.zeros(cloud.size, dtype=np.uint8)
     for lo in range(0, cloud.size, _CHUNK):
         px, py = cloud.prefix[:, lo:lo + _CHUNK]
         hits = np.zeros(len(px), dtype=np.uint8)
         at = found[lo:lo + _CHUNK]
-        for h, dx, dy, mh, wide, keys in tables:
-            hit = _members(keys, _cell_keys(px // dx, py // dy, mh, wide))
+        for h, dx, dy, table in tables:
+            hit = table.contains(px // dx, py // dy)
             hits += hit
             at[hit] = h
         at[hits != 1] = 0
     return found
-
-
-def _members(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
-    # Whether each query is one of the sorted ``keys``.  The queries are
-    # searched sorted, which keeps the searches within cache: three
-    # times faster than searching them as they come.
-    perm = np.argsort(query)
-    query = query[perm]
-    pos = np.searchsorted(keys, query)
-    hit = np.empty(len(query), dtype=bool)
-    hit[perm] = keys[np.minimum(pos, len(keys) - 1)] == query
-    return hit
-
-
-def _cell_keys(x: np.ndarray, y: np.ndarray, mh: int,
-               wide: bool) -> np.ndarray:
-    # Keys of cells (x, y), y < mh, that compare as the pairs (x, y) do.
-    if wide:
-        return key_words(np.stack([x, y], axis=1))
-    return x * np.uint64(mh) + y
 
 
 def own_cell_distances(partition: PartitionLambdaK,

@@ -549,17 +549,28 @@ def test_import_leaves_scipy_unloaded(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:grid factor")
-def test_shallow_cloud_guard_exits_2(tmp_path, capsys):
+def test_shallow_cloud_guard_exits_2(tmp_path, capsys, monkeypatch):
     # Carpet D at k = 3 has words of length 29, at k = 4 of length 39; a
-    # depth-40 cloud leaves fewer than 20 digits past either.
+    # depth-40 cloud leaves fewer than 20 digits past either.  The guard
+    # trips before the cloud is drawn or any level is quantized.
+    draws = []
+    real = cli.draw_cloud
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "draw_cloud", counted)
     cfg = _config(tmp_path, k_min=2, k_max=4, cloud_size=2000, **_CARPET_D)
     out = tmp_path / "out"
     assert main(["quantize", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert json.loads(err) == {
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err) == {
         "error": "quantize k=3: words of length 29 need a cloud depth of "
                  "at least 49, got 40"}
+    assert draws == []
+    assert "quantize k=" not in captured.out
 
 
 @pytest.mark.filterwarnings("ignore:grid factor")

@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import carpetq
-from carpetq import CarpetSpec, derive_params
+from carpetq import CarpetSpec, derive_params, quantizer
 from carpetq.partition import enumerate_lambda_k
 from carpetq.quantizer import (
     _CHUNK, DISTANCE_FLOOR, MAX_DEPTH, SampleCloud, ShallowCloudError,
-    _ball_counts, _exact_sum, ball_bound_check, diameter_log, draw_cloud,
-    locate, log_distortion, own_cell_distances, r_k_diagnostic,
-    uniform_digits,
+    _ball_counts, _CellTable, _exact_sum, _slot_bits, ball_bound_check,
+    diameter_log, draw_cloud, locate, log_distortion, own_cell_distances,
+    r_k_diagnostic, uniform_digits,
 )
 from carpetq.words import ell
 from oracles import (
@@ -301,8 +301,8 @@ def test_sampling_matches_searchsorted_formula(request, name):
     ("a", range(2, 5), 40), ("d", range(2, 5), 60), ("e", range(2, 5), 40),
 ])
 def test_located_word_matches_brute_force(request, name, levels, depth):
-    # Carpet D at k = 4 has lengths up to 39, whose cell keys take two
-    # 64-bit words.
+    # Carpet D at k = 4 has lengths up to 39, whose cells (X, Y) span
+    # more than 64 bits together.
     params = request.getfixturevalue(f"carpet_{name}")
     cloud = draw_cloud(params, 1500, depth=depth, seed=5)
     digits = sample_digit_matrix(params, 1500, depth, 5)
@@ -310,6 +310,62 @@ def test_located_word_matches_brute_force(request, name, levels, depth):
         part = enumerate_lambda_k(params, k)
         assert locate(part, cloud).tolist() == brute_locate(
             params, part, digits[:, :part.xi_max])
+
+
+@pytest.mark.parametrize("name,k,depth", [("a", 3, 40), ("e", 3, 40),
+                                           ("d", 4, 70)])
+def test_located_word_matches_brute_force_in_long_slots(
+        request, monkeypatch, name, k, depth):
+    # Eight slots per length put up to thousands of cells in a slot, so
+    # nearly every lookup walks past the first probe.  Carpet D at k = 4
+    # has cells up to 4^19 * 2^39, wider than 64 bits.
+    params = request.getfixturevalue(f"carpet_{name}")
+    monkeypatch.setattr(quantizer, "_slot_bits", lambda count: 3)
+    part = enumerate_lambda_k(params, k)
+    cloud = draw_cloud(params, 300, depth=depth, seed=13)
+    digits = sample_digit_matrix(params, 300, depth, 13)
+    assert locate(part, cloud).tolist() == brute_locate(
+        params, part, digits[:, :part.xi_max])
+
+
+def test_slot_bits_bound():
+    # Fewer than four slots per word, and at least two per word.
+    for count in range(1, 5000):
+        slots = 1 << _slot_bits(count)
+        assert 2 * count <= slots < 4 * count
+    assert _slot_bits(0) == 1
+
+
+_near = st.sampled_from([0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1,
+                         2 ** 64 - 2, 2 ** 64 - 1])
+_index = st.one_of(_near, st.integers(0, 2 ** 64 - 1), st.integers(0, 9))
+_pairs = st.lists(st.tuples(_index, _index), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=_pairs, extra=_pairs, bits=st.sampled_from([None, 1, 2, 3]))
+@example(cells=[], extra=[(0, 0)], bits=None)
+@example(cells=[(2 ** 64 - 1, 2 ** 63)], extra=[(0, 0)], bits=None)
+@example(cells=[(5, 7), (2 ** 63, 1)], extra=[(0, 0), (5, 7)], bits=1)
+def test_cell_table_membership(cells, extra, bits):
+    # Queries: every cell (twice when the cells repeat), the extra pairs,
+    # and (0, 0).  (0, 0) hashes to slot 0: when that slot is empty its
+    # first probe reads another slot's cell, or in an empty table the
+    # padding cell, which is (0, 0) itself.
+    def array(values):
+        return np.array(values, dtype=np.uint64).reshape(-1)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if bits is not None:
+            patch.setattr(quantizer, "_slot_bits", lambda count: bits)
+        table = _CellTable(array([x for x, _ in cells]),
+                           array([y for _, y in cells]))
+    queries = cells + extra + [(0, 0)]
+    got = table.contains(array([x for x, _ in queries]),
+                         array([y for _, y in queries]))
+    assert got.tolist() == [q in set(cells) for q in queries]
+    if bits is None:
+        assert len(table.start) - 1 <= 4 * max(len(cells), 1)
 
 
 _cells = st.lists(
