@@ -5,7 +5,8 @@ The package is layered bottom-up:
 - measure: carpet descriptions, validation, derived exact and floating
   constants (dimension s0, stopping ratio eta, bound coefficients).
 - words: symbolic addresses mixing full digit pairs with column digits,
-  stored as byte rows per length with exact mass tables.
+  stored as mixed-radix integer keys per length with exact mass tables;
+  the only module that reads the key layout.
 - partition: stopping-time partitions Lambda_k, enumerated exactly or
   aggregated by dynamic programming, plus their exact checks.
 - coding: the product-order view of stopping words and the repair of

@@ -538,7 +538,11 @@ def main(argv=None) -> int:
         if args.cap_words < 1 or args.threads < 1:
             raise ConfigError("--cap-words and --threads must be >= 1")
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"--out {args.out} is not a usable directory: {exc}") from exc
         ctx = _Ctx(cfg=cfg, out=out, cap_words=args.cap_words,
                    threads=args.threads, failures=[])
         _COMMANDS[args.command](ctx)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .measure import DerivedParams
 from .words import (
-    RowIndex, WordColumns, cut_keys, ell, entropy_terms, row_keys,
+    RowIndex, WordColumns, block_predecessor, descend, ell, entropy_terms,
+    family_stems, key_dtype, last_digits, swap_tail,
 )
 
 
@@ -82,12 +83,13 @@ class StageLog:
 class Antichain(WordColumns):
     """A finite set of words, blockwise incomparable, with stage history.
 
-    Words are stored per length like a partition's, as rows, class ids
-    and a table of scaled integer masses (denominator L**length, where
-    L clears all weight denominators); a block no stage touched is the
-    partition's own.  The entropy sum is the exact total of the
-    per-length sums, rounded once.  ``base_*`` aggregates describe
-    ``partition``, the stopping set the construction started from.
+    Words are stored per length like a partition's, as integer keys,
+    class ids and a table of scaled integer masses (denominator
+    L**length, where L clears all weight denominators); a block no stage
+    touched is the partition's own.  The entropy sum is the exact total
+    of the per-length sums, rounded once.  ``base_*`` aggregates
+    describe ``partition``, the stopping set the construction started
+    from.
     """
 
     def __init__(self, partition, blocks: dict, *,
@@ -102,22 +104,13 @@ class Antichain(WordColumns):
         self.stage_logs = stage_logs
 
 
-def _ancestor_columns(params: DerivedParams, h: int, hp: int) -> list[int]:
-    # Columns of a length-h row that spell its blockwise ancestor at
-    # length hp <= h: the first ell(hp) pairs and the first hp - ell(hp)
-    # tail digits.  Both block lengths are nondecreasing in the word
-    # length, so neither cut overruns its block.
-    l, lp = ell(params, h), ell(params, hp)
-    return list(range(2 * lp)) + list(range(2 * l, 2 * l + hp - lp))
-
-
 def _swap_families(params: DerivedParams, k: int, stage: int, target: int,
-                   rows: np.ndarray, ids: np.ndarray, nus: list[int],
+                   keys: np.ndarray, ids: np.ndarray, nus: list[int],
                    flagged: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, list[int], StageLog]:
-    """Swap the families that the ``flagged`` rows of a target length form.
+    """Swap the families that the ``flagged`` words of a target length form.
 
-    Returns the inserted rows, their class ids, the length's mass table
+    Returns the inserted keys, their class ids, the length's mass table
     with any new classes appended, and the stage's log.
     """
     L = params.denom_lcm
@@ -125,20 +118,16 @@ def _swap_families(params: DerivedParams, k: int, stage: int, target: int,
     gx = {j: list(params.gx[j]) for j in params.gy}
     eta_k = params.eta ** k
     eta_num_k, eta_den_k = eta_k.numerator, eta_k.denominator
-    l = ell(params, target)
-    split = 2 * l
 
-    # Families share every column but the last pair's x digit; a
-    # stable sort on that stem keeps walk order inside each family.
-    stem_cols = [c for c in range(rows.shape[1]) if c != split - 2]
-    fam_keys = np.concatenate([keys for _, (keys,) in cut_keys(
-        params, rows[flagged], l, [(stem_cols, l - 1)])])
-    order = np.argsort(fam_keys, kind="stable")
+    # Families share every digit but the last cell's x digit; a stable
+    # sort on that stem keeps walk order inside each family.
+    stems = family_stems(params, target, keys[flagged])
+    order = np.argsort(stems, kind="stable")
     fam = flagged[order]
-    fam_rows, fam_keys, fam_ids = rows[fam], fam_keys[order], ids[fam]
-    starts = np.flatnonzero(np.concatenate(
-        ([True], fam_keys[1:] != fam_keys[:-1])))
+    fam_keys, stems, fam_ids = keys[fam], stems[order], ids[fam]
+    starts = np.flatnonzero(np.concatenate(([True], stems[1:] != stems[:-1])))
     sizes = np.diff(np.append(starts, len(fam_ids)))
+    fam_x, fam_j_l, fam_j_t = last_digits(params, target, fam_keys)
 
     # A family's checks and swap read only its signature: j_l, j_t and
     # its members' (x digit, class) in family order.  Each distinct
@@ -150,9 +139,9 @@ def _swap_families(params: DerivedParams, k: int, stage: int, target: int,
     sig = np.zeros((len(starts), 3 + 2 * span),
                    np.min_scalar_type(max(255, len(nus), span)))
     sig[:, 0] = sizes
-    sig[:, 1] = fam_rows[starts, split - 1]
-    sig[:, 2] = fam_rows[starts, -1]
-    sig[member, 3 + slot] = fam_rows[:, split - 2]
+    sig[:, 1] = fam_j_l[starts]
+    sig[:, 2] = fam_j_t[starts]
+    sig[member, 3 + slot] = fam_x
     sig[member, 3 + span + slot] = fam_ids
     _, first, sig_of = np.unique(
         sig.view(np.dtype((np.void, sig.itemsize * sig.shape[1]))).ravel(),
@@ -173,9 +162,9 @@ def _swap_families(params: DerivedParams, k: int, stage: int, target: int,
 
     for f in first[by_first].tolist():
         s, e = int(starts[f]), int(starts[f] + sizes[f])
-        xs = fam_rows[s:e, split - 2].tolist()
+        xs = fam_x[s:e].tolist()
         members = fam_ids[s:e].tolist()
-        j_l, j_t = int(fam_rows[s, split - 1]), int(fam_rows[s, -1])
+        j_l, j_t = int(fam_j_l[s]), int(fam_j_t[s])
         # Completeness: one sibling per occupant of column j_l.
         if sorted(xs) != gx[j_l]:
             raise AntichainInvariantError(
@@ -220,18 +209,15 @@ def _swap_families(params: DerivedParams, k: int, stage: int, target: int,
         sig_ids.append(ids_new)
 
     # Each family inserts its signature's words, gathered in family
-    # order: the family's first row with the last pair's column digit
+    # order: the family's first word with the last cell's column digit
     # and the last tail digit interchanged, and a new x digit.
     lens = np.array([len(x) for x in sig_x])
     counts = lens[sig_of]
     at = np.arange(counts.sum()) + np.repeat(
         (np.cumsum(lens) - lens)[sig_of] - (np.cumsum(counts) - counts),
         counts)
-    inserted = fam_rows[np.repeat(starts, counts)]
-    j_l_col = inserted[:, split - 1].copy()
-    inserted[:, split - 2] = np.concatenate(sig_x)[at]
-    inserted[:, split - 1] = inserted[:, -1]
-    inserted[:, -1] = j_l_col
+    inserted = swap_tail(params, target, fam_keys[np.repeat(starts, counts)],
+                         np.concatenate(sig_x)[at])
     ins_ids = np.concatenate(sig_ids)[at]
 
     terms = np.array(terms)
@@ -259,8 +245,9 @@ def build_antichain(partition) -> Antichain:
     pair); each family is swapped for the equal-mass family obtained from
     its smallest-x representative by interchanging the last pair's column
     digit with the last tail digit, one word per x digit of the new
-    column.  Ancestors are found by binary search in each shorter
-    length's sorted row keys; families are taken in sorted order, with
+    column.  Each word is walked down by blockwise predecessors, one
+    length at a time, and looked up by binary search in each shorter
+    length's sorted keys; families are taken in sorted order, with
     their members in walk order.  Families with one signature (column
     digits j_l and j_t, and each member's x digit and mass class) pass
     or fail the checks alike, so each distinct signature is checked
@@ -284,24 +271,19 @@ def build_antichain(partition) -> Antichain:
 
     for pos in range(1, len(xi_stages)):
         target = xi_stages[pos]
-        l = ell(params, target)
-        width = target + l
-        rows, ids, nus = blocks.get(
-            target, (np.empty((0, width), np.uint8), np.empty(0, np.uint8), []))
+        keys, ids, nus = blocks.get(
+            target, (np.empty(0, key_dtype(params, target)),
+                     np.empty(0, np.uint8), []))
         # Words at the target length whose blockwise ancestor survived at
         # some shorter length.
-        shorter = [h for h in blocks if h < target]
-        for h in shorter:
-            if h not in indexes:
-                indexes[h] = RowIndex(
-                    row_keys(params, blocks[h][0], ell(params, h)))
+        for h in blocks:
+            if h < target and h not in indexes:
+                indexes[h] = RowIndex(blocks[h][0])
         flags = np.zeros(len(ids), dtype=bool)
-        for lo, queries in cut_keys(
-                params, rows, l,
-                [(_ancestor_columns(params, target, h), ell(params, h))
-                 for h in shorter]):
-            for h, query in zip(shorter, queries):
-                flags[lo:lo + len(query)] |= indexes[h].contains(query)
+        for lo, h, query in descend(params, block_predecessor, target, keys,
+                                    min(blocks)):
+            if h in indexes:
+                flags[lo + indexes[h].matches(query)[0]] = True
         flagged = np.flatnonzero(flags)
         if not len(flagged):
             stage_logs.append(StageLog(
@@ -310,25 +292,25 @@ def build_antichain(partition) -> Antichain:
                 removed_mass=Fraction(0), removed_entropy=0.0,
                 inserted_entropy=0.0, max_family_gap=0.0))
             continue
-        if 2 * l == width:
+        if ell(params, target) == target:
             raise AntichainInvariantError(
                 "replacement family with an empty tail")
         inserted, ins_ids, table, log = _swap_families(
-            params, partition.k, pos + 1, target, rows, ids, nus, flagged)
+            params, partition.k, pos + 1, target, keys, ids, nus, flagged)
 
         # Survivors, then inserts, written once into the new block
         # (mode "clip" writes into ``out`` without a buffer copy).
         kept = np.flatnonzero(~flags)
-        new_rows = np.empty((len(kept) + len(inserted), width), np.uint8)
-        np.take(rows, kept, axis=0, out=new_rows[:len(kept)], mode="clip")
-        new_rows[len(kept):] = inserted
-        index = RowIndex(row_keys(params, new_rows, l))
+        new_keys = np.empty(len(kept) + len(inserted), keys.dtype)
+        np.take(keys, kept, out=new_keys[:len(kept)], mode="clip")
+        new_keys[len(kept):] = inserted
+        index = RowIndex(new_keys)
         if any(b_idx >= len(kept) for _, b_idx in index.duplicates()):
             raise AntichainCollisionError(
                 f"replacement collision at length {target}")
         new_ids = np.append(ids[kept], ins_ids).astype(
             np.min_scalar_type(len(table)))
-        blocks[target] = (new_rows, new_ids, table)
+        blocks[target] = (new_keys, new_ids, table)
         indexes[target] = index
         stage_logs.append(log)
 
@@ -357,9 +339,10 @@ def verify_maximal_antichain(antichain: Antichain) -> AntichainReport:
     Masses are resummed exactly from each length's class counts and
     mass table, not read from the store's aggregates.  For the
     incomparability scan, each word's unique candidate ancestor at every
-    shorter occupied length is looked up by binary search in that
-    length's sorted rows, and equal rows within a length are caught by
-    the same sort.  Comparable pairs are sorted index pairs (a, b), a < b.
+    shorter occupied length, its blockwise predecessor there, is looked
+    up by binary search in that length's sorted keys, and equal words
+    within a length are caught by the same sort.  Comparable pairs are
+    sorted index pairs (a, b), a < b.
     Exact mass one plus pairwise incomparability certify that the
     cylinders tile the whole product space.
     """
@@ -378,8 +361,7 @@ def verify_maximal_antichain(antichain: Antichain) -> AntichainReport:
             below = False
     mass_total = sum(
         (Fraction(nu, L ** h) for h, nu in nu_by_len.items()), Fraction(0))
-    violations = antichain.matching_pairs(
-        lambda h, hp: _ancestor_columns(params, h, hp))
+    violations = antichain.matching_pairs(block_predecessor)
     return AntichainReport(
         size=antichain.size,
         mass_total=mass_total,

@@ -28,7 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .measure import DerivedParams
-from .words import WordColumns, ell
+from .words import (
+    WordColumns, ell, flat_predecessor, key_dtype, pending, step,
+)
 
 __all__ = [
     "DEFAULT_CAP",
@@ -58,8 +60,8 @@ class EnumerationCapError(RuntimeError):
 class _Move(NamedTuple):
     """One step from a length-h word to a child of length h + 1.
 
-    The child's row is the parent's with ``x`` (if any) inserted at the
-    pair boundary, column 2 * ell(h), and ``digit`` appended.  Its
+    The child is the parent with the cell of x digit ``x`` (if any)
+    appended to its cells and ``digit`` appended to its tail.  Its
     scaled mass is nu * factor // divisor, an exact division.
     """
 
@@ -94,8 +96,8 @@ def _moves(params: DerivedParams) -> dict:
 class PartitionLambdaK(WordColumns):
     """One collected stopping-time partition.
 
-    Words are stored per length as rows, class ids and a table of scaled
-    integer masses nu, with mass = nu / L^length.  The word
+    Words are stored per length as integer keys, class ids and a table
+    of scaled integer masses nu, with mass = nu / L^length.  The word
     count ``phi_k`` and the length window ``[xi_min, xi_max]`` are the
     store's size and length window.  The entropy sum rounds each
     length's exact sum once, then adds the lengths with ``math.fsum``.
@@ -141,25 +143,24 @@ def enumerate_lambda_k(
         for j, group in groups.items():
             size[j or 0] = len(group)
         steps[rises] = (moves, np.cumsum(size) - size, size,
-                        np.array([mv.x or 0 for mv in moves], dtype=np.uint8),
-                        np.array([mv.digit for mv in moves], dtype=np.uint8))
+                        np.array([mv.x or 0 for mv in moves], dtype=np.intp),
+                        np.array([mv.digit for mv in moves], dtype=np.intp))
 
     blocks: dict[int, tuple[np.ndarray, np.ndarray, list[int]]] = {}
     # The empty word, at length 0; its children are the roots.
-    rows = np.zeros((1, 0), dtype=np.uint8)
+    keys = np.zeros(1, dtype=np.uint64)
     cls = np.zeros(1, dtype=np.intp)
     nus = [1]
     emitted = h = 0
-    while len(rows):
+    while len(keys):
         h += 1
-        cut = 2 * ell(params, h - 1)
-        rises = ell(params, h) > cut // 2
-        width = rows.shape[1] + 1 + rises
+        rises = ell(params, h) > ell(params, h - 1)
         rhs = eta_k.numerator * L ** h
         moves, first, size, xs, digits = steps[rises]
-        pending = (rows[:, cut] if rises and promoting
-                   else np.zeros(len(rows), dtype=np.uint8))
-        fan = size[pending]
+        # Each parent's pending column digit (0 if nothing is pending).
+        tops = (pending(params, h - 1, keys) if rises and promoting
+                else np.zeros(len(keys), dtype=np.intp))
+        fan = size[tops]
         children = int(fan.sum())
         # Every child is a word or has one below it.
         if emitted + children > cap:
@@ -168,52 +169,45 @@ def enumerate_lambda_k(
 
         # This length's mass classes: one per distinct exact nu over the
         # (parent class, move) pairs that occur.  Counting the stopped
-        # children sizes the length's matrices exactly.
-        kinds = np.bincount(cls * 256 + pending)
+        # children sizes the length's arrays exactly.
+        kinds = np.bincount(cls * 256 + tops)
         class_of = np.zeros((len(nus), len(moves)), dtype=np.intp)
         ids: dict[int, int] = {}
         stops = []
         stopping = 0
-        for key in np.flatnonzero(kinds).tolist():
-            c, j = divmod(key, 256)
+        for kind in np.flatnonzero(kinds).tolist():
+            c, j = divmod(kind, 256)
             for m in range(first[j], first[j] + size[j]):
                 nu = nus[c] * moves[m].factor // moves[m].divisor
                 if nu not in ids:
                     ids[nu] = len(ids)
                     stops.append(nu * eta_k.denominator < rhs)
                 class_of[c, m] = ids[nu]
-                stopping += int(kinds[key]) * stops[ids[nu]]
+                stopping += int(kinds[kind]) * stops[ids[nu]]
         nus, stops = list(ids), np.array(stops)
 
-        def grow(sel: np.ndarray, out: np.ndarray) -> None:
-            # Rows of the current chunk's children ``sel``, into ``out``.
-            p, m = parent[sel], move[sel]
-            out[:, :cut] = rows[p, :cut]
-            if rises:
-                out[:, cut] = xs[m]
-            out[:, cut + rises:-1] = rows[p, cut:]
-            out[:, -1] = digits[m]
-
-        done = np.empty((stopping, width), dtype=np.uint8)
+        dtype = key_dtype(params, h)
+        done = np.empty(stopping, dtype=dtype)
         done_ids = np.empty(stopping, dtype=np.min_scalar_type(len(nus)))
-        live = np.empty((children - stopping, width), dtype=np.uint8)
+        live = np.empty(children - stopping, dtype=dtype)
         live_cls = np.empty(len(live), dtype=np.intp)
         lived = doned = 0
-        for lo in range(0, len(rows), _CHUNK):
+        for lo in range(0, len(keys), _CHUNK):
             f = fan[lo:lo + _CHUNK]
             parent = np.repeat(np.arange(lo, lo + len(f)), f)
             move = np.arange(len(parent)) + np.repeat(
-                first[pending[lo:lo + _CHUNK]] - np.cumsum(f) + f, f)
+                first[tops[lo:lo + _CHUNK]] - np.cumsum(f) + f, f)
             child = class_of[cls[parent], move]
+            grown = step(params, h, keys[parent], xs[move], digits[move])
             stopped = stops[child]
             sel = np.flatnonzero(stopped)
             span = slice(doned, doned + len(sel))
-            grow(sel, done[span])
+            done[span] = grown[sel]
             done_ids[span] = child[sel]
             doned += len(sel)
             sel = np.flatnonzero(~stopped)
             span = slice(lived, lived + len(sel))
-            grow(sel, live[span])
+            live[span] = grown[sel]
             live_cls[span] = child[sel]
             lived += len(sel)
 
@@ -223,7 +217,7 @@ def enumerate_lambda_k(
         # The next length's classes: the live ones, renumbered in order.
         nus = [nu for nu, stop in zip(nus, stops.tolist()) if not stop]
         cls = (np.cumsum(~stops) - 1)[live_cls]
-        rows = live
+        keys = live
     return PartitionLambdaK(params, k, blocks)
 
 
@@ -421,16 +415,6 @@ class DisjointnessReport:
         return not self.violations
 
 
-def _overlap_columns(params: DerivedParams, h: int, hp: int) -> list[int]:
-    # Columns of a length-h row that spell the row of the one length-hp
-    # word (hp <= h) whose square can contain it: the first ell(hp)
-    # pairs, then y digits ell(hp)+1..hp, which sit in the column digits
-    # of later pairs before they reach the tail.
-    l, lp = ell(params, h), ell(params, hp)
-    return (list(range(2 * lp)) + list(range(2 * lp + 1, 2 * l, 2))
-            + list(range(2 * l, h + l)))[:hp + lp]
-
-
 def check_square_disjointness(partition: PartitionLambdaK) -> DisjointnessReport:
     """Verify that all square interiors are pairwise disjoint, exactly.
 
@@ -439,12 +423,11 @@ def check_square_disjointness(partition: PartitionLambdaK) -> DisjointnessReport
     simultaneous x- and y-digit prefix nesting; no interval arithmetic
     beyond digit comparison is needed.  A length-h word can overlap a
     shorter word of length h' only if that word is its unique candidate
-    (y[:h'], x[:ell(h')]), and a word of its own length only if the two
-    are equal, so every check is one lookup in a sorted row index.
-    Violations are sorted index pairs (a, b) with a < b.
+    (y[:h'], x[:ell(h')]), its flat predecessor at h', and a word of
+    its own length only if the two are equal, so every check is one
+    lookup in a sorted key index.  Violations are sorted index pairs
+    (a, b) with a < b.
     """
-    params = partition.params
     return DisjointnessReport(
         checked=partition.phi_k,
-        violations=partition.matching_pairs(
-            lambda h, hp: _overlap_columns(params, h, hp)))
+        violations=partition.matching_pairs(flat_predecessor))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .measure import DerivedParams
 from .partition import PartitionLambdaK
-from .words import ell
+from .words import cell_indices, ell
 
 
 __all__ = [
@@ -197,16 +197,6 @@ def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
                        bases=(params.n, params.m), depth=depth, seed=seed)
 
 
-def _radix(digits: np.ndarray, base: int) -> np.ndarray:
-    """Each row of a uint8 digit matrix as a base-``base`` uint64, first
-    column most significant."""
-    value = np.zeros(len(digits), dtype=np.uint64)
-    for col in range(digits.shape[1]):
-        value *= np.uint64(base)
-        value += digits[:, col]
-    return value
-
-
 def _check_depth(params: DerivedParams, xi_max: int, depth: int) -> None:
     """Raise ``ShallowCloudError`` unless a cloud of ``depth`` digits can
     locate words up to length ``xi_max``: every such word must sit inside
@@ -291,9 +281,9 @@ def locate(partition: PartitionLambdaK, cloud: SampleCloud) -> np.ndarray:
     A length-h word is the cell of x index X < n^ell(h) and y index
     Y < m^h that its digits spell; a sample lies in it when X and Y are
     the integers of its first ell(h) x and h y digits, two floor
-    divisions of its prefixes.  Each length's cells are put in a hashed
-    ``_CellTable`` once, and every sample is looked up at every length
-    by comparing both indices exactly, at any cell width.  Raises
+    divisions of its prefixes.  Each length's cells, decoded from its
+    keys, are put in a hashed ``_CellTable`` once, and every sample is
+    looked up at every length by comparing both indices exactly.  Raises
     ``ShallowCloudError`` when the level's longest words are too deep
     for the cloud.
     """
@@ -305,13 +295,10 @@ def locate(partition: PartitionLambdaK, cloud: SampleCloud) -> np.ndarray:
     n, m = params.n, params.m
     sx, sy = _places(n), _places(m)
     tables = []
-    for h, (rows, _, _) in partition.blocks.items():
-        l = ell(params, h)
-        x = _radix(rows[:, 0:2 * l:2], n)
-        y = _radix(np.concatenate([rows[:, 1:2 * l:2], rows[:, 2 * l:]],
-                                  axis=1), m)
-        tables.append((h, np.uint64(n ** (sx - l)), np.uint64(m ** (sy - h)),
-                       _CellTable(x, y)))
+    for h, (keys, _, _) in partition.blocks.items():
+        tables.append((h, np.uint64(n ** (sx - ell(params, h))),
+                       np.uint64(m ** (sy - h)),
+                       _CellTable(*cell_indices(params, h, keys))))
     found = np.zeros(cloud.size, dtype=np.uint8)
     for lo in range(0, cloud.size, _CHUNK):
         px, py = cloud.prefix[:, lo:lo + _CHUNK]

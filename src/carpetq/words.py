@@ -1,17 +1,20 @@
-"""Symbolic addresses over a carpet's digit set, stored as byte rows.
+"""Symbolic addresses over a carpet's digit set, stored as integer keys.
 
-A length-k word is ell(k) full (i, j) pairs followed by k - ell(k)
+A length-k word is ell(k) full (i, j) cells followed by k - ell(k)
 bare column digits j, where ell(k) is the largest l with
 
     n^l <= m^k,
 
-i.e. floor(k log m / log n).  The pair prefix and column tail encode
+i.e. floor(k log m / log n).  The cell prefix and column tail encode
 one level-k approximate square: x is resolved to scale n^-ell(k) and
 y to scale m^-k, so the square is geometrically balanced (width over
-height between 1 and n).  A word is stored as one uint8 row of
-k + ell(k) digits: the interleaved pair digits i1, j1, ..., iL, jL,
-then the tail digits.  The split point 2 * ell(k) is recoverable from
-the row length alone.
+height between 1 and n).  A word is stored as one integer key, first
+digit most significant: per cell its rank in the sorted digit set G,
+then per tail digit its rank in the sorted occupied columns gy.  Keys
+of one length compare as the digit strings i1, j1, ..., iL, jL, tail
+do.  They are ``uint64`` while |G|^ell(k) |gy|^(k - ell(k)) <= 2^64,
+else Python ints in an ``object`` array.  Only this module reads the
+layout.
 """
 
 from __future__ import annotations
@@ -20,20 +23,16 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .measure import CarpetSpec, DerivedParams
 
 __all__ = [
-    "WordError",
-    "ell",
-    "entropy_terms",
-    "cut_keys",
-    "key_words",
-    "row_keys",
-    "RowIndex",
+    "WordError", "ell", "entropy_terms", "key_space", "key_dtype", "step",
+    "pending", "family_stems", "flat_predecessor", "block_predecessor",
+    "last_digits", "swap_tail", "cell_indices", "descend", "RowIndex",
     "WordColumns",
 ]
 
@@ -64,155 +63,200 @@ def ell(params: DerivedParams, k: int) -> int:
     return _ell_exact(params.n, params.m, k)
 
 
-_CHUNK = 1 << 12            # rows packed at once: bounds the lookup scratch
-_WORD_BITS = 53             # key bits one float64 dot product packs exactly
+_KEY_BITS = 64              # a length's keys are uint64 while they fit here
+_CHUNK = 1 << 14            # keys walked down at once: bounds the lookup scratch
+
+
+class _Layout(NamedTuple):
+    g: int                  # |G|, the radix of a cell
+    c: int                  # |gy|, the radix of a tail digit
+    cells: np.ndarray       # (g, 2) intp: the cell (i, j) of each rank
+    cols: np.ndarray        # intp: the column digit of each rank
+    cell_rank: np.ndarray   # uint64: the rank of cell (i, j), at i + n j
+    col_rank: np.ndarray    # uint64: the rank of column j, at j
 
 
 @lru_cache(maxsize=None)
-def _digit_ranks(spec: CarpetSpec) -> tuple[np.ndarray, np.ndarray]:
-    # Rank of each cell (i, j) in the sorted digit set G, at i + 256 j,
-    # and of each occupied column j in sorted gy, at j; -1 elsewhere.
-    # Each table ends in a -1 that ``np.take(..., mode="clip")`` returns
-    # for any larger index, so a digit off the grid reads -1 too.  The
-    # ranks keep the digits' byte order.
-    cells = sorted(spec.digits)
-    pair = np.full(256 * (spec.m - 1) + spec.n + 1, -1.0)
-    pair[[i + 256 * j for i, j in cells]] = np.arange(len(cells))
-    cols = sorted({j for _, j in cells})
-    col = np.full(spec.m + 1, -1.0)
-    col[cols] = np.arange(len(cols))
-    return pair, col
+def _layout(spec: CarpetSpec) -> _Layout:
+    cells = np.array(sorted(spec.digits), dtype=np.intp)
+    cols = np.unique(cells[:, 1])
+    cell_rank = np.zeros(spec.n * spec.m, dtype=np.uint64)
+    cell_rank[cells[:, 0] + spec.n * cells[:, 1]] = np.arange(len(cells))
+    col_rank = np.zeros(spec.m, dtype=np.uint64)
+    col_rank[cols] = np.arange(len(cols))
+    return _Layout(len(cells), len(cols), cells, cols, cell_rank, col_rank)
 
 
-def _word_weights(radices: list[int]) -> tuple[list[int], list[int], int]:
-    # Mixed-radix digits split, first to last, into key words of at most
-    # _WORD_BITS bits: each digit's word and weight (the product of the
-    # radices after it in its word), and the word count.
-    word_of, word, size = [], 0, 1
-    for radix in radices:
-        if size * radix > 1 << _WORD_BITS:
-            word, size = word + 1, 1
-        word_of.append(word)
-        size *= radix
-    weight = [1] * len(radices)
-    for t in range(len(radices) - 2, -1, -1):
-        if word_of[t] == word_of[t + 1]:
-            weight[t] = weight[t + 1] * radices[t + 1]
-    return word_of, weight, word + 1
+def key_space(params: DerivedParams, h: int) -> int:
+    """The number of length-h keys: |G|^ell(h) * |gy|^(h - ell(h))."""
+    return _space(params.spec, h, ell(params, h))
 
 
-def cut_keys(params: DerivedParams, rows: np.ndarray, pairs: int,
-             cuts: Sequence[tuple[Sequence[int], int]]
-             ) -> Iterator[tuple[int, list[np.ndarray]]]:
-    """Sort keys of ``rows`` cut down to each of ``cuts``, a chunk at a time.
+@lru_cache(maxsize=None)
+def _space(spec: CarpetSpec, h: int, l: int) -> int:
+    return _layout(spec).g ** l * _layout(spec).c ** (h - l)
 
-    ``rows`` is a uint8 matrix whose first ``pairs`` column pairs (i, j)
-    are cells of the carpet's digit set G and whose other columns are
-    occupied column digits.  A cut ``(cols, cut_pairs)`` spells a row
-    from the columns ``cols``, in order: ``cut_pairs`` whole pairs of
-    the row, then lone column digits (a pair's j or a tail digit).  Its
-    key reads that row as a mixed-radix number, first column most
-    significant: a pair is the digit of its rank in sorted G (base
-    |G|), a lone digit that of its rank in sorted gy (base |gy|).  So
-    keys compare as the cut rows' bytes do, at log2 |G| bits a pair and
-    log2 |gy| bits a lone digit.  A cut of at most 53 bits, as every
-    row of every reference level is, gets ``uint64`` keys; a wider one
-    packs into big-endian 64-bit words of up to 53 bits each, a key
-    viewed as their bytes.  A pair outside G, or a lone digit outside gy
-    that a cut reads, raises ``WordError``.
 
-    Yields, for the ``_CHUNK`` rows from row ``lo`` on, ``lo`` and one
-    key array per cut.  A chunk's ranks are looked up once for all cuts.
+def key_dtype(params: DerivedParams, h: int) -> np.dtype:
+    """``uint64`` while every length-h key fits in 64 bits, else
+    ``object`` (Python ints)."""
+    return np.dtype(np.uint64 if key_space(params, h) <= 1 << _KEY_BITS
+                    else object)
+
+
+def _cast(params: DerivedParams, h: int, keys: np.ndarray) -> np.ndarray:
+    dtype = key_dtype(params, h)
+    return keys if keys.dtype == dtype else keys.astype(dtype)
+
+
+def step(params: DerivedParams, h: int, keys: np.ndarray, xs: np.ndarray,
+         digits: np.ndarray) -> np.ndarray:
+    """The keys of length-h words from those of their flat predecessors.
+
+    ``keys`` are length h - 1 keys, one per word.  Where ell keeps its
+    value at h, a word appends the column ``digits`` to its
+    predecessor's tail.  Where it rises, the predecessor's top tail digit
+    j leaves the tail for a new last cell (``xs``, j), and ``digits`` is
+    appended; a predecessor without a tail (n = m) appends the cell
+    (``xs``, ``digits``).
     """
-    pair_rank, col_rank = _digit_ranks(params.spec)
-    lone = sorted({c for cols, cut_pairs in cuts
-                   for c in cols[2 * cut_pairs:]})
-    at = {c: t for t, c in enumerate(lone)}
-    # Each cut's key words, and per word the weight of every rank.
-    spans, places, words = [], [], 0
-    for cols, cut_pairs in cuts:
-        word_of, weight, count = _word_weights(
-            [len(params.spec.digits)] * cut_pairs
-            + [len(params.gy)] * (len(cols) - 2 * cut_pairs))
-        spans.append((words, words + count))
-        places += [(words + w, cols[2 * t] // 2 if t < cut_pairs
-                    else pairs + at[cols[cut_pairs + t]], wt)
-                   for t, (w, wt) in enumerate(zip(word_of, weight))]
-        words += count
-    weights = np.zeros((words, pairs + len(lone)))
-    for word, place, weight in places:
-        weights[word, place] += weight
-    cell_w, lone_w = weights[:, :pairs].copy(), weights[:, pairs:].copy()
-    for lo in range(0, max(len(rows), 1), _CHUNK):
-        chunk = np.ascontiguousarray(rows[lo:lo + _CHUNK])
-        cells = np.take(pair_rank, chunk[:, :2 * pairs].view("<u2"),
-                        mode="clip")
-        digits = np.take(col_rank, chunk[:, lone], mode="clip")
-        if min(cells.min(initial=0), digits.min(initial=0)) < 0:
-            raise WordError("row digit outside the carpet's cells or "
-                            "occupied columns")
-        # One float64 dot product per key word, exact below 2^53.  Not one
-        # matrix product for all words: OpenBLAS runs that on two threads,
-        # which doubled the CPU time of the lookups on carpet D.
-        packed = np.empty((len(chunk), len(weights)))
-        for w in range(len(weights)):
-            packed[:, w] = cells @ cell_w[w] + digits @ lone_w[w]
-        yield lo, [key_words(packed[:, a:b].astype(np.uint64))
-                   for a, b in spans]
+    lay = _layout(params.spec)
+    keys = _cast(params, h, keys)
+    t = h - 1 - ell(params, h - 1)
+    if ell(params, h) + t == h - 1:
+        return keys * lay.c + lay.col_rank[digits]
+    if not t:
+        return keys * lay.g + lay.cell_rank[xs + params.n * digits]
+    below = lay.c ** (t - 1)            # the span of the tail under its top
+    top = lay.cols[(keys // below % lay.c).astype(np.intp)]
+    return ((keys // (below * lay.c) * lay.g
+             + lay.cell_rank[xs + params.n * top]) * (below * lay.c)
+            + keys % below * lay.c + lay.col_rank[digits])
 
 
-def key_words(words: np.ndarray) -> np.ndarray:
-    """One sort key per row of a (rows, w) ``uint64`` array of key words,
-    first word most significant: the word itself when w = 1, else the
-    row's big-endian bytes viewed as one void value, which compares as
-    the words do."""
-    if words.shape[1] == 1:
-        return words[:, 0]
-    return words.astype(">u8").view(
-        np.dtype((np.void, 8 * words.shape[1]))).ravel()
+def pending(params: DerivedParams, h: int, keys: np.ndarray) -> np.ndarray:
+    """The column digit on top of each length-h key's tail, which the
+    step to h + 1 promotes when ell rises there."""
+    lay = _layout(params.spec)
+    top = keys // lay.c ** (h - ell(params, h) - 1) % lay.c
+    return lay.cols[top.astype(np.intp)]
 
 
-def row_keys(params: DerivedParams, rows: np.ndarray,
-             pairs: int) -> np.ndarray:
-    """The ``cut_keys`` of whole rows: ``pairs`` cells, then column digits."""
-    keys = None
-    for lo, (chunk,) in cut_keys(params, rows, pairs,
-                                 [(range(rows.shape[1]), pairs)]):
-        if keys is None:
-            keys = np.empty(len(rows), chunk.dtype)
-        keys[lo:lo + len(chunk)] = chunk
-    return keys
+def _split(params: DerivedParams, h: int, keys: np.ndarray) -> tuple:
+    # Length-h keys as the cells before the last, the last cell's rank,
+    # the tail, and the tail's span |gy|^(h - ell(h)).
+    g, c = _layout(params.spec)[:2]
+    span = c ** (h - ell(params, h))
+    return (keys // (g * span), (keys // span % g).astype(np.intp),
+            keys % span, span)
+
+
+def family_stems(params: DerivedParams, h: int,
+                 keys: np.ndarray) -> np.ndarray:
+    """Keys of length-h words less their last cell's x digit: the cells
+    before it, its column, then the tail, read in the key layout, so
+    they sort as those digit strings do."""
+    head, last, tail, span = _split(params, h, keys)
+    lay = _layout(params.spec)
+    return (head * lay.c + lay.col_rank[lay.cells[last, 1]]) * span + tail
+
+
+def block_predecessor(params: DerivedParams, h: int,
+                      keys: np.ndarray) -> np.ndarray:
+    """The key of each length-h word's blockwise predecessor: the last
+    tail digit goes, or where ell falls at h - 1 the last cell."""
+    g, c = _layout(params.spec)[:2]
+    l = ell(params, h)
+    if ell(params, h - 1) == l:
+        return _cast(params, h - 1, keys // c)
+    span = c ** (h - l)
+    return _cast(params, h - 1, keys // (g * span) * span + keys % span)
+
+
+def flat_predecessor(params: DerivedParams, h: int,
+                     keys: np.ndarray) -> np.ndarray:
+    """The key of each length-h word's flat predecessor, the length h - 1
+    word whose square contains its square: where ell falls at h - 1 its
+    last cell becomes a column digit on top of the tail."""
+    if ell(params, h - 1) == ell(params, h) or ell(params, h) == h:
+        return block_predecessor(params, h, keys)
+    return _cast(params, h - 1,
+                 family_stems(params, h, keys) // _layout(params.spec).c)
+
+
+def last_digits(params: DerivedParams, h: int, keys: np.ndarray) -> tuple:
+    """The x digit and column of each length-h key's last cell, and its
+    last tail digit."""
+    _, last, tail, _ = _split(params, h, keys)
+    lay = _layout(params.spec)
+    return (*lay.cells[last].T, lay.cols[(tail % lay.c).astype(np.intp)])
+
+
+def swap_tail(params: DerivedParams, h: int, keys: np.ndarray,
+              xs: np.ndarray) -> np.ndarray:
+    """Length-h keys with the last cell's column digit and the last tail
+    digit interchanged, and the last cell's x digit set to ``xs``."""
+    head, last, tail, span = _split(params, h, keys)
+    lay = _layout(params.spec)
+    new = lay.cell_rank[xs + params.n * lay.cols[
+        (tail % lay.c).astype(np.intp)]]
+    return ((head * lay.g + new) * span + tail // lay.c * lay.c
+            + lay.col_rank[lay.cells[last, 1]])
+
+
+def cell_indices(params: DerivedParams, h: int,
+                 keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cell (X, Y) of each length-h key, as uint64: X is the base-n
+    integer of its ell(h) x digits and Y the base-m integer of its h y
+    digits, the cells' columns then the tail.  Needs n^ell(h) and m^h
+    at most 2^64."""
+    lay = _layout(params.spec)
+    t = h - ell(params, h)
+    xy = np.zeros((2, len(keys)), dtype=np.uint64)
+    for p in range(h):                  # the last digit first
+        radix = lay.c if p < t else lay.g
+        rank = (keys % radix).astype(np.intp)
+        keys = keys // radix
+        if p < t:
+            xy[1] += lay.cols[rank].astype(np.uint64) * params.m ** p
+        else:
+            xy += lay.cells[rank].T.astype(np.uint64) * np.array(
+                [[params.n ** (p - t)], [params.m ** p]], dtype=np.uint64)
+    return xy[0], xy[1]
+
+
+def descend(params: DerivedParams, predecessor: Callable, h: int,
+            keys: np.ndarray, stop: int
+            ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yields (lo, hp, the keys from index lo on walked down to length
+    hp), a ``_CHUNK`` of keys at a time, for hp from h - 1 down to
+    ``stop``: one ``predecessor`` step (flat or blockwise) per length."""
+    for lo in range(0, len(keys), _CHUNK):
+        query = keys[lo:lo + _CHUNK]
+        for hp in range(h - 1, stop - 1, -1):
+            query = predecessor(params, hp + 1, query)
+            yield lo, hp, query
 
 
 class RowIndex:
-    """Sort keys of one matrix's rows, sorted once for exact lookups.
+    """One length's keys, sorted once for exact lookups.
 
-    ``order`` is the stable sort of the rows by their keys: equal rows
-    keep their input order, and with ``row_keys`` the sorted rows come
-    out in ``sorted(bytes)`` order.  Query keys must come from the same
-    layout as the indexed ones.
+    ``order`` is the stable sort of the keys: equal keys keep their
+    input order, and the words come out in the order of their digit
+    strings.  Query keys must be of the same length and dtype.
     """
 
     def __init__(self, keys: np.ndarray):
-        # Timsort: rows in walk order come in long sorted runs.
+        # Timsort: keys in walk order come in long sorted runs.
         self.order = np.argsort(keys, kind="stable")
         self.keys = keys[self.order]
 
-    def _first(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Sorted position of each key's first equal row, and whether
-        # there is one.
-        pos = np.searchsorted(self.keys, keys)
-        hit = self.keys[np.minimum(pos, len(self.keys) - 1)] == keys
-        return pos, hit
-
-    def contains(self, keys: np.ndarray) -> np.ndarray:
-        """Whether each key equals some row."""
-        return self._first(keys)[1]
-
     def matches(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(key index, row index) for every key and every row equal to it."""
-        pos, hit = self._first(keys)
-        found = np.flatnonzero(hit)
+        """(query index, key index) for every query and every key equal
+        to it."""
+        pos = np.searchsorted(self.keys, keys)
+        found = np.flatnonzero(
+            self.keys[np.minimum(pos, len(self.keys) - 1)] == keys)
         lo = pos[found]
         counts = np.searchsorted(self.keys, keys[found], side="right") - lo
         starts = np.cumsum(counts) - counts
@@ -220,7 +264,7 @@ class RowIndex:
         return np.repeat(found, counts), self.order[at]
 
     def duplicates(self) -> list[tuple[int, int]]:
-        """Every pair (a, b), a < b, of equal rows."""
+        """Every pair (a, b), a < b, of equal keys."""
         same = (self.keys[1:] == self.keys[:-1]).view(np.int8)
         edges = np.diff(same, prepend=np.int8(0), append=np.int8(0))
         pairs = []
@@ -241,30 +285,33 @@ class WordColumns:
     """A word store keyed by word length.
 
     ``blocks`` maps each occupied length h, in ascending order, to a
-    triple ``(rows, ids, nus)``: a C-contiguous uint8 matrix holding one
-    row of h + ell(h) digits per word, an unsigned class
-    id per row, and a table of the length's exact scaled masses (Python
-    ints; an entry may have no word): word t has mass nus[ids[t]] / L^h.
-    Word indices run in this length-major order; ``offsets[h]`` is the
-    index of the first length-h word.  The counts, the length window,
-    the exact mass aggregates and each length's exact sum of
-    mass * log(mass) (class count times ``entropy_terms``, as a
-    fraction) are derived once, here, so no consumer regroups words by
-    length.
+    triple ``(keys, ids, nus)``: one key per word, of ``key_dtype`` and
+    below ``key_space``, an unsigned class id per word, and a table of
+    the length's exact scaled masses (Python ints; an entry may have no
+    word): word t has mass nus[ids[t]] / L^h.  Word indices run in this
+    length-major order; ``offsets[h]`` is the index of the first
+    length-h word.  The counts, the length window, the exact mass
+    aggregates and each length's exact sum of mass * log(mass) (class
+    count times ``entropy_terms``, as a fraction) are derived once,
+    here, so no consumer regroups words by length.
     """
 
     def __init__(self, params: DerivedParams,
                  blocks: dict[int, tuple[np.ndarray, np.ndarray, list[int]]]):
         L = params.denom_lcm
-        for h, (rows, ids, nus) in blocks.items():
-            width = h + ell(params, h)
-            if not (isinstance(rows, np.ndarray) and rows.dtype == np.uint8
+        for h, (keys, ids, nus) in blocks.items():
+            dtype, space = key_dtype(params, h), key_space(params, h)
+            if not (isinstance(keys, np.ndarray) and keys.dtype == dtype
                     and isinstance(ids, np.ndarray) and ids.dtype.kind == "u"
-                    and rows.shape == ids.shape + (width,)
-                    and rows.flags.c_contiguous and (ids < len(nus)).all()):
+                    and keys.shape == ids.shape == (len(ids),)
+                    and (ids < len(nus)).all()
+                    and (dtype != object
+                         or all(type(key) is int for key in keys.tolist()))
+                    and (not len(keys) or 0 <= int(keys.min())
+                         and int(keys.max()) < space)):
                 raise WordError(
-                    f"length-{h} block needs C-contiguous uint8 rows of width "
-                    f"{width}, each with an unsigned class id below {len(nus)}")
+                    f"length-{h} block needs {dtype} keys below {space}, each "
+                    f"with an unsigned class id below {len(nus)}")
         self.params = params
         self.blocks = {h: b for h, b in sorted(blocks.items()) if len(b[1])}
         self.length_counts = {h: len(b[1]) for h, b in self.blocks.items()}
@@ -293,32 +340,27 @@ class WordColumns:
     def __len__(self) -> int:
         return self.size
 
-    def matching_pairs(self, columns: Callable[[int, int], list[int]]
+    def matching_pairs(self, predecessor: Callable
                        ) -> tuple[tuple[int, int], ...]:
-        """Sorted index pairs (a, b), a < b, of words whose rows match.
+        """Sorted index pairs (a, b), a < b, of words that match.
 
-        A length-h word b matches a word a of length hp < h when b's row
-        cut down to ``columns(h, hp)`` equals a's row, and a word of its
-        own length when the two rows are equal.  Each length's rows are
-        packed once, a chunk at a time, into their own keys and those of
-        their cuts to every shorter length; each length's own keys are
-        sorted once, and every cut-down row is one binary search.
+        A length-h word b matches a word a of length hp < h when walking
+        b down by ``predecessor``, one step per length, reaches a's key
+        at hp, and a word of its own length when the two keys are
+        equal.  Each length's keys are sorted once, and every step down
+        to an occupied length is one binary search.
         """
         indexes: dict[int, RowIndex] = {}
         pairs: list[tuple[int, int]] = []
-        for h, (rows, _, _) in self.blocks.items():
-            base, l = self.offsets[h], ell(self.params, h)
-            cuts = [(range(rows.shape[1]), l)] + [
-                (columns(h, hp), ell(self.params, hp)) for hp in indexes]
-            keys = None
-            for lo, (own, *cut) in cut_keys(self.params, rows, l, cuts):
-                if keys is None:
-                    keys = np.empty(len(rows), own.dtype)
-                keys[lo:lo + len(own)] = own
-                for (hp, shorter), query in zip(indexes.items(), cut):
-                    found, anc = shorter.matches(query)
+        for h, (keys, _, _) in self.blocks.items():
+            base = self.offsets[h]
+            for lo, hp, query in descend(self.params, predecessor, h, keys,
+                                         self.l_min):
+                if hp in indexes:
+                    found, anc = indexes[hp].matches(query)
                     pairs.extend(zip((anc + self.offsets[hp]).tolist(),
                                      (found + base + lo).tolist()))
             index = indexes[h] = RowIndex(keys)
             pairs.extend((base + a, base + b) for a, b in index.duplicates())
         return tuple(sorted(pairs))
+

@@ -20,7 +20,7 @@ import pytest
 from carpetq import CarpetSpec, derive_params
 from carpetq.coding import build_antichain
 from carpetq.partition import PartitionLambdaK, enumerate_lambda_k
-from oracles import encode_word
+from oracles import keys_of
 
 
 def _derive(n, m, table):
@@ -105,19 +105,19 @@ def _tamper(part, drop=(), add=()):
     L = part.params.denom_lcm
     drop = set(drop)
     blocks = {}
-    for h, (rows, ids, nus) in part.blocks.items():
+    for h, (keys, ids, nus) in part.blocks.items():
         keep = [pos for pos in range(len(ids))
                 if part.offsets[h] + pos not in drop]
-        blocks[h] = (rows[keep], ids[keep], nus)
+        blocks[h] = (keys[keep], ids[keep], nus)
     for word, mass in add:
         h = len(word)
         nu = mass * L ** h
         assert nu.denominator == 1
-        row = np.frombuffer(encode_word(word), dtype=np.uint8)[None, :]
-        rows, ids, nus = blocks.get(h, (row[:0], np.empty(0, np.uint8), []))
+        key = keys_of(part.params, h, [word])
+        keys, ids, nus = blocks.get(h, (key[:0], np.empty(0, np.uint8), []))
         nus = nus + [int(nu)]
         ids = np.append(ids, len(nus) - 1).astype(np.min_scalar_type(len(nus)))
-        blocks[h] = (np.concatenate([rows, row]), ids, nus)
+        blocks[h] = (np.concatenate([keys, key]), ids, nus)
     return PartitionLambdaK(part.params, part.k, blocks)
 
 

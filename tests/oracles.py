@@ -1,9 +1,10 @@
 """Word-level oracles: the tuple word type and the slow checks built on it.
 
-The library stores words only as uint8 rows (see ``carpetq.words``).
+The library stores words only as integer keys (see ``carpetq.words``).
 Here a word is a ``CarpetWord`` of digit-pair and tail tuples with an
-exact ``Fraction`` mass and exact rectangle, so the tests can check the
-row kernels against an independent and plainly correct route.  The
+exact ``Fraction`` mass and exact rectangle, and a store's keys decode
+to byte rows of its digits, so the tests can check the key kernels
+against an independent and plainly correct route.  The
 KD-tree nearest-centre estimator lives here too: the library's own-cell
 distances must never fall below its distances.  Nothing in the library
 or the command line reaches this module.
@@ -21,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from carpetq.coding import (
     Antichain, AntichainCollisionError, AntichainInvariantError, StageLog,
-    _ancestor_columns, xi_sequence,
+    xi_sequence,
 )
 from carpetq.measure import DerivedParams
 from carpetq.quantizer import _SHARD_ROWS, uniform_digits
@@ -198,7 +199,102 @@ def decode_word(params: DerivedParams, data: bytes, k: int) -> CarpetWord:
     return CarpetWord(pairs, tail)
 
 
-# -- reading a row store word by word --------------------------------------
+# -- the key encoding ---------------------------------------------------------
+# A key reads a word as a mixed-radix integer, first digit most
+# significant: per pair its rank in the sorted digit set G, then per tail
+# digit its rank in the sorted occupied columns gy.
+
+def _radices(params: DerivedParams) -> tuple[list, list]:
+    cells = sorted(params.spec.digits)
+    return cells, sorted({j for _, j in cells})
+
+
+def key_dtype_of(params: DerivedParams, h: int) -> np.dtype:
+    """uint64 when every length-h key fits in 64 bits, else object."""
+    cells, cols = _radices(params)
+    l = ell(params, h)
+    fits = len(cells) ** l * len(cols) ** (h - l) <= 2 ** 64
+    return np.dtype(np.uint64 if fits else object)
+
+
+def encode_key(params: DerivedParams, word: CarpetWord) -> int:
+    cells, cols = _radices(params)
+    key = 0
+    for pair in word.pairs:
+        key = key * len(cells) + cells.index(pair)
+    for j in word.tail:
+        key = key * len(cols) + cols.index(j)
+    return key
+
+
+def decode_key(params: DerivedParams, key: int, h: int) -> CarpetWord:
+    cells, cols = _radices(params)
+    l = ell(params, h)
+    tail, pairs = [], []
+    for _ in range(h - l):
+        key, r = divmod(key, len(cols))
+        tail.append(cols[r])
+    for _ in range(l):
+        key, r = divmod(key, len(cells))
+        pairs.append(cells[r])
+    if key:
+        raise WordError(f"key too large for length {h}")
+    return CarpetWord(tuple(reversed(pairs)), tuple(reversed(tail)))
+
+
+def keys_of(params: DerivedParams, h: int, words) -> np.ndarray:
+    """The keys of length-h ``words``, in the store's dtype."""
+    return np.array([encode_key(params, w) for w in words],
+                    dtype=key_dtype_of(params, h))
+
+
+def _digit_matrix(values: np.ndarray, radix: int, count: int) -> np.ndarray:
+    # (count, len(values)) base-radix digits, most significant first.
+    # Values wider than 64 bits are first cut into 64-bit chunks of
+    # ``places`` digits each.
+    if radix == 1 or not count:
+        return np.zeros((count, len(values)), dtype=np.uint8)
+    places = 1
+    while radix ** (places + 1) <= 2 ** 64:
+        places += 1
+    chunks = -(-count // places)
+    places = -(-count // chunks)
+    parts = np.empty((chunks, len(values)), dtype=np.uint64)
+    for c in range(chunks - 1, 0, -1):
+        parts[c] = values % radix ** places
+        values = values // radix ** places
+    parts[0] = values
+    out = np.empty((chunks * places, len(values)),
+                   dtype=np.min_scalar_type(radix - 1))
+    shift = radix.bit_length() - 1
+    for p in range(places - 1, -1, -1):
+        # A power-of-two radix by mask and shift, which run far faster.
+        if radix == 1 << shift:
+            out[p::places] = parts & np.uint64(radix - 1)
+            parts >>= np.uint64(shift)
+        else:
+            out[p::places] = parts % radix
+            parts //= radix
+    return out[chunks * places - count:]
+
+
+def key_rows(params: DerivedParams, h: int, keys: np.ndarray) -> np.ndarray:
+    """The byte rows of length-h ``keys``: the interleaved pair digits
+    i1, j1, ..., iL, jL, then the tail digits, one uint8 row per key."""
+    cells, cols = _radices(params)
+    cells = np.array(cells, dtype=np.uint8)
+    l = ell(params, h)
+    span = len(cols) ** (h - l)
+    head = _digit_matrix(keys // span, len(cells), l)
+    out = np.empty((h + l, len(keys)), dtype=np.uint8)
+    out[0:2 * l:2] = cells[:, 0].take(head)
+    out[1:2 * l:2] = cells[:, 1].take(head)
+    out[2 * l:] = np.array(cols, dtype=np.uint8).take(
+        _digit_matrix(keys % span, len(cols), h - l))
+    return np.ascontiguousarray(out.T)
+
+
+# -- reading a key store word by word ------------------------------------------
 
 def _locate(store, idx: int) -> tuple[int, int]:
     # (length, position in its block) of word ``idx``.
@@ -209,26 +305,26 @@ def _locate(store, idx: int) -> tuple[int, int]:
 
 
 def word_at(store, idx: int) -> CarpetWord:
-    """Word ``idx`` of a row store, decoded."""
+    """Word ``idx`` of a key store, decoded."""
     h, pos = _locate(store, idx)
-    return decode_word(store.params, store.blocks[h][0][pos].tobytes(), h)
+    return decode_key(store.params, int(store.blocks[h][0][pos]), h)
 
 
 def mass_at(store, idx: int) -> Fraction:
-    """Exact mass of word ``idx`` of a row store."""
+    """Exact mass of word ``idx`` of a key store."""
     h, pos = _locate(store, idx)
     _, ids, nus = store.blocks[h]
     return Fraction(nus[ids[pos]], store.params.denom_lcm ** h)
 
 
 def words(store) -> list[tuple[CarpetWord, Fraction]]:
-    """Every (word, exact mass) of a row store, in word index order."""
+    """Every (word, exact mass) of a key store, in word index order."""
     L = store.params.denom_lcm
     out = []
-    for h, (rows, ids, nus) in store.blocks.items():
+    for h, (keys, ids, nus) in store.blocks.items():
         masses = [Fraction(nu, L ** h) for nu in nus]
-        out.extend((decode_word(store.params, row.tobytes(), h), masses[c])
-                   for row, c in zip(rows, ids.tolist()))
+        out.extend((decode_key(store.params, key, h), masses[c])
+                   for key, c in zip(keys.tolist(), ids.tolist()))
     return out
 
 
@@ -236,7 +332,8 @@ def store_rows(store) -> dict[int, dict[bytes, int]]:
     """Each length's words as {row bytes: scaled mass nu}, mass = nu / L^h.
     Fails on a repeated row, which a dict would hide."""
     out = {}
-    for h, (rows, ids, nus) in store.blocks.items():
+    for h, (keys, ids, nus) in store.blocks.items():
+        rows = key_rows(store.params, h, keys)
         out[h] = dict(zip(map(bytes, rows), map(nus.__getitem__, ids.tolist())))
         assert len(out[h]) == len(ids), f"repeated row at length {h}"
     return out
@@ -355,11 +452,19 @@ def replay_stages(partition):
     return stages, blocks
 
 
+def ancestor_columns(params: DerivedParams, h: int, hp: int) -> list[int]:
+    """Columns of a length-h byte row that spell its blockwise ancestor
+    at length hp <= h: the first ell(hp) pairs and the first
+    hp - ell(hp) tail digits."""
+    l, lp = ell(params, h), ell(params, hp)
+    return list(range(2 * lp)) + list(range(2 * l, 2 * l + hp - lp))
+
+
 def build_antichain_by_family(partition) -> Antichain:
     """``build_antichain`` with one pass of the exact checks per family.
 
-    Ancestors are found in sets of row bytes and families by a stable
-    sort of their stem bytes; each family then runs the completeness,
+    Each length's keys are decoded to byte rows; ancestors are found in
+    sets of row bytes and families by a stable sort of their stem bytes; each family then runs the completeness,
     factorability, threshold, predecessor and conservation checks and
     the entropy gap on its own, in sorted family order with walk order
     inside.  The library runs them once per distinct family signature;
@@ -377,13 +482,15 @@ def build_antichain_by_family(partition) -> Antichain:
     for pos, target in enumerate(xi_stages[1:], start=2):
         split = 2 * ell(params, target)
         width = target + split // 2
-        rows, ids, nus = blocks.get(
-            target, (np.empty((0, width), np.uint8), np.empty(0, np.uint8), []))
+        keys, ids, nus = blocks.get(
+            target, (np.empty(0, key_dtype_of(params, target)),
+                     np.empty(0, np.uint8), []))
+        rows = key_rows(params, target, keys)
         flags = np.zeros(len(ids), dtype=bool)
         for h in blocks:
             if h < target:
-                shorter = set(map(bytes, blocks[h][0]))
-                cols = _ancestor_columns(params, target, h)
+                shorter = set(map(bytes, key_rows(params, h, blocks[h][0])))
+                cols = ancestor_columns(params, target, h)
                 flags |= [bytes(row[cols]) in shorter for row in rows]
         flagged = np.flatnonzero(flags)
         if not len(flagged):
@@ -468,7 +575,9 @@ def build_antichain_by_family(partition) -> Antichain:
             raise AntichainCollisionError(
                 f"replacement collision at length {target}")
         blocks[target] = (
-            np.concatenate([rows[keep], inserted]),
+            np.concatenate([keys[keep], keys_of(
+                params, target,
+                [decode_word(params, data, target) for data in new])]),
             np.append(ids[keep], ins_ids).astype(
                 np.min_scalar_type(len(table))),
             table)
@@ -521,7 +630,8 @@ def lambda_codebook(partition) -> np.ndarray:
     n = float(params.n)
     m = float(params.m)
     pts = np.empty((partition.phi_k, 2), dtype=np.float64)
-    for h, (rows, _, _) in partition.blocks.items():
+    for h, (keys, _, _) in partition.blocks.items():
+        rows = key_rows(params, h, keys)
         l = ell(params, h)
         iw = np.power(n, -np.arange(1, l + 1, dtype=np.float64))
         yweights = np.power(m, -np.arange(1, h + 1, dtype=np.float64))

@@ -668,6 +668,18 @@ def test_bad_flag_values_exit_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("out", ["somefile", "somefile/sub"])
+def test_out_not_a_directory_exits_2(tmp_path, capsys, out):
+    # --out names a regular file, or a directory under one.
+    cfg = _config(tmp_path)
+    (tmp_path / "somefile").write_text("x")
+    assert main(["validate", "--config", cfg,
+                 "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not a usable directory" in json.loads(captured.err)["error"]
+
+
 def test_usage_error_exit_code():
     assert main(["frobnicate", "--config", "x"]) == 2
     assert main([]) == 2

@@ -137,10 +137,10 @@ def test_raw_equals_built_when_single_stage(cache_a):
     built = cache_a.antichain(4)
     assert built.stage_logs == ()
     assert raw.size == built.size
-    assert {h: sorted(zip(map(bytes, rows), map(nus.__getitem__, ids)))
-            for h, (rows, ids, nus) in raw.blocks.items()} \
-        == {h: sorted(zip(map(bytes, rows), map(nus.__getitem__, ids)))
-            for h, (rows, ids, nus) in built.blocks.items()}
+    assert {h: sorted(zip(keys.tolist(), map(nus.__getitem__, ids)))
+            for h, (keys, ids, nus) in raw.blocks.items()} \
+        == {h: sorted(zip(keys.tolist(), map(nus.__getitem__, ids)))
+            for h, (keys, ids, nus) in built.blocks.items()}
     assert verify_maximal_antichain(built).ok
 
 
@@ -237,15 +237,15 @@ def _log_fields(log):
                                       ("e", 2), ("e", 3), ("e", 4)])
 def test_family_pass_matches_per_family_oracle(request, carpet, k):
     # One run of the checks per family signature builds what one run per
-    # family builds: the same rows, ids and mass tables, and stage logs
+    # family builds: the same keys, ids and mass tables, and stage logs
     # equal to the last bit.
     cache = request.getfixturevalue(f"cache_{carpet}")
     chain = cache.antichain(k)
     oracle = build_antichain_by_family(cache.partition(k))
     assert list(chain.blocks) == list(oracle.blocks)
-    for h, (rows, ids, nus) in chain.blocks.items():
-        o_rows, o_ids, o_nus = oracle.blocks[h]
-        assert rows.dtype == o_rows.dtype and np.array_equal(rows, o_rows)
+    for h, (keys, ids, nus) in chain.blocks.items():
+        o_keys, o_ids, o_nus = oracle.blocks[h]
+        assert keys.dtype == o_keys.dtype and np.array_equal(keys, o_keys)
         assert ids.dtype == o_ids.dtype and np.array_equal(ids, o_ids)
         assert nus == o_nus
     assert [_log_fields(log) for log in chain.stage_logs] \

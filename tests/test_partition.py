@@ -12,17 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carpetq import CarpetSpec, derive_params, partition
+from carpetq import words as words_mod
 from carpetq.coding import build_antichain, verify_maximal_antichain
 from carpetq.partition import (
     EnumerationCapError, check_square_disjointness, enumerate_lambda_k,
     partition_stats, stopped_statistics,
 )
+from carpetq.quantizer import draw_cloud, locate
 from carpetq.words import entropy_terms
 from oracles import (
-    carpet_children, check_phi_growth, flat_predecessor, lambda_codebook,
-    make_word, mass_at, naive_comparable_pairs, raw_coding_antichain,
-    sample_digit_matrix, square_geometry, squares_overlap, word_at,
-    word_mass, words,
+    carpet_children, check_phi_growth, flat_predecessor, key_rows,
+    lambda_codebook, make_word, mass_at, naive_comparable_pairs,
+    raw_coding_antichain, sample_digit_matrix, square_geometry,
+    squares_overlap, word_at, word_mass, words,
 )
 
 # Word counts confirmed by two independent routes (direct enumeration
@@ -32,10 +34,10 @@ PHI_A = {1: 18, 2: 189, 3: 1701, 4: 10935, 5: 118098, 6: 1062882,
 
 
 # sha256 of every block of the collected partition, in length order
-# (length, word count, row bytes, masses as hex), and the entropy sum's
-# float.hex.  Word order within a length is pinned too: codebook rows,
-# violation indices and the walk order inside an antichain family all
-# follow it.
+# (length, word count, the keys decoded to byte rows, masses as hex),
+# and the entropy sum's float.hex.  Word order within a length is pinned
+# too: codebook rows, violation indices and the walk order inside an
+# antichain family all follow it.
 WALK_DIGESTS = {
     ("a", 1): ("e5fda47ccdef09e926669ceef36140c3b7b7471e7a0b526fc1df38f7d40cc457",
                 "-0x1.6ab7f382f2592p+1"),
@@ -199,9 +201,9 @@ def test_cap_exact(request, carpet, k):
 
 def _blocks_digest(part):
     digest = hashlib.sha256()
-    for h, (rows, ids, nus) in part.blocks.items():
+    for h, (keys, ids, nus) in part.blocks.items():
         digest.update(f"{h}:{len(ids)}:".encode())
-        digest.update(rows.tobytes())
+        digest.update(key_rows(part.params, h, keys).tobytes())
         digest.update(",".join(hex(nus[c]) for c in ids).encode())
     return digest.hexdigest()
 
@@ -222,6 +224,35 @@ def test_walk_chunks_change_nothing(request, monkeypatch, carpet, k):
     part = enumerate_lambda_k(params, k)
     assert (_blocks_digest(part), part.entropy_sum.hex()) \
         == WALK_DIGESTS[carpet, k]
+
+
+@pytest.mark.parametrize("carpet,k", [("a", 2), ("a", 3), ("a", 4),
+                                      ("d", 2), ("d", 3), ("d", 4)])
+def test_object_keys_change_nothing(request, monkeypatch, carpet, k):
+    # A 0-bit bound gives every length object keys (Python ints), as
+    # words past 64 bits get them; each layer must read them as it reads
+    # uint64 keys.
+    params = request.getfixturevalue(f"carpet_{carpet}")
+    cloud = draw_cloud(params, 20_000, depth=60, seed=3)
+
+    def run():
+        part = enumerate_lambda_k(params, k)
+        chain = build_antichain(part)
+        return ((_blocks_digest(part), part.entropy_sum.hex()),
+                check_square_disjointness(part),
+                {h: (keys.tolist(), ids.tolist(), nus)
+                 for h, (keys, ids, nus) in chain.blocks.items()},
+                chain.stage_logs, verify_maximal_antichain(chain),
+                locate(part, cloud).tolist(),
+                {keys.dtype for keys, _, _ in chain.blocks.values()})
+
+    whole = run()
+    monkeypatch.setattr(words_mod, "_KEY_BITS", 0)
+    forced = run()
+    assert whole[0] == WALK_DIGESTS[carpet, k]
+    assert whole[-1] == {np.dtype(np.uint64)}
+    assert forced[-1] == {np.dtype(object)}
+    assert forced[:-1] == whole[:-1]
 
 
 def test_recursion_limit_left_unchanged(carpet_skewed):

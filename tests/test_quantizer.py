@@ -25,9 +25,9 @@ from carpetq.quantizer import (
 )
 from carpetq.words import ell
 from oracles import (
-    brute_locate, flat_predecessor, lambda_codebook, nearest_distances,
-    nearest_log_distortion, sample_digit_matrix, square_geometry, word_at,
-    word_mass,
+    brute_locate, flat_predecessor, key_rows, lambda_codebook,
+    nearest_distances, nearest_log_distortion, sample_digit_matrix,
+    square_geometry, word_at, word_mass,
 )
 
 
@@ -95,13 +95,12 @@ def _hand_cloud(part, idx, quarters):
     # centre, in quarter cell sides; exact on power-of-two bases.
     params = part.params
     n, m = params.n, params.m
-    h = max(h for h, start in part.offsets.items() if start <= idx)
-    row = part.blocks[h][0][idx - part.offsets[h]].tolist()
-    l = ell(params, h)
+    word = word_at(part, idx)
+    h, l = len(word), len(word.pairs)
     x = y = 0
-    for i in row[0:2 * l:2]:
+    for i in word.x_digits():
         x = x * n + i
-    for j in row[1:2 * l:2] + row[2 * l:]:
+    for j in word.y_digits():
         y = y * m + j
     dx, dy = n ** (_places(n) - l), m ** (_places(m) - h)
     prefix = np.array([[x * dx + dx // 2 + qx * dx // 4 for qx, _ in quarters],
@@ -249,8 +248,9 @@ def _widened_centers(partition):
     params = partition.params
     n, m = float(params.n), float(params.m)
     pts = np.empty((partition.phi_k, 2), dtype=np.float64)
-    for h, (rows, _, _) in partition.blocks.items():
+    for h, (keys, _, _) in partition.blocks.items():
         l = ell(params, h)
+        rows = key_rows(params, h, keys)
         grid = rows.astype(np.float64)
         iw = np.power(n, -np.arange(1, l + 1, dtype=np.float64))
         ydig = np.concatenate([grid[:, 1:2 * l:2], grid[:, 2 * l:]], axis=1)

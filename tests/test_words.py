@@ -1,5 +1,6 @@
 """Word mechanics: lengths, predecessors, children, masses, geometry."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,20 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carpetq import CarpetSpec, derive_params
 from carpetq import words as words_mod
-from carpetq.coding import (
-    _ancestor_columns, build_antichain, verify_maximal_antichain,
-)
-from carpetq.partition import (
-    _overlap_columns, check_square_disjointness, enumerate_lambda_k,
-)
+from carpetq.coding import build_antichain, verify_maximal_antichain
+from carpetq.partition import check_square_disjointness, enumerate_lambda_k
 from carpetq.words import (
-    RowIndex, WordColumns, WordError, cut_keys, ell, row_keys,
+    RowIndex, WordColumns, WordError, block_predecessor,
+    cell_indices, ell, family_stems, key_dtype, key_space,
+    last_digits, pending, step, swap_tail,
 )
 from oracles import (
-    CarpetWord, carpet_children, decode_word, encode_word, flat_predecessor,
-    make_word, mass_at, raw_coding_antichain, square_geometry, store_rows,
-    word_at, word_from_digits, word_mass,
+    CarpetWord, carpet_children, coding_predecessor, decode_key,
+    decode_word, encode_word, flat_predecessor, key_dtype_of,
+    key_rows, keys_of, make_word, mass_at, raw_coding_antichain,
+    square_geometry, store_rows, swap_tail as swap_word_tail, word_at,
+    word_from_digits, word_mass,
 )
 
 
@@ -172,27 +174,59 @@ def test_encode_decode_round_trip(carpet_a):
     assert decode_word(carpet_a, data, len(w)) == w
 
 
-def test_word_columns_rejects_malformed_blocks(carpet_a):
+def test_word_columns_rejects_malformed_blocks(carpet_a, carpet_d):
     # Length-2 words of carpet A hold one pair and one tail digit.
-    rows = np.array([[0, 0, 2], [0, 2, 0]], dtype=np.uint8)
+    pair = [CarpetWord(((0, 0),), (2,)), CarpetWord(((0, 2),), (0,))]
+    keys = keys_of(carpet_a, 2, pair)
     ids = np.array([0, 1], dtype=np.uint8)
-    store = WordColumns(carpet_a, {2: (rows, ids, [1, 2])})
+    store = WordColumns(carpet_a, {2: (keys, ids, [1, 2])})
+    assert keys.dtype == np.uint64 and keys.tolist() == [1, 2]
     assert word_at(store, 1) == CarpetWord(((0, 2),), (0,))
     assert mass_at(store, 1) == Fraction(2, 9)
+    space = key_space(carpet_a, 2)
     for block in [
-        ([encode_word(word_at(store, 0))], ids[:1], [1]),  # bytes, not rows
-        (rows.astype(np.int64), ids, [1, 2]),           # wrong dtype
-        (rows[:, :2].copy(), ids, [1, 2]),              # wrong width
-        (rows, ids, [1]),                               # id at table length
-        (rows, np.array([0, 5], np.uint8), [1, 2]),     # id past the table
-        (rows, ids.astype(np.int8), [1, 2]),            # signed ids
-        (rows, ids[:1], [1, 2]),                        # one id short
-        (rows, [0, 1], [1, 2]),                         # ids not an array
-        (rows[::-1], ids, [1, 2]),                      # not C-contiguous
-        (rows[0], ids[:1], [1]),                        # not a matrix
+        ([encode_word(pair[0])], ids[:1], [1]),         # bytes, not keys
+        (key_rows(carpet_a, 2, keys), ids, [1, 2]),     # byte rows
+        (keys.astype(np.int64), ids, [1, 2]),           # signed keys
+        (keys.astype(object), ids, [1, 2]),             # object where uint64 fits
+        (np.array([1, space], np.uint64), ids, [1, 2]),  # key past the space
+        (keys, ids, [1]),                               # id at table length
+        (keys, np.array([0, 5], np.uint8), [1, 2]),     # id past the table
+        (keys, ids.astype(np.int8), [1, 2]),            # signed ids
+        (keys, ids[:1], [1, 2]),                        # one id short
+        (keys, [0, 1], [1, 2]),                         # ids not an array
+        (keys[:, None], ids[:, None], [1, 2]),          # not a vector
     ]:
         with pytest.raises(WordError):
             WordColumns(carpet_a, {2: block})
+    # Carpet D's length-65 keys span 2^65: Python ints in an object array.
+    assert key_space(carpet_d, 65) == 2 ** 65
+    wide = np.array([0, 2 ** 65 - 1], dtype=object)
+    assert len(WordColumns(carpet_d, {65: (wide, ids, [1, 2])})) == 2
+    for keys in [
+        wide.astype(np.float64),                        # not ints
+        np.array([0, 2 ** 65], dtype=object),           # key past the space
+        np.array([-1, 0], dtype=object),                # negative key
+        np.array([0, np.uint64(1)], dtype=object),      # a numpy scalar
+        np.array([0, 1.0], dtype=object),               # a float
+    ]:
+        with pytest.raises(WordError):
+            WordColumns(carpet_d, {65: (keys, ids, [1, 2])})
+
+
+def test_key_dtype_follows_the_64_bit_bound(carpet_a, carpet_b, carpet_c,
+                                            carpet_d, carpet_e):
+    # uint64 exactly while the key space is at most 2^64: carpet D's
+    # radices are both 2, so the bound falls between lengths 64 and 65.
+    assert key_dtype(carpet_d, 64) == np.uint64
+    assert key_dtype(carpet_d, 65) == object
+    for params in (carpet_a, carpet_b, carpet_c, carpet_d, carpet_e):
+        cells = len(params.spec.digits)
+        cols = len(params.gy)
+        for h in range(0, 130):
+            l = ell(params, h)
+            assert key_space(params, h) == cells ** l * cols ** (h - l)
+            assert key_dtype(params, h) == key_dtype_of(params, h)
 
 
 @settings(max_examples=80, deadline=None)
@@ -213,132 +247,130 @@ def test_random_descent_round_trips(carpet_a, carpet_c, carpet_d, steps, pick):
     assert params.eta <= ratio <= params.q_max
 
 
-def _random_rows(params, pairs, lone, picks):
-    # One uint8 row per pick: ``pairs`` cells of G, then ``lone`` occupied
+def _random_words(params, h, picks):
+    # One length-h word per pick: ell(h) cells of G, then occupied
     # column digits, each chosen by an index into its sorted set.
-    cells, cols = sorted(params.spec.digits), list(params.gy)
-    out = np.empty((len(picks), 2 * pairs + lone), dtype=np.uint8)
-    for t, pick in enumerate(picks):
-        for c in range(pairs):
-            out[t, 2 * c:2 * c + 2] = cells[pick[c] % len(cells)]
-        for c in range(lone):
-            out[t, 2 * pairs + c] = cols[pick[pairs + c] % len(cols)]
-    return out
+    cells, cols, l = sorted(params.spec.digits), list(params.gy), ell(params, h)
+    return [CarpetWord(
+        tuple(cells[pick[c % len(pick)] % len(cells)] for c in range(l)),
+        tuple(cols[pick[c % len(pick)] % len(cols)] for c in range(l, h)))
+        for pick in picks]
 
 
-def _mixed_radix(params, row, pairs):
-    # The key's integer by definition: ranks in sorted G, then in gy.
-    cells, cols = sorted(params.spec.digits), list(params.gy)
-    value = 0
-    for c in range(pairs):
-        value = value * len(cells) + cells.index(tuple(row[2 * c:2 * c + 2]))
-    for j in row[2 * pairs:]:
-        value = value * len(cols) + cols.index(j)
-    return value
+def _carpet(data, carpets):
+    # One of carpets A, D and E, or a random carpet.
+    pick = data.draw(st.integers(0, 3))
+    if pick < 3:
+        return carpets[pick]
+    # Even digits keep the cells apart, as the separation check needs.
+    n = data.draw(st.integers(3, 9))
+    m = data.draw(st.integers(2, min(n, 5)))
+    cells = data.draw(st.lists(
+        st.tuples(st.sampled_from(range(0, n, 2)),
+                  st.sampled_from(range(0, m, 2))),
+        min_size=2, max_size=6, unique=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return derive_params(CarpetSpec.of(
+            n, m, {c: f"1/{len(cells)}" for c in cells}))
 
 
-def _oracle_index(rows):
-    # Row bytes -> the indices of the rows that spell them, ascending.
-    index = {}
-    for t, row in enumerate(rows):
-        index.setdefault(row.tobytes(), []).append(t)
-    return index
+_pool = st.lists(st.lists(st.integers(0, 255), min_size=1, max_size=8),
+                 min_size=1, max_size=6)
 
 
-@settings(max_examples=60, deadline=None)
-@given(pick=st.integers(0, 2),
-       layout=st.sampled_from(["full", "stem", "wide"]),
-       h=st.integers(2, 12), extra=st.integers(0, 3),
-       pool=st.lists(st.lists(st.integers(0, 255), min_size=80, max_size=80),
-                     min_size=1, max_size=6),
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), h=st.integers(1, 90), pool=_pool,
        draws=st.lists(st.integers(0, 5), min_size=1, max_size=30))
-def test_row_keys_sort_and_look_up_as_bytes(carpet_a, carpet_d, carpet_e,
-                                             pick, layout, h, extra, pool,
-                                             draws):
-    # Rows drawn with repeats from a small pool, in the layout of a whole
-    # word, of a family stem (one pair fewer, its column digit kept) or
-    # wider than 64 bits.
-    params = (carpet_a, carpet_d, carpet_e)[pick]
-    l = ell(params, h)
-    pairs, lone = {
-        "full": (l, h - l),
-        "stem": (l - 1, h - l + 1),
-        "wide": (64 // int(np.log2(len(params.spec.digits))) + 1 + extra,
-                 extra),
-    }[layout]
-    rows = _random_rows(params, pairs, lone,
-                        [pool[d % len(pool)] for d in draws])
-    keys = row_keys(params, rows, pairs)
-    if layout == "wide":
-        assert keys.dtype.kind == "V" and keys.dtype.itemsize in (16, 24)
-    else:
-        assert keys.dtype == np.uint64
-        assert keys.tolist() == [_mixed_radix(params, row, pairs)
-                                 for row in rows]
+def test_keys_sort_and_look_up_as_bytes(carpet_a, carpet_d, carpet_e, data,
+                                        h, pool, draws):
+    # Words drawn with repeats from a small pool; lengths past 40 or so
+    # have object keys.
+    params = _carpet(data, (carpet_a, carpet_d, carpet_e))
+    batch = _random_words(params, h, [pool[d % len(pool)] for d in draws])
+    keys = keys_of(params, h, batch)
+    assert keys.dtype == key_dtype(params, h)
+    rows = key_rows(params, h, keys)
+    assert [bytes(row) for row in rows] == [encode_word(w) for w in batch]
+    assert [decode_key(params, key, h) for key in keys.tolist()] == batch
     assert np.argsort(keys, kind="stable").tolist() \
-        == sorted(range(len(rows)), key=lambda t: rows[t].tobytes())
+        == sorted(range(len(batch)), key=lambda t: rows[t].tobytes())
 
-    index, oracle = RowIndex(keys), _oracle_index(rows)
+    oracle = {}
+    for t, row in enumerate(rows):
+        oracle.setdefault(row.tobytes(), []).append(t)
+    index = RowIndex(keys)
     assert sorted(index.duplicates()) == sorted(
         (a, b) for run in oracle.values()
         for x, a in enumerate(run) for b in run[x + 1:])
-    # Queries: a fresh row set of the same layout.
-    queries = _random_rows(params, pairs, lone,
-                           [pool[(d + 1) % len(pool)] for d in draws])
-    query_keys = row_keys(params, queries, pairs)
-    hits = [oracle.get(q.tobytes(), []) for q in queries]
-    assert index.contains(query_keys).tolist() == [bool(r) for r in hits]
+    # Queries: a fresh word set of the same length.
+    queries = _random_words(params, h,
+                            [pool[(d + 1) % len(pool)] for d in draws])
+    hits = [oracle.get(encode_word(q), []) for q in queries]
+    query_keys = keys_of(params, h, queries)
     found, at = index.matches(query_keys)
     assert list(zip(found.tolist(), at.tolist())) \
         == [(q, t) for q, run in enumerate(hits) for t in run]
 
-    # One digit outside its set: a cell off G, or a column off gy, inside
-    # the grid (1) or past it (255).
-    bad = rows.copy()
-    col = draws[0] % bad.shape[1]
-    off = 1 if 1 not in params.gy else 255
-    if col < 2 * pairs:
-        bad[0, col - col % 2:col - col % 2 + 2] = (off, off)
-    else:
-        bad[0, col] = off
-    with pytest.raises(WordError):
-        row_keys(params, bad, pairs)
-    bad[0] = 255
-    with pytest.raises(WordError):
-        row_keys(params, bad, pairs)
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), h=st.integers(2, 90), pool=_pool,
+       draws=st.lists(st.integers(0, 5), min_size=1, max_size=20))
+def test_key_steps_match_word_oracles(carpet_a, carpet_d, carpet_e, data, h,
+                                      pool, draws):
+    # The enumerator's step, both predecessors, the family stem and swap
+    # and the cell decode, on keys, against the same moves on words.
+    params = _carpet(data, (carpet_a, carpet_d, carpet_e))
+    batch = _random_words(params, h, [pool[d % len(pool)] for d in draws])
+    keys = keys_of(params, h, batch)
+    l = ell(params, h)
+    cells, cols = sorted(params.spec.digits), list(params.gy)
 
-@settings(max_examples=40, deadline=None)
-@given(pick=st.integers(0, 2), h=st.integers(3, 12), cut=st.integers(1, 11),
-       pool=st.lists(st.lists(st.integers(0, 255), min_size=30, max_size=30),
-                     min_size=1, max_size=5),
-       draws=st.lists(st.integers(0, 4), min_size=1, max_size=20))
-def test_cut_keys_look_up_as_bytes(carpet_a, carpet_d, carpet_e, pick, h, cut,
-                                   pool, draws):
-    # Longer rows cut down to their blockwise ancestor and to their
-    # overlap candidate at a shorter length, packed in one pass, and
-    # looked up among rows of that length.  Every other indexed row is a
-    # cut of a query row, so hits occur.
-    params = (carpet_a, carpet_d, carpet_e)[pick]
-    hp = 1 + cut % (h - 1)
-    l, lp = ell(params, h), ell(params, hp)
-    longer = _random_rows(params, l, h - l,
-                          [pool[d % len(pool)] for d in draws])
-    cuts = [(_ancestor_columns(params, h, hp), lp),
-            (_overlap_columns(params, h, hp), lp)]
-    [(_, queries)] = cut_keys(params, longer, l, cuts)
-    for (cols, _), keys in zip(cuts, queries):
-        short = _random_rows(params, lp, hp - lp,
-                             [pool[(d + 1) % len(pool)] for d in draws])
-        short[::2] = longer[::2][:, cols]
-        index = RowIndex(row_keys(params, short, lp))
-        oracle = _oracle_index(short)
-        assert keys.tolist() == row_keys(params, longer[:, cols], lp).tolist()
-        hits = [oracle.get(q[cols].tobytes(), []) for q in longer]
-        assert index.contains(keys).tolist() == [bool(r) for r in hits]
-        found, at = index.matches(keys)
-        assert list(zip(found.tolist(), at.tolist())) \
-            == [(q, t) for q, run in enumerate(hits) for t in run]
+    def same(got, want_h, want):
+        assert got.dtype == key_dtype(params, want_h)
+        assert got.tolist() == keys_of(params, want_h, want).tolist()
+
+    flat = [flat_predecessor(params, w) for w in batch]
+    same(words_mod.flat_predecessor(params, h, keys), h - 1, flat)
+    same(block_predecessor(params, h, keys), h - 1,
+         [coding_predecessor(params, w) for w in batch])
+    # The step from the flat predecessor back to each word: the new
+    # cell's x digit (read only where ell rises) and the last y digit.
+    grown = step(params, h, keys_of(params, h - 1, flat),
+                 np.array([w.pairs[-1][0] if w.pairs else 0 for w in batch]),
+                 np.array([w.y_digits()[-1] for w in batch]))
+    same(grown, h, batch)
+    for w in batch:
+        assert w in carpet_children(params, flat_predecessor(params, w))
+    if h > l:
+        assert pending(params, h, keys).tolist() == [w.tail[0] for w in batch]
+    if l and h > l:
+        x, j_l, j_t = last_digits(params, h, keys)
+        assert list(zip(x.tolist(), j_l.tolist(), j_t.tolist())) \
+            == [(w.pairs[-1][0], w.pairs[-1][1], w.tail[-1]) for w in batch]
+        stems = family_stems(params, h, keys)
+        want = []
+        for w in batch:
+            stem = 0
+            for pair in w.pairs[:-1]:
+                stem = stem * len(cells) + cells.index(pair)
+            for j in (w.pairs[-1][1],) + w.tail:
+                stem = stem * len(cols) + cols.index(j)
+            want.append(stem)
+        assert stems.tolist() == want
+        xs = [params.gx[w.tail[-1]][d % len(params.gx[w.tail[-1]])]
+              for w, d in zip(batch, draws)]
+        same(swap_tail(params, h, keys, np.array(xs)), h,
+             [swap_word_tail(params, w, x) for w, x in zip(batch, xs)])
+    if params.n ** l <= 2 ** 64 and params.m ** h <= 2 ** 64:
+        x, y = cell_indices(params, h, keys)
+        assert x.dtype == y.dtype == np.uint64
+        want_x, want_y = [], []
+        for w in batch:
+            sq = square_geometry(params, w)
+            want_x.append(int(sq.x_low / sq.width))
+            want_y.append(int(sq.y_low / sq.height))
+        assert (x.tolist(), y.tolist()) == (want_x, want_y)
 
 
 @pytest.mark.parametrize("carpet,k", [("a", 2), ("a", 3), ("d", 2)])
