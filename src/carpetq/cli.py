@@ -164,6 +164,7 @@ class _Ctx:
     cap_words: int
     threads: int
     failures: list
+    level: Optional[int] = None     # the k being processed, if any
 
     def fail(self, **fields) -> None:
         self.failures.append(fields)
@@ -181,6 +182,7 @@ def _levels(ctx: _Ctx, params: DerivedParams, known: Optional[dict] = None):
     the collected partition when the level fits --cap-words, else None.
     The aggregates are taken from ``known``, by k, when given."""
     for k in range(ctx.cfg.k_min, ctx.cfg.k_max + 1):
+        ctx.level = k
         stats = known[k] if known else stopped_statistics(params, k)
         if stats.phi_k <= ctx.cap_words:
             yield k, stats, enumerate_lambda_k(params, k, cap=ctx.cap_words)
@@ -188,6 +190,7 @@ def _levels(ctx: _Ctx, params: DerivedParams, known: Optional[dict] = None):
             print(f"level k={k}: {stats.phi_k} words exceed --cap-words "
                   f"{ctx.cap_words}, aggregates only")
             yield k, stats, None
+    ctx.level = None
 
 
 def _antichain(ctx: _Ctx, command: str, k: int, part):
@@ -533,6 +536,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    ctx = None
     try:
         cfg = load_config(args.config)
         if args.cap_words < 1 or args.threads < 1:
@@ -550,7 +554,10 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except MemoryError:
-        print(json.dumps({"error": f"{args.command}: out of memory"}),
+        where = args.command
+        if ctx is not None and ctx.level is not None:
+            where += f" k={ctx.level}"
+        print(json.dumps({"error": f"{where}: out of memory"}),
               file=sys.stderr)
         return 2
     except InvalidSpecError as exc:

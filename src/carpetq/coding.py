@@ -14,7 +14,6 @@ carrying the same length-weighted mass as the stopping set it replaces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,8 +21,9 @@ import numpy as np
 
 from .measure import DerivedParams
 from .words import (
-    RowIndex, WordColumns, block_predecessor, descend, ell, entropy_terms,
-    family_stems, key_dtype, last_digits, swap_tail,
+    WordColumns, block_predecessor, class_counts, class_entropy, descend,
+    ell, entropy_terms, family_stems, key_dtype, member, stem_columns,
+    swap_tail,
 )
 
 
@@ -106,12 +106,18 @@ class Antichain(WordColumns):
 
 def _swap_families(params: DerivedParams, k: int, stage: int, target: int,
                    keys: np.ndarray, ids: np.ndarray, nus: list[int],
-                   flagged: np.ndarray
+                   flags: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, list[int], StageLog]:
-    """Swap the families that the ``flagged`` words of a target length form.
+    """Swap the families that the ``flags``-marked words of a target
+    length form.
 
-    Returns the inserted keys, their class ids, the length's mass table
-    with any new classes appended, and the stage's log.
+    Works on the marked words only: their family stems (the keys less
+    the last cell's x digit) and ``uint8`` x digits and class ids in
+    family order, and per family its first index (``int32``), its
+    stem, and its last cell's column j_l and last tail digit j_t
+    (``uint8``).  Returns the inserted keys, their class ids, the
+    length's mass table with any new classes appended, and the stage's
+    log.
     """
     L = params.denom_lcm
     a, b = params._scaled
@@ -121,31 +127,38 @@ def _swap_families(params: DerivedParams, k: int, stage: int, target: int,
 
     # Families share every digit but the last cell's x digit; a stable
     # sort on that stem keeps walk order inside each family.
-    stems = family_stems(params, target, keys[flagged])
+    stems, fam_x = family_stems(params, target, keys[flags])
     order = np.argsort(stems, kind="stable")
-    fam = flagged[order]
-    fam_keys, stems, fam_ids = keys[fam], stems[order], ids[fam]
-    starts = np.flatnonzero(np.concatenate(([True], stems[1:] != stems[:-1])))
-    sizes = np.diff(np.append(starts, len(fam_ids)))
-    fam_x, fam_j_l, fam_j_t = last_digits(params, target, fam_keys)
+    stems, fam_x, fam_ids = stems[order], fam_x[order], ids[flags][order]
+    del order
+    starts = np.flatnonzero(np.concatenate(
+        ([True], stems[1:] != stems[:-1]))).astype(np.int32)
+    stems = stems[starts]
+    sizes = np.diff(starts, append=np.int32(len(fam_ids)))
+    fam_j_l, fam_j_t = stem_columns(params, target, stems)
 
     # A family's checks and swap read only its signature: j_l, j_t and
     # its members' (x digit, class) in family order.  Each distinct
     # signature runs once, in order of first occurrence, so new classes
     # and the first error come out as in family order.
     span = int(sizes.max())
-    slot = np.arange(len(fam_ids)) - np.repeat(starts, sizes)
-    member = np.repeat(np.arange(len(starts)), sizes)
     sig = np.zeros((len(starts), 3 + 2 * span),
                    np.min_scalar_type(max(255, len(nus), span)))
     sig[:, 0] = sizes
-    sig[:, 1] = fam_j_l[starts]
-    sig[:, 2] = fam_j_t[starts]
-    sig[member, 3 + slot] = fam_x
-    sig[member, 3 + span + slot] = fam_ids
+    sig[:, 1] = fam_j_l
+    sig[:, 2] = fam_j_t
+    slot = np.arange(len(fam_ids), dtype=np.int32)
+    slot -= np.repeat(starts, sizes)
+    slot += 3
+    owner = np.repeat(np.arange(len(starts), dtype=np.int32), sizes)
+    sig[owner, slot] = fam_x
+    slot += span
+    sig[owner, slot] = fam_ids
+    del slot, owner
     _, first, sig_of = np.unique(
         sig.view(np.dtype((np.void, sig.itemsize * sig.shape[1]))).ravel(),
         return_index=True, return_inverse=True)
+    del sig
     by_first = np.argsort(first)
     sig_of = np.argsort(by_first)[sig_of]
 
@@ -164,7 +177,7 @@ def _swap_families(params: DerivedParams, k: int, stage: int, target: int,
         s, e = int(starts[f]), int(starts[f] + sizes[f])
         xs = fam_x[s:e].tolist()
         members = fam_ids[s:e].tolist()
-        j_l, j_t = int(fam_j_l[s]), int(fam_j_t[s])
+        j_l, j_t = int(fam_j_l[f]), int(fam_j_t[f])
         # Completeness: one sibling per occupant of column j_l.
         if sorted(xs) != gx[j_l]:
             raise AntichainInvariantError(
@@ -208,30 +221,34 @@ def _swap_families(params: DerivedParams, k: int, stage: int, target: int,
         sig_x.append(xs_new)
         sig_ids.append(ids_new)
 
-    # Each family inserts its signature's words, gathered in family
-    # order: the family's first word with the last cell's column digit
-    # and the last tail digit interchanged, and a new x digit.
+    # Each family inserts its signature's words, in family order: its
+    # stem with the last cell's column digit and the last tail digit
+    # interchanged, and a new x digit.  Signature rows are padded to a
+    # common width; ``used`` marks their real entries.
     lens = np.array([len(x) for x in sig_x])
-    counts = lens[sig_of]
-    at = np.arange(counts.sum()) + np.repeat(
-        (np.cumsum(lens) - lens)[sig_of] - (np.cumsum(counts) - counts),
-        counts)
-    inserted = swap_tail(params, target, fam_keys[np.repeat(starts, counts)],
-                         np.concatenate(sig_x)[at])
-    ins_ids = np.concatenate(sig_ids)[at]
+    width = int(lens.max())
+    new_x = np.zeros((len(lens), width), np.uint8)
+    new_ids = np.zeros((len(lens), width), np.min_scalar_type(len(table)))
+    for row, (xs_new, ids_new) in enumerate(zip(sig_x, sig_ids)):
+        new_x[row, :len(xs_new)] = xs_new
+        new_ids[row, :len(ids_new)] = ids_new
+    used = (np.arange(width) < lens[:, None])[sig_of]
+    inserted = swap_tail(params, target, np.repeat(stems, lens[sig_of]),
+                         new_x[sig_of][used])
+    ins_ids = new_ids[sig_of][used]
 
-    terms = np.array(terms)
+    removed = class_counts(fam_ids, len(table))
     return inserted, ins_ids, table, StageLog(
         stage=stage,
         target_length=target,
         family_count=len(starts),
-        removed_count=len(flagged),
+        removed_count=len(fam_ids),
         inserted_count=len(ins_ids),
         removed_mass=Fraction(
-            sum(c * nu for c, nu in zip(np.bincount(fam_ids).tolist(), table)),
-            h_scale),
-        removed_entropy=math.fsum(terms[fam_ids].tolist()),
-        inserted_entropy=math.fsum(terms[ins_ids].tolist()),
+            sum(c * nu for c, nu in zip(removed, table)), h_scale),
+        removed_entropy=float(class_entropy(removed, terms)),
+        inserted_entropy=float(class_entropy(
+            class_counts(ins_ids, len(table)), terms)),
         max_family_gap=max_gap,
     )
 
@@ -247,12 +264,14 @@ def build_antichain(partition) -> Antichain:
     digit with the last tail digit, one word per x digit of the new
     column.  Each word is walked down by blockwise predecessors, one
     length at a time, and looked up by binary search in each shorter
-    length's sorted keys; families are taken in sorted order, with
-    their members in walk order.  Families with one signature (column
-    digits j_l and j_t, and each member's x digit and mass class) pass
-    or fail the checks alike, so each distinct signature is checked
-    once, at its first family.  All mass identities are checked in exact
-    integers as the stages run:
+    length's index, a sorted copy of its keys and nothing more: the
+    ancestor flags and the collision check only ask whether a key
+    occurs.  Families are taken in sorted order, with their members in
+    walk order.  Families with one signature (column digits j_l and j_t,
+    and each member's x digit and mass class) pass or fail the checks
+    alike, so each distinct signature is checked once, at its first
+    family.  All mass identities are checked in exact integers as the
+    stages run:
 
     * each family is complete (one sibling per occupant of its column);
     * removed and inserted family masses agree exactly;
@@ -263,9 +282,9 @@ def build_antichain(partition) -> Antichain:
     params = partition.params
 
     # Ladder lengths get new blocks as their stages run; every length
-    # below the current target is final, so its index is built once.
+    # below the current target is final, so its sorted keys are made once.
     blocks = dict(partition.blocks)
-    indexes: dict[int, RowIndex] = {}
+    indexes: dict[int, np.ndarray] = {}
     xi_stages = xi_sequence(partition)
     stage_logs: list[StageLog] = []
 
@@ -278,14 +297,13 @@ def build_antichain(partition) -> Antichain:
         # some shorter length.
         for h in blocks:
             if h < target and h not in indexes:
-                indexes[h] = RowIndex(blocks[h][0])
+                indexes[h] = np.sort(blocks[h][0], kind="stable")
         flags = np.zeros(len(ids), dtype=bool)
         for lo, h, query in descend(params, block_predecessor, target, keys,
                                     min(blocks)):
             if h in indexes:
-                flags[lo + indexes[h].matches(query)[0]] = True
-        flagged = np.flatnonzero(flags)
-        if not len(flagged):
+                flags[lo:lo + len(query)] |= member(indexes[h], query)
+        if not flags.any():
             stage_logs.append(StageLog(
                 stage=pos + 1, target_length=target, family_count=0,
                 removed_count=0, inserted_count=0,
@@ -296,20 +314,22 @@ def build_antichain(partition) -> Antichain:
             raise AntichainInvariantError(
                 "replacement family with an empty tail")
         inserted, ins_ids, table, log = _swap_families(
-            params, partition.k, pos + 1, target, keys, ids, nus, flagged)
+            params, partition.k, pos + 1, target, keys, ids, nus, flags)
 
-        # Survivors, then inserts, written once into the new block
-        # (mode "clip" writes into ``out`` without a buffer copy).
-        kept = np.flatnonzero(~flags)
-        new_keys = np.empty(len(kept) + len(inserted), keys.dtype)
-        np.take(keys, kept, out=new_keys[:len(kept)], mode="clip")
-        new_keys[len(kept):] = inserted
-        index = RowIndex(new_keys)
-        if any(b_idx >= len(kept) for _, b_idx in index.duplicates()):
+        # Survivors, then inserts.  An insert collides when its key
+        # occurs twice in the new block.
+        keep = np.logical_not(flags, out=flags)
+        new_keys = np.concatenate((keys[keep], inserted))
+        new_ids = np.concatenate((ids[keep], ins_ids),
+                                 dtype=np.min_scalar_type(len(table)))
+        del keep, flags, inserted, ins_ids
+        index = np.sort(new_keys, kind="stable")
+        same = index[1:] == index[:-1]
+        if same.any() and member(
+                index[1:][same],
+                new_keys[len(new_keys) - log.inserted_count:]).any():
             raise AntichainCollisionError(
                 f"replacement collision at length {target}")
-        new_ids = np.append(ids[kept], ins_ids).astype(
-            np.min_scalar_type(len(table)))
         blocks[target] = (new_keys, new_ids, table)
         indexes[target] = index
         stage_logs.append(log)
@@ -354,7 +374,7 @@ def verify_maximal_antichain(antichain: Antichain) -> AntichainReport:
     nu_by_len: dict[int, int] = {}
     below = True
     for h, (_, ids, nus) in antichain.blocks.items():
-        used = [(c, nu) for c, nu in zip(np.bincount(ids).tolist(), nus)
+        used = [(c, nu) for c, nu in zip(class_counts(ids, len(nus)), nus)
                 if c]
         nu_by_len[h] = sum(c * nu for c, nu in used)
         if max(nu for _, nu in used) * eta_den_k >= eta_num_k * L ** h:

@@ -23,7 +23,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,9 +31,9 @@ from .measure import CarpetSpec, DerivedParams
 
 __all__ = [
     "WordError", "ell", "entropy_terms", "key_space", "key_dtype", "step",
-    "pending", "family_stems", "flat_predecessor", "block_predecessor",
-    "last_digits", "swap_tail", "cell_indices", "descend", "RowIndex",
-    "WordColumns",
+    "pending", "family_stems", "stem_columns", "flat_predecessor",
+    "block_predecessor", "swap_tail", "cell_indices", "descend", "member",
+    "RowIndex", "class_counts", "class_entropy", "WordColumns",
 ]
 
 
@@ -151,14 +151,36 @@ def _split(params: DerivedParams, h: int, keys: np.ndarray) -> tuple:
             keys % span, span)
 
 
-def family_stems(params: DerivedParams, h: int,
-                 keys: np.ndarray) -> np.ndarray:
-    """Keys of length-h words less their last cell's x digit: the cells
-    before it, its column, then the tail, read in the key layout, so
-    they sort as those digit strings do."""
+def _stems(params: DerivedParams, h: int, keys: np.ndarray) -> tuple:
+    # The family stems of length-h keys, and each key's last cell rank.
     head, last, tail, span = _split(params, h, keys)
     lay = _layout(params.spec)
-    return (head * lay.c + lay.col_rank[lay.cells[last, 1]]) * span + tail
+    head *= lay.c
+    head += lay.col_rank[lay.cells[:, 1]][last]
+    head *= span
+    head += tail
+    return head, last
+
+
+def family_stems(params: DerivedParams, h: int,
+                 keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keys of length-h words less their last cell's x digit, and that
+    x digit as ``uint8``.  A stem holds the cells before the last cell,
+    its column, then the tail, read in the key layout, so stems sort as
+    those digit strings do."""
+    stems, last = _stems(params, h, keys)
+    return stems, _layout(params.spec).cells[:, 0].astype(np.uint8)[last]
+
+
+def stem_columns(params: DerivedParams, h: int,
+                 stems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The last cell's column and the last tail digit of each length-h
+    family stem, as ``uint8``."""
+    lay = _layout(params.spec)
+    span = lay.c ** (h - ell(params, h))
+    cols = lay.cols.astype(np.uint8)
+    return (cols[(stems // span % lay.c).astype(np.intp)],
+            cols[(stems % lay.c).astype(np.intp)])
 
 
 def block_predecessor(params: DerivedParams, h: int,
@@ -181,27 +203,24 @@ def flat_predecessor(params: DerivedParams, h: int,
     if ell(params, h - 1) == ell(params, h) or ell(params, h) == h:
         return block_predecessor(params, h, keys)
     return _cast(params, h - 1,
-                 family_stems(params, h, keys) // _layout(params.spec).c)
+                 _stems(params, h, keys)[0] // _layout(params.spec).c)
 
 
-def last_digits(params: DerivedParams, h: int, keys: np.ndarray) -> tuple:
-    """The x digit and column of each length-h key's last cell, and its
-    last tail digit."""
-    _, last, tail, _ = _split(params, h, keys)
-    lay = _layout(params.spec)
-    return (*lay.cells[last].T, lay.cols[(tail % lay.c).astype(np.intp)])
-
-
-def swap_tail(params: DerivedParams, h: int, keys: np.ndarray,
+def swap_tail(params: DerivedParams, h: int, stems: np.ndarray,
               xs: np.ndarray) -> np.ndarray:
-    """Length-h keys with the last cell's column digit and the last tail
-    digit interchanged, and the last cell's x digit set to ``xs``."""
-    head, last, tail, span = _split(params, h, keys)
+    """The length-h keys of family stems with the last cell's column
+    digit and the last tail digit interchanged, and the last cell's x
+    digit set to ``xs``."""
     lay = _layout(params.spec)
-    new = lay.cell_rank[xs + params.n * lay.cols[
-        (tail % lay.c).astype(np.intp)]]
-    return ((head * lay.g + new) * span + tail // lay.c * lay.c
-            + lay.col_rank[lay.cells[last, 1]])
+    span = lay.c ** (h - ell(params, h))
+    j_l, j_t = stem_columns(params, h, stems)
+    keys = stems // (lay.c * span)
+    keys *= lay.g
+    keys += lay.cell_rank[xs + params.n * j_t.astype(np.intp)]
+    keys *= span
+    keys += stems % span // lay.c * lay.c
+    keys += lay.col_rank[j_l]
+    return keys
 
 
 def cell_indices(params: DerivedParams, h: int,
@@ -238,39 +257,59 @@ def descend(params: DerivedParams, predecessor: Callable, h: int,
             yield lo, hp, query
 
 
+def member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each key occurs in ``sorted_keys``, an ascending array of
+    keys of the same length and dtype, not empty."""
+    pos = np.searchsorted(sorted_keys, keys)
+    return sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
+
+
 class RowIndex:
     """One length's keys, sorted once for exact lookups.
 
-    ``order`` is the stable sort of the keys: equal keys keep their
-    input order, and the words come out in the order of their digit
-    strings.  Query keys must be of the same length and dtype.
+    ``keys`` is the store's own array, in store order; ``sorted`` holds
+    the same keys ascending, and is the only copy.  No permutation is
+    kept up front: the store positions of the sorted keys come from a
+    stable argsort, made only once a query matches or two keys are
+    equal, so equal keys keep their store order.  Query keys must be
+    of the same length and dtype.
     """
 
     def __init__(self, keys: np.ndarray):
+        self.keys = keys
         # Timsort: keys in walk order come in long sorted runs.
-        self.order = np.argsort(keys, kind="stable")
-        self.keys = keys[self.order]
+        self.sorted = np.sort(keys, kind="stable")
+        self._order: Optional[np.ndarray] = None
+
+    def _positions(self) -> np.ndarray:
+        # The store positions of the sorted keys, sorted on first use.
+        if self._order is None:
+            self._order = np.argsort(self.keys, kind="stable")
+        return self._order
 
     def matches(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(query index, key index) for every query and every key equal
         to it."""
-        pos = np.searchsorted(self.keys, keys)
-        found = np.flatnonzero(
-            self.keys[np.minimum(pos, len(self.keys) - 1)] == keys)
-        lo = pos[found]
-        counts = np.searchsorted(self.keys, keys[found], side="right") - lo
+        found = np.flatnonzero(member(self.sorted, keys))
+        if not len(found):
+            return found, found
+        lo = np.searchsorted(self.sorted, keys[found])
+        counts = np.searchsorted(self.sorted, keys[found], side="right") - lo
         starts = np.cumsum(counts) - counts
         at = np.arange(counts.sum()) + np.repeat(lo - starts, counts)
-        return np.repeat(found, counts), self.order[at]
+        return np.repeat(found, counts), self._positions()[at]
 
     def duplicates(self) -> list[tuple[int, int]]:
         """Every pair (a, b), a < b, of equal keys."""
-        same = (self.keys[1:] == self.keys[:-1]).view(np.int8)
+        same = (self.sorted[1:] == self.sorted[:-1]).view(np.int8)
+        if not same.any():
+            return []
         edges = np.diff(same, prepend=np.int8(0), append=np.int8(0))
+        order = self._positions()
         pairs = []
         for start, stop in zip(np.flatnonzero(edges == 1).tolist(),
                                (np.flatnonzero(edges == -1) + 1).tolist()):
-            run = sorted(self.order[start:stop].tolist())
+            run = sorted(order[start:stop].tolist())
             pairs.extend(itertools.combinations(run, 2))
         return pairs
 
@@ -279,6 +318,23 @@ def entropy_terms(nus: Sequence[int], h: int, L: int) -> list[float]:
     """mass * log(mass) per scaled mass nu of a length-h table, mass = nu / L^h."""
     log_masses = [math.log(nu) - h * math.log(L) for nu in nus]
     return [math.exp(log_mass) * log_mass for log_mass in log_masses]
+
+
+def class_counts(ids: np.ndarray, size: int) -> list[int]:
+    """The word count of each of ``size`` classes.  ``bincount`` widens
+    ids to ``intp``, so they are counted a ``_CHUNK`` at a time."""
+    counts = np.zeros(size, dtype=np.int64)
+    for lo in range(0, len(ids), _CHUNK):
+        counts += np.bincount(ids[lo:lo + _CHUNK], minlength=size)
+    return counts.tolist()
+
+
+def class_entropy(counts: Sequence[int], terms: Sequence[float]) -> Fraction:
+    """The exact sum of mass * log(mass) over words: per class, its word
+    count times its ``entropy_terms`` term, as a fraction.  Rounded once,
+    it equals ``math.fsum`` of the per-word terms."""
+    return sum((c * Fraction(t) for c, t in zip(counts, terms) if c),
+               Fraction(0))
 
 
 class WordColumns:
@@ -315,13 +371,13 @@ class WordColumns:
         self.params = params
         self.blocks = {h: b for h, b in sorted(blocks.items()) if len(b[1])}
         self.length_counts = {h: len(b[1]) for h, b in self.blocks.items()}
-        counts = {h: np.bincount(b[1]).tolist() for h, b in self.blocks.items()}
+        counts = {h: class_counts(ids, len(nus))
+                  for h, (_, ids, nus) in self.blocks.items()}
         self.length_nu_sums = {
             h: sum(c * nu for c, nu in zip(counts[h], nus))
             for h, (_, _, nus) in self.blocks.items()}
         self.length_entropy_sums = {
-            h: sum(c * Fraction(t)
-                   for c, t in zip(counts[h], entropy_terms(nus, h, L)))
+            h: class_entropy(counts[h], entropy_terms(nus, h, L))
             for h, (_, _, nus) in self.blocks.items()}
         self.offsets: dict[int, int] = {}
         self.size = 0
@@ -347,8 +403,10 @@ class WordColumns:
         A length-h word b matches a word a of length hp < h when walking
         b down by ``predecessor``, one step per length, reaches a's key
         at hp, and a word of its own length when the two keys are
-        equal.  Each length's keys are sorted once, and every step down
-        to an occupied length is one binary search.
+        equal.  Each length's ``RowIndex`` holds a sorted copy of its
+        keys and nothing more, made once, and every step down to an
+        occupied length is one binary search; store positions are
+        recovered only on a length where some key matched.
         """
         indexes: dict[int, RowIndex] = {}
         pairs: list[tuple[int, int]] = []

@@ -588,12 +588,18 @@ def build_antichain_by_family(partition) -> Antichain:
             removed_count=len(flagged),
             inserted_count=len(ins_ids),
             removed_mass=Fraction(removed_nu, h_scale),
-            removed_entropy=math.fsum(map(terms.__getitem__, fam_ids)),
-            inserted_entropy=math.fsum(map(terms.__getitem__, ins_ids)),
+            removed_entropy=word_entropy(terms, fam_ids),
+            inserted_entropy=word_entropy(terms, ins_ids),
             max_family_gap=max_gap,
         ))
     return Antichain(partition, blocks, xi_stages=xi_stages,
                      stage_logs=tuple(stage_logs))
+
+
+def word_entropy(terms: Sequence[float], ids) -> float:
+    """``math.fsum`` of every word's own mass * log(mass) term,
+    ``terms[id]``: the per-word oracle for class-count entropy sums."""
+    return math.fsum(map(terms.__getitem__, ids))
 
 
 def check_phi_growth(earlier, later) -> bool:

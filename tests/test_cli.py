@@ -588,6 +588,9 @@ def test_deep_cloud_quantizes_carpet_d_unfloored(tmp_path):
     ("partition", "enumerate_lambda_k"), ("quantize", "draw_cloud"),
 ])
 def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command, attr):
+    # The first level runs out, or the cloud before any level.
+    where = {"partition": "partition k=2", "quantize": "quantize"}[command]
+
     def exhausted(*args, **kwargs):
         raise MemoryError
 
@@ -597,7 +600,26 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command, attr):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert json.loads(err) == {"error": f"{command}: out of memory"}
+    assert json.loads(err) == {"error": f"{where}: out of memory"}
+
+
+def test_out_of_memory_names_the_level(tmp_path, capsys, monkeypatch):
+    build = cli.build_antichain
+
+    def exhausted_at_3(part):
+        if part.k == 3:
+            raise MemoryError
+        return build(part)
+
+    monkeypatch.setattr(cli, "build_antichain", exhausted_at_3)
+    cfg = _config(tmp_path, k_max=4)
+    out = tmp_path / "out"
+    assert main(["antichain", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err) == {
+        "error": "antichain k=3: out of memory"}
+    assert "antichain k=2: maximal: true" in captured.out
 
 
 @pytest.mark.filterwarnings("ignore:grid factor")

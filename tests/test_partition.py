@@ -24,7 +24,7 @@ from oracles import (
     carpet_children, check_phi_growth, flat_predecessor, key_rows,
     lambda_codebook, make_word, mass_at, naive_comparable_pairs,
     raw_coding_antichain, sample_digit_matrix, square_geometry,
-    squares_overlap, word_at, word_mass, words,
+    squares_overlap, word_at, word_entropy, word_mass, words,
 )
 
 # Word counts confirmed by two independent routes (direct enumeration
@@ -314,7 +314,7 @@ def test_store_aggregates_recount(carpet_a, carpet_c, carpet_d,
                 counts[h] = len(ids)
                 nu_sums[h] = sum(map(nus.__getitem__, ids.tolist()))
                 terms = entropy_terms(nus, h, L)
-                entropies[h] = math.fsum(map(terms.__getitem__, ids.tolist()))
+                entropies[h] = word_entropy(terms, ids.tolist())
             masses = {h: Fraction(s, L ** h) for h, s in nu_sums.items()}
             assert part.phi_k == sum(counts.values()) == len(part)
             assert (part.xi_min, part.xi_max) == (min(counts), max(counts))

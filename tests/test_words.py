@@ -13,16 +13,16 @@ from carpetq import words as words_mod
 from carpetq.coding import build_antichain, verify_maximal_antichain
 from carpetq.partition import check_square_disjointness, enumerate_lambda_k
 from carpetq.words import (
-    RowIndex, WordColumns, WordError, block_predecessor,
-    cell_indices, ell, family_stems, key_dtype, key_space,
-    last_digits, pending, step, swap_tail,
+    RowIndex, WordColumns, WordError, block_predecessor, cell_indices,
+    class_entropy, ell, entropy_terms, family_stems, key_dtype, key_space, pending,
+    stem_columns, step, swap_tail,
 )
 from oracles import (
     CarpetWord, carpet_children, coding_predecessor, decode_key,
     decode_word, encode_word, flat_predecessor, key_dtype_of,
     key_rows, keys_of, make_word, mass_at, raw_coding_antichain,
     square_geometry, store_rows, swap_tail as swap_word_tail, word_at,
-    word_from_digits, word_mass,
+    word_entropy, word_from_digits, word_mass,
 )
 
 
@@ -345,10 +345,11 @@ def test_key_steps_match_word_oracles(carpet_a, carpet_d, carpet_e, data, h,
     if h > l:
         assert pending(params, h, keys).tolist() == [w.tail[0] for w in batch]
     if l and h > l:
-        x, j_l, j_t = last_digits(params, h, keys)
+        stems, x = family_stems(params, h, keys)
+        j_l, j_t = stem_columns(params, h, stems)
+        assert x.dtype == j_l.dtype == j_t.dtype == np.uint8
         assert list(zip(x.tolist(), j_l.tolist(), j_t.tolist())) \
             == [(w.pairs[-1][0], w.pairs[-1][1], w.tail[-1]) for w in batch]
-        stems = family_stems(params, h, keys)
         want = []
         for w in batch:
             stem = 0
@@ -360,7 +361,7 @@ def test_key_steps_match_word_oracles(carpet_a, carpet_d, carpet_e, data, h,
         assert stems.tolist() == want
         xs = [params.gx[w.tail[-1]][d % len(params.gx[w.tail[-1]])]
               for w, d in zip(batch, draws)]
-        same(swap_tail(params, h, keys, np.array(xs)), h,
+        same(swap_tail(params, h, stems, np.array(xs, np.uint8)), h,
              [swap_word_tail(params, w, x) for w, x in zip(batch, xs)])
     if params.n ** l <= 2 ** 64 and params.m ** h <= 2 ** 64:
         x, y = cell_indices(params, h, keys)
@@ -391,3 +392,21 @@ def test_lookup_chunks_change_nothing(request, monkeypatch, carpet, k):
     monkeypatch.setattr(words_mod, "_CHUNK", 5)
     assert run() == whole
     assert whole[-1].comparable_pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), L=st.integers(2, 36), h=st.integers(1, 60),
+       classes=st.integers(1, 40), size=st.integers(0, 600))
+def test_class_entropy_is_fsum_of_word_terms(data, L, h, classes, size):
+    # A random mass table of one length and random class ids: the count
+    # per class times its term, summed exactly and rounded once, has the
+    # bits of math.fsum over the words' own terms.
+    nus = data.draw(st.lists(st.integers(1, L ** h), min_size=classes,
+                             max_size=classes))
+    ids = np.array(data.draw(st.lists(st.integers(0, classes - 1),
+                                      min_size=size, max_size=size)),
+                   dtype=np.uint8)
+    terms = entropy_terms(nus, h, L)
+    got = float(class_entropy(
+        np.bincount(ids, minlength=classes).tolist(), terms))
+    assert got.hex() == word_entropy(terms, ids.tolist()).hex()
