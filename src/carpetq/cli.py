@@ -381,9 +381,9 @@ def cmd_quantize(ctx: _Ctx) -> None:
             raise ConfigError(f"quantize k={k}: {exc}") from exc
     cloud = draw_cloud(params, ctx.cfg.cloud_size, depth=ctx.cfg.depth,
                        seed=ctx.cfg.seed, threads=ctx.threads)
-    # The ball check runs first, so its sorted copy of the cloud is gone
-    # before any level's partition and cell tables exist; its line and
-    # its failure still come after the levels'.
+    # The ball check runs before the levels, though its line and its
+    # failure come after theirs; it sorts the cloud a chunk at a time, so
+    # it adds only chunk-sized arrays to the cloud.
     radii = tuple(float(params.spec.m) ** (-e) for e in range(2, 9))
     ball = ball_bound_check(
         params, cloud, centers=min(100, cloud.size), radii=radii)

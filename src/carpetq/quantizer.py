@@ -19,7 +19,6 @@ assignment to the same centres.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +41,6 @@ __all__ = [
     "uniform_digits",
     "draw_cloud",
     "locate",
-    "own_cell_distances",
     "log_distortion",
     "diameter_log",
     "r_k_diagnostic",
@@ -57,7 +55,8 @@ MIN_TAIL = 20               # cloud digits a located cell must leave unread
 
 _SHARD_ROWS = 1 << 15       # rows per sampling block, one generator each
 _GEMV_SIZE = 1 << 17        # most digit entries per matrix-vector product
-_CHUNK = 1 << 16            # cloud rows per location or sum batch
+_CHUNK = 1 << 15            # cloud rows per location or sum batch
+_BALL_ROWS = 1 << 15        # cloud rows per ball-count chunk
 _SLAB_PAD = 2.0 ** -40      # slab widening, far above the rounding of dx
 
 
@@ -97,12 +96,12 @@ class SampleCloud:
     def size(self) -> int:
         return int(self.prefix.shape[1])
 
-    def coordinate(self, axis: int, stop: int | None = None) -> np.ndarray:
-        """Axis ``axis`` (0 for x, 1 for y) of the first ``stop`` samples,
+    def coordinate(self, axis: int, rows: slice = slice(None)) -> np.ndarray:
+        """Axis ``axis`` (0 for x, 1 for y) of the samples in ``rows``,
         all by default, as a new float64 array in [0, 1]."""
         base = self.bases[axis]
-        out = self.prefix[axis, :stop].astype(np.float64)
-        out += self.suffix[axis, :stop]
+        out = self.prefix[axis, rows].astype(np.float64)
+        out += self.suffix[axis, rows]
         out *= float(base) ** -_places(base)
         return out
 
@@ -175,7 +174,8 @@ def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
         rng = np.random.default_rng([int(seed), lo // _SHARD_ROWS])
         for a in range(lo, end, step):
             b = min(a + step, end)
-            idx = uniform_digits(rng.random((b - a, depth)), cum)
+            idx = uniform_digits(rng.random((b - a, depth)), cum).astype(
+                np.intp)
             for axis, (vals, high, kept, places, hw, lw, sw, join, pad) in (
                     enumerate(axes)):
                 v = vals.take(idx)
@@ -191,6 +191,7 @@ def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
         for lo in starts:
             fill(lo)
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(fill, starts))
     return SampleCloud(prefix=prefix, suffix=suffix,
@@ -256,8 +257,10 @@ class _CellTable:
     def contains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Whether each query (``x``, ``y``) is a cell of the table."""
         slot = self.slots(x, y)
-        pos = self.start.take(slot)
+        # Gathers by int32 positions convert them on every call.
+        pos = self.start.take(slot).astype(np.intp)
         end = self.start[1:].take(slot)
+        del slot
         hit = self.x.take(pos) == x
         hit &= self.y.take(pos) == y
         hit &= pos < end
@@ -274,16 +277,68 @@ class _CellTable:
         return hit
 
 
-def locate(partition: PartitionLambdaK, cloud: SampleCloud) -> np.ndarray:
-    """The length of each sample's stopping word, as a uint8 array; 0 for
-    a sample that lies in no word of the partition, or in more than one.
+def _squared_offset(prefix: np.ndarray, suffix: np.ndarray, cell: np.ndarray,
+                    rows: np.ndarray, div: np.uint64, side: float
+                    ) -> np.ndarray:
+    """The squared offsets, on one axis, of the samples ``rows`` from the
+    centres of their cells: ``cell`` is each sample's cell index, the
+    floor quotient of its ``prefix`` by ``div``, and ``side`` the cells'
+    side."""
+    quot = cell.take(rows)
+    quot *= div
+    rest = prefix.take(rows)
+    rest -= quot
+    del quot
+    # A remainder is below div < 2^63, so its int64 view is the same
+    # integer, and numpy converts int64 to float64 far faster than uint64.
+    off = rest.view(np.int64).astype(np.float64)
+    del rest
+    off += suffix.take(rows)
+    off /= float(div)
+    off -= 0.5
+    off *= side
+    off *= off
+    return off
+
+
+def _own_cells(prefix: np.ndarray, suffix: np.ndarray, axes,
+               table: _CellTable, dist: np.ndarray) -> np.ndarray:
+    """The rows of a chunk's samples that lie in a cell of ``table``;
+    their squared distances from those cells' centres are written to
+    ``dist``.  The chunk's digits are ``prefix`` and ``suffix``, and
+    ``axes`` holds per axis the divisor down to the cells' digits and the
+    cells' side.  Its temporaries die with the call, so a chunk holds
+    those of one length at a time."""
+    cells = [p // d for p, (d, _) in zip(prefix, axes)]
+    hit = table.contains(*cells)
+    rows = np.flatnonzero(hit)
+    x, y = (_squared_offset(p, s, c, rows, *axis)
+            for p, s, c, axis in zip(prefix, suffix, cells, axes))
+    x += y
+    dist[rows] = x
+    return rows
+
+
+def locate(partition: PartitionLambdaK,
+           cloud: SampleCloud) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's stopping word, and its distance to that word's centre.
+
+    Returns the length of each sample's word, as a uint8 array, 0 for a
+    sample that lies in no word of the partition or in more than one;
+    and the distance from each located sample (length nonzero), samples
+    first to last, to the centre of its own cell.
 
     A length-h word is the cell of x index X < n^ell(h) and y index
     Y < m^h that its digits spell; a sample lies in it when X and Y are
-    the integers of its first ell(h) x and h y digits, two floor
-    divisions of its prefixes.  Each length's cells, decoded from its
-    keys, are put in a hashed ``_CellTable`` once, and every sample is
-    looked up at every length by comparing both indices exactly.  Raises
+    the integers of its first ell(h) x and h y digits, the floor
+    quotients P // d of its prefixes P by d = base^(S - digits).  Each
+    length's cells, decoded from its keys, are put in a hashed
+    ``_CellTable`` once, and every sample is looked up at every length
+    by comparing both indices exactly.  The offset from the centre is
+    read in cell-local coordinates from the remainder P - X * d: on each
+    axis it is (P - X * d + suffix) / d - 1/2 cell sides, so it keeps
+    full float precision at any cell depth.  The distance is the root of
+    the two offsets' squares, each scaled by its cell side.  Raises
     ``ShallowCloudError`` when the level's longest words are too deep
     for the cloud.
     """
@@ -294,67 +349,35 @@ def locate(partition: PartitionLambdaK, cloud: SampleCloud) -> np.ndarray:
     _check_depth(params, partition.xi_max, cloud.depth)
     n, m = params.n, params.m
     sx, sy = _places(n), _places(m)
+    # Per length: its divisors down to the cell's digits and the cell's
+    # sides on both axes, and its cells.
     tables = []
     for h, (keys, _, _) in partition.blocks.items():
-        tables.append((h, np.uint64(n ** (sx - ell(params, h))),
-                       np.uint64(m ** (sy - h)),
+        l = ell(params, h)
+        tables.append((h, ((np.uint64(n ** (sx - l)), float(n) ** -l),
+                           (np.uint64(m ** (sy - h)), float(m) ** -h)),
                        _CellTable(*cell_indices(params, h, keys))))
     found = np.zeros(cloud.size, dtype=np.uint8)
-    for lo in range(0, cloud.size, _CHUNK):
-        px, py = cloud.prefix[:, lo:lo + _CHUNK]
-        hits = np.zeros(len(px), dtype=np.uint8)
-        at = found[lo:lo + _CHUNK]
-        for h, dx, dy, table in tables:
-            hit = table.contains(px // dx, py // dy)
-            hits += hit
-            at[hit] = h
-        at[hits != 1] = 0
-    return found
-
-
-def own_cell_distances(partition: PartitionLambdaK,
-                       cloud: SampleCloud) -> np.ndarray:
-    """Distance from each located sample (``locate`` nonzero), samples
-    first to last, to the centre of its own stopping cell.
-
-    The offset from the centre is read in cell-local coordinates: on an
-    axis where the cell has length ell and the prefix S digits, it is
-    (P mod base^(S - ell) + suffix) / base^(S - ell) - 1/2 cell sides,
-    so it keeps full float precision at any cell depth.  The distance is
-    the root of the two offsets' squares, each scaled by its cell side.
-    """
-    found = locate(partition, cloud)
-    params = partition.params
-    n, m = params.n, params.m
-    sx, sy = _places(n), _places(m)
-    # Per length h: the divisors down to the cell's digits and its sides.
-    top = max(partition.blocks, default=0) + 1
-    div = np.ones((2, top), dtype=np.uint64)
-    side = np.zeros((2, top))
-    for h in partition.blocks:
-        l = ell(params, h)
-        div[:, h] = n ** (sx - l), m ** (sy - h)
-        side[:, h] = float(n) ** -l, float(m) ** -h
+    # A chunk's distances are written over its own rows of ``out``, then
+    # those of its located samples moved down after the ones before.
     out = np.empty(cloud.size)
     done = 0
     for lo in range(0, cloud.size, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
-        h = found[rows]
-        dist = np.zeros(len(h))
-        for axis in (0, 1):
-            d = div[axis, h]
-            off = (cloud.prefix[axis, rows] % d).astype(np.float64)
-            off += cloud.suffix[axis, rows]
-            off /= d
-            off -= 0.5
-            off *= side[axis, h]
-            off *= off
-            dist += off
-        if not h.all():
-            dist = dist[h != 0]
-        np.sqrt(dist, out=out[done:done + len(dist)])
-        done += len(dist)
-    return out[:done]
+        prefix, suffix = cloud.prefix[:, rows], cloud.suffix[:, rows]
+        at, dist = found[rows], out[rows]
+        hits = np.zeros(len(at), dtype=np.uint8)
+        for h, axes, table in tables:
+            inside = _own_cells(prefix, suffix, axes, table, dist)
+            hits[inside] += 1
+            at[inside] = h
+        at[hits != 1] = 0
+        located = np.count_nonzero(at)
+        if located < len(at) or done < lo:
+            out[done:done + located] = dist[at != 0]
+        np.sqrt(out[done:done + located], out=out[done:done + located])
+        done += located
+    return found, out[:done]
 
 
 @dataclass(frozen=True)
@@ -370,7 +393,7 @@ class DistortionEstimate:
 def log_distortion(partition: PartitionLambdaK,
                    cloud: SampleCloud) -> DistortionEstimate:
     """Mean log distance from the located samples to their own cells'
-    centres (``own_cell_distances``).
+    centres (``locate``).
 
     An exactly zero distance is clamped at ``DISTANCE_FLOOR`` and
     counted.  The logs are added by an exact sum, rounded once, the
@@ -378,7 +401,7 @@ def log_distortion(partition: PartitionLambdaK,
     are formed in place, a chunk at a time, and added the same way.
     Unlocated samples are left out and counted.
     """
-    logs = own_cell_distances(partition, cloud)
+    _, logs = locate(partition, cloud)
     done = len(logs)
     if not done:
         raise ValueError("no sample of the cloud lies in exactly one word "
@@ -522,20 +545,49 @@ def _ball_counts(xs: np.ndarray, ys: np.ndarray, pivots: np.ndarray,
     test decides.
     """
     radii = [float(r) for r in radii]
-    widest = max(radii, default=0.0)
+    squares = [r * r for r in radii]
+    # Every pivot's slab ends at once: column 0 for the widest radius,
+    # column j + 1 for radius j.
+    half = np.array([max(radii, default=0.0)] + radii)
+    x0 = pivots[:, :1]
+    starts = np.searchsorted(xs, x0 - half - _SLAB_PAD).tolist()
+    stops = np.searchsorted(xs, x0 + half + _SLAB_PAD).tolist()
     counts = np.zeros((len(pivots), len(radii)), dtype=np.int64)
     for i, (px, py) in enumerate(pivots.tolist()):
-        lo, hi = np.searchsorted(
-            xs, [px - widest - _SLAB_PAD, px + widest + _SLAB_PAD]).tolist()
+        (lo, *a), (hi, *b) = starts[i], stops[i]
         d2 = xs[lo:hi] - px
         d2 *= d2
         dy = ys[lo:hi] - py
         dy *= dy
         d2 += dy
-        for j, r in enumerate(radii):
-            a, b = np.searchsorted(
-                xs[lo:hi], [px - r - _SLAB_PAD, px + r + _SLAB_PAD]).tolist()
-            counts[i, j] = np.count_nonzero(d2[a:b] <= r * r)
+        for j, r2 in enumerate(squares):
+            counts[i, j] = np.count_nonzero(d2[a[j] - lo:b[j] - lo] <= r2)
+    return counts
+
+
+def _sorted_by_x(cloud: SampleCloud, rows: slice
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The x and the y of the samples in ``rows``, both ordered by x."""
+    x = cloud.coordinate(0, rows)
+    by_x = np.argsort(x)
+    xs = x[by_x]
+    # The sorted y go into x's buffer; every index is in range, and
+    # mode "clip" writes there directly, where "raise" buffers a copy.
+    return xs, cloud.coordinate(1, rows).take(by_x, out=x, mode="clip")
+
+
+def _cloud_ball_counts(cloud: SampleCloud, pivots: np.ndarray,
+                       radii) -> np.ndarray:
+    """``_ball_counts`` over the whole cloud, a chunk of ``_BALL_ROWS``
+    rows at a time: each chunk's points are sorted by x and swept on
+    their own, and the chunks' counts added.  Every point lies in one
+    chunk and is tested as in one sweep over the whole cloud, so the
+    counts are the same, while only chunk-sized arrays are made."""
+    counts = np.zeros((len(pivots), len(radii)), dtype=np.int64)
+    for lo in range(0, cloud.size, _BALL_ROWS):
+        xs, ys = _sorted_by_x(cloud, slice(lo, lo + _BALL_ROWS))
+        counts += _ball_counts(xs, ys, pivots, radii)
+        del xs, ys      # before the next chunk's are made
     return counts
 
 
@@ -543,37 +595,32 @@ def ball_bound_check(params: DerivedParams, cloud: SampleCloud,
                      centers: int, radii) -> BallBoundReport:
     """Test empirical ball masses against C * eps^t at sampled centers.
 
-    The centers are the cloud's first ``centers`` points.  The exponent
-    t is -log q_max / log m, which degenerates to zero for
-    single-column-mass carpets; those are reported as skipped because
-    the bound carries no content there.  Thresholds include a three
-    sigma binomial allowance plus one sample of slack.
+    The centers are the cloud's first ``centers`` points, and ``radii``
+    at least one finite radius >= 0.  The exponent t is
+    -log q_max / log m, which degenerates to zero for single-column-mass
+    carpets; those are reported as skipped because the bound carries no
+    content there.  Thresholds include a three sigma binomial allowance
+    plus one sample of slack.
     """
     radii = tuple(float(r) for r in radii)
+    if centers < 1 or centers > cloud.size:
+        raise ValueError("centers must be in [1, cloud size]")
+    if not radii:
+        raise ValueError("need at least one radius")
+    if not all(0.0 <= r < math.inf for r in radii):
+        raise ValueError(f"radii must be finite and >= 0, got {radii}")
     if params.ball_exponent == 0.0:
         return BallBoundReport(
             skipped=True,
             reason="a full-mass column makes the ball exponent zero",
             exponent=0.0, coefficient=params.c_ball,
             failures=(), max_ratio=0.0)
-    if centers < 1 or centers > cloud.size:
-        raise ValueError("centers must be in [1, cloud size]")
     t = params.ball_exponent
     c = params.c_ball
     n_pts = cloud.size
-    # One coordinate at a time, so that at most four cloud-sized arrays
-    # are alive: the sorting permutation, both sorted axes and one
-    # unsorted axis.
-    x = cloud.coordinate(0)
-    by_x = np.argsort(x)
-    xs = x[by_x]
-    del x
-    ys = cloud.coordinate(1)[by_x]
-    del by_x
-    pivots = np.stack([cloud.coordinate(0, centers),
-                       cloud.coordinate(1, centers)], axis=1)
-    counts = _ball_counts(xs, ys, pivots, radii)
-    del xs, ys
+    pivots = np.stack([cloud.coordinate(0, slice(centers)),
+                       cloud.coordinate(1, slice(centers))], axis=1)
+    counts = _cloud_ball_counts(cloud, pivots, radii)
     failures = []
     max_ratio = 0.0
     for col, eps in enumerate(radii):

@@ -6,13 +6,16 @@ exact ``Fraction`` mass and exact rectangle, and a store's keys decode
 to byte rows of its digits, so the tests can check the key kernels
 against an independent and plainly correct route.  The
 KD-tree nearest-centre estimator lives here too: the library's own-cell
-distances must never fall below its distances.  Nothing in the library
-or the command line reaches this module.
+distances must never fall below its distances; so does the ball check
+as one sweep over the whole cloud, whose report the chunked library
+check must match, and a ``tracemalloc`` peak probe.  Nothing in the
+library or the command line reaches this module.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,7 +28,9 @@ from carpetq.coding import (
     xi_sequence,
 )
 from carpetq.measure import DerivedParams
-from carpetq.quantizer import _SHARD_ROWS, uniform_digits
+from carpetq.quantizer import (
+    _SHARD_ROWS, _SLAB_PAD, BallBoundReport, SampleCloud, uniform_digits,
+)
 from carpetq.words import WordError, ell, entropy_terms
 
 
@@ -684,3 +689,61 @@ def brute_locate(params: DerivedParams, store, digits: np.ndarray
                 in rows[h]]
         found.append(hits[0] if len(hits) == 1 else 0)
     return found
+
+
+# -- the whole-cloud ball check ------------------------------------------------
+
+def whole_cloud_ball_check(params: DerivedParams, cloud: SampleCloud,
+                           centers: int, radii) -> BallBoundReport:
+    """``ball_bound_check`` by one sweep over the whole cloud sorted by
+    x: each pivot's slab within the widest radius, and within it each
+    radius's sub-slab, found by binary search, and in it the points
+    whose squared distance is at most r^2 counted."""
+    radii = tuple(float(r) for r in radii)
+    if params.ball_exponent == 0.0:
+        return BallBoundReport(
+            skipped=True,
+            reason="a full-mass column makes the ball exponent zero",
+            exponent=0.0, coefficient=params.c_ball,
+            failures=(), max_ratio=0.0)
+    by_x = np.argsort(cloud.coordinate(0))
+    xs = cloud.coordinate(0)[by_x]
+    ys = cloud.coordinate(1)[by_x]
+    widest = max(radii)
+    counts = np.zeros((centers, len(radii)), dtype=np.int64)
+    for i, (px, py) in enumerate(cloud.points[:centers].tolist()):
+        lo, hi = np.searchsorted(
+            xs, [px - widest - _SLAB_PAD, px + widest + _SLAB_PAD]).tolist()
+        d2 = (xs[lo:hi] - px) ** 2 + (ys[lo:hi] - py) ** 2
+        for j, r in enumerate(radii):
+            a, b = np.searchsorted(
+                xs[lo:hi], [px - r - _SLAB_PAD, px + r + _SLAB_PAD]).tolist()
+            counts[i, j] = np.count_nonzero(d2[a:b] <= r * r)
+    t, c, size = params.ball_exponent, params.c_ball, cloud.size
+    failures = []
+    max_ratio = 0.0
+    for j, eps in enumerate(radii):
+        frac = counts[:, j].astype(np.float64) / size
+        se = np.sqrt(np.maximum(frac * (1.0 - frac), 0.0) / size)
+        threshold = c * eps ** t + 3.0 * se + 1.0 / size
+        max_ratio = max(max_ratio, float(np.max(frac / threshold)))
+        failures += [(int(i), eps, float(frac[i]), float(threshold[i]))
+                     for i in np.flatnonzero(frac > threshold)]
+    return BallBoundReport(skipped=False, reason="", exponent=t,
+                           coefficient=c, failures=tuple(failures),
+                           max_ratio=max_ratio)
+
+
+# -- allocation peaks ----------------------------------------------------------
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the traced allocation peak above what was
+    live before the call, in bytes)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,6 @@
 """Blockwise coding order, replacement stages, antichain certification."""
 
 import hashlib
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +19,7 @@ from oracles import (
     CarpetWord, build_antichain_by_family, carpet_children,
     coding_predecessor, comparable, flat_predecessor, is_descendant,
     make_word, naive_comparable_pairs, raw_coding_antichain, replay_stages,
-    store_rows, swap_tail, word_at, word_mass, words,
+    store_rows, swap_tail, traced_peak, word_at, word_mass, words,
 )
 
 
@@ -300,19 +299,6 @@ def test_multi_stage_ladder_carpet_d(cache_d):
                                               abs=1e-12)
 
 
-def _traced_peak(fn, *args):
-    """(fn(*args), the traced allocation peak above what was live before
-    the call, in bytes)."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def _store_bytes(store):
     return sum(keys.nbytes + ids.nbytes for keys, ids, _ in
                store.blocks.values())
@@ -328,11 +314,11 @@ def test_lookup_layers_allocation_peaks(request, carpet, k):
     # permutation beside each length's sorted keys reads 3.22-4.33 and
     # 1.85-2.12.
     part = enumerate_lambda_k(request.getfixturevalue(f"carpet_{carpet}"), k)
-    chain, peak = _traced_peak(build_antichain, part)
+    chain, peak = traced_peak(build_antichain, part)
     assert peak < 2.5 * _store_bytes(part)
     for store, predecessor in ((part, words_mod.flat_predecessor),
                                (chain, block_predecessor)):
-        _, peak = _traced_peak(store.matching_pairs, predecessor)
+        _, peak = traced_peak(store.matching_pairs, predecessor)
         assert peak < 1.5 * _store_bytes(store)
 
 

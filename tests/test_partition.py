@@ -243,7 +243,7 @@ def test_object_keys_change_nothing(request, monkeypatch, carpet, k):
                 {h: (keys.tolist(), ids.tolist(), nus)
                  for h, (keys, ids, nus) in chain.blocks.items()},
                 chain.stage_logs, verify_maximal_antichain(chain),
-                locate(part, cloud).tolist(),
+                [out.tolist() for out in locate(part, cloud)],
                 {keys.dtype for keys, _, _ in chain.blocks.values()})
 
     whole = run()

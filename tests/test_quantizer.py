@@ -20,14 +20,15 @@ from carpetq.partition import enumerate_lambda_k
 from carpetq.quantizer import (
     _CHUNK, DISTANCE_FLOOR, MAX_DEPTH, SampleCloud, ShallowCloudError,
     _ball_counts, _CellTable, _exact_sum, _slot_bits, ball_bound_check,
-    diameter_log, draw_cloud, locate, log_distortion, own_cell_distances,
-    r_k_diagnostic, uniform_digits,
+    diameter_log, draw_cloud, locate, log_distortion, r_k_diagnostic,
+    uniform_digits,
 )
 from carpetq.words import ell
 from oracles import (
     brute_locate, flat_predecessor, key_rows, lambda_codebook,
     nearest_distances, nearest_log_distortion, sample_digit_matrix,
-    square_geometry, word_at, word_mass,
+    square_geometry, traced_peak, whole_cloud_ball_check, word_at,
+    word_mass,
 )
 
 
@@ -114,7 +115,7 @@ def _hand_cloud(part, idx, quarters):
 def test_log_distortion_hand_value(cache_d):
     part = cache_d.partition(2)
     cloud, h, qx, qy = _hand_cloud(part, 7, [(1, 1), (-1, -1)])
-    assert locate(part, cloud).tolist() == [h, h]
+    assert locate(part, cloud)[0].tolist() == [h, h]
     est = log_distortion(part, cloud)
     assert est.estimate == pytest.approx(math.log(math.hypot(qx, qy)),
                                          abs=1e-15)
@@ -125,7 +126,7 @@ def test_log_distortion_hand_value(cache_d):
 def test_log_distortion_floors_zero_distance(cache_d):
     part = cache_d.partition(2)
     cloud, _, qx, qy = _hand_cloud(part, 7, [(0, 0), (1, -1)])
-    assert own_cell_distances(part, cloud).tolist() == [
+    assert locate(part, cloud)[1].tolist() == [
         0.0, pytest.approx(math.hypot(qx, qy), rel=1e-15)]
     est = log_distortion(part, cloud)
     assert est.floored == 1
@@ -196,6 +197,20 @@ def test_ball_bound_validates_centers(carpet_a, cloud_a):
     with pytest.raises(ValueError):
         ball_bound_check(carpet_a, cloud_a, centers=cloud_a.size + 1,
                          radii=[0.1])
+
+
+@pytest.mark.parametrize("radii", [[0.1, -0.1], [float("nan")],
+                                   [0.1, float("inf")], []],
+                         ids=["negative", "nan", "infinite", "empty"])
+def test_ball_bound_validates_radii(carpet_a, carpet_b, cloud_a, radii):
+    # A negative radius would make eps^t complex, and a NaN or infinite
+    # one, or none, would pass vacuously; the skipped carpet B checks
+    # its radii too.
+    with pytest.raises(ValueError, match="radi"):
+        ball_bound_check(carpet_a, cloud_a, centers=10, radii=radii)
+    with pytest.raises(ValueError, match="radi"):
+        ball_bound_check(carpet_b, draw_cloud(carpet_b, 100), centers=10,
+                         radii=radii)
 
 
 # -- oracles for the sampling kernel and the located cells ----------------
@@ -308,7 +323,7 @@ def test_located_word_matches_brute_force(request, name, levels, depth):
     digits = sample_digit_matrix(params, 1500, depth, 5)
     for k in levels:
         part = enumerate_lambda_k(params, k)
-        assert locate(part, cloud).tolist() == brute_locate(
+        assert locate(part, cloud)[0].tolist() == brute_locate(
             params, part, digits[:, :part.xi_max])
 
 
@@ -324,7 +339,7 @@ def test_located_word_matches_brute_force_in_long_slots(
     part = enumerate_lambda_k(params, k)
     cloud = draw_cloud(params, 300, depth=depth, seed=13)
     digits = sample_digit_matrix(params, 300, depth, 13)
-    assert locate(part, cloud).tolist() == brute_locate(
+    assert locate(part, cloud)[0].tolist() == brute_locate(
         params, part, digits[:, :part.xi_max])
 
 
@@ -391,7 +406,7 @@ def test_random_carpet_located_word_matches_brute_force(n, m, cells, raw,
     digits = sample_digit_matrix(params, 400, 40, seed)
     for k in (1, 2, 3):
         part = enumerate_lambda_k(params, k)
-        found = locate(part, cloud)
+        found, _ = locate(part, cloud)
         assert found.all()
         assert found.tolist() == brute_locate(params, part,
                                               digits[:, :part.xi_max])
@@ -415,15 +430,27 @@ def test_unlocated_samples_counted(cache_a, carpet_a, cloud_a, tamper):
     in_holes = (_in_square(cloud_a, carpet_a, word_at(part, holes[0]))
                 | _in_square(cloud_a, carpet_a, word_at(part, holes[1])))
     assert in_holes.any()
-    assert (locate(part, cloud_a)[in_holes] == part.xi_max).all()
+    found, whole = locate(part, cloud_a)
+    assert (found[in_holes] == part.xi_max).all()
+    # The other samples keep their cells, and their distances close up
+    # over the gaps: with the holes' samples spread over every chunk,
+    # and with all of them in the first, before chunks with no gap.
     dropped = tamper(part, drop=holes)
-    assert np.array_equal(locate(dropped, cloud_a) == 0, in_holes)
+    found, dist = locate(dropped, cloud_a)
+    assert np.array_equal(found == 0, in_holes)
+    assert np.array_equal(dist, whole[~in_holes])
+    first_holes = np.argsort(~in_holes, kind="stable")
+    moved = SampleCloud(prefix=cloud_a.prefix[:, first_holes],
+                        suffix=cloud_a.suffix[:, first_holes],
+                        bases=cloud_a.bases, depth=cloud_a.depth, seed=0)
+    _, dist = locate(dropped, moved)
+    assert np.array_equal(dist, whole[first_holes][in_holes.sum():])
     assert log_distortion(dropped, cloud_a).unlocated == in_holes.sum()
     parent = flat_predecessor(carpet_a, word_at(part, first))
     twice = tamper(part, add=[(parent, word_mass(carpet_a, parent))])
     in_parent = _in_square(cloud_a, carpet_a, parent)
     assert in_parent.sum() > in_holes.sum() / 2
-    assert np.array_equal(locate(twice, cloud_a) == 0, in_parent)
+    assert np.array_equal(locate(twice, cloud_a)[0] == 0, in_parent)
 
 
 @pytest.mark.parametrize("name,levels", [
@@ -440,7 +467,7 @@ def test_own_cell_distance_at_least_nearest(request, name, levels):
     pts = cloud.points
     for k in levels:
         part = enumerate_lambda_k(params, k)
-        own = own_cell_distances(part, cloud)
+        _, own = locate(part, cloud)
         assert len(own) == cloud.size
         centres = lambda_codebook(part)
         assert np.all(own >= nearest_distances(pts, centres) - 1e-15)
@@ -454,7 +481,7 @@ def test_own_cell_distance_at_least_nearest(request, name, levels):
 def test_stderr_is_sample_std(cache_e, carpet_e):
     cloud = draw_cloud(carpet_e, 3 * _CHUNK + 11, seed=3)
     part = cache_e.partition(3)
-    logs = np.log(own_cell_distances(part, cloud))
+    logs = np.log(locate(part, cloud)[1])
     est = log_distortion(part, cloud)
     assert est.estimate == math.fsum(logs) / len(logs)
     assert est.stderr == pytest.approx(
@@ -467,7 +494,7 @@ def test_shallow_cloud_refused(carpet_d):
     part = enumerate_lambda_k(carpet_d, 4)
     with pytest.raises(ShallowCloudError, match="at least 59, got 40"):
         locate(part, draw_cloud(carpet_d, 100, depth=40))
-    assert locate(part, draw_cloud(carpet_d, 100, depth=59)).all()
+    assert locate(part, draw_cloud(carpet_d, 100, depth=59))[0].all()
     # On a 200 x 200 grid a prefix holds 8 digits; k = 5 has words of
     # length 10.
     with warnings.catch_warnings():
@@ -593,3 +620,65 @@ def test_ball_counts_match_tree(request, name):
     for j, r in enumerate(radii):
         want = tree.query_ball_point(pivots, r=r, return_length=True)
         assert got[:, j].tolist() == list(want), r
+
+
+def _cloud_of(params, points):
+    # A cloud whose samples are ``points``, up to the rounding of
+    # (x * n^S_x) * n^-S_x on each axis (none when the base is a power
+    # of two).
+    prefix = np.empty((2, len(points)), dtype=np.uint64)
+    suffix = np.empty((2, len(points)))
+    for axis, base in enumerate((params.n, params.m)):
+        scaled = points[:, axis] * float(base) ** quantizer._places(base)
+        whole = np.floor(scaled)
+        prefix[axis] = whole.astype(np.uint64)
+        suffix[axis] = scaled - whole
+    return SampleCloud(prefix=prefix, suffix=suffix,
+                       bases=(params.n, params.m), depth=40, seed=0)
+
+
+@pytest.mark.parametrize("name", ["a", "d", "e"])
+def test_cloud_ball_counts_across_chunks(request, monkeypatch, name):
+    # Chunks of 1,000 rows and a partial last one, over a cloud whose
+    # points near each ball's edge are shuffled through all the chunks.
+    params = request.getfixturevalue(f"carpet_{name}")
+    radii = [float(params.m) ** (-e) for e in range(2, 9)] + [0.25, 0.0]
+    base = draw_cloud(params, 20_000, seed=43)
+    pivots = np.concatenate([base.points[:40], [[0.5, 0.5], [0.0, 1.0]]])
+    pts = _edge_cloud(base, pivots, radii)
+    cloud = _cloud_of(params, pts[np.random.default_rng(7).permutation(
+        len(pts))])
+    assert cloud.size % 1000
+    monkeypatch.setattr(quantizer, "_BALL_ROWS", 1000)
+    got = quantizer._cloud_ball_counts(cloud, pivots, radii)
+    tree = cKDTree(cloud.points)
+    for j, r in enumerate(radii):
+        want = tree.query_ball_point(pivots, r=r, return_length=True)
+        assert got[:, j].tolist() == list(want), r
+
+
+@pytest.mark.parametrize("name", ["a", "d", "e"])
+def test_ball_bound_matches_whole_cloud_sweep(request, name):
+    # Four chunks, the last one partial.
+    params = request.getfixturevalue(f"carpet_{name}")
+    cloud = draw_cloud(params, 3 * quantizer._BALL_ROWS + 1001, seed=17)
+    radii = [float(params.m) ** (-e) for e in range(1, 9)]
+    report = ball_bound_check(params, cloud, centers=60, radii=radii)
+    assert not report.skipped
+    assert report == whole_cloud_ball_check(params, cloud, 60, radii)
+
+
+def test_quantize_allocation_peaks(cache_a, carpet_a):
+    # Above the cloud, the ball check allocates under a quarter of the
+    # cloud's prefix and suffix bytes: chunk-sized sorted copies only
+    # (measured 0.17; sorting the whole cloud read 1.00).  The own-cell
+    # pass at A k = 4 stays under the 0.71 of two separate passes,
+    # location then distances (measured 0.56).
+    cloud = draw_cloud(carpet_a, 200_000, seed=5)
+    cloud_bytes = cloud.prefix.nbytes + cloud.suffix.nbytes
+    radii = [3.0 ** (-e) for e in range(2, 9)]
+    _, peak = traced_peak(ball_bound_check, carpet_a, cloud, centers=100,
+                          radii=radii)
+    assert peak < cloud_bytes / 4
+    _, peak = traced_peak(r_k_diagnostic, cache_a.partition(4), cloud)
+    assert peak < 0.71 * cloud_bytes
