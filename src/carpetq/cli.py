@@ -8,13 +8,13 @@ asserted invariant held; 1 means at least one failed (the failures are
 printed to stderr as JSON); 2 means the invocation or config was
 unusable, a table to report on is malformed, or a work guard tripped.
 
-For a fixed config and seed every output byte is the same at any
-``--threads`` value.  The sample cloud does not depend on OpenBLAS's
-thread count either: its matrix-vector products are cut into chunks
-that OpenBLAS runs on the calling thread.  Each sample is measured
-against its own stopping cell, found from its digits by integer
-arithmetic, and the log distances and their squared deviations are
-exact sums, rounded once, equal to ``math.fsum``.
+For a fixed config and seed every output byte is the same in every
+run.  The sample cloud does not depend on OpenBLAS's thread count: its
+matrix-vector products are cut into chunks that OpenBLAS runs on the
+calling thread.  Each sample is measured against its own stopping
+cell, found from its digits by integer arithmetic, and the log
+distances and their squared deviations are exact sums, rounded once,
+equal to ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -162,7 +162,6 @@ class _Ctx:
     cfg: RunConfig
     out: Path
     cap_words: int
-    threads: int
     failures: list
     level: Optional[int] = None     # the k being processed, if any
 
@@ -380,7 +379,7 @@ def cmd_quantize(ctx: _Ctx) -> None:
         except ShallowCloudError as exc:
             raise ConfigError(f"quantize k={k}: {exc}") from exc
     cloud = draw_cloud(params, ctx.cfg.cloud_size, depth=ctx.cfg.depth,
-                       seed=ctx.cfg.seed, threads=ctx.threads)
+                       seed=ctx.cfg.seed)
     # The ball check runs before the levels, though its line and its
     # failure come after theirs; it sorts the cloud a chunk at a time, so
     # it adds only chunk-sized arrays to the cloud.
@@ -525,8 +524,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (created if missing)")
         p.add_argument("--cap-words", type=int, default=DEFAULT_CAP,
                        help="skip word-materializing steps above this count")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sampling the cloud")
     return parser
 
 
@@ -539,16 +536,15 @@ def main(argv=None) -> int:
     ctx = None
     try:
         cfg = load_config(args.config)
-        if args.cap_words < 1 or args.threads < 1:
-            raise ConfigError("--cap-words and --threads must be >= 1")
+        if args.cap_words < 1:
+            raise ConfigError("--cap-words must be >= 1")
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(
                 f"--out {args.out} is not a usable directory: {exc}") from exc
-        ctx = _Ctx(cfg=cfg, out=out, cap_words=args.cap_words,
-                   threads=args.threads, failures=[])
+        ctx = _Ctx(cfg=cfg, out=out, cap_words=args.cap_words, failures=[])
         _COMMANDS[args.command](ctx)
     except (ConfigError, EnumerationCapError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -123,23 +123,21 @@ def uniform_digits(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
 
 
 def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
-               seed: int = 0x5EED, threads: int = 1) -> SampleCloud:
+               seed: int = 0x5EED) -> SampleCloud:
     """Sample the measure by ``depth`` i.i.d. digits drawn from the map
     weights.
 
     Rows are drawn in fixed blocks, each with its own generator seeded
-    by (seed, block), so the cloud is byte-identical for any thread
-    count; with threads > 1, blocks run concurrently.  Each block is
-    drawn and packed in row chunks, so the (size, depth) digit matrix
-    never exists.  Per axis, a chunk's prefix is two float64
-    matrix-vector products over the digit values, each exact because its
-    every partial sum is an integer below 2^53, joined as integers; its
-    suffix is one more product.  A chunk is a whole number of 64-row
-    groups of at most 2^17 digits, small enough that OpenBLAS computes
-    its products on the calling thread, so no helper thread spins
-    between them and the suffixes do not depend on OpenBLAS's thread
-    count.  Digit weights past ``MAX_DEPTH`` are 0.0, so a deeper draw
-    is refused.
+    by (seed, block).  Each block is drawn and packed in row chunks, so
+    the (size, depth) digit matrix never exists.  Per axis, a chunk's
+    prefix is two float64 matrix-vector products over the digit values,
+    each exact because its every partial sum is an integer below 2^53,
+    joined as integers; its suffix is one more product.  A chunk is a
+    whole number of 64-row groups of at most 2^17 digits, small enough
+    that OpenBLAS computes its products on the calling thread, so no
+    helper thread spins between them and the suffixes do not depend on
+    OpenBLAS's thread count.  Digit weights past ``MAX_DEPTH`` are 0.0,
+    so a deeper draw is refused.
     """
     if size < 1:
         raise ValueError(f"need size >= 1, got {size}")
@@ -168,8 +166,7 @@ def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
     step = max(64, _GEMV_SIZE // depth // 64 * 64)
     prefix = np.empty((2, size), dtype=np.uint64)
     suffix = np.zeros((2, size), dtype=np.float64)
-
-    def fill(lo: int) -> None:
+    for lo in range(0, size, _SHARD_ROWS):
         end = min(lo + _SHARD_ROWS, size)
         rng = np.random.default_rng([int(seed), lo // _SHARD_ROWS])
         for a in range(lo, end, step):
@@ -185,15 +182,6 @@ def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
                 prefix[axis, a:b] = top * pad
                 if depth > places:
                     suffix[axis, a:b] = v[:, places:] @ sw
-
-    starts = range(0, size, _SHARD_ROWS)
-    if threads <= 1 or len(starts) <= 1:
-        for lo in starts:
-            fill(lo)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(fill, starts))
     return SampleCloud(prefix=prefix, suffix=suffix,
                        bases=(params.n, params.m), depth=depth, seed=seed)
 

@@ -12,11 +12,16 @@ total over all lengths differs in the last bit from math.fsum over the
 rounded per-length sums.
 """
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import carpetq
 from carpetq import CarpetSpec, derive_params
 from carpetq.coding import build_antichain
 from carpetq.partition import PartitionLambdaK, enumerate_lambda_k
@@ -124,3 +129,23 @@ def _tamper(part, drop=(), add=()):
 @pytest.fixture(scope="session")
 def tamper():
     return _tamper
+
+
+def run_commands(cfg, out, commands, hash_seed):
+    """Run ``python -m carpetq <command> --config cfg --out out`` for each
+    of ``commands`` in its own interpreter with ``PYTHONHASHSEED`` set to
+    ``hash_seed``; return each command's stdout and then every file
+    under ``out``, by name, as bytes."""
+    src = Path(carpetq.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    got = {}
+    for command in commands:
+        done = subprocess.run(
+            [sys.executable, "-m", "carpetq", command, "--config", str(cfg),
+             "--out", str(out)],
+            cwd=src, env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        got[f"{command} stdout"] = done.stdout
+    for path in sorted(Path(out).iterdir()):
+        got[path.name] = path.read_bytes()
+    return got

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from carpetq.cli import main
 from carpetq.coding import build_antichain, verify_maximal_antichain
 from carpetq.partition import (
     check_square_disjointness, enumerate_lambda_k, partition_stats,
@@ -24,6 +23,7 @@ from carpetq.partition import (
 from carpetq.quantizer import ball_bound_check, draw_cloud, r_k_diagnostic
 from carpetq.sequences import compute_d_k, compute_s_k, d_k_bound, delta_k, \
     s_k_bound
+from conftest import run_commands
 from oracles import (
     flat_predecessor, replay_stages, store_rows, word_mass, words,
 )
@@ -48,7 +48,7 @@ def chains_a(parts_a):
 
 @pytest.fixture(scope="module")
 def cloud_m(carpet_a):
-    return draw_cloud(carpet_a, 1_000_000, depth=40, seed=0x5EED, threads=4)
+    return draw_cloud(carpet_a, 1_000_000, depth=40, seed=0x5EED)
 
 
 def _ls_slope(xs, ys):
@@ -252,15 +252,10 @@ def test_criterion_8_determinism(tmp_path):
         "cloud_size": 150_000, "depth": 40, "seed": 24301,
         "outputs": ["csv"],
     }))
-    blobs = []
-    for threads in ("1", "4", "16"):
-        out = tmp_path / f"t{threads}"
-        for cmd in ("partition", "sequences", "quantize"):
-            code = main([cmd, "--config", str(cfg_path), "--out", str(out),
-                         "--threads", threads])
-            assert code == 0
-        blobs.append(tuple(
-            (out / name).read_bytes()
-            for name in ("partition.csv", "sequences.csv", "quantize.csv")))
-    assert blobs[0] == blobs[1] == blobs[2]
-    _announce(8, "CSV outputs byte-identical across 1, 4, and 16 threads")
+    runs = [run_commands(cfg_path, tmp_path / f"h{seed}",
+                         ("partition", "sequences", "quantize"), seed)
+            for seed in (0, 12345)]
+    assert {"partition.csv", "sequences.csv", "quantize.csv"} <= set(runs[0])
+    assert runs[0] == runs[1]
+    _announce(8, "CSV outputs and stdout byte-identical across two "
+                 "processes with different PYTHONHASHSEED values")

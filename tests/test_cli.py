@@ -19,7 +19,7 @@ from carpetq.cli import ConfigError, load_config, main
 from carpetq.coding import AntichainCollisionError, AntichainInvariantError
 from carpetq.partition import DisjointnessReport
 from carpetq.report import read_csv
-from conftest import _tamper
+from conftest import _tamper, run_commands
 
 
 _CARPET_D = dict(n=4, m=2, maps=[
@@ -267,17 +267,14 @@ def test_report_malformed_table_exits_2(tmp_path, capsys, table, needle):
 
 
 def test_runs_byte_identical(tmp_path):
+    # Two interpreters with different string-hash seeds write the same
+    # bytes, so no output depends on set or dict hashing order.
     cfg = _config(tmp_path)
-    blobs = []
-    for name, threads in (("r1", "1"), ("r2", "4"), ("r3", "16")):
-        out = tmp_path / name
-        for cmd in ("partition", "sequences", "quantize"):
-            assert main([cmd, "--config", cfg, "--out", str(out),
-                         "--threads", threads]) == 0
-        blobs.append(tuple(
-            (out / f).read_bytes()
-            for f in ("partition.csv", "sequences.csv", "quantize.csv")))
-    assert blobs[0] == blobs[1] == blobs[2]
+    runs = [run_commands(cfg, tmp_path / f"h{seed}",
+                         ("partition", "sequences", "quantize"), seed)
+            for seed in (0, 12345)]
+    assert {"partition.csv", "sequences.json", "quantize.csv"} <= set(runs[0])
+    assert runs[0] == runs[1]
 
 
 def test_csv_values_round_trip_library(tmp_path, carpet_a):
@@ -513,6 +510,8 @@ def test_exact_outputs_frozen_carpet_d(tmp_path):
 _FROZEN_QUANTIZE = {
     "A": ("ac6f0e573d2cd560ed70ca46a05fbb82acbe8fa08b5e75a93620a63e19fa899d",
           "7ad7973e0d07151f0c312b9164ded269c09fa33ef9a64e9917f49edcdf532a67"),
+    "D": ("02c06606b5f9c6b63cad9e62c807d17cb367004898fe19d2611ba31bf85ddee8",
+          "2cf8655953ac7e2f636c4bd8af76a8210aa573fe94ef8454a713aa11b07c2db4"),
     "E": ("fe6f3943caa12593bd4e22729db5d36eec25d20d45e2e909a400363baecc79ef",
           "349ec58b0de477013a9603eb5d901b334d3a33529b1c6db8fcd2296342c2dcaa"),
 }
@@ -521,9 +520,11 @@ _CARPET_E = dict(n=5, m=3, maps=[
     {"i": 1, "j": 2, "p": "1/4"}, {"i": 4, "j": 2, "p": "1/4"}])
 
 
+@pytest.mark.filterwarnings("ignore:grid factor")
 @pytest.mark.parametrize("carpet", sorted(_FROZEN_QUANTIZE))
 def test_quantize_outputs_frozen(tmp_path, carpet):
-    extra = _CARPET_E if carpet == "E" else {}
+    # Carpet D's words reach length 39 at k = 4, so its cloud is deeper.
+    extra = {"D": dict(_CARPET_D, depth=60), "E": _CARPET_E}.get(carpet, {})
     cfg = _config(tmp_path, k_min=2, k_max=4, cloud_size=50_000, **extra)
     out = tmp_path / "out"
     assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0
@@ -684,10 +685,20 @@ def test_missing_config_exits_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-def test_bad_flag_values_exit_2(tmp_path):
+def test_bad_flag_values_exit_2(tmp_path, capsys):
+    # A value out of range is a config error, a flag the parser does not
+    # know a usage error; both exit 2 without a traceback.
     cfg = _config(tmp_path)
-    assert main(["partition", "--config", cfg, "--threads", "0",
-                 "--out", str(tmp_path / "o")]) == 2
+    out = str(tmp_path / "o")
+    assert main(["partition", "--config", cfg, "--cap-words", "0",
+                 "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err) == {"error": "--cap-words must be >= 1"}
+    assert main(["quantize", "--config", cfg, "--threads", "2",
+                 "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "unrecognized arguments: --threads 2" in err
 
 
 @pytest.mark.parametrize("out", ["somefile", "somefile/sub"])

@@ -38,7 +38,7 @@ def cloud_a(carpet_a):
 
 
 def test_draw_cloud_deterministic(carpet_a, cloud_a):
-    again = draw_cloud(carpet_a, 120_000, depth=40, seed=0x5EED, threads=8)
+    again = draw_cloud(carpet_a, 120_000, depth=40, seed=0x5EED)
     assert np.array_equal(cloud_a.prefix, again.prefix)
     assert np.array_equal(cloud_a.suffix, again.suffix)
     assert np.array_equal(cloud_a.points, again.points)
@@ -53,6 +53,8 @@ def test_draw_cloud_validation(carpet_a):
         draw_cloud(carpet_a, 10, depth=8)
     with pytest.raises(ValueError, match="depth"):
         draw_cloud(carpet_a, 10, depth=MAX_DEPTH + 1)
+    with pytest.raises(TypeError, match="threads"):
+        draw_cloud(carpet_a, 10, threads=2)
 
 
 def test_cloud_in_unit_square(cloud_a):
@@ -132,13 +134,6 @@ def test_log_distortion_floors_zero_distance(cache_d):
     assert est.floored == 1
     assert math.isfinite(est.estimate)
     assert est.estimate <= math.log(DISTANCE_FLOOR) / 2 + 1.0
-
-
-def test_log_distortion_workers_identical(cache_a, carpet_a, cloud_a):
-    # The cloud's sampling workers change nothing downstream.
-    part = cache_a.partition(2)
-    many = draw_cloud(carpet_a, 120_000, depth=40, seed=0x5EED, threads=4)
-    assert log_distortion(part, cloud_a) == log_distortion(part, many)
 
 
 def test_diameter_log(carpet_a):
@@ -302,14 +297,12 @@ def test_sampling_matches_searchsorted_formula(request, name):
             sample_digit_matrix(params, 70_000, depth, 31), mat)
         packed = [_packed(cells[mat, axis], base, depth)
                   for axis, base in enumerate((params.n, params.m))]
-        for threads in (1, 2):
-            cloud = draw_cloud(params, 70_000, depth=depth, seed=31,
-                               threads=threads)
-            for axis, (prefix, suffix) in enumerate(packed):
-                assert np.array_equal(cloud.prefix[axis], prefix)
-                assert np.allclose(cloud.suffix[axis], suffix,
-                                   rtol=0, atol=1e-15)
-            assert np.allclose(cloud.points, pts, rtol=0, atol=1e-15)
+        cloud = draw_cloud(params, 70_000, depth=depth, seed=31)
+        for axis, (prefix, suffix) in enumerate(packed):
+            assert np.array_equal(cloud.prefix[axis], prefix)
+            assert np.allclose(cloud.suffix[axis], suffix,
+                               rtol=0, atol=1e-15)
+        assert np.allclose(cloud.points, pts, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("name,levels,depth", [
