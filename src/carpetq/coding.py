@@ -357,12 +357,14 @@ def verify_maximal_antichain(antichain: Antichain) -> AntichainReport:
     """Certify maximality from scratch.
 
     Masses are resummed exactly from each length's class counts and
-    mass table, not read from the store's aggregates.  For the
-    incomparability scan, each word's unique candidate ancestor at every
-    shorter occupied length, its blockwise predecessor there, is looked
-    up by binary search in that length's sorted keys, and equal words
-    within a length are caught by the same sort.  Comparable pairs are
-    sorted index pairs (a, b), a < b.
+    mass table, not read from the store's aggregates.  A word's only
+    candidate ancestor at a shorter length is its blockwise predecessor
+    there, so the incomparability scan is one level-synchronous walk
+    (``WordColumns.matching_pairs``): all words go down together, one
+    blockwise step per length for the distinct ancestors, which are
+    looked up by binary search in each length's sorted keys, and equal
+    words within a length are caught by the same sort.  Comparable pairs
+    are sorted index pairs (a, b), a < b.
     Exact mass one plus pairwise incomparability certify that the
     cylinders tile the whole product space.
     """

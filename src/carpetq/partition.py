@@ -424,9 +424,11 @@ def check_square_disjointness(partition: PartitionLambdaK) -> DisjointnessReport
     beyond digit comparison is needed.  A length-h word can overlap a
     shorter word of length h' only if that word is its unique candidate
     (y[:h'], x[:ell(h')]), its flat predecessor at h', and a word of
-    its own length only if the two are equal, so every check is one
-    lookup in a sorted key index.  Violations are sorted index pairs
-    (a, b) with a < b.
+    its own length only if the two are equal.  So the check is one
+    level-synchronous walk (``WordColumns.matching_pairs``): all words go
+    down together, one flat step per length for the distinct ancestors,
+    which are looked up in each length's sorted keys.  Violations are
+    sorted index pairs (a, b) with a < b.
     """
     return DisjointnessReport(
         checked=partition.phi_k,

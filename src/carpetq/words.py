@@ -19,21 +19,20 @@ layout.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .measure import CarpetSpec, DerivedParams
+from .measure import DerivedParams
 
 __all__ = [
     "WordError", "ell", "entropy_terms", "key_space", "key_dtype", "step",
     "pending", "family_stems", "stem_columns", "flat_predecessor",
     "block_predecessor", "swap_tail", "cell_indices", "descend", "member",
-    "RowIndex", "class_counts", "class_entropy", "WordColumns",
+    "class_counts", "class_entropy", "WordColumns",
 ]
 
 
@@ -76,25 +75,34 @@ class _Layout(NamedTuple):
     col_rank: np.ndarray    # uint64: the rank of column j, at j
 
 
+def _layout(params: DerivedParams) -> _Layout:
+    # Cached by the grid and its cells: the layout reads no weight, and
+    # hashing a spec hashes each of its Fraction weights.
+    spec = params.spec
+    return _grid_layout(spec.n, spec.m, spec.digits)
+
+
 @lru_cache(maxsize=None)
-def _layout(spec: CarpetSpec) -> _Layout:
-    cells = np.array(sorted(spec.digits), dtype=np.intp)
+def _grid_layout(n: int, m: int,
+                 digits: tuple[tuple[int, int], ...]) -> _Layout:
+    cells = np.array(sorted(digits), dtype=np.intp)
     cols = np.unique(cells[:, 1])
-    cell_rank = np.zeros(spec.n * spec.m, dtype=np.uint64)
-    cell_rank[cells[:, 0] + spec.n * cells[:, 1]] = np.arange(len(cells))
-    col_rank = np.zeros(spec.m, dtype=np.uint64)
+    cell_rank = np.zeros(n * m, dtype=np.uint64)
+    cell_rank[cells[:, 0] + n * cells[:, 1]] = np.arange(len(cells))
+    col_rank = np.zeros(m, dtype=np.uint64)
     col_rank[cols] = np.arange(len(cols))
     return _Layout(len(cells), len(cols), cells, cols, cell_rank, col_rank)
 
 
 def key_space(params: DerivedParams, h: int) -> int:
     """The number of length-h keys: |G|^ell(h) * |gy|^(h - ell(h))."""
-    return _space(params.spec, h, ell(params, h))
+    lay = _layout(params)
+    return _space(lay.g, lay.c, h, ell(params, h))
 
 
 @lru_cache(maxsize=None)
-def _space(spec: CarpetSpec, h: int, l: int) -> int:
-    return _layout(spec).g ** l * _layout(spec).c ** (h - l)
+def _space(g: int, c: int, h: int, l: int) -> int:
+    return g ** l * c ** (h - l)
 
 
 def key_dtype(params: DerivedParams, h: int) -> np.dtype:
@@ -120,7 +128,7 @@ def step(params: DerivedParams, h: int, keys: np.ndarray, xs: np.ndarray,
     appended; a predecessor without a tail (n = m) appends the cell
     (``xs``, ``digits``).
     """
-    lay = _layout(params.spec)
+    lay = _layout(params)
     keys = _cast(params, h, keys)
     t = h - 1 - ell(params, h - 1)
     if ell(params, h) + t == h - 1:
@@ -137,7 +145,7 @@ def step(params: DerivedParams, h: int, keys: np.ndarray, xs: np.ndarray,
 def pending(params: DerivedParams, h: int, keys: np.ndarray) -> np.ndarray:
     """The column digit on top of each length-h key's tail, which the
     step to h + 1 promotes when ell rises there."""
-    lay = _layout(params.spec)
+    lay = _layout(params)
     top = keys // lay.c ** (h - ell(params, h) - 1) % lay.c
     return lay.cols[top.astype(np.intp)]
 
@@ -145,7 +153,7 @@ def pending(params: DerivedParams, h: int, keys: np.ndarray) -> np.ndarray:
 def _split(params: DerivedParams, h: int, keys: np.ndarray) -> tuple:
     # Length-h keys as the cells before the last, the last cell's rank,
     # the tail, and the tail's span |gy|^(h - ell(h)).
-    g, c = _layout(params.spec)[:2]
+    g, c = _layout(params)[:2]
     span = c ** (h - ell(params, h))
     return (keys // (g * span), (keys // span % g).astype(np.intp),
             keys % span, span)
@@ -154,7 +162,7 @@ def _split(params: DerivedParams, h: int, keys: np.ndarray) -> tuple:
 def _stems(params: DerivedParams, h: int, keys: np.ndarray) -> tuple:
     # The family stems of length-h keys, and each key's last cell rank.
     head, last, tail, span = _split(params, h, keys)
-    lay = _layout(params.spec)
+    lay = _layout(params)
     head *= lay.c
     head += lay.col_rank[lay.cells[:, 1]][last]
     head *= span
@@ -169,14 +177,14 @@ def family_stems(params: DerivedParams, h: int,
     its column, then the tail, read in the key layout, so stems sort as
     those digit strings do."""
     stems, last = _stems(params, h, keys)
-    return stems, _layout(params.spec).cells[:, 0].astype(np.uint8)[last]
+    return stems, _layout(params).cells[:, 0].astype(np.uint8)[last]
 
 
 def stem_columns(params: DerivedParams, h: int,
                  stems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The last cell's column and the last tail digit of each length-h
     family stem, as ``uint8``."""
-    lay = _layout(params.spec)
+    lay = _layout(params)
     span = lay.c ** (h - ell(params, h))
     cols = lay.cols.astype(np.uint8)
     return (cols[(stems // span % lay.c).astype(np.intp)],
@@ -187,7 +195,7 @@ def block_predecessor(params: DerivedParams, h: int,
                       keys: np.ndarray) -> np.ndarray:
     """The key of each length-h word's blockwise predecessor: the last
     tail digit goes, or where ell falls at h - 1 the last cell."""
-    g, c = _layout(params.spec)[:2]
+    g, c = _layout(params)[:2]
     l = ell(params, h)
     if ell(params, h - 1) == l:
         return _cast(params, h - 1, keys // c)
@@ -203,7 +211,7 @@ def flat_predecessor(params: DerivedParams, h: int,
     if ell(params, h - 1) == ell(params, h) or ell(params, h) == h:
         return block_predecessor(params, h, keys)
     return _cast(params, h - 1,
-                 _stems(params, h, keys)[0] // _layout(params.spec).c)
+                 _stems(params, h, keys)[0] // _layout(params).c)
 
 
 def swap_tail(params: DerivedParams, h: int, stems: np.ndarray,
@@ -211,7 +219,7 @@ def swap_tail(params: DerivedParams, h: int, stems: np.ndarray,
     """The length-h keys of family stems with the last cell's column
     digit and the last tail digit interchanged, and the last cell's x
     digit set to ``xs``."""
-    lay = _layout(params.spec)
+    lay = _layout(params)
     span = lay.c ** (h - ell(params, h))
     j_l, j_t = stem_columns(params, h, stems)
     keys = stems // (lay.c * span)
@@ -229,7 +237,7 @@ def cell_indices(params: DerivedParams, h: int,
     integer of its ell(h) x digits and Y the base-m integer of its h y
     digits, the cells' columns then the tail.  Needs n^ell(h) and m^h
     at most 2^64."""
-    lay = _layout(params.spec)
+    lay = _layout(params)
     t = h - ell(params, h)
     xy = np.zeros((2, len(keys)), dtype=np.uint64)
     for p in range(h):                  # the last digit first
@@ -264,54 +272,22 @@ def member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
 
 
-class RowIndex:
-    """One length's keys, sorted once for exact lookups.
+def _distinct(sorted_keys: np.ndarray) -> np.ndarray:
+    # An ascending key array less its repeats.
+    keep = np.ones(len(sorted_keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=keep[1:])
+    return sorted_keys[keep]
 
-    ``keys`` is the store's own array, in store order; ``sorted`` holds
-    the same keys ascending, and is the only copy.  No permutation is
-    kept up front: the store positions of the sorted keys come from a
-    stable argsort, made only once a query matches or two keys are
-    equal, so equal keys keep their store order.  Query keys must be
-    of the same length and dtype.
-    """
 
-    def __init__(self, keys: np.ndarray):
-        self.keys = keys
-        # Timsort: keys in walk order come in long sorted runs.
-        self.sorted = np.sort(keys, kind="stable")
-        self._order: Optional[np.ndarray] = None
-
-    def _positions(self) -> np.ndarray:
-        # The store positions of the sorted keys, sorted on first use.
-        if self._order is None:
-            self._order = np.argsort(self.keys, kind="stable")
-        return self._order
-
-    def matches(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(query index, key index) for every query and every key equal
-        to it."""
-        found = np.flatnonzero(member(self.sorted, keys))
-        if not len(found):
-            return found, found
-        lo = np.searchsorted(self.sorted, keys[found])
-        counts = np.searchsorted(self.sorted, keys[found], side="right") - lo
-        starts = np.cumsum(counts) - counts
-        at = np.arange(counts.sum()) + np.repeat(lo - starts, counts)
-        return np.repeat(found, counts), self._positions()[at]
-
-    def duplicates(self) -> list[tuple[int, int]]:
-        """Every pair (a, b), a < b, of equal keys."""
-        same = (self.sorted[1:] == self.sorted[:-1]).view(np.int8)
-        if not same.any():
-            return []
-        edges = np.diff(same, prepend=np.int8(0), append=np.int8(0))
-        order = self._positions()
-        pairs = []
-        for start, stop in zip(np.flatnonzero(edges == 1).tolist(),
-                               (np.flatnonzero(edges == -1) + 1).tolist()):
-            run = sorted(order[start:stop].tolist())
-            pairs.extend(itertools.combinations(run, 2))
-        return pairs
+def _equal_pairs(sorted_keys: np.ndarray,
+                 keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (key index, sorted index) for every key and every entry of the
+    # ascending ``sorted_keys`` equal to it.
+    lo = np.searchsorted(sorted_keys, keys)
+    counts = np.searchsorted(sorted_keys, keys, side="right") - lo
+    starts = np.cumsum(counts) - counts
+    at = np.arange(counts.sum()) + np.repeat(lo - starts, counts)
+    return np.repeat(np.arange(len(keys)), counts), at
 
 
 def entropy_terms(nus: Sequence[int], h: int, L: int) -> list[float]:
@@ -403,22 +379,98 @@ class WordColumns:
         A length-h word b matches a word a of length hp < h when walking
         b down by ``predecessor``, one step per length, reaches a's key
         at hp, and a word of its own length when the two keys are
-        equal.  Each length's ``RowIndex`` holds a sorted copy of its
-        keys and nothing more, made once, and every step down to an
-        occupied length is one binary search; store positions are
-        recovered only on a length where some key matched.
+        equal.  All words are walked down together, one length at a
+        time (``_ancestors``), so the work is about the size of the
+        ancestor tree, not words times the length window.  At each
+        length a sorted copy of its own keys finds equal keys and, by
+        binary search, the longer words' ancestors among them; the copy
+        is dropped before the next length.  Only once some key has
+        matched is the walk run again, its pools kept, to list the
+        pairs (``_listed_pairs``).
         """
-        indexes: dict[int, RowIndex] = {}
-        pairs: list[tuple[int, int]] = []
-        for h, (keys, _, _) in self.blocks.items():
-            base = self.offsets[h]
-            for lo, hp, query in descend(self.params, predecessor, h, keys,
-                                         self.l_min):
-                if hp in indexes:
-                    found, anc = indexes[hp].matches(query)
-                    pairs.extend(zip((anc + self.offsets[hp]).tolist(),
-                                     (found + base + lo).tolist()))
-            index = indexes[h] = RowIndex(keys)
-            pairs.extend((base + a, base + b) for a, b in index.duplicates())
-        return tuple(sorted(pairs))
+        if not any(self._clashes(h, pool)
+                   for h, pool in self._ancestors(predecessor)):
+            return ()
+        return self._listed_pairs(predecessor,
+                                  dict(self._ancestors(predecessor)))
 
+    def _ancestors(self, predecessor: Callable
+                   ) -> Iterator[tuple[int, np.ndarray]]:
+        # Yields (h, pool) for h from l_max down to l_min: the distinct
+        # length-h keys that the longer words reach, ascending.  The pool
+        # one length down is one predecessor step of this pool and of the
+        # length's own keys, a _CHUNK at a time, each chunk sorted and its
+        # repeats dropped; the pieces are then sorted as one, a merge of
+        # sorted runs for the stable sort, and their repeats dropped.
+        params = self.params
+        pool = np.empty(0, key_dtype(params, self.l_max))
+        for h in range(self.l_max, self.l_min - 1, -1):
+            yield h, pool
+            if h == self.l_min:
+                return
+            pieces = [np.empty(0, key_dtype(params, h - 1))]
+            for keys in (pool, self.blocks.get(h, (pool[:0],))[0]):
+                for lo in range(0, len(keys), _CHUNK):
+                    pieces.append(_distinct(np.sort(
+                        predecessor(params, h, keys[lo:lo + _CHUNK]))))
+            pool = np.concatenate(pieces)
+            del pieces
+            pool.sort(kind="stable")
+            pool = _distinct(pool)
+
+    def _clashes(self, h: int, pool: np.ndarray) -> bool:
+        # Whether two length-h keys are equal or one is in ``pool``.
+        if h not in self.blocks:
+            return False
+        # The default sort: faster than timsort on keys in walk order, and
+        # it needs no buffer beside the copy.
+        index = np.sort(self.blocks[h][0])
+        return bool((index[1:] == index[:-1]).any()) or any(
+            member(index, pool[lo:lo + _CHUNK]).any()
+            for lo in range(0, len(pool), _CHUNK))
+
+    def _below(self, predecessor: Callable, h: int, keys: np.ndarray,
+               marks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (key index, mark index) for every length-h key and every entry
+        # of the ascending ``marks`` equal to its predecessor.
+        found, at = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        if len(marks):
+            for lo in range(0, len(keys), _CHUNK):
+                q, a = _equal_pairs(
+                    marks, predecessor(self.params, h, keys[lo:lo + _CHUNK]))
+                found.append(q + lo)
+                at.append(a)
+        return np.concatenate(found), np.concatenate(at)
+
+    def _listed_pairs(self, predecessor: Callable,
+                      pools: dict[int, np.ndarray]
+                      ) -> tuple[tuple[int, int], ...]:
+        # The pairs, walking up from l_min with each length's pool from
+        # ``_ancestors``.  ``marks`` holds, ascending, every pool key of
+        # the length below that walks down to a shorter word's key or is
+        # one, once per such word, whose index is in ``marked``: a word of
+        # the next length pairs with the marked words of its predecessor.
+        pairs: list[tuple[int, int]] = []
+        marks = pools[self.l_min][:0]
+        marked = np.empty(0, np.intp)
+        for h in range(self.l_min, self.l_max + 1):
+            pool, base = pools[h], self.offsets.get(h, 0)
+            keys = self.blocks.get(h, (pool[:0],))[0]
+            b, at = self._below(predecessor, h, keys, marks)
+            pairs.extend(zip(marked[at].tolist(), (b + base).tolist()))
+            # Equal keys within the length.
+            order = np.argsort(keys, kind="stable")
+            b, at = _equal_pairs(keys[order], keys)
+            a = order[at]
+            pairs.extend(zip((a[a < b] + base).tolist(),
+                             (b[a < b] + base).tolist()))
+            # Marks for the next length: pool keys with a marked
+            # predecessor, and this length's words that are in the pool.
+            e, at = self._below(predecessor, h, pool, marks)
+            own = (np.flatnonzero(member(pool, keys)) if len(pool)
+                   else np.empty(0, np.intp))
+            marks = np.concatenate((pool[e], keys[own]))
+            marked = np.concatenate((marked[at], own + base))
+            order = np.argsort(marks, kind="stable")
+            marks, marked = marks[order], marked[order]
+        return tuple(sorted(pairs))

@@ -14,11 +14,12 @@ library or the command line reaches this module.
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -31,7 +32,8 @@ from carpetq.measure import DerivedParams
 from carpetq.quantizer import (
     _SHARD_ROWS, _SLAB_PAD, BallBoundReport, SampleCloud, uniform_digits,
 )
-from carpetq.words import WordError, ell, entropy_terms
+from carpetq import words as key_words
+from carpetq.words import WordError, descend, ell, entropy_terms, member
 
 
 @dataclass(frozen=True)
@@ -380,6 +382,86 @@ def naive_comparable_pairs(words) -> list[tuple[int, int]]:
             if comparable(words[x], words[y]):
                 hits.append((x, y))
     return hits
+
+
+# -- the per-word walk -----------------------------------------------------------
+
+class RowIndex:
+    """One length's keys, sorted once for exact lookups.
+
+    ``keys`` is the store's own array, in store order; ``sorted`` holds
+    the same keys ascending.  The store positions of the sorted keys come
+    from a stable argsort, made only once a query matches or two keys
+    are equal, so equal keys keep their store order.  Query keys must be
+    of the same length and dtype.
+    """
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = keys
+        self.sorted = np.sort(keys, kind="stable")
+        self._order: Optional[np.ndarray] = None
+
+    def _positions(self) -> np.ndarray:
+        if self._order is None:
+            self._order = np.argsort(self.keys, kind="stable")
+        return self._order
+
+    def matches(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(query index, key index) for every query and every key equal
+        to it."""
+        found = np.flatnonzero(member(self.sorted, keys))
+        if not len(found):
+            return found, found
+        lo = np.searchsorted(self.sorted, keys[found])
+        counts = np.searchsorted(self.sorted, keys[found], side="right") - lo
+        starts = np.cumsum(counts) - counts
+        at = np.arange(counts.sum()) + np.repeat(lo - starts, counts)
+        return np.repeat(found, counts), self._positions()[at]
+
+    def duplicates(self) -> list[tuple[int, int]]:
+        """Every pair (a, b), a < b, of equal keys."""
+        same = (self.sorted[1:] == self.sorted[:-1]).view(np.int8)
+        if not same.any():
+            return []
+        edges = np.diff(same, prepend=np.int8(0), append=np.int8(0))
+        order = self._positions()
+        pairs = []
+        for start, stop in zip(np.flatnonzero(edges == 1).tolist(),
+                               (np.flatnonzero(edges == -1) + 1).tolist()):
+            run = sorted(order[start:stop].tolist())
+            pairs.extend(itertools.combinations(run, 2))
+        return pairs
+
+
+def walk_matching_pairs(store, predecessor: Callable
+                        ) -> tuple[tuple[int, int], ...]:
+    """``WordColumns.matching_pairs`` by the per-word walk: every word is
+    walked down by ``predecessor`` one length at a time, and looked up at
+    each shorter occupied length by binary search in that length's
+    ``RowIndex``; equal keys within a length pair too.  Its cost is words
+    times the length window."""
+    indexes: dict[int, RowIndex] = {}
+    pairs: list[tuple[int, int]] = []
+    for h, (keys, _, _) in store.blocks.items():
+        base = store.offsets[h]
+        for lo, hp, query in descend(store.params, predecessor, h, keys,
+                                     store.l_min):
+            if hp in indexes:
+                found, anc = indexes[hp].matches(query)
+                pairs.extend(zip((anc + store.offsets[hp]).tolist(),
+                                 (found + base + lo).tolist()))
+        index = indexes[h] = RowIndex(keys)
+        pairs.extend((base + a, base + b) for a, b in index.duplicates())
+    return tuple(sorted(pairs))
+
+
+def walks_agree(store) -> bool:
+    """Whether ``store.matching_pairs`` lists the per-word walk's pairs,
+    for the flat and for the blockwise predecessor."""
+    return all(store.matching_pairs(predecessor)
+               == walk_matching_pairs(store, predecessor)
+               for predecessor in (key_words.flat_predecessor,
+                                   key_words.block_predecessor))
 
 
 def swap_tail(params: DerivedParams, w: CarpetWord, i: int) -> CarpetWord:

@@ -307,12 +307,14 @@ def _store_bytes(store):
 @pytest.mark.parametrize("carpet,k", [("a", 5), ("d", 4)])
 def test_lookup_layers_allocation_peaks(request, carpet, k):
     # Above the store it reads, the antichain build allocates at most
-    # 2.5 times the store's key and id bytes, and a matching_pairs scan
-    # at most 1.5 times: a sorted copy of each length's keys, the
-    # replaced block and bounded chunks.  Measured: build 1.73 (A k = 5)
-    # and 1.74 (D k = 4), scans 0.97-1.25.  Keeping an 8-byte
-    # permutation beside each length's sorted keys reads 3.22-4.33 and
-    # 1.85-2.12.
+    # 2.5 times the store's key and id bytes: a sorted copy of each
+    # length's keys, the replaced block and bounded chunks.  A
+    # matching_pairs scan allocates at most 1.5 times: one length's
+    # sorted keys, the pools of two lengths and bounded chunks.
+    # Measured: build 1.73 (A k = 5) and 1.74 (D k = 4), scans 0.56-0.86
+    # (0.97-1.25 with every length's sorted keys held at once).  Keeping
+    # an 8-byte permutation beside each length's sorted keys reads
+    # 3.22-4.33 and 1.85-2.12.
     part = enumerate_lambda_k(request.getfixturevalue(f"carpet_{carpet}"), k)
     chain, peak = traced_peak(build_antichain, part)
     assert peak < 2.5 * _store_bytes(part)

@@ -19,12 +19,12 @@ from carpetq.partition import (
     partition_stats, stopped_statistics,
 )
 from carpetq.quantizer import draw_cloud, locate
-from carpetq.words import entropy_terms
+from carpetq.words import block_predecessor, entropy_terms
 from oracles import (
-    carpet_children, check_phi_growth, flat_predecessor, key_rows,
-    lambda_codebook, make_word, mass_at, naive_comparable_pairs,
+    carpet_children, check_phi_growth, coding_predecessor, flat_predecessor,
+    key_rows, lambda_codebook, make_word, mass_at, naive_comparable_pairs,
     raw_coding_antichain, sample_digit_matrix, square_geometry,
-    squares_overlap, word_at, word_entropy, word_mass, words,
+    squares_overlap, walks_agree, word_at, word_entropy, word_mass, words,
 )
 
 # Word counts confirmed by two independent routes (direct enumeration
@@ -266,6 +266,24 @@ def test_recursion_limit_left_unchanged(carpet_skewed):
     assert sys.getrecursionlimit() == limit
 
 
+# sha256 of repr() of the skewed carpet's blockwise pairs on its k = 1
+# partition, as the per-word walk listed them.
+SKEWED_BLOCK_PAIRS = \
+    "baad1f486478e858d230a56fd92a3572a664f44feb8102fb4281515e96d45792"
+
+
+def test_skewed_certificates_frozen(carpet_skewed):
+    # 106,489 words over lengths 3-917: the per-word walk took about 20 s
+    # for each of these calls.
+    part = enumerate_lambda_k(carpet_skewed, 1)
+    report = check_square_disjointness(part)
+    assert (report.checked, report.violations) == (106_489, ())
+    pairs = part.matching_pairs(block_predecessor)
+    assert len(pairs) == 52_898
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() \
+        == SKEWED_BLOCK_PAIRS
+
+
 def test_dp_frozen_carpet_d(carpet_d):
     # Beyond what the enumerator collects; k = 6 was cross-checked
     # against the earlier memoized recursive DP.
@@ -384,6 +402,61 @@ def test_disjointness_detects_nesting(carpet_a, tamper):
     assert not report.ok
 
 
+def _index(store, word):
+    return [w for w, _ in words(store)].index(word)
+
+
+def test_disjointness_detects_ancestor_across_empty_length(cache_d, tamper):
+    # A word's flat ancestor two lengths up, planted at an occupied
+    # length, with the length between emptied: the walk carries the
+    # longer words' ancestors through a length with no words.
+    params, part = cache_d.params, cache_d.partition(2)
+    h = part.l_max
+    child = word_at(part, part.offsets[h])
+    anc = flat_predecessor(params, flat_predecessor(params, child))
+    between = range(part.offsets[h - 1],
+                    part.offsets[h - 1] + part.length_counts[h - 1])
+    bad = tamper(part, drop=between, add=[(anc, word_mass(params, anc))])
+    assert h - 1 not in bad.blocks and h - 2 in bad.blocks
+    violations = check_square_disjointness(bad).violations
+    assert (_index(bad, anc), _index(bad, child)) in violations
+    assert list(violations) == _overlap_pairs(params, bad)
+
+
+def test_verify_detects_blockwise_only_ancestor(cache_d, tamper):
+    # A word's blockwise predecessor that is not its flat one, planted in
+    # a certified antichain: verify pairs them, disjointness does not.
+    params, chain = cache_d.params, cache_d.antichain(2)
+    child = next(w for w, _ in words(chain)
+                 if coding_predecessor(params, w) != flat_predecessor(params, w))
+    anc = coding_predecessor(params, child)
+    bad = tamper(chain, add=[(anc, word_mass(params, anc))])
+    pair = (_index(bad, anc), _index(bad, child))
+    comparable = verify_maximal_antichain(
+        raw_coding_antichain(bad)).comparable_pairs
+    assert pair in comparable
+    assert list(comparable) == naive_comparable_pairs(w for w, _ in words(bad))
+    assert pair not in bad.matching_pairs(words_mod.flat_predecessor)
+
+
+def test_disjointness_counts_equal_ancestors(cache_d, tamper):
+    # Two copies of one flat ancestor of several words: each copy pairs
+    # with every word below it, and the copies with each other.
+    params, part = cache_d.params, cache_d.partition(2)
+    child = word_at(part, part.offsets[12])
+    anc = flat_predecessor(params, flat_predecessor(params, child))
+    below = 0
+    for w, _ in words(part):
+        while len(w) > len(anc):
+            w = flat_predecessor(params, w)
+        below += w == anc
+    assert below > 1
+    bad = tamper(part, add=2 * [(anc, word_mass(params, anc))])
+    violations = check_square_disjointness(bad).violations
+    assert len(violations) == 1 + 2 * below
+    assert list(violations) == _overlap_pairs(params, bad)
+
+
 def test_squares_overlap_oracle(carpet_a):
     w = make_word(carpet_a, [(0, 0), (2, 2)], [2])
     sq = square_geometry(carpet_a, w)
@@ -497,6 +570,8 @@ def test_random_carpet_row_kernels_match_oracles(tamper, n, m, cells, raw,
         assert list(verify_maximal_antichain(raw_chain).comparable_pairs) \
             == naive_comparable_pairs(w for w, _ in words(raw_chain))
         built = build_antichain(part)
+        assert all(walks_agree(store)
+                   for store in (part, bad, raw_chain, built))
         for h, block in part.blocks.items():
             assert raw_chain.blocks[h][0] is block[0]
             if h not in built.xi_stages[1:]:

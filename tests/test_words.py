@@ -13,16 +13,16 @@ from carpetq import words as words_mod
 from carpetq.coding import build_antichain, verify_maximal_antichain
 from carpetq.partition import check_square_disjointness, enumerate_lambda_k
 from carpetq.words import (
-    RowIndex, WordColumns, WordError, block_predecessor, cell_indices,
+    WordColumns, WordError, block_predecessor, cell_indices,
     class_entropy, ell, entropy_terms, family_stems, key_dtype, key_space, pending,
     stem_columns, step, swap_tail,
 )
 from oracles import (
-    CarpetWord, carpet_children, coding_predecessor, decode_key,
+    CarpetWord, RowIndex, carpet_children, coding_predecessor, decode_key,
     decode_word, encode_word, flat_predecessor, key_dtype_of,
     key_rows, keys_of, make_word, mass_at, raw_coding_antichain,
-    square_geometry, store_rows, swap_tail as swap_word_tail, word_at,
-    word_entropy, word_from_digits, word_mass,
+    square_geometry, store_rows, swap_tail as swap_word_tail,
+    walks_agree, word_at, word_entropy, word_from_digits, word_mass,
 )
 
 
@@ -300,9 +300,13 @@ def test_keys_sort_and_look_up_as_bytes(carpet_a, carpet_d, carpet_e, data,
     for t, row in enumerate(rows):
         oracle.setdefault(row.tobytes(), []).append(t)
     index = RowIndex(keys)
-    assert sorted(index.duplicates()) == sorted(
-        (a, b) for run in oracle.values()
-        for x, a in enumerate(run) for b in run[x + 1:])
+    equal = sorted((a, b) for run in oracle.values()
+                   for x, a in enumerate(run) for b in run[x + 1:])
+    assert sorted(index.duplicates()) == equal
+    # A one-length store pairs exactly its equal keys.
+    store = WordColumns(params, {h: (keys, np.zeros(len(keys), np.uint8),
+                                     [1])})
+    assert store.matching_pairs(block_predecessor) == tuple(equal)
     # Queries: a fresh word set of the same length.
     queries = _random_words(params, h,
                             [pool[(d + 1) % len(pool)] for d in draws])
@@ -374,11 +378,18 @@ def test_key_steps_match_word_oracles(carpet_a, carpet_d, carpet_e, data, h,
         assert (x.tolist(), y.tolist()) == (want_x, want_y)
 
 
+def _walks_agree(part, chain):
+    # On a partition, its repaired antichain and the unrepaired one,
+    # which has comparable pairs.
+    return all(walks_agree(store)
+               for store in (part, chain, raw_coding_antichain(part)))
+
+
 @pytest.mark.parametrize("carpet,k", [("a", 2), ("a", 3), ("d", 2)])
 def test_lookup_chunks_change_nothing(request, monkeypatch, carpet, k):
-    # Five rows a chunk: every packing and lookup spans several chunks.
-    # The raw antichain has comparable pairs, so matches are found in
-    # many chunks.
+    # Five rows a chunk: every packing and lookup spans several chunks,
+    # and the pooled walk still lists the per-word walk's pairs.  The raw
+    # antichain has comparable pairs, so matches are found in many chunks.
     params = request.getfixturevalue(f"carpet_{carpet}")
     part = enumerate_lambda_k(params, k)
 
@@ -392,6 +403,26 @@ def test_lookup_chunks_change_nothing(request, monkeypatch, carpet, k):
     monkeypatch.setattr(words_mod, "_CHUNK", 5)
     assert run() == whole
     assert whole[-1].comparable_pairs
+    assert _walks_agree(part, build_antichain(part))
+
+
+@pytest.mark.parametrize("carpet,k", [
+    ("a", 1), ("a", 2), ("a", 3), ("a", 4), ("a", 5), ("b", 3), ("b", 4),
+    ("c", 3), ("c", 4), ("d", 1), ("d", 2), ("d", 3), ("d", 4), ("e", 2),
+    ("e", 3)])
+def test_walk_matches_per_word_oracle(request, carpet, k):
+    cache = request.getfixturevalue(f"cache_{carpet}")
+    assert _walks_agree(cache.partition(k), cache.antichain(k))
+
+
+@pytest.mark.parametrize("carpet,k", [("a", 3), ("d", 3), ("e", 2)])
+def test_walk_matches_oracle_object_keys(request, monkeypatch, carpet, k):
+    # A 0-bit bound gives every length object keys.
+    monkeypatch.setattr(words_mod, "_KEY_BITS", 0)
+    part = enumerate_lambda_k(request.getfixturevalue(f"carpet_{carpet}"), k)
+    chain = build_antichain(part)
+    assert all(keys.dtype == object for keys, _, _ in chain.blocks.values())
+    assert _walks_agree(part, chain)
 
 
 @settings(max_examples=200, deadline=None)
