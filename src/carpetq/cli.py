@@ -453,17 +453,20 @@ def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
 
 def _numbers(path: Path, table, name: str, blank_ok: bool = False) -> list:
     """Column ``name`` of a table as floats; a blank cell is None where
-    ``blank_ok``.  A missing column or any other non-number is a
-    ConfigError."""
+    ``blank_ok``.  A missing column or any other cell that is not a
+    finite number is a ConfigError."""
     header, rows = table
     if name not in header:
         raise ConfigError(f"{path.name} has no {name!r} column")
     col = header.index(name)
     try:
-        return [None if blank_ok and not row[col] else float(row[col])
-                for row in rows]
+        values = [None if blank_ok and not row[col] else float(row[col])
+                  for row in rows]
     except ValueError as exc:
         raise ConfigError(f"{path.name} column {name!r}: {exc}") from exc
+    if not all(v is None or math.isfinite(v) for v in values):
+        raise ConfigError(f"{path.name} column {name!r}: non-finite value")
+    return values
 
 
 def cmd_report(ctx: _Ctx) -> None:

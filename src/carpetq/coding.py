@@ -21,8 +21,8 @@ import numpy as np
 
 from .measure import DerivedParams
 from .words import (
-    WordColumns, block_predecessor, class_counts, class_entropy, descend,
-    ell, entropy_terms, family_stems, key_dtype, member, stem_columns,
+    WordColumns, block_predecessor, class_counts, class_entropy, ell,
+    entropy_terms, family_stems, member, predecessor_member, stem_columns,
     swap_tail,
 )
 
@@ -262,11 +262,12 @@ def build_antichain(partition) -> Antichain:
     pair); each family is swapped for the equal-mass family obtained from
     its smallest-x representative by interchanging the last pair's column
     digit with the last tail digit, one word per x digit of the new
-    column.  Each word is walked down by blockwise predecessors, one
-    length at a time, and looked up by binary search in each shorter
-    length's index, a sorted copy of its keys and nothing more: the
-    ancestor flags and the collision check only ask whether a key
-    occurs.  Families are taken in sorted order, with their members in
+    column.  A key is covered when it or a blockwise ancestor of it is a
+    current word.  Going up from the shortest length, a length's covered
+    keys are its words and those keys of its pool (the distinct ancestors
+    there of longer words, ``WordColumns._ancestors``) whose blockwise
+    predecessor is covered; a target word is flagged when its predecessor
+    is covered.  Families are taken in sorted order, with their members in
     walk order.  Families with one signature (column digits j_l and j_t,
     and each member's x digit and mass class) pass or fail the checks
     alike, so each distinct signature is checked once, at its first
@@ -281,40 +282,39 @@ def build_antichain(partition) -> Antichain:
     """
     params = partition.params
 
-    # Ladder lengths get new blocks as their stages run; every length
-    # below the current target is final, so its sorted keys are made once.
+    # Ladder lengths get new blocks as their stages run.  ``covered``
+    # holds the length below's covered keys, ascending, in pieces.
     blocks = dict(partition.blocks)
-    indexes: dict[int, np.ndarray] = {}
     xi_stages = xi_sequence(partition)
     stage_logs: list[StageLog] = []
+    pools = dict(partition._ancestors(block_predecessor, xi_stages[0] + 1))
+    covered: tuple[np.ndarray, ...] = (np.sort(blocks[xi_stages[0]][0]),)
 
-    for pos in range(1, len(xi_stages)):
-        target = xi_stages[pos]
-        keys, ids, nus = blocks.get(
-            target, (np.empty(0, key_dtype(params, target)),
-                     np.empty(0, np.uint8), []))
-        # Words at the target length whose blockwise ancestor survived at
-        # some shorter length.
-        for h in blocks:
-            if h < target and h not in indexes:
-                indexes[h] = np.sort(blocks[h][0], kind="stable")
-        flags = np.zeros(len(ids), dtype=bool)
-        for lo, h, query in descend(params, block_predecessor, target, keys,
-                                    min(blocks)):
-            if h in indexes:
-                flags[lo:lo + len(query)] |= member(indexes[h], query)
+    for h in range(xi_stages[0] + 1, xi_stages[-1] + 1):
+        pool = pools.pop(h)
+        keys, ids, nus = blocks.get(h, (pool[:0], np.empty(0, np.uint8), []))
+        extra = pool[predecessor_member(params, h, pool, covered)]
+        del pool
+        if h not in xi_stages:
+            covered = (np.sort(keys), extra)
+            continue
+        # Target words with a surviving blockwise ancestor.
+        flags = predecessor_member(params, h, keys, covered)
+        stage = xi_stages.index(h) + 1
         if not flags.any():
+            covered = (np.sort(keys), extra)
             stage_logs.append(StageLog(
-                stage=pos + 1, target_length=target, family_count=0,
+                stage=stage, target_length=h, family_count=0,
                 removed_count=0, inserted_count=0,
                 removed_mass=Fraction(0), removed_entropy=0.0,
                 inserted_entropy=0.0, max_family_gap=0.0))
             continue
-        if ell(params, target) == target:
+        covered = ()                    # freed before the family pass
+        if ell(params, h) == h:
             raise AntichainInvariantError(
                 "replacement family with an empty tail")
         inserted, ins_ids, table, log = _swap_families(
-            params, partition.k, pos + 1, target, keys, ids, nus, flags)
+            params, partition.k, stage, h, keys, ids, nus, flags)
 
         # Survivors, then inserts.  An insert collides when its key
         # occurs twice in the new block.
@@ -329,9 +329,9 @@ def build_antichain(partition) -> Antichain:
                 index[1:][same],
                 new_keys[len(new_keys) - log.inserted_count:]).any():
             raise AntichainCollisionError(
-                f"replacement collision at length {target}")
-        blocks[target] = (new_keys, new_ids, table)
-        indexes[target] = index
+                f"replacement collision at length {h}")
+        blocks[h] = (new_keys, new_ids, table)
+        covered = (index, extra)
         stage_logs.append(log)
 
     return Antichain(partition, blocks, xi_stages=xi_stages,

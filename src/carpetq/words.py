@@ -31,8 +31,8 @@ from .measure import DerivedParams
 __all__ = [
     "WordError", "ell", "entropy_terms", "key_space", "key_dtype", "step",
     "pending", "family_stems", "stem_columns", "flat_predecessor",
-    "block_predecessor", "swap_tail", "cell_indices", "descend", "member",
-    "class_counts", "class_entropy", "WordColumns",
+    "block_predecessor", "swap_tail", "cell_indices", "member",
+    "predecessor_member", "class_counts", "class_entropy", "WordColumns",
 ]
 
 
@@ -252,24 +252,25 @@ def cell_indices(params: DerivedParams, h: int,
     return xy[0], xy[1]
 
 
-def descend(params: DerivedParams, predecessor: Callable, h: int,
-            keys: np.ndarray, stop: int
-            ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yields (lo, hp, the keys from index lo on walked down to length
-    hp), a ``_CHUNK`` of keys at a time, for hp from h - 1 down to
-    ``stop``: one ``predecessor`` step (flat or blockwise) per length."""
-    for lo in range(0, len(keys), _CHUNK):
-        query = keys[lo:lo + _CHUNK]
-        for hp in range(h - 1, stop - 1, -1):
-            query = predecessor(params, hp + 1, query)
-            yield lo, hp, query
-
-
 def member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Whether each key occurs in ``sorted_keys``, an ascending array of
-    keys of the same length and dtype, not empty."""
+    keys of the same length and dtype; all False when it is empty."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
     pos = np.searchsorted(sorted_keys, keys)
     return sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
+
+
+def predecessor_member(params: DerivedParams, h: int, keys: np.ndarray,
+                       indexes: Sequence[np.ndarray]) -> np.ndarray:
+    """Whether each length-h key's blockwise predecessor occurs in one of
+    the ascending key arrays ``indexes``, a ``_CHUNK`` of keys at a time."""
+    found = np.zeros(len(keys), dtype=bool)
+    for lo in range(0, len(keys), _CHUNK):
+        query = block_predecessor(params, h, keys[lo:lo + _CHUNK])
+        for index in indexes:
+            found[lo:lo + _CHUNK] |= member(index, query)
+    return found
 
 
 def _distinct(sorted_keys: np.ndarray) -> np.ndarray:
@@ -389,14 +390,14 @@ class WordColumns:
         pairs (``_listed_pairs``).
         """
         if not any(self._clashes(h, pool)
-                   for h, pool in self._ancestors(predecessor)):
+                   for h, pool in self._ancestors(predecessor, self.l_min)):
             return ()
-        return self._listed_pairs(predecessor,
-                                  dict(self._ancestors(predecessor)))
+        return self._listed_pairs(
+            predecessor, dict(self._ancestors(predecessor, self.l_min)))
 
-    def _ancestors(self, predecessor: Callable
+    def _ancestors(self, predecessor: Callable, stop: int
                    ) -> Iterator[tuple[int, np.ndarray]]:
-        # Yields (h, pool) for h from l_max down to l_min: the distinct
+        # Yields (h, pool) for h from l_max down to ``stop``: the distinct
         # length-h keys that the longer words reach, ascending.  The pool
         # one length down is one predecessor step of this pool and of the
         # length's own keys, a _CHUNK at a time, each chunk sorted and its
@@ -404,9 +405,9 @@ class WordColumns:
         # sorted runs for the stable sort, and their repeats dropped.
         params = self.params
         pool = np.empty(0, key_dtype(params, self.l_max))
-        for h in range(self.l_max, self.l_min - 1, -1):
+        for h in range(self.l_max, stop - 1, -1):
             yield h, pool
-            if h == self.l_min:
+            if h == stop:
                 return
             pieces = [np.empty(0, key_dtype(params, h - 1))]
             for keys in (pool, self.blocks.get(h, (pool[:0],))[0]):
@@ -420,11 +421,9 @@ class WordColumns:
 
     def _clashes(self, h: int, pool: np.ndarray) -> bool:
         # Whether two length-h keys are equal or one is in ``pool``.
-        if h not in self.blocks:
-            return False
         # The default sort: faster than timsort on keys in walk order, and
         # it needs no buffer beside the copy.
-        index = np.sort(self.blocks[h][0])
+        index = np.sort(self.blocks.get(h, (pool[:0],))[0])
         return bool((index[1:] == index[:-1]).any()) or any(
             member(index, pool[lo:lo + _CHUNK]).any()
             for lo in range(0, len(pool), _CHUNK))
@@ -434,12 +433,11 @@ class WordColumns:
         # (key index, mark index) for every length-h key and every entry
         # of the ascending ``marks`` equal to its predecessor.
         found, at = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
-        if len(marks):
-            for lo in range(0, len(keys), _CHUNK):
-                q, a = _equal_pairs(
-                    marks, predecessor(self.params, h, keys[lo:lo + _CHUNK]))
-                found.append(q + lo)
-                at.append(a)
+        for lo in range(0, len(keys), _CHUNK):
+            q, a = _equal_pairs(
+                marks, predecessor(self.params, h, keys[lo:lo + _CHUNK]))
+            found.append(q + lo)
+            at.append(a)
         return np.concatenate(found), np.concatenate(at)
 
     def _listed_pairs(self, predecessor: Callable,
@@ -467,8 +465,7 @@ class WordColumns:
             # Marks for the next length: pool keys with a marked
             # predecessor, and this length's words that are in the pool.
             e, at = self._below(predecessor, h, pool, marks)
-            own = (np.flatnonzero(member(pool, keys)) if len(pool)
-                   else np.empty(0, np.intp))
+            own = np.flatnonzero(member(pool, keys))
             marks = np.concatenate((pool[e], keys[own]))
             marked = np.concatenate((marked[at], own + base))
             order = np.argsort(marks, kind="stable")

@@ -33,7 +33,7 @@ from carpetq.quantizer import (
     _SHARD_ROWS, _SLAB_PAD, BallBoundReport, SampleCloud, uniform_digits,
 )
 from carpetq import words as key_words
-from carpetq.words import WordError, descend, ell, entropy_terms, member
+from carpetq.words import WordError, ell, entropy_terms, member
 
 
 @dataclass(frozen=True)
@@ -444,12 +444,13 @@ def walk_matching_pairs(store, predecessor: Callable
     pairs: list[tuple[int, int]] = []
     for h, (keys, _, _) in store.blocks.items():
         base = store.offsets[h]
-        for lo, hp, query in descend(store.params, predecessor, h, keys,
-                                     store.l_min):
+        query = keys
+        for hp in range(h - 1, store.l_min - 1, -1):
+            query = predecessor(store.params, hp + 1, query)
             if hp in indexes:
                 found, anc = indexes[hp].matches(query)
                 pairs.extend(zip((anc + store.offsets[hp]).tolist(),
-                                 (found + base + lo).tolist()))
+                                 (found + base).tolist()))
         index = indexes[h] = RowIndex(keys)
         pairs.extend((base + a, base + b) for a, b in index.duplicates())
     return tuple(sorted(pairs))

@@ -253,7 +253,9 @@ def test_report_rowless_table_exits_2(tmp_path, capsys):
     ("k,t_k,s_k,s0\n2,,0.9,0.91\n", "sequences.csv has no 'd_k' column"),
     ("", "cannot read sequences.csv"),
     ("k,d_k,t_k,s_k,s0\n2,oops,,0.9,0.91\n", "column 'd_k'"),
-], ids=["missing-column", "empty", "non-numeric"])
+    ("k,d_k,t_k,s_k,s0\n2,nan,,0.9,0.91\n", "column 'd_k': non-finite"),
+    ("k,d_k,t_k,s_k,s0\n2,0.5,-inf,0.9,0.91\n", "column 't_k': non-finite"),
+], ids=["missing-column", "empty", "non-numeric", "nan", "infinite"])
 def test_report_malformed_table_exits_2(tmp_path, capsys, table, needle):
     cfg = _config(tmp_path)
     out = tmp_path / "out"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carpetq import CarpetSpec, derive_params
 from carpetq.coding import (
     AntichainCollisionError, AntichainInvariantError, build_antichain,
     verify_maximal_antichain, xi_sequence,
@@ -256,11 +257,21 @@ def test_family_pass_matches_per_family_oracle(request, carpet, k):
 
 def test_stage_replay_matches_build(cache_a, cache_d):
     # The word-level replay of every stage builds the same blocks, with
-    # the logged family and word counts and removed mass.
-    for cache, k in ((cache_a, 2), (cache_a, 3), (cache_d, 2), (cache_d, 3)):
-        params = cache.params
-        chain = cache.antichain(k)
-        stages, blocks = replay_stages(cache.partition(k))
+    # the logged family and word counts and removed mass.  On the 4x3
+    # carpet with cells (1, 0), (1, 2), (3, 2), some target words have
+    # their only surviving ancestor two or more lengths down, so their
+    # flags depend on covered pool keys, not on the length below alone.
+    levels = [(cache.partition(k), cache.antichain(k))
+              for cache, k in ((cache_a, 2), (cache_a, 3), (cache_d, 2),
+                               (cache_d, 3))]
+    skew = derive_params(CarpetSpec.of(
+        4, 3, {(1, 0): "4/15", (1, 2): "2/15", (3, 2): "9/15"}))
+    for k in (1, 2):
+        part = enumerate_lambda_k(skew, k)
+        levels.append((part, build_antichain(part)))
+    for part, chain in levels:
+        params = part.params
+        stages, blocks = replay_stages(part)
         assert any(stages)
         assert store_rows(chain) == blocks
         assert len(stages) == len(chain.stage_logs)
@@ -307,14 +318,15 @@ def _store_bytes(store):
 @pytest.mark.parametrize("carpet,k", [("a", 5), ("d", 4)])
 def test_lookup_layers_allocation_peaks(request, carpet, k):
     # Above the store it reads, the antichain build allocates at most
-    # 2.5 times the store's key and id bytes: a sorted copy of each
-    # length's keys, the replaced block and bounded chunks.  A
-    # matching_pairs scan allocates at most 1.5 times: one length's
-    # sorted keys, the pools of two lengths and bounded chunks.
-    # Measured: build 1.73 (A k = 5) and 1.74 (D k = 4), scans 0.56-0.86
-    # (0.97-1.25 with every length's sorted keys held at once).  Keeping
-    # an 8-byte permutation beside each length's sorted keys reads
-    # 3.22-4.33 and 1.85-2.12.
+    # 2.5 times the store's key and id bytes: the ancestor pools of the
+    # lengths not yet passed, the covered keys of one length, the
+    # replaced block and bounded chunks.  A matching_pairs scan allocates at most
+    # 1.5 times: one length's sorted keys, the pools of two lengths and
+    # bounded chunks.  Measured: build 1.46 (A k = 5) and 1.54 (D k = 4),
+    # 1.73 and 1.74 with a sorted copy of every shorter length's keys
+    # held instead; scans 0.56-0.86 (0.97-1.25 with every length's
+    # sorted keys held at once).  Keeping an 8-byte permutation beside
+    # each length's sorted keys reads 3.22-4.33 and 1.85-2.12.
     part = enumerate_lambda_k(request.getfixturevalue(f"carpet_{carpet}"), k)
     chain, peak = traced_peak(build_antichain, part)
     assert peak < 2.5 * _store_bytes(part)
