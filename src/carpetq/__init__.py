@@ -63,12 +63,10 @@ from .sequences import (
 )
 from .quantizer import (
     BallBoundReport,
-    DistortionEstimate,
     QuantDiagnostics,
     SampleCloud,
     ball_bound_check,
     draw_cloud,
-    log_distortion,
     r_k_diagnostic,
 )
 
@@ -87,8 +85,7 @@ __all__ = [
     "SequencePoint", "compute_d_k", "compute_s_k", "compute_t",
     "compute_u_k", "d_k_bound", "delta_k", "s_k_bound", "sequence_point",
     "t_bound",
-    "BallBoundReport", "DistortionEstimate", "QuantDiagnostics",
-    "SampleCloud", "ball_bound_check", "draw_cloud", "log_distortion",
-    "r_k_diagnostic",
+    "BallBoundReport", "QuantDiagnostics", "SampleCloud", "ball_bound_check",
+    "draw_cloud", "r_k_diagnostic",
     "__version__",
 ]

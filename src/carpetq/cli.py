@@ -40,7 +40,7 @@ from .partition import (
     partition_stats, stopped_statistics,
 )
 from .quantizer import (
-    MAX_DEPTH, MIN_TAIL, ShallowCloudError, _check_depth, ball_bound_check,
+    MAX_DEPTH, MIN_TAIL, ShallowCloudError, ball_bound_check, check_depth,
     draw_cloud, r_k_diagnostic,
 )
 from .report import read_csv, render_line_chart, write_csv, write_json, write_text
@@ -375,7 +375,7 @@ def cmd_quantize(ctx: _Ctx) -> None:
         if stats.phi_k > ctx.cap_words:
             continue
         try:
-            _check_depth(params, stats.xi_max, ctx.cfg.depth)
+            check_depth(params, stats.xi_max, ctx.cfg.depth)
         except ShallowCloudError as exc:
             raise ConfigError(f"quantize k={k}: {exc}") from exc
     cloud = draw_cloud(params, ctx.cfg.cloud_size, depth=ctx.cfg.depth,
@@ -383,9 +383,7 @@ def cmd_quantize(ctx: _Ctx) -> None:
     # The ball check runs before the levels, though its line and its
     # failure come after theirs; it sorts the cloud a chunk at a time, so
     # it adds only chunk-sized arrays to the cloud.
-    radii = tuple(float(params.spec.m) ** (-e) for e in range(2, 9))
-    ball = ball_bound_check(
-        params, cloud, centers=min(100, cloud.size), radii=radii)
+    ball = ball_bound_check(params, cloud)
     header = ["k", "phi_k", "lower_anchor", "upper_anchor", "e_hat_est",
               "stderr", "R_k"]
     rows = []
@@ -471,6 +469,8 @@ def _numbers(path: Path, table, name: str, blank_ok: bool = False) -> list:
 
 def cmd_report(ctx: _Ctx) -> None:
     """render SVG charts from previously written tables"""
+    # The tables are charted only for a valid carpet, as every command is.
+    derive_params(ctx.cfg.spec)
     seq_path = ctx.out / "sequences.csv"
     qnt_path = ctx.out / "quantize.csv"
     # A table without rows has nothing to plot, like a missing one.

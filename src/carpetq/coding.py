@@ -75,10 +75,6 @@ class StageLog:
     inserted_entropy: float
     max_family_gap: float     # max over families of |entropy gap| / mass
 
-    @property
-    def entropy_shift(self) -> float:
-        return self.inserted_entropy - self.removed_entropy
-
 
 class Antichain(WordColumns):
     """A finite set of words, blockwise incomparable, with stage history.
@@ -120,7 +116,7 @@ def _swap_families(params: DerivedParams, k: int, stage: int, target: int,
     log.
     """
     L = params.denom_lcm
-    a, b = params._scaled
+    a, b = params.scaled
     gx = {j: list(params.gx[j]) for j in params.gy}
     eta_k = params.eta ** k
     eta_num_k, eta_den_k = eta_k.numerator, eta_k.denominator
@@ -265,7 +261,7 @@ def build_antichain(partition) -> Antichain:
     column.  A key is covered when it or a blockwise ancestor of it is a
     current word.  Going up from the shortest length, a length's covered
     keys are its words and those keys of its pool (the distinct ancestors
-    there of longer words, ``WordColumns._ancestors``) whose blockwise
+    there of longer words, ``WordColumns.ancestors``) whose blockwise
     predecessor is covered; a target word is flagged when its predecessor
     is covered.  Families are taken in sorted order, with their members in
     walk order.  Families with one signature (column digits j_l and j_t,
@@ -287,7 +283,7 @@ def build_antichain(partition) -> Antichain:
     blocks = dict(partition.blocks)
     xi_stages = xi_sequence(partition)
     stage_logs: list[StageLog] = []
-    pools = dict(partition._ancestors(block_predecessor, xi_stages[0] + 1))
+    pools = dict(partition.ancestors(block_predecessor, xi_stages[0] + 1))
     covered: tuple[np.ndarray, ...] = (np.sort(blocks[xi_stages[0]][0]),)
 
     for h in range(xi_stages[0] + 1, xi_stages[-1] + 1):

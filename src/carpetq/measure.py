@@ -233,7 +233,7 @@ class DerivedParams:
         object.__setattr__(self, "_pmap", pmap)
         # p_ij * L and q_j * L as ints: the walk's and the repair's weights.
         L = self.denom_lcm
-        object.__setattr__(self, "_scaled", (
+        object.__setattr__(self, "scaled", (
             {ij: int(w * L) for ij, w in pmap.items()},
             {j: int(qj * L) for j, qj in self.q.items()}))
 

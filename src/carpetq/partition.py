@@ -82,7 +82,7 @@ def _moves(params: DerivedParams) -> dict:
     ``[True][None]``, for words without a tail (theta = 1), appends a
     whole pair.  The roots are the moves of the empty word.
     """
-    a, b = params._scaled
+    a, b = params.scaled
     if ell(params, 1) == 1:
         rise = {None: [_Move(i, j, w, 1) for (i, j), w in a.items()]}
     else:

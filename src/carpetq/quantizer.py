@@ -31,7 +31,6 @@ from .words import cell_indices, ell
 
 __all__ = [
     "SampleCloud",
-    "DistortionEstimate",
     "QuantDiagnostics",
     "BallBoundReport",
     "ShallowCloudError",
@@ -40,8 +39,8 @@ __all__ = [
     "MIN_TAIL",
     "uniform_digits",
     "draw_cloud",
+    "check_depth",
     "locate",
-    "log_distortion",
     "diameter_log",
     "r_k_diagnostic",
     "ball_bound_check",
@@ -55,8 +54,7 @@ MIN_TAIL = 20               # cloud digits a located cell must leave unread
 
 _SHARD_ROWS = 1 << 15       # rows per sampling block, one generator each
 _GEMV_SIZE = 1 << 17        # most digit entries per matrix-vector product
-_CHUNK = 1 << 15            # cloud rows per location or sum batch
-_BALL_ROWS = 1 << 15        # cloud rows per ball-count chunk
+_CHUNK = 1 << 15            # cloud rows per location, sum or ball batch
 _SLAB_PAD = 2.0 ** -40      # slab widening, far above the rounding of dx
 
 
@@ -186,7 +184,7 @@ def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
                        bases=(params.n, params.m), depth=depth, seed=seed)
 
 
-def _check_depth(params: DerivedParams, xi_max: int, depth: int) -> None:
+def check_depth(params: DerivedParams, xi_max: int, depth: int) -> None:
     """Raise ``ShallowCloudError`` unless a cloud of ``depth`` digits can
     locate words up to length ``xi_max``: every such word must sit inside
     the packed prefixes and leave at least ``MIN_TAIL`` drawn digits
@@ -334,7 +332,7 @@ def locate(partition: PartitionLambdaK,
     if cloud.bases != (params.n, params.m):
         raise ValueError(f"cloud drawn for bases {cloud.bases}, carpet has "
                          f"({params.n}, {params.m})")
-    _check_depth(params, partition.xi_max, cloud.depth)
+    check_depth(params, partition.xi_max, cloud.depth)
     n, m = params.n, params.m
     sx, sy = _places(n), _places(m)
     # Per length: its divisors down to the cell's digits and the cell's
@@ -366,48 +364,6 @@ def locate(partition: PartitionLambdaK,
         np.sqrt(out[done:done + located], out=out[done:done + located])
         done += located
     return found, out[:done]
-
-
-@dataclass(frozen=True)
-class DistortionEstimate:
-    """Monte Carlo mean of the log own-cell distance."""
-
-    estimate: float
-    stderr: float
-    floored: int              # zero distances clamped at DISTANCE_FLOOR
-    unlocated: int            # samples in no stopping word, or in several
-
-
-def log_distortion(partition: PartitionLambdaK,
-                   cloud: SampleCloud) -> DistortionEstimate:
-    """Mean log distance from the located samples to their own cells'
-    centres (``locate``).
-
-    An exactly zero distance is clamped at ``DISTANCE_FLOOR`` and
-    counted.  The logs are added by an exact sum, rounded once, the
-    float ``math.fsum`` gives; their squared deviations from that mean
-    are formed in place, a chunk at a time, and added the same way.
-    Unlocated samples are left out and counted.
-    """
-    _, logs = locate(partition, cloud)
-    done = len(logs)
-    if not done:
-        raise ValueError("no sample of the cloud lies in exactly one word "
-                         "of the partition")
-    floored = int(np.count_nonzero(logs < DISTANCE_FLOOR))
-    np.log(np.maximum(logs, DISTANCE_FLOOR, out=logs), out=logs)
-    est = _exact_sum(logs) / done
-    for lo in range(0, done, _CHUNK):
-        dev = logs[lo:lo + _CHUNK]
-        dev -= est
-        dev *= dev
-    sd = math.sqrt(_exact_sum(logs) / (done - 1)) if done > 1 else 0.0
-    return DistortionEstimate(
-        estimate=est,
-        stderr=sd / math.sqrt(done),
-        floored=floored,
-        unlocated=cloud.size - done,
-    )
 
 
 def _exact_sum(values: np.ndarray) -> float:
@@ -463,7 +419,7 @@ class QuantDiagnostics:
     e_hat_est: float
     stderr: float
     r_k: float                # s0^-1 log phi_k + e_hat_est
-    floored: int
+    floored: int              # zero distances clamped at DISTANCE_FLOOR
     cloud_size: int
     seed: int
     unlocated: int            # samples in no stopping word, or in several
@@ -476,7 +432,16 @@ class QuantDiagnostics:
 def r_k_diagnostic(partition: PartitionLambdaK,
                    cloud: SampleCloud) -> QuantDiagnostics:
     """Exact anchors plus a Monte Carlo own-cell distortion estimate for
-    level k."""
+    level k.
+
+    The estimate is the mean log distance from the located samples to
+    their own cells' centres (``locate``).  An exactly zero distance is
+    clamped at ``DISTANCE_FLOOR`` and counted.  The logs are added by an
+    exact sum, rounded once, the float ``math.fsum`` gives; their
+    squared deviations from that mean are formed in place, a chunk at a
+    time, and added the same way.  Unlocated samples are left out and
+    counted.
+    """
     params = partition.params
     L = params.denom_lcm
     log_m = math.log(params.spec.m)
@@ -486,20 +451,31 @@ def r_k_diagnostic(partition: PartitionLambdaK,
         mass_h = float(Fraction(nu_sum, L ** h))
         lower += mass_h * (-h * log_m)
         upper += mass_h * diameter_log(params, h)
-    est = log_distortion(partition, cloud)
-    r_k = math.log(partition.phi_k) / params.s0 + est.estimate
+    _, logs = locate(partition, cloud)
+    done = len(logs)
+    if not done:
+        raise ValueError("no sample of the cloud lies in exactly one word "
+                         "of the partition")
+    floored = int(np.count_nonzero(logs < DISTANCE_FLOOR))
+    np.log(np.maximum(logs, DISTANCE_FLOOR, out=logs), out=logs)
+    est = _exact_sum(logs) / done
+    for lo in range(0, done, _CHUNK):
+        dev = logs[lo:lo + _CHUNK]
+        dev -= est
+        dev *= dev
+    sd = math.sqrt(_exact_sum(logs) / (done - 1)) if done > 1 else 0.0
     return QuantDiagnostics(
         k=partition.k,
         phi_k=partition.phi_k,
         lower_anchor=lower,
         upper_anchor=upper,
-        e_hat_est=est.estimate,
-        stderr=est.stderr,
-        r_k=r_k,
-        floored=est.floored,
+        e_hat_est=est,
+        stderr=sd / math.sqrt(done),
+        r_k=math.log(partition.phi_k) / params.s0 + est,
+        floored=floored,
         cloud_size=cloud.size,
         seed=cloud.seed,
-        unlocated=est.unlocated,
+        unlocated=cloud.size - done,
     )
 
 
@@ -536,7 +512,7 @@ def _ball_counts(xs: np.ndarray, ys: np.ndarray, pivots: np.ndarray,
     squares = [r * r for r in radii]
     # Every pivot's slab ends at once: column 0 for the widest radius,
     # column j + 1 for radius j.
-    half = np.array([max(radii, default=0.0)] + radii)
+    half = np.array([max(radii)] + radii)
     x0 = pivots[:, :1]
     starts = np.searchsorted(xs, x0 - half - _SLAB_PAD).tolist()
     stops = np.searchsorted(xs, x0 + half + _SLAB_PAD).tolist()
@@ -566,43 +542,38 @@ def _sorted_by_x(cloud: SampleCloud, rows: slice
 
 def _cloud_ball_counts(cloud: SampleCloud, pivots: np.ndarray,
                        radii) -> np.ndarray:
-    """``_ball_counts`` over the whole cloud, a chunk of ``_BALL_ROWS``
-    rows at a time: each chunk's points are sorted by x and swept on
+    """``_ball_counts`` over the whole cloud, a chunk of ``_CHUNK`` rows
+    at a time: each chunk's points are sorted by x and swept on
     their own, and the chunks' counts added.  Every point lies in one
     chunk and is tested as in one sweep over the whole cloud, so the
     counts are the same, while only chunk-sized arrays are made."""
     counts = np.zeros((len(pivots), len(radii)), dtype=np.int64)
-    for lo in range(0, cloud.size, _BALL_ROWS):
-        xs, ys = _sorted_by_x(cloud, slice(lo, lo + _BALL_ROWS))
+    for lo in range(0, cloud.size, _CHUNK):
+        xs, ys = _sorted_by_x(cloud, slice(lo, lo + _CHUNK))
         counts += _ball_counts(xs, ys, pivots, radii)
         del xs, ys      # before the next chunk's are made
     return counts
 
 
-def ball_bound_check(params: DerivedParams, cloud: SampleCloud,
-                     centers: int, radii) -> BallBoundReport:
+def ball_bound_check(params: DerivedParams,
+                     cloud: SampleCloud) -> BallBoundReport:
     """Test empirical ball masses against C * eps^t at sampled centers.
 
-    The centers are the cloud's first ``centers`` points, and ``radii``
-    at least one finite radius >= 0.  The exponent t is
+    The centers are the cloud's first 100 points, or all of a smaller
+    cloud, and the radii eps are m^-2, ..., m^-8.  The exponent t is
     -log q_max / log m, which degenerates to zero for single-column-mass
     carpets; those are reported as skipped because the bound carries no
     content there.  Thresholds include a three sigma binomial allowance
     plus one sample of slack.
     """
-    radii = tuple(float(r) for r in radii)
-    if centers < 1 or centers > cloud.size:
-        raise ValueError("centers must be in [1, cloud size]")
-    if not radii:
-        raise ValueError("need at least one radius")
-    if not all(0.0 <= r < math.inf for r in radii):
-        raise ValueError(f"radii must be finite and >= 0, got {radii}")
     if params.ball_exponent == 0.0:
         return BallBoundReport(
             skipped=True,
             reason="a full-mass column makes the ball exponent zero",
             exponent=0.0, coefficient=params.c_ball,
             failures=(), max_ratio=0.0)
+    radii = tuple(float(params.m) ** -e for e in range(2, 9))
+    centers = min(100, cloud.size)
     t = params.ball_exponent
     c = params.c_ball
     n_pts = cloud.size

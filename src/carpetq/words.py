@@ -239,17 +239,21 @@ def cell_indices(params: DerivedParams, h: int,
     at most 2^64."""
     lay = _layout(params)
     t = h - ell(params, h)
-    xy = np.zeros((2, len(keys)), dtype=np.uint64)
+    cell_x, cell_y = lay.cells.T.astype(np.uint64)
+    col_y = lay.cols.astype(np.uint64)
+    x, y = np.zeros((2, len(keys)), dtype=np.uint64)
     for p in range(h):                  # the last digit first
         radix = lay.c if p < t else lay.g
-        rank = (keys % radix).astype(np.intp)
-        keys = keys // radix
+        quot = keys // radix           # one division per digit
+        rank = quot * radix
+        np.subtract(keys, rank, out=rank)
+        keys, rank = quot, rank.astype(np.intp)
         if p < t:
-            xy[1] += lay.cols[rank].astype(np.uint64) * params.m ** p
+            y += col_y.take(rank) * np.uint64(params.m ** p)
         else:
-            xy += lay.cells[rank].T.astype(np.uint64) * np.array(
-                [[params.n ** (p - t)], [params.m ** p]], dtype=np.uint64)
-    return xy[0], xy[1]
+            x += cell_x.take(rank) * np.uint64(params.n ** (p - t))
+            y += cell_y.take(rank) * np.uint64(params.m ** p)
+    return x, y
 
 
 def member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -381,7 +385,7 @@ class WordColumns:
         b down by ``predecessor``, one step per length, reaches a's key
         at hp, and a word of its own length when the two keys are
         equal.  All words are walked down together, one length at a
-        time (``_ancestors``), so the work is about the size of the
+        time (``ancestors``), so the work is about the size of the
         ancestor tree, not words times the length window.  At each
         length a sorted copy of its own keys finds equal keys and, by
         binary search, the longer words' ancestors among them; the copy
@@ -390,19 +394,19 @@ class WordColumns:
         pairs (``_listed_pairs``).
         """
         if not any(self._clashes(h, pool)
-                   for h, pool in self._ancestors(predecessor, self.l_min)):
+                   for h, pool in self.ancestors(predecessor, self.l_min)):
             return ()
         return self._listed_pairs(
-            predecessor, dict(self._ancestors(predecessor, self.l_min)))
+            predecessor, dict(self.ancestors(predecessor, self.l_min)))
 
-    def _ancestors(self, predecessor: Callable, stop: int
-                   ) -> Iterator[tuple[int, np.ndarray]]:
-        # Yields (h, pool) for h from l_max down to ``stop``: the distinct
-        # length-h keys that the longer words reach, ascending.  The pool
-        # one length down is one predecessor step of this pool and of the
-        # length's own keys, a _CHUNK at a time, each chunk sorted and its
-        # repeats dropped; the pieces are then sorted as one, a merge of
-        # sorted runs for the stable sort, and their repeats dropped.
+    def ancestors(self, predecessor: Callable, stop: int
+                  ) -> Iterator[tuple[int, np.ndarray]]:
+        """(h, pool) for h from l_max down to ``stop``: the distinct
+        length-h keys that the longer words reach, ascending.  The pool
+        one length down is one predecessor step of this pool and of the
+        length's own keys, a _CHUNK at a time, each chunk sorted and its
+        repeats dropped; the pieces are then sorted as one, a merge of
+        sorted runs for the stable sort, and their repeats dropped."""
         params = self.params
         pool = np.empty(0, key_dtype(params, self.l_max))
         for h in range(self.l_max, stop - 1, -1):
@@ -444,7 +448,7 @@ class WordColumns:
                       pools: dict[int, np.ndarray]
                       ) -> tuple[tuple[int, int], ...]:
         # The pairs, walking up from l_min with each length's pool from
-        # ``_ancestors``.  ``marks`` holds, ascending, every pool key of
+        # ``ancestors``.  ``marks`` holds, ascending, every pool key of
         # the length below that walks down to a shorter word's key or is
         # one, once per such word, whose index is in ``marked``: a word of
         # the next length pairs with the marked words of its predecessor.

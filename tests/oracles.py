@@ -560,7 +560,7 @@ def build_antichain_by_family(partition) -> Antichain:
     """
     params = partition.params
     L = params.denom_lcm
-    a, b = params._scaled
+    a, b = params.scaled
     gx = {j: list(params.gx[j]) for j in params.gy}
     eta_k = params.eta ** partition.k
     eta_num_k, eta_den_k = eta_k.numerator, eta_k.denominator
@@ -776,13 +776,15 @@ def brute_locate(params: DerivedParams, store, digits: np.ndarray
 
 # -- the whole-cloud ball check ------------------------------------------------
 
-def whole_cloud_ball_check(params: DerivedParams, cloud: SampleCloud,
-                           centers: int, radii) -> BallBoundReport:
+def whole_cloud_ball_check(params: DerivedParams,
+                           cloud: SampleCloud) -> BallBoundReport:
     """``ball_bound_check`` by one sweep over the whole cloud sorted by
-    x: each pivot's slab within the widest radius, and within it each
-    radius's sub-slab, found by binary search, and in it the points
+    x, at the same centres and radii (the first 100 samples, m^-2 to
+    m^-8): each pivot's slab within the widest radius, and within it
+    each radius's sub-slab, found by binary search, and in it the points
     whose squared distance is at most r^2 counted."""
-    radii = tuple(float(r) for r in radii)
+    centers = min(100, cloud.size)
+    radii = tuple(float(params.m) ** -e for e in range(2, 9))
     if params.ball_exponent == 0.0:
         return BallBoundReport(
             skipped=True,

@@ -215,7 +215,7 @@ def test_criterion_6_quantization_sandwich(carpet_a, parts_a, cloud_m):
 
 def test_criterion_7_ball_bound(carpet_a, carpet_b, cloud_m):
     radii = [3.0 ** (-e) for e in range(2, 9)]
-    report = ball_bound_check(carpet_a, cloud_m, centers=100, radii=radii)
+    report = ball_bound_check(carpet_a, cloud_m)
     assert not report.skipped and report.ok
 
     # Independent route: masses straight from the cloud, multiplicative
@@ -232,7 +232,7 @@ def test_criterion_7_ball_bound(carpet_a, carpet_b, cloud_m):
         assert np.all(frac <= bound)
 
     small = draw_cloud(carpet_b, 20_000, seed=3)
-    skipped = ball_bound_check(carpet_b, small, centers=10, radii=radii)
+    skipped = ball_bound_check(carpet_b, small)
     assert skipped.skipped and skipped.ok and skipped.reason
     _announce(7, f"mass bound holds at 100 centers x 7 radii "
                  f"(max ratio {report.max_ratio:.3f}); degenerate carpet "

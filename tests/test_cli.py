@@ -124,11 +124,19 @@ def test_validate_warns_once(tmp_path):
     assert len(grid) == 1 and "grid factor" in str(grid[0].message)
 
 
-def test_invalid_carpet_other_commands_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["partition", "antichain", "sequences",
+                                     "quantize", "report"])
+def test_invalid_carpet_other_commands_exit_2(tmp_path, capsys, command):
+    # The output directory already holds valid tables, so report has
+    # something to chart and must refuse the carpet itself.
+    out = str(tmp_path / "o")
+    for table in ("sequences", "quantize"):
+        assert main([table, "--config", _config(tmp_path, k_max=2),
+                     "--out", out]) == 0
     cfg = _config(tmp_path, maps=[
         {"i": 0, "j": 0, "p": "1/2"}, {"i": 1, "j": 0, "p": "1/2"}])
-    assert main(["partition", "--config", cfg, "--out",
-                 str(tmp_path / "o")]) == 2
+    capsys.readouterr()
+    assert main([command, "--config", cfg, "--out", out]) == 2
     assert "invalid carpet" in capsys.readouterr().err
 
 

@@ -192,7 +192,7 @@ def test_stage_accounting(cache_a, cache_d):
         for log in chain.stage_logs:
             size -= log.removed_count
             size += log.inserted_count
-            shift += log.entropy_shift
+            shift += log.inserted_entropy - log.removed_entropy
             if log.removed_count:
                 assert log.removed_mass > 0
                 assert log.family_count > 0

@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import pkgutil
 import re
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,10 +93,19 @@ def init_assigned(path: Path, cls: str) -> list[str]:
     return names
 
 
+def public_members(cls: type) -> list[str]:
+    """The public properties and methods that ``cls`` itself defines."""
+    return [name for name, value in vars(cls).items()
+            if not name.startswith("_")
+            and isinstance(value, (property, classmethod, staticmethod,
+                                   types.FunctionType))]
+
+
 def test_public_fields_are_read():
-    # Every dataclass field and every attribute an __init__ sets, on a
-    # class a submodule exports, has a reader by the same rule as the
-    # exported names: a field only the tests read is test-only API.
+    # Every dataclass field, every attribute an __init__ sets, and every
+    # public property and method, on a class a submodule exports, has a
+    # reader by the same rule as the exported names: a member only the
+    # tests read is test-only API.
     import carpetq
     read = read_names()
     unread = []
@@ -111,6 +121,35 @@ def test_public_fields_are_read():
             fields = ([f.name for f in dataclasses.fields(cls)]
                       if dataclasses.is_dataclass(cls) else [])
             unread += [f"{info.name}.{name}.{field}"
-                       for field in fields + init_assigned(path, name)
+                       for field in (fields + init_assigned(path, name)
+                                     + public_members(cls))
                        if field not in read]
     assert unread == []
+
+
+def private_reads(path: Path) -> list[str]:
+    """Where ``path`` imports a private name from a sibling module or
+    reads a private attribute of anything but ``self`` or ``cls``.
+    Dunder names are not private."""
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            hits += [f"{node.lineno}: from .{node.module or ''} import "
+                     f"{alias.name}"
+                     for alias in node.names if private(alias.name)]
+        elif (isinstance(node, ast.Attribute) and private(node.attr)
+              and not (isinstance(node.value, ast.Name)
+                       and node.value.id in ("self", "cls"))):
+            hits.append(f"{node.lineno}: .{node.attr}")
+    return [f"{path.relative_to(ROOT)}:{hit}" for hit in hits]
+
+
+def test_no_private_reads_across_modules():
+    # Each module reaches another only through its public names, so a
+    # private name can be changed where it is defined alone.
+    paths = sorted((ROOT / "src" / "carpetq").glob("*.py"))
+    assert paths
+    assert [hit for path in paths for hit in private_reads(path)] == []

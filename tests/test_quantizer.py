@@ -20,7 +20,7 @@ from carpetq.partition import enumerate_lambda_k
 from carpetq.quantizer import (
     _CHUNK, DISTANCE_FLOOR, MAX_DEPTH, SampleCloud, ShallowCloudError,
     _ball_counts, _CellTable, _exact_sum, _slot_bits, ball_bound_check,
-    diameter_log, draw_cloud, locate, log_distortion, r_k_diagnostic,
+    diameter_log, draw_cloud, locate, r_k_diagnostic,
     uniform_digits,
 )
 from carpetq.words import ell
@@ -118,9 +118,9 @@ def test_log_distortion_hand_value(cache_d):
     part = cache_d.partition(2)
     cloud, h, qx, qy = _hand_cloud(part, 7, [(1, 1), (-1, -1)])
     assert locate(part, cloud)[0].tolist() == [h, h]
-    est = log_distortion(part, cloud)
-    assert est.estimate == pytest.approx(math.log(math.hypot(qx, qy)),
-                                         abs=1e-15)
+    est = r_k_diagnostic(part, cloud)
+    assert est.e_hat_est == pytest.approx(math.log(math.hypot(qx, qy)),
+                                          abs=1e-15)
     assert est.floored == 0 and est.unlocated == 0
     assert est.stderr == pytest.approx(0.0, abs=1e-15)
 
@@ -130,10 +130,10 @@ def test_log_distortion_floors_zero_distance(cache_d):
     cloud, _, qx, qy = _hand_cloud(part, 7, [(0, 0), (1, -1)])
     assert locate(part, cloud)[1].tolist() == [
         0.0, pytest.approx(math.hypot(qx, qy), rel=1e-15)]
-    est = log_distortion(part, cloud)
+    est = r_k_diagnostic(part, cloud)
     assert est.floored == 1
-    assert math.isfinite(est.estimate)
-    assert est.estimate <= math.log(DISTANCE_FLOOR) / 2 + 1.0
+    assert math.isfinite(est.e_hat_est)
+    assert est.e_hat_est <= math.log(DISTANCE_FLOOR) / 2 + 1.0
 
 
 def test_diameter_log(carpet_a):
@@ -163,15 +163,14 @@ def test_r_k_lower_anchor_exact(cache_a, carpet_a):
 
 def test_two_seeds_agree(carpet_a, cache_a):
     part = cache_a.partition(3)
-    e1 = log_distortion(part, draw_cloud(carpet_a, 60_000, seed=101))
-    e2 = log_distortion(part, draw_cloud(carpet_a, 60_000, seed=202))
+    e1 = r_k_diagnostic(part, draw_cloud(carpet_a, 60_000, seed=101))
+    e2 = r_k_diagnostic(part, draw_cloud(carpet_a, 60_000, seed=202))
     combined = math.hypot(e1.stderr, e2.stderr)
-    assert abs(e1.estimate - e2.estimate) < 6 * combined
+    assert abs(e1.e_hat_est - e2.e_hat_est) < 6 * combined
 
 
 def test_ball_bound_carpet_a(carpet_a, cloud_a):
-    radii = [3.0 ** (-e) for e in range(2, 9)]
-    report = ball_bound_check(carpet_a, cloud_a, centers=50, radii=radii)
+    report = ball_bound_check(carpet_a, cloud_a)
     assert not report.skipped
     assert report.ok
     assert report.max_ratio < 1.0
@@ -180,32 +179,9 @@ def test_ball_bound_carpet_a(carpet_a, cloud_a):
 
 def test_ball_bound_skips_full_column(carpet_b):
     cloud = draw_cloud(carpet_b, 5_000, seed=9)
-    report = ball_bound_check(carpet_b, cloud, centers=10,
-                              radii=[1 / 9, 1 / 27])
+    report = ball_bound_check(carpet_b, cloud)
     assert report.skipped and report.ok
     assert "column" in report.reason
-
-
-def test_ball_bound_validates_centers(carpet_a, cloud_a):
-    with pytest.raises(ValueError):
-        ball_bound_check(carpet_a, cloud_a, centers=0, radii=[0.1])
-    with pytest.raises(ValueError):
-        ball_bound_check(carpet_a, cloud_a, centers=cloud_a.size + 1,
-                         radii=[0.1])
-
-
-@pytest.mark.parametrize("radii", [[0.1, -0.1], [float("nan")],
-                                   [0.1, float("inf")], []],
-                         ids=["negative", "nan", "infinite", "empty"])
-def test_ball_bound_validates_radii(carpet_a, carpet_b, cloud_a, radii):
-    # A negative radius would make eps^t complex, and a NaN or infinite
-    # one, or none, would pass vacuously; the skipped carpet B checks
-    # its radii too.
-    with pytest.raises(ValueError, match="radi"):
-        ball_bound_check(carpet_a, cloud_a, centers=10, radii=radii)
-    with pytest.raises(ValueError, match="radi"):
-        ball_bound_check(carpet_b, draw_cloud(carpet_b, 100), centers=10,
-                         radii=radii)
 
 
 # -- oracles for the sampling kernel and the located cells ----------------
@@ -438,7 +414,7 @@ def test_unlocated_samples_counted(cache_a, carpet_a, cloud_a, tamper):
                         bases=cloud_a.bases, depth=cloud_a.depth, seed=0)
     _, dist = locate(dropped, moved)
     assert np.array_equal(dist, whole[first_holes][in_holes.sum():])
-    assert log_distortion(dropped, cloud_a).unlocated == in_holes.sum()
+    assert r_k_diagnostic(dropped, cloud_a).unlocated == in_holes.sum()
     parent = flat_predecessor(carpet_a, word_at(part, first))
     twice = tamper(part, add=[(parent, word_mass(carpet_a, parent))])
     in_parent = _in_square(cloud_a, carpet_a, parent)
@@ -464,10 +440,10 @@ def test_own_cell_distance_at_least_nearest(request, name, levels):
         assert len(own) == cloud.size
         centres = lambda_codebook(part)
         assert np.all(own >= nearest_distances(pts, centres) - 1e-15)
-        est = log_distortion(part, cloud)
+        est = r_k_diagnostic(part, cloud)
         voronoi, _, floored = nearest_log_distortion(pts, centres,
                                                      DISTANCE_FLOOR)
-        assert est.estimate >= voronoi - 1e-12
+        assert est.e_hat_est >= voronoi - 1e-12
         assert est.floored == floored == 0
 
 
@@ -475,8 +451,8 @@ def test_stderr_is_sample_std(cache_e, carpet_e):
     cloud = draw_cloud(carpet_e, 3 * _CHUNK + 11, seed=3)
     part = cache_e.partition(3)
     logs = np.log(locate(part, cloud)[1])
-    est = log_distortion(part, cloud)
-    assert est.estimate == math.fsum(logs) / len(logs)
+    est = r_k_diagnostic(part, cloud)
+    assert est.e_hat_est == math.fsum(logs) / len(logs)
     assert est.stderr == pytest.approx(
         np.std(logs, ddof=1) / math.sqrt(len(logs)), rel=1e-12)
 
@@ -642,7 +618,7 @@ def test_cloud_ball_counts_across_chunks(request, monkeypatch, name):
     cloud = _cloud_of(params, pts[np.random.default_rng(7).permutation(
         len(pts))])
     assert cloud.size % 1000
-    monkeypatch.setattr(quantizer, "_BALL_ROWS", 1000)
+    monkeypatch.setattr(quantizer, "_CHUNK", 1000)
     got = quantizer._cloud_ball_counts(cloud, pivots, radii)
     tree = cKDTree(cloud.points)
     for j, r in enumerate(radii):
@@ -652,13 +628,14 @@ def test_cloud_ball_counts_across_chunks(request, monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["a", "d", "e"])
 def test_ball_bound_matches_whole_cloud_sweep(request, name):
-    # Four chunks, the last one partial.
+    # Four chunks, the last one partial; and a cloud of fewer samples
+    # than the 100 centres, all of which become centres.
     params = request.getfixturevalue(f"carpet_{name}")
-    cloud = draw_cloud(params, 3 * quantizer._BALL_ROWS + 1001, seed=17)
-    radii = [float(params.m) ** (-e) for e in range(1, 9)]
-    report = ball_bound_check(params, cloud, centers=60, radii=radii)
-    assert not report.skipped
-    assert report == whole_cloud_ball_check(params, cloud, 60, radii)
+    for size in (3 * quantizer._CHUNK + 1001, 60):
+        cloud = draw_cloud(params, size, seed=17)
+        report = ball_bound_check(params, cloud)
+        assert not report.skipped
+        assert report == whole_cloud_ball_check(params, cloud)
 
 
 def test_quantize_allocation_peaks(cache_a, carpet_a):
@@ -669,9 +646,7 @@ def test_quantize_allocation_peaks(cache_a, carpet_a):
     # location then distances (measured 0.56).
     cloud = draw_cloud(carpet_a, 200_000, seed=5)
     cloud_bytes = cloud.prefix.nbytes + cloud.suffix.nbytes
-    radii = [3.0 ** (-e) for e in range(2, 9)]
-    _, peak = traced_peak(ball_bound_check, carpet_a, cloud, centers=100,
-                          radii=radii)
+    _, peak = traced_peak(ball_bound_check, carpet_a, cloud)
     assert peak < cloud_bytes / 4
     _, peak = traced_peak(r_k_diagnostic, cache_a.partition(4), cloud)
     assert peak < 0.71 * cloud_bytes

@@ -122,7 +122,8 @@ def test_t_equals_d_on_single_length(carpet_c, cache_c):
 def test_delta_routes_agree(cache_a):
     for k in (2, 3, 4):
         chain = cache_a.antichain(k)
-        shift = sum(log.entropy_shift for log in chain.stage_logs)
+        shift = sum(log.inserted_entropy - log.removed_entropy
+                    for log in chain.stage_logs)
         assert delta_k(chain) == pytest.approx(abs(shift), abs=1e-9)
 
 
