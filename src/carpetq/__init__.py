@@ -17,7 +17,33 @@ The package is layered bottom-up:
   exact anchor brackets, and the normalized error R_k whose boundedness
   is the headline check.
 - report, cli: deterministic tables, charts, and the command line.
+
+Importing the package loads numpy's OpenBLAS with one thread, unless
+numpy is already loaded or one of the variables OpenBLAS reads its
+thread count from is set; ``os.environ`` is left as it was.
 """
+
+
+def _load_numpy_single_threaded() -> None:
+    # carpetq's only BLAS calls, draw_cloud's matrix-vector products, are
+    # cut below the size at which OpenBLAS hands work to a helper thread,
+    # so its helper pool never works here.  Yet OpenBLAS starts the pool
+    # when numpy loads it, and each helper spins before it sleeps, which
+    # about doubles the CPU time of the import.  The thread count is read
+    # only at that load, so the variable is removed again right after.
+    import os
+    import sys
+    chosen = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    if "numpy" in sys.modules or any(name in os.environ for name in chosen):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_load_numpy_single_threaded()
 
 from .measure import (
     CarpetSpec,

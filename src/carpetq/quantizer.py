@@ -214,7 +214,7 @@ class _CellTable:
 
     A cell's slot is the top ``_slot_bits`` bits of a fixed
     multiplicative hash of its two ``uint64`` indices.  The cells are
-    held in slot order, a stable argsort of their slots, and
+    held in slot order, an argsort of their slots, and
     ``start[b]:start[b + 1]`` are the cells of slot b; one padding cell
     at the end keeps ``start[b]`` a valid position for an empty last
     slot.  The hash only decides where to look: a query is a member when
@@ -225,7 +225,7 @@ class _CellTable:
         bits = _slot_bits(len(x))
         self.shift = np.uint64(64 - bits)
         slot = self.slots(x, y)
-        order = np.argsort(slot, kind="stable")
+        order = np.argsort(slot)
         self.x = np.append(x[order], np.uint64(0))
         self.y = np.append(y[order], np.uint64(0))
         # 32-bit positions halve the cache lines the lookups touch.

@@ -514,14 +514,13 @@ _DRAW_CARPETS = {
 
 
 def test_cloud_independent_of_openblas_threads():
-    # An odd size and two depths leave partial chunks and blocks.
+    # An odd size and two depths leave partial chunks and blocks.  With
+    # no thread count set, importing carpetq loads OpenBLAS with one
+    # thread, so the pool a user chose is compared with one thread.
     src = Path(carpetq.__file__).resolve().parents[1]
     digests = []
-    for threads in (None, "1"):
-        env = {k: v for k, v in os.environ.items()
-               if k != "OPENBLAS_NUM_THREADS"}
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
         done = subprocess.run(
             [sys.executable, "-W", "ignore", "-c", _DRAW_DIGESTS,
              json.dumps(_DRAW_CARPETS)],
@@ -530,6 +529,53 @@ def test_cloud_independent_of_openblas_threads():
         digests.append(json.loads(done.stdout))
     assert len(digests[0]) == 6
     assert digests[0] == digests[1]
+
+
+# Imports the modules named on the command line in order, then prints the
+# process's thread count and whether os.environ is what it was before.
+_THREADS_AFTER = """
+import importlib, json, os, sys
+before = dict(os.environ)
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(json.dumps([len(os.listdir("/proc/self/task")),
+                  dict(os.environ) == before]))
+"""
+
+
+def _openblas() -> bool:
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:          # numpy before 1.26 prints only
+        return False
+    return "openblas" in config["Build Dependencies"]["blas"]["name"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or not _openblas(),
+                    reason="needs /proc/self/task and numpy on OpenBLAS")
+def test_import_loads_openblas_single_threaded():
+    # With no thread count chosen, importing carpetq loads OpenBLAS with
+    # no helper thread and leaves os.environ as it was.  A count the user
+    # set, or a numpy loaded first, keeps the pool numpy alone would get.
+    src = Path(carpetq.__file__).resolve().parents[1]
+    unset = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+
+    def threads(chosen, *modules):
+        done = subprocess.run(
+            [sys.executable, "-c", _THREADS_AFTER, *modules], cwd=src,
+            env={**unset, **chosen}, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        count, environ_kept = json.loads(done.stdout)
+        assert environ_kept
+        return count
+
+    assert threads({}, "carpetq") == 1
+    assert threads({}, "numpy", "carpetq") == threads({}, "numpy")
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        chosen = {name: "2"}
+        assert threads(chosen, "carpetq") == threads(chosen, "numpy")
 
 
 def _same_float(a, b):
