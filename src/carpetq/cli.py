@@ -14,7 +14,8 @@ matrix-vector products are cut into chunks that OpenBLAS runs on the
 calling thread.  Each sample is measured against its own stopping
 cell, found from its digits by integer arithmetic, and the log
 distances and their squared deviations are exact sums, rounded once,
-equal to ``math.fsum``.
+equal to ``math.fsum``.  The small-ball bound is certified from the
+carpet's exact weights and reads no sample.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .partition import (
     partition_stats, stopped_statistics,
 )
 from .quantizer import (
-    MAX_DEPTH, MIN_TAIL, ShallowCloudError, ball_bound_check, check_depth,
-    draw_cloud, r_k_diagnostic,
+    MAX_DEPTH, MIN_TAIL, NoLocatedSampleError, ShallowCloudError,
+    ball_bound_check, check_depth, draw_cloud, r_k_diagnostic,
 )
 from .report import read_csv, render_line_chart, write_csv, write_json, write_text
 from .sequences import delta_k, sequence_point
@@ -380,10 +381,6 @@ def cmd_quantize(ctx: _Ctx) -> None:
             raise ConfigError(f"quantize k={k}: {exc}") from exc
     cloud = draw_cloud(params, ctx.cfg.cloud_size, depth=ctx.cfg.depth,
                        seed=ctx.cfg.seed)
-    # The ball check runs before the levels, though its line and its
-    # failure come after theirs; it sorts the cloud a chunk at a time, so
-    # it adds only chunk-sized arrays to the cloud.
-    ball = ball_bound_check(params, cloud)
     header = ["k", "phi_k", "lower_anchor", "upper_anchor", "e_hat_est",
               "stderr", "R_k"]
     rows = []
@@ -392,7 +389,13 @@ def cmd_quantize(ctx: _Ctx) -> None:
     for k, _, part in _levels(ctx, params, known):
         if part is None:
             continue
-        diag = r_k_diagnostic(part, cloud)
+        try:
+            diag = r_k_diagnostic(part, cloud)
+        except NoLocatedSampleError as exc:
+            # A level that locates no sample has no estimate and no row.
+            ctx.fail(command="quantize", k=k, check="own-cell-located",
+                     detail=str(exc))
+            continue
         if diag.unlocated:
             ctx.fail(command="quantize", k=k, check="own-cell-located",
                      detail=f"{diag.unlocated} of {diag.cloud_size} points "
@@ -417,15 +420,16 @@ def cmd_quantize(ctx: _Ctx) -> None:
         print(f"quantize k={k}: e_hat={diag.e_hat_est:.6f} anchors "
               f"[{diag.lower_anchor:.6f}, {diag.upper_anchor:.6f}] "
               f"R_k={diag.r_k:.6f}")
+    ball = ball_bound_check(params)
     if ball.skipped:
         print(f"quantize ball bound: skipped ({ball.reason})")
     else:
         print(f"quantize ball bound: {'pass' if ball.ok else 'FAIL'} "
               f"(max ratio {ball.max_ratio:.4f})")
         if not ball.ok:
+            bands = ", ".join(str(h) for h, _, _ in ball.failures)
             ctx.fail(command="quantize", check="ball-bound",
-                     detail=f"{len(ball.failures)} center/radius pairs "
-                            f"exceed the mass bound")
+                     detail=f"bands h = {bands} exceed the mass bound")
     ctx.table("quantize", header, rows, {
         "levels": detail,
         "ball": {

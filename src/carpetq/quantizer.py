@@ -14,6 +14,10 @@ rectangle, found exactly from its digits.  By Graf and Luschgy's
 cellwise decomposition of the geometric mean error, that own-cell error
 is an upper bound on the error of the nearest-centre (Voronoi)
 assignment to the same centres.
+
+The small-ball bound mu(B(x, eps)) <= C eps^t, which the lower estimate
+of the error rests on, is certified without samples: per band of radii,
+by the exact mass of the heaviest approximate squares a ball can meet.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "QuantDiagnostics",
     "BallBoundReport",
     "ShallowCloudError",
+    "NoLocatedSampleError",
     "DISTANCE_FLOOR",
     "MAX_DEPTH",
     "MIN_TAIL",
@@ -54,8 +59,7 @@ MIN_TAIL = 20               # cloud digits a located cell must leave unread
 
 _SHARD_ROWS = 1 << 15       # rows per sampling block, one generator each
 _GEMV_SIZE = 1 << 17        # most digit entries per matrix-vector product
-_CHUNK = 1 << 15            # cloud rows per location, sum or ball batch
-_SLAB_PAD = 2.0 ** -40      # slab widening, far above the rounding of dx
+_CHUNK = 1 << 15            # cloud rows per location or sum batch
 
 
 def _places(base: int, limit: int = 1 << 63) -> int:
@@ -69,6 +73,10 @@ def _places(base: int, limit: int = 1 << 63) -> int:
 
 class ShallowCloudError(ValueError):
     """A level's words are too deep for the cloud to locate its samples."""
+
+
+class NoLocatedSampleError(ValueError):
+    """No sample of the cloud lies in exactly one word of the level."""
 
 
 @dataclass(frozen=True)
@@ -94,12 +102,12 @@ class SampleCloud:
     def size(self) -> int:
         return int(self.prefix.shape[1])
 
-    def coordinate(self, axis: int, rows: slice = slice(None)) -> np.ndarray:
-        """Axis ``axis`` (0 for x, 1 for y) of the samples in ``rows``,
-        all by default, as a new float64 array in [0, 1]."""
+    def coordinate(self, axis: int) -> np.ndarray:
+        """Axis ``axis`` (0 for x, 1 for y) of the samples as a new
+        float64 array in [0, 1]."""
         base = self.bases[axis]
-        out = self.prefix[axis, rows].astype(np.float64)
-        out += self.suffix[axis, rows]
+        out = self.prefix[axis].astype(np.float64)
+        out += self.suffix[axis]
         out *= float(base) ** -_places(base)
         return out
 
@@ -440,7 +448,7 @@ def r_k_diagnostic(partition: PartitionLambdaK,
     exact sum, rounded once, the float ``math.fsum`` gives; their
     squared deviations from that mean are formed in place, a chunk at a
     time, and added the same way.  Unlocated samples are left out and
-    counted.
+    counted; ``NoLocatedSampleError`` is raised when every sample is.
     """
     params = partition.params
     L = params.denom_lcm
@@ -454,8 +462,8 @@ def r_k_diagnostic(partition: PartitionLambdaK,
     _, logs = locate(partition, cloud)
     done = len(logs)
     if not done:
-        raise ValueError("no sample of the cloud lies in exactly one word "
-                         "of the partition")
+        raise NoLocatedSampleError("no sample of the cloud lies in exactly "
+                                   "one word of the partition")
     floored = int(np.count_nonzero(logs < DISTANCE_FLOOR))
     np.log(np.maximum(logs, DISTANCE_FLOOR, out=logs), out=logs)
     est = _exact_sum(logs) / done
@@ -481,90 +489,35 @@ def r_k_diagnostic(partition: PartitionLambdaK,
 
 @dataclass(frozen=True)
 class BallBoundReport:
-    """Empirical check of the power-law mass bound for small balls."""
+    """Certificate of the power-law mass bound for small balls."""
 
     skipped: bool
     reason: str
     exponent: float
     coefficient: float
-    failures: tuple[tuple[int, float, float, float], ...]
-    max_ratio: float          # worst observed mass / threshold
+    failures: tuple[tuple[int, Fraction, float], ...]  # (h, mass, threshold)
+    max_ratio: float          # worst band's mass bound / threshold
 
     @property
     def ok(self) -> bool:
         return self.skipped or not self.failures
 
 
-def _ball_counts(xs: np.ndarray, ys: np.ndarray, pivots: np.ndarray,
-                 radii) -> np.ndarray:
-    """The number of points (``xs``, ``ys``), sorted by x, within each
-    radius of each pivot, as a (len(pivots), len(radii)) array: the
-    points whose squared distance dx^2 + dy^2 is at most r^2, counted as
-    a KD-tree's ball query counts them.
+def ball_bound_check(params: DerivedParams) -> BallBoundReport:
+    """Certify mu(B(x, eps)) <= C eps^t for every centre x and every
+    radius eps <= m^-2, from exact masses, with no sample.
 
-    A sweep: each pivot's slab of x within the widest radius is a
-    contiguous run whose squared distances are computed once; a narrower
-    radius is a sub-run of it.  For points in the unit square the slabs
-    are widened by far more than the rounding of dx, so only the exact
-    test decides.
-    """
-    radii = [float(r) for r in radii]
-    squares = [r * r for r in radii]
-    # Every pivot's slab ends at once: column 0 for the widest radius,
-    # column j + 1 for radius j.
-    half = np.array([max(radii)] + radii)
-    x0 = pivots[:, :1]
-    starts = np.searchsorted(xs, x0 - half - _SLAB_PAD).tolist()
-    stops = np.searchsorted(xs, x0 + half + _SLAB_PAD).tolist()
-    counts = np.zeros((len(pivots), len(radii)), dtype=np.int64)
-    for i, (px, py) in enumerate(pivots.tolist()):
-        (lo, *a), (hi, *b) = starts[i], stops[i]
-        d2 = xs[lo:hi] - px
-        d2 *= d2
-        dy = ys[lo:hi] - py
-        dy *= dy
-        d2 += dy
-        for j, r2 in enumerate(squares):
-            counts[i, j] = np.count_nonzero(d2[a[j] - lo:b[j] - lo] <= r2)
-    return counts
-
-
-def _sorted_by_x(cloud: SampleCloud, rows: slice
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The x and the y of the samples in ``rows``, both ordered by x."""
-    x = cloud.coordinate(0, rows)
-    by_x = np.argsort(x)
-    xs = x[by_x]
-    # The sorted y go into x's buffer; every index is in range, and
-    # mode "clip" writes there directly, where "raise" buffers a copy.
-    return xs, cloud.coordinate(1, rows).take(by_x, out=x, mode="clip")
-
-
-def _cloud_ball_counts(cloud: SampleCloud, pivots: np.ndarray,
-                       radii) -> np.ndarray:
-    """``_ball_counts`` over the whole cloud, a chunk of ``_CHUNK`` rows
-    at a time: each chunk's points are sorted by x and swept on
-    their own, and the chunks' counts added.  Every point lies in one
-    chunk and is tested as in one sweep over the whole cloud, so the
-    counts are the same, while only chunk-sized arrays are made."""
-    counts = np.zeros((len(pivots), len(radii)), dtype=np.int64)
-    for lo in range(0, cloud.size, _CHUNK):
-        xs, ys = _sorted_by_x(cloud, slice(lo, lo + _CHUNK))
-        counts += _ball_counts(xs, ys, pivots, radii)
-        del xs, ys      # before the next chunk's are made
-    return counts
-
-
-def ball_bound_check(params: DerivedParams,
-                     cloud: SampleCloud) -> BallBoundReport:
-    """Test empirical ball masses against C * eps^t at sampled centers.
-
-    The centers are the cloud's first 100 points, or all of a smaller
-    cloud, and the radii eps are m^-2, ..., m^-8.  The exponent t is
-    -log q_max / log m, which degenerates to zero for single-column-mass
-    carpets; those are reported as skipped because the bound carries no
-    content there.  Thresholds include a three sigma binomial allowance
-    plus one sample of slack.
+    Here t = -log q_max / log m and C = ``params.c_ball``.  In band h,
+    m^-(h+1) < eps <= m^-h, a closed ball meets at most 3 x 3 of the
+    half-open level-h approximate squares that tile the unit square
+    (rows of height m^-h, columns of width n^-ell(h) >= m^-h), each of
+    mass at most p_max^ell(h) q_max^(h - ell(h)), while eps^t >
+    q_max^(h+1).  So band h holds when 9 times that mass is at most the
+    threshold C q_max^(h+1); bands 2..8 are checked, and each failing
+    one is reported as (h, mass bound, threshold).  Since p_max <= q_max,
+    the ratio 9 (p_max / q_max)^ell(h) / (C q_max) never rises with h,
+    so band 8 also covers every smaller radius.  A full-mass column
+    makes t zero and the bound empty; such a carpet is skipped.
     """
     if params.ball_exponent == 0.0:
         return BallBoundReport(
@@ -572,31 +525,20 @@ def ball_bound_check(params: DerivedParams,
             reason="a full-mass column makes the ball exponent zero",
             exponent=0.0, coefficient=params.c_ball,
             failures=(), max_ratio=0.0)
-    radii = tuple(float(params.m) ** -e for e in range(2, 9))
-    centers = min(100, cloud.size)
-    t = params.ball_exponent
     c = params.c_ball
-    n_pts = cloud.size
-    pivots = np.stack([cloud.coordinate(0, slice(centers)),
-                       cloud.coordinate(1, slice(centers))], axis=1)
-    counts = _cloud_ball_counts(cloud, pivots, radii)
     failures = []
     max_ratio = 0.0
-    for col, eps in enumerate(radii):
-        frac = counts[:, col].astype(np.float64) / n_pts
-        se = np.sqrt(np.maximum(frac * (1.0 - frac), 0.0) / n_pts)
-        threshold = c * eps ** t + 3.0 * se + 1.0 / n_pts
-        ratio = frac / threshold
-        worst = int(np.argmax(ratio))
-        max_ratio = max(max_ratio, float(ratio[worst]))
-        bad = np.nonzero(frac > threshold)[0]
-        for ci in bad:
-            failures.append(
-                (int(ci), eps, float(frac[ci]), float(threshold[ci])))
+    for h in range(2, 9):
+        l = ell(params, h)
+        mass = 9 * params.p_max ** l * params.q_max ** (h - l)
+        threshold = c * float(params.q_max ** (h + 1))
+        max_ratio = max(max_ratio, float(mass) / threshold)
+        if mass > threshold:
+            failures.append((h, mass, threshold))
     return BallBoundReport(
         skipped=False,
         reason="",
-        exponent=t,
+        exponent=params.ball_exponent,
         coefficient=c,
         failures=tuple(failures),
         max_ratio=max_ratio,

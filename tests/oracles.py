@@ -6,10 +6,10 @@ exact ``Fraction`` mass and exact rectangle, and a store's keys decode
 to byte rows of its digits, so the tests can check the key kernels
 against an independent and plainly correct route.  The
 KD-tree nearest-centre estimator lives here too: the library's own-cell
-distances must never fall below its distances; so does the ball check
-as one sweep over the whole cloud, whose report the chunked library
-check must match, and a ``tracemalloc`` peak probe.  Nothing in the
-library or the command line reaches this module.
+distances must never fall below its distances; so do the sampled ball
+masses, which must sit below the library's exact ball certificate, and
+a ``tracemalloc`` peak probe.  Nothing in the library or the command
+line reaches this module.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from carpetq.coding import (
     xi_sequence,
 )
 from carpetq.measure import DerivedParams
-from carpetq.quantizer import (
-    _SHARD_ROWS, _SLAB_PAD, BallBoundReport, SampleCloud, uniform_digits,
-)
+from carpetq.quantizer import _SHARD_ROWS, SampleCloud, uniform_digits
 from carpetq import words as key_words
 from carpetq.words import WordError, ell, entropy_terms, member
 
@@ -774,23 +772,22 @@ def brute_locate(params: DerivedParams, store, digits: np.ndarray
     return found
 
 
-# -- the whole-cloud ball check ------------------------------------------------
+# -- the whole-cloud ball masses ---------------------------------------------
 
-def whole_cloud_ball_check(params: DerivedParams,
-                           cloud: SampleCloud) -> BallBoundReport:
-    """``ball_bound_check`` by one sweep over the whole cloud sorted by
-    x, at the same centres and radii (the first 100 samples, m^-2 to
-    m^-8): each pivot's slab within the widest radius, and within it
-    each radius's sub-slab, found by binary search, and in it the points
-    whose squared distance is at most r^2 counted."""
-    centers = min(100, cloud.size)
-    radii = tuple(float(params.m) ** -e for e in range(2, 9))
-    if params.ball_exponent == 0.0:
-        return BallBoundReport(
-            skipped=True,
-            reason="a full-mass column makes the ball exponent zero",
-            exponent=0.0, coefficient=params.c_ball,
-            failures=(), max_ratio=0.0)
+_SLAB_PAD = 2.0 ** -40      # slab widening, far above the rounding of dx
+
+
+def whole_cloud_ball_check(cloud: SampleCloud) -> np.ndarray:
+    """The sampled ball masses: the share of the cloud within radius
+    m^-h of each of its first 100 samples, as a (100, 7) array whose
+    column h - 2 holds h = 2, ..., 8.  By one sweep over the whole cloud
+    sorted by x: each centre's slab within the widest radius, and within
+    it each radius's sub-slab, found by binary search and widened by far
+    more than the rounding of dx, and in it the points whose squared
+    distance is at most r^2 counted, as a KD-tree's ball query counts
+    them."""
+    centers = 100
+    radii = [float(cloud.bases[1]) ** -h for h in range(2, 9)]
     by_x = np.argsort(cloud.coordinate(0))
     xs = cloud.coordinate(0)[by_x]
     ys = cloud.coordinate(1)[by_x]
@@ -804,19 +801,7 @@ def whole_cloud_ball_check(params: DerivedParams,
             a, b = np.searchsorted(
                 xs[lo:hi], [px - r - _SLAB_PAD, px + r + _SLAB_PAD]).tolist()
             counts[i, j] = np.count_nonzero(d2[a:b] <= r * r)
-    t, c, size = params.ball_exponent, params.c_ball, cloud.size
-    failures = []
-    max_ratio = 0.0
-    for j, eps in enumerate(radii):
-        frac = counts[:, j].astype(np.float64) / size
-        se = np.sqrt(np.maximum(frac * (1.0 - frac), 0.0) / size)
-        threshold = c * eps ** t + 3.0 * se + 1.0 / size
-        max_ratio = max(max_ratio, float(np.max(frac / threshold)))
-        failures += [(int(i), eps, float(frac[i]), float(threshold[i]))
-                     for i in np.flatnonzero(frac > threshold)]
-    return BallBoundReport(skipped=False, reason="", exponent=t,
-                           coefficient=c, failures=tuple(failures),
-                           max_ratio=max_ratio)
+    return counts / cloud.size
 
 
 # -- allocation peaks ----------------------------------------------------------

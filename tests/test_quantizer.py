@@ -1,34 +1,33 @@
-"""Sampling, located cells, distortion estimates, anchors, ball masses."""
+"""Sampling, located cells, distortion estimates, anchors, ball bounds."""
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 import carpetq
 from carpetq import CarpetSpec, derive_params, quantizer
 from carpetq.partition import enumerate_lambda_k
 from carpetq.quantizer import (
     _CHUNK, DISTANCE_FLOOR, MAX_DEPTH, SampleCloud, ShallowCloudError,
-    _ball_counts, _CellTable, _exact_sum, _slot_bits, ball_bound_check,
-    diameter_log, draw_cloud, locate, r_k_diagnostic,
-    uniform_digits,
+    _CellTable, _exact_sum, _slot_bits, ball_bound_check, diameter_log,
+    draw_cloud, locate, r_k_diagnostic, uniform_digits,
 )
 from carpetq.words import ell
 from oracles import (
     brute_locate, flat_predecessor, key_rows, lambda_codebook,
     nearest_distances, nearest_log_distortion, sample_digit_matrix,
-    square_geometry, traced_peak, whole_cloud_ball_check, word_at,
-    word_mass,
+    square_geometry, traced_peak, word_at, word_mass,
 )
 
 
@@ -169,17 +168,33 @@ def test_two_seeds_agree(carpet_a, cache_a):
     assert abs(e1.e_hat_est - e2.e_hat_est) < 6 * combined
 
 
-def test_ball_bound_carpet_a(carpet_a, cloud_a):
-    report = ball_bound_check(carpet_a, cloud_a)
+def test_ball_bound_carpet_a(carpet_a):
+    # Band h's ratio is 9 (p_max / q_max)^ell(h) / (C q_max), and
+    # ell(2) = 1 on carpet A, so the worst band is 6.75 / C.
+    report = ball_bound_check(carpet_a)
     assert not report.skipped
     assert report.ok
-    assert report.max_ratio < 1.0
+    assert report.max_ratio == pytest.approx(6.75 / carpet_a.c_ball,
+                                             rel=1e-15)
     assert report.exponent == pytest.approx(0.369070246428542563, abs=1e-14)
 
 
+def test_ball_bound_names_failing_bands(carpet_a):
+    # With C at a hundredth of its value, bands 2 and 3 (ratios 2.75 and
+    # 1.38) fail and band 4 (0.69) and the smaller radii hold.
+    c = carpet_a.c_ball / 100
+    report = ball_bound_check(dataclasses.replace(carpet_a, c_ball=c))
+    assert not report.ok and report.coefficient == c
+    assert report.failures == (
+        (2, Fraction(2), c * float(Fraction(2, 3) ** 3)),
+        (3, Fraction(2, 3), c * float(Fraction(2, 3) ** 4)),
+    )
+    assert report.max_ratio == pytest.approx(675 / carpet_a.c_ball,
+                                             rel=1e-15)
+
+
 def test_ball_bound_skips_full_column(carpet_b):
-    cloud = draw_cloud(carpet_b, 5_000, seed=9)
-    report = ball_bound_check(carpet_b, cloud)
+    report = ball_bound_check(carpet_b)
     assert report.skipped and report.ok
     assert "column" in report.reason
 
@@ -489,7 +504,7 @@ def test_lambda_codebook_matches_full_widening(request, name, levels):
         assert book.tobytes() == _widened_centers(part).tobytes()
 
 
-# -- oracles for the chunked draw, the exact sum, the ball sweep -----------
+# -- oracles for the chunked draw and the exact sum ------------------------
 
 _DRAW_DIGESTS = """
 import hashlib, json, sys
@@ -605,94 +620,10 @@ def test_exact_sum_is_fsum(values, size):
     assert _same_float(_exact_sum(arr), math.fsum(arr))
 
 
-def _edge_cloud(cloud, pivots, radii):
-    # Points at distance r from each pivot along both axes and on the
-    # diagonal of a 3-4-5 triangle, with their float neighbours and at
-    # the sweep's slab edge r + 2^-40, so that the <= test and the slab
-    # edges are both exercised; at the pivot (0.5, 0.5) and r = 0.25 the
-    # axis points lie exactly on the circle.
-    extra = []
-    for px, py in pivots:
-        for r in radii:
-            for d in (r, np.nextafter(r, 0.0), np.nextafter(r, 1.0),
-                      r + 2.0 ** -40):
-                extra += [(px + d, py), (px - d, py), (px, py + d),
-                          (px, py - d), (px + 0.6 * d, py + 0.8 * d)]
-    pts = np.concatenate([cloud.points, np.array(extra)])
-    return pts[np.all((pts >= 0.0) & (pts <= 1.0), axis=1)]
-
-
-@pytest.mark.parametrize("name", ["a", "d", "e"])
-def test_ball_counts_match_tree(request, name):
-    params = request.getfixturevalue(f"carpet_{name}")
-    radii = [float(params.m) ** (-e) for e in range(2, 9)] + [0.25, 0.0]
-    cloud = draw_cloud(params, 60_000, seed=41)
-    pivots = np.concatenate([cloud.points[:40], [[0.5, 0.5], [0.0, 1.0]]])
-    pts = _edge_cloud(cloud, pivots, radii)
-    xs, ys = pts[np.argsort(pts[:, 0])].T
-    got = _ball_counts(xs, ys, pivots, radii)
-    tree = cKDTree(pts)
-    for j, r in enumerate(radii):
-        want = tree.query_ball_point(pivots, r=r, return_length=True)
-        assert got[:, j].tolist() == list(want), r
-
-
-def _cloud_of(params, points):
-    # A cloud whose samples are ``points``, up to the rounding of
-    # (x * n^S_x) * n^-S_x on each axis (none when the base is a power
-    # of two).
-    prefix = np.empty((2, len(points)), dtype=np.uint64)
-    suffix = np.empty((2, len(points)))
-    for axis, base in enumerate((params.n, params.m)):
-        scaled = points[:, axis] * float(base) ** quantizer._places(base)
-        whole = np.floor(scaled)
-        prefix[axis] = whole.astype(np.uint64)
-        suffix[axis] = scaled - whole
-    return SampleCloud(prefix=prefix, suffix=suffix,
-                       bases=(params.n, params.m), depth=40, seed=0)
-
-
-@pytest.mark.parametrize("name", ["a", "d", "e"])
-def test_cloud_ball_counts_across_chunks(request, monkeypatch, name):
-    # Chunks of 1,000 rows and a partial last one, over a cloud whose
-    # points near each ball's edge are shuffled through all the chunks.
-    params = request.getfixturevalue(f"carpet_{name}")
-    radii = [float(params.m) ** (-e) for e in range(2, 9)] + [0.25, 0.0]
-    base = draw_cloud(params, 20_000, seed=43)
-    pivots = np.concatenate([base.points[:40], [[0.5, 0.5], [0.0, 1.0]]])
-    pts = _edge_cloud(base, pivots, radii)
-    cloud = _cloud_of(params, pts[np.random.default_rng(7).permutation(
-        len(pts))])
-    assert cloud.size % 1000
-    monkeypatch.setattr(quantizer, "_CHUNK", 1000)
-    got = quantizer._cloud_ball_counts(cloud, pivots, radii)
-    tree = cKDTree(cloud.points)
-    for j, r in enumerate(radii):
-        want = tree.query_ball_point(pivots, r=r, return_length=True)
-        assert got[:, j].tolist() == list(want), r
-
-
-@pytest.mark.parametrize("name", ["a", "d", "e"])
-def test_ball_bound_matches_whole_cloud_sweep(request, name):
-    # Four chunks, the last one partial; and a cloud of fewer samples
-    # than the 100 centres, all of which become centres.
-    params = request.getfixturevalue(f"carpet_{name}")
-    for size in (3 * quantizer._CHUNK + 1001, 60):
-        cloud = draw_cloud(params, size, seed=17)
-        report = ball_bound_check(params, cloud)
-        assert not report.skipped
-        assert report == whole_cloud_ball_check(params, cloud)
-
-
 def test_quantize_allocation_peaks(cache_a, carpet_a):
-    # Above the cloud, the ball check allocates under a quarter of the
-    # cloud's prefix and suffix bytes: chunk-sized sorted copies only
-    # (measured 0.17; sorting the whole cloud read 1.00).  The own-cell
-    # pass at A k = 4 stays under the 0.71 of two separate passes,
-    # location then distances (measured 0.56).
+    # Above the cloud, the own-cell pass at A k = 4 stays under the 0.71
+    # of two separate passes, location then distances (measured 0.56).
     cloud = draw_cloud(carpet_a, 200_000, seed=5)
     cloud_bytes = cloud.prefix.nbytes + cloud.suffix.nbytes
-    _, peak = traced_peak(ball_bound_check, carpet_a, cloud)
-    assert peak < cloud_bytes / 4
     _, peak = traced_peak(r_k_diagnostic, cache_a.partition(4), cloud)
     assert peak < 0.71 * cloud_bytes
