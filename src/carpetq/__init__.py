@@ -93,6 +93,7 @@ from .quantizer import (
     SampleCloud,
     ball_bound_check,
     draw_cloud,
+    locate,
     r_k_diagnostic,
 )
 
@@ -112,6 +113,6 @@ __all__ = [
     "compute_u_k", "d_k_bound", "delta_k", "s_k_bound", "sequence_point",
     "t_bound",
     "BallBoundReport", "QuantDiagnostics", "SampleCloud", "ball_bound_check",
-    "draw_cloud", "r_k_diagnostic",
+    "draw_cloud", "locate", "r_k_diagnostic",
     "__version__",
 ]

@@ -11,11 +11,11 @@ unusable, a table to report on is malformed, or a work guard tripped.
 For a fixed config and seed every output byte is the same in every
 run.  The sample cloud does not depend on OpenBLAS's thread count: its
 matrix-vector products are cut into chunks that OpenBLAS runs on the
-calling thread.  Each sample is measured against its own stopping
-cell, found from its digits by integer arithmetic, and the log
-distances and their squared deviations are exact sums, rounded once,
-equal to ``math.fsum``.  The small-ball bound is certified from the
-carpet's exact weights and reads no sample.
+calling thread.  ``quantize`` enumerates no level: each sample is
+measured against its own stopping cell, found from its digits by one
+walk for all levels, and the log distances and their squared
+deviations are exact sums, rounded once, equal to ``math.fsum``.  The
+small-ball bound is certified from the carpet's exact weights.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .coding import (
     AntichainInvariantError, build_antichain, verify_maximal_antichain,
 )
@@ -41,8 +43,8 @@ from .partition import (
     partition_stats, stopped_statistics,
 )
 from .quantizer import (
-    MAX_DEPTH, MIN_TAIL, NoLocatedSampleError, ShallowCloudError,
-    ball_bound_check, check_depth, draw_cloud, r_k_diagnostic,
+    MAX_DEPTH, MIN_TAIL, ShallowCloudError, ball_bound_check, check_depth,
+    draw_cloud, locate, r_k_diagnostic,
 )
 from .report import read_csv, render_line_chart, write_csv, write_json, write_text
 from .sequences import delta_k, sequence_point
@@ -177,13 +179,12 @@ class _Ctx:
             write_json(self.out / f"{name}.json", doc)
 
 
-def _levels(ctx: _Ctx, params: DerivedParams, known: Optional[dict] = None):
+def _levels(ctx: _Ctx, params: DerivedParams):
     """``(k, stats, part)`` for each configured level: the aggregates, and
-    the collected partition when the level fits --cap-words, else None.
-    The aggregates are taken from ``known``, by k, when given."""
+    the collected partition when the level fits --cap-words, else None."""
     for k in range(ctx.cfg.k_min, ctx.cfg.k_max + 1):
         ctx.level = k
-        stats = known[k] if known else stopped_statistics(params, k)
+        stats = stopped_statistics(params, k)
         if stats.phi_k <= ctx.cap_words:
             yield k, stats, enumerate_lambda_k(params, k, cap=ctx.cap_words)
         else:
@@ -365,6 +366,26 @@ def cmd_sequences(ctx: _Ctx) -> None:
               {"levels": [dict(zip(header, row)) for row in rows]})
 
 
+def _stray_lengths(stats, lengths: np.ndarray) -> list:
+    """(h, samples, expected) for each length h whose count of samples
+    strays from N times its exact mass by over 6 binomial standard
+    deviations plus 15.  By the Chernoff bound, a Binomial(N, mass_h)
+    count strays that far with probability below 2 exp(-18), 3.1e-8,
+    whatever N and mass_h (the 15 covers small counts' skewed tails):
+    T (level, length) tests fail falsely with probability below
+    T x 3.1e-8, under 1e-6 up to T = 32 (carpet A at k = 2..5 makes 8)."""
+    L = stats.params.denom_lcm
+    counts = np.bincount(lengths, minlength=stats.xi_max + 1)
+    stray = []
+    for h in sorted(set(stats.length_nu_sums)
+                    | set(np.flatnonzero(counts).tolist())):
+        share = float(Fraction(stats.length_nu_sums.get(h, 0), L ** h))
+        want = len(lengths) * share
+        if abs(counts[h] - want) > 6 * math.sqrt(want * (1 - share)) + 15:
+            stray.append((h, int(counts[h]), want))
+    return stray
+
+
 def cmd_quantize(ctx: _Ctx) -> None:
     """Monte Carlo quantization diagnostics"""
     params = derive_params(ctx.cfg.spec)
@@ -373,33 +394,26 @@ def cmd_quantize(ctx: _Ctx) -> None:
     known = {k: stopped_statistics(params, k)
              for k in range(ctx.cfg.k_min, ctx.cfg.k_max + 1)}
     for k, stats in known.items():
-        if stats.phi_k > ctx.cap_words:
-            continue
         try:
             check_depth(params, stats.xi_max, ctx.cfg.depth)
         except ShallowCloudError as exc:
             raise ConfigError(f"quantize k={k}: {exc}") from exc
     cloud = draw_cloud(params, ctx.cfg.cloud_size, depth=ctx.cfg.depth,
                        seed=ctx.cfg.seed)
+    found = locate(list(known.values()), cloud)
     header = ["k", "phi_k", "lower_anchor", "upper_anchor", "e_hat_est",
               "stderr", "R_k"]
     rows = []
     detail = []
     gap_cap = math.log(math.sqrt(params.spec.n ** 2 + 1))
-    for k, _, part in _levels(ctx, params, known):
-        if part is None:
-            continue
-        try:
-            diag = r_k_diagnostic(part, cloud)
-        except NoLocatedSampleError as exc:
-            # A level that locates no sample has no estimate and no row.
-            ctx.fail(command="quantize", k=k, check="own-cell-located",
-                     detail=str(exc))
-            continue
-        if diag.unlocated:
-            ctx.fail(command="quantize", k=k, check="own-cell-located",
-                     detail=f"{diag.unlocated} of {diag.cloud_size} points "
-                            f"lie in no stopping word or in several")
+    for (k, stats), lengths in zip(known.items(), found):
+        ctx.level = k
+        diag = r_k_diagnostic(stats, cloud, lengths)
+        if stray := _stray_lengths(stats, lengths):
+            ctx.fail(command="quantize", k=k, check="length-shares",
+                     detail="; ".join(
+                         f"length {h}: {got} samples, expected {want:.1f}"
+                         for h, got, want in stray))
         if diag.e_hat_est > diag.upper_anchor + 3 * diag.stderr:
             ctx.fail(command="quantize", k=k, check="upper-anchor",
                      detail=f"estimate {diag.e_hat_est} above "
@@ -420,6 +434,7 @@ def cmd_quantize(ctx: _Ctx) -> None:
         print(f"quantize k={k}: e_hat={diag.e_hat_est:.6f} anchors "
               f"[{diag.lower_anchor:.6f}, {diag.upper_anchor:.6f}] "
               f"R_k={diag.r_k:.6f}")
+    ctx.level = None
     ball = ball_bound_check(params)
     if ball.skipped:
         print(f"quantize ball bound: skipped ({ball.reason})")

@@ -12,7 +12,9 @@ their masses sum to one exactly.  The enumerator walks the
 flat-predecessor tree one length at a time; every prune and emit
 decision is an exact integer comparison on scaled masses
 nu = mass * L^len (L the common weight denominator), so the boundary
-case mass == eta^k needs no padding and is decided strictly.
+case mass == eta^k needs no padding and is decided strictly.  The same
+moves give, with no word enumerated, the aggregate program's profile
+and the rule as tables over a sample's digits (``stopping_rule``).
 
 The construction is well defined for every k >= 1 even though the
 asymptotic statements about it kick in only for k >= 1/theta.
@@ -20,7 +22,9 @@ asymptotic statements about it kick in only for k >= 1/theta.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -29,7 +33,7 @@ import numpy as np
 
 from .measure import DerivedParams
 from .words import (
-    WordColumns, ell, flat_predecessor, key_dtype, pending, step,
+    WordColumns, ell, flat_predecessor, key_dtype, mass_sums, pending, step,
 )
 
 __all__ = [
@@ -42,13 +46,13 @@ __all__ = [
     "DisjointnessReport",
     "enumerate_lambda_k",
     "stopped_statistics",
+    "stopping_rule",
     "partition_stats",
     "check_square_disjointness",
 ]
 
 DEFAULT_CAP = 10_000_000
 MAX_DP_STATES = 1_000_000
-_STOPPED = (1, 0.0, 0, 1, 0, 0)
 
 _CHUNK = 1 << 12            # parents expanded at once: bounds the walk's scratch
 
@@ -91,6 +95,18 @@ def _moves(params: DerivedParams) -> dict:
                 for j in params.gy}
     return {False: {None: [_Move(None, j, b[j], 1) for j in params.gy]},
             True: rise}
+
+
+def _class_step(nus: list[int], moves: list[_Move], pairs) -> tuple:
+    """The classes one length down, one per distinct exact child nu of
+    the (class, move index) ``pairs`` in order of first appearance: a
+    (class, move) table of them, 0 where no pair is given, and their nus."""
+    class_of = np.zeros((len(nus), len(moves)), dtype=np.intp)
+    ids: dict[int, int] = {}
+    for c, m in pairs:
+        class_of[c, m] = ids.setdefault(
+            nus[c] * moves[m].factor // moves[m].divisor, len(ids))
+    return class_of, list(ids)
 
 
 class PartitionLambdaK(WordColumns):
@@ -171,20 +187,14 @@ def enumerate_lambda_k(
         # (parent class, move) pairs that occur.  Counting the stopped
         # children sizes the length's arrays exactly.
         kinds = np.bincount(cls * 256 + tops)
-        class_of = np.zeros((len(nus), len(moves)), dtype=np.intp)
-        ids: dict[int, int] = {}
-        stops = []
-        stopping = 0
-        for kind in np.flatnonzero(kinds).tolist():
-            c, j = divmod(kind, 256)
-            for m in range(first[j], first[j] + size[j]):
-                nu = nus[c] * moves[m].factor // moves[m].divisor
-                if nu not in ids:
-                    ids[nu] = len(ids)
-                    stops.append(nu * eta_k.denominator < rhs)
-                class_of[c, m] = ids[nu]
-                stopping += int(kinds[kind]) * stops[ids[nu]]
-        nus, stops = list(ids), np.array(stops)
+        occur = [divmod(kind, 256) for kind in np.flatnonzero(kinds).tolist()]
+        class_of, nus = _class_step(nus, moves, [
+            (c, m) for c, j in occur for m in range(first[j], first[j] + size[j])])
+        stops = np.array([nu * eta_k.denominator < rhs for nu in nus])
+        stopping = sum(
+            int(kinds[c * 256 + j])
+            * int(stops[class_of[c, first[j]:first[j] + size[j]]].sum())
+            for c, j in occur)
 
         dtype = key_dtype(params, h)
         done = np.empty(stopping, dtype=dtype)
@@ -223,7 +233,9 @@ def enumerate_lambda_k(
 
 @dataclass(frozen=True)
 class StoppedStats:
-    """Exact aggregates of a partition, computed without materializing it."""
+    """Exact aggregates of a partition, computed without materializing it:
+    the per-length profile ``length_counts`` and ``length_nu_sums``, as on
+    ``WordColumns``, and the count, window and mass sums it gives."""
 
     params: DerivedParams
     k: int
@@ -233,20 +245,23 @@ class StoppedStats:
     mass_total: Fraction
     mass_len_total: Fraction
     entropy_sum: float
+    length_counts: dict[int, int]
+    length_nu_sums: dict[int, int]
 
 
 def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
     """Aggregate the level-k partition by dynamic programming.
 
-    Subtrees of the walk coincide whenever the current length, the
-    mass-to-threshold ratio, and the pending tail columns (each as the
-    first column with its promotion factors) coincide, and all emitted
-    quantities scale linearly with the subtree root mass.  A forward
-    pass collects the live states of each length; a backward pass,
-    deepest first, folds each state's stopped descendants from its
-    children.  Counts and masses are exact; only entropy terms are
-    floats.  Agrees with the enumerator wherever both run (see tests).
-    Raises ``EnumerationCapError`` past ``MAX_DP_STATES`` states.
+    Subtrees of the walk coincide whenever the current length, the scaled
+    mass nu and the pending tail columns (each as the first column with
+    its promotion factors) coincide.  A forward pass collects each
+    length's live states with their word counts, and adds up the words,
+    and their exact nus, that stop at each length: the profile.  A
+    backward pass, deepest first, folds each state's R1, the sum of
+    r ln r over its stopped descendants of relative mass r, from its
+    children; it is the only float arithmetic.  (Those r add up to
+    exactly 1.)  Agrees with the enumerator wherever both run (see
+    tests).  Raises ``EnumerationCapError`` past ``MAX_DP_STATES`` states.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -262,87 +277,113 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
         for j, group in moves[True].items()}
 
     def step(move: _Move) -> tuple:
-        # (factor, its float, its log, appended tail) of one move.
-        f = Fraction(move.factor, move.divisor * L)
+        # (factor, divisor, relative mass as a float, its log, appended
+        # tail) of one move.
+        f = float(Fraction(move.factor, move.divisor * L))
         tail = () if paired else (canon[move.digit],)
-        return f, float(f), math.log(float(f)), tail
+        return move.factor, move.divisor, f, math.log(f), tail
 
     steps = {rises: {j: [step(mv) for mv in group]
                      for j, group in groups.items()}
              for rises, groups in moves.items()}
+    scaled = [eta_k.numerator * L]      # eta^k * L^(h + 1), by h
 
-    def expand(h: int, ratio: Fraction, queue: tuple) -> list:
-        # Each transition with its child state, or None if the child stops.
+    def expand(h: int, nu: int, queue: tuple) -> list:
+        # Each move from a length-h state, with its child's nu and its
+        # child state, or None if the child stops.
         rises = ell(params, h + 1) > ell(params, h)
         if rises and queue:
             base, opts = queue[1:], steps[True][queue[0]]
         else:
             base, opts = queue, steps[rises][None]
-        return [(move, (r, base + move[3]) if (r := ratio * move[0]) >= 1
-                 else None) for move in opts]
+        return [(move, child, (child, base + move[4])
+                 if child * eta_k.denominator >= scaled[h] else None)
+                for move in opts for child in [nu * move[0] // move[1]]]
 
-    inv_eta_k = 1 / eta_k
-    roots = [(f, tail) for f, _, _, tail in steps[paired][None]]
-    # No root stops: its mass is at least eta >= eta^k.
+    # The roots are the moves of the empty word, at length 0; none stops,
+    # since its mass is at least eta >= eta^k.
+    roots = [(move, state) for move, _, state in expand(0, 1, ())]
     levels: list[dict] = []
-    frontier = {(mass * inv_eta_k, queue): None for mass, queue in roots}
+    frontier = Counter(root for _, root in roots)
+    counts, nu_sums = {}, {}            # the profile
     while frontier:
         levels.append(frontier)
         if sum(map(len, levels)) > MAX_DP_STATES:
             raise EnumerationCapError(
                 f"stopped_statistics exceeded {MAX_DP_STATES} states")
-        frontier = {child: None for state in frontier
-                    for _, child in expand(len(levels), *state) if child}
+        h, frontier = len(levels), Counter()
+        scaled.append(scaled[-1] * L)
+        for (nu, queue), count in levels[-1].items():
+            for _, child_nu, child in expand(h, nu, queue):
+                if child is None:
+                    counts[h + 1] = counts.get(h + 1, 0) + count
+                    nu_sums[h + 1] = nu_sums.get(h + 1, 0) + count * child_nu
+                else:
+                    frontier[child] += count
 
-    # rel[state]: aggregates over the state's stopped descendants tau,
-    # scaled by 1/mass: (R0 exact sum of relative masses, R1 = sum r ln r,
-    # RL = exact sum r * reldepth, count, min reldepth, max reldepth).
-    # A stopped child counts as _STOPPED, which repeats the float
-    # operations of a separate leaf case bit for bit.
+    # rel[state]: its R1; a stopped child adds r ln r = f ln f.
     rel: dict = {}
     while levels:
         h, below, rel = len(levels), rel, {}
-        for state in levels.pop():
-            r0, r1, rl, cnt = Fraction(0), 0.0, Fraction(0), 0
-            dmin, dmax = math.inf, 0
-            for (f, ff, lf, _), child in expand(h, *state):
-                s0, s1, sl, sc, sdmin, sdmax = (
-                    _STOPPED if child is None else below[child])
-                r0 += f * s0
-                r1 += ff * (s1 + lf * float(s0))
-                rl += f * (sl + s0)
-                cnt += sc
-                dmin = min(dmin, sdmin + 1)
-                dmax = max(dmax, sdmax + 1)
-            rel[state] = (r0, r1, rl, cnt, dmin, dmax)
-
-    # The absolute length of a stopped word is 1 + its depth below the
-    # root.
-    mass_total = Fraction(0)
-    mass_len_total = Fraction(0)
-    entropy = []
-    phi = 0
-    xi_min, xi_max = math.inf, 0
-    for mass, queue in roots:
-        mf = float(mass)
-        r0, r1, rl, cnt, dmin, dmax = rel[(mass * inv_eta_k, queue)]
-        mass_total += mass * r0
-        mass_len_total += mass * (rl + r0)
-        entropy.append(mf * r1 + mf * math.log(mf) * float(r0))
-        phi += cnt
-        xi_min = min(xi_min, 1 + dmin)
-        xi_max = max(xi_max, 1 + dmax)
+        for nu, queue in levels.pop():
+            rel[nu, queue] = 0.0
+            for (_, _, f, log_f, _), _, child in expand(h, nu, queue):
+                rel[nu, queue] += f * (below.get(child, 0.0) + log_f)
 
     return StoppedStats(
-        params=params,
-        k=k,
-        phi_k=phi,
-        xi_min=xi_min,
-        xi_max=xi_max,
-        mass_total=mass_total,
-        mass_len_total=mass_len_total,
-        entropy_sum=math.fsum(entropy),
-    )
+        params, k, sum(counts.values()), min(counts), max(counts),
+        *mass_sums(L, nu_sums),
+        math.fsum(move[2] * rel[root] + move[2] * move[3]
+                  for move, root in roots),
+        counts, nu_sums)
+
+
+def stopping_rule(params: DerivedParams, ks, depth: int) -> tuple:
+    """The stopping rule of the levels ``ks`` as ``(codes, steps)``,
+    tables over a sample's digits for lengths 1 to ``depth``.
+
+    A sample's digits pick each move of ``_moves``: ``codes[rises]``
+    maps y_h, or where ell rises to l the triple (x_l, y_l, y_h) as
+    (x_l m + y_l) m + y_h, to the move's index.  ``steps[h - 1]`` is
+    ``(rises, table, above)``: with a class a distinct exact nu, as in
+    ``enumerate_lambda_k``, ``table[c, move]`` is the class at length h
+    after ``move`` from class c, and ``above[c]`` the number of levels
+    whose eta^k class c is still at or above, the deepest ones.  Live
+    classes come first; the rows of classes above no level are 0.  A
+    pair that no word takes (a move for another pending column) yields
+    a class no word reaches: a table entry, never a wrong length.
+    Class ids are sized by ``np.min_scalar_type``.
+    """
+    L, m = params.denom_lcm, params.m
+    flat = {rises: [(j, mv) for j, group in groups.items() for mv in group]
+            for rises, groups in _moves(params).items()}
+    codes = {}
+    for rises, moves in flat.items():
+        codes[rises] = np.zeros(params.n * m * m if rises else m,
+                                dtype=np.min_scalar_type(len(moves)))
+        for index, (j, mv) in enumerate(moves):
+            y_l = mv.digit if j is None else j
+            codes[rises][(mv.x * m + y_l) * m + mv.digit if rises
+                         else mv.digit] = index
+    etas = [params.eta ** k for k in ks]
+    nus, live, steps = [1], 1, []     # the empty word's class
+    for h in range(1, depth + 1):
+        if not live:
+            break
+        rises = ell(params, h) > ell(params, h - 1)
+        moves = [mv for _, mv in flat[rises]]
+        class_of, children = _class_step(
+            nus, moves, itertools.product(range(live), range(len(moves))))
+        above = np.array([sum(nu * eta.denominator >= eta.numerator * L ** h
+                              for eta in etas) for nu in children])
+        order = np.argsort(above == 0, kind="stable")
+        renumber = np.argsort(order)
+        steps.append((rises, renumber[class_of].astype(
+            np.min_scalar_type(len(children))),
+            above[order].astype(np.min_scalar_type(len(etas)))))
+        nus = [children[c] for c in order.tolist()]
+        live = int(np.count_nonzero(above))
+    return codes, steps
 
 
 @dataclass(frozen=True)

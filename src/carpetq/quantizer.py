@@ -10,7 +10,8 @@ anchor sums, because the empirical log objective is unbounded below on
 atoms and cannot certify anything on its own.
 
 Each sample is measured against the centre of its own stopping
-rectangle, found exactly from its digits.  By Graf and Luschgy's
+rectangle, found exactly from its digits by one walk for all levels,
+with no level's words enumerated.  By Graf and Luschgy's
 cellwise decomposition of the geometric mean error, that own-cell error
 is an upper bound on the error of the nearest-centre (Voronoi)
 assignment to the same centres.
@@ -29,8 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .measure import DerivedParams
-from .partition import PartitionLambdaK
-from .words import cell_indices, ell
+from .partition import stopping_rule
+from .words import ell
 
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "QuantDiagnostics",
     "BallBoundReport",
     "ShallowCloudError",
-    "NoLocatedSampleError",
     "DISTANCE_FLOOR",
     "MAX_DEPTH",
     "MIN_TAIL",
@@ -59,7 +59,7 @@ MIN_TAIL = 20               # cloud digits a located cell must leave unread
 
 _SHARD_ROWS = 1 << 15       # rows per sampling block, one generator each
 _GEMV_SIZE = 1 << 17        # most digit entries per matrix-vector product
-_CHUNK = 1 << 15            # cloud rows per location or sum batch
+_CHUNK = 1 << 15            # cloud rows per walk, distance or sum batch
 
 
 def _places(base: int, limit: int = 1 << 63) -> int:
@@ -73,10 +73,6 @@ def _places(base: int, limit: int = 1 << 63) -> int:
 
 class ShallowCloudError(ValueError):
     """A level's words are too deep for the cloud to locate its samples."""
-
-
-class NoLocatedSampleError(ValueError):
-    """No sample of the cloud lies in exactly one word of the level."""
 
 
 @dataclass(frozen=True)
@@ -207,87 +203,17 @@ def check_depth(params: DerivedParams, xi_max: int, depth: int) -> None:
             f"{xi_max + MIN_TAIL}, got {depth}")
 
 
-_HASH = np.uint64(0x9E3779B97F4A7C15)   # 2^64 / golden ratio, odd
-
-
-def _slot_bits(count: int) -> int:
-    """log2 of a cell table's slot count for ``count`` words: the
-    smallest power of two of at least 2 * count slots, so fewer than 4
-    per word, and at least 2."""
-    return max(1, (2 * count - 1).bit_length())
-
-
-class _CellTable:
-    """The cells (X, Y) of one word length, hashed for exact membership.
-
-    A cell's slot is the top ``_slot_bits`` bits of a fixed
-    multiplicative hash of its two ``uint64`` indices.  The cells are
-    held in slot order, an argsort of their slots, and
-    ``start[b]:start[b + 1]`` are the cells of slot b; one padding cell
-    at the end keeps ``start[b]`` a valid position for an empty last
-    slot.  The hash only decides where to look: a query is a member when
-    it equals a cell of its slot in both indices.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        bits = _slot_bits(len(x))
-        self.shift = np.uint64(64 - bits)
-        slot = self.slots(x, y)
-        order = np.argsort(slot)
-        self.x = np.append(x[order], np.uint64(0))
-        self.y = np.append(y[order], np.uint64(0))
-        # 32-bit positions halve the cache lines the lookups touch.
-        self.start = np.zeros((1 << bits) + 1, dtype=np.int32
-                              if len(x) < 1 << 31 else np.int64)
-        np.cumsum(np.bincount(slot, minlength=1 << bits), out=self.start[1:])
-
-    def slots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        mixed = x * _HASH
-        mixed ^= y
-        mixed *= _HASH
-        mixed >>= self.shift
-        return mixed.view(np.int64)
-
-    def contains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Whether each query (``x``, ``y``) is a cell of the table."""
-        slot = self.slots(x, y)
-        # Gathers by int32 positions convert them on every call.
-        pos = self.start.take(slot).astype(np.intp)
-        end = self.start[1:].take(slot)
-        del slot
-        hit = self.x.take(pos) == x
-        hit &= self.y.take(pos) == y
-        hit &= pos < end
-        # The first probe decides every query whose slot holds at most
-        # one cell; the rest walk their slots a cell at a time.
-        rest = np.flatnonzero(~hit & (end - pos > 1))
-        while len(rest):
-            pos_r = pos[rest] + 1
-            pos[rest] = pos_r
-            found = ((self.x.take(pos_r) == x[rest])
-                     & (self.y.take(pos_r) == y[rest]))
-            hit[rest[found]] = True
-            rest = rest[~found & (end[rest] - pos_r > 1)]
-        return hit
-
-
-def _squared_offset(prefix: np.ndarray, suffix: np.ndarray, cell: np.ndarray,
-                    rows: np.ndarray, div: np.uint64, side: float
-                    ) -> np.ndarray:
-    """The squared offsets, on one axis, of the samples ``rows`` from the
-    centres of their cells: ``cell`` is each sample's cell index, the
-    floor quotient of its ``prefix`` by ``div``, and ``side`` the cells'
+def _squared_offset(prefix: np.ndarray, suffix: np.ndarray, div: np.uint64,
+                    side: float) -> np.ndarray:
+    """The squared offsets, on one axis, of samples from the centres of
+    their cells: ``prefix`` and ``suffix`` are the samples' digits,
+    ``div`` the divisor down to the cells' digits and ``side`` the cells'
     side."""
-    quot = cell.take(rows)
-    quot *= div
-    rest = prefix.take(rows)
-    rest -= quot
-    del quot
+    rest = prefix - prefix // div * div
     # A remainder is below div < 2^63, so its int64 view is the same
     # integer, and numpy converts int64 to float64 far faster than uint64.
     off = rest.view(np.int64).astype(np.float64)
-    del rest
-    off += suffix.take(rows)
+    off += suffix
     off /= float(div)
     off -= 0.5
     off *= side
@@ -295,83 +221,65 @@ def _squared_offset(prefix: np.ndarray, suffix: np.ndarray, cell: np.ndarray,
     return off
 
 
-def _own_cells(prefix: np.ndarray, suffix: np.ndarray, axes,
-               table: _CellTable, dist: np.ndarray) -> np.ndarray:
-    """The rows of a chunk's samples that lie in a cell of ``table``;
-    their squared distances from those cells' centres are written to
-    ``dist``.  The chunk's digits are ``prefix`` and ``suffix``, and
-    ``axes`` holds per axis the divisor down to the cells' digits and the
-    cells' side.  Its temporaries die with the call, so a chunk holds
-    those of one length at a time."""
-    cells = [p // d for p, (d, _) in zip(prefix, axes)]
-    hit = table.contains(*cells)
-    rows = np.flatnonzero(hit)
-    x, y = (_squared_offset(p, s, c, rows, *axis)
-            for p, s, c, axis in zip(prefix, suffix, cells, axes))
-    x += y
-    dist[rows] = x
-    return rows
+def locate(levels, cloud: SampleCloud) -> np.ndarray:
+    """Each sample's stopping length at each of ``levels``, the
+    ``StoppedStats`` (or collected partitions) of one carpet, as a
+    (len(levels), size) ``uint8`` array.
 
-
-def locate(partition: PartitionLambdaK,
-           cloud: SampleCloud) -> tuple[np.ndarray, np.ndarray]:
-    """Each sample's stopping word, and its distance to that word's centre.
-
-    Returns the length of each sample's word, as a uint8 array, 0 for a
-    sample that lies in no word of the partition or in more than one;
-    and the distance from each located sample (length nonzero), samples
-    first to last, to the centre of its own cell.
-
-    A length-h word is the cell of x index X < n^ell(h) and y index
-    Y < m^h that its digits spell; a sample lies in it when X and Y are
-    the integers of its first ell(h) x and h y digits, the floor
-    quotients P // d of its prefixes P by d = base^(S - digits).  Each
-    length's cells, decoded from its keys, are put in a hashed
-    ``_CellTable`` once, and every sample is looked up at every length
-    by comparing both indices exactly.  The offset from the centre is
-    read in cell-local coordinates from the remainder P - X * d: on each
-    axis it is (P - X * d + suffix) / d - 1/2 cell sides, so it keeps
-    full float precision at any cell depth.  The distance is the root of
-    the two offsets' squares, each scaled by its cell side.  Raises
-    ``ShallowCloudError`` when the level's longest words are too deep
-    for the cloud.
+    One walk over the digits, ``_CHUNK`` samples at a time, serves every
+    level.  Each step reads a sample's next y digit, and its next x
+    digit where ell rises, each as its cell index from one floor division
+    of the prefix (numpy divides by a multiply and a shift) less base
+    times the last.  ``stopping_rule`` turns the digits into a move, the
+    move the mass class into the next, and the class into the number of
+    levels it is still above.  Level i stops at the first length where
+    that number is at most the number of deeper levels.  A sample that
+    has stopped at every level walks on from class 0, its number kept
+    at 0.  Raises ``ShallowCloudError`` when the levels' longest words
+    are too deep for the cloud, and ``ValueError`` when a sample is
+    still above a level's threshold past them.
     """
-    params = partition.params
-    if cloud.bases != (params.n, params.m):
-        raise ValueError(f"cloud drawn for bases {cloud.bases}, carpet has "
-                         f"({params.n}, {params.m})")
-    check_depth(params, partition.xi_max, cloud.depth)
+    params = levels[0].params
     n, m = params.n, params.m
-    sx, sy = _places(n), _places(m)
-    # Per length: its divisors down to the cell's digits and the cell's
-    # sides on both axes, and its cells.
-    tables = []
-    for h, (keys, _, _) in partition.blocks.items():
-        l = ell(params, h)
-        tables.append((h, ((np.uint64(n ** (sx - l)), float(n) ** -l),
-                           (np.uint64(m ** (sy - h)), float(m) ** -h)),
-                       _CellTable(*cell_indices(params, h, keys))))
-    found = np.zeros(cloud.size, dtype=np.uint8)
-    # A chunk's distances are written over its own rows of ``out``, then
-    # those of its located samples moved down after the ones before.
-    out = np.empty(cloud.size)
-    done = 0
+    if cloud.bases != (n, m):
+        raise ValueError(f"cloud drawn for bases {cloud.bases}, carpet has "
+                         f"({n}, {m})")
+    depth = max(level.xi_max for level in levels)
+    check_depth(params, depth, cloud.depth)
+    ks = [level.k for level in levels]
+    codes, steps = stopping_rule(params, ks, depth)
+    deeper = [sum(j > k for j in ks) for k in ks]
+    found = np.ones((len(levels), cloud.size), dtype=np.uint8)
     for lo in range(0, cloud.size, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
-        prefix, suffix = cloud.prefix[:, rows], cloud.suffix[:, rows]
-        at, dist = found[rows], out[rows]
-        hits = np.zeros(len(at), dtype=np.uint8)
-        for h, axes, table in tables:
-            inside = _own_cells(prefix, suffix, axes, table, dist)
-            hits[inside] += 1
-            at[inside] = h
-        at[hits != 1] = 0
-        located = np.count_nonzero(at)
-        if located < len(at) or done < lo:
-            out[done:done + located] = dist[at != 0]
-        np.sqrt(out[done:done + located], out=out[done:done + located])
-        done += located
-    return found, out[:done]
+        (px, py), out = cloud.prefix[:, rows], found[:, rows]
+        cls = np.zeros(len(px), dtype=np.intp)
+        live = np.full(len(px), len(ks), dtype=steps[0][2].dtype)
+        xcell, ycell = np.zeros((2, len(px)), dtype=np.uint64)
+        pending = {}            # the y digits not yet in a cell, by place
+        for h, (rises, table, above) in enumerate(steps, 1):
+            cell = py // np.uint64(m ** (_places(m) - h))
+            pending[h] = (cell - ycell * np.uint64(m)).astype(np.uint8)
+            ycell = cell
+            code = pending[h].astype(np.uint64)
+            if rises:
+                l = ell(params, h)
+                cell = px // np.uint64(n ** (_places(n) - l))
+                code += ((cell - xcell * np.uint64(n)) * np.uint64(m)
+                         + pending.pop(l)) * np.uint64(m)
+                xcell = cell
+            move = codes[rises].take(code.view(np.int64))
+            # One flat index: numpy gathers by one index array far faster.
+            cls = table.take(cls * np.intp(table.shape[1]) + move)
+            np.minimum(above.take(cls), live, out=live)
+            if not live.any():
+                break
+            for lengths, r in zip(out, deeper):
+                lengths += live > r
+        else:
+            raise ValueError(f"samples still above a level's threshold "
+                             f"past its longest words, at length {depth}")
+    return found
 
 
 def _exact_sum(values: np.ndarray) -> float:
@@ -430,60 +338,84 @@ class QuantDiagnostics:
     floored: int              # zero distances clamped at DISTANCE_FLOOR
     cloud_size: int
     seed: int
-    unlocated: int            # samples in no stopping word, or in several
 
     @property
     def anchor_gap(self) -> float:
         return self.upper_anchor - self.lower_anchor
 
 
-def r_k_diagnostic(partition: PartitionLambdaK,
-                   cloud: SampleCloud) -> QuantDiagnostics:
-    """Exact anchors plus a Monte Carlo own-cell distortion estimate for
-    level k.
-
-    The estimate is the mean log distance from the located samples to
-    their own cells' centres (``locate``).  An exactly zero distance is
-    clamped at ``DISTANCE_FLOOR`` and counted.  The logs are added by an
-    exact sum, rounded once, the float ``math.fsum`` gives; their
-    squared deviations from that mean are formed in place, a chunk at a
-    time, and added the same way.  Unlocated samples are left out and
-    counted; ``NoLocatedSampleError`` is raised when every sample is.
+def _distances(params: DerivedParams, cloud: SampleCloud,
+               lengths: np.ndarray) -> np.ndarray:
+    """The distance from each sample to the centre of its own cell, given
+    its stopping length, a ``_CHUNK`` of samples at a time.  A length-h
+    cell's indices X < n^ell(h) and Y < m^h are the floor quotients
+    P // d of the prefixes P by d = base^(S - digits), and the offset
+    from its centre is read in cell-local coordinates from the remainder:
+    (P - X * d + suffix) / d - 1/2 cell sides on each axis, so it keeps
+    full float precision at any cell depth.  The distance is the root of
+    the two offsets' squares, each scaled by its cell side.
     """
-    params = partition.params
+    out = np.empty(cloud.size)
+    for lo in range(0, cloud.size, _CHUNK):
+        span = slice(lo, lo + _CHUNK)
+        prefix, suffix = cloud.prefix[:, span], cloud.suffix[:, span]
+        at, dist = lengths[span], out[span]
+        for h in np.flatnonzero(np.bincount(at)).tolist():
+            rows = np.flatnonzero(at == h)
+            x, y = (_squared_offset(
+                p.take(rows), s.take(rows),
+                np.uint64(base ** (_places(base) - digits)),
+                float(base) ** -digits)
+                for p, s, base, digits in zip(
+                    prefix, suffix, (params.n, params.m),
+                    (ell(params, h), h)))
+            x += y
+            dist[rows] = np.sqrt(x, out=x)
+    return out
+
+
+def r_k_diagnostic(level, cloud: SampleCloud,
+                   lengths: np.ndarray) -> QuantDiagnostics:
+    """Exact anchors plus a Monte Carlo own-cell distortion estimate for
+    one level, given its ``StoppedStats`` (or collected partition) and
+    its row of ``locate``.  The anchors are float sums over the level's
+    exact per-length masses; the estimate is the mean log distance from
+    the samples to their own cells' centres (``_distances``), with an
+    exactly zero distance clamped at ``DISTANCE_FLOOR`` and counted.
+    The logs, then their squared deviations from the mean, formed in
+    place a chunk at a time, are added by an exact sum, rounded once,
+    the float ``math.fsum`` gives.
+    """
+    params = level.params
     L = params.denom_lcm
     log_m = math.log(params.spec.m)
     lower = 0.0
     upper = 0.0
-    for h, nu_sum in partition.length_nu_sums.items():
+    for h, nu_sum in level.length_nu_sums.items():
         mass_h = float(Fraction(nu_sum, L ** h))
         lower += mass_h * (-h * log_m)
         upper += mass_h * diameter_log(params, h)
-    _, logs = locate(partition, cloud)
-    done = len(logs)
-    if not done:
-        raise NoLocatedSampleError("no sample of the cloud lies in exactly "
-                                   "one word of the partition")
+    logs = _distances(params, cloud, lengths)
+    size = len(logs)
     floored = int(np.count_nonzero(logs < DISTANCE_FLOOR))
     np.log(np.maximum(logs, DISTANCE_FLOOR, out=logs), out=logs)
-    est = _exact_sum(logs) / done
-    for lo in range(0, done, _CHUNK):
+    est = _exact_sum(logs) / size
+    for lo in range(0, size, _CHUNK):
         dev = logs[lo:lo + _CHUNK]
         dev -= est
         dev *= dev
-    sd = math.sqrt(_exact_sum(logs) / (done - 1)) if done > 1 else 0.0
+    sd = math.sqrt(_exact_sum(logs) / (size - 1)) if size > 1 else 0.0
     return QuantDiagnostics(
-        k=partition.k,
-        phi_k=partition.phi_k,
+        k=level.k,
+        phi_k=level.phi_k,
         lower_anchor=lower,
         upper_anchor=upper,
         e_hat_est=est,
-        stderr=sd / math.sqrt(done),
-        r_k=math.log(partition.phi_k) / params.s0 + est,
+        stderr=sd / math.sqrt(size),
+        r_k=math.log(level.phi_k) / params.s0 + est,
         floored=floored,
         cloud_size=cloud.size,
         seed=cloud.seed,
-        unlocated=cloud.size - done,
     )
 
 

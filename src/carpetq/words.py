@@ -31,8 +31,8 @@ from .measure import DerivedParams
 __all__ = [
     "WordError", "ell", "entropy_terms", "key_space", "key_dtype", "step",
     "pending", "family_stems", "stem_columns", "flat_predecessor",
-    "block_predecessor", "swap_tail", "cell_indices", "member",
-    "predecessor_member", "class_counts", "class_entropy", "WordColumns",
+    "block_predecessor", "swap_tail", "member", "predecessor_member",
+    "class_counts", "class_entropy", "mass_sums", "WordColumns",
 ]
 
 
@@ -231,31 +231,6 @@ def swap_tail(params: DerivedParams, h: int, stems: np.ndarray,
     return keys
 
 
-def cell_indices(params: DerivedParams, h: int,
-                 keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cell (X, Y) of each length-h key, as uint64: X is the base-n
-    integer of its ell(h) x digits and Y the base-m integer of its h y
-    digits, the cells' columns then the tail.  Needs n^ell(h) and m^h
-    at most 2^64."""
-    lay = _layout(params)
-    t = h - ell(params, h)
-    cell_x, cell_y = lay.cells.T.astype(np.uint64)
-    col_y = lay.cols.astype(np.uint64)
-    x, y = np.zeros((2, len(keys)), dtype=np.uint64)
-    for p in range(h):                  # the last digit first
-        radix = lay.c if p < t else lay.g
-        quot = keys // radix           # one division per digit
-        rank = quot * radix
-        np.subtract(keys, rank, out=rank)
-        keys, rank = quot, rank.astype(np.intp)
-        if p < t:
-            y += col_y.take(rank) * np.uint64(params.m ** p)
-        else:
-            x += cell_x.take(rank) * np.uint64(params.n ** (p - t))
-            y += cell_y.take(rank) * np.uint64(params.m ** p)
-    return x, y
-
-
 def member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Whether each key occurs in ``sorted_keys``, an ascending array of
     keys of the same length and dtype; all False when it is empty."""
@@ -318,6 +293,16 @@ def class_entropy(counts: Sequence[int], terms: Sequence[float]) -> Fraction:
                Fraction(0))
 
 
+def mass_sums(L: int, nu_sums: dict[int, int]) -> tuple[Fraction, Fraction]:
+    """The exact total mass and mass-weighted length of a per-length
+    profile, mass_h = nu_sums[h] / L^h: summed over the common
+    denominator L^h_max, with no gcd per length."""
+    top = max(nu_sums, default=0)
+    scaled = {h: s * L ** (top - h) for h, s in nu_sums.items()}
+    return (Fraction(sum(scaled.values()), L ** top),
+            Fraction(sum(h * s for h, s in scaled.items()), L ** top))
+
+
 class WordColumns:
     """A word store keyed by word length.
 
@@ -367,12 +352,8 @@ class WordColumns:
             self.size += count
         self.l_min = min(self.blocks, default=0)
         self.l_max = max(self.blocks, default=0)
-        # Exact sums over the common denominator L^l_max: no gcd per length.
-        scaled = {h: s * L ** (self.l_max - h)
-                  for h, s in self.length_nu_sums.items()}
-        self.mass_total = Fraction(sum(scaled.values()), L ** self.l_max)
-        self.mass_len_total = Fraction(
-            sum(h * s for h, s in scaled.items()), L ** self.l_max)
+        self.mass_total, self.mass_len_total = mass_sums(L,
+                                                         self.length_nu_sums)
 
     def __len__(self) -> int:
         return self.size

@@ -20,7 +20,9 @@ from carpetq.partition import (
     check_square_disjointness, enumerate_lambda_k, partition_stats,
     stopped_statistics,
 )
-from carpetq.quantizer import ball_bound_check, draw_cloud, r_k_diagnostic
+from carpetq.quantizer import (
+    ball_bound_check, draw_cloud, locate, r_k_diagnostic,
+)
 from carpetq.sequences import compute_d_k, compute_s_k, d_k_bound, delta_k, \
     s_k_bound
 from carpetq.words import ell
@@ -202,8 +204,9 @@ def test_criterion_6_quantization_sandwich(carpet_a, parts_a, cloud_m):
     start = time.monotonic()
     gap_cap = math.log(math.sqrt(17))
     r_values = []
-    for k in range(2, 7):
-        diag = r_k_diagnostic(parts_a[k], cloud_m)
+    levels = [parts_a[k] for k in range(2, 7)]
+    for level, lengths in zip(levels, locate(levels, cloud_m)):
+        diag = r_k_diagnostic(level, cloud_m, lengths)
         assert diag.e_hat_est <= diag.upper_anchor + 3 * diag.stderr
         assert 0 < diag.anchor_gap <= gap_cap + 1e-12
         r_values.append(diag.r_k)

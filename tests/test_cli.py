@@ -11,6 +11,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import carpetq
@@ -20,7 +21,7 @@ from carpetq.cli import ConfigError, load_config, main
 from carpetq.coding import AntichainCollisionError, AntichainInvariantError
 from carpetq.partition import DisjointnessReport
 from carpetq.report import read_csv
-from conftest import _tamper, run_commands
+from conftest import run_commands
 
 
 _CARPET_D = dict(n=4, m=2, maps=[
@@ -243,14 +244,12 @@ def test_report_nothing_to_report(tmp_path, capsys):
 
 
 def test_report_rowless_table_exits_2(tmp_path, capsys):
-    # Above --cap-words every level is skipped, so quantize writes a
-    # header-only table.
+    # A header-only quantize table, as a run over no level would write.
     cfg = _config(tmp_path, k_min=3, k_max=3)
     out = tmp_path / "out"
-    assert main(["quantize", "--config", cfg, "--out", str(out),
-                 "--cap-words", "10"]) == 0
-    assert (out / "quantize.csv").read_text().count("\n") == 1
-    capsys.readouterr()
+    out.mkdir()
+    (out / "quantize.csv").write_text(
+        "k,phi_k,lower_anchor,upper_anchor,e_hat_est,stderr,R_k\n")
     assert main(["report", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -303,6 +302,7 @@ _CAP_NOTE = "level k=3: 1701 words exceed --cap-words 200, aggregates only"
 
 # stdout of each level command on carpet A at k = 2..3 with --cap-words
 # 200: k = 2 (189 words) is collected and k = 3 (1,701) is aggregates only.
+# quantize collects no level, so the cap leaves it whole.
 _OVER_CAP_STDOUT = {
     "partition": [
         "partition k=2: phi=189 xi=[5,6] pass",
@@ -322,7 +322,8 @@ _OVER_CAP_STDOUT = {
     "quantize": [
         "quantize k=2: e_hat=-5.993900 anchors [-5.981334, -4.730543] "
         "R_k=-0.250863",
-        _CAP_NOTE,
+        "quantize k=3: e_hat=-8.527794 anchors [-8.178558, -7.419404] "
+        "R_k=-0.377403",
         "quantize ball bound: pass (max ratio 0.0275)",
     ],
 }
@@ -337,13 +338,14 @@ def test_cap_words_streams_large_levels(tmp_path, capsys, command):
     assert capsys.readouterr().out.splitlines() == _OVER_CAP_STDOUT[command]
     header, rows = read_csv(out / f"{command}.csv")
     cells = {row[0]: dict(zip(header, row)) for row in rows}
-    if command in ("antichain", "quantize"):
+    if command == "antichain":
         assert list(cells) == ["2"]
     elif command == "partition":
         assert [cells[k]["disjoint"] for k in ("2", "3")] == ["true",
                                                              "skipped"]
     else:
         assert list(cells) == ["2", "3"]
+    if command == "sequences":
         assert cells["2"]["t_k"] != "" and cells["3"]["t_k"] == ""
 
 
@@ -413,17 +415,17 @@ def _replacing(**fields):
         real(*args, **kwargs), **fields)
 
 
-def _drop_word(real):
-    # Runs the layer call on the level without its first word, so the
-    # samples in that word's cell lie in no word.
-    return lambda part, cloud: real(_tamper(part, drop=[0]), cloud)
-
-
-def _drop_every_word(real):
-    # Runs the layer call on the level without any word, so no sample is
-    # located and the level has no estimate.
-    return lambda part, cloud: real(
-        _tamper(part, drop=range(part.phi_k)), cloud)
+def _shift_first_length(real):
+    # Moves the mass of the level's shortest words to the next length,
+    # so the samples that stop there outnumber the mass they should
+    # carry.
+    def shifted(params, k):
+        stats = real(params, k)
+        sums = dict(stats.length_nu_sums)
+        h = min(sums)
+        sums[h + 1] += sums.pop(h) * params.denom_lcm
+        return dataclasses.replace(stats, length_nu_sums=sums)
+    return shifted
 
 
 # (command, cli attribute, wrapper for it, check that must fail)
@@ -441,17 +443,15 @@ _FAULTS = [
      "upper-anchor"),
     ("quantize", "r_k_diagnostic", _replacing(lower_anchor=0.0),
      "anchor-gap"),
-    ("quantize", "r_k_diagnostic", _drop_word, "own-cell-located"),
-    pytest.param("quantize", "r_k_diagnostic", _drop_every_word,
-                 "own-cell-located", id="no-located-sample"),
+    ("quantize", "stopped_statistics", _shift_first_length,
+     "length-shares"),
     ("quantize", "ball_bound_check",
      _replacing(failures=((2, Fraction(2), 0.5),)), "ball-bound"),
 ]
 
 
 @pytest.mark.parametrize("command,attr,wrap,check", _FAULTS,
-                         ids=[getattr(fault, "id", None) or fault[3]
-                              for fault in _FAULTS])
+                         ids=[fault[3] for fault in _FAULTS])
 def test_check_failure_exits_1(tmp_path, capsys, monkeypatch, command, attr,
                                wrap, check):
     monkeypatch.setattr(cli, attr, wrap(getattr(cli, attr)))
@@ -463,11 +463,29 @@ def test_check_failure_exits_1(tmp_path, capsys, monkeypatch, command, attr,
     failures = json.loads(err)["failures"]
     assert [f["check"] for f in failures] == [check]
     header, rows = read_csv(out / f"{command}.csv")
-    # A level that locates no sample writes no row.
-    assert [row[0] for row in rows] == (
-        [] if wrap is _drop_every_word else ["2"])
+    assert [row[0] for row in rows] == ["2"]
     if "pass" in header:
         assert rows[0][header.index("pass")] == "false"
+
+
+def test_length_shares_band(carpet_a):
+    # Carpet A at k = 2 puts mass 5/9 on length 5 and 4/9 on length 6.
+    # Of 9,000 samples, 5,000 are expected at length 5, with a binomial
+    # sd of 47.1, so the band is 5,000 +- 297.8; a length the level lacks
+    # is allowed 15 samples.
+    stats = partition.stopped_statistics(carpet_a, 2)
+    assert [float(Fraction(s, 3 ** h)) * 9 for h, s in
+            stats.length_nu_sums.items()] == pytest.approx([5, 4])
+
+    def lengths(at5, at6, at7=0):
+        return np.repeat(np.array([5, 6, 7], np.uint8), [at5, at6, at7])
+
+    assert cli._stray_lengths(stats, lengths(5297, 3703)) == []
+    assert [h for h, _, _ in cli._stray_lengths(
+        stats, lengths(5298, 3702))] == [5, 6]
+    assert cli._stray_lengths(stats, lengths(5000, 3985, 15)) == []
+    assert cli._stray_lengths(stats, lengths(5000, 3984, 16)) == [
+        (7, 16, 0.0)]
 
 
 # sha256 of every table the exact commands write for carpet A at
@@ -549,11 +567,14 @@ def test_quantize_outputs_frozen(tmp_path, carpet):
     # Carpet D's words reach length 39 at k = 4, so its cloud is deeper.
     extra = {"D": dict(_CARPET_D, depth=60), "E": _CARPET_E}.get(carpet, {})
     cfg = _config(tmp_path, k_min=2, k_max=4, cloud_size=50_000, **extra)
-    out = tmp_path / "out"
-    assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0
-    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
-                for name in ("quantize.csv", "quantize.json"))
-    assert got == _FROZEN_QUANTIZE[carpet]
+    # quantize collects no level, so --cap-words 1 changes no byte.
+    for cap in ([], ["--cap-words", "1"]):
+        out = tmp_path / f"out{len(cap)}"
+        assert main(["quantize", "--config", cfg, "--out", str(out),
+                     *cap]) == 0
+        got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("quantize.csv", "quantize.json"))
+        assert got == _FROZEN_QUANTIZE[carpet]
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):
@@ -610,10 +631,12 @@ def test_deep_cloud_quantizes_carpet_d_unfloored(tmp_path):
 
 @pytest.mark.parametrize("command,attr", [
     ("partition", "enumerate_lambda_k"), ("quantize", "draw_cloud"),
+    ("quantize", "r_k_diagnostic"),
 ])
 def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command, attr):
     # The first level runs out, or the cloud before any level.
-    where = {"partition": "partition k=2", "quantize": "quantize"}[command]
+    where = {"enumerate_lambda_k": "partition k=2", "draw_cloud": "quantize",
+             "r_k_diagnostic": "quantize k=2"}[attr]
 
     def exhausted(*args, **kwargs):
         raise MemoryError
@@ -625,6 +648,20 @@ def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command, attr):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert json.loads(err) == {"error": f"{where}: out of memory"}
+
+
+def test_quantize_collects_no_level(tmp_path, monkeypatch):
+    # quantize reads each level's profile and each sample's digits; it
+    # never enumerates a level's words.
+    def refused(*args, **kwargs):
+        raise AssertionError("quantize enumerated a level")
+
+    monkeypatch.setattr(cli, "enumerate_lambda_k", refused)
+    cfg = _config(tmp_path, cloud_size=2000)
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0
+    header, rows = read_csv(out / "quantize.csv")
+    assert [row[0] for row in rows] == ["2", "3"]
 
 
 def test_out_of_memory_names_the_level(tmp_path, capsys, monkeypatch):

@@ -16,24 +16,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import carpetq
-from carpetq import CarpetSpec, derive_params, quantizer
-from carpetq.partition import enumerate_lambda_k
+from carpetq import CarpetSpec, derive_params
+from carpetq.partition import enumerate_lambda_k, stopped_statistics
 from carpetq.quantizer import (
     _CHUNK, DISTANCE_FLOOR, MAX_DEPTH, SampleCloud, ShallowCloudError,
-    _CellTable, _exact_sum, _slot_bits, ball_bound_check, diameter_log,
-    draw_cloud, locate, r_k_diagnostic, uniform_digits,
+    _distances, _exact_sum, ball_bound_check, diameter_log, draw_cloud,
+    locate, r_k_diagnostic, uniform_digits,
 )
 from carpetq.words import ell
 from oracles import (
-    brute_locate, flat_predecessor, key_rows, lambda_codebook,
-    nearest_distances, nearest_log_distortion, sample_digit_matrix,
-    square_geometry, traced_peak, word_at, word_mass,
+    brute_locate, key_rows, lambda_codebook, nearest_distances,
+    nearest_log_distortion, sample_digit_matrix, square_geometry,
+    traced_peak, word_at,
 )
 
 
 @pytest.fixture(scope="module")
 def cloud_a(carpet_a):
     return draw_cloud(carpet_a, 120_000, depth=40, seed=0x5EED)
+
+
+def _diagnose(level, cloud):
+    # One level's diagnostics, located on its own.
+    return r_k_diagnostic(level, cloud, locate([level], cloud)[0])
 
 
 def test_draw_cloud_deterministic(carpet_a, cloud_a):
@@ -116,20 +121,20 @@ def _hand_cloud(part, idx, quarters):
 def test_log_distortion_hand_value(cache_d):
     part = cache_d.partition(2)
     cloud, h, qx, qy = _hand_cloud(part, 7, [(1, 1), (-1, -1)])
-    assert locate(part, cloud)[0].tolist() == [h, h]
-    est = r_k_diagnostic(part, cloud)
+    assert locate([part], cloud).tolist() == [[h, h]]
+    est = _diagnose(part, cloud)
     assert est.e_hat_est == pytest.approx(math.log(math.hypot(qx, qy)),
                                           abs=1e-15)
-    assert est.floored == 0 and est.unlocated == 0
+    assert est.floored == 0
     assert est.stderr == pytest.approx(0.0, abs=1e-15)
 
 
 def test_log_distortion_floors_zero_distance(cache_d):
     part = cache_d.partition(2)
     cloud, _, qx, qy = _hand_cloud(part, 7, [(0, 0), (1, -1)])
-    assert locate(part, cloud)[1].tolist() == [
-        0.0, pytest.approx(math.hypot(qx, qy), rel=1e-15)]
-    est = r_k_diagnostic(part, cloud)
+    assert _distances(part.params, cloud, locate([part], cloud)[0]).tolist() \
+        == [0.0, pytest.approx(math.hypot(qx, qy), rel=1e-15)]
+    est = _diagnose(part, cloud)
     assert est.floored == 1
     assert math.isfinite(est.e_hat_est)
     assert est.e_hat_est <= math.log(DISTANCE_FLOOR) / 2 + 1.0
@@ -144,7 +149,7 @@ def test_diameter_log(carpet_a):
 def test_r_k_diagnostic_anchors(cache_a, carpet_a, cloud_a):
     gap_cap = math.log(math.sqrt(carpet_a.n ** 2 + 1))
     for k in (2, 3):
-        diag = r_k_diagnostic(cache_a.partition(k), cloud_a)
+        diag = _diagnose(cache_a.partition(k), cloud_a)
         assert diag.lower_anchor < diag.upper_anchor
         assert diag.anchor_gap <= gap_cap + 1e-12
         assert diag.e_hat_est <= diag.upper_anchor + 3 * diag.stderr
@@ -155,15 +160,15 @@ def test_r_k_diagnostic_anchors(cache_a, carpet_a, cloud_a):
 
 def test_r_k_lower_anchor_exact(cache_a, carpet_a):
     part = cache_a.partition(2)
-    diag = r_k_diagnostic(part, draw_cloud(carpet_a, 1000, seed=1))
+    diag = _diagnose(part, draw_cloud(carpet_a, 1000, seed=1))
     expect = -math.log(3) * float(part.mass_len_total)
     assert diag.lower_anchor == pytest.approx(expect, abs=1e-12)
 
 
 def test_two_seeds_agree(carpet_a, cache_a):
     part = cache_a.partition(3)
-    e1 = r_k_diagnostic(part, draw_cloud(carpet_a, 60_000, seed=101))
-    e2 = r_k_diagnostic(part, draw_cloud(carpet_a, 60_000, seed=202))
+    e1 = _diagnose(part, draw_cloud(carpet_a, 60_000, seed=101))
+    e2 = _diagnose(part, draw_cloud(carpet_a, 60_000, seed=202))
     combined = math.hypot(e1.stderr, e2.stderr)
     assert abs(e1.e_hat_est - e2.e_hat_est) < 6 * combined
 
@@ -298,73 +303,21 @@ def test_sampling_matches_searchsorted_formula(request, name):
 
 @pytest.mark.parametrize("name,levels,depth", [
     ("a", range(2, 5), 40), ("d", range(2, 5), 60), ("e", range(2, 5), 40),
+    ("b", range(1, 5), 40), ("c", range(1, 5), 40),
 ])
 def test_located_word_matches_brute_force(request, name, levels, depth):
-    # Carpet D at k = 4 has lengths up to 39, whose cells (X, Y) span
-    # more than 64 bits together.
+    # One walk locates every level.  Carpet D at k = 4 has lengths up to
+    # 39, whose cells (X, Y) span more than 64 bits together; carpet B
+    # has a full-mass column, and carpet C is square (n = m).
     params = request.getfixturevalue(f"carpet_{name}")
     cloud = draw_cloud(params, 1500, depth=depth, seed=5)
     digits = sample_digit_matrix(params, 1500, depth, 5)
-    for k in levels:
-        part = enumerate_lambda_k(params, k)
-        assert locate(part, cloud)[0].tolist() == brute_locate(
-            params, part, digits[:, :part.xi_max])
-
-
-@pytest.mark.parametrize("name,k,depth", [("a", 3, 40), ("e", 3, 40),
-                                           ("d", 4, 70)])
-def test_located_word_matches_brute_force_in_long_slots(
-        request, monkeypatch, name, k, depth):
-    # Eight slots per length put up to thousands of cells in a slot, so
-    # nearly every lookup walks past the first probe.  Carpet D at k = 4
-    # has cells up to 4^19 * 2^39, wider than 64 bits.
-    params = request.getfixturevalue(f"carpet_{name}")
-    monkeypatch.setattr(quantizer, "_slot_bits", lambda count: 3)
-    part = enumerate_lambda_k(params, k)
-    cloud = draw_cloud(params, 300, depth=depth, seed=13)
-    digits = sample_digit_matrix(params, 300, depth, 13)
-    assert locate(part, cloud)[0].tolist() == brute_locate(
-        params, part, digits[:, :part.xi_max])
-
-
-def test_slot_bits_bound():
-    # Fewer than four slots per word, and at least two per word.
-    for count in range(1, 5000):
-        slots = 1 << _slot_bits(count)
-        assert 2 * count <= slots < 4 * count
-    assert _slot_bits(0) == 1
-
-
-_near = st.sampled_from([0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1,
-                         2 ** 64 - 2, 2 ** 64 - 1])
-_index = st.one_of(_near, st.integers(0, 2 ** 64 - 1), st.integers(0, 9))
-_pairs = st.lists(st.tuples(_index, _index), max_size=40)
-
-
-@settings(max_examples=300, deadline=None)
-@given(cells=_pairs, extra=_pairs, bits=st.sampled_from([None, 1, 2, 3]))
-@example(cells=[], extra=[(0, 0)], bits=None)
-@example(cells=[(2 ** 64 - 1, 2 ** 63)], extra=[(0, 0)], bits=None)
-@example(cells=[(5, 7), (2 ** 63, 1)], extra=[(0, 0), (5, 7)], bits=1)
-def test_cell_table_membership(cells, extra, bits):
-    # Queries: every cell (twice when the cells repeat), the extra pairs,
-    # and (0, 0).  (0, 0) hashes to slot 0: when that slot is empty its
-    # first probe reads another slot's cell, or in an empty table the
-    # padding cell, which is (0, 0) itself.
-    def array(values):
-        return np.array(values, dtype=np.uint64).reshape(-1)
-
-    with pytest.MonkeyPatch.context() as patch:
-        if bits is not None:
-            patch.setattr(quantizer, "_slot_bits", lambda count: bits)
-        table = _CellTable(array([x for x, _ in cells]),
-                           array([y for _, y in cells]))
-    queries = cells + extra + [(0, 0)]
-    got = table.contains(array([x for x, _ in queries]),
-                         array([y for _, y in queries]))
-    assert got.tolist() == [q in set(cells) for q in queries]
-    if bits is None:
-        assert len(table.start) - 1 <= 4 * max(len(cells), 1)
+    parts = [enumerate_lambda_k(params, k) for k in levels]
+    found = locate(parts, cloud)
+    assert found.dtype == np.uint8 and found.shape == (len(parts), 1500)
+    for part, row in zip(parts, found):
+        assert row.tolist() == brute_locate(params, part,
+                                            digits[:, :part.xi_max])
 
 
 _cells = st.lists(
@@ -388,53 +341,10 @@ def test_random_carpet_located_word_matches_brute_force(n, m, cells, raw,
             n, m, {c: f"{w}/{total}" for c, w in zip(cells, raw)}))
     cloud = draw_cloud(params, 400, depth=40, seed=seed)
     digits = sample_digit_matrix(params, 400, 40, seed)
-    for k in (1, 2, 3):
-        part = enumerate_lambda_k(params, k)
-        found, _ = locate(part, cloud)
-        assert found.all()
-        assert found.tolist() == brute_locate(params, part,
-                                              digits[:, :part.xi_max])
-
-
-def _in_square(cloud, params, word):
-    # The samples whose points lie inside ``word``'s rectangle.
-    sq = square_geometry(params, word)
-    x, y = cloud.points.T
-    return ((x > float(sq.x_low)) & (x < float(sq.x_high()))
-            & (y > float(sq.y_low)) & (y < float(sq.y_high())))
-
-
-def test_unlocated_samples_counted(cache_a, carpet_a, cloud_a, tamper):
-    # Without two of its words the level leaves their samples unlocated;
-    # with one word's parent square added, the samples in that square
-    # lie in words of two lengths.
-    part = cache_a.partition(3)
-    first = part.offsets[part.xi_max]
-    holes = [first, first + 5]
-    in_holes = (_in_square(cloud_a, carpet_a, word_at(part, holes[0]))
-                | _in_square(cloud_a, carpet_a, word_at(part, holes[1])))
-    assert in_holes.any()
-    found, whole = locate(part, cloud_a)
-    assert (found[in_holes] == part.xi_max).all()
-    # The other samples keep their cells, and their distances close up
-    # over the gaps: with the holes' samples spread over every chunk,
-    # and with all of them in the first, before chunks with no gap.
-    dropped = tamper(part, drop=holes)
-    found, dist = locate(dropped, cloud_a)
-    assert np.array_equal(found == 0, in_holes)
-    assert np.array_equal(dist, whole[~in_holes])
-    first_holes = np.argsort(~in_holes, kind="stable")
-    moved = SampleCloud(prefix=cloud_a.prefix[:, first_holes],
-                        suffix=cloud_a.suffix[:, first_holes],
-                        bases=cloud_a.bases, depth=cloud_a.depth, seed=0)
-    _, dist = locate(dropped, moved)
-    assert np.array_equal(dist, whole[first_holes][in_holes.sum():])
-    assert r_k_diagnostic(dropped, cloud_a).unlocated == in_holes.sum()
-    parent = flat_predecessor(carpet_a, word_at(part, first))
-    twice = tamper(part, add=[(parent, word_mass(carpet_a, parent))])
-    in_parent = _in_square(cloud_a, carpet_a, parent)
-    assert in_parent.sum() > in_holes.sum() / 2
-    assert np.array_equal(locate(twice, cloud_a)[0] == 0, in_parent)
+    parts = [enumerate_lambda_k(params, k) for k in (3, 1, 2)]
+    for part, row in zip(parts, locate(parts, cloud)):
+        assert row.tolist() == brute_locate(params, part,
+                                            digits[:, :part.xi_max])
 
 
 @pytest.mark.parametrize("name,levels", [
@@ -449,13 +359,13 @@ def test_own_cell_distance_at_least_nearest(request, name, levels):
     cloud = draw_cloud(params, 20_000, depth=60 if name == "d" else 40,
                        seed=77)
     pts = cloud.points
-    for k in levels:
-        part = enumerate_lambda_k(params, k)
-        _, own = locate(part, cloud)
+    parts = [enumerate_lambda_k(params, k) for k in levels]
+    for part, lengths in zip(parts, locate(parts, cloud)):
+        own = _distances(params, cloud, lengths)
         assert len(own) == cloud.size
         centres = lambda_codebook(part)
         assert np.all(own >= nearest_distances(pts, centres) - 1e-15)
-        est = r_k_diagnostic(part, cloud)
+        est = r_k_diagnostic(part, cloud, lengths)
         voronoi, _, floored = nearest_log_distortion(pts, centres,
                                                      DISTANCE_FLOOR)
         assert est.e_hat_est >= voronoi - 1e-12
@@ -465,8 +375,9 @@ def test_own_cell_distance_at_least_nearest(request, name, levels):
 def test_stderr_is_sample_std(cache_e, carpet_e):
     cloud = draw_cloud(carpet_e, 3 * _CHUNK + 11, seed=3)
     part = cache_e.partition(3)
-    logs = np.log(locate(part, cloud)[1])
-    est = r_k_diagnostic(part, cloud)
+    lengths = locate([part], cloud)[0]
+    logs = np.log(_distances(carpet_e, cloud, lengths))
+    est = r_k_diagnostic(part, cloud, lengths)
     assert est.e_hat_est == math.fsum(logs) / len(logs)
     assert est.stderr == pytest.approx(
         np.std(logs, ddof=1) / math.sqrt(len(logs)), rel=1e-12)
@@ -477,8 +388,8 @@ def test_shallow_cloud_refused(carpet_d):
     # leave one digit past them.
     part = enumerate_lambda_k(carpet_d, 4)
     with pytest.raises(ShallowCloudError, match="at least 59, got 40"):
-        locate(part, draw_cloud(carpet_d, 100, depth=40))
-    assert locate(part, draw_cloud(carpet_d, 100, depth=59))[0].all()
+        locate([part], draw_cloud(carpet_d, 100, depth=40))
+    assert locate([part], draw_cloud(carpet_d, 100, depth=59)).all()
     # On a 200 x 200 grid a prefix holds 8 digits; k = 5 has words of
     # length 10.
     with warnings.catch_warnings():
@@ -487,9 +398,31 @@ def test_shallow_cloud_refused(carpet_d):
             200, 200, {(0, 0): "1/2", (199, 199): "1/2"}))
     deep = enumerate_lambda_k(wide, 5)
     with pytest.raises(ShallowCloudError, match="packed prefix"):
-        locate(deep, draw_cloud(wide, 100, depth=40))
+        locate([deep], draw_cloud(wide, 100, depth=40))
     with pytest.raises(ValueError, match="bases"):
-        locate(deep, draw_cloud(carpet_d, 100, depth=40))
+        locate([deep], draw_cloud(carpet_d, 100, depth=40))
+
+
+def test_levels_walk_as_if_alone(carpet_d):
+    # A level's lengths do not depend on the levels walked beside it, in
+    # any order, repeated or not: each stops on its own threshold.
+    cloud = draw_cloud(carpet_d, 5000, depth=60, seed=11)
+    stats = {k: stopped_statistics(carpet_d, k) for k in (2, 3, 4)}
+    alone = {k: locate([s], cloud)[0] for k, s in stats.items()}
+    for ks in ((2, 3, 4), (4, 2, 3), (3, 3, 2)):
+        found = locate([stats[k] for k in ks], cloud)
+        for k, row in zip(ks, found):
+            assert np.array_equal(row, alone[k])
+
+
+def test_levels_too_short_refused(carpet_a, cloud_a):
+    # Levels whose longest words are one length short leave samples
+    # above a threshold when the walk's tables run out.
+    stats = stopped_statistics(carpet_a, 3)
+    assert locate([stats], cloud_a).max() == stats.xi_max
+    short = dataclasses.replace(stats, xi_max=stats.xi_max - 1)
+    with pytest.raises(ValueError, match="still above"):
+        locate([short], cloud_a)
 
 
 @pytest.mark.parametrize("name,levels", [
@@ -620,10 +553,16 @@ def test_exact_sum_is_fsum(values, size):
     assert _same_float(_exact_sum(arr), math.fsum(arr))
 
 
-def test_quantize_allocation_peaks(cache_a, carpet_a):
-    # Above the cloud, the own-cell pass at A k = 4 stays under the 0.71
-    # of two separate passes, location then distances (measured 0.56).
+def test_quantize_allocation_peaks(carpet_a):
+    # Above the cloud, one walk over the levels k = 2..5 allocates their
+    # lengths, a byte a sample each, and a chunk's scratch (measured
+    # 0.44 of the cloud); the own-cell pass at A k = 4 stays under the
+    # 0.71 of two separate passes, location then distances (measured
+    # 0.48).
     cloud = draw_cloud(carpet_a, 200_000, seed=5)
     cloud_bytes = cloud.prefix.nbytes + cloud.suffix.nbytes
-    _, peak = traced_peak(r_k_diagnostic, cache_a.partition(4), cloud)
+    levels = [stopped_statistics(carpet_a, k) for k in range(2, 6)]
+    found, peak = traced_peak(locate, levels, cloud)
+    assert peak < 0.55 * cloud_bytes
+    _, peak = traced_peak(r_k_diagnostic, levels[2], cloud, found[2])
     assert peak < 0.71 * cloud_bytes

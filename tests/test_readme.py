@@ -40,4 +40,4 @@ def test_readme_tour_prints_what_it_states():
                 assert out.getvalue().strip() == value, comment
                 checked.append(value)
     assert checked == ["0.9127134976190282", "1/9", "1701 7 8", "1", "True",
-                       "True", "1701 1458", "True", "True", "True", "0 0"]
+                       "True", "1701 1458", "True", "True", "True", "0"]

@@ -13,9 +13,9 @@ from carpetq import words as words_mod
 from carpetq.coding import build_antichain, verify_maximal_antichain
 from carpetq.partition import check_square_disjointness, enumerate_lambda_k
 from carpetq.words import (
-    WordColumns, WordError, block_predecessor, cell_indices,
-    class_entropy, ell, entropy_terms, family_stems, key_dtype, key_space, pending,
-    stem_columns, step, swap_tail,
+    WordColumns, WordError, block_predecessor, class_entropy, ell,
+    entropy_terms, family_stems, key_dtype, key_space, pending, stem_columns,
+    step, swap_tail,
 )
 from oracles import (
     CarpetWord, RowIndex, carpet_children, coding_predecessor, decode_key,
@@ -322,8 +322,8 @@ def test_keys_sort_and_look_up_as_bytes(carpet_a, carpet_d, carpet_e, data,
        draws=st.lists(st.integers(0, 5), min_size=1, max_size=20))
 def test_key_steps_match_word_oracles(carpet_a, carpet_d, carpet_e, data, h,
                                       pool, draws):
-    # The enumerator's step, both predecessors, the family stem and swap
-    # and the cell decode, on keys, against the same moves on words.
+    # The enumerator's step, both predecessors, and the family stem and
+    # swap, on keys, against the same moves on words.
     params = _carpet(data, (carpet_a, carpet_d, carpet_e))
     batch = _random_words(params, h, [pool[d % len(pool)] for d in draws])
     keys = keys_of(params, h, batch)
@@ -367,15 +367,6 @@ def test_key_steps_match_word_oracles(carpet_a, carpet_d, carpet_e, data, h,
               for w, d in zip(batch, draws)]
         same(swap_tail(params, h, stems, np.array(xs, np.uint8)), h,
              [swap_word_tail(params, w, x) for w, x in zip(batch, xs)])
-    if params.n ** l <= 2 ** 64 and params.m ** h <= 2 ** 64:
-        x, y = cell_indices(params, h, keys)
-        assert x.dtype == y.dtype == np.uint64
-        want_x, want_y = [], []
-        for w in batch:
-            sq = square_geometry(params, w)
-            want_x.append(int(sq.x_low / sq.width))
-            want_y.append(int(sq.y_low / sq.height))
-        assert (x.tolist(), y.tolist()) == (want_x, want_y)
 
 
 def _walks_agree(part, chain):
