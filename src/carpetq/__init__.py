@@ -25,12 +25,11 @@ thread count from is set; ``os.environ`` is left as it was.
 
 
 def _load_numpy_single_threaded() -> None:
-    # carpetq's only BLAS calls, draw_cloud's matrix-vector products, are
-    # cut below the size at which OpenBLAS hands work to a helper thread,
-    # so its helper pool never works here.  Yet OpenBLAS starts the pool
-    # when numpy loads it, and each helper spins before it sleeps, which
-    # about doubles the CPU time of the import.  The thread count is read
-    # only at that load, so the variable is removed again right after.
+    # carpetq makes no BLAS call, so OpenBLAS's helper pool never works
+    # here.  Yet OpenBLAS starts the pool when numpy loads it, and each
+    # helper spins before it sleeps, which about doubles the CPU time of
+    # the import.  The thread count is read only at that load, so the
+    # variable is removed again right after.
     import os
     import sys
     chosen = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

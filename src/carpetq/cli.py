@@ -9,13 +9,13 @@ printed to stderr as JSON); 2 means the invocation or config was
 unusable, a table to report on is malformed, or a work guard tripped.
 
 For a fixed config and seed every output byte is the same in every
-run.  The sample cloud does not depend on OpenBLAS's thread count: its
-matrix-vector products are cut into chunks that OpenBLAS runs on the
-calling thread.  ``quantize`` enumerates no level: each sample is
+run, and carpetq makes no BLAS call, so none depends on OpenBLAS's
+thread count.  ``quantize`` enumerates no level: each sample is
 measured against its own stopping cell, found from its digits by one
-walk for all levels, and the log distances and their squared
-deviations are exact sums, rounded once, equal to ``math.fsum``.  The
-small-ball bound is certified from the carpet's exact weights.
+pass for all levels that draws the cloud a chunk at a time, and the log
+distances and their squared deviations are exact sums, rounded once,
+equal to ``math.fsum``.  The small-ball bound is certified from the
+carpet's exact weights.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def load_config(path) -> RunConfig:
     depth = _require_int(raw, "depth", DEFAULT_DEPTH, MIN_TAIL)
     if depth > MAX_DEPTH:
         raise ConfigError(f"config key 'depth' must be <= {MAX_DEPTH}, "
-                          f"past which every digit weight is 0.0, got {depth}")
+                          f"the most digits drawn per sample, got {depth}")
     seed = _require_int(raw, "seed", DEFAULT_SEED, 0)
     outputs = raw.get("outputs", ["csv"])
     if (not isinstance(outputs, list)
@@ -375,7 +375,10 @@ def _stray_lengths(stats, lengths: np.ndarray) -> list:
     T (level, length) tests fail falsely with probability below
     T x 3.1e-8, under 1e-6 up to T = 32 (carpet A at k = 2..5 makes 8)."""
     L = stats.params.denom_lcm
-    counts = np.bincount(lengths, minlength=stats.xi_max + 1)
+    # bincount casts its input to intp, so it counts a slice at a time.
+    top = max(stats.xi_max, int(lengths.max())) + 1
+    counts = sum(np.bincount(lengths[lo:lo + (1 << 16)], minlength=top)
+                 for lo in range(0, len(lengths), 1 << 16))
     stray = []
     for h in sorted(set(stats.length_nu_sums)
                     | set(np.flatnonzero(counts).tolist())):
@@ -400,15 +403,15 @@ def cmd_quantize(ctx: _Ctx) -> None:
             raise ConfigError(f"quantize k={k}: {exc}") from exc
     cloud = draw_cloud(params, ctx.cfg.cloud_size, depth=ctx.cfg.depth,
                        seed=ctx.cfg.seed)
-    found = locate(list(known.values()), cloud)
+    found, distances = locate(list(known.values()), cloud)
     header = ["k", "phi_k", "lower_anchor", "upper_anchor", "e_hat_est",
               "stderr", "R_k"]
     rows = []
     detail = []
     gap_cap = math.log(math.sqrt(params.spec.n ** 2 + 1))
-    for (k, stats), lengths in zip(known.items(), found):
+    for (k, stats), lengths, dist in zip(known.items(), found, distances):
         ctx.level = k
-        diag = r_k_diagnostic(stats, cloud, lengths)
+        diag = r_k_diagnostic(stats, cloud, dist)
         if stray := _stray_lengths(stats, lengths):
             ctx.fail(command="quantize", k=k, check="length-shares",
                      detail="; ".join(

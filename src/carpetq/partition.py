@@ -235,18 +235,33 @@ def enumerate_lambda_k(
 class StoppedStats:
     """Exact aggregates of a partition, computed without materializing it:
     the per-length profile ``length_counts`` and ``length_nu_sums``, as on
-    ``WordColumns``, and the count, window and mass sums it gives."""
+    ``WordColumns``, and the count, window and mass sums derived from it."""
 
     params: DerivedParams
     k: int
-    phi_k: int
-    xi_min: int
-    xi_max: int
-    mass_total: Fraction
-    mass_len_total: Fraction
     entropy_sum: float
     length_counts: dict[int, int]
     length_nu_sums: dict[int, int]
+
+    @property
+    def phi_k(self) -> int:
+        return sum(self.length_counts.values())
+
+    @property
+    def xi_min(self) -> int:
+        return min(self.length_counts)
+
+    @property
+    def xi_max(self) -> int:
+        return max(self.length_counts)
+
+    @property
+    def mass_total(self) -> Fraction:
+        return mass_sums(self.params.denom_lcm, self.length_nu_sums)[0]
+
+    @property
+    def mass_len_total(self) -> Fraction:
+        return mass_sums(self.params.denom_lcm, self.length_nu_sums)[1]
 
 
 def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
@@ -331,8 +346,7 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
                 rel[nu, queue] += f * (below.get(child, 0.0) + log_f)
 
     return StoppedStats(
-        params, k, sum(counts.values()), min(counts), max(counts),
-        *mass_sums(L, nu_sums),
+        params, k,
         math.fsum(move[2] * rel[root] + move[2] * move[3]
                   for move, root in roots),
         counts, nu_sums)

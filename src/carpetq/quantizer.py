@@ -11,10 +11,13 @@ atoms and cannot certify anything on its own.
 
 Each sample is measured against the centre of its own stopping
 rectangle, found exactly from its digits by one walk for all levels,
-with no level's words enumerated.  By Graf and Luschgy's
+with no level's words enumerated, and its offset from that centre is
+read from its digits after the cell.  By Graf and Luschgy's
 cellwise decomposition of the geometric mean error, that own-cell error
 is an upper bound on the error of the nearest-centre (Voronoi)
-assignment to the same centres.
+assignment to the same centres.  The cloud is held as its seed: one
+pass draws its digits a chunk at a time, locates and measures them,
+and drops them.
 
 The small-ball bound mu(B(x, eps)) <= C eps^t, which the lower estimate
 of the error rests on, is certified without samples: per band of radii,
@@ -29,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measure import DerivedParams
+from .measure import CarpetSpec, DerivedParams
 from .partition import stopping_rule
 from .words import ell
 
@@ -54,21 +57,13 @@ __all__ = [
 
 DISTANCE_FLOOR = 1e-300     # clamp for an exactly zero own-cell distance
 
-MAX_DEPTH = 1074            # digit weights past this are 0.0 for n, m >= 2
+MAX_DEPTH = 1074            # most digits drawn per sample
 MIN_TAIL = 20               # cloud digits a located cell must leave unread
 
 _SHARD_ROWS = 1 << 15       # rows per sampling block, one generator each
-_GEMV_SIZE = 1 << 17        # most digit entries per matrix-vector product
-_CHUNK = 1 << 15            # cloud rows per walk, distance or sum batch
-
-
-def _places(base: int, limit: int = 1 << 63) -> int:
-    """The largest S with base^S < limit: by default the digits of a
-    packed prefix."""
-    places = 0
-    while base ** (places + 1) < limit:
-        places += 1
-    return places
+_CHUNK_DIGITS = 1 << 22     # most digits per walked chunk
+_DRAW_SIZE = 1 << 17        # most uniforms drawn at once
+_CHUNK = 1 << 15            # values per exact-sum batch
 
 
 class ShallowCloudError(ValueError):
@@ -79,38 +74,47 @@ class ShallowCloudError(ValueError):
 class SampleCloud:
     """Monte Carlo draw from the carpet measure, reproducible by seed.
 
-    Each sample is held as its digit expansion on both axes: ``prefix``
-    row 0 is the base-n integer of the first S_x x digits, row 1 the
-    base-m integer of the first S_y y digits, with S the largest count
-    whose base^S is below 2^63 (31 for base 4, 39 for base 3, 62 for
-    base 2); ``suffix`` holds the later digits of the ``depth`` drawn as
-    a fraction in [0, 1), so x = (prefix + suffix) * n^-S_x.  Digits
-    past ``depth`` are zero.
+    The cloud holds no sample: ``chunks`` draws the samples' digits
+    anew on each call, ``depth`` digits a sample, each the index of a
+    map of ``spec`` chosen by its weight.  Digits past ``depth`` are
+    zero.
     """
 
-    prefix: np.ndarray        # (2, size) uint64
-    suffix: np.ndarray        # (2, size) float64 in [0, 1)
-    bases: tuple[int, int]    # (n, m)
+    spec: CarpetSpec
+    size: int
     depth: int
     seed: int
 
     @property
-    def size(self) -> int:
-        return int(self.prefix.shape[1])
+    def bases(self) -> tuple[int, int]:
+        return self.spec.n, self.spec.m
 
-    def coordinate(self, axis: int) -> np.ndarray:
-        """Axis ``axis`` (0 for x, 1 for y) of the samples as a new
-        float64 array in [0, 1]."""
-        base = self.bases[axis]
-        out = self.prefix[axis].astype(np.float64)
-        out += self.suffix[axis]
-        out *= float(base) ** -_places(base)
-        return out
+    def chunks(self):
+        """Yield (first row, digits) for consecutive row ranges of the
+        cloud, ``digits`` their (depth, rows) ``uint8`` map indices,
+        digit-major, so one place's digits are one contiguous row.
 
-    @property
-    def points(self) -> np.ndarray:
-        """The samples as a new (size, 2) float64 array in [0, 1]^2."""
-        return np.stack([self.coordinate(0), self.coordinate(1)], axis=1)
+        Rows are drawn in fixed blocks of ``_SHARD_ROWS``, each by its
+        own generator seeded by (seed, block), so every call gives the
+        same digits.  Each block is split evenly into chunks of at most
+        ``_CHUNK_DIGITS`` digits, and a chunk's uniforms are drawn at
+        most ``_DRAW_SIZE`` at a time, in the generator's row order.
+        """
+        cum = np.cumsum([float(w) for w in self.spec.weights])
+        per_block = -(-_SHARD_ROWS * self.depth // _CHUNK_DIGITS)
+        step = -(-_SHARD_ROWS // per_block)
+        draw = max(1, _DRAW_SIZE // self.depth)
+        for lo in range(0, self.size, _SHARD_ROWS):
+            end = min(lo + _SHARD_ROWS, self.size)
+            rng = np.random.default_rng([int(self.seed), lo // _SHARD_ROWS])
+            for a in range(lo, end, step):
+                digits = np.empty((self.depth, min(step, end - a)),
+                                  dtype=np.uint8)
+                for b in range(0, digits.shape[1], draw):
+                    u = rng.random((min(draw, digits.shape[1] - b),
+                                    self.depth))
+                    digits[:, b:b + len(u)] = uniform_digits(u, cum).T
+                yield a, digits
 
 
 def uniform_digits(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
@@ -127,117 +131,55 @@ def uniform_digits(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
 def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
                seed: int = 0x5EED) -> SampleCloud:
     """Sample the measure by ``depth`` i.i.d. digits drawn from the map
-    weights.
-
-    Rows are drawn in fixed blocks, each with its own generator seeded
-    by (seed, block).  Each block is drawn and packed in row chunks, so
-    the (size, depth) digit matrix never exists.  Per axis, a chunk's
-    prefix is two float64 matrix-vector products over the digit values,
-    each exact because its every partial sum is an integer below 2^53,
-    joined as integers; its suffix is one more product.  A chunk is a
-    whole number of 64-row groups of at most 2^17 digits, small enough
-    that OpenBLAS computes its products on the calling thread, so no
-    helper thread spins between them and the suffixes do not depend on
-    OpenBLAS's thread count.  Digit weights past ``MAX_DEPTH`` are 0.0,
-    so a deeper draw is refused.
+    weights: a cloud of ``size`` samples, drawn a chunk at a time by
+    whatever walks it (``SampleCloud.chunks``), so no cloud-sized array
+    ever exists.  A depth outside [``MIN_TAIL``, ``MAX_DEPTH``] is
+    refused.
     """
     if size < 1:
         raise ValueError(f"need size >= 1, got {size}")
     if not MIN_TAIL <= depth <= MAX_DEPTH:
         raise ValueError(
             f"need {MIN_TAIL} <= depth <= {MAX_DEPTH}, got {depth}")
-    digits = params.spec.digits
-    cum = np.cumsum([float(w) for w in params.spec.weights])
-    # Per axis: digit values, then the column ranges and weights of the
-    # prefix's high and low parts and of the suffix, and the integer
-    # factors joining the parts.
-    axes = []
-    for axis, base in enumerate((params.n, params.m)):
-        places = _places(base)
-        kept = min(places, depth)
-        # The most digits whose value a float64 product sums exactly.
-        high = min(kept, _places(base, (1 << 53) + 1))
-        axes.append((
-            np.array([d[axis] for d in digits], dtype=np.float64),
-            high, kept, places,
-            np.power(float(base), np.arange(high - 1, -1, -1.0)),
-            np.power(float(base), np.arange(kept - high - 1, -1, -1.0)),
-            np.power(float(base), -np.arange(1.0, depth - places + 1)),
-            np.uint64(base ** (kept - high)), np.uint64(base ** (places - kept)),
-        ))
-    step = max(64, _GEMV_SIZE // depth // 64 * 64)
-    prefix = np.empty((2, size), dtype=np.uint64)
-    suffix = np.zeros((2, size), dtype=np.float64)
-    for lo in range(0, size, _SHARD_ROWS):
-        end = min(lo + _SHARD_ROWS, size)
-        rng = np.random.default_rng([int(seed), lo // _SHARD_ROWS])
-        for a in range(lo, end, step):
-            b = min(a + step, end)
-            idx = uniform_digits(rng.random((b - a, depth)), cum).astype(
-                np.intp)
-            for axis, (vals, high, kept, places, hw, lw, sw, join, pad) in (
-                    enumerate(axes)):
-                v = vals.take(idx)
-                top = (v[:, :high] @ hw).astype(np.uint64) * join
-                if kept > high:
-                    top += (v[:, high:kept] @ lw).astype(np.uint64)
-                prefix[axis, a:b] = top * pad
-                if depth > places:
-                    suffix[axis, a:b] = v[:, places:] @ sw
-    return SampleCloud(prefix=prefix, suffix=suffix,
-                       bases=(params.n, params.m), depth=depth, seed=seed)
+    return SampleCloud(spec=params.spec, size=size, depth=depth, seed=seed)
 
 
 def check_depth(params: DerivedParams, xi_max: int, depth: int) -> None:
     """Raise ``ShallowCloudError`` unless a cloud of ``depth`` digits can
-    locate words up to length ``xi_max``: every such word must sit inside
-    the packed prefixes and leave at least ``MIN_TAIL`` drawn digits
-    after it, or its samples' offsets would be cut short."""
-    if ell(params, xi_max) > _places(params.n) or xi_max > _places(params.m):
+    measure words up to length ``xi_max``: the larger side of their cells
+    must be at least 2^-511, so that its square is a normal float and a
+    squared offset does not underflow to zero, and the cloud must leave
+    at least ``MIN_TAIL`` drawn digits after them, or their samples'
+    offsets would be cut short."""
+    if min(params.n ** ell(params, xi_max), params.m ** xi_max) > 1 << 511:
         raise ShallowCloudError(
-            f"words of length {xi_max} are deeper than the packed prefix of "
-            f"{_places(params.n)} x digits and {_places(params.m)} y digits")
+            f"words of length {xi_max} have cells below 2^-511 a side, "
+            f"whose squared offsets underflow")
     if depth < xi_max + MIN_TAIL:
         raise ShallowCloudError(
             f"words of length {xi_max} need a cloud depth of at least "
             f"{xi_max + MIN_TAIL}, got {depth}")
 
 
-def _squared_offset(prefix: np.ndarray, suffix: np.ndarray, div: np.uint64,
-                    side: float) -> np.ndarray:
-    """The squared offsets, on one axis, of samples from the centres of
-    their cells: ``prefix`` and ``suffix`` are the samples' digits,
-    ``div`` the divisor down to the cells' digits and ``side`` the cells'
-    side."""
-    rest = prefix - prefix // div * div
-    # A remainder is below div < 2^63, so its int64 view is the same
-    # integer, and numpy converts int64 to float64 far faster than uint64.
-    off = rest.view(np.int64).astype(np.float64)
-    off += suffix
-    off /= float(div)
-    off -= 0.5
-    off *= side
-    off *= off
-    return off
-
-
-def locate(levels, cloud: SampleCloud) -> np.ndarray:
+def locate(levels, cloud: SampleCloud) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's stopping length at each of ``levels``, the
-    ``StoppedStats`` (or collected partitions) of one carpet, as a
-    (len(levels), size) ``uint8`` array.
+    ``StoppedStats`` (or collected partitions) of one carpet, and its
+    distance from the centre of its stopping cell there: two
+    (len(levels), size) arrays, the lengths' dtype the
+    ``np.min_scalar_type`` of the longest.
 
-    One walk over the digits, ``_CHUNK`` samples at a time, serves every
-    level.  Each step reads a sample's next y digit, and its next x
-    digit where ell rises, each as its cell index from one floor division
-    of the prefix (numpy divides by a multiply and a shift) less base
-    times the last.  ``stopping_rule`` turns the digits into a move, the
-    move the mass class into the next, and the class into the number of
+    One pass over the cloud's chunks serves every level.  The walk reads
+    each sample's y digit at each length h, and where ell rises to l
+    also its digit at place l, the cell it promotes; two small tables
+    turn those map indices into ``stopping_rule``'s move, the move turns
+    the mass class into the next, and the class gives the number of
     levels it is still above.  Level i stops at the first length where
     that number is at most the number of deeper levels.  A sample that
     has stopped at every level walks on from class 0, its number kept
-    at 0.  Raises ``ShallowCloudError`` when the levels' longest words
-    are too deep for the cloud, and ``ValueError`` when a sample is
-    still above a level's threshold past them.
+    at 0.  The chunk's distances follow (``_distances``) before the
+    next chunk is drawn.  Raises ``ShallowCloudError`` when the levels'
+    longest words are too deep for the cloud, and ``ValueError`` when a
+    sample is still above a level's threshold past them.
     """
     params = levels[0].params
     n, m = params.n, params.m
@@ -248,43 +190,97 @@ def locate(levels, cloud: SampleCloud) -> np.ndarray:
     check_depth(params, depth, cloud.depth)
     ks = [level.k for level in levels]
     codes, steps = stopping_rule(params, ks, depth)
+    # numpy gathers by intp indices several times faster than by smaller
+    # ones, and by one flat index array faster than by two.
+    steps = [(rises, table.astype(np.intp), above)
+             for rises, table, above in steps]
     deeper = [sum(j > k for j in ks) for k in ks]
-    found = np.ones((len(levels), cloud.size), dtype=np.uint8)
-    for lo in range(0, cloud.size, _CHUNK):
-        rows = slice(lo, lo + _CHUNK)
-        (px, py), out = cloud.prefix[:, rows], found[:, rows]
-        cls = np.zeros(len(px), dtype=np.intp)
-        live = np.full(len(px), len(ks), dtype=steps[0][2].dtype)
-        xcell, ycell = np.zeros((2, len(px)), dtype=np.uint64)
-        pending = {}            # the y digits not yet in a cell, by place
+    # Per map index, its x and y digit.  The move of a step that keeps
+    # ell is that of its y digit b; of one that promotes the cell a, at
+    # a * maps + b.
+    xd, yd = np.array(cloud.spec.digits, dtype=np.intp).T
+    maps = np.intp(len(xd))
+    moves = {False: codes[False].astype(np.intp)[yd],
+             True: codes[True].astype(np.intp)[
+                 ((xd * m + yd) * m)[:, None] + yd].ravel()}
+    ells = [ell(params, h) for h in range(depth + 1)]
+    dtype = np.min_scalar_type(depth)
+    # Per axis: digit values, base, and each length's cell digit count.
+    axes = ((xd.astype(np.float64), n, np.array(ells, dtype=dtype)),
+            (yd.astype(np.float64), m, np.arange(depth + 1, dtype=dtype)))
+    lengths = np.ones((len(ks), cloud.size), dtype=dtype)
+    distances = np.empty((len(ks), cloud.size))
+    for lo, digits in cloud.chunks():
+        span = slice(lo, lo + digits.shape[1])
+        found = lengths[:, span]
+        cls = np.zeros(digits.shape[1], dtype=np.intp)
+        live = np.full(digits.shape[1], len(ks), dtype=steps[0][2].dtype)
         for h, (rises, table, above) in enumerate(steps, 1):
-            cell = py // np.uint64(m ** (_places(m) - h))
-            pending[h] = (cell - ycell * np.uint64(m)).astype(np.uint8)
-            ycell = cell
-            code = pending[h].astype(np.uint64)
+            code = digits[h - 1].astype(np.intp)
             if rises:
-                l = ell(params, h)
-                cell = px // np.uint64(n ** (_places(n) - l))
-                code += ((cell - xcell * np.uint64(n)) * np.uint64(m)
-                         + pending.pop(l)) * np.uint64(m)
-                xcell = cell
-            move = codes[rises].take(code.view(np.int64))
-            # One flat index: numpy gathers by one index array far faster.
-            cls = table.take(cls * np.intp(table.shape[1]) + move)
+                code += np.multiply(digits[ells[h] - 1], maps, dtype=np.intp)
+            cls = table.take(cls * np.intp(table.shape[1])
+                             + moves[rises].take(code))
             np.minimum(above.take(cls), live, out=live)
             if not live.any():
                 break
-            for lengths, r in zip(out, deeper):
-                lengths += live > r
+            for row, r in zip(found, deeper):
+                row += live > r
         else:
             raise ValueError(f"samples still above a level's threshold "
                              f"past its longest words, at length {depth}")
-    return found
+        distances[:, span] = _distances(found, digits, axes)
+    return lengths, distances
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """The correctly rounded sum of finite float64 ``values``: the float
-    ``math.fsum`` returns, computed in bounded chunks.
+def _distances(found: np.ndarray, digits: np.ndarray, axes) -> np.ndarray:
+    """The distance from each sample of a chunk to the centre of its cell
+    at each level, given the chunk's (levels, rows) stopping lengths
+    ``found``, its digit-major ``digits`` and ``locate``'s ``axes``.
+
+    The offset is read in cell-local coordinates from the digits after
+    the cell.  Per axis, one backward Horner pass from the last drawn
+    digit, T_c = (d_{c+1} + T_{c+1}) / base, gives each sample's
+    position T_c in [0, 1) within its cell of c digits, for every c in
+    turn, and each (level, sample) entry, sorted by length, takes the
+    T_c of its own cell.  The distance is the root of the two offsets'
+    squares, (T_c - 1/2) times the cell's side on each axis, so its
+    precision does not depend on the depth of the cell while the squares
+    are normal floats; ``check_depth`` refuses cells below 2^-511 a
+    side, whose squares are not.
+    """
+    rows = found.shape[1]
+    flat = found.ravel()
+    order = np.argsort(flat, kind="stable")
+    # start[h]: the sorted entries shorter than h.  Per axis, those whose
+    # cell has c digits lie at edges[c]:edges[c + 1].
+    start = np.concatenate(([0], np.cumsum(np.bincount(
+        flat, minlength=len(axes[0][2])))))
+    edges = [start[np.searchsorted(cells, np.arange(len(digits) + 1))]
+             for _, _, cells in axes]
+    pos = np.zeros((len(axes), rows))
+    total = np.zeros(len(flat))
+    # The shortest word's x cell is the shallowest cell read.
+    for c in range(len(digits) - 1, int(axes[0][2][flat.min()]) - 1, -1):
+        place = digits[c].astype(np.intp)
+        for (values, base, _), edge, at in zip(axes, edges, pos):
+            at += values.take(place)
+            at /= base
+            a, b = edge[c], edge[c + 1]
+            if a < b:
+                entries = order[a:b]
+                off = at.take(entries % rows)
+                off -= 0.5
+                off *= float(base) ** -c
+                off *= off
+                total[entries] += off
+    return np.sqrt(total, out=total).reshape(found.shape)
+
+
+def _exact_sum(chunks) -> float:
+    """The correctly rounded sum of the finite float64 values in
+    ``chunks``, arrays of at most ``_CHUNK`` values each: the float
+    ``math.fsum`` returns.
 
     Each value is q * 2^(e - 53) with q = frexp mantissa * 2^53, an
     integer below 2^53 in magnitude.  Per chunk, the high and low 26-bit
@@ -296,8 +292,8 @@ def _exact_sum(values: np.ndarray) -> float:
     # exponent b - 1073, so its values are q * 2^(b - 1126).
     high = np.zeros(2098, dtype=np.int64)
     low = np.zeros(2098, dtype=np.int64)
-    for lo in range(0, len(values), _CHUNK):
-        mant, exp = np.frexp(values[lo:lo + _CHUNK])
+    for values in chunks:
+        mant, exp = np.frexp(values)
         q = np.ldexp(mant, 53).astype(np.int64)
         exp += 1073
         high += np.bincount(exp, weights=q >> 26, minlength=2098).astype(
@@ -344,47 +340,17 @@ class QuantDiagnostics:
         return self.upper_anchor - self.lower_anchor
 
 
-def _distances(params: DerivedParams, cloud: SampleCloud,
-               lengths: np.ndarray) -> np.ndarray:
-    """The distance from each sample to the centre of its own cell, given
-    its stopping length, a ``_CHUNK`` of samples at a time.  A length-h
-    cell's indices X < n^ell(h) and Y < m^h are the floor quotients
-    P // d of the prefixes P by d = base^(S - digits), and the offset
-    from its centre is read in cell-local coordinates from the remainder:
-    (P - X * d + suffix) / d - 1/2 cell sides on each axis, so it keeps
-    full float precision at any cell depth.  The distance is the root of
-    the two offsets' squares, each scaled by its cell side.
-    """
-    out = np.empty(cloud.size)
-    for lo in range(0, cloud.size, _CHUNK):
-        span = slice(lo, lo + _CHUNK)
-        prefix, suffix = cloud.prefix[:, span], cloud.suffix[:, span]
-        at, dist = lengths[span], out[span]
-        for h in np.flatnonzero(np.bincount(at)).tolist():
-            rows = np.flatnonzero(at == h)
-            x, y = (_squared_offset(
-                p.take(rows), s.take(rows),
-                np.uint64(base ** (_places(base) - digits)),
-                float(base) ** -digits)
-                for p, s, base, digits in zip(
-                    prefix, suffix, (params.n, params.m),
-                    (ell(params, h), h)))
-            x += y
-            dist[rows] = np.sqrt(x, out=x)
-    return out
-
-
 def r_k_diagnostic(level, cloud: SampleCloud,
-                   lengths: np.ndarray) -> QuantDiagnostics:
+                   distances: np.ndarray) -> QuantDiagnostics:
     """Exact anchors plus a Monte Carlo own-cell distortion estimate for
     one level, given its ``StoppedStats`` (or collected partition) and
-    its row of ``locate``.  The anchors are float sums over the level's
-    exact per-length masses; the estimate is the mean log distance from
-    the samples to their own cells' centres (``_distances``), with an
+    its row of ``locate``'s distances.  The anchors are float sums over
+    the level's exact per-length masses; the estimate is the mean log
+    distance from the samples to their own cells' centres, with an
     exactly zero distance clamped at ``DISTANCE_FLOOR`` and counted.
-    The logs, then their squared deviations from the mean, formed in
-    place a chunk at a time, are added by an exact sum, rounded once,
-    the float ``math.fsum`` gives.
+    The logs, then their squared deviations from the mean, formed a
+    chunk at a time, are added by an exact sum, rounded once, the float
+    ``math.fsum`` gives.
     """
     params = level.params
     L = params.denom_lcm
@@ -395,16 +361,16 @@ def r_k_diagnostic(level, cloud: SampleCloud,
         mass_h = float(Fraction(nu_sum, L ** h))
         lower += mass_h * (-h * log_m)
         upper += mass_h * diameter_log(params, h)
-    logs = _distances(params, cloud, lengths)
-    size = len(logs)
-    floored = int(np.count_nonzero(logs < DISTANCE_FLOOR))
-    np.log(np.maximum(logs, DISTANCE_FLOOR, out=logs), out=logs)
-    est = _exact_sum(logs) / size
-    for lo in range(0, size, _CHUNK):
-        dev = logs[lo:lo + _CHUNK]
-        dev -= est
-        dev *= dev
-    sd = math.sqrt(_exact_sum(logs) / (size - 1)) if size > 1 else 0.0
+    size = len(distances)
+
+    def logs():
+        for lo in range(0, size, _CHUNK):
+            yield np.log(np.maximum(distances[lo:lo + _CHUNK],
+                                    DISTANCE_FLOOR))
+
+    est = _exact_sum(logs()) / size
+    sd = (math.sqrt(_exact_sum(np.square(x - est) for x in logs())
+                    / (size - 1)) if size > 1 else 0.0)
     return QuantDiagnostics(
         k=level.k,
         phi_k=level.phi_k,
@@ -413,7 +379,7 @@ def r_k_diagnostic(level, cloud: SampleCloud,
         e_hat_est=est,
         stderr=sd / math.sqrt(size),
         r_k=math.log(level.phi_k) / params.s0 + est,
-        floored=floored,
+        floored=int(np.count_nonzero(distances < DISTANCE_FLOOR)),
         cloud_size=cloud.size,
         seed=cloud.seed,
     )

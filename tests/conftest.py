@@ -1,4 +1,4 @@
-"""Shared fixtures: four reference carpets and cached level data.
+"""Shared fixtures: the reference carpets and cached level data.
 
 Carpet A is the workhorse (three maps, uniform weights, theta < 1).
 Carpet B puts both maps in one column, so the column marginal is
@@ -9,7 +9,9 @@ many replacement stages; it triggers the small-grid warning by design.
 Carpet E (5x3, four maps of three different weights) pins the
 partition's per-length entropy grouping: at k = 2 one correctly rounded
 total over all lengths differs in the last bit from math.fsum over the
-rounded per-length sums.
+rounded per-length sums.  The skewed carpet puts D's cells at 99/100 and
+1/100, so its k = 1 words run from length 3 to 917.  The 20-map carpet
+fills every other cell of a 9 x 7 grid.
 """
 
 import os
@@ -52,6 +54,21 @@ def carpet_c():
 @pytest.fixture(scope="session")
 def carpet_d():
     return _derive(4, 2, {(0, 0): "3/4", (2, 1): "1/4"})
+
+
+@pytest.fixture(scope="session")
+def carpet_skewed():
+    # Carpet D's cells with weights 99/100 and 1/100: at k = 1 the
+    # heavy branch runs 917 digits deep before it stops.
+    return _derive(4, 2, {(0, 0): "99/100", (2, 1): "1/100"})
+
+
+@pytest.fixture(scope="session")
+def carpet_many():
+    # Twenty maps on a 9 x 7 grid, weighted 1/210 to 20/210: a move
+    # index a * 20 + b of the walk runs to 399, past a uint8.
+    cells = [(i, j) for i in range(0, 9, 2) for j in range(0, 7, 2)]
+    return _derive(9, 7, {c: f"{w}/210" for w, c in enumerate(cells, 1)})
 
 
 @pytest.fixture(scope="session")

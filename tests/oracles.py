@@ -4,9 +4,10 @@ The library stores words only as integer keys (see ``carpetq.words``).
 Here a word is a ``CarpetWord`` of digit-pair and tail tuples with an
 exact ``Fraction`` mass and exact rectangle, and a store's keys decode
 to byte rows of its digits, so the tests can check the key kernels
-against an independent and plainly correct route.  The
-KD-tree nearest-centre estimator lives here too: the library's own-cell
-distances must never fall below its distances; so do the sampled ball
+against an independent and plainly correct route.  The samples'
+points, which the library never forms, and the KD-tree nearest-centre
+estimator live here too: the library's own-cell distances must never
+fall below the estimator's distances; so do the sampled ball
 masses, which must sit below the library's exact ball certificate, and
 a ``tracemalloc`` peak probe.  Nothing in the library or the command
 line reaches this module.
@@ -29,7 +30,7 @@ from carpetq.coding import (
     xi_sequence,
 )
 from carpetq.measure import DerivedParams
-from carpetq.quantizer import _SHARD_ROWS, SampleCloud, uniform_digits
+from carpetq.quantizer import _SHARD_ROWS, uniform_digits
 from carpetq import words as key_words
 from carpetq.words import WordError, ell, entropy_terms, member
 
@@ -701,15 +702,51 @@ def check_phi_growth(earlier, later) -> bool:
 
 def sample_digit_matrix(params: DerivedParams, count: int, depth: int,
                         seed: int) -> np.ndarray:
-    """The digit-index matrix of shape (count, depth) that ``draw_cloud``
-    turns into points, in one array: rows in blocks of ``_SHARD_ROWS``,
-    block b drawn by the generator seeded by (seed, b)."""
+    """The map-index digit matrix of shape (count, depth) that
+    ``draw_cloud``'s chunks hold, in one array: rows in blocks of
+    ``_SHARD_ROWS``, block b drawn by the generator seeded by (seed, b)."""
     cum = np.cumsum([float(w) for w in params.spec.weights])
     out = np.empty((count, depth), dtype=np.uint8)
     for block, lo in enumerate(range(0, count, _SHARD_ROWS)):
         hi = min(lo + _SHARD_ROWS, count)
         u = np.random.default_rng([int(seed), block]).random((hi - lo, depth))
         out[lo:hi] = uniform_digits(u, cum)
+    return out
+
+
+def sample_points(params: DerivedParams, count: int, depth: int,
+                  seed: int) -> np.ndarray:
+    """The samples of ``sample_digit_matrix`` as a (count, 2) float64
+    array of points in [0, 1]^2, by float Horner steps from the last
+    digit on each axis."""
+    cells = np.array(params.spec.digits, dtype=np.float64)
+    mat = sample_digit_matrix(params, count, depth, seed)
+    pts = np.zeros((count, 2))
+    for t in range(depth - 1, -1, -1):
+        pts += cells.take(mat[:, t], axis=0)
+        pts /= (params.n, params.m)
+    return pts
+
+
+def own_cell_distances(params: DerivedParams, digits: np.ndarray,
+                       lengths) -> list[float]:
+    """The distance from each sample (a map-index digit row) to the
+    centre of its cell of the given length: the root of the exact
+    squared distance rounded to a float.  A length-h cell holds the
+    first ell(h) x digits and the first h y digits; the digits after
+    them place the sample in it."""
+    cells = params.spec.digits
+    out = []
+    for row, h in zip(digits.tolist(), lengths):
+        square = Fraction(0)
+        for axis, (base, places) in enumerate(
+                ((params.n, ell(params, h)), (params.m, h))):
+            tail = 0
+            for d in row[places:]:
+                tail = tail * base + cells[d][axis]
+            offset = Fraction(tail, base ** (len(row) - places)) - Fraction(1, 2)
+            square += (offset / base ** places) ** 2
+        out.append(math.sqrt(square))
     return out
 
 
@@ -759,15 +796,17 @@ def brute_locate(params: DerivedParams, store, digits: np.ndarray
     """The stopping length of each sample, given its map-index digit row
     (``sample_digit_matrix``): the one length h whose word spelled by
     the sample's first h digits is a row of ``store``; 0 when there is
-    none or more than one."""
+    none or more than one.  That word's row is the interleaved digits of
+    the sample's first ell(h) cells, then its y digits up to place h."""
     rows = store_rows(store)
     cells = params.spec.digits
+    ells = {h: ell(params, h) for h in rows}
     found = []
     for row in digits.tolist():
-        address = [cells[d] for d in row]
-        hits = [h for h in rows
-                if encode_word(word_from_digits(params, address, h))
-                in rows[h]]
+        pairs = bytes(v for d in row for v in cells[d])
+        ys = bytes(cells[d][1] for d in row)
+        hits = [h for h, l in ells.items()
+                if pairs[:2 * l] + ys[l:h] in rows[h]]
         found.append(hits[0] if len(hits) == 1 else 0)
     return found
 
@@ -777,23 +816,23 @@ def brute_locate(params: DerivedParams, store, digits: np.ndarray
 _SLAB_PAD = 2.0 ** -40      # slab widening, far above the rounding of dx
 
 
-def whole_cloud_ball_check(cloud: SampleCloud) -> np.ndarray:
-    """The sampled ball masses: the share of the cloud within radius
-    m^-h of each of its first 100 samples, as a (100, 7) array whose
-    column h - 2 holds h = 2, ..., 8.  By one sweep over the whole cloud
+def whole_cloud_ball_check(points: np.ndarray, m: int) -> np.ndarray:
+    """The sampled ball masses: the share of the ``points`` within
+    radius m^-h of each of the first 100, as a (100, 7) array whose
+    column h - 2 holds h = 2, ..., 8.  By one sweep over all points
     sorted by x: each centre's slab within the widest radius, and within
     it each radius's sub-slab, found by binary search and widened by far
     more than the rounding of dx, and in it the points whose squared
     distance is at most r^2 counted, as a KD-tree's ball query counts
     them."""
     centers = 100
-    radii = [float(cloud.bases[1]) ** -h for h in range(2, 9)]
-    by_x = np.argsort(cloud.coordinate(0))
-    xs = cloud.coordinate(0)[by_x]
-    ys = cloud.coordinate(1)[by_x]
+    radii = [float(m) ** -h for h in range(2, 9)]
+    by_x = np.argsort(points[:, 0])
+    xs = points[by_x, 0]
+    ys = points[by_x, 1]
     widest = max(radii)
     counts = np.zeros((centers, len(radii)), dtype=np.int64)
-    for i, (px, py) in enumerate(cloud.points[:centers].tolist()):
+    for i, (px, py) in enumerate(points[:centers].tolist()):
         lo, hi = np.searchsorted(
             xs, [px - widest - _SLAB_PAD, px + widest + _SLAB_PAD]).tolist()
         d2 = (xs[lo:hi] - px) ** 2 + (ys[lo:hi] - py) ** 2
@@ -801,7 +840,7 @@ def whole_cloud_ball_check(cloud: SampleCloud) -> np.ndarray:
             a, b = np.searchsorted(
                 xs[lo:hi], [px - r - _SLAB_PAD, px + r + _SLAB_PAD]).tolist()
             counts[i, j] = np.count_nonzero(d2[a:b] <= r * r)
-    return counts / cloud.size
+    return counts / len(points)
 
 
 # -- allocation peaks ----------------------------------------------------------

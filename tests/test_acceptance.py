@@ -28,8 +28,8 @@ from carpetq.sequences import compute_d_k, compute_s_k, d_k_bound, delta_k, \
 from carpetq.words import ell
 from conftest import run_commands
 from oracles import (
-    flat_predecessor, replay_stages, store_rows, whole_cloud_ball_check,
-    word_mass, words,
+    flat_predecessor, replay_stages, sample_points, store_rows,
+    whole_cloud_ball_check, word_mass, words,
 )
 
 
@@ -205,8 +205,8 @@ def test_criterion_6_quantization_sandwich(carpet_a, parts_a, cloud_m):
     gap_cap = math.log(math.sqrt(17))
     r_values = []
     levels = [parts_a[k] for k in range(2, 7)]
-    for level, lengths in zip(levels, locate(levels, cloud_m)):
-        diag = r_k_diagnostic(level, cloud_m, lengths)
+    for level, dists in zip(levels, locate(levels, cloud_m)[1]):
+        diag = r_k_diagnostic(level, cloud_m, dists)
         assert diag.e_hat_est <= diag.upper_anchor + 3 * diag.stderr
         assert 0 < diag.anchor_gap <= gap_cap + 1e-12
         r_values.append(diag.r_k)
@@ -218,8 +218,7 @@ def test_criterion_6_quantization_sandwich(carpet_a, parts_a, cloud_m):
                  f"R_k drift |{slope:.4f}| < 3 x {se:.4f} ({elapsed:.1f}s)")
 
 
-def test_criterion_7_ball_bound(carpet_a, carpet_b, carpet_d, carpet_e,
-                                cloud_m):
+def test_criterion_7_ball_bound(carpet_a, carpet_b, carpet_d, carpet_e):
     # The certificate holds on every band; the sampled masses at the
     # cloud's first 100 points and radii m^-2..m^-8 sit below each band's
     # certified mass bound, up to a three sigma binomial allowance and
@@ -230,23 +229,21 @@ def test_criterion_7_ball_bound(carpet_a, carpet_b, carpet_d, carpet_e,
     for name, params in (("A", carpet_a), ("D", carpet_d), ("E", carpet_e)):
         report = ball_bound_check(params)
         assert not report.skipped and report.ok and report.max_ratio < 1
-        cloud = cloud_m if name == "A" else draw_cloud(
-            params, 1_000_000, depth=40, seed=0x5EED)
-        swept = whole_cloud_ball_check(cloud)
-        tree = cKDTree(cloud.points)
+        points = sample_points(params, 1_000_000, 40, 0x5EED)
+        swept = whole_cloud_ball_check(points, params.m)
+        tree = cKDTree(points)
         worst[name] = 0.0
         for col, h in enumerate(range(2, 9)):
             counts = tree.query_ball_point(
-                cloud.points[:100], r=float(params.m) ** -h,
-                return_length=True)
-            frac = counts / cloud.size
+                points[:100], r=float(params.m) ** -h, return_length=True)
+            frac = counts / len(points)
             assert frac.tolist() == swept[:, col].tolist()
             l = ell(params, h)
             square = float(params.p_max ** l * params.q_max ** (h - l))
-            sigma = np.sqrt(frac * (1 - frac) / cloud.size)
-            assert np.all(frac <= 9 * square + 3 * sigma + 1 / cloud.size)
+            sigma = np.sqrt(frac * (1 - frac) / len(points))
+            assert np.all(frac <= 9 * square + 3 * sigma + 1 / len(points))
             worst[name] = max(worst[name], float(np.max(frac)) / square)
-        del tree, cloud
+        del tree, points
     assert worst["D"] > 1
 
     skipped = ball_bound_check(carpet_b)

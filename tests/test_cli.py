@@ -549,7 +549,7 @@ def test_exact_outputs_frozen_carpet_d(tmp_path):
 # cloud, every sample's located cell and own-cell distance (through the
 # mean and the stderr) and the ball certificate's worst ratio.
 _FROZEN_QUANTIZE = {
-    "A": ("ac6f0e573d2cd560ed70ca46a05fbb82acbe8fa08b5e75a93620a63e19fa899d",
+    "A": ("9a19017a1ef3cfb0e93ca2ea5803590db7607373f5e9c1cb064d934c06c25e49",
           "c2b5cfb36bea29d2810facad3c7965d714d944dbb35ace96468ceb06c54cebec"),
     "D": ("02c06606b5f9c6b63cad9e62c807d17cb367004898fe19d2611ba31bf85ddee8",
           "86ca6c7f9ef0ae8b4beeed277448487125b7ac07c17e0c73724f3cacc40f9996"),
@@ -616,6 +616,22 @@ def test_shallow_cloud_guard_exits_2(tmp_path, capsys, monkeypatch):
                  "at least 49, got 40"}
     assert draws == []
     assert "quantize k=" not in captured.out
+
+
+@pytest.mark.filterwarnings("ignore:grid factor")
+def test_underflowing_cells_exit_2(tmp_path, capsys):
+    # Carpet D's cells at 99/100 and 1/100 have k = 1 words of length
+    # 917, cells 2^-916 across: however deep the cloud, their squared
+    # offsets would underflow to zero, so quantize refuses the level
+    # rather than floor its samples.
+    cfg = _config(tmp_path, n=4, m=2, maps=[
+        {"i": 0, "j": 0, "p": "99/100"}, {"i": 2, "j": 1, "p": "1/100"}],
+        k_min=1, k_max=1, cloud_size=2000, depth=937)
+    assert main(["quantize", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "quantize k=1: words of length 917 have cells below "
+                 "2^-511 a side, whose squared offsets underflow"}
 
 
 @pytest.mark.filterwarnings("ignore:grid factor")

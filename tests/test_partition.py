@@ -1,9 +1,9 @@
 """Stopping-set enumeration: exactness, aggregates, samplers, checks."""
 
+import dataclasses
 import hashlib
 import math
 import sys
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -91,16 +91,6 @@ WALK_DIGESTS = {
     ("skewed", 1): ("cbb6a2b947b46872c0982a0173030f1a76da82b572011474199484656b2bbffc",
                      "-0x1.5c742bc065c25p+3"),
 }
-
-
-@pytest.fixture(scope="module")
-def carpet_skewed():
-    # Carpet D's cells with weights 99/100 and 1/100: at k = 1 the
-    # heavy branch runs 917 digits deep before it stops.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return derive_params(CarpetSpec.of(
-            4, 2, {(0, 0): "99/100", (2, 1): "1/100"}))
 
 
 def _brute_lambda_k(params, k):
@@ -310,6 +300,24 @@ def test_dp_matches_enumeration(carpet_a, carpet_b, carpet_c, carpet_d,
             assert stats.xi_max == part.xi_max
             assert stats.entropy_sum == pytest.approx(
                 part.entropy_sum, abs=1e-9)
+
+
+def test_stopped_totals_follow_profile(carpet_a):
+    # The count, window and mass sums are read from the profile, so a
+    # replaced profile carries no stale total.
+    stats = stopped_statistics(carpet_a, 2)
+    L, h = carpet_a.denom_lcm, stats.xi_min
+    assert stats.mass_total == 1
+    sums = {g: s for g, s in stats.length_nu_sums.items() if g != h}
+    dropped = dataclasses.replace(stats, length_nu_sums=sums)
+    assert dropped.mass_total == 1 - Fraction(
+        stats.length_nu_sums[h], L ** h)
+    assert dropped.mass_len_total == stats.mass_len_total - h * Fraction(
+        stats.length_nu_sums[h], L ** h)
+    counts = {g: c for g, c in stats.length_counts.items() if g != h}
+    short = dataclasses.replace(stats, length_counts=counts)
+    assert (short.phi_k, short.xi_min, short.xi_max) == (
+        stats.phi_k - stats.length_counts[h], h + 1, stats.xi_max)
 
 
 def test_store_aggregates_recount(carpet_a, carpet_c, carpet_d,

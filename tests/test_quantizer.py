@@ -19,15 +19,16 @@ import carpetq
 from carpetq import CarpetSpec, derive_params
 from carpetq.partition import enumerate_lambda_k, stopped_statistics
 from carpetq.quantizer import (
-    _CHUNK, DISTANCE_FLOOR, MAX_DEPTH, SampleCloud, ShallowCloudError,
-    _distances, _exact_sum, ball_bound_check, diameter_log, draw_cloud,
-    locate, r_k_diagnostic, uniform_digits,
+    _CHUNK, _CHUNK_DIGITS, _SHARD_ROWS, DISTANCE_FLOOR, MAX_DEPTH,
+    SampleCloud, ShallowCloudError, _exact_sum, ball_bound_check,
+    check_depth, diameter_log, draw_cloud, locate, r_k_diagnostic,
+    uniform_digits,
 )
 from carpetq.words import ell
 from oracles import (
     brute_locate, key_rows, lambda_codebook, nearest_distances,
-    nearest_log_distortion, sample_digit_matrix, square_geometry,
-    traced_peak, word_at,
+    nearest_log_distortion, own_cell_distances, sample_digit_matrix,
+    sample_points, square_geometry, traced_peak, word_at,
 )
 
 
@@ -38,16 +39,20 @@ def cloud_a(carpet_a):
 
 def _diagnose(level, cloud):
     # One level's diagnostics, located on its own.
-    return r_k_diagnostic(level, cloud, locate([level], cloud)[0])
+    return r_k_diagnostic(level, cloud, locate([level], cloud)[1][0])
+
+
+def _drawn(cloud):
+    # The cloud's digits as one (size, depth) matrix, in row order.
+    return np.concatenate([digits.T for _, digits in cloud.chunks()])
 
 
 def test_draw_cloud_deterministic(carpet_a, cloud_a):
     again = draw_cloud(carpet_a, 120_000, depth=40, seed=0x5EED)
-    assert np.array_equal(cloud_a.prefix, again.prefix)
-    assert np.array_equal(cloud_a.suffix, again.suffix)
-    assert np.array_equal(cloud_a.points, again.points)
+    assert again == cloud_a
+    assert np.array_equal(_drawn(cloud_a), _drawn(again))
     other = draw_cloud(carpet_a, 120_000, depth=40, seed=7)
-    assert not np.array_equal(cloud_a.prefix, other.prefix)
+    assert not np.array_equal(_drawn(cloud_a), _drawn(other))
 
 
 def test_draw_cloud_validation(carpet_a):
@@ -61,21 +66,43 @@ def test_draw_cloud_validation(carpet_a):
         draw_cloud(carpet_a, 10, threads=2)
 
 
-def test_cloud_in_unit_square(cloud_a):
-    assert cloud_a.points.shape == (120_000, 2)
-    assert cloud_a.points.min() >= 0.0
-    assert cloud_a.points.max() <= 1.0
-    assert cloud_a.suffix.min() >= 0.0 and cloud_a.suffix.max() < 1.0
+@pytest.mark.parametrize("size,depth", [
+    (120_000, 40), (70_001, 136), (40_000, 937), (5, MAX_DEPTH)])
+def test_cloud_chunks_bounded(carpet_a, size, depth):
+    # The cloud holds no sample; its chunks run over the rows in order,
+    # each digit-major, inside one sampling block, and of at most
+    # _CHUNK_DIGITS digits, so an even split of each block.
+    cloud = draw_cloud(carpet_a, size, depth=depth, seed=3)
+    assert [f.name for f in dataclasses.fields(cloud)] == [
+        "spec", "size", "depth", "seed"]
+    row = 0
+    for lo, digits in cloud.chunks():
+        assert lo == row and digits.dtype == np.uint8
+        assert digits.flags.c_contiguous and len(digits) == depth
+        assert digits.size <= _CHUNK_DIGITS
+        assert lo // _SHARD_ROWS == (lo + digits.shape[1] - 1) // _SHARD_ROWS
+        row += digits.shape[1]
+    assert row == size
+
+
+def test_cloud_in_unit_square(carpet_a, cloud_a):
+    # Every drawn digit indexes a map, so every sample is a point of the
+    # carpet, in the unit square.
+    assert _drawn(cloud_a).max() < len(carpet_a.spec.digits)
+    pts = sample_points(carpet_a, 120_000, 40, 0x5EED)
+    assert pts.shape == (120_000, 2)
+    assert pts.min() >= 0.0 and pts.max() <= 1.0
 
 
 def test_cloud_marginals(carpet_a, cloud_a):
     # Maps with i = 0 carry mass 2/3, so two thirds of the cloud lands
     # in the left half strip.
-    left = float(np.mean(cloud_a.points[:, 0] < 0.5))
+    cells = np.array(carpet_a.spec.digits)[_drawn(cloud_a)[:, 0]]
+    left = float(np.mean(cells[:, 0] < 2))
     se = math.sqrt((2 / 3) * (1 / 3) / cloud_a.size)
     assert abs(left - 2 / 3) < 4 * se
     # Columns: j = 0 has mass 1/3; its strip is y < 1/3.
-    bottom = float(np.mean(cloud_a.points[:, 1] < 1 / 3))
+    bottom = float(np.mean(cells[:, 1] == 0))
     se_b = math.sqrt((1 / 3) * (2 / 3) / cloud_a.size)
     assert abs(bottom - 1 / 3) < 4 * se_b
 
@@ -92,36 +119,50 @@ def test_lambda_codebook_centers(cache_a, carpet_a):
             float(sq.y_low + sq.height / 2), abs=1e-15)
 
 
-def _places(base):
-    # Digits in a packed prefix: the largest S with base^S < 2^63.
-    return max(s for s in range(64) if base ** s < 2 ** 63)
+@dataclasses.dataclass(frozen=True)
+class _RowCloud(SampleCloud):
+    # A cloud of explicit (size, depth) map-index rows.
+    rows: np.ndarray = None
+
+    def chunks(self):
+        yield 0, np.ascontiguousarray(self.rows.T)
+
+
+def _expand(frac, base, count):
+    # The first ``count`` base-``base`` digits of ``frac`` in [0, 1).
+    digits = []
+    for _ in range(count):
+        frac *= base
+        digits.append(int(frac))
+        frac -= int(frac)
+    return digits
 
 
 def _hand_cloud(part, idx, quarters):
     # Samples in the cell of word ``idx`` at the given offsets from its
-    # centre, in quarter cell sides; exact on power-of-two bases.
+    # centre, in quarter cell sides: rows of a cloud over every cell of
+    # the grid, whose digits after the word's place the sample.  Exact
+    # on power-of-two bases.
     params = part.params
-    n, m = params.n, params.m
+    n, m, depth = params.n, params.m, 60
     word = word_at(part, idx)
     h, l = len(word), len(word.pairs)
-    x = y = 0
-    for i in word.x_digits():
-        x = x * n + i
-    for j in word.y_digits():
-        y = y * m + j
-    dx, dy = n ** (_places(n) - l), m ** (_places(m) - h)
-    prefix = np.array([[x * dx + dx // 2 + qx * dx // 4 for qx, _ in quarters],
-                       [y * dy + dy // 2 + qy * dy // 4 for _, qy in quarters]],
-                      dtype=np.uint64)
-    cloud = SampleCloud(prefix=prefix, suffix=np.zeros(prefix.shape),
-                        bases=(n, m), depth=60, seed=0)
+    grid = CarpetSpec.of(n, m, {(i, j): Fraction(1, n * m)
+                                for i in range(n) for j in range(m)})
+    rows = []
+    for qx, qy in quarters:
+        xs = list(word.x_digits()) + _expand(Fraction(2 + qx, 4), n, depth - l)
+        ys = list(word.y_digits()) + _expand(Fraction(2 + qy, 4), m, depth - h)
+        rows.append([i * m + j for i, j in zip(xs, ys)])
+    cloud = _RowCloud(spec=grid, size=len(rows), depth=depth, seed=0,
+                      rows=np.array(rows, dtype=np.uint8))
     return cloud, h, float(n) ** -l / 4, float(m) ** -h / 4
 
 
 def test_log_distortion_hand_value(cache_d):
     part = cache_d.partition(2)
     cloud, h, qx, qy = _hand_cloud(part, 7, [(1, 1), (-1, -1)])
-    assert locate([part], cloud).tolist() == [[h, h]]
+    assert locate([part], cloud)[0].tolist() == [[h, h]]
     est = _diagnose(part, cloud)
     assert est.e_hat_est == pytest.approx(math.log(math.hypot(qx, qy)),
                                           abs=1e-15)
@@ -132,8 +173,8 @@ def test_log_distortion_hand_value(cache_d):
 def test_log_distortion_floors_zero_distance(cache_d):
     part = cache_d.partition(2)
     cloud, _, qx, qy = _hand_cloud(part, 7, [(0, 0), (1, -1)])
-    assert _distances(part.params, cloud, locate([part], cloud)[0]).tolist() \
-        == [0.0, pytest.approx(math.hypot(qx, qy), rel=1e-15)]
+    assert locate([part], cloud)[1].tolist() == [
+        [0.0, pytest.approx(math.hypot(qx, qy), rel=1e-15)]]
     est = _diagnose(part, cloud)
     assert est.floored == 1
     assert math.isfinite(est.e_hat_est)
@@ -213,40 +254,16 @@ def _searchsorted_digits(u, cum):
     return idx.astype(np.uint8)
 
 
-def _searchsorted_cloud(params, size, depth, seed):
+def _searchsorted_matrix(params, size, depth, seed):
     # The sampler before the per-block kernel: the whole digit matrix by
-    # searchsorted, then the points in blocks of 32768 rows.
+    # searchsorted.
     cum = np.cumsum(np.array([float(w) for w in params.spec.weights]))
     mat = np.empty((size, depth), dtype=np.uint8)
     for s, lo in enumerate(range(0, size, 1 << 15)):
         hi = min(lo + (1 << 15), size)
         u = np.random.default_rng([seed, s]).random((hi - lo, depth))
         mat[lo:hi] = _searchsorted_digits(u, cum)
-    xi = np.array([i for i, _ in params.spec.digits], dtype=np.float64)
-    yj = np.array([j for _, j in params.spec.digits], dtype=np.float64)
-    xw = np.power(float(params.n), -np.arange(1, depth + 1, dtype=np.float64))
-    yw = np.power(float(params.m), -np.arange(1, depth + 1, dtype=np.float64))
-    pts = np.empty((size, 2), dtype=np.float64)
-    for lo in range(0, size, 1 << 15):
-        block = mat[lo:lo + (1 << 15)]
-        pts[lo:lo + (1 << 15), 0] = xi[block] @ xw
-        pts[lo:lo + (1 << 15), 1] = yj[block] @ yw
-    return mat, pts
-
-
-def _packed(digits, base, depth):
-    # The prefix by integer Horner steps over the first S digits (zero
-    # past depth), and the suffix by float Horner steps from the last.
-    places = _places(base)
-    prefix = np.zeros(len(digits), dtype=np.uint64)
-    for t in range(places):
-        prefix *= np.uint64(base)
-        if t < depth:
-            prefix += digits[:, t].astype(np.uint64)
-    suffix = np.zeros(len(digits))
-    for t in range(depth - 1, places - 1, -1):
-        suffix = (suffix + digits[:, t]) / base
-    return prefix, suffix
+    return mat
 
 
 def _widened_centers(partition):
@@ -283,41 +300,42 @@ def test_uniform_digits_match_searchsorted(request, name):
 
 @pytest.mark.parametrize("name", ["a", "d", "e"])
 def test_sampling_matches_searchsorted_formula(request, name):
-    # Depth 24 leaves the prefixes short of their places; depth 70 fills
-    # them and leaves a suffix on every axis.
+    # Depth 136 splits each block into two chunks, and the odd size
+    # leaves a partial block.
     params = request.getfixturevalue(f"carpet_{name}")
-    cells = np.array(params.spec.digits, dtype=np.uint8)
-    for depth in (24, 70):
-        mat, pts = _searchsorted_cloud(params, 70_000, depth, seed=31)
+    for depth in (24, 70, 136):
+        mat = _searchsorted_matrix(params, 70_001, depth, seed=31)
         assert np.array_equal(
-            sample_digit_matrix(params, 70_000, depth, 31), mat)
-        packed = [_packed(cells[mat, axis], base, depth)
-                  for axis, base in enumerate((params.n, params.m))]
-        cloud = draw_cloud(params, 70_000, depth=depth, seed=31)
-        for axis, (prefix, suffix) in enumerate(packed):
-            assert np.array_equal(cloud.prefix[axis], prefix)
-            assert np.allclose(cloud.suffix[axis], suffix,
-                               rtol=0, atol=1e-15)
-        assert np.allclose(cloud.points, pts, rtol=0, atol=1e-15)
+            sample_digit_matrix(params, 70_001, depth, 31), mat)
+        assert np.array_equal(
+            _drawn(draw_cloud(params, 70_001, depth=depth, seed=31)), mat)
 
 
 @pytest.mark.parametrize("name,levels,depth", [
     ("a", range(2, 5), 40), ("d", range(2, 5), 60), ("e", range(2, 5), 40),
-    ("b", range(1, 5), 40), ("c", range(1, 5), 40),
+    ("b", range(1, 5), 40), ("c", range(1, 5), 40), ("many", (1,), 40),
 ])
 def test_located_word_matches_brute_force(request, name, levels, depth):
     # One walk locates every level.  Carpet D at k = 4 has lengths up to
     # 39, whose cells (X, Y) span more than 64 bits together; carpet B
-    # has a full-mass column, and carpet C is square (n = m).
+    # has a full-mass column, carpet C is square (n = m), and the
+    # 20-map carpet's move indices run past 255.  Each distance is
+    # within a few units in the last place of its cell's diagonal of the
+    # exact one.
     params = request.getfixturevalue(f"carpet_{name}")
     cloud = draw_cloud(params, 1500, depth=depth, seed=5)
     digits = sample_digit_matrix(params, 1500, depth, 5)
     parts = [enumerate_lambda_k(params, k) for k in levels]
-    found = locate(parts, cloud)
+    found, dists = locate(parts, cloud)
     assert found.dtype == np.uint8 and found.shape == (len(parts), 1500)
-    for part, row in zip(parts, found):
+    assert dists.shape == found.shape
+    for part, row, dist in zip(parts, found, dists):
         assert row.tolist() == brute_locate(params, part,
                                             digits[:, :part.xi_max])
+        diagonal = np.array([math.exp(diameter_log(params, h))
+                             for h in row.tolist()])
+        exact = np.array(own_cell_distances(params, digits, row.tolist()))
+        assert np.all(np.abs(dist - exact) <= 2.0 ** -50 * diagonal)
 
 
 _cells = st.lists(
@@ -342,7 +360,7 @@ def test_random_carpet_located_word_matches_brute_force(n, m, cells, raw,
     cloud = draw_cloud(params, 400, depth=40, seed=seed)
     digits = sample_digit_matrix(params, 400, 40, seed)
     parts = [enumerate_lambda_k(params, k) for k in (3, 1, 2)]
-    for part, row in zip(parts, locate(parts, cloud)):
+    for part, row in zip(parts, locate(parts, cloud)[0]):
         assert row.tolist() == brute_locate(params, part,
                                             digits[:, :part.xi_max])
 
@@ -356,16 +374,15 @@ def test_own_cell_distance_at_least_nearest(request, name, levels):
     # differently, by far less than 1e-15 on the unit square.  Carpet D's
     # words reach length 39 at k = 4, so its cloud is drawn deeper.
     params = request.getfixturevalue(f"carpet_{name}")
-    cloud = draw_cloud(params, 20_000, depth=60 if name == "d" else 40,
-                       seed=77)
-    pts = cloud.points
+    depth = 60 if name == "d" else 40
+    cloud = draw_cloud(params, 20_000, depth=depth, seed=77)
+    pts = sample_points(params, 20_000, depth, 77)
     parts = [enumerate_lambda_k(params, k) for k in levels]
-    for part, lengths in zip(parts, locate(parts, cloud)):
-        own = _distances(params, cloud, lengths)
+    for part, own in zip(parts, locate(parts, cloud)[1]):
         assert len(own) == cloud.size
         centres = lambda_codebook(part)
         assert np.all(own >= nearest_distances(pts, centres) - 1e-15)
-        est = r_k_diagnostic(part, cloud, lengths)
+        est = r_k_diagnostic(part, cloud, own)
         voronoi, _, floored = nearest_log_distortion(pts, centres,
                                                      DISTANCE_FLOOR)
         assert est.e_hat_est >= voronoi - 1e-12
@@ -375,12 +392,14 @@ def test_own_cell_distance_at_least_nearest(request, name, levels):
 def test_stderr_is_sample_std(cache_e, carpet_e):
     cloud = draw_cloud(carpet_e, 3 * _CHUNK + 11, seed=3)
     part = cache_e.partition(3)
-    lengths = locate([part], cloud)[0]
-    logs = np.log(_distances(carpet_e, cloud, lengths))
-    est = r_k_diagnostic(part, cloud, lengths)
+    dists = locate([part], cloud)[1][0]
+    logs = np.log(dists)
+    est = r_k_diagnostic(part, cloud, dists)
     assert est.e_hat_est == math.fsum(logs) / len(logs)
     assert est.stderr == pytest.approx(
         np.std(logs, ddof=1) / math.sqrt(len(logs)), rel=1e-12)
+    # The distances are read, not overwritten.
+    assert np.array_equal(np.log(dists), logs)
 
 
 def test_shallow_cloud_refused(carpet_d):
@@ -389,38 +408,81 @@ def test_shallow_cloud_refused(carpet_d):
     part = enumerate_lambda_k(carpet_d, 4)
     with pytest.raises(ShallowCloudError, match="at least 59, got 40"):
         locate([part], draw_cloud(carpet_d, 100, depth=40))
-    assert locate([part], draw_cloud(carpet_d, 100, depth=59)).all()
-    # On a 200 x 200 grid a prefix holds 8 digits; k = 5 has words of
-    # length 10.
+    assert locate([part], draw_cloud(carpet_d, 100, depth=59))[0].all()
+    # A word's cell is read from its digits however wide the grid: on a
+    # 200 x 200 grid k = 5 has words of length 10, 80 decimal digits of
+    # cell indices.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         wide = derive_params(CarpetSpec.of(
             200, 200, {(0, 0): "1/2", (199, 199): "1/2"}))
     deep = enumerate_lambda_k(wide, 5)
-    with pytest.raises(ShallowCloudError, match="packed prefix"):
-        locate([deep], draw_cloud(wide, 100, depth=40))
+    found, _ = locate([deep], draw_cloud(wide, 100, depth=40, seed=2))
+    assert found[0].tolist() == brute_locate(
+        wide, deep, sample_digit_matrix(wide, 100, 40, 2)[:, :deep.xi_max])
     with pytest.raises(ValueError, match="bases"):
         locate([deep], draw_cloud(carpet_d, 100, depth=40))
 
 
+def test_lengths_past_255():
+    # With D's cells at 49/50 and 1/50 the k = 1 words run from length 3
+    # to 388, so the lengths are uint16: a uint8 count would wrap past
+    # 255.  Cells 2^-388 across still measure each distance to within
+    # 2^-50 of its cell's diagonal.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        params = derive_params(CarpetSpec.of(
+            4, 2, {(0, 0): "49/50", (2, 1): "1/50"}))
+    part = enumerate_lambda_k(params, 1)
+    assert (part.xi_min, part.xi_max) == (3, 388)
+    found, dists = locate([part], draw_cloud(params, 2000, depth=408,
+                                             seed=9))
+    assert found.dtype == np.uint16
+    assert found.max() > 255
+    digits = sample_digit_matrix(params, 2000, 408, 9)
+    assert found[0].tolist() == brute_locate(params, part,
+                                             digits[:, :388])
+    diagonal = np.array([math.exp(diameter_log(params, h))
+                         for h in found[0].tolist()])
+    exact = np.array(own_cell_distances(params, digits, found[0].tolist()))
+    assert np.all(np.abs(dists[0] - exact) <= 2.0 ** -50 * diagonal)
+
+
+def test_underflowing_cells_refused(carpet_skewed):
+    # The skewed carpet's k = 1 words run to length 917, whose cells are
+    # 2^-916 by 2^-917: a squared offset would underflow to zero, so the
+    # level is refused however deep the cloud.  On its 4 x 2 grid the
+    # larger side is 2^-510 at length 511 and 2^-512 at 512.
+    stats = stopped_statistics(carpet_skewed, 1)
+    with pytest.raises(ShallowCloudError, match="below 2\\^-511"):
+        locate([stats], draw_cloud(carpet_skewed, 100, depth=937))
+    check_depth(carpet_skewed, 511, 531)
+    with pytest.raises(ShallowCloudError, match="length 512 have cells"):
+        check_depth(carpet_skewed, 512, 532)
+
+
 def test_levels_walk_as_if_alone(carpet_d):
-    # A level's lengths do not depend on the levels walked beside it, in
-    # any order, repeated or not: each stops on its own threshold.
+    # A level's lengths and distances do not depend on the levels walked
+    # beside it, in any order, repeated or not: each stops on its own
+    # threshold.
     cloud = draw_cloud(carpet_d, 5000, depth=60, seed=11)
     stats = {k: stopped_statistics(carpet_d, k) for k in (2, 3, 4)}
-    alone = {k: locate([s], cloud)[0] for k, s in stats.items()}
+    alone = {k: locate([s], cloud) for k, s in stats.items()}
     for ks in ((2, 3, 4), (4, 2, 3), (3, 3, 2)):
-        found = locate([stats[k] for k in ks], cloud)
-        for k, row in zip(ks, found):
-            assert np.array_equal(row, alone[k])
+        found, dists = locate([stats[k] for k in ks], cloud)
+        for k, row, dist in zip(ks, found, dists):
+            assert np.array_equal(row, alone[k][0][0])
+            assert np.array_equal(dist, alone[k][1][0])
 
 
 def test_levels_too_short_refused(carpet_a, cloud_a):
     # Levels whose longest words are one length short leave samples
     # above a threshold when the walk's tables run out.
     stats = stopped_statistics(carpet_a, 3)
-    assert locate([stats], cloud_a).max() == stats.xi_max
-    short = dataclasses.replace(stats, xi_max=stats.xi_max - 1)
+    assert locate([stats], cloud_a)[0].max() == stats.xi_max
+    short = dataclasses.replace(stats, length_counts={
+        h: c for h, c in stats.length_counts.items() if h < stats.xi_max})
+    assert short.xi_max == stats.xi_max - 1
     with pytest.raises(ValueError, match="still above"):
         locate([short], cloud_a)
 
@@ -441,30 +503,35 @@ def test_lambda_codebook_matches_full_widening(request, name, levels):
 
 _DRAW_DIGESTS = """
 import hashlib, json, sys
-from carpetq import CarpetSpec, derive_params
-from carpetq.quantizer import draw_cloud
+from carpetq import CarpetSpec, derive_params, stopped_statistics
+from carpetq.quantizer import draw_cloud, locate
 out = {}
-for name, (n, m, cells) in json.loads(sys.argv[1]).items():
+for name, (n, m, cells, ks) in json.loads(sys.argv[1]).items():
     params = derive_params(CarpetSpec.of(n, m, {
         (i, j): p for i, j, p in cells}))
+    levels = [stopped_statistics(params, k) for k in ks]
     for depth in (40, 64):
         cloud = draw_cloud(params, 300_001, depth=depth, seed=0x5EED)
+        found, dists = locate(levels, cloud)
         out[f"{name}{depth}"] = hashlib.sha256(
-            cloud.prefix.tobytes() + cloud.suffix.tobytes()).hexdigest()
+            found.tobytes() + dists.tobytes()).hexdigest()
 print(json.dumps(out))
 """
 
+# (n, m, maps, levels): each level's words end 20 digits before depth 40.
 _DRAW_CARPETS = {
-    "A": (4, 3, [(0, 0, "1/3"), (0, 2, "1/3"), (2, 2, "1/3")]),
-    "D": (4, 2, [(0, 0, "3/4"), (2, 1, "1/4")]),
-    "E": (5, 3, [(0, 0, "1/6"), (2, 0, "1/3"), (1, 2, "1/4"), (4, 2, "1/4")]),
+    "A": (4, 3, [(0, 0, "1/3"), (0, 2, "1/3"), (2, 2, "1/3")], [2, 3, 4]),
+    "D": (4, 2, [(0, 0, "3/4"), (2, 1, "1/4")], [1, 2]),
+    "E": (5, 3, [(0, 0, "1/6"), (2, 0, "1/3"), (1, 2, "1/4"), (4, 2, "1/4")],
+          [2, 3]),
 }
 
 
 def test_cloud_independent_of_openblas_threads():
     # An odd size and two depths leave partial chunks and blocks.  With
     # no thread count set, importing carpetq loads OpenBLAS with one
-    # thread, so the pool a user chose is compared with one thread.
+    # thread, so the pool a user chose is compared with one thread.  No
+    # BLAS product reaches the lengths or distances, so they agree.
     src = Path(carpetq.__file__).resolve().parents[1]
     digests = []
     for threads in ("1", "2"):
@@ -550,19 +617,25 @@ def test_exact_sum_is_fsum(values, size):
     arr = np.array(values, dtype=np.float64)
     if size is not None:
         arr = np.resize(arr, size)
-    assert _same_float(_exact_sum(arr), math.fsum(arr))
+    chunks = (arr[lo:lo + _CHUNK] for lo in range(0, len(arr), _CHUNK))
+    assert _same_float(_exact_sum(chunks), math.fsum(arr))
 
 
 def test_quantize_allocation_peaks(carpet_a):
-    # Above the cloud, one walk over the levels k = 2..5 allocates their
-    # lengths, a byte a sample each, and a chunk's scratch (measured
-    # 0.44 of the cloud); the own-cell pass at A k = 4 stays under the
-    # 0.71 of two separate passes, location then distances (measured
-    # 0.48).
-    cloud = draw_cloud(carpet_a, 200_000, seed=5)
-    cloud_bytes = cloud.prefix.nbytes + cloud.suffix.nbytes
+    # Above its output, a length byte and a float64 distance per sample
+    # and level, the walk over the levels k = 2..5 allocates one chunk's
+    # scratch, and the estimate at A k = 4 reads its distances in place
+    # and allocates a chunk's logs: the same at any cloud size (measured
+    # 6.7 MB and 2.0 MB at 100,000 and at 400,000 points).  A temporary
+    # of even one byte per sample would add 300,000 bytes to the larger
+    # cloud's peaks, twice the allowance.
     levels = [stopped_statistics(carpet_a, k) for k in range(2, 6)]
-    found, peak = traced_peak(locate, levels, cloud)
-    assert peak < 0.55 * cloud_bytes
-    _, peak = traced_peak(r_k_diagnostic, levels[2], cloud, found[2])
-    assert peak < 0.71 * cloud_bytes
+    walks, estimates = [], []
+    for size in (100_000, 400_000):
+        cloud = draw_cloud(carpet_a, size, seed=5)
+        (found, dists), peak = traced_peak(locate, levels, cloud)
+        walks.append(peak - found.nbytes - dists.nbytes)
+        estimates.append(traced_peak(r_k_diagnostic, levels[2], cloud,
+                                     dists[2])[1])
+    assert walks[1] < walks[0] + 150_000 and walks[1] < 8_000_000
+    assert estimates[1] < estimates[0] + 150_000 and estimates[1] < 3_000_000
