@@ -22,7 +22,7 @@ asymptotic statements about it kick in only for k >= 1/theta.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -65,10 +65,12 @@ class _Move(NamedTuple):
     """One step from a length-h word to a child of length h + 1.
 
     The child is the parent with the cell of x digit ``x`` (if any)
-    appended to its cells and ``digit`` appended to its tail.  Its
-    scaled mass is nu * factor // divisor, an exact division.
+    appended to its cells and ``digit`` appended to its tail.  The move
+    is open to parents whose first pending tail digit is ``pending``
+    (to any if None).  Its scaled mass is nu * factor / divisor.
     """
 
+    pending: int | None
     x: int | None
     digit: int
     factor: int
@@ -76,37 +78,23 @@ class _Move(NamedTuple):
 
 
 def _moves(params: DerivedParams) -> dict:
-    """The integer transitions shared by the enumerator and the DP.
+    """The integer transitions of the stopping rule, in its move order.
 
-    ``moves[rises][pending]`` lists, in walk order, the moves of a step
-    that does (``rises``) or does not grow the pair count, keyed by the
-    word's first pending tail digit where that decides them:
-    ``[False][None]`` appends a column digit; ``[True][j]`` promotes the
-    pending digit j into a pair (i, j) and appends a column digit;
-    ``[True][None]``, for words without a tail (theta = 1), appends a
-    whole pair.  The roots are the moves of the empty word.
+    ``moves[rises]`` lists the moves of a step that does (``rises``) or
+    does not grow the pair count, by ascending ``pending`` digit:
+    ``[False]`` appends a column digit; ``[True]`` promotes the pending
+    digit j into a pair (i, j) and appends a column digit, or, for words
+    without a tail (theta = 1), appends a whole pair.  The roots are the
+    moves of the empty word.
     """
     a, b = params.scaled
     if ell(params, 1) == 1:
-        rise = {None: [_Move(i, j, w, 1) for (i, j), w in a.items()]}
+        rise = [_Move(None, i, j, w, 1) for (i, j), w in a.items()]
     else:
-        rise = {j: [_Move(i, jj, a[i, j] * b[jj], b[j])
-                    for i in params.gx[j] for jj in params.gy]
-                for j in params.gy}
-    return {False: {None: [_Move(None, j, b[j], 1) for j in params.gy]},
+        rise = [_Move(j, i, jj, a[i, j] * b[jj], b[j])
+                for j in params.gy for i in params.gx[j] for jj in params.gy]
+    return {False: [_Move(None, None, j, b[j], 1) for j in params.gy],
             True: rise}
-
-
-def _class_step(nus: list[int], moves: list[_Move], pairs) -> tuple:
-    """The classes one length down, one per distinct exact child nu of
-    the (class, move index) ``pairs`` in order of first appearance: a
-    (class, move) table of them, 0 where no pair is given, and their nus."""
-    class_of = np.zeros((len(nus), len(moves)), dtype=np.intp)
-    ids: dict[int, int] = {}
-    for c, m in pairs:
-        class_of[c, m] = ids.setdefault(
-            nus[c] * moves[m].factor // moves[m].divisor, len(ids))
-    return class_of, list(ids)
 
 
 class PartitionLambdaK(WordColumns):
@@ -135,30 +123,26 @@ def enumerate_lambda_k(
 ) -> PartitionLambdaK:
     """Collect the level-k partition with exact per-word masses.
 
-    The walk is breadth first, one word length at a time.  Each live
-    word carries a mass class, an index into its length's list of
-    distinct exact nu, so the stop test runs once per class, and the
-    class list is the stored mass table.  Children come in parent order,
-    then move order: the tree's depth-first order, in which each length's
-    words are stored.  Raises ``EnumerationCapError`` when the level has
-    more than ``cap`` words, before building the length that would pass
-    the cap; ``stopped_statistics`` aggregates levels too large to
-    collect.
+    The walk is breadth first, one word length at a time, down the
+    tables of ``stopping_rule``: a child's mass class is the entry for
+    its parent's class and its move, it stops where that class is above
+    no level, and the rule's class list is the stored mass table.
+    Children come in parent order, then move order: the tree's
+    depth-first order, in which each length's words are stored.  Raises
+    ``EnumerationCapError`` when the level has more than ``cap`` words,
+    before building the length that would pass the cap;
+    ``stopped_statistics`` aggregates levels too large to collect.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    L = params.denom_lcm
-    eta_k = params.eta ** k
-    promoting = ell(params, 1) == 0
-    # Per step: the moves (grouped by pending digit, ascending), each
-    # digit's first move and move count (at 0 if unkeyed), x and digits.
+    promoting, m = ell(params, 1) == 0, params.m
+    # Per step: each move's pending column digit (0 if unkeyed), one-hot,
+    # each digit's first move and move count, and each move's x and digit.
     steps = {}
-    for rises, groups in _moves(params).items():
-        moves = [mv for group in groups.values() for mv in group]
-        size = np.zeros(256, dtype=np.intp)
-        for j, group in groups.items():
-            size[j or 0] = len(group)
-        steps[rises] = (moves, np.cumsum(size) - size, size,
+    for rises, moves in _moves(params).items():
+        group = np.eye(m, dtype=np.intp)[[mv.pending or 0 for mv in moves]]
+        size = group.sum(axis=0)
+        steps[rises] = (group, np.cumsum(size) - size, size,
                         np.array([mv.x or 0 for mv in moves], dtype=np.intp),
                         np.array([mv.digit for mv in moves], dtype=np.intp))
 
@@ -166,13 +150,12 @@ def enumerate_lambda_k(
     # The empty word, at length 0; its children are the roots.
     keys = np.zeros(1, dtype=np.uint64)
     cls = np.zeros(1, dtype=np.intp)
-    nus = [1]
-    emitted = h = 0
-    while len(keys):
-        h += 1
-        rises = ell(params, h) > ell(params, h - 1)
-        rhs = eta_k.numerator * L ** h
-        moves, first, size, xs, digits = steps[rises]
+    emitted = 0
+    for h, (rises, table, above, nus) in enumerate(
+            stopping_rule(params, [k])[1], 1):
+        if not len(keys):
+            break
+        group, first, size, xs, digits = steps[rises]
         # Each parent's pending column digit (0 if nothing is pending).
         tops = (pending(params, h - 1, keys) if rises and promoting
                 else np.zeros(len(keys), dtype=np.intp))
@@ -183,18 +166,12 @@ def enumerate_lambda_k(
             raise EnumerationCapError(
                 f"enumeration exceeded cap of {cap} words")
 
-        # This length's mass classes: one per distinct exact nu over the
-        # (parent class, move) pairs that occur.  Counting the stopped
-        # children sizes the length's arrays exactly.
-        kinds = np.bincount(cls * 256 + tops)
-        occur = [divmod(kind, 256) for kind in np.flatnonzero(kinds).tolist()]
-        class_of, nus = _class_step(nus, moves, [
-            (c, m) for c, j in occur for m in range(first[j], first[j] + size[j])])
-        stops = np.array([nu * eta_k.denominator < rhs for nu in nus])
-        stopping = sum(
-            int(kinds[c * 256 + j])
-            * int(stops[class_of[c, first[j]:first[j] + size[j]]].sum())
-            for c, j in occur)
+        # The stopped children of each class and pending digit, times
+        # the parents of that kind, size the length's arrays exactly.
+        stops = above == 0
+        halts = stops[table] @ group
+        stopping = int(np.bincount(cls * m + tops, minlength=halts.size)
+                       @ halts.ravel())
 
         dtype = key_dtype(params, h)
         done = np.empty(stopping, dtype=dtype)
@@ -207,7 +184,7 @@ def enumerate_lambda_k(
             parent = np.repeat(np.arange(lo, lo + len(f)), f)
             move = np.arange(len(parent)) + np.repeat(
                 first[tops[lo:lo + _CHUNK]] - np.cumsum(f) + f, f)
-            child = class_of[cls[parent], move]
+            child = table[cls[parent], move]
             grown = step(params, h, keys[parent], xs[move], digits[move])
             stopped = stops[child]
             sel = np.flatnonzero(stopped)
@@ -221,13 +198,11 @@ def enumerate_lambda_k(
             live_cls[span] = child[sel]
             lived += len(sel)
 
-        # An empty block is dropped by the store.
+        # An empty block is dropped by the store.  Live classes come
+        # first, so they number the next length's table rows.
         emitted += stopping
         blocks[h] = (done, done_ids, nus)
-        # The next length's classes: the live ones, renumbered in order.
-        nus = [nu for nu, stop in zip(nus, stops.tolist()) if not stop]
-        cls = (np.cumsum(~stops) - 1)[live_cls]
-        keys = live
+        cls, keys = live_cls, live
     return PartitionLambdaK(params, k, blocks)
 
 
@@ -267,57 +242,58 @@ class StoppedStats:
 def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
     """Aggregate the level-k partition by dynamic programming.
 
-    Subtrees of the walk coincide whenever the current length, the scaled
-    mass nu and the pending tail columns (each as the first column with
-    its promotion factors) coincide.  A forward pass collects each
-    length's live states with their word counts, and adds up the words,
-    and their exact nus, that stop at each length: the profile.  A
-    backward pass, deepest first, folds each state's R1, the sum of
-    r ln r over its stopped descendants of relative mass r, from its
-    children; it is the only float arithmetic.  (Those r add up to
-    exactly 1.)  Agrees with the enumerator wherever both run (see
-    tests).  Raises ``EnumerationCapError`` past ``MAX_DP_STATES`` states.
+    Subtrees of the walk coincide whenever the current length, the mass
+    class of ``stopping_rule`` and the pending tail columns (each as the
+    first column with its promotion factors) coincide.  A forward pass
+    down the rule's tables collects each length's live states with their
+    word counts, and adds up the words, and their exact nus, that stop
+    at each length: the profile.  A backward pass, deepest first, folds
+    each state's R1, the sum of r ln r over its stopped descendants of
+    relative mass r, from its children; it is the only float arithmetic.
+    (Those r add up to exactly 1.)  Agrees with the enumerator wherever
+    both run (see tests).  Raises ``EnumerationCapError`` past
+    ``MAX_DP_STATES`` states.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     L = params.denom_lcm
-    eta_k = params.eta ** k
     moves = _moves(params)
     paired = ell(params, 1) == 1
     # Columns whose ordered promotion factors agree have identical
     # futures; each maps to the first column of its class.
     first: dict = {}
-    canon = {j: first.setdefault(
-        tuple(Fraction(mv.factor, mv.divisor) for mv in group), j)
-        for j, group in moves[True].items()}
+    canon = {j: first.setdefault(tuple(
+        Fraction(mv.factor, mv.divisor) for mv in moves[True]
+        if mv.pending == j), j) for j in params.gy}
+    # Per step and pending column, each move's (index in the rule's
+    # tables, relative mass as a float, its log, appended tail).
+    steps: dict = {False: {}, True: {}}
+    for rises, flat in moves.items():
+        for index, mv in enumerate(flat):
+            f = float(Fraction(mv.factor, mv.divisor * L))
+            steps[rises].setdefault(mv.pending, []).append(
+                (index, f, math.log(f), () if paired else (canon[mv.digit],)))
+    # The rule's (rises, table, above, nus) into length h + 1, by h,
+    # read as far as the states reach.
+    rule = ((rises, table.tolist(), above.tolist(), nus)
+            for rises, table, above, nus in stopping_rule(params, [k])[1])
+    tables = [next(rule)]
 
-    def step(move: _Move) -> tuple:
-        # (factor, divisor, relative mass as a float, its log, appended
-        # tail) of one move.
-        f = float(Fraction(move.factor, move.divisor * L))
-        tail = () if paired else (canon[move.digit],)
-        return move.factor, move.divisor, f, math.log(f), tail
-
-    steps = {rises: {j: [step(mv) for mv in group]
-                     for j, group in groups.items()}
-             for rises, groups in moves.items()}
-    scaled = [eta_k.numerator * L]      # eta^k * L^(h + 1), by h
-
-    def expand(h: int, nu: int, queue: tuple) -> list:
-        # Each move from a length-h state, with its child's nu and its
+    def expand(h: int, c: int, queue: tuple) -> list:
+        # Each move from a length-h state, with its child's class and its
         # child state, or None if the child stops.
-        rises = ell(params, h + 1) > ell(params, h)
+        rises, table, above, _ = tables[h]
         if rises and queue:
             base, opts = queue[1:], steps[True][queue[0]]
         else:
             base, opts = queue, steps[rises][None]
-        return [(move, child, (child, base + move[4])
-                 if child * eta_k.denominator >= scaled[h] else None)
-                for move in opts for child in [nu * move[0] // move[1]]]
+        return [(move, child,
+                 (child, base + move[3]) if above[child] else None)
+                for move in opts for child in [table[c][move[0]]]]
 
     # The roots are the moves of the empty word, at length 0; none stops,
     # since its mass is at least eta >= eta^k.
-    roots = [(move, state) for move, _, state in expand(0, 1, ())]
+    roots = [(move, state) for move, _, state in expand(0, 0, ())]
     levels: list[dict] = []
     frontier = Counter(root for _, root in roots)
     counts, nu_sums = {}, {}            # the profile
@@ -327,77 +303,93 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
             raise EnumerationCapError(
                 f"stopped_statistics exceeded {MAX_DP_STATES} states")
         h, frontier = len(levels), Counter()
-        scaled.append(scaled[-1] * L)
-        for (nu, queue), count in levels[-1].items():
-            for _, child_nu, child in expand(h, nu, queue):
-                if child is None:
+        tables.append(next(rule))
+        nus = tables[h][3]
+        for (c, queue), count in levels[-1].items():
+            for _, child, state in expand(h, c, queue):
+                if state is None:
                     counts[h + 1] = counts.get(h + 1, 0) + count
-                    nu_sums[h + 1] = nu_sums.get(h + 1, 0) + count * child_nu
+                    nu_sums[h + 1] = nu_sums.get(h + 1, 0) + count * nus[child]
                 else:
-                    frontier[child] += count
+                    frontier[state] += count
 
     # rel[state]: its R1; a stopped child adds r ln r = f ln f.
     rel: dict = {}
     while levels:
         h, below, rel = len(levels), rel, {}
-        for nu, queue in levels.pop():
-            rel[nu, queue] = 0.0
-            for (_, _, f, log_f, _), _, child in expand(h, nu, queue):
-                rel[nu, queue] += f * (below.get(child, 0.0) + log_f)
+        for state in levels.pop():
+            rel[state] = 0.0
+            for (_, f, log_f, _), _, child in expand(h, *state):
+                rel[state] += f * (below.get(child, 0.0) + log_f)
 
     return StoppedStats(
         params, k,
-        math.fsum(move[2] * rel[root] + move[2] * move[3]
+        math.fsum(move[1] * rel[root] + move[1] * move[2]
                   for move, root in roots),
         counts, nu_sums)
 
 
-def stopping_rule(params: DerivedParams, ks, depth: int) -> tuple:
-    """The stopping rule of the levels ``ks`` as ``(codes, steps)``,
-    tables over a sample's digits for lengths 1 to ``depth``.
+def stopping_rule(params: DerivedParams, ks) -> tuple:
+    """The stopping rule of the levels ``ks`` as ``(codes, rule)``, the
+    only code that steps a class's exact mass or compares it with eta^k:
+    the enumerator, the aggregate program and ``locate`` walk its tables.
 
     A sample's digits pick each move of ``_moves``: ``codes[rises]``
     maps y_h, or where ell rises to l the triple (x_l, y_l, y_h) as
-    (x_l m + y_l) m + y_h, to the move's index.  ``steps[h - 1]`` is
-    ``(rises, table, above)``: with a class a distinct exact nu, as in
-    ``enumerate_lambda_k``, ``table[c, move]`` is the class at length h
-    after ``move`` from class c, and ``above[c]`` the number of levels
-    whose eta^k class c is still at or above, the deepest ones.  Live
-    classes come first; the rows of classes above no level are 0.  A
-    pair that no word takes (a move for another pending column) yields
-    a class no word reaches: a table entry, never a wrong length.
-    Class ids are sized by ``np.min_scalar_type``.
+    (x_l m + y_l) m + y_h, to the move's index.  ``rule`` yields
+    ``(rises, table, above, nus)`` for h = 1, 2, ... while some class is
+    live.  Class c of length h has the exact scaled mass ``nus[c]``, and
+    ``above[c]`` is the number of levels whose eta^k it is still at or
+    above, the deepest ones; live classes come first.  ``table[c, move]``
+    (``intp``, a row per class of length h - 1) is the class after
+    ``move``.  A pair whose division is not exact is one no word takes
+    (a move for another pending column): its entry is 0 and it makes no
+    class, so every nu is positive.  Rows of classes above no level are 0.
     """
     L, m = params.denom_lcm, params.m
-    flat = {rises: [(j, mv) for j, group in groups.items() for mv in group]
-            for rises, groups in _moves(params).items()}
+    moves = _moves(params)
     codes = {}
-    for rises, moves in flat.items():
+    for rises, flat in moves.items():
         codes[rises] = np.zeros(params.n * m * m if rises else m,
-                                dtype=np.min_scalar_type(len(moves)))
-        for index, (j, mv) in enumerate(moves):
-            y_l = mv.digit if j is None else j
+                                dtype=np.min_scalar_type(len(flat)))
+        for index, mv in enumerate(flat):
+            y_l = mv.digit if mv.pending is None else mv.pending
             codes[rises][(mv.x * m + y_l) * m + mv.digit if rises
                          else mv.digit] = index
-    etas = [params.eta ** k for k in ks]
-    nus, live, steps = [1], 1, []     # the empty word's class
-    for h in range(1, depth + 1):
-        if not live:
-            break
-        rises = ell(params, h) > ell(params, h - 1)
-        moves = [mv for _, mv in flat[rises]]
-        class_of, children = _class_step(
-            nus, moves, itertools.product(range(live), range(len(moves))))
-        above = np.array([sum(nu * eta.denominator >= eta.numerator * L ** h
-                              for eta in etas) for nu in children])
-        order = np.argsort(above == 0, kind="stable")
-        renumber = np.argsort(order)
-        steps.append((rises, renumber[class_of].astype(
-            np.min_scalar_type(len(children))),
-            above[order].astype(np.min_scalar_type(len(etas)))))
-        nus = [children[c] for c in order.tolist()]
-        live = int(np.count_nonzero(above))
-    return codes, steps
+    # nu / L^h >= eta^k exactly when nu * scale >= cut * L^h, with the
+    # integer cut = eta^k * scale; ``bars`` holds the cuts times L^h.
+    scale = params.eta.denominator ** max(ks)
+    cuts = sorted(int(params.eta ** k * scale) for k in ks)
+
+    def rule():
+        nus, live, h, bars = [1], 1, 0, cuts    # the empty word's class
+        while live:
+            h += 1
+            bars = [bar * L for bar in bars]
+            rises = ell(params, h) > ell(params, h - 1)
+            # Each live class's child by move: the index of its exact nu
+            # in order of first appearance, or -1.
+            ids: dict = {}
+            kids = [ids.setdefault(child, len(ids)) if not rest else -1
+                    for nu in nus[:live] for mv in moves[rises]
+                    for child, rest in [divmod(nu * mv.factor, mv.divisor)]]
+            above = [bisect.bisect_right(bars, nu * scale) for nu in ids]
+            order = sorted(range(len(ids)), key=lambda c: not above[c])
+            # Renumbered live first; -1 reads the last 0.
+            renumber = [0] * (len(ids) + 1)
+            for new, c in enumerate(order):
+                renumber[c] = new
+            # The live rows lead the table, in ``kids``' order.
+            table = np.zeros((len(nus), len(moves[rises])), dtype=np.intp)
+            table.flat[:len(kids)] = [renumber[c] for c in kids]
+            children = list(ids)
+            nus = [children[c] for c in order]
+            live = sum(map(bool, above))
+            yield rises, table, np.array(
+                [above[c] for c in order],
+                dtype=np.min_scalar_type(len(cuts))), nus
+
+    return codes, rule()
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ by the exact mass of the heaviest approximate squares a ball can meet.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,8 +92,9 @@ class SampleCloud:
 
     def chunks(self):
         """Yield (first row, digits) for consecutive row ranges of the
-        cloud, ``digits`` their (depth, rows) ``uint8`` map indices,
-        digit-major, so one place's digits are one contiguous row.
+        cloud, ``digits`` their (depth, rows) map indices (typed as by
+        ``uniform_digits``), digit-major, so one place's digits are one
+        contiguous row.
 
         Rows are drawn in fixed blocks of ``_SHARD_ROWS``, each by its
         own generator seeded by (seed, block), so every call gives the
@@ -109,7 +111,7 @@ class SampleCloud:
             rng = np.random.default_rng([int(self.seed), lo // _SHARD_ROWS])
             for a in range(lo, end, step):
                 digits = np.empty((self.depth, min(step, end - a)),
-                                  dtype=np.uint8)
+                                  dtype=np.min_scalar_type(len(cum) - 1))
                 for b in range(0, digits.shape[1], draw):
                     u = rng.random((min(draw, digits.shape[1] - b),
                                     self.depth))
@@ -118,11 +120,12 @@ class SampleCloud:
 
 
 def uniform_digits(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """The uint8 digit index of each uniform in ``u`` under the cumulative
-    map weights ``cum``: the number of entries of ``cum[:-1]`` that are
+    """The digit index of each uniform in ``u`` under the cumulative map
+    weights ``cum``: the number of entries of ``cum[:-1]`` that are
     <= u.  That is ``searchsorted(cum, u, "right")`` clamped to the last
-    map, counted by comparisons straight into the uint8 result."""
-    digits = np.zeros(u.shape, dtype=np.uint8)
+    map, counted by comparisons straight into the result, of the
+    smallest unsigned type that holds the last index."""
+    digits = np.zeros(u.shape, dtype=np.min_scalar_type(len(cum) - 1))
     for cut in cum[:-1]:
         digits += u >= cut
     return digits
@@ -178,10 +181,15 @@ def locate(levels, cloud: SampleCloud) -> tuple[np.ndarray, np.ndarray]:
     has stopped at every level walks on from class 0, its number kept
     at 0.  The chunk's distances follow (``_distances``) before the
     next chunk is drawn.  Raises ``ShallowCloudError`` when the levels'
-    longest words are too deep for the cloud, and ``ValueError`` when a
-    sample is still above a level's threshold past them.
+    longest words are too deep for the cloud, and ``ValueError`` when
+    ``levels`` is empty or mixes carpets, or when a sample is still
+    above a level's threshold past them.
     """
+    if not levels:
+        raise ValueError("need at least one level")
     params = levels[0].params
+    if any(level.params.spec != params.spec for level in levels):
+        raise ValueError("levels of more than one carpet")
     n, m = params.n, params.m
     if cloud.bases != (n, m):
         raise ValueError(f"cloud drawn for bases {cloud.bases}, carpet has "
@@ -189,11 +197,8 @@ def locate(levels, cloud: SampleCloud) -> tuple[np.ndarray, np.ndarray]:
     depth = max(level.xi_max for level in levels)
     check_depth(params, depth, cloud.depth)
     ks = [level.k for level in levels]
-    codes, steps = stopping_rule(params, ks, depth)
-    # numpy gathers by intp indices several times faster than by smaller
-    # ones, and by one flat index array faster than by two.
-    steps = [(rises, table.astype(np.intp), above)
-             for rises, table, above in steps]
+    codes, rule = stopping_rule(params, ks)
+    steps = list(itertools.islice(rule, depth))
     deeper = [sum(j > k for j in ks) for k in ks]
     # Per map index, its x and y digit.  The move of a step that keeps
     # ell is that of its y digit b; of one that promotes the cell a, at
@@ -215,7 +220,7 @@ def locate(levels, cloud: SampleCloud) -> tuple[np.ndarray, np.ndarray]:
         found = lengths[:, span]
         cls = np.zeros(digits.shape[1], dtype=np.intp)
         live = np.full(digits.shape[1], len(ks), dtype=steps[0][2].dtype)
-        for h, (rises, table, above) in enumerate(steps, 1):
+        for h, (rises, table, above, _) in enumerate(steps, 1):
             code = digits[h - 1].astype(np.intp)
             if rises:
                 code += np.multiply(digits[ells[h] - 1], maps, dtype=np.intp)

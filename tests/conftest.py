@@ -11,7 +11,8 @@ partition's per-length entropy grouping: at k = 2 one correctly rounded
 total over all lengths differs in the last bit from math.fsum over the
 rounded per-length sums.  The skewed carpet puts D's cells at 99/100 and
 1/100, so its k = 1 words run from length 3 to 917.  The 20-map carpet
-fills every other cell of a 9 x 7 grid.
+fills every other cell of a 9 x 7 grid, and the 400-map carpet every
+other cell of a 40 x 40 grid in both directions, past a uint8 digit.
 """
 
 import os
@@ -69,6 +70,13 @@ def carpet_many():
     # index a * 20 + b of the walk runs to 399, past a uint8.
     cells = [(i, j) for i in range(0, 9, 2) for j in range(0, 7, 2)]
     return _derive(9, 7, {c: f"{w}/210" for w, c in enumerate(cells, 1)})
+
+
+@pytest.fixture(scope="session")
+def carpet_wide():
+    # 400 maps of weight 1/400 on a 40 x 40 grid: map indices run to 399.
+    return _derive(40, 40, {(i, j): "1/400" for i in range(0, 40, 2)
+                            for j in range(0, 40, 2)})
 
 
 @pytest.fixture(scope="session")

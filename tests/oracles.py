@@ -706,7 +706,7 @@ def sample_digit_matrix(params: DerivedParams, count: int, depth: int,
     ``draw_cloud``'s chunks hold, in one array: rows in blocks of
     ``_SHARD_ROWS``, block b drawn by the generator seeded by (seed, b)."""
     cum = np.cumsum([float(w) for w in params.spec.weights])
-    out = np.empty((count, depth), dtype=np.uint8)
+    out = np.empty((count, depth), dtype=np.min_scalar_type(len(cum) - 1))
     for block, lo in enumerate(range(0, count, _SHARD_ROWS)):
         hi = min(lo + _SHARD_ROWS, count)
         u = np.random.default_rng([int(seed), block]).random((hi - lo, depth))

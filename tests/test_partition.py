@@ -283,6 +283,59 @@ def test_dp_frozen_carpet_d(carpet_d):
     assert stopped_statistics(carpet_d, 20).mass_total == 1
 
 
+# (phi_k, xi_min, xi_max, entropy_sum.hex()) of the aggregate program,
+# frozen when its states were keyed by exact scaled masses: keying them
+# by the stopping rule's mass classes moves no bit.
+DP_PINS = {
+    ("a", 1): (18, 3, 3, "-0x1.6ab7f382f2593p+1"),
+    ("a", 2): (189, 5, 6, "-0x1.4a3a960040c26p+2"),
+    ("a", 3): (1701, 7, 8, "-0x1.d6d9e9d5a8daap+2"),
+    ("a", 4): (10935, 9, 10, "-0x1.27e0f2d5fcd18p+3"),
+    ("a", 5): (118098, 11, 12, "-0x1.7294fc3912a36p+3"),
+    ("a", 6): (1062882, 13, 14, "-0x1.b8e4a623c6af8p+3"),
+    ("a", 7): (8857350, 15, 17, "-0x1.fcef53c5eeb9bp+3"),
+    ("a", 20): (26777994749097954291, 41, 47, "-0x1.6510dd9451d86p+5"),
+    ("a", 25): (1622768712478541685571077, 51, 59, "-0x1.bd24816edfb03p+5"),
+    ("d", 1): (27, 3, 10, "-0x1.9a6351597e362p+1"),
+    ("d", 2): (432, 5, 20, "-0x1.7e903bd7ebc8bp+2"),
+    ("d", 3): (7168, 7, 29, "-0x1.192a5f8a0de5cp+3"),
+    ("d", 4): (118805, 9, 39, "-0x1.730203be42876p+3"),
+    ("d", 5): (1936048, 11, 49, "-0x1.cc4b220ce1536p+3"),
+    ("d", 6): (30706712, 13, 58, "-0x1.1257ea9596568p+4"),
+    ("d", 10): (1936311929094, 21, 97, "-0x1.c33008b8e5b08p+4"),
+    ("d", 20): (2160605437091242566905989, 41, 193, "-0x1.bf83957e0bfb9p+5"),
+    ("d", 30): (2400480473180407597954243412202590995, 61, 290, "-0x1.4eb3b204d4f74p+6"),
+    ("e", 1): (32, 3, 3, "-0x1.b45d7bc7c5c78p+1"),
+    ("e", 2): (340, 5, 6, "-0x1.6f2899ac39cf1p+2"),
+    ("e", 3): (4132, 6, 8, "-0x1.0738b55d86452p+3"),
+    ("e", 4): (41160, 8, 11, "-0x1.51c2327f0a7fap+3"),
+    ("e", 5): (576968, 9, 14, "-0x1.a5b5e67b5d2e4p+3"),
+    ("e", 8): (883467456, 15, 21, "-0x1.483f51c6b1890p+4"),
+    ("e", 10): (124751453376, 18, 26, "-0x1.976721b1cb83bp+4"),
+}
+
+
+@pytest.mark.parametrize("carpet,k", sorted(DP_PINS))
+def test_dp_bits_frozen(request, carpet, k):
+    stats = stopped_statistics(request.getfixturevalue(f"carpet_{carpet}"), k)
+    assert (stats.phi_k, stats.xi_min, stats.xi_max,
+            stats.entropy_sum.hex()) == DP_PINS[carpet, k]
+
+
+@pytest.mark.parametrize("carpet,k,states", [
+    ("a", 20, 4881), ("d", 10, 1022), ("e", 8, 17344),
+])
+def test_dp_state_count_frozen(request, monkeypatch, carpet, k, states):
+    # The state bound trips at the same level as when the states were
+    # keyed by exact scaled masses: the state count is unchanged.
+    params = request.getfixturevalue(f"carpet_{carpet}")
+    monkeypatch.setattr(partition, "MAX_DP_STATES", states)
+    stopped_statistics(params, k)
+    monkeypatch.setattr(partition, "MAX_DP_STATES", states - 1)
+    with pytest.raises(EnumerationCapError, match=f"{states - 1} states"):
+        stopped_statistics(params, k)
+
+
 def test_dp_matches_enumeration(carpet_a, carpet_b, carpet_c, carpet_d,
                                 carpet_e):
     for params, ks in ((carpet_a, (1, 2, 3, 4)), (carpet_b, (1, 2, 3, 4)),

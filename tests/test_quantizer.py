@@ -251,14 +251,14 @@ def _searchsorted_digits(u, cum):
     # The digit formula the comparison kernel replaced.
     idx = np.searchsorted(cum, u, side="right")
     np.minimum(idx, len(cum) - 1, out=idx)
-    return idx.astype(np.uint8)
+    return idx
 
 
 def _searchsorted_matrix(params, size, depth, seed):
     # The sampler before the per-block kernel: the whole digit matrix by
     # searchsorted.
     cum = np.cumsum(np.array([float(w) for w in params.spec.weights]))
-    mat = np.empty((size, depth), dtype=np.uint8)
+    mat = np.empty((size, depth), dtype=np.uint16)
     for s, lo in enumerate(range(0, size, 1 << 15)):
         hi = min(lo + (1 << 15), size)
         u = np.random.default_rng([seed, s]).random((hi - lo, depth))
@@ -298,33 +298,37 @@ def test_uniform_digits_match_searchsorted(request, name):
     assert set(np.unique(got)) == set(range(len(cum)))
 
 
-@pytest.mark.parametrize("name", ["a", "d", "e"])
+@pytest.mark.parametrize("name", ["a", "d", "e", "wide"])
 def test_sampling_matches_searchsorted_formula(request, name):
     # Depth 136 splits each block into two chunks, and the odd size
-    # leaves a partial block.
+    # leaves a partial block.  The 400-map carpet's digits pass 255, so
+    # they are uint16; its 399 comparisons a digit keep its cloud small.
     params = request.getfixturevalue(f"carpet_{name}")
+    size = 2_001 if name == "wide" else 70_001
     for depth in (24, 70, 136):
-        mat = _searchsorted_matrix(params, 70_001, depth, seed=31)
+        mat = _searchsorted_matrix(params, size, depth, seed=31)
         assert np.array_equal(
-            sample_digit_matrix(params, 70_001, depth, 31), mat)
+            sample_digit_matrix(params, size, depth, 31), mat)
         assert np.array_equal(
-            _drawn(draw_cloud(params, 70_001, depth=depth, seed=31)), mat)
+            _drawn(draw_cloud(params, size, depth=depth, seed=31)), mat)
 
 
 @pytest.mark.parametrize("name,levels,depth", [
     ("a", range(2, 5), 40), ("d", range(2, 5), 60), ("e", range(2, 5), 40),
     ("b", range(1, 5), 40), ("c", range(1, 5), 40), ("many", (1,), 40),
+    ("wide", (1,), 40),
 ])
 def test_located_word_matches_brute_force(request, name, levels, depth):
     # One walk locates every level.  Carpet D at k = 4 has lengths up to
     # 39, whose cells (X, Y) span more than 64 bits together; carpet B
-    # has a full-mass column, carpet C is square (n = m), and the
-    # 20-map carpet's move indices run past 255.  Each distance is
-    # within a few units in the last place of its cell's diagonal of the
-    # exact one.
+    # has a full-mass column, carpet C is square (n = m), the 20-map
+    # carpet's move indices run past 255, and the 400-map carpet's map
+    # indices do.  The digits are the searchsorted formula's, drawn
+    # apart from the cloud.  Each distance is within a few units in the
+    # last place of its cell's diagonal of the exact one.
     params = request.getfixturevalue(f"carpet_{name}")
     cloud = draw_cloud(params, 1500, depth=depth, seed=5)
-    digits = sample_digit_matrix(params, 1500, depth, 5)
+    digits = _searchsorted_matrix(params, 1500, depth, 5)
     parts = [enumerate_lambda_k(params, k) for k in levels]
     found, dists = locate(parts, cloud)
     assert found.dtype == np.uint8 and found.shape == (len(parts), 1500)
@@ -485,6 +489,22 @@ def test_levels_too_short_refused(carpet_a, cloud_a):
     assert short.xi_max == stats.xi_max - 1
     with pytest.raises(ValueError, match="still above"):
         locate([short], cloud_a)
+
+
+def test_locate_refuses_no_levels(cloud_a):
+    with pytest.raises(ValueError, match="at least one level"):
+        locate([], cloud_a)
+
+
+def test_locate_refuses_levels_of_two_carpets(carpet_a, carpet_b, cloud_a):
+    # Carpets A and B share their 4 x 3 grid, so the cloud fits both;
+    # the walk follows one carpet's rule, which would give the other's
+    # level wrong thresholds.
+    levels = [stopped_statistics(carpet_a, 2), stopped_statistics(carpet_b, 2)]
+    with pytest.raises(ValueError, match="more than one carpet"):
+        locate(levels, cloud_a)
+    with pytest.raises(ValueError, match="more than one carpet"):
+        locate(levels[::-1], cloud_a)
 
 
 @pytest.mark.parametrize("name,levels", [
