@@ -398,7 +398,7 @@ def cmd_quantize(ctx: _Ctx) -> None:
              for k in range(ctx.cfg.k_min, ctx.cfg.k_max + 1)}
     for k, stats in known.items():
         try:
-            check_depth(params, stats.xi_max, ctx.cfg.depth)
+            check_depth(stats.xi_max, ctx.cfg.depth)
         except ShallowCloudError as exc:
             raise ConfigError(f"quantize k={k}: {exc}") from exc
     cloud = draw_cloud(params, ctx.cfg.cloud_size, depth=ctx.cfg.depth,

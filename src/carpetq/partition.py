@@ -330,13 +330,14 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
 
 
 def stopping_rule(params: DerivedParams, ks) -> tuple:
-    """The stopping rule of the levels ``ks`` as ``(codes, rule)``, the
+    """The stopping rule of the levels ``ks`` as ``(picks, rule)``, the
     only code that steps a class's exact mass or compares it with eta^k:
     the enumerator, the aggregate program and ``locate`` walk its tables.
 
-    A sample's digits pick each move of ``_moves``: ``codes[rises]``
-    maps y_h, or where ell rises to l the triple (x_l, y_l, y_h) as
-    (x_l m + y_l) m + y_h, to the move's index.  ``rule`` yields
+    A sample's digits pick each move of ``_moves``: ``picks[False][b]``
+    is the index of the move that map index b makes at a length that
+    keeps ell, and ``picks[True][a, b]`` that of map index b where ell
+    rises and promotes the cell of map index a (``intp``).  ``rule`` yields
     ``(rises, table, above, nus)`` for h = 1, 2, ... while some class is
     live.  Class c of length h has the exact scaled mass ``nus[c]``, and
     ``above[c]`` is the number of levels whose eta^k it is still at or
@@ -346,16 +347,17 @@ def stopping_rule(params: DerivedParams, ks) -> tuple:
     (a move for another pending column): its entry is 0 and it makes no
     class, so every nu is positive.  Rows of classes above no level are 0.
     """
-    L, m = params.denom_lcm, params.m
+    L = params.denom_lcm
     moves = _moves(params)
-    codes = {}
-    for rises, flat in moves.items():
-        codes[rises] = np.zeros(params.n * m * m if rises else m,
-                                dtype=np.min_scalar_type(len(flat)))
-        for index, mv in enumerate(flat):
-            y_l = mv.digit if mv.pending is None else mv.pending
-            codes[rises][(mv.x * m + y_l) * m + mv.digit if rises
-                         else mv.digit] = index
+    # A rising move is keyed by the cell it promotes and its new y digit;
+    # one with no pending digit (theta = 1) promotes its own cell.
+    keep = {mv.digit: i for i, mv in enumerate(moves[False])}
+    rise = {(mv.x, mv.digit if mv.pending is None else mv.pending, mv.digit): i
+            for i, mv in enumerate(moves[True])}
+    cells = params.spec.digits
+    picks = {False: np.array([keep[y] for _, y in cells], dtype=np.intp),
+             True: np.array([[rise.get((a, b, y), 0) for _, y in cells]
+                             for a, b in cells], dtype=np.intp)}
     # nu / L^h >= eta^k exactly when nu * scale >= cut * L^h, with the
     # integer cut = eta^k * scale; ``bars`` holds the cuts times L^h.
     scale = params.eta.denominator ** max(ks)
@@ -389,7 +391,7 @@ def stopping_rule(params: DerivedParams, ks) -> tuple:
                 [above[c] for c in order],
                 dtype=np.min_scalar_type(len(cuts))), nus
 
-    return codes, rule()
+    return picks, rule()
 
 
 @dataclass(frozen=True)

@@ -62,8 +62,6 @@ MAX_DEPTH = 1074            # most digits drawn per sample
 MIN_TAIL = 20               # cloud digits a located cell must leave unread
 
 _SHARD_ROWS = 1 << 15       # rows per sampling block, one generator each
-_CHUNK_DIGITS = 1 << 22     # most digits per walked chunk
-_DRAW_SIZE = 1 << 17        # most uniforms drawn at once
 _CHUNK = 1 << 15            # values per exact-sum batch
 
 
@@ -86,37 +84,27 @@ class SampleCloud:
     depth: int
     seed: int
 
-    @property
-    def bases(self) -> tuple[int, int]:
-        return self.spec.n, self.spec.m
-
     def chunks(self):
-        """Yield (first row, digits) for consecutive row ranges of the
-        cloud, ``digits`` their (depth, rows) map indices (typed as by
-        ``uniform_digits``), digit-major, so one place's digits are one
-        contiguous row.
+        """Yield (first row, digits) for consecutive blocks of
+        ``_SHARD_ROWS`` rows of the cloud, ``digits`` their (depth, rows)
+        map indices (typed as by ``uniform_digits``), digit-major, so one
+        place's digits are one contiguous row.
 
-        Rows are drawn in fixed blocks of ``_SHARD_ROWS``, each by its
-        own generator seeded by (seed, block), so every call gives the
-        same digits.  Each block is split evenly into chunks of at most
-        ``_CHUNK_DIGITS`` digits, and a chunk's uniforms are drawn at
-        most ``_DRAW_SIZE`` at a time, in the generator's row order.
+        Each block is drawn by its own generator seeded by (seed, block),
+        place by place: one uniform per row for the first digit, then
+        one for the second, and so on.  So every call gives the same
+        digits, and a deeper cloud at the same seed extends every sample
+        of a shallower one.
         """
         cum = np.cumsum([float(w) for w in self.spec.weights])
-        per_block = -(-_SHARD_ROWS * self.depth // _CHUNK_DIGITS)
-        step = -(-_SHARD_ROWS // per_block)
-        draw = max(1, _DRAW_SIZE // self.depth)
         for lo in range(0, self.size, _SHARD_ROWS):
-            end = min(lo + _SHARD_ROWS, self.size)
             rng = np.random.default_rng([int(self.seed), lo // _SHARD_ROWS])
-            for a in range(lo, end, step):
-                digits = np.empty((self.depth, min(step, end - a)),
-                                  dtype=np.min_scalar_type(len(cum) - 1))
-                for b in range(0, digits.shape[1], draw):
-                    u = rng.random((min(draw, digits.shape[1] - b),
-                                    self.depth))
-                    digits[:, b:b + len(u)] = uniform_digits(u, cum).T
-                yield a, digits
+            rows = min(_SHARD_ROWS, self.size - lo)
+            digits = np.empty((self.depth, rows),
+                              dtype=np.min_scalar_type(len(cum) - 1))
+            for place in digits:
+                place[:] = uniform_digits(rng.random(rows), cum)
+            yield lo, digits
 
 
 def uniform_digits(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
@@ -147,17 +135,10 @@ def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
     return SampleCloud(spec=params.spec, size=size, depth=depth, seed=seed)
 
 
-def check_depth(params: DerivedParams, xi_max: int, depth: int) -> None:
-    """Raise ``ShallowCloudError`` unless a cloud of ``depth`` digits can
-    measure words up to length ``xi_max``: the larger side of their cells
-    must be at least 2^-511, so that its square is a normal float and a
-    squared offset does not underflow to zero, and the cloud must leave
-    at least ``MIN_TAIL`` drawn digits after them, or their samples'
-    offsets would be cut short."""
-    if min(params.n ** ell(params, xi_max), params.m ** xi_max) > 1 << 511:
-        raise ShallowCloudError(
-            f"words of length {xi_max} have cells below 2^-511 a side, "
-            f"whose squared offsets underflow")
+def check_depth(xi_max: int, depth: int) -> None:
+    """Raise ``ShallowCloudError`` unless a cloud of ``depth`` digits
+    leaves at least ``MIN_TAIL`` drawn digits after words of length
+    ``xi_max``, or their samples' offsets would be cut short."""
     if depth < xi_max + MIN_TAIL:
         raise ShallowCloudError(
             f"words of length {xi_max} need a cloud depth of at least "
@@ -166,55 +147,51 @@ def check_depth(params: DerivedParams, xi_max: int, depth: int) -> None:
 
 def locate(levels, cloud: SampleCloud) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's stopping length at each of ``levels``, the
-    ``StoppedStats`` (or collected partitions) of one carpet, and its
-    distance from the centre of its stopping cell there: two
+    ``StoppedStats`` (or collected partitions) of one carpet, and the
+    log of its distance from the centre of its stopping cell there: two
     (len(levels), size) arrays, the lengths' dtype the
     ``np.min_scalar_type`` of the longest.
 
     One pass over the cloud's chunks serves every level.  The walk reads
-    each sample's y digit at each length h, and where ell rises to l
-    also its digit at place l, the cell it promotes; two small tables
-    turn those map indices into ``stopping_rule``'s move, the move turns
-    the mass class into the next, and the class gives the number of
-    levels it is still above.  Level i stops at the first length where
-    that number is at most the number of deeper levels.  A sample that
-    has stopped at every level walks on from class 0, its number kept
-    at 0.  The chunk's distances follow (``_distances``) before the
-    next chunk is drawn.  Raises ``ShallowCloudError`` when the levels'
+    each sample's digit at each length h, and where ell rises to l also
+    its digit at place l, the cell it promotes; ``stopping_rule`` turns
+    those map indices into its move, the move turns the mass class into
+    the next, and the class gives the number of levels it is still
+    above.  Level i stops at the first length where that number is at
+    most the number of deeper levels.  A sample that has stopped at
+    every level walks on from class 0, its number kept at 0.  The
+    chunk's log distances follow (``_log_distances``) before the next
+    chunk is drawn.  Raises ``ShallowCloudError`` when the levels'
     longest words are too deep for the cloud, and ``ValueError`` when
-    ``levels`` is empty or mixes carpets, or when a sample is still
-    above a level's threshold past them.
+    ``levels`` is empty or mixes carpets, when the cloud was drawn for
+    another carpet, or when a sample is still above a level's threshold
+    past them.
     """
     if not levels:
         raise ValueError("need at least one level")
     params = levels[0].params
     if any(level.params.spec != params.spec for level in levels):
         raise ValueError("levels of more than one carpet")
+    if cloud.spec != params.spec:
+        raise ValueError("cloud drawn for another carpet")
     n, m = params.n, params.m
-    if cloud.bases != (n, m):
-        raise ValueError(f"cloud drawn for bases {cloud.bases}, carpet has "
-                         f"({n}, {m})")
     depth = max(level.xi_max for level in levels)
-    check_depth(params, depth, cloud.depth)
+    check_depth(depth, cloud.depth)
     ks = [level.k for level in levels]
-    codes, rule = stopping_rule(params, ks)
+    picks, rule = stopping_rule(params, ks)
     steps = list(itertools.islice(rule, depth))
     deeper = [sum(j > k for j in ks) for k in ks]
-    # Per map index, its x and y digit.  The move of a step that keeps
-    # ell is that of its y digit b; of one that promotes the cell a, at
-    # a * maps + b.
-    xd, yd = np.array(cloud.spec.digits, dtype=np.intp).T
-    maps = np.intp(len(xd))
-    moves = {False: codes[False].astype(np.intp)[yd],
-             True: codes[True].astype(np.intp)[
-                 ((xd * m + yd) * m)[:, None] + yd].ravel()}
+    maps = np.intp(len(picks[False]))
     ells = [ell(params, h) for h in range(depth + 1)]
     dtype = np.min_scalar_type(depth)
-    # Per axis: digit values, base, and each length's cell digit count.
-    axes = ((xd.astype(np.float64), n, np.array(ells, dtype=dtype)),
-            (yd.astype(np.float64), m, np.arange(depth + 1, dtype=dtype)))
+    # Per axis: each map's digit and the base; per length h: ell(h), and
+    # its cells' height m^-h over their width n^-ell(h), in (1/n, 1].
+    xd, yd = np.array(params.spec.digits, dtype=np.float64).T
+    axes = ((xd, n), (yd, m))
+    cells = (np.array(ells, dtype=dtype),
+             [n ** l / m ** h for h, l in enumerate(ells)])
     lengths = np.ones((len(ks), cloud.size), dtype=dtype)
-    distances = np.empty((len(ks), cloud.size))
+    logs = np.empty((len(ks), cloud.size))
     for lo, digits in cloud.chunks():
         span = slice(lo, lo + digits.shape[1])
         found = lengths[:, span]
@@ -225,7 +202,7 @@ def locate(levels, cloud: SampleCloud) -> tuple[np.ndarray, np.ndarray]:
             if rises:
                 code += np.multiply(digits[ells[h] - 1], maps, dtype=np.intp)
             cls = table.take(cls * np.intp(table.shape[1])
-                             + moves[rises].take(code))
+                             + picks[rises].take(code))
             np.minimum(above.take(cls), live, out=live)
             if not live.any():
                 break
@@ -234,52 +211,66 @@ def locate(levels, cloud: SampleCloud) -> tuple[np.ndarray, np.ndarray]:
         else:
             raise ValueError(f"samples still above a level's threshold "
                              f"past its longest words, at length {depth}")
-        distances[:, span] = _distances(found, digits, axes)
-    return lengths, distances
+        logs[:, span] = _log_distances(found, digits, axes, cells)
+    return lengths, logs
 
 
-def _distances(found: np.ndarray, digits: np.ndarray, axes) -> np.ndarray:
-    """The distance from each sample of a chunk to the centre of its cell
-    at each level, given the chunk's (levels, rows) stopping lengths
-    ``found``, its digit-major ``digits`` and ``locate``'s ``axes``.
+def _log_distances(found: np.ndarray, digits: np.ndarray, axes,
+                   cells) -> np.ndarray:
+    """The log distance from each sample of a chunk to the centre of its
+    cell at each level, given the chunk's (levels, rows) stopping lengths
+    ``found``, its digit-major ``digits`` and ``locate``'s ``axes`` and
+    ``cells``.
 
     The offset is read in cell-local coordinates from the digits after
     the cell.  Per axis, one backward Horner pass from the last drawn
     digit, T_c = (d_{c+1} + T_{c+1}) / base, gives each sample's
     position T_c in [0, 1) within its cell of c digits, for every c in
     turn, and each (level, sample) entry, sorted by length, takes the
-    T_c of its own cell.  The distance is the root of the two offsets'
-    squares, (T_c - 1/2) times the cell's side on each axis, so its
-    precision does not depend on the depth of the cell while the squares
-    are normal floats; ``check_depth`` refuses cells below 2^-511 a
-    side, whose squares are not.
+    T_c of its own cell; its offset is T_c - 1/2 on each axis.  Since
+    n >= m, a length-h cell's wider side is its width n^-ell(h), so the
+    log distance is -ell(h) log n + log hypot(x offset, y offset times
+    the cell's height over its width).  The y cell of h digits is read
+    first, at c = h >= ell(h).  Both terms of the hypot are at most 1/2
+    and the ratio is above 1/n, so no cell is too small to measure.  A
+    sample whose offsets both read as zero, within float rounding of
+    its cell's centre, has the log distance -inf.
     """
+    (xd, n), (yd, m) = axes
+    ells, aspect = cells
     rows = found.shape[1]
     flat = found.ravel()
     order = np.argsort(flat, kind="stable")
-    # start[h]: the sorted entries shorter than h.  Per axis, those whose
-    # cell has c digits lie at edges[c]:edges[c + 1].
-    start = np.concatenate(([0], np.cumsum(np.bincount(
-        flat, minlength=len(axes[0][2])))))
-    edges = [start[np.searchsorted(cells, np.arange(len(digits) + 1))]
-             for _, _, cells in axes]
-    pos = np.zeros((len(axes), rows))
-    total = np.zeros(len(flat))
+    # The sorted entries of length h lie at ends[h]:ends[h + 1], and
+    # those whose x cell has c digits at xends[c]:xends[c + 1].
+    ends = np.concatenate(([0], np.cumsum(np.bincount(
+        flat, minlength=len(digits) + 1))))
+    xends = ends[np.searchsorted(ells, np.arange(len(digits) + 1))]
+    at_x, at_y = np.zeros(rows), np.zeros(rows)
+    out = np.empty(len(flat))
     # The shortest word's x cell is the shallowest cell read.
-    for c in range(len(digits) - 1, int(axes[0][2][flat.min()]) - 1, -1):
+    for c in range(len(digits) - 1, int(ells[flat.min()]) - 1, -1):
         place = digits[c].astype(np.intp)
-        for (values, base, _), edge, at in zip(axes, edges, pos):
-            at += values.take(place)
-            at /= base
-            a, b = edge[c], edge[c + 1]
-            if a < b:
-                entries = order[a:b]
-                off = at.take(entries % rows)
-                off -= 0.5
-                off *= float(base) ** -c
-                off *= off
-                total[entries] += off
-    return np.sqrt(total, out=total).reshape(found.shape)
+        at_x += xd.take(place)
+        at_x /= n
+        at_y += yd.take(place)
+        at_y /= m
+        entries = order[ends[c]:ends[c + 1]]
+        if len(entries):
+            off = at_y.take(entries % rows)
+            off -= 0.5
+            off *= aspect[c]
+            out[entries] = off
+        entries = order[xends[c]:xends[c + 1]]
+        if len(entries):
+            off = at_x.take(entries % rows)
+            off -= 0.5
+            np.hypot(off, out.take(entries), out=off)
+            with np.errstate(divide="ignore"):
+                np.log(off, out=off)
+            off -= c * math.log(n)
+            out[entries] = off
+    return out.reshape(found.shape)
 
 
 def _exact_sum(chunks) -> float:
@@ -346,16 +337,16 @@ class QuantDiagnostics:
 
 
 def r_k_diagnostic(level, cloud: SampleCloud,
-                   distances: np.ndarray) -> QuantDiagnostics:
+                   logs: np.ndarray) -> QuantDiagnostics:
     """Exact anchors plus a Monte Carlo own-cell distortion estimate for
     one level, given its ``StoppedStats`` (or collected partition) and
-    its row of ``locate``'s distances.  The anchors are float sums over
-    the level's exact per-length masses; the estimate is the mean log
-    distance from the samples to their own cells' centres, with an
-    exactly zero distance clamped at ``DISTANCE_FLOOR`` and counted.
-    The logs, then their squared deviations from the mean, formed a
-    chunk at a time, are added by an exact sum, rounded once, the float
-    ``math.fsum`` gives.
+    its row of ``locate``'s log distances.  The anchors are float sums
+    over the level's exact per-length masses; the estimate is the mean
+    log distance from the samples to their own cells' centres, with the
+    log of a zero distance (-inf) clamped at that of ``DISTANCE_FLOOR``
+    and counted.  The logs, then their squared deviations from the mean,
+    formed a chunk at a time, are added by an exact sum, rounded once,
+    the float ``math.fsum`` gives.
     """
     params = level.params
     L = params.denom_lcm
@@ -366,15 +357,15 @@ def r_k_diagnostic(level, cloud: SampleCloud,
         mass_h = float(Fraction(nu_sum, L ** h))
         lower += mass_h * (-h * log_m)
         upper += mass_h * diameter_log(params, h)
-    size = len(distances)
+    size = len(logs)
+    floor = math.log(DISTANCE_FLOOR)
 
-    def logs():
+    def clamped():
         for lo in range(0, size, _CHUNK):
-            yield np.log(np.maximum(distances[lo:lo + _CHUNK],
-                                    DISTANCE_FLOOR))
+            yield np.nan_to_num(logs[lo:lo + _CHUNK], neginf=floor)
 
-    est = _exact_sum(logs()) / size
-    sd = (math.sqrt(_exact_sum(np.square(x - est) for x in logs())
+    est = _exact_sum(clamped()) / size
+    sd = (math.sqrt(_exact_sum(np.square(x - est) for x in clamped())
                     / (size - 1)) if size > 1 else 0.0)
     return QuantDiagnostics(
         k=level.k,
@@ -384,7 +375,7 @@ def r_k_diagnostic(level, cloud: SampleCloud,
         e_hat_est=est,
         stderr=sd / math.sqrt(size),
         r_k=math.log(level.phi_k) / params.s0 + est,
-        floored=int(np.count_nonzero(distances < DISTANCE_FLOOR)),
+        floored=int(np.count_nonzero(np.isneginf(logs))),
         cloud_size=cloud.size,
         seed=cloud.seed,
     )

@@ -704,13 +704,14 @@ def sample_digit_matrix(params: DerivedParams, count: int, depth: int,
                         seed: int) -> np.ndarray:
     """The map-index digit matrix of shape (count, depth) that
     ``draw_cloud``'s chunks hold, in one array: rows in blocks of
-    ``_SHARD_ROWS``, block b drawn by the generator seeded by (seed, b)."""
+    ``_SHARD_ROWS``, block b drawn by the generator seeded by (seed, b)
+    place by place, all of its first digits, then all of its second."""
     cum = np.cumsum([float(w) for w in params.spec.weights])
     out = np.empty((count, depth), dtype=np.min_scalar_type(len(cum) - 1))
     for block, lo in enumerate(range(0, count, _SHARD_ROWS)):
         hi = min(lo + _SHARD_ROWS, count)
-        u = np.random.default_rng([int(seed), block]).random((hi - lo, depth))
-        out[lo:hi] = uniform_digits(u, cum)
+        u = np.random.default_rng([int(seed), block]).random((depth, hi - lo))
+        out[lo:hi] = uniform_digits(u, cum).T
     return out
 
 
@@ -728,13 +729,15 @@ def sample_points(params: DerivedParams, count: int, depth: int,
     return pts
 
 
-def own_cell_distances(params: DerivedParams, digits: np.ndarray,
-                       lengths) -> list[float]:
-    """The distance from each sample (a map-index digit row) to the
-    centre of its cell of the given length: the root of the exact
-    squared distance rounded to a float.  A length-h cell holds the
-    first ell(h) x digits and the first h y digits; the digits after
-    them place the sample in it."""
+def own_cell_log_distances(params: DerivedParams, digits: np.ndarray,
+                           lengths) -> list[float]:
+    """The log distance from each sample (a map-index digit row) to the
+    centre of its cell of the given length, -inf at the centre.  The
+    squared distance is an exact fraction of big integers, scaled by a
+    power of two into (1/2, 2) and rounded once, so no cell is too small
+    and the log is good to a few units in its last place.  A length-h
+    cell holds the first ell(h) x digits and the first h y digits; the
+    digits after them place the sample in it."""
     cells = params.spec.digits
     out = []
     for row, h in zip(digits.tolist(), lengths):
@@ -744,9 +747,16 @@ def own_cell_distances(params: DerivedParams, digits: np.ndarray,
             tail = 0
             for d in row[places:]:
                 tail = tail * base + cells[d][axis]
-            offset = Fraction(tail, base ** (len(row) - places)) - Fraction(1, 2)
-            square += (offset / base ** places) ** 2
-        out.append(math.sqrt(square))
+            # (tail / base^(depth - places) - 1/2) / base^places
+            square += Fraction(2 * tail - base ** (len(row) - places),
+                               2 * base ** len(row)) ** 2
+        if not square:
+            out.append(-math.inf)
+            continue
+        # square = r 2^e with r in (1/2, 2), rounded once to a float.
+        e = square.numerator.bit_length() - square.denominator.bit_length()
+        out.append((math.log(square / Fraction(2) ** e)
+                    + e * math.log(2)) / 2)
     return out
 
 

@@ -320,10 +320,10 @@ _OVER_CAP_STDOUT = {
         "sequences k=3: d_k=0.859793388 s_k=0.899553472 s0=0.912713498 pass",
     ],
     "quantize": [
-        "quantize k=2: e_hat=-5.993900 anchors [-5.981334, -4.730543] "
-        "R_k=-0.250863",
-        "quantize k=3: e_hat=-8.527794 anchors [-8.178558, -7.419404] "
-        "R_k=-0.377403",
+        "quantize k=2: e_hat=-6.000984 anchors [-5.981334, -4.730543] "
+        "R_k=-0.257947",
+        "quantize k=3: e_hat=-8.565904 anchors [-8.178558, -7.419404] "
+        "R_k=-0.415513",
         "quantize ball bound: pass (max ratio 0.0275)",
     ],
 }
@@ -546,15 +546,15 @@ def test_exact_outputs_frozen_carpet_d(tmp_path):
 
 # sha256 of quantize.csv and quantize.json for carpets A, D and E at
 # k = 2..4 from a 50,000-point cloud at seed 24301.  They pin the sampled
-# cloud, every sample's located cell and own-cell distance (through the
+# cloud, every sample's located cell and own-cell log distance (through the
 # mean and the stderr) and the ball certificate's worst ratio.
 _FROZEN_QUANTIZE = {
-    "A": ("9a19017a1ef3cfb0e93ca2ea5803590db7607373f5e9c1cb064d934c06c25e49",
-          "c2b5cfb36bea29d2810facad3c7965d714d944dbb35ace96468ceb06c54cebec"),
-    "D": ("02c06606b5f9c6b63cad9e62c807d17cb367004898fe19d2611ba31bf85ddee8",
-          "86ca6c7f9ef0ae8b4beeed277448487125b7ac07c17e0c73724f3cacc40f9996"),
-    "E": ("fe6f3943caa12593bd4e22729db5d36eec25d20d45e2e909a400363baecc79ef",
-          "209c674ee062e2a79a23b1c44c1c52049c58d5b99ddecb7bba1c87fe50523bf5"),
+    "A": ("3caf59ead4030278f996805d277455560550e4e020fdb41f12f96345ed83f3e4",
+          "12b50287ba534bda0254b130216b1030f9fd39867990b01ef526768afd77d9f5"),
+    "D": ("3173171c9a5f798931d487ddec552ab23ec81696f85119869d138e53e1a19693",
+          "59508bf641f5550a1fc1254e5f60c8d1891963f31baa456614d6b1a8d5d701c3"),
+    "E": ("3637ecb14c023fff6f8a9f479dcefc781151bf4692292a873b0ff21a8635cefd",
+          "bed0ba6ccfd031680519b9ba27986292108482b8ee7bd7ded9df688e223a9d3e"),
 }
 _CARPET_E = dict(n=5, m=3, maps=[
     {"i": 0, "j": 0, "p": "1/6"}, {"i": 2, "j": 0, "p": "1/3"},
@@ -619,19 +619,19 @@ def test_shallow_cloud_guard_exits_2(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:grid factor")
-def test_underflowing_cells_exit_2(tmp_path, capsys):
+def test_tiny_cells_quantize(tmp_path):
     # Carpet D's cells at 99/100 and 1/100 have k = 1 words of length
-    # 917, cells 2^-916 across: however deep the cloud, their squared
-    # offsets would underflow to zero, so quantize refuses the level
-    # rather than floor its samples.
+    # 917, cells 2^-916 across, whose squared sides underflow; their log
+    # distances do not, so quantize measures the level.
     cfg = _config(tmp_path, n=4, m=2, maps=[
         {"i": 0, "j": 0, "p": "99/100"}, {"i": 2, "j": 1, "p": "1/100"}],
         k_min=1, k_max=1, cloud_size=2000, depth=937)
-    assert main(["quantize", "--config", cfg,
-                 "--out", str(tmp_path / "out")]) == 2
-    assert json.loads(capsys.readouterr().err) == {
-        "error": "quantize k=1: words of length 917 have cells below "
-                 "2^-511 a side, whose squared offsets underflow"}
+    out = tmp_path / "out"
+    assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0
+    levels = json.loads((out / "quantize.json").read_text())["levels"]
+    assert [level["k"] for level in levels] == [1]
+    _, rows = read_csv(out / "quantize.csv")
+    assert float(rows[0][4]) < -100
 
 
 @pytest.mark.filterwarnings("ignore:grid factor")

@@ -19,15 +19,14 @@ import carpetq
 from carpetq import CarpetSpec, derive_params
 from carpetq.partition import enumerate_lambda_k, stopped_statistics
 from carpetq.quantizer import (
-    _CHUNK, _CHUNK_DIGITS, _SHARD_ROWS, DISTANCE_FLOOR, MAX_DEPTH,
-    SampleCloud, ShallowCloudError, _exact_sum, ball_bound_check,
-    check_depth, diameter_log, draw_cloud, locate, r_k_diagnostic,
-    uniform_digits,
+    _CHUNK, _SHARD_ROWS, DISTANCE_FLOOR, MAX_DEPTH, SampleCloud,
+    ShallowCloudError, _exact_sum, ball_bound_check, diameter_log,
+    draw_cloud, locate, r_k_diagnostic, uniform_digits,
 )
 from carpetq.words import ell
 from oracles import (
     brute_locate, key_rows, lambda_codebook, nearest_distances,
-    nearest_log_distortion, own_cell_distances, sample_digit_matrix,
+    nearest_log_distortion, own_cell_log_distances, sample_digit_matrix,
     sample_points, square_geometry, traced_peak, word_at,
 )
 
@@ -45,6 +44,22 @@ def _diagnose(level, cloud):
 def _drawn(cloud):
     # The cloud's digits as one (size, depth) matrix, in row order.
     return np.concatenate([digits.T for _, digits in cloud.chunks()])
+
+
+def _assert_logs_exact(params, logs, digits, lengths):
+    # Each log distance against the exact big-integer one: within
+    # 2^-50 of its cell's diagonal over the distance (the offsets are
+    # read to within a few units in the last place of the cell), plus
+    # 2^-50 of the log itself, a few units in its last place; -inf only
+    # at an exact centre.
+    exact = np.array(own_cell_log_distances(params, digits, lengths))
+    centre = np.isneginf(exact)
+    assert np.array_equal(np.isneginf(logs), centre)
+    diagonal = np.array([diameter_log(params, h) for h in lengths])
+    err = np.abs(logs[~centre] - exact[~centre])
+    tol = (2.0 ** -50 * np.exp(diagonal[~centre] - exact[~centre])
+           + 2.0 ** -50 * np.abs(exact[~centre]))
+    assert np.all(err <= tol)
 
 
 def test_draw_cloud_deterministic(carpet_a, cloud_a):
@@ -70,19 +85,30 @@ def test_draw_cloud_validation(carpet_a):
     (120_000, 40), (70_001, 136), (40_000, 937), (5, MAX_DEPTH)])
 def test_cloud_chunks_bounded(carpet_a, size, depth):
     # The cloud holds no sample; its chunks run over the rows in order,
-    # each digit-major, inside one sampling block, and of at most
-    # _CHUNK_DIGITS digits, so an even split of each block.
+    # each one sampling block, digit-major.
     cloud = draw_cloud(carpet_a, size, depth=depth, seed=3)
     assert [f.name for f in dataclasses.fields(cloud)] == [
         "spec", "size", "depth", "seed"]
     row = 0
     for lo, digits in cloud.chunks():
         assert lo == row and digits.dtype == np.uint8
-        assert digits.flags.c_contiguous and len(digits) == depth
-        assert digits.size <= _CHUNK_DIGITS
-        assert lo // _SHARD_ROWS == (lo + digits.shape[1] - 1) // _SHARD_ROWS
+        assert digits.flags.c_contiguous
+        assert digits.shape == (depth, min(_SHARD_ROWS, size - lo))
         row += digits.shape[1]
     assert row == size
+
+
+def test_deeper_cloud_extends_every_sample(carpet_a, carpet_d):
+    # Each block is drawn place by place, so at one seed a deeper cloud
+    # holds the same samples with more digits, and locates them at the
+    # same lengths.
+    for params, ks in ((carpet_a, range(2, 6)), (carpet_d, (2,))):
+        shallow = draw_cloud(params, 70_001, depth=40, seed=8)
+        deep = draw_cloud(params, 70_001, depth=60, seed=8)
+        assert np.array_equal(_drawn(deep)[:, :40], _drawn(shallow))
+        levels = [stopped_statistics(params, k) for k in ks]
+        assert np.array_equal(locate(levels, deep)[0],
+                              locate(levels, shallow)[0])
 
 
 def test_cloud_in_unit_square(carpet_a, cloud_a):
@@ -138,43 +164,57 @@ def _expand(frac, base, count):
     return digits
 
 
-def _hand_cloud(part, idx, quarters):
+@pytest.fixture(scope="module")
+def carpet_even():
+    # Every cell of even coordinates on an 8 x 4 grid: the digits after
+    # a word's cell may be any even ones, so they place a sample at a
+    # chosen offset, exactly on power-of-two bases.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return derive_params(CarpetSpec.of(8, 4, {
+            (i, j): "1/8" for i in range(0, 8, 2) for j in (0, 2)}))
+
+
+def _hand_cloud(part, idx, offsets):
     # Samples in the cell of word ``idx`` at the given offsets from its
-    # centre, in quarter cell sides: rows of a cloud over every cell of
-    # the grid, whose digits after the word's place the sample.  Exact
-    # on power-of-two bases.
+    # centre, in cell sides: rows of a cloud of the level's carpet, whose
+    # digits after the word's place the sample.  Also the word's length
+    # and its cell's sides.
     params = part.params
     n, m, depth = params.n, params.m, 60
     word = word_at(part, idx)
     h, l = len(word), len(word.pairs)
-    grid = CarpetSpec.of(n, m, {(i, j): Fraction(1, n * m)
-                                for i in range(n) for j in range(m)})
+    index = {cell: i for i, cell in enumerate(params.spec.digits)}
     rows = []
-    for qx, qy in quarters:
-        xs = list(word.x_digits()) + _expand(Fraction(2 + qx, 4), n, depth - l)
-        ys = list(word.y_digits()) + _expand(Fraction(2 + qy, 4), m, depth - h)
-        rows.append([i * m + j for i, j in zip(xs, ys)])
-    cloud = _RowCloud(spec=grid, size=len(rows), depth=depth, seed=0,
+    for fx, fy in offsets:
+        xs = list(word.x_digits()) + _expand(Fraction(1, 2) + fx, n, depth - l)
+        ys = list(word.y_digits()) + _expand(Fraction(1, 2) + fy, m, depth - h)
+        rows.append([index[cell] for cell in zip(xs, ys)])
+    cloud = _RowCloud(spec=params.spec, size=len(rows), depth=depth, seed=0,
                       rows=np.array(rows, dtype=np.uint8))
-    return cloud, h, float(n) ** -l / 4, float(m) ** -h / 4
+    return cloud, h, float(n) ** -l, float(m) ** -h
 
 
-def test_log_distortion_hand_value(cache_d):
-    part = cache_d.partition(2)
-    cloud, h, qx, qy = _hand_cloud(part, 7, [(1, 1), (-1, -1)])
+def test_log_distortion_hand_value(carpet_even):
+    part = enumerate_lambda_k(carpet_even, 2)
+    cloud, h, sx, sy = _hand_cloud(part, 7, [(Fraction(1, 4), Fraction(1, 8)),
+                                             (Fraction(-1, 4), Fraction(1, 8))])
+    assert h > len(word_at(part, 7).pairs)
     assert locate([part], cloud)[0].tolist() == [[h, h]]
     est = _diagnose(part, cloud)
-    assert est.e_hat_est == pytest.approx(math.log(math.hypot(qx, qy)),
+    assert est.e_hat_est == pytest.approx(math.log(math.hypot(sx / 4, sy / 8)),
                                           abs=1e-15)
     assert est.floored == 0
     assert est.stderr == pytest.approx(0.0, abs=1e-15)
 
 
-def test_log_distortion_floors_zero_distance(cache_d):
-    part = cache_d.partition(2)
-    cloud, _, qx, qy = _hand_cloud(part, 7, [(0, 0), (1, -1)])
+def test_log_distortion_floors_zero_distance(carpet_even):
+    part = enumerate_lambda_k(carpet_even, 2)
+    cloud, _, sx, sy = _hand_cloud(part, 7, [(0, 0), (Fraction(1, 4),
+                                                      Fraction(1, 8))])
     assert locate([part], cloud)[1].tolist() == [
-        [0.0, pytest.approx(math.hypot(qx, qy), rel=1e-15)]]
+        [-math.inf, pytest.approx(math.log(math.hypot(sx / 4, sy / 8)),
+                                  rel=1e-15)]]
     est = _diagnose(part, cloud)
     assert est.floored == 1
     assert math.isfinite(est.e_hat_est)
@@ -255,14 +295,14 @@ def _searchsorted_digits(u, cum):
 
 
 def _searchsorted_matrix(params, size, depth, seed):
-    # The sampler before the per-block kernel: the whole digit matrix by
-    # searchsorted.
+    # The whole digit matrix by searchsorted, each block of 2^15 rows
+    # drawn place by place: all of its first digits, then its second.
     cum = np.cumsum(np.array([float(w) for w in params.spec.weights]))
     mat = np.empty((size, depth), dtype=np.uint16)
     for s, lo in enumerate(range(0, size, 1 << 15)):
         hi = min(lo + (1 << 15), size)
-        u = np.random.default_rng([seed, s]).random((hi - lo, depth))
-        mat[lo:hi] = _searchsorted_digits(u, cum)
+        u = np.random.default_rng([seed, s]).random((depth, hi - lo))
+        mat[lo:hi] = _searchsorted_digits(u, cum).T
     return mat
 
 
@@ -300,8 +340,8 @@ def test_uniform_digits_match_searchsorted(request, name):
 
 @pytest.mark.parametrize("name", ["a", "d", "e", "wide"])
 def test_sampling_matches_searchsorted_formula(request, name):
-    # Depth 136 splits each block into two chunks, and the odd size
-    # leaves a partial block.  The 400-map carpet's digits pass 255, so
+    # The odd size leaves a partial block.  The 400-map carpet's digits
+    # pass 255, so
     # they are uint16; its 399 comparisons a digit keep its cloud small.
     params = request.getfixturevalue(f"carpet_{name}")
     size = 2_001 if name == "wide" else 70_001
@@ -324,8 +364,7 @@ def test_located_word_matches_brute_force(request, name, levels, depth):
     # has a full-mass column, carpet C is square (n = m), the 20-map
     # carpet's move indices run past 255, and the 400-map carpet's map
     # indices do.  The digits are the searchsorted formula's, drawn
-    # apart from the cloud.  Each distance is within a few units in the
-    # last place of its cell's diagonal of the exact one.
+    # apart from the cloud.  Each log distance is held to the exact one.
     params = request.getfixturevalue(f"carpet_{name}")
     cloud = draw_cloud(params, 1500, depth=depth, seed=5)
     digits = _searchsorted_matrix(params, 1500, depth, 5)
@@ -333,13 +372,10 @@ def test_located_word_matches_brute_force(request, name, levels, depth):
     found, dists = locate(parts, cloud)
     assert found.dtype == np.uint8 and found.shape == (len(parts), 1500)
     assert dists.shape == found.shape
-    for part, row, dist in zip(parts, found, dists):
+    for part, row, logs in zip(parts, found, dists):
         assert row.tolist() == brute_locate(params, part,
                                             digits[:, :part.xi_max])
-        diagonal = np.array([math.exp(diameter_log(params, h))
-                             for h in row.tolist()])
-        exact = np.array(own_cell_distances(params, digits, row.tolist()))
-        assert np.all(np.abs(dist - exact) <= 2.0 ** -50 * diagonal)
+        _assert_logs_exact(params, logs, digits, row.tolist())
 
 
 _cells = st.lists(
@@ -385,7 +421,7 @@ def test_own_cell_distance_at_least_nearest(request, name, levels):
     for part, own in zip(parts, locate(parts, cloud)[1]):
         assert len(own) == cloud.size
         centres = lambda_codebook(part)
-        assert np.all(own >= nearest_distances(pts, centres) - 1e-15)
+        assert np.all(np.exp(own) >= nearest_distances(pts, centres) - 1e-15)
         est = r_k_diagnostic(part, cloud, own)
         voronoi, _, floored = nearest_log_distortion(pts, centres,
                                                      DISTANCE_FLOOR)
@@ -396,14 +432,14 @@ def test_own_cell_distance_at_least_nearest(request, name, levels):
 def test_stderr_is_sample_std(cache_e, carpet_e):
     cloud = draw_cloud(carpet_e, 3 * _CHUNK + 11, seed=3)
     part = cache_e.partition(3)
-    dists = locate([part], cloud)[1][0]
-    logs = np.log(dists)
-    est = r_k_diagnostic(part, cloud, dists)
+    logs = locate([part], cloud)[1][0]
+    kept = logs.copy()
+    est = r_k_diagnostic(part, cloud, logs)
     assert est.e_hat_est == math.fsum(logs) / len(logs)
     assert est.stderr == pytest.approx(
         np.std(logs, ddof=1) / math.sqrt(len(logs)), rel=1e-12)
-    # The distances are read, not overwritten.
-    assert np.array_equal(np.log(dists), logs)
+    # The log distances are read, not overwritten.
+    assert np.array_equal(logs, kept)
 
 
 def test_shallow_cloud_refused(carpet_d):
@@ -424,15 +460,14 @@ def test_shallow_cloud_refused(carpet_d):
     found, _ = locate([deep], draw_cloud(wide, 100, depth=40, seed=2))
     assert found[0].tolist() == brute_locate(
         wide, deep, sample_digit_matrix(wide, 100, 40, 2)[:, :deep.xi_max])
-    with pytest.raises(ValueError, match="bases"):
+    with pytest.raises(ValueError, match="another carpet"):
         locate([deep], draw_cloud(carpet_d, 100, depth=40))
 
 
 def test_lengths_past_255():
     # With D's cells at 49/50 and 1/50 the k = 1 words run from length 3
     # to 388, so the lengths are uint16: a uint8 count would wrap past
-    # 255.  Cells 2^-388 across still measure each distance to within
-    # 2^-50 of its cell's diagonal.
+    # 255.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         params = derive_params(CarpetSpec.of(
@@ -446,23 +481,23 @@ def test_lengths_past_255():
     digits = sample_digit_matrix(params, 2000, 408, 9)
     assert found[0].tolist() == brute_locate(params, part,
                                              digits[:, :388])
-    diagonal = np.array([math.exp(diameter_log(params, h))
-                         for h in found[0].tolist()])
-    exact = np.array(own_cell_distances(params, digits, found[0].tolist()))
-    assert np.all(np.abs(dists[0] - exact) <= 2.0 ** -50 * diagonal)
+    _assert_logs_exact(params, dists[0], digits, found[0].tolist())
 
 
-def test_underflowing_cells_refused(carpet_skewed):
+def test_skewed_carpet_located_against_brute_force(carpet_skewed):
     # The skewed carpet's k = 1 words run to length 917, whose cells are
-    # 2^-916 by 2^-917: a squared offset would underflow to zero, so the
-    # level is refused however deep the cloud.  On its 4 x 2 grid the
-    # larger side is 2^-510 at length 511 and 2^-512 at 512.
-    stats = stopped_statistics(carpet_skewed, 1)
-    with pytest.raises(ShallowCloudError, match="below 2\\^-511"):
-        locate([stats], draw_cloud(carpet_skewed, 100, depth=937))
-    check_depth(carpet_skewed, 511, 531)
-    with pytest.raises(ShallowCloudError, match="length 512 have cells"):
-        check_depth(carpet_skewed, 512, 532)
+    # 2^-916 by 2^-917: their squared sides underflow, but the log
+    # distance factors out the wider side, so every sample is located
+    # and measured, and held to the exact log distance.
+    part = enumerate_lambda_k(carpet_skewed, 1)
+    assert part.xi_max == 917
+    found, logs = locate([part], draw_cloud(carpet_skewed, 600, depth=937,
+                                            seed=4))
+    digits = sample_digit_matrix(carpet_skewed, 600, 937, 4)
+    assert found[0].tolist() == brute_locate(carpet_skewed, part,
+                                             digits[:, :917])
+    assert found.max() > 511
+    _assert_logs_exact(carpet_skewed, logs[0], digits, found[0].tolist())
 
 
 def test_levels_walk_as_if_alone(carpet_d):
@@ -497,14 +532,18 @@ def test_locate_refuses_no_levels(cloud_a):
 
 
 def test_locate_refuses_levels_of_two_carpets(carpet_a, carpet_b, cloud_a):
-    # Carpets A and B share their 4 x 3 grid, so the cloud fits both;
-    # the walk follows one carpet's rule, which would give the other's
-    # level wrong thresholds.
+    # Carpets A and B share their 4 x 3 grid.  The walk follows one
+    # carpet's rule, which would give the other's level wrong
+    # thresholds.
     levels = [stopped_statistics(carpet_a, 2), stopped_statistics(carpet_b, 2)]
     with pytest.raises(ValueError, match="more than one carpet"):
         locate(levels, cloud_a)
     with pytest.raises(ValueError, match="more than one carpet"):
         locate(levels[::-1], cloud_a)
+    # Nor may the cloud be another carpet's: B has no cell (0, 2) or
+    # (2, 2), so A's map indices would read as wrong moves of B's rule.
+    with pytest.raises(ValueError, match="another carpet"):
+        locate(levels[1:], cloud_a)
 
 
 @pytest.mark.parametrize("name,levels", [
