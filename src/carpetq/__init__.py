@@ -88,12 +88,14 @@ from .sequences import (
 )
 from .quantizer import (
     BallBoundReport,
+    LevelTally,
     QuantDiagnostics,
     SampleCloud,
     ball_bound_check,
     draw_cloud,
     locate,
     r_k_diagnostic,
+    tally,
 )
 
 __version__ = "0.1.0"
@@ -111,7 +113,7 @@ __all__ = [
     "SequencePoint", "compute_d_k", "compute_s_k", "compute_t",
     "compute_u_k", "d_k_bound", "delta_k", "s_k_bound", "sequence_point",
     "t_bound",
-    "BallBoundReport", "QuantDiagnostics", "SampleCloud", "ball_bound_check",
-    "draw_cloud", "locate", "r_k_diagnostic",
+    "BallBoundReport", "LevelTally", "QuantDiagnostics", "SampleCloud",
+    "ball_bound_check", "draw_cloud", "locate", "r_k_diagnostic", "tally",
     "__version__",
 ]

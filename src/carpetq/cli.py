@@ -12,10 +12,12 @@ For a fixed config and seed every output byte is the same in every
 run, and carpetq makes no BLAS call, so none depends on OpenBLAS's
 thread count.  ``quantize`` enumerates no level: each sample is
 measured against its own stopping cell, found from its digits by one
-pass for all levels that draws the cloud a chunk at a time, and the log
-distances and their squared deviations are exact sums, rounded once,
-equal to ``math.fsum``.  The small-ball bound is certified from the
-carpet's exact weights.
+pass for all levels that draws the cloud a chunk at a time and folds
+each chunk into per-level tallies, so it holds no per-sample array.
+The log distances and their squares are summed exactly, so the mean
+is rounded once, as ``math.fsum`` rounds it, and so is the sample
+variance.  The small-ball bound is certified from the carpet's exact
+weights.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .partition import (
 )
 from .quantizer import (
     MAX_DEPTH, MIN_TAIL, ShallowCloudError, ball_bound_check, check_depth,
-    draw_cloud, locate, r_k_diagnostic,
+    draw_cloud, r_k_diagnostic, tally,
 )
 from .report import read_csv, render_line_chart, write_csv, write_json, write_text
 from .sequences import delta_k, sequence_point
@@ -366,24 +368,22 @@ def cmd_sequences(ctx: _Ctx) -> None:
               {"levels": [dict(zip(header, row)) for row in rows]})
 
 
-def _stray_lengths(stats, lengths: np.ndarray) -> list:
-    """(h, samples, expected) for each length h whose count of samples
-    strays from N times its exact mass by over 6 binomial standard
-    deviations plus 15.  By the Chernoff bound, a Binomial(N, mass_h)
-    count strays that far with probability below 2 exp(-18), 3.1e-8,
-    whatever N and mass_h (the 15 covers small counts' skewed tails):
-    T (level, length) tests fail falsely with probability below
-    T x 3.1e-8, under 1e-6 up to T = 32 (carpet A at k = 2..5 makes 8)."""
+def _stray_lengths(stats, counts: np.ndarray) -> list:
+    """(h, samples, expected) for each length h whose count of samples,
+    ``counts[h]``, strays from N times its exact mass by over 6 binomial
+    standard deviations plus 15, N the sum of ``counts``.  By the
+    Chernoff bound, a Binomial(N, mass_h) count strays that far with
+    probability below 2 exp(-18), 3.1e-8, whatever N and mass_h (the 15
+    covers small counts' skewed tails): T (level, length) tests fail
+    falsely with probability below T x 3.1e-8, under 1e-6 up to T = 32
+    (carpet A at k = 2..5 makes 8)."""
     L = stats.params.denom_lcm
-    # bincount casts its input to intp, so it counts a slice at a time.
-    top = max(stats.xi_max, int(lengths.max())) + 1
-    counts = sum(np.bincount(lengths[lo:lo + (1 << 16)], minlength=top)
-                 for lo in range(0, len(lengths), 1 << 16))
+    size = int(counts.sum())
     stray = []
     for h in sorted(set(stats.length_nu_sums)
                     | set(np.flatnonzero(counts).tolist())):
         share = float(Fraction(stats.length_nu_sums.get(h, 0), L ** h))
-        want = len(lengths) * share
+        want = size * share
         if abs(counts[h] - want) > 6 * math.sqrt(want * (1 - share)) + 15:
             stray.append((h, int(counts[h]), want))
     return stray
@@ -403,16 +403,16 @@ def cmd_quantize(ctx: _Ctx) -> None:
             raise ConfigError(f"quantize k={k}: {exc}") from exc
     cloud = draw_cloud(params, ctx.cfg.cloud_size, depth=ctx.cfg.depth,
                        seed=ctx.cfg.seed)
-    found, distances = locate(list(known.values()), cloud)
+    tallies = tally(list(known.values()), cloud)
     header = ["k", "phi_k", "lower_anchor", "upper_anchor", "e_hat_est",
               "stderr", "R_k"]
     rows = []
     detail = []
     gap_cap = math.log(math.sqrt(params.spec.n ** 2 + 1))
-    for (k, stats), lengths, dist in zip(known.items(), found, distances):
+    for (k, stats), level_tally in zip(known.items(), tallies):
         ctx.level = k
-        diag = r_k_diagnostic(stats, cloud, dist)
-        if stray := _stray_lengths(stats, lengths):
+        diag = r_k_diagnostic(stats, cloud, level_tally)
+        if stray := _stray_lengths(stats, level_tally.counts):
             ctx.fail(command="quantize", k=k, check="length-shares",
                      detail="; ".join(
                          f"length {h}: {got} samples, expected {want:.1f}"

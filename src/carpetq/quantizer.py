@@ -17,7 +17,8 @@ cellwise decomposition of the geometric mean error, that own-cell error
 is an upper bound on the error of the nearest-centre (Voronoi)
 assignment to the same centres.  The cloud is held as its seed: one
 pass draws its digits a chunk at a time, locates and measures them,
-and drops them.
+folds each level's lengths and log distances into exact running sums,
+and drops them, so no array is sized by the cloud.
 
 The small-ball bound mu(B(x, eps)) <= C eps^t, which the lower estimate
 of the error rests on, is certified without samples: per band of radii,
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,7 @@ from .words import ell
 __all__ = [
     "SampleCloud",
     "QuantDiagnostics",
+    "LevelTally",
     "BallBoundReport",
     "ShallowCloudError",
     "DISTANCE_FLOOR",
@@ -50,6 +52,7 @@ __all__ = [
     "draw_cloud",
     "check_depth",
     "locate",
+    "tally",
     "diameter_log",
     "r_k_diagnostic",
     "ball_bound_check",
@@ -63,6 +66,8 @@ MIN_TAIL = 20               # cloud digits a located cell must leave unread
 
 _SHARD_ROWS = 1 << 15       # rows per sampling block, one generator each
 _CHUNK = 1 << 15            # values per exact-sum batch
+_LOW26 = (1 << 26) - 1
+_LOW18 = (1 << 18) - 1
 
 
 class ShallowCloudError(ValueError):
@@ -145,27 +150,29 @@ def check_depth(xi_max: int, depth: int) -> None:
             f"{xi_max + MIN_TAIL}, got {depth}")
 
 
-def locate(levels, cloud: SampleCloud) -> tuple[np.ndarray, np.ndarray]:
-    """Each sample's stopping length at each of ``levels``, the
-    ``StoppedStats`` (or collected partitions) of one carpet, and the
-    log of its distance from the centre of its stopping cell there: two
-    (len(levels), size) arrays, the lengths' dtype the
-    ``np.min_scalar_type`` of the longest.
+def locate(levels, cloud: SampleCloud):
+    """For each chunk of the cloud, in order, (first row, lengths, logs):
+    each of the chunk's samples' stopping length at each of ``levels``,
+    the ``StoppedStats`` (or collected partitions) of one carpet, and the
+    log of its distance from the centre of its stopping cell there, two
+    (len(levels), rows) arrays, the lengths' dtype the
+    ``np.min_scalar_type`` of the longest.  A generator: each chunk is
+    drawn, walked and measured when it is asked for, and nothing it
+    yields is sized by the cloud.
 
-    One pass over the cloud's chunks serves every level.  The walk reads
-    each sample's digit at each length h, and where ell rises to l also
-    its digit at place l, the cell it promotes; ``stopping_rule`` turns
-    those map indices into its move, the move turns the mass class into
-    the next, and the class gives the number of levels it is still
-    above.  Level i stops at the first length where that number is at
-    most the number of deeper levels.  A sample that has stopped at
-    every level walks on from class 0, its number kept at 0.  The
-    chunk's log distances follow (``_log_distances``) before the next
-    chunk is drawn.  Raises ``ShallowCloudError`` when the levels'
-    longest words are too deep for the cloud, and ``ValueError`` when
-    ``levels`` is empty or mixes carpets, when the cloud was drawn for
-    another carpet, or when a sample is still above a level's threshold
-    past them.
+    One walk over each chunk serves every level.  It reads each sample's
+    digit at each length h, and where ell rises to l also its digit at
+    place l, the cell it promotes; ``stopping_rule`` turns those map
+    indices into its move, the move turns the mass class into the next,
+    and the class gives the number of levels it is still above.  Level i
+    stops at the first length where that number is at most the number of
+    deeper levels.  A sample that has stopped at every level walks on
+    from class 0, its number kept at 0.  The chunk's log distances
+    follow (``_log_distances``).  Raises ``ShallowCloudError`` when the
+    levels' longest words are too deep for the cloud, and ``ValueError``
+    when ``levels`` is empty or mixes carpets, when the cloud was drawn
+    for another carpet, or when a sample is still above a level's
+    threshold past them.
     """
     if not levels:
         raise ValueError("need at least one level")
@@ -190,13 +197,11 @@ def locate(levels, cloud: SampleCloud) -> tuple[np.ndarray, np.ndarray]:
     axes = ((xd, n), (yd, m))
     cells = (np.array(ells, dtype=dtype),
              [n ** l / m ** h for h, l in enumerate(ells)])
-    lengths = np.ones((len(ks), cloud.size), dtype=dtype)
-    logs = np.empty((len(ks), cloud.size))
     for lo, digits in cloud.chunks():
-        span = slice(lo, lo + digits.shape[1])
-        found = lengths[:, span]
-        cls = np.zeros(digits.shape[1], dtype=np.intp)
-        live = np.full(digits.shape[1], len(ks), dtype=steps[0][2].dtype)
+        rows = digits.shape[1]
+        found = np.ones((len(ks), rows), dtype=dtype)
+        cls = np.zeros(rows, dtype=np.intp)
+        live = np.full(rows, len(ks), dtype=steps[0][2].dtype)
         for h, (rises, table, above, _) in enumerate(steps, 1):
             code = digits[h - 1].astype(np.intp)
             if rises:
@@ -211,8 +216,7 @@ def locate(levels, cloud: SampleCloud) -> tuple[np.ndarray, np.ndarray]:
         else:
             raise ValueError(f"samples still above a level's threshold "
                              f"past its longest words, at length {depth}")
-        logs[:, span] = _log_distances(found, digits, axes, cells)
-    return lengths, logs
+        yield lo, found, _log_distances(found, digits, axes, cells)
 
 
 def _log_distances(found: np.ndarray, digits: np.ndarray, axes,
@@ -273,33 +277,94 @@ def _log_distances(found: np.ndarray, digits: np.ndarray, axes,
     return out.reshape(found.shape)
 
 
-def _exact_sum(chunks) -> float:
-    """The correctly rounded sum of the finite float64 values in
-    ``chunks``, arrays of at most ``_CHUNK`` values each: the float
-    ``math.fsum`` returns.
+class _ExactSums:
+    """Running exact sums of finite float64 values and of their squares.
 
     Each value is q * 2^(e - 53) with q = frexp mantissa * 2^53, an
-    integer below 2^53 in magnitude.  Per chunk, the high and low 26-bit
-    parts of q are added per exponent e by ``bincount``; every bin stays
-    below 2^53, so its float sum is exact.  The bins are added up as
-    Python integers and rounded once by integer true division.
+    integer below 2^53 in magnitude, and e >= -1073; with b = e + 1073,
+    it is q * 2^(b - 1126) and its square q^2 * 2^(2b - 2252).  A batch
+    of at most ``_CHUNK`` values is binned by b (by 2b for the squares)
+    with ``bincount``, its weights integer parts of q (of q^2) small
+    enough that every bin's float sum is exact, and the bins are added
+    into ``total`` and ``squares``, Python integers that hold the sums
+    times 2^1126 and 2^2252.  So nothing is rounded until a result is
+    read, and the order of the values does not matter.
     """
-    # frexp exponents run from -1073 (2^-1074) to 1024; bin b holds
-    # exponent b - 1073, so its values are q * 2^(b - 1126).
-    high = np.zeros(2098, dtype=np.int64)
-    low = np.zeros(2098, dtype=np.int64)
-    for values in chunks:
-        mant, exp = np.frexp(values)
-        q = np.ldexp(mant, 53).astype(np.int64)
-        exp += 1073
-        high += np.bincount(exp, weights=q >> 26, minlength=2098).astype(
-            np.int64)
-        low += np.bincount(exp, weights=q & ((1 << 26) - 1),
-                           minlength=2098).astype(np.int64)
+
+    def __init__(self):
+        self.count = 0
+        self.total = 0
+        self.squares = 0
+
+    def add(self, values: np.ndarray) -> None:
+        self.count += len(values)
+        for lo in range(0, len(values), _CHUNK):
+            mant, exp = np.frexp(values[lo:lo + _CHUNK])
+            q = np.ldexp(mant, 53).astype(np.int64)
+            exp += 1073
+            # q = a 2^26 + b with |a| <= 2^27: bins below 2^42.
+            self.total += _binned(exp, ((q >> 26, 26), (q & _LOW26, 0)))
+            # q = a 2^36 + b 2^18 + c with |a| <= 2^17 and b, c < 2^18:
+            # each weight of q^2's expansion is below 2^37 in magnitude,
+            # so its bins stay below 2^52.
+            a, b, c = q >> 36, (q >> 18) & _LOW18, q & _LOW18
+            self.squares += _binned(exp * 2, (
+                (a * a, 72), (2 * a * b, 54), (2 * a * c + b * b, 36),
+                (2 * b * c, 18), (c * c, 0)))
+
+    def rounded(self) -> float:
+        """The sum, correctly rounded: the float ``math.fsum`` gives."""
+        return self.total / (1 << 1126)
+
+    def sample_variance(self) -> float:
+        """(sum of squares - sum^2 / count) / (count - 1), computed
+        exactly and rounded once; it needs two values or more."""
+        n = self.count
+        return ((n * self.squares - self.total ** 2)
+                / ((n * (n - 1)) << 2252))
+
+
+def _binned(bins: np.ndarray, parts) -> int:
+    """Sum over (weights, shift) of ``parts`` of each weight times
+    2^(its bin + shift), as a Python integer; each bin's ``bincount``
+    must be exact."""
     total = 0
-    for b in np.flatnonzero(high | low).tolist():
-        total += ((int(high[b]) << 26) + int(low[b])) << b
-    return total / (1 << 1126)
+    for weights, shift in parts:
+        sums = np.bincount(bins, weights=weights)
+        for b in np.flatnonzero(sums).tolist():
+            total += int(sums[b]) << (b + shift)
+    return total
+
+
+@dataclass
+class LevelTally:
+    """One level's running sums over a cloud, folded in a chunk at a
+    time by ``tally``: the samples stopping at each length, the exact
+    sums of their log distances (clamped) and of their squares, and the
+    number of zero distances clamped at ``DISTANCE_FLOOR``."""
+
+    counts: np.ndarray        # samples per stopping length, int64
+    sums: _ExactSums = field(default_factory=_ExactSums)
+    floored: int = 0
+
+    def add(self, lengths: np.ndarray, logs: np.ndarray) -> None:
+        """Fold in one chunk's row of ``locate``'s lengths and logs."""
+        self.counts += np.bincount(lengths, minlength=len(self.counts))
+        self.floored += int(np.count_nonzero(np.isneginf(logs)))
+        self.sums.add(np.nan_to_num(logs, neginf=math.log(DISTANCE_FLOOR)))
+
+
+def tally(levels, cloud: SampleCloud) -> list[LevelTally]:
+    """One ``LevelTally`` per level of ``levels``, in order, from one pass
+    over ``locate``'s chunks of ``cloud``: each chunk is folded in and
+    dropped before the next is drawn, so no array here is sized by the
+    cloud.  Raises what ``locate`` raises."""
+    top = max((level.xi_max for level in levels), default=0) + 1
+    tallies = [LevelTally(np.zeros(top, dtype=np.int64)) for _ in levels]
+    for _, lengths, logs in locate(levels, cloud):
+        for level_tally, found, row in zip(tallies, lengths, logs):
+            level_tally.add(found, row)
+    return tallies
 
 
 def diameter_log(params: DerivedParams, h: int) -> float:
@@ -337,16 +402,17 @@ class QuantDiagnostics:
 
 
 def r_k_diagnostic(level, cloud: SampleCloud,
-                   logs: np.ndarray) -> QuantDiagnostics:
+                   level_tally: LevelTally) -> QuantDiagnostics:
     """Exact anchors plus a Monte Carlo own-cell distortion estimate for
     one level, given its ``StoppedStats`` (or collected partition) and
-    its row of ``locate``'s log distances.  The anchors are float sums
-    over the level's exact per-length masses; the estimate is the mean
-    log distance from the samples to their own cells' centres, with the
-    log of a zero distance (-inf) clamped at that of ``DISTANCE_FLOOR``
-    and counted.  The logs, then their squared deviations from the mean,
-    formed a chunk at a time, are added by an exact sum, rounded once,
-    the float ``math.fsum`` gives.
+    its ``LevelTally`` from ``tally``.  The anchors are float sums over
+    the level's exact per-length masses; the estimate is the mean log
+    distance from the samples to their own cells' centres, with the log
+    of a zero distance (-inf) clamped at that of ``DISTANCE_FLOOR``.
+    The mean is the exact sum of the logs rounded once, the float
+    ``math.fsum`` gives, over the sample count; the standard error is
+    the square root of the exact sample variance, rounded once, over
+    the square root of the count.
     """
     params = level.params
     L = params.denom_lcm
@@ -357,16 +423,10 @@ def r_k_diagnostic(level, cloud: SampleCloud,
         mass_h = float(Fraction(nu_sum, L ** h))
         lower += mass_h * (-h * log_m)
         upper += mass_h * diameter_log(params, h)
-    size = len(logs)
-    floor = math.log(DISTANCE_FLOOR)
-
-    def clamped():
-        for lo in range(0, size, _CHUNK):
-            yield np.nan_to_num(logs[lo:lo + _CHUNK], neginf=floor)
-
-    est = _exact_sum(clamped()) / size
-    sd = (math.sqrt(_exact_sum(np.square(x - est) for x in clamped())
-                    / (size - 1)) if size > 1 else 0.0)
+    sums = level_tally.sums
+    size = sums.count
+    est = sums.rounded() / size
+    sd = math.sqrt(sums.sample_variance()) if size > 1 else 0.0
     return QuantDiagnostics(
         k=level.k,
         phi_k=level.phi_k,
@@ -375,7 +435,7 @@ def r_k_diagnostic(level, cloud: SampleCloud,
         e_hat_est=est,
         stderr=sd / math.sqrt(size),
         r_k=math.log(level.phi_k) / params.s0 + est,
-        floored=int(np.count_nonzero(np.isneginf(logs))),
+        floored=level_tally.floored,
         cloud_size=cloud.size,
         seed=cloud.seed,
     )

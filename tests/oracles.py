@@ -8,8 +8,9 @@ against an independent and plainly correct route.  The samples'
 points, which the library never forms, and the KD-tree nearest-centre
 estimator live here too: the library's own-cell distances must never
 fall below the estimator's distances; so do the sampled ball
-masses, which must sit below the library's exact ball certificate, and
-a ``tracemalloc`` peak probe.  Nothing in the library or the command
+masses, which must sit below the library's exact ball certificate; the
+whole-row estimate the streamed sums are held to; and a ``tracemalloc``
+peak probe.  Nothing in the library or the command
 line reaches this module.
 """
 
@@ -30,7 +31,10 @@ from carpetq.coding import (
     xi_sequence,
 )
 from carpetq.measure import DerivedParams
-from carpetq.quantizer import _SHARD_ROWS, uniform_digits
+from carpetq.quantizer import (
+    _SHARD_ROWS, DISTANCE_FLOOR, QuantDiagnostics, diameter_log, locate,
+    uniform_digits,
+)
 from carpetq import words as key_words
 from carpetq.words import WordError, ell, entropy_terms, member
 
@@ -819,6 +823,45 @@ def brute_locate(params: DerivedParams, store, digits: np.ndarray
                 if pairs[:2 * l] + ys[l:h] in rows[h]]
         found.append(hits[0] if len(hits) == 1 else 0)
     return found
+
+
+# -- whole rows and the two-pass estimate -------------------------------------
+
+def located(levels, cloud) -> tuple[np.ndarray, np.ndarray]:
+    """``locate``'s chunks joined into whole rows: the (levels, size)
+    stopping lengths and log distances of every sample."""
+    chunks = list(locate(levels, cloud))
+    return (np.concatenate([found for _, found, _ in chunks], axis=1),
+            np.concatenate([logs for _, _, logs in chunks], axis=1))
+
+
+def two_pass_diagnostics(level, cloud, logs: np.ndarray) -> QuantDiagnostics:
+    """One level's diagnostics from its whole row of log distances, as
+    the library formed them before it streamed its sums: the anchors as
+    float sums over the exact per-length masses, the logs clamped at
+    log ``DISTANCE_FLOOR``, their mean from their correctly rounded sum,
+    then the standard error from the correctly rounded sum of their
+    squared deviations from that mean, fl((x - mean)^2)."""
+    params = level.params
+    L = params.denom_lcm
+    log_m = math.log(params.spec.m)
+    lower = 0.0
+    upper = 0.0
+    for h, nu_sum in level.length_nu_sums.items():
+        mass_h = float(Fraction(nu_sum, L ** h))
+        lower += mass_h * (-h * log_m)
+        upper += mass_h * diameter_log(params, h)
+    size = len(logs)
+    clamped = np.nan_to_num(logs, neginf=math.log(DISTANCE_FLOOR))
+    est = math.fsum(clamped) / size
+    sd = (math.sqrt(math.fsum(np.square(clamped - est)) / (size - 1))
+          if size > 1 else 0.0)
+    return QuantDiagnostics(
+        k=level.k, phi_k=level.phi_k, lower_anchor=lower,
+        upper_anchor=upper, e_hat_est=est, stderr=sd / math.sqrt(size),
+        r_k=math.log(level.phi_k) / params.s0 + est,
+        floored=int(np.count_nonzero(np.isneginf(logs))),
+        cloud_size=cloud.size, seed=cloud.seed)
 
 
 # -- the whole-cloud ball masses ---------------------------------------------

@@ -21,7 +21,7 @@ from carpetq.partition import (
     stopped_statistics,
 )
 from carpetq.quantizer import (
-    ball_bound_check, draw_cloud, locate, r_k_diagnostic,
+    ball_bound_check, draw_cloud, r_k_diagnostic, tally,
 )
 from carpetq.sequences import compute_d_k, compute_s_k, d_k_bound, delta_k, \
     s_k_bound
@@ -205,8 +205,8 @@ def test_criterion_6_quantization_sandwich(carpet_a, parts_a, cloud_m):
     gap_cap = math.log(math.sqrt(17))
     r_values = []
     levels = [parts_a[k] for k in range(2, 7)]
-    for level, dists in zip(levels, locate(levels, cloud_m)[1]):
-        diag = r_k_diagnostic(level, cloud_m, dists)
+    for level, level_tally in zip(levels, tally(levels, cloud_m)):
+        diag = r_k_diagnostic(level, cloud_m, level_tally)
         assert diag.e_hat_est <= diag.upper_anchor + 3 * diag.stderr
         assert 0 < diag.anchor_gap <= gap_cap + 1e-12
         r_values.append(diag.r_k)

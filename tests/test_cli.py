@@ -477,14 +477,15 @@ def test_length_shares_band(carpet_a):
     assert [float(Fraction(s, 3 ** h)) * 9 for h, s in
             stats.length_nu_sums.items()] == pytest.approx([5, 4])
 
-    def lengths(at5, at6, at7=0):
-        return np.repeat(np.array([5, 6, 7], np.uint8), [at5, at6, at7])
+    def counts(at5, at6, at7=0):
+        # Samples per length, from length 0.
+        return np.array([0] * 5 + [at5, at6, at7], np.int64)
 
-    assert cli._stray_lengths(stats, lengths(5297, 3703)) == []
+    assert cli._stray_lengths(stats, counts(5297, 3703)) == []
     assert [h for h, _, _ in cli._stray_lengths(
-        stats, lengths(5298, 3702))] == [5, 6]
-    assert cli._stray_lengths(stats, lengths(5000, 3985, 15)) == []
-    assert cli._stray_lengths(stats, lengths(5000, 3984, 16)) == [
+        stats, counts(5298, 3702))] == [5, 6]
+    assert cli._stray_lengths(stats, counts(5000, 3985, 15)) == []
+    assert cli._stray_lengths(stats, counts(5000, 3984, 16)) == [
         (7, 16, 0.0)]
 
 

@@ -1,5 +1,6 @@
 """Sampling, located cells, distortion estimates, anchors, ball bounds."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -20,14 +21,15 @@ from carpetq import CarpetSpec, derive_params
 from carpetq.partition import enumerate_lambda_k, stopped_statistics
 from carpetq.quantizer import (
     _CHUNK, _SHARD_ROWS, DISTANCE_FLOOR, MAX_DEPTH, SampleCloud,
-    ShallowCloudError, _exact_sum, ball_bound_check, diameter_log,
-    draw_cloud, locate, r_k_diagnostic, uniform_digits,
+    ShallowCloudError, _ExactSums, ball_bound_check, diameter_log,
+    draw_cloud, locate, r_k_diagnostic, tally, uniform_digits,
 )
 from carpetq.words import ell
 from oracles import (
-    brute_locate, key_rows, lambda_codebook, nearest_distances,
+    brute_locate, key_rows, lambda_codebook, located, nearest_distances,
     nearest_log_distortion, own_cell_log_distances, sample_digit_matrix,
-    sample_points, square_geometry, traced_peak, word_at,
+    sample_points, square_geometry, traced_peak, two_pass_diagnostics,
+    word_at,
 )
 
 
@@ -38,7 +40,7 @@ def cloud_a(carpet_a):
 
 def _diagnose(level, cloud):
     # One level's diagnostics, located on its own.
-    return r_k_diagnostic(level, cloud, locate([level], cloud)[1][0])
+    return r_k_diagnostic(level, cloud, tally([level], cloud)[0])
 
 
 def _drawn(cloud):
@@ -107,8 +109,8 @@ def test_deeper_cloud_extends_every_sample(carpet_a, carpet_d):
         deep = draw_cloud(params, 70_001, depth=60, seed=8)
         assert np.array_equal(_drawn(deep)[:, :40], _drawn(shallow))
         levels = [stopped_statistics(params, k) for k in ks]
-        assert np.array_equal(locate(levels, deep)[0],
-                              locate(levels, shallow)[0])
+        assert np.array_equal(located(levels, deep)[0],
+                              located(levels, shallow)[0])
 
 
 def test_cloud_in_unit_square(carpet_a, cloud_a):
@@ -200,7 +202,7 @@ def test_log_distortion_hand_value(carpet_even):
     cloud, h, sx, sy = _hand_cloud(part, 7, [(Fraction(1, 4), Fraction(1, 8)),
                                              (Fraction(-1, 4), Fraction(1, 8))])
     assert h > len(word_at(part, 7).pairs)
-    assert locate([part], cloud)[0].tolist() == [[h, h]]
+    assert located([part], cloud)[0].tolist() == [[h, h]]
     est = _diagnose(part, cloud)
     assert est.e_hat_est == pytest.approx(math.log(math.hypot(sx / 4, sy / 8)),
                                           abs=1e-15)
@@ -212,7 +214,7 @@ def test_log_distortion_floors_zero_distance(carpet_even):
     part = enumerate_lambda_k(carpet_even, 2)
     cloud, _, sx, sy = _hand_cloud(part, 7, [(0, 0), (Fraction(1, 4),
                                                       Fraction(1, 8))])
-    assert locate([part], cloud)[1].tolist() == [
+    assert located([part], cloud)[1].tolist() == [
         [-math.inf, pytest.approx(math.log(math.hypot(sx / 4, sy / 8)),
                                   rel=1e-15)]]
     est = _diagnose(part, cloud)
@@ -369,7 +371,7 @@ def test_located_word_matches_brute_force(request, name, levels, depth):
     cloud = draw_cloud(params, 1500, depth=depth, seed=5)
     digits = _searchsorted_matrix(params, 1500, depth, 5)
     parts = [enumerate_lambda_k(params, k) for k in levels]
-    found, dists = locate(parts, cloud)
+    found, dists = located(parts, cloud)
     assert found.dtype == np.uint8 and found.shape == (len(parts), 1500)
     assert dists.shape == found.shape
     for part, row, logs in zip(parts, found, dists):
@@ -400,7 +402,7 @@ def test_random_carpet_located_word_matches_brute_force(n, m, cells, raw,
     cloud = draw_cloud(params, 400, depth=40, seed=seed)
     digits = sample_digit_matrix(params, 400, 40, seed)
     parts = [enumerate_lambda_k(params, k) for k in (3, 1, 2)]
-    for part, row in zip(parts, locate(parts, cloud)[0]):
+    for part, row in zip(parts, located(parts, cloud)[0]):
         assert row.tolist() == brute_locate(params, part,
                                             digits[:, :part.xi_max])
 
@@ -418,11 +420,12 @@ def test_own_cell_distance_at_least_nearest(request, name, levels):
     cloud = draw_cloud(params, 20_000, depth=depth, seed=77)
     pts = sample_points(params, 20_000, depth, 77)
     parts = [enumerate_lambda_k(params, k) for k in levels]
-    for part, own in zip(parts, locate(parts, cloud)[1]):
+    for part, own, level_tally in zip(parts, located(parts, cloud)[1],
+                                      tally(parts, cloud)):
         assert len(own) == cloud.size
         centres = lambda_codebook(part)
         assert np.all(np.exp(own) >= nearest_distances(pts, centres) - 1e-15)
-        est = r_k_diagnostic(part, cloud, own)
+        est = r_k_diagnostic(part, cloud, level_tally)
         voronoi, _, floored = nearest_log_distortion(pts, centres,
                                                      DISTANCE_FLOOR)
         assert est.e_hat_est >= voronoi - 1e-12
@@ -432,14 +435,11 @@ def test_own_cell_distance_at_least_nearest(request, name, levels):
 def test_stderr_is_sample_std(cache_e, carpet_e):
     cloud = draw_cloud(carpet_e, 3 * _CHUNK + 11, seed=3)
     part = cache_e.partition(3)
-    logs = locate([part], cloud)[1][0]
-    kept = logs.copy()
-    est = r_k_diagnostic(part, cloud, logs)
+    logs = located([part], cloud)[1][0]
+    est = _diagnose(part, cloud)
     assert est.e_hat_est == math.fsum(logs) / len(logs)
     assert est.stderr == pytest.approx(
         np.std(logs, ddof=1) / math.sqrt(len(logs)), rel=1e-12)
-    # The log distances are read, not overwritten.
-    assert np.array_equal(logs, kept)
 
 
 def test_shallow_cloud_refused(carpet_d):
@@ -447,8 +447,8 @@ def test_shallow_cloud_refused(carpet_d):
     # leave one digit past them.
     part = enumerate_lambda_k(carpet_d, 4)
     with pytest.raises(ShallowCloudError, match="at least 59, got 40"):
-        locate([part], draw_cloud(carpet_d, 100, depth=40))
-    assert locate([part], draw_cloud(carpet_d, 100, depth=59))[0].all()
+        located([part], draw_cloud(carpet_d, 100, depth=40))
+    assert located([part], draw_cloud(carpet_d, 100, depth=59))[0].all()
     # A word's cell is read from its digits however wide the grid: on a
     # 200 x 200 grid k = 5 has words of length 10, 80 decimal digits of
     # cell indices.
@@ -457,11 +457,11 @@ def test_shallow_cloud_refused(carpet_d):
         wide = derive_params(CarpetSpec.of(
             200, 200, {(0, 0): "1/2", (199, 199): "1/2"}))
     deep = enumerate_lambda_k(wide, 5)
-    found, _ = locate([deep], draw_cloud(wide, 100, depth=40, seed=2))
+    found, _ = located([deep], draw_cloud(wide, 100, depth=40, seed=2))
     assert found[0].tolist() == brute_locate(
         wide, deep, sample_digit_matrix(wide, 100, 40, 2)[:, :deep.xi_max])
     with pytest.raises(ValueError, match="another carpet"):
-        locate([deep], draw_cloud(carpet_d, 100, depth=40))
+        located([deep], draw_cloud(carpet_d, 100, depth=40))
 
 
 def test_lengths_past_255():
@@ -474,8 +474,8 @@ def test_lengths_past_255():
             4, 2, {(0, 0): "49/50", (2, 1): "1/50"}))
     part = enumerate_lambda_k(params, 1)
     assert (part.xi_min, part.xi_max) == (3, 388)
-    found, dists = locate([part], draw_cloud(params, 2000, depth=408,
-                                             seed=9))
+    found, dists = located([part], draw_cloud(params, 2000, depth=408,
+                                              seed=9))
     assert found.dtype == np.uint16
     assert found.max() > 255
     digits = sample_digit_matrix(params, 2000, 408, 9)
@@ -491,8 +491,8 @@ def test_skewed_carpet_located_against_brute_force(carpet_skewed):
     # and measured, and held to the exact log distance.
     part = enumerate_lambda_k(carpet_skewed, 1)
     assert part.xi_max == 917
-    found, logs = locate([part], draw_cloud(carpet_skewed, 600, depth=937,
-                                            seed=4))
+    found, logs = located([part], draw_cloud(carpet_skewed, 600, depth=937,
+                                             seed=4))
     digits = sample_digit_matrix(carpet_skewed, 600, 937, 4)
     assert found[0].tolist() == brute_locate(carpet_skewed, part,
                                              digits[:, :917])
@@ -506,9 +506,9 @@ def test_levels_walk_as_if_alone(carpet_d):
     # threshold.
     cloud = draw_cloud(carpet_d, 5000, depth=60, seed=11)
     stats = {k: stopped_statistics(carpet_d, k) for k in (2, 3, 4)}
-    alone = {k: locate([s], cloud) for k, s in stats.items()}
+    alone = {k: located([s], cloud) for k, s in stats.items()}
     for ks in ((2, 3, 4), (4, 2, 3), (3, 3, 2)):
-        found, dists = locate([stats[k] for k in ks], cloud)
+        found, dists = located([stats[k] for k in ks], cloud)
         for k, row, dist in zip(ks, found, dists):
             assert np.array_equal(row, alone[k][0][0])
             assert np.array_equal(dist, alone[k][1][0])
@@ -518,17 +518,17 @@ def test_levels_too_short_refused(carpet_a, cloud_a):
     # Levels whose longest words are one length short leave samples
     # above a threshold when the walk's tables run out.
     stats = stopped_statistics(carpet_a, 3)
-    assert locate([stats], cloud_a)[0].max() == stats.xi_max
+    assert located([stats], cloud_a)[0].max() == stats.xi_max
     short = dataclasses.replace(stats, length_counts={
         h: c for h, c in stats.length_counts.items() if h < stats.xi_max})
     assert short.xi_max == stats.xi_max - 1
     with pytest.raises(ValueError, match="still above"):
-        locate([short], cloud_a)
+        located([short], cloud_a)
 
 
 def test_locate_refuses_no_levels(cloud_a):
     with pytest.raises(ValueError, match="at least one level"):
-        locate([], cloud_a)
+        located([], cloud_a)
 
 
 def test_locate_refuses_levels_of_two_carpets(carpet_a, carpet_b, cloud_a):
@@ -537,13 +537,13 @@ def test_locate_refuses_levels_of_two_carpets(carpet_a, carpet_b, cloud_a):
     # thresholds.
     levels = [stopped_statistics(carpet_a, 2), stopped_statistics(carpet_b, 2)]
     with pytest.raises(ValueError, match="more than one carpet"):
-        locate(levels, cloud_a)
+        located(levels, cloud_a)
     with pytest.raises(ValueError, match="more than one carpet"):
-        locate(levels[::-1], cloud_a)
+        located(levels[::-1], cloud_a)
     # Nor may the cloud be another carpet's: B has no cell (0, 2) or
     # (2, 2), so A's map indices would read as wrong moves of B's rule.
     with pytest.raises(ValueError, match="another carpet"):
-        locate(levels[1:], cloud_a)
+        located(levels[1:], cloud_a)
 
 
 @pytest.mark.parametrize("name,levels", [
@@ -562,6 +562,7 @@ def test_lambda_codebook_matches_full_widening(request, name, levels):
 
 _DRAW_DIGESTS = """
 import hashlib, json, sys
+import numpy as np
 from carpetq import CarpetSpec, derive_params, stopped_statistics
 from carpetq.quantizer import draw_cloud, locate
 out = {}
@@ -571,7 +572,9 @@ for name, (n, m, cells, ks) in json.loads(sys.argv[1]).items():
     levels = [stopped_statistics(params, k) for k in ks]
     for depth in (40, 64):
         cloud = draw_cloud(params, 300_001, depth=depth, seed=0x5EED)
-        found, dists = locate(levels, cloud)
+        chunks = list(locate(levels, cloud))
+        found, dists = (np.concatenate([c[i] for c in chunks], axis=1)
+                        for i in (1, 2))
         out[f"{name}{depth}"] = hashlib.sha256(
             found.tobytes() + dists.tobytes()).hexdigest()
 print(json.dumps(out))
@@ -672,29 +675,84 @@ _subnormal = st.floats(min_value=-2.0 ** -1022, max_value=2.0 ** -1022)
 @example(values=[1e300, 1.0, -1e300], size=None)
 @example(values=[2.0 ** -1074], size=3)
 def test_exact_sum_is_fsum(values, size):
-    # Sizes at the chunk edges repeat the drawn values.
+    # Sizes at the chunk edges repeat the drawn values, which are added
+    # a chunk at a time, then all at once.  The sum of squares is exact,
+    # and so, rounded once, is the sample variance (checked over the
+    # distinct values, each with its multiplicity).
     arr = np.array(values, dtype=np.float64)
     if size is not None:
         arr = np.resize(arr, size)
-    chunks = (arr[lo:lo + _CHUNK] for lo in range(0, len(arr), _CHUNK))
-    assert _same_float(_exact_sum(chunks), math.fsum(arr))
+    chunked, whole = _ExactSums(), _ExactSums()
+    for lo in range(0, len(arr), _CHUNK):
+        chunked.add(arr[lo:lo + _CHUNK])
+    whole.add(arr)
+    seen = {Fraction(v): times
+            for v, times in collections.Counter(arr.tolist()).items()}
+    for sums in (chunked, whole):
+        assert sums.count == len(arr)
+        assert _same_float(sums.rounded(), math.fsum(arr))
+        assert Fraction(sums.squares, 1 << 2252) == sum(
+            times * v ** 2 for v, times in seen.items())
+    if len(arr) > 1:
+        mean = sum(times * v for v, times in seen.items()) / len(arr)
+        variance = sum(times * (v - mean) ** 2
+                       for v, times in seen.items()) / (len(arr) - 1)
+        # A variance past the float range (values near 1e300) has no
+        # float to round to.
+        if variance < 2 ** 1000:
+            assert _same_float(chunked.sample_variance(), float(variance))
 
 
-def test_quantize_allocation_peaks(carpet_a):
-    # Above its output, a length byte and a float64 distance per sample
-    # and level, the walk over the levels k = 2..5 allocates one chunk's
-    # scratch, and the estimate at A k = 4 reads its distances in place
-    # and allocates a chunk's logs: the same at any cloud size (measured
-    # 6.7 MB and 2.0 MB at 100,000 and at 400,000 points).  A temporary
+def test_tally_memory_flat(carpet_a):
+    # The pass over the levels k = 2..5 holds one chunk's digits, walk
+    # and log distances and per level a few running sums and a count
+    # per length, so its peak does not grow with the cloud.  A temporary
     # of even one byte per sample would add 300,000 bytes to the larger
-    # cloud's peaks, twice the allowance.
+    # cloud's peak, twice the allowance.
     levels = [stopped_statistics(carpet_a, k) for k in range(2, 6)]
-    walks, estimates = [], []
-    for size in (100_000, 400_000):
-        cloud = draw_cloud(carpet_a, size, seed=5)
-        (found, dists), peak = traced_peak(locate, levels, cloud)
-        walks.append(peak - found.nbytes - dists.nbytes)
-        estimates.append(traced_peak(r_k_diagnostic, levels[2], cloud,
-                                     dists[2])[1])
-    assert walks[1] < walks[0] + 150_000 and walks[1] < 8_000_000
-    assert estimates[1] < estimates[0] + 150_000 and estimates[1] < 3_000_000
+    peaks = [traced_peak(tally, levels, draw_cloud(carpet_a, size, seed=5))[1]
+             for size in (100_000, 400_000)]
+    assert peaks[1] < peaks[0] + 150_000 and peaks[1] < 8_000_000
+
+
+def test_locate_yields_chunks(carpet_a, cloud_a):
+    # One (first row, lengths, logs) per chunk of the cloud, in order,
+    # each of the chunk's rows.
+    levels = [stopped_statistics(carpet_a, k) for k in (2, 3)]
+    row = 0
+    for (lo, found, logs), (first, digits) in zip(locate(levels, cloud_a),
+                                                  cloud_a.chunks()):
+        assert lo == first == row
+        assert found.shape == logs.shape == (2, digits.shape[1])
+        row += digits.shape[1]
+    assert row == cloud_a.size
+
+
+@pytest.mark.filterwarnings("ignore:grid factor")
+@pytest.mark.parametrize("name,levels,size,depth,seed", [
+    ("a", range(2, 6), 70_001, 40, 3), ("d", range(2, 7), 70_001, 78, 3),
+    ("e", range(2, 6), 70_001, 40, 3),
+    ("skewed", (1,), 100_000, 937, 0x5EED),
+])
+def test_streamed_diagnostics_match_two_pass(request, name, levels, size,
+                                             depth, seed):
+    # The streamed sums against the whole-row estimate: the mean and all
+    # that follows from it bit for bit, the standard error, whose exact
+    # variance differs from the two-pass one by its roundings only, to
+    # 1e-12, and the per-length counts against the whole rows' lengths.
+    # The skewed carpet's heavy map makes long runs of zero digits, so
+    # its k = 1 floors 6 samples.
+    params = request.getfixturevalue(f"carpet_{name}")
+    stats = [stopped_statistics(params, k) for k in levels]
+    cloud = draw_cloud(params, size, depth=depth, seed=seed)
+    found, logs = located(stats, cloud)
+    for level, level_tally, lengths, row in zip(stats, tally(stats, cloud),
+                                                found, logs):
+        got = r_k_diagnostic(level, cloud, level_tally)
+        want = two_pass_diagnostics(level, cloud, row)
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-12)
+        assert got == dataclasses.replace(want, stderr=got.stderr)
+        assert np.array_equal(level_tally.counts, np.bincount(
+            lengths, minlength=len(level_tally.counts)))
+    if name == "skewed":
+        assert got.floored == 6
