@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
 from .measure import DerivedParams
 from .words import (
-    WordColumns, ell, flat_predecessor, key_dtype, mass_sums, pending, step,
+    WordColumns, ell, flat_predecessor, key_dtype, mass_sums, step,
 )
 
 __all__ = [
@@ -61,40 +59,27 @@ class EnumerationCapError(RuntimeError):
     """A work guard tripped: the enumerator's word cap or the DP's state bound."""
 
 
-class _Move(NamedTuple):
-    """One step from a length-h word to a child of length h + 1.
-
-    The child is the parent with the cell of x digit ``x`` (if any)
-    appended to its cells and ``digit`` appended to its tail.  The move
-    is open to parents whose first pending tail digit is ``pending``
-    (to any if None).  Its scaled mass is nu * factor / divisor.
-    """
-
-    pending: int | None
-    x: int | None
-    digit: int
-    factor: int
-    divisor: int
-
-
 def _moves(params: DerivedParams) -> dict:
-    """The integer transitions of the stopping rule, in its move order.
+    """The integer transitions of the stopping rule, by group and position.
 
-    ``moves[rises]`` lists the moves of a step that does (``rises``) or
-    does not grow the pair count, by ascending ``pending`` digit:
-    ``[False]`` appends a column digit; ``[True]`` promotes the pending
-    digit j into a pair (i, j) and appends a column digit, or, for words
-    without a tail (theta = 1), appends a whole pair.  The roots are the
-    moves of the empty word.
+    ``moves[rises][g]`` lists, by position, group g's moves of a step that
+    does (``rises``) or does not grow the pair count, each as (factor,
+    divisor, digit): the child's scaled mass is nu * factor / divisor and
+    it appends the column ``digit`` to its tail.  ``[False][0]`` appends
+    the column of each rank in gy.  Where the count rises, group g
+    promotes the pending column j = gy[g] into a cell (i, j) and appends
+    a column jj, at position rank(i in gx[j]) |gy| + rank(jj).  Words
+    without a tail (theta = 1) have one such group, which appends the
+    cell of each rank in the digit set.
     """
     a, b = params.scaled
     if ell(params, 1) == 1:
-        rise = [_Move(None, i, j, w, 1) for (i, j), w in a.items()]
+        rise = [[(w, 1, j) for (_, j), w in a.items()]]
     else:
-        rise = [_Move(j, i, jj, a[i, j] * b[jj], b[j])
-                for j in params.gy for i in params.gx[j] for jj in params.gy]
-    return {False: [_Move(None, None, j, b[j], 1) for j in params.gy],
-            True: rise}
+        rise = [[(a[i, j] * b[jj], b[j], jj)
+                 for i in params.gx[j] for jj in params.gy]
+                for j in params.gy]
+    return {False: [[(b[j], 1, j) for j in params.gy]], True: rise}
 
 
 class PartitionLambdaK(WordColumns):
@@ -124,10 +109,11 @@ def enumerate_lambda_k(
     """Collect the level-k partition with exact per-word masses.
 
     The walk is breadth first, one word length at a time, down the
-    tables of ``stopping_rule``: a child's mass class is the entry for
-    its parent's class and its move, it stops where that class is above
-    no level, and the rule's class list is the stored mass table.
-    Children come in parent order, then move order: the tree's
+    tables of ``stopping_rule``: a parent of class c takes positions
+    0, ..., fan - 1 of its group's moves, its child's class is
+    ``table[c, position]``, and the child stops where that class is
+    stopped, with the rule's stopped masses as the stored mass table.
+    Children come in parent order, then position order: the tree's
     depth-first order, in which each length's words are stored.  Raises
     ``EnumerationCapError`` when the level has more than ``cap`` words,
     before building the length that would pass the cap;
@@ -135,74 +121,60 @@ def enumerate_lambda_k(
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    promoting, m = ell(params, 1) == 0, params.m
-    # Per step: each move's pending column digit (0 if unkeyed), one-hot,
-    # each digit's first move and move count, and each move's x and digit.
-    steps = {}
-    for rises, moves in _moves(params).items():
-        group = np.eye(m, dtype=np.intp)[[mv.pending or 0 for mv in moves]]
-        size = group.sum(axis=0)
-        steps[rises] = (group, np.cumsum(size) - size, size,
-                        np.array([mv.x or 0 for mv in moves], dtype=np.intp),
-                        np.array([mv.digit for mv in moves], dtype=np.intp))
+    # Per step, each group's move count.
+    sizes = {rises: np.array([len(group) for group in groups], dtype=np.intp)
+             for rises, groups in _moves(params).items()}
 
     blocks: dict[int, tuple[np.ndarray, np.ndarray, list[int]]] = {}
     # The empty word, at length 0; its children are the roots.
     keys = np.zeros(1, dtype=np.uint64)
     cls = np.zeros(1, dtype=np.intp)
     emitted = 0
-    for h, (rises, table, above, nus) in enumerate(
+    for h, (rises, table, groups, above, nus) in enumerate(
             stopping_rule(params, [k])[1], 1):
-        if not len(keys):
-            break
-        group, first, size, xs, digits = steps[rises]
-        # Each parent's pending column digit (0 if nothing is pending).
-        tops = (pending(params, h - 1, keys) if rises and promoting
-                else np.zeros(len(keys), dtype=np.intp))
-        fan = size[tops]
+        live = len(above) - len(nus)
+        fans = sizes[rises][groups]
+        fan = fans[cls]
         children = int(fan.sum())
         # Every child is a word or has one below it.
         if emitted + children > cap:
             raise EnumerationCapError(
                 f"enumeration exceeded cap of {cap} words")
 
-        # The stopped children of each class and pending digit, times
-        # the parents of that kind, size the length's arrays exactly.
-        stops = above == 0
-        halts = stops[table] @ group
-        stopping = int(np.bincount(cls * m + tops, minlength=halts.size)
-                       @ halts.ravel())
+        # Each class's stopped children, times its parents, size the
+        # length's arrays exactly.
+        halts = ((table[:len(fans)] >= live)
+                 & (np.arange(table.shape[1]) < fans[:, None])).sum(axis=1)
+        stopping = int(np.bincount(cls, minlength=len(fans)) @ halts)
 
         dtype = key_dtype(params, h)
         done = np.empty(stopping, dtype=dtype)
         done_ids = np.empty(stopping, dtype=np.min_scalar_type(len(nus)))
-        live = np.empty(children - stopping, dtype=dtype)
-        live_cls = np.empty(len(live), dtype=np.intp)
-        lived = doned = 0
+        walk = np.empty(children - stopping, dtype=dtype)
+        walk_cls = np.empty(len(walk), dtype=np.intp)
+        walked = doned = 0
         for lo in range(0, len(keys), _CHUNK):
             f = fan[lo:lo + _CHUNK]
             parent = np.repeat(np.arange(lo, lo + len(f)), f)
-            move = np.arange(len(parent)) + np.repeat(
-                first[tops[lo:lo + _CHUNK]] - np.cumsum(f) + f, f)
-            child = table[cls[parent], move]
-            grown = step(params, h, keys[parent], xs[move], digits[move])
-            stopped = stops[child]
+            position = np.arange(len(parent)) - np.repeat(np.cumsum(f) - f, f)
+            child = table[cls[parent], position]
+            grown = step(params, h, keys[parent], position)
+            stopped = child >= live
             sel = np.flatnonzero(stopped)
             span = slice(doned, doned + len(sel))
             done[span] = grown[sel]
-            done_ids[span] = child[sel]
+            done_ids[span] = child[sel] - live
             doned += len(sel)
             sel = np.flatnonzero(~stopped)
-            span = slice(lived, lived + len(sel))
-            live[span] = grown[sel]
-            live_cls[span] = child[sel]
-            lived += len(sel)
+            span = slice(walked, walked + len(sel))
+            walk[span] = grown[sel]
+            walk_cls[span] = child[sel]
+            walked += len(sel)
 
-        # An empty block is dropped by the store.  Live classes come
-        # first, so they number the next length's table rows.
+        # An empty block is dropped by the store.
         emitted += stopping
         blocks[h] = (done, done_ids, nus)
-        cls, keys = live_cls, live
+        cls, keys = walk_cls, walk
     return PartitionLambdaK(params, k, blocks)
 
 
@@ -240,93 +212,71 @@ class StoppedStats:
 
 
 def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
-    """Aggregate the level-k partition by dynamic programming.
+    """Aggregate the level-k partition by dynamic programming over the
+    classes of ``stopping_rule``.
 
-    Subtrees of the walk coincide whenever the current length, the mass
-    class of ``stopping_rule`` and the pending tail columns (each as the
-    first column with its promotion factors) coincide.  A forward pass
-    down the rule's tables collects each length's live states with their
-    word counts, and adds up the words, and their exact nus, that stop
-    at each length: the profile.  A backward pass, deepest first, folds
-    each state's R1, the sum of r ln r over its stopped descendants of
-    relative mass r, from its children; it is the only float arithmetic.
-    (Those r add up to exactly 1.)  Agrees with the enumerator wherever
-    both run (see tests).  Raises ``EnumerationCapError`` past
-    ``MAX_DP_STATES`` states.
+    The words of a live class have identical futures, so a forward pass
+    down the rule's tables counts each live class's words, and adds up
+    the words, and their exact nus, that stop at each length: the
+    profile.  A backward pass, deepest first, folds each live class's
+    R1, the sum of r ln r over its stopped descendants of relative mass
+    r, from its children in position order; it is the only float
+    arithmetic.  (Those r add up to exactly 1.)  Agrees with the
+    enumerator wherever both run (see tests).  Raises
+    ``EnumerationCapError`` past ``MAX_DP_STATES`` live classes.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     L = params.denom_lcm
-    moves = _moves(params)
-    paired = ell(params, 1) == 1
-    # Columns whose ordered promotion factors agree have identical
-    # futures; each maps to the first column of its class.
-    first: dict = {}
-    canon = {j: first.setdefault(tuple(
-        Fraction(mv.factor, mv.divisor) for mv in moves[True]
-        if mv.pending == j), j) for j in params.gy}
-    # Per step and pending column, each move's (index in the rule's
-    # tables, relative mass as a float, its log, appended tail).
-    steps: dict = {False: {}, True: {}}
-    for rises, flat in moves.items():
-        for index, mv in enumerate(flat):
-            f = float(Fraction(mv.factor, mv.divisor * L))
-            steps[rises].setdefault(mv.pending, []).append(
-                (index, f, math.log(f), () if paired else (canon[mv.digit],)))
-    # The rule's (rises, table, above, nus) into length h + 1, by h,
-    # read as far as the states reach.
-    rule = ((rises, table.tolist(), above.tolist(), nus)
-            for rises, table, above, nus in stopping_rule(params, [k])[1])
-    tables = [next(rule)]
-
-    def expand(h: int, c: int, queue: tuple) -> list:
-        # Each move from a length-h state, with its child's class and its
-        # child state, or None if the child stops.
-        rises, table, above, _ = tables[h]
-        if rises and queue:
-            base, opts = queue[1:], steps[True][queue[0]]
-        else:
-            base, opts = queue, steps[rises][None]
-        return [(move, child,
-                 (child, base + move[3]) if above[child] else None)
-                for move in opts for child in [table[c][move[0]]]]
-
-    # The roots are the moves of the empty word, at length 0; none stops,
-    # since its mass is at least eta >= eta^k.
-    roots = [(move, state) for move, _, state in expand(0, 0, ())]
-    levels: list[dict] = []
-    frontier = Counter(root for _, root in roots)
-    counts, nu_sums = {}, {}            # the profile
-    while frontier:
-        levels.append(frontier)
-        if sum(map(len, levels)) > MAX_DP_STATES:
+    # Per step: each group's move count, and per group and position the
+    # move's relative mass f and log f, both 0 past the group's moves.
+    sizes, rel, logs = {}, {}, {}
+    for rises, groups in _moves(params).items():
+        pad = max(map(len, groups))
+        sizes[rises] = np.array(list(map(len, groups)))
+        rel[rises], logs[rises] = (np.array(
+            [[fn(factor / (divisor * L)) for factor, divisor, _ in group]
+             + [0.0] * (pad - len(group)) for group in groups])
+            for fn in (float, math.log))
+    tables = []
+    counts = [1]                        # the empty word
+    length_counts, nu_sums = {}, {}     # the profile
+    states = 0
+    for h, (rises, table, groups, above, nus) in enumerate(
+            stopping_rule(params, [k])[1], 1):
+        live = len(above) - len(nus)
+        states += live
+        if states > MAX_DP_STATES:
             raise EnumerationCapError(
                 f"stopped_statistics exceeded {MAX_DP_STATES} states")
-        h, frontier = len(levels), Counter()
-        tables.append(next(rule))
-        nus = tables[h][3]
-        for (c, queue), count in levels[-1].items():
-            for _, child, state in expand(h, c, queue):
-                if state is None:
-                    counts[h + 1] = counts.get(h + 1, 0) + count
-                    nu_sums[h + 1] = nu_sums.get(h + 1, 0) + count * nus[child]
-                else:
-                    frontier[state] += count
+        table = table[:len(counts)]
+        words = [0] * len(above)
+        for count, row, fan in zip(counts, table.tolist(),
+                                   sizes[rises][groups].tolist()):
+            for child in row[:fan]:
+                words[child] += count
+        if nus:
+            length_counts[h] = sum(words[live:])
+            nu_sums[h] = sum(w * nu for w, nu in zip(words[live:], nus))
+        counts = words[:live]
+        tables.append((rises, table, groups, len(above)))
 
-    # rel[state]: its R1; a stopped child adds r ln r = f ln f.
-    rel: dict = {}
-    while levels:
-        h, below, rel = len(levels), rel, {}
-        for state in levels.pop():
-            rel[state] = 0.0
-            for (_, f, log_f, _), _, child in expand(h, *state):
-                rel[state] += f * (below.get(child, 0.0) + log_f)
-
+    # R1 of each live class, from the deepest length up; a stopped child
+    # adds r ln r = f ln f.  The loop ends at the roots, the moves of the
+    # empty word's one row, whose terms are added exactly (a position
+    # past the group's moves adds 0).
+    below = np.zeros(0)
+    for rises, table, groups, size in reversed(tables):
+        r = np.zeros(size)
+        r[:len(below)] = below
+        f, log_f = rel[rises][groups], logs[rises][groups]
+        below = np.zeros(len(table))
+        for p in range(table.shape[1]):
+            below += f[:, p] * (r[table[:, p]] + log_f[:, p])
     return StoppedStats(
         params, k,
-        math.fsum(move[1] * rel[root] + move[1] * move[2]
-                  for move, root in roots),
-        counts, nu_sums)
+        math.fsum((f[0] * r[table[0]] + f[0] * log_f[0]).tolist()),
+        length_counts, nu_sums)
 
 
 def stopping_rule(params: DerivedParams, ks) -> tuple:
@@ -334,61 +284,98 @@ def stopping_rule(params: DerivedParams, ks) -> tuple:
     only code that steps a class's exact mass or compares it with eta^k:
     the enumerator, the aggregate program and ``locate`` walk its tables.
 
-    A sample's digits pick each move of ``_moves``: ``picks[False][b]``
-    is the index of the move that map index b makes at a length that
-    keeps ell, and ``picks[True][a, b]`` that of map index b where ell
-    rises and promotes the cell of map index a (``intp``).  ``rule`` yields
-    ``(rises, table, above, nus)`` for h = 1, 2, ... while some class is
-    live.  Class c of length h has the exact scaled mass ``nus[c]``, and
-    ``above[c]`` is the number of levels whose eta^k it is still at or
-    above, the deepest ones; live classes come first.  ``table[c, move]``
-    (``intp``, a row per class of length h - 1) is the class after
-    ``move``.  A pair whose division is not exact is one no word takes
-    (a move for another pending column): its entry is 0 and it makes no
-    class, so every nu is positive.  Rows of classes above no level are 0.
+    A class of length h is live while its exact scaled mass nu is at or
+    above some level's eta^k.  A live class is keyed by nu and its
+    pending tail columns, each kept as the first column whose ordered
+    promotion factors it shares, so the words of a live class have
+    identical futures; a stopped class is keyed by nu alone.  A class is
+    made only by a move that a word of its parent class makes, so each
+    class holds a word or a live prefix of one, and the rule ends at the
+    deepest level's longest word.
+
+    ``rule`` yields ``(rises, table, groups, above, nus)`` for
+    h = 1, 2, ... while some class is live.  Live class c of length
+    h - 1 takes the moves of group ``groups[c]`` of ``_moves``: its first
+    pending column's where ell rises at h, else the step's only group.
+    ``table[c, p]`` (``intp``, a row per class of length h - 1) is the
+    class after the move at position p of that group.  Classes of length
+    h number the live ones first: ``above[c]`` is the number of levels
+    whose eta^k class c is still at or above, the deepest ones, and
+    ``nus[c - live]`` is the exact scaled mass of stopped class c.
+    Entries past a group's moves, and the rows of stopped classes, are 0:
+    only a sample that ``locate`` walks on after it has stopped at every
+    level reads them.
+
+    A sample's digits pick each position: ``picks[False][b]`` is the
+    position of map index b at a length that keeps ell, and
+    ``picks[True][a, b]`` that of map index b where ell rises and
+    promotes the cell of map index a (``intp``).
     """
     L = params.denom_lcm
     moves = _moves(params)
-    # A rising move is keyed by the cell it promotes and its new y digit;
-    # one with no pending digit (theta = 1) promotes its own cell.
-    keep = {mv.digit: i for i, mv in enumerate(moves[False])}
-    rise = {(mv.x, mv.digit if mv.pending is None else mv.pending, mv.digit): i
-            for i, mv in enumerate(moves[True])}
+    c = len(params.gy)
+    rank = {j: r for r, j in enumerate(params.gy)}
+    tails = ell(params, 1) == 0
     cells = params.spec.digits
-    picks = {False: np.array([keep[y] for _, y in cells], dtype=np.intp),
-             True: np.array([[rise.get((a, b, y), 0) for _, y in cells]
-                             for a, b in cells], dtype=np.intp)}
+    ys = np.array([rank[j] for _, j in cells], dtype=np.intp)
+    xs = np.array([params.gx[j].index(i) for i, j in cells], dtype=np.intp)
+    # Without a tail, map index a appends its own cell, of rank a.
+    picks = {False: ys, True: np.add.outer(xs * c, ys) if tails
+             else np.add.outer(np.arange(len(cells)), 0 * ys)}
+    # A pending column is kept as the rank of the first column whose
+    # ordered promotion factors it shares; words without a tail keep 0.
+    first: dict = {}
+    canon = [first.setdefault(tuple(Fraction(factor, divisor)
+                                    for factor, divisor, _ in group), g)
+             for g, group in enumerate(moves[True])] if tails else [0] * c
+    width = {rises: max(map(len, groups)) for rises, groups in moves.items()}
     # nu / L^h >= eta^k exactly when nu * scale >= cut * L^h, with the
     # integer cut = eta^k * scale; ``bars`` holds the cuts times L^h.
     scale = params.eta.denominator ** max(ks)
     cuts = sorted(int(params.eta ** k * scale) for k in ks)
 
     def rule():
-        nus, live, h, bars = [1], 1, 0, cuts    # the empty word's class
+        # A live class is (nu, its pending columns as one number, read as
+        # digits base |gy|, the first most significant); the empty word's
+        # is (1, 0).
+        live, rows, h, bars = [(1, 0)], 1, 0, cuts
         while live:
             h += 1
             bars = [bar * L for bar in bars]
             rises = ell(params, h) > ell(params, h - 1)
-            # Each live class's child by move: the index of its exact nu
-            # in order of first appearance, or -1.
-            ids: dict = {}
-            kids = [ids.setdefault(child, len(ids)) if not rest else -1
-                    for nu in nus[:live] for mv in moves[rises]
-                    for child, rest in [divmod(nu * mv.factor, mv.divisor)]]
-            above = [bisect.bisect_right(bars, nu * scale) for nu in ids]
-            order = sorted(range(len(ids)), key=lambda c: not above[c])
-            # Renumbered live first; -1 reads the last 0.
-            renumber = [0] * (len(ids) + 1)
-            for new, c in enumerate(order):
-                renumber[c] = new
-            # The live rows lead the table, in ``kids``' order.
-            table = np.zeros((len(nus), len(moves[rises])), dtype=np.intp)
-            table.flat[:len(kids)] = [renumber[c] for c in kids]
-            children = list(ids)
-            nus = [children[c] for c in order]
-            live = sum(map(bool, above))
-            yield rises, table, np.array(
-                [above[c] for c in order],
+            # Where ell rises, the first pending column is promoted.
+            span = c ** (h - 2 - ell(params, h - 1)) if rises and tails else 0
+            groups, pad = moves[rises], width[rises]
+            # Each distinct (nu, group) is stepped once: per position, its
+            # child's nu, the number of levels the child is above and the
+            # pending column it appends.  Live children are numbered by
+            # key, stopped ones by nu, each in order of first appearance.
+            stepped, ups, ids, stops = {}, {}, {}, {}
+            kids, heads = [], []
+            for nu, queue in live:
+                g, queue = divmod(queue, span) if span else (0, queue)
+                heads.append(g)
+                out = stepped.get((nu, g))
+                if out is None:
+                    out = stepped[nu, g] = []
+                    for factor, divisor, digit in groups[g]:
+                        child = nu * factor // divisor
+                        ups[child] = up = bisect.bisect_right(
+                            bars, child * scale)
+                        out.append((child, up, canon[rank[digit]]))
+                # A stopped child is entered as ~(its number).
+                kids.extend(ids.setdefault((child, queue * c + d), len(ids))
+                            if up else ~stops.setdefault(child, len(stops))
+                            for child, up, d in out)
+                kids.extend([0] * (pad - len(out)))
+            # Stopped classes are numbered after the live ones.
+            kids = np.array(kids, dtype=np.intp).reshape(len(live), pad)
+            table = np.zeros((rows, pad), dtype=np.intp)
+            table[:len(live)] = np.where(kids < 0, len(ids) + ~kids, kids)
+            live, nus = list(ids), list(stops)
+            rows = len(live) + len(nus)
+            yield rises, table, np.array(heads, dtype=np.intp), np.array(
+                [ups[nu] for nu, _ in live] + [0] * len(nus),
                 dtype=np.min_scalar_type(len(cuts))), nus
 
     return picks, rule()

@@ -163,8 +163,9 @@ def locate(levels, cloud: SampleCloud):
     One walk over each chunk serves every level.  It reads each sample's
     digit at each length h, and where ell rises to l also its digit at
     place l, the cell it promotes; ``stopping_rule`` turns those map
-    indices into its move, the move turns the mass class into the next,
-    and the class gives the number of levels it is still above.  Level i
+    indices into the position of its move among its class's, the
+    position turns the class into the next, and the class gives the
+    number of levels it is still above.  Level i
     stops at the first length where that number is at most the number of
     deeper levels.  A sample that has stopped at every level walks on
     from class 0, its number kept at 0.  The chunk's log distances
@@ -201,8 +202,8 @@ def locate(levels, cloud: SampleCloud):
         rows = digits.shape[1]
         found = np.ones((len(ks), rows), dtype=dtype)
         cls = np.zeros(rows, dtype=np.intp)
-        live = np.full(rows, len(ks), dtype=steps[0][2].dtype)
-        for h, (rises, table, above, _) in enumerate(steps, 1):
+        live = np.full(rows, len(ks), dtype=steps[0][3].dtype)
+        for h, (rises, table, _, above, _) in enumerate(steps, 1):
             code = digits[h - 1].astype(np.intp)
             if rises:
                 code += np.multiply(digits[ells[h] - 1], maps, dtype=np.intp)
@@ -230,17 +231,20 @@ def _log_distances(found: np.ndarray, digits: np.ndarray, axes,
     the cell.  Per axis, one backward Horner pass from the last drawn
     digit, T_c = (d_{c+1} + T_{c+1}) / base, gives each sample's
     position T_c in [0, 1) within its cell of c digits, for every c in
-    turn, and each (level, sample) entry, sorted by length, takes the
-    T_c of its own cell; its offset is T_c - 1/2 on each axis.  Since
+    turn, and each (level, sample) entry, sorted by length, takes its
+    offset T_c - 1/2 on each axis as (d_{c+1} - base/2 + T_{c+1}) / base
+    from the first digit after its cell.  Its first difference is exact,
+    so on an even base a sample near its cell's centre (d_{c+1} =
+    base/2) keeps an offset far below the float spacing at 1/2.  Since
     n >= m, a length-h cell's wider side is its width n^-ell(h), so the
     log distance is -ell(h) log n + log hypot(x offset, y offset times
     the cell's height over its width).  The y cell of h digits is read
     first, at c = h >= ell(h).  Both terms of the hypot are at most 1/2
     and the ratio is above 1/n, so no cell is too small to measure.  A
-    sample whose offsets both read as zero, within float rounding of
-    its cell's centre, has the log distance -inf.
+    sample whose offsets both read as zero has the log distance -inf.
     """
     (xd, n), (yd, m) = axes
+    xh, yh = xd - n / 2, yd - m / 2        # exact
     ells, aspect = cells
     rows = found.shape[1]
     flat = found.ravel()
@@ -254,26 +258,30 @@ def _log_distances(found: np.ndarray, digits: np.ndarray, axes,
     out = np.empty(len(flat))
     # The shortest word's x cell is the shallowest cell read.
     for c in range(len(digits) - 1, int(ells[flat.min()]) - 1, -1):
-        place = digits[c].astype(np.intp)
-        at_x += xd.take(place)
-        at_x /= n
-        at_y += yd.take(place)
-        at_y /= m
+        place = digits[c]
         entries = order[ends[c]:ends[c + 1]]
         if len(entries):
-            off = at_y.take(entries % rows)
-            off -= 0.5
+            cols = entries % rows
+            off = yh.take(place.take(cols))
+            off += at_y.take(cols)
+            off /= m
             off *= aspect[c]
             out[entries] = off
         entries = order[xends[c]:xends[c + 1]]
         if len(entries):
-            off = at_x.take(entries % rows)
-            off -= 0.5
+            cols = entries % rows
+            off = xh.take(place.take(cols))
+            off += at_x.take(cols)
+            off /= n
             np.hypot(off, out.take(entries), out=off)
             with np.errstate(divide="ignore"):
                 np.log(off, out=off)
             off -= c * math.log(n)
             out[entries] = off
+        at_x += xd.take(place)
+        at_x /= n
+        at_y += yd.take(place)
+        at_y /= m
     return out.reshape(found.shape)
 
 

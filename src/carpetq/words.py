@@ -30,7 +30,7 @@ from .measure import DerivedParams
 
 __all__ = [
     "WordError", "ell", "entropy_terms", "key_space", "key_dtype", "step",
-    "pending", "family_stems", "stem_columns", "flat_predecessor",
+    "family_stems", "stem_columns", "flat_predecessor",
     "block_predecessor", "swap_tail", "member", "predecessor_member",
     "class_counts", "class_entropy", "mass_sums", "WordColumns",
 ]
@@ -73,6 +73,8 @@ class _Layout(NamedTuple):
     cols: np.ndarray        # intp: the column digit of each rank
     cell_rank: np.ndarray   # uint64: the rank of cell (i, j), at i + n j
     col_rank: np.ndarray    # uint64: the rank of column j, at j
+    promote: np.ndarray     # uint64: the rank of cell (gx[j][r], j), at
+                            # (rank of column j, r)
 
 
 def _layout(params: DerivedParams) -> _Layout:
@@ -91,7 +93,12 @@ def _grid_layout(n: int, m: int,
     cell_rank[cells[:, 0] + n * cells[:, 1]] = np.arange(len(cells))
     col_rank = np.zeros(m, dtype=np.uint64)
     col_rank[cols] = np.arange(len(cols))
-    return _Layout(len(cells), len(cols), cells, cols, cell_rank, col_rank)
+    promote = np.zeros((len(cols), len(cells)), dtype=np.uint64)
+    for s, j in enumerate(cols.tolist()):
+        column = np.flatnonzero(cells[:, 1] == j)
+        promote[s, :len(column)] = column
+    return _Layout(len(cells), len(cols), cells, cols, cell_rank, col_rank,
+                   promote)
 
 
 def key_space(params: DerivedParams, h: int) -> int:
@@ -117,37 +124,32 @@ def _cast(params: DerivedParams, h: int, keys: np.ndarray) -> np.ndarray:
     return keys if keys.dtype == dtype else keys.astype(dtype)
 
 
-def step(params: DerivedParams, h: int, keys: np.ndarray, xs: np.ndarray,
-         digits: np.ndarray) -> np.ndarray:
+def step(params: DerivedParams, h: int, keys: np.ndarray,
+         positions: np.ndarray) -> np.ndarray:
     """The keys of length-h words from those of their flat predecessors.
 
-    ``keys`` are length h - 1 keys, one per word.  Where ell keeps its
-    value at h, a word appends the column ``digits`` to its
-    predecessor's tail.  Where it rises, the predecessor's top tail digit
-    j leaves the tail for a new last cell (``xs``, j), and ``digits`` is
-    appended; a predecessor without a tail (n = m) appends the cell
-    (``xs``, ``digits``).
+    ``keys`` are length h - 1 keys, one per word, and ``positions`` each
+    word's move at its position in its group (see
+    ``partition._moves``).  Where ell keeps its value at h, a word
+    appends the column of rank ``position`` in gy to its predecessor's
+    tail.  Where it rises, the predecessor's top tail digit j leaves the
+    tail for a new last cell (gx[j][position // |gy|], j), and the column
+    of rank ``position % |gy|`` is appended; a predecessor without a tail
+    (n = m) appends the cell of rank ``position``.
     """
     lay = _layout(params)
     keys = _cast(params, h, keys)
+    positions = positions.astype(np.uint64)
     t = h - 1 - ell(params, h - 1)
     if ell(params, h) + t == h - 1:
-        return keys * lay.c + lay.col_rank[digits]
+        return keys * lay.c + positions
     if not t:
-        return keys * lay.g + lay.cell_rank[xs + params.n * digits]
+        return keys * lay.g + positions
     below = lay.c ** (t - 1)            # the span of the tail under its top
-    top = lay.cols[(keys // below % lay.c).astype(np.intp)]
+    top = (keys // below % lay.c).astype(np.intp)
     return ((keys // (below * lay.c) * lay.g
-             + lay.cell_rank[xs + params.n * top]) * (below * lay.c)
-            + keys % below * lay.c + lay.col_rank[digits])
-
-
-def pending(params: DerivedParams, h: int, keys: np.ndarray) -> np.ndarray:
-    """The column digit on top of each length-h key's tail, which the
-    step to h + 1 promotes when ell rises there."""
-    lay = _layout(params)
-    top = keys // lay.c ** (h - ell(params, h) - 1) % lay.c
-    return lay.cols[top.astype(np.intp)]
+             + lay.promote[top, (positions // lay.c).astype(np.intp)])
+            * (below * lay.c) + keys % below * lay.c + positions % lay.c)
 
 
 def _split(params: DerivedParams, h: int, keys: np.ndarray) -> tuple:

@@ -552,7 +552,7 @@ def test_exact_outputs_frozen_carpet_d(tmp_path):
 _FROZEN_QUANTIZE = {
     "A": ("3caf59ead4030278f996805d277455560550e4e020fdb41f12f96345ed83f3e4",
           "12b50287ba534bda0254b130216b1030f9fd39867990b01ef526768afd77d9f5"),
-    "D": ("3173171c9a5f798931d487ddec552ab23ec81696f85119869d138e53e1a19693",
+    "D": ("23b08c84d52f9881fbd8104ec9ed0eac0ad09c0afb2b217374ca5242bedd48ba",
           "59508bf641f5550a1fc1254e5f60c8d1891963f31baa456614d6b1a8d5d701c3"),
     "E": ("3637ecb14c023fff6f8a9f479dcefc781151bf4692292a873b0ff21a8635cefd",
           "bed0ba6ccfd031680519b9ba27986292108482b8ee7bd7ded9df688e223a9d3e"),

@@ -16,9 +16,9 @@ from carpetq import words as words_mod
 from carpetq.coding import build_antichain, verify_maximal_antichain
 from carpetq.partition import (
     EnumerationCapError, check_square_disjointness, enumerate_lambda_k,
-    partition_stats, stopped_statistics,
+    partition_stats, stopped_statistics, stopping_rule,
 )
-from carpetq.words import block_predecessor, entropy_terms
+from carpetq.words import block_predecessor, ell, entropy_terms
 from oracles import (
     carpet_children, check_phi_growth, coding_predecessor, flat_predecessor,
     key_rows, lambda_codebook, make_word, mass_at, naive_comparable_pairs,
@@ -355,6 +355,80 @@ def test_dp_matches_enumeration(carpet_a, carpet_b, carpet_c, carpet_d,
                 part.entropy_sum, abs=1e-9)
 
 
+def _assert_every_class_holds_a_word(params, part):
+    # The rule for [k] runs exactly xi_max lengths, and each class it
+    # makes holds a word.  Each stored word's flat prefixes are walked
+    # down the rule's tables by the positions of their own moves, read
+    # from the word's digits: each position lies in its class's group,
+    # the walk passes only live classes and ends in the word's stored
+    # class, and together the words pass or end in every class.
+    rule = list(stopping_rule(params, [part.k])[1])
+    assert len(rule) == part.xi_max
+    sizes = {rises: np.array([len(group) for group in groups])
+             for rises, groups in partition._moves(params).items()}
+    c = len(params.gy)
+    col = np.zeros(params.m, dtype=np.intp)
+    col[list(params.gy)] = np.arange(c)
+    # The rank of x digit i in column j, and of the cell (i, j).
+    xrank = np.zeros((params.n, params.m), dtype=np.intp)
+    cell = np.zeros((params.n, params.m), dtype=np.intp)
+    for r, (i, j) in enumerate(params.spec.digits):
+        xrank[i, j], cell[i, j] = params.gx[j].index(i), r
+    seen = [np.zeros(len(above), dtype=bool) for *_, above, _ in rule]
+    blocks = list(part.blocks.items())
+    while blocks:
+        # Words of consecutive lengths walk together, shortest first, in
+        # bands of about 2^22 digits.
+        band = 1
+        while band < len(blocks) and blocks[band][0] * sum(
+                len(ids) for _, (_, ids, _) in blocks[:band + 1]) <= 1 << 22:
+            band += 1
+        band, blocks = blocks[:band], blocks[band:]
+        top = band[-1][0]
+        ends = np.repeat([h for h, _ in band], [len(b[1]) for _, b in band])
+        ids = np.concatenate([b[1] for _, b in band])
+        xs = np.zeros((len(ids), ell(params, top)), dtype=np.uint8)
+        ys = np.zeros((len(ids), top), dtype=np.uint8)
+        at = 0
+        for size, (keys, _, _) in band:
+            rows, l = key_rows(params, size, keys), ell(params, size)
+            xs[at:at + len(keys), :l] = rows[:, 0:2 * l:2]
+            ys[at:at + len(keys), :l] = rows[:, 1:2 * l:2]
+            ys[at:at + len(keys), l:size] = rows[:, 2 * l:]
+            at += len(keys)
+        cls = np.zeros(len(ids), dtype=np.intp)
+        for h, (rises, table, groups, above, nus) in enumerate(
+                rule[:top], 1):
+            a = ell(params, h) - 1        # the cell a rising move adds
+            if not rises:
+                pos = col[ys[:, h - 1]]
+            elif a == h - 1:
+                pos = cell[xs[:, a], ys[:, a]]
+            else:
+                pos = xrank[xs[:, a], ys[:, a]] * c + col[ys[:, h - 1]]
+            assert (pos < sizes[rises][groups[cls]]).all()
+            cls = table[cls, pos]
+            seen[h - 1][cls] = True
+            live = len(above) - len(nus)
+            # The words of length h lead; they stop, and the rest walk on.
+            done = np.searchsorted(ends, h, side="right")
+            assert np.array_equal(cls[:done] - live, ids[:done])
+            assert (cls[done:] < live).all()
+            cls, ends, ids = cls[done:], ends[done:], ids[done:]
+            xs, ys = xs[done:], ys[done:]
+    assert all(map(np.all, seen))
+
+
+@pytest.mark.parametrize("carpet,ks", [
+    ("a", range(1, 7)), ("c", range(1, 5)), ("d", range(1, 5)),
+    ("e", range(1, 5)), ("skewed", (1,)),
+])
+def test_every_rule_class_holds_a_word(request, carpet, ks):
+    params = request.getfixturevalue(f"carpet_{carpet}")
+    for k in ks:
+        _assert_every_class_holds_a_word(params, enumerate_lambda_k(params, k))
+
+
 def test_stopped_totals_follow_profile(carpet_a):
     # The count, window and mass sums are read from the profile, so a
     # replaced profile carries no stale total.
@@ -582,6 +656,7 @@ def test_random_carpet_dp_equals_enumeration(n, m, cells, raw):
         assert stats.mass_total == part.mass_total
         assert stats.entropy_sum == pytest.approx(part.entropy_sum, abs=1e-9)
         assert check_square_disjointness(part).ok
+        _assert_every_class_holds_a_word(params, part)
 
 
 def _overlap_pairs(params, part):

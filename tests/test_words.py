@@ -14,7 +14,7 @@ from carpetq.coding import build_antichain, verify_maximal_antichain
 from carpetq.partition import check_square_disjointness, enumerate_lambda_k
 from carpetq.words import (
     WordColumns, WordError, block_predecessor, class_entropy, ell,
-    entropy_terms, family_stems, key_dtype, key_space, pending, stem_columns,
+    entropy_terms, family_stems, key_dtype, key_space, stem_columns,
     step, swap_tail,
 )
 from oracles import (
@@ -257,6 +257,20 @@ def _random_words(params, h, picks):
         for pick in picks]
 
 
+def _position(params, h, w):
+    # A length-h word's move from its flat predecessor, as its position
+    # in its group: the rank of its last cell without a tail, else the
+    # rank of its last tail digit, plus, where ell rises, the rank of its
+    # new cell's x digit in that column times |gy|.
+    if ell(params, h) == h:
+        return sorted(params.spec.digits).index(w.pairs[-1])
+    col = params.gy.index(w.tail[-1])
+    if ell(params, h) == ell(params, h - 1):
+        return col
+    i, j = w.pairs[-1]
+    return params.gx[j].index(i) * len(params.gy) + col
+
+
 def _carpet(data, carpets):
     # One of carpets A, D and E, or a random carpet.
     pick = data.draw(st.integers(0, 3))
@@ -338,16 +352,13 @@ def test_key_steps_match_word_oracles(carpet_a, carpet_d, carpet_e, data, h,
     same(words_mod.flat_predecessor(params, h, keys), h - 1, flat)
     same(block_predecessor(params, h, keys), h - 1,
          [coding_predecessor(params, w) for w in batch])
-    # The step from the flat predecessor back to each word: the new
-    # cell's x digit (read only where ell rises) and the last y digit.
+    # The step from the flat predecessor back to each word, at the
+    # word's position in its group of moves.
     grown = step(params, h, keys_of(params, h - 1, flat),
-                 np.array([w.pairs[-1][0] if w.pairs else 0 for w in batch]),
-                 np.array([w.y_digits()[-1] for w in batch]))
+                 np.array([_position(params, h, w) for w in batch]))
     same(grown, h, batch)
     for w in batch:
         assert w in carpet_children(params, flat_predecessor(params, w))
-    if h > l:
-        assert pending(params, h, keys).tolist() == [w.tail[0] for w in batch]
     if l and h > l:
         stems, x = family_stems(params, h, keys)
         j_l, j_t = stem_columns(params, h, stems)
