@@ -15,10 +15,13 @@ fills every other cell of a 9 x 7 grid, and the 400-map carpet every
 other cell of a 40 x 40 grid in both directions, past a uint8 digit.
 """
 
+import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -156,19 +159,53 @@ def tamper():
     return _tamper
 
 
+# Starts the command argv[2:], kills it after 300 s, reaps it with os.wait4
+# and writes its exit code, CPU seconds and peak RSS in MB to the file
+# argv[1].  A child's ru_maxrss starts at its parent's peak RSS, so the
+# command is started from this small interpreter: started from the test
+# process, it would report that process's peak.
+_WAIT4 = """
+import json, os, signal, subprocess, sys
+child = subprocess.Popen(sys.argv[2:])
+signal.signal(signal.SIGALRM, lambda *_: child.kill())
+signal.alarm(300)
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+with open(sys.argv[1], "w") as f:
+    # ru_maxrss is in kB on Linux.
+    json.dump([child.returncode, usage.ru_utime + usage.ru_stime,
+               usage.ru_maxrss / 1024], f)
+"""
+
+CarpetqRun = namedtuple("CarpetqRun", "returncode stdout stderr cpu_s peak_mb")
+
+
+def run_carpetq(*args, env=None):
+    """Run ``python -m carpetq *args`` in its own interpreter from the
+    package's source directory; return its exit code, stdout, stderr,
+    CPU seconds and peak RSS in MB, read from ``os.wait4``."""
+    src = Path(carpetq.__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        usage = Path(tmp, "usage.json")
+        done = subprocess.run(
+            [sys.executable, "-c", _WAIT4, str(usage),
+             sys.executable, "-m", "carpetq", *args],
+            cwd=src, env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
+        returncode, cpu_s, peak_mb = json.loads(usage.read_text())
+    return CarpetqRun(returncode, done.stdout, done.stderr, cpu_s, peak_mb)
+
+
 def run_commands(cfg, out, commands, hash_seed):
     """Run ``python -m carpetq <command> --config cfg --out out`` for each
     of ``commands`` in its own interpreter with ``PYTHONHASHSEED`` set to
     ``hash_seed``; return each command's stdout and then every file
     under ``out``, by name, as bytes."""
-    src = Path(carpetq.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
     got = {}
     for command in commands:
-        done = subprocess.run(
-            [sys.executable, "-m", "carpetq", command, "--config", str(cfg),
-             "--out", str(out)],
-            cwd=src, env=env, capture_output=True, timeout=300)
+        done = run_carpetq(command, "--config", str(cfg), "--out", str(out),
+                           env=env)
         assert done.returncode == 0, done.stderr.decode()
         got[f"{command} stdout"] = done.stdout
     for path in sorted(Path(out).iterdir()):
