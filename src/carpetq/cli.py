@@ -230,10 +230,7 @@ def cmd_validate(ctx: _Ctx) -> None:
         for c in report.checks
     ]}
     if report.ok:
-        with warnings.catch_warnings():
-            # validate_spec above has already given this warning.
-            warnings.filterwarnings("ignore", "grid factor", UserWarning)
-            params = derive_params(ctx.cfg.spec)
+        params = derive_params(ctx.cfg.spec)
         print(f"validate s0 = {params.s0:.12f}  theta = {params.theta:.12f}")
         doc.update(s0=params.s0, theta=params.theta, eta=str(params.eta),
                    k0=params.k0)
@@ -558,36 +555,41 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    ctx = None
-    try:
-        cfg = load_config(args.config)
-        if args.cap_words < 1:
-            raise ConfigError("--cap-words must be >= 1")
-        out = Path(args.out)
+    ctx = doc = None
+    # A warning the command raises becomes a note on stdout, once per
+    # message, so stderr carries only the JSON below.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(
-                f"--out {args.out} is not a usable directory: {exc}") from exc
-        ctx = _Ctx(cfg=cfg, out=out, cap_words=args.cap_words, failures=[])
-        _COMMANDS[args.command](ctx)
-    except (ConfigError, EnumerationCapError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
-    except MemoryError:
-        where = args.command
-        if ctx is not None and ctx.level is not None:
-            where += f" k={ctx.level}"
-        print(json.dumps({"error": f"{where}: out of memory"}),
-              file=sys.stderr)
-        return 2
-    except InvalidSpecError as exc:
-        print(json.dumps({"error": f"invalid carpet: {exc}"}), file=sys.stderr)
-        return 2
-    if ctx.failures:
-        print(json.dumps({"failures": ctx.failures}), file=sys.stderr)
-        return 1
-    return 0
+            cfg = load_config(args.config)
+            if args.cap_words < 1:
+                raise ConfigError("--cap-words must be >= 1")
+            out = Path(args.out)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"--out {args.out} is not a usable "
+                                  f"directory: {exc}") from exc
+            ctx = _Ctx(cfg=cfg, out=out, cap_words=args.cap_words,
+                       failures=[])
+            _COMMANDS[args.command](ctx)
+            if ctx.failures:
+                doc = {"failures": ctx.failures}
+        except (ConfigError, EnumerationCapError) as exc:
+            doc = {"error": str(exc)}
+        except MemoryError:
+            where = args.command
+            if ctx is not None and ctx.level is not None:
+                where += f" k={ctx.level}"
+            doc = {"error": f"{where}: out of memory"}
+        except InvalidSpecError as exc:
+            doc = {"error": f"invalid carpet: {exc}"}
+    for note in dict.fromkeys(str(w.message) for w in caught):
+        print(f"note: {note}")
+    if doc is None:
+        return 0
+    print(json.dumps(doc), file=sys.stderr)
+    return 1 if "failures" in doc else 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 __all__ = [
     "CarpetSpec",
@@ -59,7 +59,7 @@ class CarpetSpec:
     """Grid factors plus weighted digit cells, order-normalized.
 
     ``digits`` and ``weights`` are aligned tuples; use :meth:`of` to
-    build one from any mapping or (i, j, weight) iterable.
+    build one from a mapping of cells to weights.
     """
 
     n: int
@@ -72,14 +72,9 @@ class CarpetSpec:
         cls,
         n: int,
         m: int,
-        cells: Union[Mapping[tuple[int, int], RationalLike],
-                     Iterable[tuple[int, int, RationalLike]]],
+        cells: Mapping[tuple[int, int], RationalLike],
     ) -> "CarpetSpec":
-        if isinstance(cells, Mapping):
-            items = [(ij, w) for ij, w in cells.items()]
-        else:
-            items = [((i, j), w) for i, j, w in cells]
-        items.sort(key=lambda t: t[0])
+        items = sorted(cells.items(), key=lambda t: t[0])
         digits = tuple((int(i), int(j)) for (i, j), _ in items)
         weights = tuple(_as_fraction(w) for _, w in items)
         return cls(int(n), int(m), digits, weights)
@@ -209,6 +204,8 @@ class DerivedParams:
     q_max: Fraction
     eta: Fraction             # p_min * q_min, the stopping ratio
     denom_lcm: int            # L with p_ij * L and q_j * L all integers
+    scaled: tuple             # ({cell: p_ij * L}, {j: q_j * L}) as ints:
+                              # the walk's and the repair's weights
     s0: float                 # Hausdorff dimension of the measure
     entropy_p: float          # sum p log(1/p)
     entropy_q: float          # sum q log(1/q)
@@ -224,18 +221,6 @@ class DerivedParams:
     @property
     def m(self) -> int:
         return self.spec.m
-
-    def prob(self, i: int, j: int) -> Fraction:
-        return self._pmap[(i, j)]
-
-    def __post_init__(self):
-        pmap = dict(zip(self.spec.digits, self.spec.weights))
-        object.__setattr__(self, "_pmap", pmap)
-        # p_ij * L and q_j * L as ints: the walk's and the repair's weights.
-        L = self.denom_lcm
-        object.__setattr__(self, "scaled", (
-            {ij: int(w * L) for ij, w in pmap.items()},
-            {j: int(qj * L) for j, qj in self.q.items()}))
 
 
 def derive_params(spec: CarpetSpec) -> DerivedParams:
@@ -290,6 +275,8 @@ def derive_params(spec: CarpetSpec) -> DerivedParams:
         q_max=q_max,
         eta=eta,
         denom_lcm=denom_lcm,
+        scaled=({ij: int(w * denom_lcm) for ij, w in pmap.items()},
+                {j: int(qj * denom_lcm) for j, qj in q.items()}),
         s0=s0,
         entropy_p=-sum_p_log,
         entropy_q=-sum_q_log,

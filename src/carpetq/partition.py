@@ -401,22 +401,13 @@ class PartitionStats:
 
 
 def _ratio_bounds_hold(params: DerivedParams) -> bool:
-    # Single-step mass ratios come from a finite factor set; checking
-    # the set once covers every word of every level exactly.
-    eta, q_max = params.eta, params.q_max
-    for j in params.gy:
-        if not eta <= params.q[j] <= q_max:
-            return False
-        for i in params.gx[j]:
-            ratio = params.prob(i, j) / params.q[j]
-            for j2 in params.gy:
-                if not eta <= ratio * params.q[j2] <= q_max:
-                    return False
-    if ell(params, 1) == 1:  # theta = 1 steps append whole pairs
-        for ij, w in zip(params.spec.digits, params.spec.weights):
-            if not eta <= w <= q_max:
-                return False
-    return True
+    # Every step multiplies a word's mass by the factor of one of the
+    # rule's finitely many moves; checking each move once covers every
+    # word of every level exactly.
+    L = params.denom_lcm
+    return all(params.eta <= Fraction(factor, divisor * L) <= params.q_max
+               for groups in _moves(params).values()
+               for group in groups for factor, divisor, _ in group)
 
 
 def partition_stats(partition) -> PartitionStats:

@@ -244,7 +244,6 @@ def _log_distances(found: np.ndarray, digits: np.ndarray, axes,
     sample whose offsets both read as zero has the log distance -inf.
     """
     (xd, n), (yd, m) = axes
-    xh, yh = xd - n / 2, yd - m / 2        # exact
     ells, aspect = cells
     rows = found.shape[1]
     flat = found.ravel()
@@ -258,19 +257,22 @@ def _log_distances(found: np.ndarray, digits: np.ndarray, axes,
     out = np.empty(len(flat))
     # The shortest word's x cell is the shallowest cell read.
     for c in range(len(digits) - 1, int(ells[flat.min()]) - 1, -1):
-        place = digits[c]
+        digit = yd.take(digits[c])
         entries = order[ends[c]:ends[c + 1]]
         if len(entries):
             cols = entries % rows
-            off = yh.take(place.take(cols))
+            off = digit.take(cols) - m / 2        # exact
             off += at_y.take(cols)
             off /= m
             off *= aspect[c]
             out[entries] = off
+        at_y += digit
+        at_y /= m
+        digit = xd.take(digits[c])
         entries = order[xends[c]:xends[c + 1]]
         if len(entries):
             cols = entries % rows
-            off = xh.take(place.take(cols))
+            off = digit.take(cols) - n / 2
             off += at_x.take(cols)
             off /= n
             np.hypot(off, out.take(entries), out=off)
@@ -278,10 +280,8 @@ def _log_distances(found: np.ndarray, digits: np.ndarray, axes,
                 np.log(off, out=off)
             off -= c * math.log(n)
             out[entries] = off
-        at_x += xd.take(place)
+        at_x += digit
         at_x /= n
-        at_y += yd.take(place)
-        at_y /= m
     return out.reshape(found.shape)
 
 

@@ -137,7 +137,8 @@ def carpet_children(params: DerivedParams, word: CarpetWord) -> tuple[CarpetWord
 
 def word_mass(params: DerivedParams, word: CarpetWord) -> Fraction:
     """Exact measure of the word's square: prod p over pairs, prod q over tail."""
-    factors = ([params.prob(i, j) for i, j in word.pairs]
+    weight = dict(zip(params.spec.digits, params.spec.weights))
+    factors = ([weight[ij] for ij in word.pairs]
                + [params.q[j] for j in word.tail])
     return Fraction(math.prod(f.numerator for f in factors),
                     math.prod(f.denominator for f in factors))

@@ -124,10 +124,10 @@ def test_criterion_3_d_k_bound(carpet_a, carpet_c):
     def brute_u(params, k):
         l = ell(params, k)
         total = 0.0
-        for pairs in product(params.spec.digits, repeat=l):
+        for weights in product(params.spec.weights, repeat=l):
             base = Fraction(1)
-            for ij in pairs:
-                base *= params.prob(*ij)
+            for w in weights:
+                base *= w
             for tail in product(params.gy, repeat=k - l):
                 mass = base
                 for j in tail:

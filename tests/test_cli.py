@@ -7,7 +7,6 @@ import json
 import math
 import subprocess
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from carpetq.cli import ConfigError, load_config, main
 from carpetq.coding import AntichainCollisionError, AntichainInvariantError
 from carpetq.partition import DisjointnessReport
 from carpetq.report import read_csv
-from conftest import run_commands
+from conftest import run_carpetq, run_commands
 
 
 _CARPET_D = dict(n=4, m=2, maps=[
@@ -29,6 +28,8 @@ _CARPET_D = dict(n=4, m=2, maps=[
 
 
 def _config(tmp_path, **overrides):
+    """A config file: carpet A, with ``overrides``; an override of ``...``
+    drops its key."""
     cfg = {
         "n": 4, "m": 3,
         "maps": [
@@ -42,7 +43,8 @@ def _config(tmp_path, **overrides):
     }
     cfg.update(overrides)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps({key: value for key, value in cfg.items()
+                                if value is not ...}))
     return str(path)
 
 
@@ -69,11 +71,18 @@ def test_load_config_defaults(tmp_path):
     ({"depth": 5}, "depth"),
     ({"bogus": 1}, "bogus"),
     ({"depth": 1075}, "depth"),
+    ({"n": ...}, "missing required key 'n'"),
+    ({"maps": [{"i": 0, "j": 0, "p": "one third"},
+               {"i": 2, "j": 2, "p": "2/3"}]},
+     "cannot parse weight 'one third'"),
 ])
-def test_load_config_rejects(tmp_path, broken, needle):
+def test_load_config_rejects(tmp_path, capsys, broken, needle):
     path = _config(tmp_path, **broken)
     with pytest.raises(ConfigError, match=needle):
         load_config(path)
+    assert main(["validate", "--config", path, "--out",
+                 str(tmp_path / "o")]) == 2
+    assert needle in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_load_config_duplicate_cell(tmp_path):
@@ -114,16 +123,19 @@ def test_validate_command_fails_bad_carpet(tmp_path, capsys):
     assert "separation" in err
 
 
-def test_validate_warns_once(tmp_path):
-    # validate checks the spec and then derives its constants, which
-    # checks it again; the grid-factor warning still comes once.
-    cfg = _config(tmp_path, **_CARPET_D)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["validate", "--config", cfg, "--out",
-                     str(tmp_path / "out")]) == 0
-    grid = [w for w in caught if issubclass(w.category, UserWarning)]
-    assert len(grid) == 1 and "grid factor" in str(grid[0].message)
+@pytest.mark.parametrize("command", ["validate", "partition"])
+def test_grid_note_on_stdout(tmp_path, command):
+    # Carpet D's grid factor 2 draws validate_spec's warning, from the
+    # spec's check and again from derive_params; the command prints it
+    # once on stdout as a note and leaves stderr empty.
+    cfg = _config(tmp_path, k_max=2, **_CARPET_D)
+    done = run_carpetq(command, "--config", cfg, "--out",
+                       str(tmp_path / "out"))
+    assert done.returncode == 0
+    assert done.stderr == b""
+    notes = [line for line in done.stdout.decode().splitlines()
+             if line.startswith("note: ")]
+    assert len(notes) == 1 and "grid factor min(n, m) = 2 < 3" in notes[0]
 
 
 @pytest.mark.parametrize("command", ["partition", "antichain", "sequences",
@@ -225,15 +237,16 @@ def test_quantize_ball_skip_reported(tmp_path, capsys):
 
 
 def test_report_command(tmp_path):
-    cfg = _config(tmp_path)
-    out = tmp_path / "out"
-    assert main(["sequences", "--config", cfg, "--out", str(out)]) == 0
-    assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0
-    assert main(["report", "--config", cfg, "--out", str(out)]) == 0
-    seq_svg = (out / "sequences.svg").read_text()
-    assert seq_svg.startswith("<svg")
-    assert "s_k" in seq_svg and "s0" in seq_svg
-    assert (out / "quantize.svg").exists()
+    # Levels 2..3, and level 3 alone, whose charts have a single k.
+    for k_min in (2, 3):
+        cfg = _config(tmp_path, k_min=k_min)
+        out = tmp_path / f"out{k_min}"
+        for command in ("sequences", "quantize", "report"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        seq_svg = (out / "sequences.svg").read_text()
+        assert seq_svg.startswith("<svg")
+        assert "s_k" in seq_svg and "s0" in seq_svg
+        assert (out / "quantize.svg").read_text().startswith("<svg")
 
 
 def test_report_nothing_to_report(tmp_path, capsys):
@@ -260,10 +273,12 @@ def test_report_rowless_table_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("table,needle", [
     ("k,t_k,s_k,s0\n2,,0.9,0.91\n", "sequences.csv has no 'd_k' column"),
     ("", "cannot read sequences.csv"),
+    ("k,d_k,t_k,s_k,s0\n2,0.5,,0.9\n", "cannot read sequences.csv"),
     ("k,d_k,t_k,s_k,s0\n2,oops,,0.9,0.91\n", "column 'd_k'"),
     ("k,d_k,t_k,s_k,s0\n2,nan,,0.9,0.91\n", "column 'd_k': non-finite"),
     ("k,d_k,t_k,s_k,s0\n2,0.5,-inf,0.9,0.91\n", "column 't_k': non-finite"),
-], ids=["missing-column", "empty", "non-numeric", "nan", "infinite"])
+], ids=["missing-column", "empty", "ragged", "non-numeric", "nan",
+        "infinite"])
 def test_report_malformed_table_exits_2(tmp_path, capsys, table, needle):
     cfg = _config(tmp_path)
     out = tmp_path / "out"
@@ -535,7 +550,6 @@ _FROZEN_DIGESTS_D = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:grid factor")
 def test_exact_outputs_frozen_carpet_d(tmp_path):
     cfg = _config(tmp_path, k_min=2, k_max=4, **_CARPET_D)
     out = tmp_path / "out"
@@ -562,7 +576,6 @@ _CARPET_E = dict(n=5, m=3, maps=[
     {"i": 1, "j": 2, "p": "1/4"}, {"i": 4, "j": 2, "p": "1/4"}])
 
 
-@pytest.mark.filterwarnings("ignore:grid factor")
 @pytest.mark.parametrize("carpet", sorted(_FROZEN_QUANTIZE))
 def test_quantize_outputs_frozen(tmp_path, carpet):
     # Carpet D's words reach length 39 at k = 4, so its cloud is deeper.
@@ -594,7 +607,6 @@ def test_import_leaves_scipy_unloaded(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "0 []"
 
 
-@pytest.mark.filterwarnings("ignore:grid factor")
 def test_shallow_cloud_guard_exits_2(tmp_path, capsys, monkeypatch):
     # Carpet D at k = 3 has words of length 29, at k = 4 of length 39; a
     # depth-40 cloud leaves fewer than 20 digits past either.  The guard
@@ -619,7 +631,6 @@ def test_shallow_cloud_guard_exits_2(tmp_path, capsys, monkeypatch):
     assert "quantize k=" not in captured.out
 
 
-@pytest.mark.filterwarnings("ignore:grid factor")
 def test_tiny_cells_quantize(tmp_path):
     # Carpet D's cells at 99/100 and 1/100 have k = 1 words of length
     # 917, cells 2^-916 across, whose squared sides underflow; their log
@@ -635,7 +646,6 @@ def test_tiny_cells_quantize(tmp_path):
     assert float(rows[0][4]) < -100
 
 
-@pytest.mark.filterwarnings("ignore:grid factor")
 def test_deep_cloud_quantizes_carpet_d_unfloored(tmp_path):
     cfg = _config(tmp_path, k_min=2, k_max=4, cloud_size=20_000, depth=60,
                   **_CARPET_D)
@@ -700,7 +710,6 @@ def test_out_of_memory_names_the_level(tmp_path, capsys, monkeypatch):
     assert "antichain k=2: maximal: true" in captured.out
 
 
-@pytest.mark.filterwarnings("ignore:grid factor")
 def test_dp_state_guard_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(partition, "MAX_DP_STATES", 2)
     cfg = _config(tmp_path, k_min=2, k_max=4, **_CARPET_D)
@@ -751,10 +760,14 @@ def test_benchmark_contract_names_are_called(tmp_path, monkeypatch):
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
+    # Text that is not JSON, and JSON whose root is not an object.
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert main(["partition", "--config", str(path)]) == 2
-    assert "error" in capsys.readouterr().err
+    for text, needle in [("{not json", "is not valid JSON"),
+                         ('[{"n": 4}]', "config root must be a JSON object")]:
+        path.write_text(text)
+        assert main(["partition", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert needle in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_missing_config_exits_2(tmp_path):

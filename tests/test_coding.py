@@ -352,7 +352,8 @@ def _tampered_family(params, removed, case):
     rep, other = sorted(removed, key=lambda w: w.pairs[-1][0])
     (i, j_l), j_t = rep.pairs[-1], rep.tail[-1]
     # The least mass the family can factor: its stem's scaled mass is 1.
-    least = (params.prob(i, j_l) * params.q[j_t]
+    weight = dict(zip(params.spec.digits, params.spec.weights))
+    least = (weight[i, j_l] * params.q[j_t]
              / params.denom_lcm ** (len(rep) - 2))
     return {
         "drop-sibling": (other, []),

@@ -46,7 +46,8 @@ def test_carpet_a_exact_fields(carpet_a):
     assert p.q_min == Fraction(1, 3) and p.q_max == Fraction(2, 3)
     assert p.gy == (0, 2)
     assert p.gx == {0: (0,), 2: (0, 2)}
-    assert p.prob(2, 2) == Fraction(1, 3)
+    assert p.spec.weights[p.spec.digits.index((2, 2))] == Fraction(1, 3)
+    assert p.scaled == ({(0, 0): 1, (0, 2): 1, (2, 2): 1}, {0: 1, 2: 2})
 
 
 def test_carpet_b_degenerate_column(carpet_b):

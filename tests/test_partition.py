@@ -141,6 +141,24 @@ def test_exact_invariants(cache_a):
         assert total == 1
 
 
+def test_ratio_bounds_read_the_rule_moves(cache_a, monkeypatch):
+    # The ratio check reads the moves the stopping rule multiplies by,
+    # so one of carpet A's rising moves scaled by 50, past q_max, fails it.
+    level = cache_a.partition(3)
+    real = partition._moves
+
+    def inflated(params):
+        moves = real(params)
+        factor, divisor, digit = moves[True][0][0]
+        moves[True][0][0] = (50 * factor, divisor, digit)
+        return moves
+
+    monkeypatch.setattr(partition, "_moves", inflated)
+    assert not partition_stats(level).ratio_bounds_ok
+    monkeypatch.undo()
+    assert partition_stats(level).ratio_bounds_ok
+
+
 def test_xi_windows_carpet_a(cache_a):
     for k in (2, 3, 4):
         part = cache_a.partition(k)
@@ -176,6 +194,12 @@ def test_brute_force_membership_other_carpets(carpet_c, carpet_d):
 def test_cap_enforced(carpet_a):
     with pytest.raises(EnumerationCapError):
         enumerate_lambda_k(carpet_a, 3, cap=100)
+
+
+@pytest.mark.parametrize("build", [enumerate_lambda_k, stopped_statistics])
+def test_level_below_one_rejected(carpet_a, build):
+    with pytest.raises(ValueError, match="need k >= 1, got 0"):
+        build(carpet_a, 0)
 
 
 @pytest.mark.parametrize("carpet,k", [("a", 3), ("skewed", 1)])
@@ -656,6 +680,7 @@ def test_random_carpet_dp_equals_enumeration(n, m, cells, raw):
         assert stats.mass_total == part.mass_total
         assert stats.entropy_sum == pytest.approx(part.entropy_sum, abs=1e-9)
         assert check_square_disjointness(part).ok
+        assert partition_stats(part).ratio_bounds_ok
         _assert_every_class_holds_a_word(params, part)
 
 

@@ -27,10 +27,10 @@ def _brute_u_k(params, k):
     """Direct length-k entropy: sum mu log mu over the full digit grid."""
     l = ell(params, k)
     total = 0.0
-    for pairs in product(params.spec.digits, repeat=l):
+    for weights in product(params.spec.weights, repeat=l):
         base = Fraction(1)
-        for ij in pairs:
-            base *= params.prob(*ij)
+        for w in weights:
+            base *= w
         for tail in product(params.gy, repeat=k - l):
             mass = base
             for j in tail:
@@ -162,8 +162,11 @@ def test_sequence_point_without_antichain(carpet_a):
 
 
 def test_sequence_point_k_mismatch(carpet_a, cache_a):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="stats are for level 3, not 4"):
         sequence_point(carpet_a, 4, stats=cache_a.partition(3))
+    with pytest.raises(ValueError, match="antichain is for level 2, not 3"):
+        sequence_point(carpet_a, 3, stats=cache_a.partition(3),
+                       antichain=cache_a.antichain(2))
 
 
 def test_sequence_points_all_carpets(carpet_a, carpet_b, carpet_c, carpet_d):
