@@ -66,7 +66,7 @@ MIN_TAIL = 20               # cloud digits a located cell must leave unread
 
 _SHARD_ROWS = 1 << 15       # rows per sampling block, one generator each
 _CHUNK = 1 << 15            # values per exact-sum batch
-_LOW26 = (1 << 26) - 1
+_WINDOW = 6                 # binary exponents per int64 exact-sum window
 _LOW18 = (1 << 18) - 1
 
 
@@ -291,12 +291,18 @@ class _ExactSums:
     Each value is q * 2^(e - 53) with q = frexp mantissa * 2^53, an
     integer below 2^53 in magnitude, and e >= -1073; with b = e + 1073,
     it is q * 2^(b - 1126) and its square q^2 * 2^(2b - 2252).  A batch
-    of at most ``_CHUNK`` values is binned by b (by 2b for the squares)
-    with ``bincount``, its weights integer parts of q (of q^2) small
-    enough that every bin's float sum is exact, and the bins are added
-    into ``total`` and ``squares``, Python integers that hold the sums
-    times 2^1126 and 2^2252.  So nothing is rounded until a result is
-    read, and the order of the values does not matter.
+    of at most ``_CHUNK`` = 2^15 values is cut into windows of
+    ``_WINDOW`` consecutive e from its least.  In a window, each limb of
+    q = a 2^36 + b' 2^18 + c (|a| <= 2^17; b', c < 2^18) is multiplied by
+    2^(e - the window's least e), so it stays below 2^(17 + _WINDOW) in
+    magnitude, and a sum of 2^15 products of two such limbs below
+    2^(49 + 2 _WINDOW) <= 2^63 while _WINDOW <= 7: the limbs' int64 sums
+    and their six int64 dot products are exact.  They are shifted into
+    ``total`` and ``squares``, Python integers that hold the sums times
+    2^1126 and 2^2252, so nothing is rounded until a result is read, and
+    the order of the values does not matter.  A batch within one window
+    takes no mask; quantize's clamped logs lie in [-690.8, -0.35], so
+    their e lie in [-1, 10] and meet at most two windows.
     """
 
     def __init__(self):
@@ -308,17 +314,37 @@ class _ExactSums:
         self.count += len(values)
         for lo in range(0, len(values), _CHUNK):
             mant, exp = np.frexp(values[lo:lo + _CHUNK])
-            q = np.ldexp(mant, 53).astype(np.int64)
-            exp += 1073
-            # q = a 2^26 + b with |a| <= 2^27: bins below 2^42.
-            self.total += _binned(exp, ((q >> 26, 26), (q & _LOW26, 0)))
-            # q = a 2^36 + b 2^18 + c with |a| <= 2^17 and b, c < 2^18:
-            # each weight of q^2's expansion is below 2^37 in magnitude,
-            # so its bins stay below 2^52.
-            a, b, c = q >> 36, (q >> 18) & _LOW18, q & _LOW18
-            self.squares += _binned(exp * 2, (
-                (a * a, 72), (2 * a * b, 54), (2 * a * c + b * b, 36),
-                (2 * b * c, 18), (c * c, 0)))
+            q = np.ldexp(mant, 53, out=mant).astype(np.int64)
+            least = int(exp.min())
+            exp -= least
+            if exp.max() < _WINDOW:
+                self._add_window(q, exp, least)
+                continue
+            window, shift = np.divmod(exp, _WINDOW)
+            for w in np.flatnonzero(np.bincount(window)).tolist():
+                inside = window == w
+                self._add_window(q[inside], shift[inside],
+                                 least + w * _WINDOW)
+
+    def _add_window(self, q: np.ndarray, shift: np.ndarray,
+                    e: int) -> None:
+        """Add the values q * 2^(e + shift - 53), by int64 limb sums
+        and dots; each shift is in [0, ``_WINDOW``)."""
+        scale = np.left_shift(1, shift, dtype=np.int64)
+        a = q >> 36
+        a *= scale
+        b = q >> 18
+        b &= _LOW18
+        b *= scale
+        c = q & _LOW18
+        c *= scale
+        at = e + 1073
+        self.total += ((int(a.sum()) << 36) + (int(b.sum()) << 18)
+                       + int(c.sum())) << at
+        self.squares += (
+            (int(a @ a) << 72) + (int(a @ b) << 55)
+            + (((int(a @ c) << 1) + int(b @ b)) << 36)
+            + (int(b @ c) << 19) + int(c @ c)) << 2 * at
 
     def rounded(self) -> float:
         """The sum, correctly rounded: the float ``math.fsum`` gives."""
@@ -330,18 +356,6 @@ class _ExactSums:
         n = self.count
         return ((n * self.squares - self.total ** 2)
                 / ((n * (n - 1)) << 2252))
-
-
-def _binned(bins: np.ndarray, parts) -> int:
-    """Sum over (weights, shift) of ``parts`` of each weight times
-    2^(its bin + shift), as a Python integer; each bin's ``bincount``
-    must be exact."""
-    total = 0
-    for weights, shift in parts:
-        sums = np.bincount(bins, weights=weights)
-        for b in np.flatnonzero(sums).tolist():
-            total += int(sums[b]) << (b + shift)
-    return total
 
 
 @dataclass

@@ -88,7 +88,7 @@ def _layout(params: DerivedParams) -> _Layout:
 def _grid_layout(n: int, m: int,
                  digits: tuple[tuple[int, int], ...]) -> _Layout:
     cells = np.array(sorted(digits), dtype=np.intp)
-    cols = np.unique(cells[:, 1])
+    cols = np.flatnonzero(np.bincount(cells[:, 1]))
     cell_rank = np.zeros(n * m, dtype=np.uint64)
     cell_rank[cells[:, 0] + n * cells[:, 1]] = np.arange(len(cells))
     col_rank = np.zeros(m, dtype=np.uint64)

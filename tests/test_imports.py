@@ -6,6 +6,8 @@ import dataclasses
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -153,3 +155,32 @@ def test_no_private_reads_across_modules():
     paths = sorted((ROOT / "src" / "carpetq").glob("*.py"))
     assert paths
     assert [hit for path in paths for hit in private_reads(path)] == []
+
+
+# Runs every exact layer and the quantize pass on carpet A at k = 2 and
+# 3, then prints whether numpy.ma was ever imported.
+_LAYERS_THEN_MA = """
+import sys
+from carpetq import CarpetSpec, derive_params
+from carpetq.coding import build_antichain
+from carpetq.partition import enumerate_lambda_k, stopped_statistics
+from carpetq.quantizer import draw_cloud, tally
+params = derive_params(CarpetSpec.of(
+    4, 3, {(0, 0): "1/3", (0, 2): "1/3", (2, 2): "1/3"}))
+levels = [stopped_statistics(params, k) for k in (2, 3)]
+for k in (2, 3):
+    build_antichain(enumerate_lambda_k(params, k))
+tally(levels, draw_cloud(params, 1000, seed=1))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_layers_leave_numpy_ma_unloaded():
+    # On numpy >= 2.3 an np.unique with no index output reads
+    # np.ma.is_masked, and importing numpy.ma costs every process that
+    # reaches it 7-15 ms of CPU and 0.8 MB of memory; no layer needs it.
+    done = subprocess.run([sys.executable, "-c", _LAYERS_THEN_MA],
+                          cwd=ROOT / "src", capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import carpetq
-from carpetq import CarpetSpec, derive_params
+from carpetq import CarpetSpec, derive_params, quantizer
 from carpetq.partition import enumerate_lambda_k, stopped_statistics
 from carpetq.quantizer import (
     _CHUNK, _SHARD_ROWS, DISTANCE_FLOOR, MAX_DEPTH, SampleCloud,
@@ -701,6 +701,62 @@ def test_exact_sum_is_fsum(values, size):
         # float to round to.
         if variance < 2 ** 1000:
             assert _same_float(chunked.sample_variance(), float(variance))
+
+
+def _sums_match_fractions(values: np.ndarray) -> bool:
+    """Whether one ``_ExactSums.add`` of ``values`` gives the exact sum
+    and sum of squares, as ``Fraction`` sums over the distinct values."""
+    sums = _ExactSums()
+    sums.add(values)
+    seen = collections.Counter(values.tolist())
+    return (Fraction(sums.total, 1 << 1126)
+            == sum(times * Fraction(v) for v, times in seen.items())
+            and Fraction(sums.squares, 1 << 2252)
+            == sum(times * Fraction(v) ** 2 for v, times in seen.items()))
+
+
+def _window_edges(low: int) -> np.ndarray:
+    """A ``_CHUNK``-sized batch of |q| = 2^53 - 1, both signs, at both
+    ends of the window of binary exponents from ``low``: half of it
+    positive at the top end, where the limbs b' and c are largest, a
+    quarter negative there, and an eighth of each sign at the bottom."""
+    edge = 1 - 2.0 ** -53               # frexp mantissa of q = 2^53 - 1
+    top = low + quantizer._WINDOW - 1
+    pattern = [math.ldexp(edge, top)] * 4 + [-math.ldexp(edge, top)] * 2 \
+        + [math.ldexp(edge, low), -math.ldexp(edge, low)]
+    values = np.resize(np.array(pattern), _CHUNK)
+    assert np.ptp(np.frexp(values)[1]) == quantizer._WINDOW - 1
+    return values
+
+
+@pytest.mark.parametrize("width", [quantizer._WINDOW, 7])
+@pytest.mark.parametrize("low", [-1000, 0, 900])
+def test_exact_sum_worst_case_window(monkeypatch, width, low):
+    # The largest limbs at the top of the window.  At width 7, the
+    # widest the bound allows, the b' b' and c c dots of the full batch
+    # pass 2^62, half the int64 range.
+    monkeypatch.setattr(quantizer, "_WINDOW", width)
+    assert _sums_match_fractions(_window_edges(low))
+
+
+def test_exact_sum_window_past_bound_wraps(monkeypatch):
+    # One binary exponent more per window and the c c dot of the same
+    # batch passes 2^63: the int64 sum wraps and the total is wrong.
+    monkeypatch.setattr(quantizer, "_WINDOW", 8)
+    assert not _sums_match_fractions(_window_edges(0))
+
+
+def test_exact_sum_spans_two_windows():
+    # The floor's log (binary exponent 10) and the largest log distance
+    # (-0.35, exponent -1) meet two windows in one batch, with logs of
+    # every exponent between them.
+    rng = np.random.default_rng(7)
+    values = np.resize(np.concatenate((
+        [math.log(DISTANCE_FLOOR), -0.35],
+        -np.exp(rng.uniform(math.log(0.35), math.log(690), 998)))), _CHUNK)
+    exps = np.frexp(values)[1]
+    assert (exps.min(), exps.max()) == (-1, 10)
+    assert _sums_match_fractions(values)
 
 
 def test_tally_memory_flat(carpet_a):

@@ -111,6 +111,16 @@ def test_t_within_d_range(carpet_a, cache_a):
         assert abs(t - carpet_a.s0) <= t_bound(carpet_a, chain.l_min)
 
 
+@pytest.mark.parametrize("carpet,k", [
+    *(("d", k) for k in range(1, 6)), *(("e", k) for k in range(2, 6))])
+def test_t_within_bound(request, carpet, k):
+    # |t_k - s0| <= t_bound at l_min on the skewed and the three-weight
+    # carpets, whose antichains need repair stages.
+    params = request.getfixturevalue(f"carpet_{carpet}")
+    chain = request.getfixturevalue(f"cache_{carpet}").antichain(k)
+    assert abs(compute_t(chain) - params.s0) <= t_bound(params, chain.l_min)
+
+
 def test_t_equals_d_on_single_length(carpet_c, cache_c):
     # All words share one length on the square grid; t must equal d_h.
     chain = cache_c.antichain(2)
