@@ -44,10 +44,7 @@ from .partition import (
     EnumerationCapError, check_square_disjointness, enumerate_lambda_k,
     partition_stats, stopped_statistics,
 )
-from .quantizer import (
-    MAX_DEPTH, MIN_TAIL, ShallowCloudError, ball_bound_check, check_depth,
-    draw_cloud, r_k_diagnostic, tally,
-)
+from .quantizer import ball_bound_check, draw_cloud, r_k_diagnostic, tally
 from .report import read_csv, render_line_chart, write_csv, write_json, write_text
 from .sequences import delta_k, sequence_point
 
@@ -55,7 +52,6 @@ __all__ = ["main", "load_config", "ConfigError", "RunConfig"]
 
 
 DEFAULT_CLOUD = 1_000_000
-DEFAULT_DEPTH = 40
 DEFAULT_SEED = 0x5EED
 DEFAULT_CAP = 2_000_000
 
@@ -75,7 +71,6 @@ class RunConfig:
     k_min: int
     k_max: int
     cloud_size: int
-    depth: int
     seed: int
     outputs: tuple[str, ...]
 
@@ -145,10 +140,9 @@ def load_config(path) -> RunConfig:
     k_min = _require_int(raw, "k_min", 2, 1)
     k_max = _require_int(raw, "k_max", max(k_min, 4), k_min)
     cloud_size = _require_int(raw, "cloud_size", DEFAULT_CLOUD, 1)
-    depth = _require_int(raw, "depth", DEFAULT_DEPTH, MIN_TAIL)
-    if depth > MAX_DEPTH:
-        raise ConfigError(f"config key 'depth' must be <= {MAX_DEPTH}, "
-                          f"the most digits drawn per sample, got {depth}")
+    if "depth" in raw:
+        warnings.warn("config key 'depth' is ignored: the cloud is drawn "
+                      "as deep as the levels need")
     seed = _require_int(raw, "seed", DEFAULT_SEED, 0)
     outputs = raw.get("outputs", ["csv"])
     if (not isinstance(outputs, list)
@@ -158,7 +152,7 @@ def load_config(path) -> RunConfig:
             f"config key 'outputs' must be a sublist of "
             f"[\"csv\", \"json\", \"svg\"], got {outputs!r}")
     return RunConfig(spec=spec, k_min=k_min, k_max=k_max,
-                     cloud_size=cloud_size, depth=depth, seed=seed,
+                     cloud_size=cloud_size, seed=seed,
                      outputs=tuple(outputs))
 
 
@@ -299,11 +293,13 @@ def cmd_antichain(ctx: _Ctx) -> None:
         removed = sum((log.removed_mass for log in chain.stage_logs),
                       start=Fraction(0))
         ok = report.ok and delta_ok
-        if not report.ok:
+        if not report.maximal:
             ctx.fail(command="antichain", k=k, check="maximality",
                      detail=f"comparable_pairs={report.comparable_pairs} "
-                            f"mass_exact={report.mass_exact} "
-                            f"below_threshold={report.below_threshold}")
+                            f"mass_exact={report.mass_exact}")
+        if not report.below_threshold:
+            ctx.fail(command="antichain", k=k, check="threshold",
+                     detail=f"a word's mass is at or above eta^{k}")
         if not delta_ok:
             ctx.fail(command="antichain", k=k, check="delta-bound",
                      detail=f"delta={dlt} > C1={params.c1}")
@@ -318,7 +314,7 @@ def cmd_antichain(ctx: _Ctx) -> None:
             "xi_stages": list(chain.xi_stages),
             "removed_mass": str(removed),
             "delta_k": dlt,
-            "maximal": report.ok,
+            "maximal": report.maximal,
             "mass": "1 (exact)" if report.mass_exact else "INEXACT",
             "stages": [
                 {
@@ -333,7 +329,7 @@ def cmd_antichain(ctx: _Ctx) -> None:
             ],
         })
         print(f"antichain k={k}: maximal: "
-              f"{'true' if report.ok else 'FALSE'}, mass: "
+              f"{'true' if report.maximal else 'FALSE'}, mass: "
               f"{'1 (exact)' if report.mass_exact else 'INEXACT'}, "
               f"delta_k <= C1: {'true' if delta_ok else 'FALSE'}")
     ctx.table("antichain", header, rows, {"levels": detail})
@@ -351,7 +347,8 @@ def cmd_sequences(ctx: _Ctx) -> None:
         ok = point.within_bounds
         if not ok:
             ctx.fail(command="sequences", k=k, check="bounds",
-                     detail=f"d_k={point.d_k} s_k={point.s_k} s0={point.s0}")
+                     detail=f"d_k={point.d_k} t_k={point.t_k} "
+                            f"s_k={point.s_k} s0={point.s0}")
         rows.append([
             point.k, point.phi_k, point.xi_min, point.xi_max, point.d_k,
             point.t_k, point.s_k, point.s0, point.bound_dk, point.bound_sk,
@@ -389,17 +386,9 @@ def _stray_lengths(stats, counts: np.ndarray) -> list:
 def cmd_quantize(ctx: _Ctx) -> None:
     """Monte Carlo quantization diagnostics"""
     params = derive_params(ctx.cfg.spec)
-    # A level too deep for the cloud is a tripped guard, not a failed
-    # check, and trips before anything is drawn.
     known = {k: stopped_statistics(params, k)
              for k in range(ctx.cfg.k_min, ctx.cfg.k_max + 1)}
-    for k, stats in known.items():
-        try:
-            check_depth(stats.xi_max, ctx.cfg.depth)
-        except ShallowCloudError as exc:
-            raise ConfigError(f"quantize k={k}: {exc}") from exc
-    cloud = draw_cloud(params, ctx.cfg.cloud_size, depth=ctx.cfg.depth,
-                       seed=ctx.cfg.seed)
+    cloud = draw_cloud(params, ctx.cfg.cloud_size, seed=ctx.cfg.seed)
     tallies = tally(list(known.values()), cloud)
     header = ["k", "phi_k", "lower_anchor", "upper_anchor", "e_hat_est",
               "stderr", "R_k"]

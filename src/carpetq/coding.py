@@ -336,7 +336,8 @@ def build_antichain(partition) -> Antichain:
 
 @dataclass(frozen=True)
 class AntichainReport:
-    """Maximality certificate: exact mass plus pairwise incomparability."""
+    """Certificate of a level's antichain: maximal (exact mass plus
+    pairwise incomparability) and every word below eta^k."""
 
     size: int
     mass_total: Fraction
@@ -345,8 +346,12 @@ class AntichainReport:
     below_threshold: bool     # every mass < eta^k
 
     @property
-    def ok(self) -> bool:
+    def maximal(self) -> bool:
         return self.mass_exact and not self.comparable_pairs
+
+    @property
+    def ok(self) -> bool:
+        return self.maximal and self.below_threshold
 
 
 def verify_maximal_antichain(antichain: Antichain) -> AntichainReport:

@@ -56,7 +56,8 @@ _CHUNK = 1 << 12            # parents expanded at once: bounds the walk's scratc
 
 
 class EnumerationCapError(RuntimeError):
-    """A work guard tripped: the enumerator's word cap or the DP's state bound."""
+    """A work guard tripped: the enumerator's word cap, the DP's state
+    bound or the most digits a quantize sample holds."""
 
 
 def _moves(params: DerivedParams) -> dict:

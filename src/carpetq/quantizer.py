@@ -27,7 +27,6 @@ by the exact mass of the heaviest approximate squares a ball can meet.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .measure import CarpetSpec, DerivedParams
-from .partition import stopping_rule
+from .partition import EnumerationCapError, stopping_rule
 from .words import ell
 
 
@@ -44,13 +43,11 @@ __all__ = [
     "QuantDiagnostics",
     "LevelTally",
     "BallBoundReport",
-    "ShallowCloudError",
     "DISTANCE_FLOOR",
     "MAX_DEPTH",
     "MIN_TAIL",
     "uniform_digits",
     "draw_cloud",
-    "check_depth",
     "locate",
     "tally",
     "diameter_log",
@@ -62,7 +59,7 @@ __all__ = [
 DISTANCE_FLOOR = 1e-300     # clamp for an exactly zero own-cell distance
 
 MAX_DEPTH = 1074            # most digits drawn per sample
-MIN_TAIL = 20               # cloud digits a located cell must leave unread
+MIN_TAIL = 20               # digits drawn past the deepest level's longest words
 
 _SHARD_ROWS = 1 << 15       # rows per sampling block, one generator each
 _CHUNK = 1 << 15            # values per exact-sum batch
@@ -70,46 +67,40 @@ _WINDOW = 6                 # binary exponents per int64 exact-sum window
 _LOW18 = (1 << 18) - 1
 
 
-class ShallowCloudError(ValueError):
-    """A level's words are too deep for the cloud to locate its samples."""
-
-
 @dataclass(frozen=True)
 class SampleCloud:
     """Monte Carlo draw from the carpet measure, reproducible by seed.
 
     The cloud holds no sample: ``chunks`` draws the samples' digits
-    anew on each call, ``depth`` digits a sample, each the index of a
-    map of ``spec`` chosen by its weight.  Digits past ``depth`` are
-    zero.
+    anew on each call, as many a sample as its reader asks for, each the
+    index of a map of ``spec`` chosen by its weight.
     """
 
     spec: CarpetSpec
     size: int
-    depth: int
     seed: int
 
-    def chunks(self):
-        """Yield (first row, digits) for consecutive blocks of
-        ``_SHARD_ROWS`` rows of the cloud, ``digits`` their (depth, rows)
-        map indices (typed as by ``uniform_digits``), digit-major, so one
-        place's digits are one contiguous row.
+    def chunks(self, depth: int):
+        """Yield the digits of consecutive blocks of ``_SHARD_ROWS`` rows
+        of the cloud, each block's first ``depth`` places as a (depth,
+        rows) array of map indices (typed as by ``uniform_digits``),
+        digit-major, so one place's digits are one contiguous row.
 
         Each block is drawn by its own generator seeded by (seed, block),
         place by place: one uniform per row for the first digit, then
         one for the second, and so on.  So every call gives the same
-        digits, and a deeper cloud at the same seed extends every sample
+        digits, and a deeper read at the same seed extends every sample
         of a shallower one.
         """
         cum = np.cumsum([float(w) for w in self.spec.weights])
         for lo in range(0, self.size, _SHARD_ROWS):
             rng = np.random.default_rng([int(self.seed), lo // _SHARD_ROWS])
             rows = min(_SHARD_ROWS, self.size - lo)
-            digits = np.empty((self.depth, rows),
+            digits = np.empty((depth, rows),
                               dtype=np.min_scalar_type(len(cum) - 1))
             for place in digits:
                 place[:] = uniform_digits(rng.random(rows), cum)
-            yield lo, digits
+            yield digits
 
 
 def uniform_digits(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
@@ -124,36 +115,22 @@ def uniform_digits(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
     return digits
 
 
-def draw_cloud(params: DerivedParams, size: int, depth: int = 40,
+def draw_cloud(params: DerivedParams, size: int,
                seed: int = 0x5EED) -> SampleCloud:
-    """Sample the measure by ``depth`` i.i.d. digits drawn from the map
-    weights: a cloud of ``size`` samples, drawn a chunk at a time by
-    whatever walks it (``SampleCloud.chunks``), so no cloud-sized array
-    ever exists.  A depth outside [``MIN_TAIL``, ``MAX_DEPTH``] is
-    refused.
+    """Sample the measure by i.i.d. digits drawn from the map weights: a
+    cloud of ``size`` samples, drawn a chunk at a time, as deep as
+    whatever walks it asks (``SampleCloud.chunks``), so no cloud-sized
+    array ever exists.
     """
     if size < 1:
         raise ValueError(f"need size >= 1, got {size}")
-    if not MIN_TAIL <= depth <= MAX_DEPTH:
-        raise ValueError(
-            f"need {MIN_TAIL} <= depth <= {MAX_DEPTH}, got {depth}")
-    return SampleCloud(spec=params.spec, size=size, depth=depth, seed=seed)
-
-
-def check_depth(xi_max: int, depth: int) -> None:
-    """Raise ``ShallowCloudError`` unless a cloud of ``depth`` digits
-    leaves at least ``MIN_TAIL`` drawn digits after words of length
-    ``xi_max``, or their samples' offsets would be cut short."""
-    if depth < xi_max + MIN_TAIL:
-        raise ShallowCloudError(
-            f"words of length {xi_max} need a cloud depth of at least "
-            f"{xi_max + MIN_TAIL}, got {depth}")
+    return SampleCloud(spec=params.spec, size=size, seed=seed)
 
 
 def locate(levels, cloud: SampleCloud):
-    """For each chunk of the cloud, in order, (first row, lengths, logs):
-    each of the chunk's samples' stopping length at each of ``levels``,
-    the ``StoppedStats`` (or collected partitions) of one carpet, and the
+    """For each chunk of the cloud, in order, (lengths, logs): each of
+    the chunk's samples' stopping length at each of ``levels``, the
+    ``StoppedStats`` (or collected partitions) of one carpet, and the
     log of its distance from the centre of its stopping cell there, two
     (len(levels), rows) arrays, the lengths' dtype the
     ``np.min_scalar_type`` of the longest.  A generator: each chunk is
@@ -168,12 +145,17 @@ def locate(levels, cloud: SampleCloud):
     number of levels it is still above.  Level i
     stops at the first length where that number is at most the number of
     deeper levels.  A sample that has stopped at every level walks on
-    from class 0, its number kept at 0.  The chunk's log distances
-    follow (``_log_distances``).  Raises ``ShallowCloudError`` when the
-    levels' longest words are too deep for the cloud, and ``ValueError``
-    when ``levels`` is empty or mixes carpets, when the cloud was drawn
-    for another carpet, or when a sample is still above a level's
-    threshold past them.
+    from class 0, its number kept at 0.  The rule ends at the deepest
+    level's longest words, where no class is live, so every sample
+    stops at every level.
+
+    Every sample is drawn ``MIN_TAIL`` digits past those words, and the
+    chunk's log distances read them all (``_log_distances``): a level's
+    distances follow the deepest level walked beside it in their last
+    bits.  Raises ``EnumerationCapError``, before any chunk is drawn,
+    when that depth passes ``MAX_DEPTH``, and ``ValueError`` when
+    ``levels`` is empty or mixes carpets, or when the cloud was drawn
+    for another carpet.
     """
     if not levels:
         raise ValueError("need at least one level")
@@ -183,22 +165,25 @@ def locate(levels, cloud: SampleCloud):
     if cloud.spec != params.spec:
         raise ValueError("cloud drawn for another carpet")
     n, m = params.n, params.m
-    depth = max(level.xi_max for level in levels)
-    check_depth(depth, cloud.depth)
     ks = [level.k for level in levels]
     picks, rule = stopping_rule(params, ks)
-    steps = list(itertools.islice(rule, depth))
+    steps = list(rule)
+    longest = len(steps)
+    if longest + MIN_TAIL > MAX_DEPTH:
+        raise EnumerationCapError(
+            f"level k={max(ks)}: words of length {longest} need "
+            f"{longest + MIN_TAIL} digits a sample, more than {MAX_DEPTH}")
     deeper = [sum(j > k for j in ks) for k in ks]
     maps = np.intp(len(picks[False]))
-    ells = [ell(params, h) for h in range(depth + 1)]
-    dtype = np.min_scalar_type(depth)
+    ells = [ell(params, h) for h in range(longest + 1)]
+    dtype = np.min_scalar_type(longest)
     # Per axis: each map's digit and the base; per length h: ell(h), and
     # its cells' height m^-h over their width n^-ell(h), in (1/n, 1].
     xd, yd = np.array(params.spec.digits, dtype=np.float64).T
     axes = ((xd, n), (yd, m))
     cells = (np.array(ells, dtype=dtype),
              [n ** l / m ** h for h, l in enumerate(ells)])
-    for lo, digits in cloud.chunks():
+    for digits in cloud.chunks(longest + MIN_TAIL):
         rows = digits.shape[1]
         found = np.ones((len(ks), rows), dtype=dtype)
         cls = np.zeros(rows, dtype=np.intp)
@@ -214,10 +199,7 @@ def locate(levels, cloud: SampleCloud):
                 break
             for row, r in zip(found, deeper):
                 row += live > r
-        else:
-            raise ValueError(f"samples still above a level's threshold "
-                             f"past its longest words, at length {depth}")
-        yield lo, found, _log_distances(found, digits, axes, cells)
+        yield found, _log_distances(found, digits, axes, cells)
 
 
 def _log_distances(found: np.ndarray, digits: np.ndarray, axes,
@@ -383,7 +365,7 @@ def tally(levels, cloud: SampleCloud) -> list[LevelTally]:
     cloud.  Raises what ``locate`` raises."""
     top = max((level.xi_max for level in levels), default=0) + 1
     tallies = [LevelTally(np.zeros(top, dtype=np.int64)) for _ in levels]
-    for _, lengths, logs in locate(levels, cloud):
+    for lengths, logs in locate(levels, cloud):
         for level_tally, found, row in zip(tallies, lengths, logs):
             level_tally.add(found, row)
     return tallies

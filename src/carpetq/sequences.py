@@ -114,12 +114,15 @@ class SequencePoint:
     s0: float
     bound_dk: float
     bound_sk: float
+    bound_tk: Optional[float]     # with t_k: t_bound at the antichain's l_min
 
     @property
     def within_bounds(self) -> bool:
         d_ok = -1e-12 <= self.s0 - self.d_k <= self.bound_dk + 1e-12
         s_ok = abs(self.s_k - self.s0) <= self.bound_sk + 1e-12
-        return d_ok and s_ok
+        t_ok = (self.t_k is None
+                or abs(self.t_k - self.s0) <= self.bound_tk + 1e-12)
+        return d_ok and s_ok and t_ok
 
 
 def sequence_point(params: DerivedParams, k: int, *,
@@ -133,11 +136,12 @@ def sequence_point(params: DerivedParams, k: int, *,
     """
     if stats.k != k:
         raise ValueError(f"stats are for level {stats.k}, not {k}")
-    t_k = None
+    t_k = bound_tk = None
     if antichain is not None:
         if antichain.k != k:
             raise ValueError(f"antichain is for level {antichain.k}, not {k}")
         t_k = compute_t(antichain)
+        bound_tk = t_bound(params, antichain.l_min)
     return SequencePoint(
         k=k,
         phi_k=stats.phi_k,
@@ -149,4 +153,5 @@ def sequence_point(params: DerivedParams, k: int, *,
         s0=params.s0,
         bound_dk=d_k_bound(params, k),
         bound_sk=s_k_bound(params, stats.xi_min),
+        bound_tk=bound_tk,
     )

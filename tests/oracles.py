@@ -36,7 +36,7 @@ from carpetq.quantizer import (
     uniform_digits,
 )
 from carpetq import words as key_words
-from carpetq.words import WordError, ell, entropy_terms, member
+from carpetq.words import WordError, class_counts, ell, entropy_terms, member
 
 
 @dataclass(frozen=True)
@@ -832,8 +832,8 @@ def located(levels, cloud) -> tuple[np.ndarray, np.ndarray]:
     """``locate``'s chunks joined into whole rows: the (levels, size)
     stopping lengths and log distances of every sample."""
     chunks = list(locate(levels, cloud))
-    return (np.concatenate([found for _, found, _ in chunks], axis=1),
-            np.concatenate([logs for _, _, logs in chunks], axis=1))
+    return (np.concatenate([found for found, _ in chunks], axis=1),
+            np.concatenate([logs for _, logs in chunks], axis=1))
 
 
 def two_pass_diagnostics(level, cloud, logs: np.ndarray) -> QuantDiagnostics:
@@ -895,6 +895,33 @@ def whole_cloud_ball_check(points: np.ndarray, m: int) -> np.ndarray:
                 xs[lo:hi], [px - r - _SLAB_PAD, px + r + _SLAB_PAD]).tolist()
             counts[i, j] = np.count_nonzero(d2[a:b] <= r * r)
     return counts / len(points)
+
+
+# -- a faulty antichain ---------------------------------------------------------
+
+def word_at_threshold(partition, chain: Antichain) -> Antichain:
+    """``chain`` rebuilt with the first word of its most populous length
+    raised to a mass at or above eta^k, the raise taken evenly from the
+    other words of that length's most populous class, so the total mass
+    stays exactly 1 and the keys, hence the order, stay as they were:
+    the store's only fault is a word too heavy for its level."""
+    params = chain.params
+    L = params.denom_lcm
+    h = max(chain.blocks, key=lambda h: len(chain.blocks[h][1]))
+    keys, ids, nus = chain.blocks[h]
+    ids, nus = ids.astype(np.uint32), list(nus)
+    counts = class_counts(ids[1:], len(nus))
+    donor = max(range(len(nus)), key=counts.__getitem__)
+    # The first word takes a class of its own, up by ``step`` from each
+    # donor word.
+    need = math.ceil(params.eta ** chain.k * L ** h) - nus[ids[0]]
+    step = -(-need // counts[donor])
+    assert 0 < step < nus[donor]
+    nus.append(nus[ids[0]] + counts[donor] * step)
+    nus[donor] -= step
+    ids[0] = len(nus) - 1
+    return Antichain(partition, {**chain.blocks, h: (keys, ids, nus)},
+                     xi_stages=chain.xi_stages, stage_logs=chain.stage_logs)
 
 
 # -- allocation peaks ----------------------------------------------------------

@@ -52,7 +52,7 @@ def chains_a(parts_a):
 
 @pytest.fixture(scope="module")
 def cloud_m(carpet_a):
-    return draw_cloud(carpet_a, 1_000_000, depth=40, seed=0x5EED)
+    return draw_cloud(carpet_a, 1_000_000, seed=0x5EED)
 
 
 def _ls_slope(xs, ys):
@@ -264,7 +264,7 @@ def test_criterion_8_determinism(tmp_path):
             {"i": 2, "j": 2, "p": "1/3"},
         ],
         "k_min": 2, "k_max": 4,
-        "cloud_size": 150_000, "depth": 40, "seed": 24301,
+        "cloud_size": 150_000, "seed": 24301,
         "outputs": ["csv"],
     }))
     runs = [run_commands(cfg_path, tmp_path / f"h{seed}",

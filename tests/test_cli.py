@@ -16,11 +16,13 @@ import pytest
 import carpetq
 import carpetq.cli as cli
 import carpetq.partition as partition
+from carpetq import quantizer
 from carpetq.cli import ConfigError, load_config, main
 from carpetq.coding import AntichainCollisionError, AntichainInvariantError
 from carpetq.partition import DisjointnessReport
 from carpetq.report import read_csv
 from conftest import run_carpetq, run_commands
+from oracles import word_at_threshold
 
 
 _CARPET_D = dict(n=4, m=2, maps=[
@@ -38,7 +40,7 @@ def _config(tmp_path, **overrides):
             {"i": 2, "j": 2, "p": "1/3"},
         ],
         "k_min": 2, "k_max": 3,
-        "cloud_size": 20_000, "depth": 40, "seed": 24301,
+        "cloud_size": 20_000, "seed": 24301,
         "outputs": ["csv", "json"],
     }
     cfg.update(overrides)
@@ -56,7 +58,7 @@ def test_load_config_defaults(tmp_path):
     }))
     cfg = load_config(path)
     assert cfg.k_min == 2 and cfg.k_max == 4
-    assert cfg.cloud_size == 1_000_000 and cfg.depth == 40
+    assert cfg.cloud_size == 1_000_000
     assert cfg.seed == 0x5EED
     assert cfg.outputs == ("csv",)
 
@@ -68,9 +70,9 @@ def test_load_config_defaults(tmp_path):
     ({"k_min": 0}, "k_min"),
     ({"k_max": 1}, "k_max"),
     ({"outputs": ["pdf"]}, "outputs"),
-    ({"depth": 5}, "depth"),
+    ({"cloud_size": 0}, "cloud_size"),
     ({"bogus": 1}, "bogus"),
-    ({"depth": 1075}, "depth"),
+    ({"seed": -1}, "seed"),
     ({"n": ...}, "missing required key 'n'"),
     ({"maps": [{"i": 0, "j": 0, "p": "one third"},
                {"i": 2, "j": 2, "p": "2/3"}]},
@@ -396,6 +398,42 @@ def test_antichain_maximality_failure_exits_1(tmp_path, capsys,
     assert rows[0][header.index("pass")] == "false"
 
 
+def test_antichain_word_at_threshold_exits_1(tmp_path, capsys,
+                                             monkeypatch):
+    # A store with one word raised to eta^k and the total mass kept at
+    # exactly 1 is maximal, but not the level's antichain.
+    real = cli.build_antichain
+    monkeypatch.setattr(cli, "build_antichain",
+                        lambda part: word_at_threshold(part, real(part)))
+    cfg = _config(tmp_path, k_min=2, k_max=2)
+    out = tmp_path / "out"
+    assert main(["antichain", "--config", cfg, "--out", str(out)]) == 1
+    failures = json.loads(capsys.readouterr().err)["failures"]
+    assert failures[0] == {"command": "antichain", "k": 2,
+                           "check": "threshold",
+                           "detail": "a word's mass is at or above eta^2"}
+    header, rows = read_csv(out / "antichain.csv")
+    assert rows[0][header.index("mass_exact")] == "true"
+    assert rows[0][header.index("comparable_pairs")] == "()"
+    assert rows[0][header.index("pass")] == "false"
+
+
+def test_t_k_outside_its_bound_fails_sequences(tmp_path, capsys,
+                                               monkeypatch):
+    # t_k is gated like d_k and s_k: at 100 it lies far outside t_bound at
+    # the antichain's shortest length, so the level fails its bounds.
+    monkeypatch.setattr(cli, "sequence_point",
+                        _replacing(t_k=100.0)(cli.sequence_point))
+    cfg = _config(tmp_path, k_min=2, k_max=2)
+    out = tmp_path / "out"
+    assert main(["sequences", "--config", cfg, "--out", str(out)]) == 1
+    failures = json.loads(capsys.readouterr().err)["failures"]
+    assert [f["check"] for f in failures] == ["bounds"]
+    assert "t_k=100.0" in failures[0]["detail"]
+    header, rows = read_csv(out / "sequences.csv")
+    assert rows[0][header.index("pass")] == "false"
+
+
 @pytest.mark.parametrize("command", ["antichain", "sequences"])
 @pytest.mark.parametrize("error", [
     AntichainInvariantError("family over column 2 is missing siblings"),
@@ -560,16 +598,18 @@ def test_exact_outputs_frozen_carpet_d(tmp_path):
 
 
 # sha256 of quantize.csv and quantize.json for carpets A, D and E at
-# k = 2..4 from a 50,000-point cloud at seed 24301.  They pin the sampled
-# cloud, every sample's located cell and own-cell log distance (through the
-# mean and the stderr) and the ball certificate's worst ratio.
+# k = 2..4 from a 50,000-point cloud at seed 24301, each sample drawn 20
+# digits past the deepest level's longest words (30, 59 and 31 digits).
+# They pin the sampled cloud, every sample's located cell and own-cell log
+# distance (through the mean and the stderr) and the ball certificate's
+# worst ratio.
 _FROZEN_QUANTIZE = {
-    "A": ("3caf59ead4030278f996805d277455560550e4e020fdb41f12f96345ed83f3e4",
-          "12b50287ba534bda0254b130216b1030f9fd39867990b01ef526768afd77d9f5"),
-    "D": ("23b08c84d52f9881fbd8104ec9ed0eac0ad09c0afb2b217374ca5242bedd48ba",
-          "59508bf641f5550a1fc1254e5f60c8d1891963f31baa456614d6b1a8d5d701c3"),
-    "E": ("3637ecb14c023fff6f8a9f479dcefc781151bf4692292a873b0ff21a8635cefd",
-          "bed0ba6ccfd031680519b9ba27986292108482b8ee7bd7ded9df688e223a9d3e"),
+    "A": ("cec088ff5538a160e989f964e4d32173a74bd3c14a88e601e8a27488acf7ad2a",
+          "bea162a7b5f2be767b2ab1af97971afbfec34b1e063aa2a48a154327d72661f9"),
+    "D": ("e83c56ccd733cc3a77914632e8c7002761677f33fa4f177441d67f7f9e4934af",
+          "2092a556b50248998c249f64ec7b87d866a01dd55eb405a709babe1ef5a0e02b"),
+    "E": ("c35a254b21b6d90c13141219e2814ee99454b13b749d970ec3b1847769be20c4",
+          "133c1e761cd0b984ace5c81e914efdd979bfbe697f76b2cb654032370c2e1f15"),
 }
 _CARPET_E = dict(n=5, m=3, maps=[
     {"i": 0, "j": 0, "p": "1/6"}, {"i": 2, "j": 0, "p": "1/3"},
@@ -578,8 +618,7 @@ _CARPET_E = dict(n=5, m=3, maps=[
 
 @pytest.mark.parametrize("carpet", sorted(_FROZEN_QUANTIZE))
 def test_quantize_outputs_frozen(tmp_path, carpet):
-    # Carpet D's words reach length 39 at k = 4, so its cloud is deeper.
-    extra = {"D": dict(_CARPET_D, depth=60), "E": _CARPET_E}.get(carpet, {})
+    extra = {"D": _CARPET_D, "E": _CARPET_E}.get(carpet, {})
     cfg = _config(tmp_path, k_min=2, k_max=4, cloud_size=50_000, **extra)
     # quantize collects no level, so --cap-words 1 changes no byte.
     for cap in ([], ["--cap-words", "1"]):
@@ -608,27 +647,48 @@ def test_import_leaves_scipy_unloaded(tmp_path):
 
 
 def test_shallow_cloud_guard_exits_2(tmp_path, capsys, monkeypatch):
-    # Carpet D at k = 3 has words of length 29, at k = 4 of length 39; a
-    # depth-40 cloud leaves fewer than 20 digits past either.  The guard
-    # trips before the cloud is drawn or any level is quantized.
-    draws = []
-    real = cli.draw_cloud
+    # The skewed carpet's k = 2 words reach length 1,833, and each sample
+    # is drawn 20 digits past the longest: 1,853, more than the 1,074 a
+    # sample holds.  The guard trips before any chunk is drawn or any
+    # level is quantized.
+    chunks = []
 
-    def counted(*args, **kwargs):
-        draws.append(args)
-        return real(*args, **kwargs)
+    def counted(cloud, depth):
+        chunks.append(depth)
+        return iter(())
 
-    monkeypatch.setattr(cli, "draw_cloud", counted)
-    cfg = _config(tmp_path, k_min=2, k_max=4, cloud_size=2000, **_CARPET_D)
+    monkeypatch.setattr(quantizer.SampleCloud, "chunks", counted)
+    cfg = _config(tmp_path, n=4, m=2, maps=[
+        {"i": 0, "j": 0, "p": "99/100"}, {"i": 2, "j": 1, "p": "1/100"}],
+        k_min=1, k_max=2, cloud_size=2000)
     out = tmp_path / "out"
     assert main(["quantize", "--config", cfg, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert json.loads(captured.err) == {
-        "error": "quantize k=3: words of length 29 need a cloud depth of "
-                 "at least 49, got 40"}
-    assert draws == []
+        "error": "level k=2: words of length 1833 need 1853 digits a "
+                 "sample, more than 1074"}
+    assert chunks == []
     assert "quantize k=" not in captured.out
+
+
+def test_ignored_depth_key_notes_once(tmp_path, capsys):
+    # A config may still set the cloud depth; it has no effect, so the
+    # run writes what it writes without the key, and says so once.
+    runs = []
+    for extra in ({}, {"depth": 40}):
+        cfg = _config(tmp_path, cloud_size=5000, **extra)
+        out = tmp_path / f"out{len(extra)}"
+        assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        notes = [line for line in captured.out.splitlines()
+                 if line.startswith("note: ")]
+        runs.append((notes, (out / "quantize.csv").read_bytes()))
+    assert runs[0][0] == []
+    assert runs[1][0] == ["note: config key 'depth' is ignored: the cloud "
+                          "is drawn as deep as the levels need"]
+    assert runs[0][1] == runs[1][1]
 
 
 def test_tiny_cells_quantize(tmp_path):
@@ -637,7 +697,7 @@ def test_tiny_cells_quantize(tmp_path):
     # distances do not, so quantize measures the level.
     cfg = _config(tmp_path, n=4, m=2, maps=[
         {"i": 0, "j": 0, "p": "99/100"}, {"i": 2, "j": 1, "p": "1/100"}],
-        k_min=1, k_max=1, cloud_size=2000, depth=937)
+        k_min=1, k_max=1, cloud_size=2000)
     out = tmp_path / "out"
     assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0
     levels = json.loads((out / "quantize.json").read_text())["levels"]
@@ -647,7 +707,9 @@ def test_tiny_cells_quantize(tmp_path):
 
 
 def test_deep_cloud_quantizes_carpet_d_unfloored(tmp_path):
-    cfg = _config(tmp_path, k_min=2, k_max=4, cloud_size=20_000, depth=60,
+    # Carpet D's words reach length 39 at k = 4; the cloud is drawn as
+    # deep as they need, with no key for it in the config.
+    cfg = _config(tmp_path, k_min=2, k_max=4, cloud_size=20_000,
                   **_CARPET_D)
     out = tmp_path / "out"
     assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0

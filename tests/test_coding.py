@@ -20,7 +20,8 @@ from oracles import (
     CarpetWord, build_antichain_by_family, carpet_children,
     coding_predecessor, comparable, flat_predecessor, is_descendant,
     make_word, naive_comparable_pairs, raw_coding_antichain, replay_stages,
-    store_rows, swap_tail, traced_peak, word_at, word_mass, words,
+    store_rows, swap_tail, traced_peak, word_at, word_at_threshold,
+    word_mass, words,
 )
 
 
@@ -163,6 +164,18 @@ def test_antichain_certified(cache_a, cache_d):
             assert report.mass_exact
             assert report.comparable_pairs == ()
             assert report.below_threshold
+
+
+def test_word_at_threshold_fails_certificate(cache_a, cache_d):
+    # One word raised to eta^k, its mass taken from a class of its
+    # length: the mass stays exactly 1 and no pair is comparable, so the
+    # antichain is maximal, but the level's certificate fails.
+    for cache, k in ((cache_a, 2), (cache_d, 3)):
+        faulty = word_at_threshold(cache.partition(k), cache.antichain(k))
+        report = verify_maximal_antichain(faulty)
+        assert report.mass_exact and report.comparable_pairs == ()
+        assert report.maximal
+        assert not report.below_threshold and not report.ok
 
 
 def test_antichain_exact_mass_and_identity(cache_a, cache_d):

@@ -47,14 +47,13 @@ RUNS = [
     # lengths 25-116.  quantize enumerates no level and, like every
     # quantize run, holds no array per sample.
     ("d-quantize", {**_D, "k_min": 2, "k_max": 12, "cloud_size": 1000000,
-                    "depth": 136, "outputs": ["json"]},
+                    "outputs": ["json"]},
      ("quantize",), (), {"peak_mb": 80, "levels": list(range(2, 13))}),
     # Cells 2^-916 by 2^-917, whose squared sides underflow; each
     # sample's log distance is formed with the wider side factored out.
     # The peak is set by one chunk of 937 digits a sample.
     ("skewed-quantize", {**_SKEWED, "k_min": 1, "k_max": 1,
-                         "cloud_size": 100000, "depth": 937,
-                         "outputs": ["json"]},
+                         "cloud_size": 100000, "outputs": ["json"]},
      ("quantize",), (), {"peak_mb": 130, "levels": [1]}),
     ("d60", {**_D, "k_min": 2, "k_max": 60, "outputs": ["csv", "json"]},
      ("partition", "sequences"), (), {"sha256": _D60_DIGESTS}),

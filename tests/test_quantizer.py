@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 
 import carpetq
 from carpetq import CarpetSpec, derive_params, quantizer
-from carpetq.partition import enumerate_lambda_k, stopped_statistics
+from carpetq.partition import (
+    EnumerationCapError, enumerate_lambda_k, stopped_statistics,
+)
 from carpetq.quantizer import (
-    _CHUNK, _SHARD_ROWS, DISTANCE_FLOOR, MAX_DEPTH, SampleCloud,
-    ShallowCloudError, _ExactSums, ball_bound_check, diameter_log,
-    draw_cloud, locate, r_k_diagnostic, tally, uniform_digits,
+    _CHUNK, _SHARD_ROWS, DISTANCE_FLOOR, MAX_DEPTH, MIN_TAIL, SampleCloud,
+    _ExactSums, ball_bound_check, diameter_log, draw_cloud, locate,
+    r_k_diagnostic, tally, uniform_digits,
 )
 from carpetq.words import ell
 from oracles import (
@@ -35,7 +37,7 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def cloud_a(carpet_a):
-    return draw_cloud(carpet_a, 120_000, depth=40, seed=0x5EED)
+    return draw_cloud(carpet_a, 120_000, seed=0x5EED)
 
 
 def _diagnose(level, cloud):
@@ -43,9 +45,15 @@ def _diagnose(level, cloud):
     return r_k_diagnostic(level, cloud, tally([level], cloud)[0])
 
 
-def _drawn(cloud):
-    # The cloud's digits as one (size, depth) matrix, in row order.
-    return np.concatenate([digits.T for _, digits in cloud.chunks()])
+def _drawn(cloud, depth):
+    # The cloud's first ``depth`` digits as one (size, depth) matrix, in
+    # row order.
+    return np.concatenate([digits.T for digits in cloud.chunks(depth)])
+
+
+def _walk_depth(levels):
+    # The digits locate draws a sample for ``levels``.
+    return max(level.xi_max for level in levels) + MIN_TAIL
 
 
 def _assert_logs_exact(params, logs, digits, lengths):
@@ -65,20 +73,20 @@ def _assert_logs_exact(params, logs, digits, lengths):
 
 
 def test_draw_cloud_deterministic(carpet_a, cloud_a):
-    again = draw_cloud(carpet_a, 120_000, depth=40, seed=0x5EED)
+    again = draw_cloud(carpet_a, 120_000, seed=0x5EED)
     assert again == cloud_a
-    assert np.array_equal(_drawn(cloud_a), _drawn(again))
-    other = draw_cloud(carpet_a, 120_000, depth=40, seed=7)
-    assert not np.array_equal(_drawn(cloud_a), _drawn(other))
+    assert np.array_equal(_drawn(cloud_a, 40), _drawn(again, 40))
+    other = draw_cloud(carpet_a, 120_000, seed=7)
+    assert not np.array_equal(_drawn(cloud_a, 40), _drawn(other, 40))
 
 
 def test_draw_cloud_validation(carpet_a):
+    # The cloud is its carpet, size and seed: how deep it is drawn is
+    # up to the walk that reads it.
     with pytest.raises(ValueError):
         draw_cloud(carpet_a, 0)
-    with pytest.raises(ValueError):
-        draw_cloud(carpet_a, 10, depth=8)
-    with pytest.raises(ValueError, match="depth"):
-        draw_cloud(carpet_a, 10, depth=MAX_DEPTH + 1)
+    with pytest.raises(TypeError, match="depth"):
+        draw_cloud(carpet_a, 10, depth=40)
     with pytest.raises(TypeError, match="threads"):
         draw_cloud(carpet_a, 10, threads=2)
 
@@ -87,36 +95,35 @@ def test_draw_cloud_validation(carpet_a):
     (120_000, 40), (70_001, 136), (40_000, 937), (5, MAX_DEPTH)])
 def test_cloud_chunks_bounded(carpet_a, size, depth):
     # The cloud holds no sample; its chunks run over the rows in order,
-    # each one sampling block, digit-major.
-    cloud = draw_cloud(carpet_a, size, depth=depth, seed=3)
+    # each one sampling block, digit-major, as deep as asked.
+    cloud = draw_cloud(carpet_a, size, seed=3)
     assert [f.name for f in dataclasses.fields(cloud)] == [
-        "spec", "size", "depth", "seed"]
+        "spec", "size", "seed"]
     row = 0
-    for lo, digits in cloud.chunks():
-        assert lo == row and digits.dtype == np.uint8
-        assert digits.flags.c_contiguous
-        assert digits.shape == (depth, min(_SHARD_ROWS, size - lo))
+    for digits in cloud.chunks(depth):
+        assert digits.dtype == np.uint8 and digits.flags.c_contiguous
+        assert digits.shape == (depth, min(_SHARD_ROWS, size - row))
         row += digits.shape[1]
     assert row == size
 
 
 def test_deeper_cloud_extends_every_sample(carpet_a, carpet_d):
-    # Each block is drawn place by place, so at one seed a deeper cloud
-    # holds the same samples with more digits, and locates them at the
-    # same lengths.
-    for params, ks in ((carpet_a, range(2, 6)), (carpet_d, (2,))):
-        shallow = draw_cloud(params, 70_001, depth=40, seed=8)
-        deep = draw_cloud(params, 70_001, depth=60, seed=8)
-        assert np.array_equal(_drawn(deep)[:, :40], _drawn(shallow))
+    # Each block is drawn place by place, so at one seed a deeper read
+    # holds the same samples with more digits, and a deeper level walked
+    # beside the others leaves their lengths as they were.
+    for params, ks, deepest in ((carpet_a, range(2, 6), 7),
+                                (carpet_d, (2,), 3)):
+        cloud = draw_cloud(params, 70_001, seed=8)
+        assert np.array_equal(_drawn(cloud, 60)[:, :40], _drawn(cloud, 40))
         levels = [stopped_statistics(params, k) for k in ks]
-        assert np.array_equal(located(levels, deep)[0],
-                              located(levels, shallow)[0])
+        deep = located(levels + [stopped_statistics(params, deepest)], cloud)
+        assert np.array_equal(deep[0][:-1], located(levels, cloud)[0])
 
 
 def test_cloud_in_unit_square(carpet_a, cloud_a):
     # Every drawn digit indexes a map, so every sample is a point of the
     # carpet, in the unit square.
-    assert _drawn(cloud_a).max() < len(carpet_a.spec.digits)
+    assert _drawn(cloud_a, 40).max() < len(carpet_a.spec.digits)
     pts = sample_points(carpet_a, 120_000, 40, 0x5EED)
     assert pts.shape == (120_000, 2)
     assert pts.min() >= 0.0 and pts.max() <= 1.0
@@ -125,7 +132,7 @@ def test_cloud_in_unit_square(carpet_a, cloud_a):
 def test_cloud_marginals(carpet_a, cloud_a):
     # Maps with i = 0 carry mass 2/3, so two thirds of the cloud lands
     # in the left half strip.
-    cells = np.array(carpet_a.spec.digits)[_drawn(cloud_a)[:, 0]]
+    cells = np.array(carpet_a.spec.digits)[_drawn(cloud_a, 1)[:, 0]]
     left = float(np.mean(cells[:, 0] < 2))
     se = math.sqrt((2 / 3) * (1 / 3) / cloud_a.size)
     assert abs(left - 2 / 3) < 4 * se
@@ -149,11 +156,12 @@ def test_lambda_codebook_centers(cache_a, carpet_a):
 
 @dataclasses.dataclass(frozen=True)
 class _RowCloud(SampleCloud):
-    # A cloud of explicit (size, depth) map-index rows.
+    # A cloud of explicit map-index rows, at least as deep as the walk.
     rows: np.ndarray = None
 
-    def chunks(self):
-        yield 0, np.ascontiguousarray(self.rows.T)
+    def chunks(self, depth):
+        assert depth <= self.rows.shape[1]
+        yield np.ascontiguousarray(self.rows.T[:depth])
 
 
 def _expand(frac, base, count):
@@ -192,7 +200,7 @@ def _hand_cloud(part, idx, offsets):
         xs = list(word.x_digits()) + _expand(Fraction(1, 2) + fx, n, depth - l)
         ys = list(word.y_digits()) + _expand(Fraction(1, 2) + fy, m, depth - h)
         rows.append([index[cell] for cell in zip(xs, ys)])
-    cloud = _RowCloud(spec=params.spec, size=len(rows), depth=depth, seed=0,
+    cloud = _RowCloud(spec=params.spec, size=len(rows), seed=0,
                       rows=np.array(rows, dtype=np.uint8))
     return cloud, h, float(n) ** -l, float(m) ** -h
 
@@ -352,7 +360,7 @@ def test_sampling_matches_searchsorted_formula(request, name):
         assert np.array_equal(
             sample_digit_matrix(params, size, depth, 31), mat)
         assert np.array_equal(
-            _drawn(draw_cloud(params, size, depth=depth, seed=31)), mat)
+            _drawn(draw_cloud(params, size, seed=31), depth), mat)
 
 
 @pytest.mark.parametrize("name,levels,depth", [
@@ -366,18 +374,21 @@ def test_located_word_matches_brute_force(request, name, levels, depth):
     # has a full-mass column, carpet C is square (n = m), the 20-map
     # carpet's move indices run past 255, and the 400-map carpet's map
     # indices do.  The digits are the searchsorted formula's, drawn
-    # apart from the cloud.  Each log distance is held to the exact one.
+    # apart from the cloud, ``depth`` of them, past the walk's.  Each log
+    # distance is held to the exact one, read from the walk's digits.
     params = request.getfixturevalue(f"carpet_{name}")
-    cloud = draw_cloud(params, 1500, depth=depth, seed=5)
+    cloud = draw_cloud(params, 1500, seed=5)
     digits = _searchsorted_matrix(params, 1500, depth, 5)
     parts = [enumerate_lambda_k(params, k) for k in levels]
+    walk = _walk_depth(parts)
+    assert walk <= depth
     found, dists = located(parts, cloud)
     assert found.dtype == np.uint8 and found.shape == (len(parts), 1500)
     assert dists.shape == found.shape
     for part, row, logs in zip(parts, found, dists):
         assert row.tolist() == brute_locate(params, part,
                                             digits[:, :part.xi_max])
-        _assert_logs_exact(params, logs, digits, row.tolist())
+        _assert_logs_exact(params, logs, digits[:, :walk], row.tolist())
 
 
 _cells = st.lists(
@@ -399,9 +410,9 @@ def test_random_carpet_located_word_matches_brute_force(n, m, cells, raw,
         warnings.simplefilter("ignore", UserWarning)
         params = derive_params(CarpetSpec.of(
             n, m, {c: f"{w}/{total}" for c, w in zip(cells, raw)}))
-    cloud = draw_cloud(params, 400, depth=40, seed=seed)
-    digits = sample_digit_matrix(params, 400, 40, seed)
+    cloud = draw_cloud(params, 400, seed=seed)
     parts = [enumerate_lambda_k(params, k) for k in (3, 1, 2)]
+    digits = sample_digit_matrix(params, 400, parts[0].xi_max, seed)
     for part, row in zip(parts, located(parts, cloud)[0]):
         assert row.tolist() == brute_locate(params, part,
                                             digits[:, :part.xi_max])
@@ -413,13 +424,12 @@ def test_random_carpet_located_word_matches_brute_force(n, m, cells, raw,
 def test_own_cell_distance_at_least_nearest(request, name, levels):
     # Every centre is a candidate for the nearest one, so no sample is
     # nearer its own centre than its nearest; the two sides round
-    # differently, by far less than 1e-15 on the unit square.  Carpet D's
-    # words reach length 39 at k = 4, so its cloud is drawn deeper.
+    # differently, by far less than 1e-15 on the unit square.  The points
+    # are cut after the digits the walk reads.
     params = request.getfixturevalue(f"carpet_{name}")
-    depth = 60 if name == "d" else 40
-    cloud = draw_cloud(params, 20_000, depth=depth, seed=77)
-    pts = sample_points(params, 20_000, depth, 77)
+    cloud = draw_cloud(params, 20_000, seed=77)
     parts = [enumerate_lambda_k(params, k) for k in levels]
+    pts = sample_points(params, 20_000, _walk_depth(parts), 77)
     for part, own, level_tally in zip(parts, located(parts, cloud)[1],
                                       tally(parts, cloud)):
         assert len(own) == cloud.size
@@ -442,13 +452,29 @@ def test_stderr_is_sample_std(cache_e, carpet_e):
         np.std(logs, ddof=1) / math.sqrt(len(logs)), rel=1e-12)
 
 
-def test_shallow_cloud_refused(carpet_d):
-    # Carpet D at k = 4 has words of length 39: a depth-40 cloud would
-    # leave one digit past them.
+def test_shallow_cloud_refused(carpet_d, carpet_skewed, monkeypatch):
+    # The walk draws each sample 20 digits past the deepest level's
+    # longest words: 59 for carpet D at k = 4, whose words reach length
+    # 39.  The skewed carpet's k = 2 words reach length 1,833, deeper
+    # than a sample's 1,074 digits can go: the walk is refused before any
+    # chunk is drawn.
+    depths = []
+    chunks = SampleCloud.chunks
+
+    def counted(cloud, depth):
+        depths.append(depth)
+        return chunks(cloud, depth)
+
+    monkeypatch.setattr(SampleCloud, "chunks", counted)
     part = enumerate_lambda_k(carpet_d, 4)
-    with pytest.raises(ShallowCloudError, match="at least 59, got 40"):
-        located([part], draw_cloud(carpet_d, 100, depth=40))
-    assert located([part], draw_cloud(carpet_d, 100, depth=59))[0].all()
+    assert located([part], draw_cloud(carpet_d, 100))[0].all()
+    assert depths == [59]
+    levels = [stopped_statistics(carpet_skewed, k) for k in (1, 2)]
+    with pytest.raises(EnumerationCapError, match=(
+            "k=2: words of length 1833 need 1853 digits a sample, "
+            "more than 1074")):
+        located(levels, draw_cloud(carpet_skewed, 100))
+    assert depths == [59]
     # A word's cell is read from its digits however wide the grid: on a
     # 200 x 200 grid k = 5 has words of length 10, 80 decimal digits of
     # cell indices.
@@ -457,11 +483,11 @@ def test_shallow_cloud_refused(carpet_d):
         wide = derive_params(CarpetSpec.of(
             200, 200, {(0, 0): "1/2", (199, 199): "1/2"}))
     deep = enumerate_lambda_k(wide, 5)
-    found, _ = located([deep], draw_cloud(wide, 100, depth=40, seed=2))
+    found, _ = located([deep], draw_cloud(wide, 100, seed=2))
     assert found[0].tolist() == brute_locate(
-        wide, deep, sample_digit_matrix(wide, 100, 40, 2)[:, :deep.xi_max])
+        wide, deep, sample_digit_matrix(wide, 100, deep.xi_max, 2))
     with pytest.raises(ValueError, match="another carpet"):
-        located([deep], draw_cloud(carpet_d, 100, depth=40))
+        located([deep], draw_cloud(carpet_d, 100))
 
 
 def test_lengths_past_255():
@@ -474,8 +500,7 @@ def test_lengths_past_255():
             4, 2, {(0, 0): "49/50", (2, 1): "1/50"}))
     part = enumerate_lambda_k(params, 1)
     assert (part.xi_min, part.xi_max) == (3, 388)
-    found, dists = located([part], draw_cloud(params, 2000, depth=408,
-                                              seed=9))
+    found, dists = located([part], draw_cloud(params, 2000, seed=9))
     assert found.dtype == np.uint16
     assert found.max() > 255
     digits = sample_digit_matrix(params, 2000, 408, 9)
@@ -491,8 +516,7 @@ def test_skewed_carpet_located_against_brute_force(carpet_skewed):
     # and measured, and held to the exact log distance.
     part = enumerate_lambda_k(carpet_skewed, 1)
     assert part.xi_max == 917
-    found, logs = located([part], draw_cloud(carpet_skewed, 600, depth=937,
-                                             seed=4))
+    found, logs = located([part], draw_cloud(carpet_skewed, 600, seed=4))
     digits = sample_digit_matrix(carpet_skewed, 600, 937, 4)
     assert found[0].tolist() == brute_locate(carpet_skewed, part,
                                              digits[:, :917])
@@ -501,29 +525,25 @@ def test_skewed_carpet_located_against_brute_force(carpet_skewed):
 
 
 def test_levels_walk_as_if_alone(carpet_d):
-    # A level's lengths and distances do not depend on the levels walked
-    # beside it, in any order, repeated or not: each stops on its own
-    # threshold.
-    cloud = draw_cloud(carpet_d, 5000, depth=60, seed=11)
+    # A level's lengths do not depend on the levels walked beside it, in
+    # any order, repeated or not: each stops on its own threshold.  Its
+    # log distances read every digit drawn, 20 past the deepest level's
+    # longest words, so they follow the deepest level in their last bits:
+    # each is held to the exact distance at the walk's depth, and a level
+    # walked with none deeper matches its walk alone bit for bit.
+    cloud = draw_cloud(carpet_d, 2000, seed=11)
     stats = {k: stopped_statistics(carpet_d, k) for k in (2, 3, 4)}
     alone = {k: located([s], cloud) for k, s in stats.items()}
+    digits = sample_digit_matrix(carpet_d, 2000, 59, 11)
     for ks in ((2, 3, 4), (4, 2, 3), (3, 3, 2)):
+        walk = _walk_depth([stats[k] for k in ks])
         found, dists = located([stats[k] for k in ks], cloud)
         for k, row, dist in zip(ks, found, dists):
             assert np.array_equal(row, alone[k][0][0])
-            assert np.array_equal(dist, alone[k][1][0])
-
-
-def test_levels_too_short_refused(carpet_a, cloud_a):
-    # Levels whose longest words are one length short leave samples
-    # above a threshold when the walk's tables run out.
-    stats = stopped_statistics(carpet_a, 3)
-    assert located([stats], cloud_a)[0].max() == stats.xi_max
-    short = dataclasses.replace(stats, length_counts={
-        h: c for h, c in stats.length_counts.items() if h < stats.xi_max})
-    assert short.xi_max == stats.xi_max - 1
-    with pytest.raises(ValueError, match="still above"):
-        located([short], cloud_a)
+            _assert_logs_exact(carpet_d, dist, digits[:, :walk],
+                               row.tolist())
+            if k == max(ks):
+                assert np.array_equal(dist, alone[k][1][0])
 
 
 def test_locate_refuses_no_levels(cloud_a):
@@ -570,17 +590,17 @@ for name, (n, m, cells, ks) in json.loads(sys.argv[1]).items():
     params = derive_params(CarpetSpec.of(n, m, {
         (i, j): p for i, j, p in cells}))
     levels = [stopped_statistics(params, k) for k in ks]
-    for depth in (40, 64):
-        cloud = draw_cloud(params, 300_001, depth=depth, seed=0x5EED)
-        chunks = list(locate(levels, cloud))
+    cloud = draw_cloud(params, 300_001, seed=0x5EED)
+    for walked in (levels, levels[:1]):
+        chunks = list(locate(walked, cloud))
         found, dists = (np.concatenate([c[i] for c in chunks], axis=1)
-                        for i in (1, 2))
-        out[f"{name}{depth}"] = hashlib.sha256(
+                        for i in (0, 1))
+        out[f"{name}{len(walked)}"] = hashlib.sha256(
             found.tobytes() + dists.tobytes()).hexdigest()
 print(json.dumps(out))
 """
 
-# (n, m, maps, levels): each level's words end 20 digits before depth 40.
+# (n, m, maps, levels): walked together, and the first level alone.
 _DRAW_CARPETS = {
     "A": (4, 3, [(0, 0, "1/3"), (0, 2, "1/3"), (2, 2, "1/3")], [2, 3, 4]),
     "D": (4, 2, [(0, 0, "3/4"), (2, 1, "1/4")], [1, 2]),
@@ -590,7 +610,7 @@ _DRAW_CARPETS = {
 
 
 def test_cloud_independent_of_openblas_threads():
-    # An odd size and two depths leave partial chunks and blocks.  With
+    # An odd size and two walks leave partial chunks and blocks.  With
     # no thread count set, importing carpetq loads OpenBLAS with one
     # thread, so the pool a user chose is compared with one thread.  No
     # BLAS product reaches the lengths or distances, so they agree.
@@ -772,26 +792,24 @@ def test_tally_memory_flat(carpet_a):
 
 
 def test_locate_yields_chunks(carpet_a, cloud_a):
-    # One (first row, lengths, logs) per chunk of the cloud, in order,
-    # each of the chunk's rows.
+    # One (lengths, logs) per chunk of the cloud, in order, each of the
+    # chunk's rows.
     levels = [stopped_statistics(carpet_a, k) for k in (2, 3)]
     row = 0
-    for (lo, found, logs), (first, digits) in zip(locate(levels, cloud_a),
-                                                  cloud_a.chunks()):
-        assert lo == first == row
+    for (found, logs), digits in zip(locate(levels, cloud_a),
+                                     cloud_a.chunks(1), strict=True):
         assert found.shape == logs.shape == (2, digits.shape[1])
         row += digits.shape[1]
     assert row == cloud_a.size
 
 
 @pytest.mark.filterwarnings("ignore:grid factor")
-@pytest.mark.parametrize("name,levels,size,depth,seed", [
-    ("a", range(2, 6), 70_001, 40, 3), ("d", range(2, 7), 70_001, 78, 3),
-    ("e", range(2, 6), 70_001, 40, 3),
-    ("skewed", (1,), 100_000, 937, 0x5EED),
+@pytest.mark.parametrize("name,levels,size,seed", [
+    ("a", range(2, 6), 70_001, 3), ("d", range(2, 7), 70_001, 3),
+    ("e", range(2, 6), 70_001, 3), ("skewed", (1,), 100_000, 0x5EED),
 ])
 def test_streamed_diagnostics_match_two_pass(request, name, levels, size,
-                                             depth, seed):
+                                             seed):
     # The streamed sums against the whole-row estimate: the mean and all
     # that follows from it bit for bit, the standard error, whose exact
     # variance differs from the two-pass one by its roundings only, to
@@ -801,7 +819,7 @@ def test_streamed_diagnostics_match_two_pass(request, name, levels, size,
     # from the first digit after the cell, none of their offsets is 0.
     params = request.getfixturevalue(f"carpet_{name}")
     stats = [stopped_statistics(params, k) for k in levels]
-    cloud = draw_cloud(params, size, depth=depth, seed=seed)
+    cloud = draw_cloud(params, size, seed=seed)
     found, logs = located(stats, cloud)
     for level, level_tally, lengths, row in zip(stats, tally(stats, cloud),
                                                 found, logs):

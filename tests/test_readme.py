@@ -1,10 +1,15 @@
-"""The README's library tour runs as written and prints what it says."""
+"""The README's library tour runs as written and prints what it says,
+and its config runs as written."""
 
 import ast
 import contextlib
 import io
+import json
 import re
+import warnings
 from pathlib import Path
+
+from carpetq.cli import load_config, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +46,24 @@ def test_readme_tour_prints_what_it_states():
                 checked.append(value)
     assert checked == ["0.9127134976190282", "1/9", "1701 7 8", "1", "True",
                        "True", "1701 1458", "True", "True", "True", "0"]
+
+
+def test_readme_config_runs_without_notes(tmp_path, capsys):
+    # The README's config block loads as written, with no key that is
+    # ignored, and validate and quantize run it (on a small cloud)
+    # with exit 0 and no note.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"^```json\n(.*?)^```", readme, re.M | re.S)
+    path = tmp_path / "carpet.json"
+    path.write_text(block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = load_config(path)
+    assert cfg.cloud_size == json.loads(block)["cloud_size"]
+    path.write_text(json.dumps({**json.loads(block), "cloud_size": 2000}))
+    for command in ("validate", "quantize"):
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "note:" not in captured.out

@@ -1,5 +1,6 @@
 """Entropy-ratio sequences and their explicit error bounds."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
@@ -121,6 +122,21 @@ def test_t_within_bound(request, carpet, k):
     assert abs(compute_t(chain) - params.s0) <= t_bound(params, chain.l_min)
 
 
+def test_sequence_point_gates_t_k(carpet_a, cache_a):
+    # The row's pass reads t_k against t_bound at the antichain's
+    # shortest length: just inside the bound it passes, just outside it
+    # fails.
+    chain = cache_a.antichain(3)
+    point = sequence_point(carpet_a, 3, stats=cache_a.partition(3),
+                           antichain=chain)
+    assert point.bound_tk == t_bound(carpet_a, chain.l_min)
+    for sign in (1, -1):
+        near = point.s0 + sign * point.bound_tk
+        assert dataclasses.replace(point, t_k=near).within_bounds
+        assert not dataclasses.replace(
+            point, t_k=near + sign * 1e-9).within_bounds
+
+
 def test_t_equals_d_on_single_length(carpet_c, cache_c):
     # All words share one length on the square grid; t must equal d_h.
     chain = cache_c.antichain(2)
@@ -166,7 +182,7 @@ def test_sequence_point_assembly(carpet_a, cache_a):
 
 def test_sequence_point_without_antichain(carpet_a):
     point = sequence_point(carpet_a, 7, stats=stopped_statistics(carpet_a, 7))
-    assert point.t_k is None
+    assert point.t_k is None and point.bound_tk is None
     assert point.phi_k == 8857350
     assert point.within_bounds
 
