@@ -230,6 +230,10 @@ def _log_distances(found: np.ndarray, digits: np.ndarray, axes,
     rows = found.shape[1]
     flat = found.ravel()
     order = np.argsort(flat, kind="stable")
+    # Each sorted entry's sample column, formed once, by floor division
+    # (numpy's remainder is several times slower), where the y pass
+    # meets the entry, before the x pass.
+    cols = np.empty(len(flat), np.min_scalar_type(rows))
     # The sorted entries of length h lie at ends[h]:ends[h + 1], and
     # those whose x cell has c digits at xends[c]:xends[c + 1].
     ends = np.concatenate(([0], np.cumsum(np.bincount(
@@ -242,9 +246,12 @@ def _log_distances(found: np.ndarray, digits: np.ndarray, axes,
         digit = yd.take(digits[c])
         entries = order[ends[c]:ends[c + 1]]
         if len(entries):
-            cols = entries % rows
-            off = digit.take(cols) - m / 2        # exact
-            off += at_y.take(cols)
+            at = entries // rows
+            at *= rows
+            np.subtract(entries, at, out=at)
+            cols[ends[c]:ends[c + 1]] = at
+            off = digit.take(at) - m / 2          # exact
+            off += at_y.take(at)
             off /= m
             off *= aspect[c]
             out[entries] = off
@@ -253,9 +260,9 @@ def _log_distances(found: np.ndarray, digits: np.ndarray, axes,
         digit = xd.take(digits[c])
         entries = order[xends[c]:xends[c + 1]]
         if len(entries):
-            cols = entries % rows
-            off = digit.take(cols) - n / 2
-            off += at_x.take(cols)
+            at = cols[xends[c]:xends[c + 1]]
+            off = digit.take(at) - n / 2
+            off += at_x.take(at)
             off /= n
             np.hypot(off, out.take(entries), out=off)
             with np.errstate(divide="ignore"):

@@ -63,7 +63,7 @@ def ell(params: DerivedParams, k: int) -> int:
 
 
 _KEY_BITS = 64              # a length's keys are uint64 while they fit here
-_CHUNK = 1 << 14            # keys walked down at once: bounds the lookup scratch
+_CHUNK = 1 << 14            # keys split or walked at once: bounds the scratch
 
 
 class _Layout(NamedTuple):
@@ -124,6 +124,32 @@ def _cast(params: DerivedParams, h: int, keys: np.ndarray) -> np.ndarray:
     return keys if keys.dtype == dtype else keys.astype(dtype)
 
 
+def _divmod(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    # (x // d, x % d).  Fixed-width arrays never go through numpy's %:
+    # floor division by a scalar runs through libdivide, but the
+    # remainder does one hardware divide per element, five to seven
+    # times slower, so it is formed in place as x - (x // d) d.
+    # Python-int keys take Python's own // and %, which beat multiplying
+    # and subtracting them.
+    if x.dtype == object:
+        return x // d, x % d
+    q = x // d
+    r = q * d
+    np.subtract(x, r, out=r)
+    return q, r
+
+
+def _mod(x: np.ndarray, d: int) -> np.ndarray:
+    # x % d, by ``_divmod`` on a fixed-width array.
+    return x % d if x.dtype == object else _divmod(x, d)[1]
+
+
+def _ranks(r: np.ndarray) -> np.ndarray:
+    # Remainders as indices: a uint64 one, below its small divisor, is
+    # read in place as int64.
+    return r.view(np.int64) if r.dtype == np.uint64 else r.astype(np.intp)
+
+
 def step(params: DerivedParams, h: int, keys: np.ndarray,
          positions: np.ndarray) -> np.ndarray:
     """The keys of length-h words from those of their flat predecessors.
@@ -139,17 +165,20 @@ def step(params: DerivedParams, h: int, keys: np.ndarray,
     """
     lay = _layout(params)
     keys = _cast(params, h, keys)
-    positions = positions.astype(np.uint64)
     t = h - 1 - ell(params, h - 1)
     if ell(params, h) + t == h - 1:
-        return keys * lay.c + positions
+        return keys * lay.c + positions.astype(np.uint64)
     if not t:
-        return keys * lay.g + positions
+        return keys * lay.g + positions.astype(np.uint64)
     below = lay.c ** (t - 1)            # the span of the tail under its top
-    top = (keys // below % lay.c).astype(np.intp)
-    return ((keys // (below * lay.c) * lay.g
-             + lay.promote[top, (positions // lay.c).astype(np.intp)])
-            * (below * lay.c) + keys % below * lay.c + positions % lay.c)
+    head, rest = _divmod(keys, below)
+    head, top = _divmod(head, lay.c)
+    # What each move adds under the head, by top digit and position: the
+    # new cell, then the tail below the top digit, then the new column.
+    moves = (lay.promote.astype(keys.dtype)[:, :, None] * (below * lay.c)
+             + np.arange(lay.c, dtype=np.uint64)).reshape(lay.c, -1)
+    return ((head * (lay.g * below) + rest) * lay.c
+            + moves[_ranks(top), positions])
 
 
 def _split(params: DerivedParams, h: int, keys: np.ndarray) -> tuple:
@@ -157,8 +186,9 @@ def _split(params: DerivedParams, h: int, keys: np.ndarray) -> tuple:
     # the tail, and the tail's span |gy|^(h - ell(h)).
     g, c = _layout(params)[:2]
     span = c ** (h - ell(params, h))
-    return (keys // (g * span), (keys // span % g).astype(np.intp),
-            keys % span, span)
+    head, tail = _divmod(keys, span)
+    head, last = _divmod(head, g)
+    return head, _ranks(last), tail, span
 
 
 def _stems(params: DerivedParams, h: int, keys: np.ndarray) -> tuple:
@@ -177,9 +207,16 @@ def family_stems(params: DerivedParams, h: int,
     """Keys of length-h words less their last cell's x digit, and that
     x digit as ``uint8``.  A stem holds the cells before the last cell,
     its column, then the tail, read in the key layout, so stems sort as
-    those digit strings do."""
-    stems, last = _stems(params, h, keys)
-    return stems, _layout(params).cells[:, 0].astype(np.uint8)[last]
+    those digit strings do.  Splits a ``_CHUNK`` of keys at a time,
+    which bounds its scratch."""
+    stems = np.empty_like(keys)
+    xs = np.empty(len(keys), np.uint8)
+    x_of = _layout(params).cells[:, 0].astype(np.uint8)
+    for lo in range(0, len(keys), _CHUNK):
+        stem, last = _stems(params, h, keys[lo:lo + _CHUNK])
+        stems[lo:lo + _CHUNK] = stem
+        xs[lo:lo + _CHUNK] = x_of[last]
+    return stems, xs
 
 
 def stem_columns(params: DerivedParams, h: int,
@@ -189,8 +226,8 @@ def stem_columns(params: DerivedParams, h: int,
     lay = _layout(params)
     span = lay.c ** (h - ell(params, h))
     cols = lay.cols.astype(np.uint8)
-    return (cols[(stems // span % lay.c).astype(np.intp)],
-            cols[(stems % lay.c).astype(np.intp)])
+    return (cols[_ranks(_mod(stems // span, lay.c))],
+            cols[_ranks(_mod(stems, lay.c))])
 
 
 def block_predecessor(params: DerivedParams, h: int,
@@ -202,7 +239,7 @@ def block_predecessor(params: DerivedParams, h: int,
     if ell(params, h - 1) == l:
         return _cast(params, h - 1, keys // c)
     span = c ** (h - l)
-    return _cast(params, h - 1, keys // (g * span) * span + keys % span)
+    return _cast(params, h - 1, keys // (g * span) * span + _mod(keys, span))
 
 
 def flat_predecessor(params: DerivedParams, h: int,
@@ -220,17 +257,26 @@ def swap_tail(params: DerivedParams, h: int, stems: np.ndarray,
               xs: np.ndarray) -> np.ndarray:
     """The length-h keys of family stems with the last cell's column
     digit and the last tail digit interchanged, and the last cell's x
-    digit set to ``xs``."""
+    digit set to ``xs``.  Builds a ``_CHUNK`` of keys at a time, which
+    bounds its scratch."""
     lay = _layout(params)
     span = lay.c ** (h - ell(params, h))
-    j_l, j_t = stem_columns(params, h, stems)
-    keys = stems // (lay.c * span)
-    keys *= lay.g
-    keys += lay.cell_rank[xs + params.n * j_t.astype(np.intp)]
-    keys *= span
-    keys += stems % span // lay.c * lay.c
-    keys += lay.col_rank[j_l]
-    return keys
+    out = np.empty_like(stems)
+    for lo in range(0, len(stems), _CHUNK):
+        # A stem is the cells before the last, the last cell's column
+        # j_l, then the tail, which ends in j_t.
+        keys, tail = _divmod(stems[lo:lo + _CHUNK], span)
+        keys, j_l = _divmod(keys, lay.c)
+        tail, j_t = _divmod(tail, lay.c)
+        keys *= lay.g
+        keys += lay.cell_rank[xs[lo:lo + _CHUNK]
+                              + params.n * lay.cols[_ranks(j_t)]]
+        keys *= span // lay.c
+        keys += tail
+        keys *= lay.c
+        keys += j_l
+        out[lo:lo + _CHUNK] = keys
+    return out
 
 
 def member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Word mechanics: lengths, predecessors, children, masses, geometry."""
 
+import random
 import warnings
 from fractions import Fraction
 
@@ -331,15 +332,10 @@ def test_keys_sort_and_look_up_as_bytes(carpet_a, carpet_d, carpet_e, data,
         == [(q, t) for q, run in enumerate(hits) for t in run]
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data(), h=st.integers(2, 90), pool=_pool,
-       draws=st.lists(st.integers(0, 5), min_size=1, max_size=20))
-def test_key_steps_match_word_oracles(carpet_a, carpet_d, carpet_e, data, h,
-                                      pool, draws):
+def _check_key_moves(params, h, batch, picks):
     # The enumerator's step, both predecessors, and the family stem and
-    # swap, on keys, against the same moves on words.
-    params = _carpet(data, (carpet_a, carpet_d, carpet_e))
-    batch = _random_words(params, h, [pool[d % len(pool)] for d in draws])
+    # swap, on the keys of length-h words ``batch``, against the same
+    # moves on words; each swap's new x digit is chosen by a pick.
     keys = keys_of(params, h, batch)
     l = ell(params, h)
     cells, cols = sorted(params.spec.digits), list(params.gy)
@@ -375,9 +371,36 @@ def test_key_steps_match_word_oracles(carpet_a, carpet_d, carpet_e, data, h,
             want.append(stem)
         assert stems.tolist() == want
         xs = [params.gx[w.tail[-1]][d % len(params.gx[w.tail[-1]])]
-              for w, d in zip(batch, draws)]
+              for w, d in zip(batch, picks)]
         same(swap_tail(params, h, stems, np.array(xs, np.uint8)), h,
              [swap_word_tail(params, w, x) for w, x in zip(batch, xs)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), h=st.integers(2, 90), pool=_pool,
+       draws=st.lists(st.integers(0, 5), min_size=1, max_size=20))
+def test_key_steps_match_word_oracles(carpet_a, carpet_d, carpet_e, data, h,
+                                      pool, draws):
+    params = _carpet(data, (carpet_a, carpet_d, carpet_e))
+    batch = _random_words(params, h, [pool[d % len(pool)] for d in draws])
+    _check_key_moves(params, h, batch, draws)
+
+
+@pytest.mark.parametrize("h", [64, 65, 66])
+def test_key_moves_at_the_top_of_the_uint64_range(carpet_d, h):
+    # Carpet D's length-h key space is 2^h: length 64 is the last with
+    # uint64 keys, 65 the first with object keys, and 66 the first object
+    # length where ell rises, so its step splits object keys.  The
+    # smallest and largest keys and random ones, whose splits a remainder
+    # rounded through a float or cut to fewer bits would get wrong.
+    space = key_space(carpet_d, h)
+    assert space == 2 ** h
+    assert key_dtype(carpet_d, h) == (np.uint64 if h == 64 else object)
+    rng = random.Random(h)
+    keys = [0, space - 1] + [rng.randrange(space) for _ in range(30)]
+    batch = [decode_key(carpet_d, key, h) for key in keys]
+    _check_key_moves(carpet_d, h, batch,
+                     [rng.randrange(4) for _ in batch])
 
 
 def _walks_agree(part, chain):
