@@ -90,17 +90,24 @@ class SampleCloud:
         place by place: one uniform per row for the first digit, then
         one for the second, and so on.  So every call gives the same
         digits, and a deeper read at the same seed extends every sample
-        of a shallower one.
+        of a shallower one.  The generator keeps no name bound to a
+        block it has yielded, so once its reader lets go of a block,
+        the block is freed before the next is drawn.
         """
         cum = np.cumsum([float(w) for w in self.spec.weights])
         for lo in range(0, self.size, _SHARD_ROWS):
             rng = np.random.default_rng([int(self.seed), lo // _SHARD_ROWS])
-            rows = min(_SHARD_ROWS, self.size - lo)
-            digits = np.empty((depth, rows),
-                              dtype=np.min_scalar_type(len(cum) - 1))
-            for place in digits:
-                place[:] = uniform_digits(rng.random(rows), cum)
-            yield digits
+            yield _draw_block(rng, depth, min(_SHARD_ROWS, self.size - lo),
+                              cum)
+
+
+def _draw_block(rng, depth: int, rows: int, cum: np.ndarray) -> np.ndarray:
+    """One block of ``SampleCloud.chunks``: ``depth`` places of ``rows``
+    digits each, drawn from ``rng`` place by place."""
+    digits = np.empty((depth, rows), dtype=np.min_scalar_type(len(cum) - 1))
+    for place in digits:
+        place[:] = uniform_digits(rng.random(rows), cum)
+    return digits
 
 
 def uniform_digits(u: np.ndarray, cum: np.ndarray) -> np.ndarray:
@@ -120,8 +127,11 @@ def draw_cloud(params: DerivedParams, size: int,
     """Sample the measure by i.i.d. digits drawn from the map weights: a
     cloud of ``size`` samples, drawn a chunk at a time, as deep as
     whatever walks it asks (``SampleCloud.chunks``), so no cloud-sized
-    array ever exists.
+    array ever exists.  Raises ``ValueError`` unless ``size`` is an
+    ``int`` (not a ``bool``) of at least 1.
     """
+    if isinstance(size, bool) or not isinstance(size, int):
+        raise ValueError(f"need an int size, got {size!r}")
     if size < 1:
         raise ValueError(f"need size >= 1, got {size}")
     return SampleCloud(spec=params.spec, size=size, seed=seed)
@@ -174,32 +184,46 @@ def locate(levels, cloud: SampleCloud):
             f"level k={max(ks)}: words of length {longest} need "
             f"{longest + MIN_TAIL} digits a sample, more than {MAX_DEPTH}")
     deeper = [sum(j > k for j in ks) for k in ks]
-    maps = np.intp(len(picks[False]))
     ells = [ell(params, h) for h in range(longest + 1)]
-    dtype = np.min_scalar_type(longest)
     # Per axis: each map's digit and the base; per length h: ell(h), and
     # its cells' height m^-h over their width n^-ell(h), in (1/n, 1].
     xd, yd = np.array(params.spec.digits, dtype=np.float64).T
     axes = ((xd, n), (yd, m))
-    cells = (np.array(ells, dtype=dtype),
+    cells = (np.array(ells, dtype=np.min_scalar_type(longest)),
              [n ** l / m ** h for h, l in enumerate(ells)])
+    # One chunk at a time: the walk's scratch is gone before the log
+    # distances are read, and the chunk's digits before the next chunk
+    # is drawn.
     for digits in cloud.chunks(longest + MIN_TAIL):
-        rows = digits.shape[1]
-        found = np.ones((len(ks), rows), dtype=dtype)
-        cls = np.zeros(rows, dtype=np.intp)
-        live = np.full(rows, len(ks), dtype=steps[0][3].dtype)
-        for h, (rises, table, _, above, _) in enumerate(steps, 1):
-            code = digits[h - 1].astype(np.intp)
-            if rises:
-                code += np.multiply(digits[ells[h] - 1], maps, dtype=np.intp)
-            cls = table.take(cls * np.intp(table.shape[1])
-                             + picks[rises].take(code))
-            np.minimum(above.take(cls), live, out=live)
-            if not live.any():
-                break
-            for row, r in zip(found, deeper):
-                row += live > r
+        found = _stopping_lengths(digits, picks, steps, ells, deeper)
         yield found, _log_distances(found, digits, axes, cells)
+        del digits
+
+
+def _stopping_lengths(digits: np.ndarray, picks, steps, ells,
+                      deeper) -> np.ndarray:
+    """The (levels, rows) stopping lengths of a chunk's samples, walked
+    from its digit-major ``digits`` by ``locate``'s ``stopping_rule``
+    ``picks`` and ``steps``, lengths ``ells`` and per level the number
+    of ``deeper`` levels, typed as the ``np.min_scalar_type`` of the
+    longest length."""
+    maps = np.intp(len(picks[False]))
+    rows = digits.shape[1]
+    found = np.ones((len(deeper), rows), dtype=np.min_scalar_type(len(steps)))
+    cls = np.zeros(rows, dtype=np.intp)
+    live = np.full(rows, len(deeper), dtype=steps[0][3].dtype)
+    for h, (rises, table, _, above, _) in enumerate(steps, 1):
+        code = digits[h - 1].astype(np.intp)
+        if rises:
+            code += np.multiply(digits[ells[h] - 1], maps, dtype=np.intp)
+        cls = table.take(cls * np.intp(table.shape[1])
+                         + picks[rises].take(code))
+        np.minimum(above.take(cls), live, out=live)
+        if not live.any():
+            break
+        for row, r in zip(found, deeper):
+            row += live > r
+    return found
 
 
 def _log_distances(found: np.ndarray, digits: np.ndarray, axes,

@@ -160,10 +160,10 @@ def tamper():
 
 
 # Starts the command argv[2:], kills it after 300 s, reaps it with os.wait4
-# and writes its exit code, CPU seconds and peak RSS in MB to the file
-# argv[1].  A child's ru_maxrss starts at its parent's peak RSS, so the
-# command is started from this small interpreter: started from the test
-# process, it would report that process's peak.
+# and writes its exit code, CPU seconds, peak RSS in MB and minor page
+# faults to the file argv[1].  A child's ru_maxrss starts at its parent's
+# peak RSS, so the command is started from this small interpreter: started
+# from the test process, it would report that process's peak.
 _WAIT4 = """
 import json, os, signal, subprocess, sys
 child = subprocess.Popen(sys.argv[2:])
@@ -174,16 +174,18 @@ child.returncode = os.waitstatus_to_exitcode(status)
 with open(sys.argv[1], "w") as f:
     # ru_maxrss is in kB on Linux.
     json.dump([child.returncode, usage.ru_utime + usage.ru_stime,
-               usage.ru_maxrss / 1024], f)
+               usage.ru_maxrss / 1024, usage.ru_minflt], f)
 """
 
-CarpetqRun = namedtuple("CarpetqRun", "returncode stdout stderr cpu_s peak_mb")
+CarpetqRun = namedtuple("CarpetqRun",
+                        "returncode stdout stderr cpu_s peak_mb minflt")
 
 
 def run_carpetq(*args, env=None):
     """Run ``python -m carpetq *args`` in its own interpreter from the
     package's source directory; return its exit code, stdout, stderr,
-    CPU seconds and peak RSS in MB, read from ``os.wait4``."""
+    CPU seconds, peak RSS in MB and minor page faults, read from one
+    ``os.wait4``."""
     src = Path(carpetq.__file__).resolve().parents[1]
     with tempfile.TemporaryDirectory() as tmp:
         usage = Path(tmp, "usage.json")
@@ -192,8 +194,9 @@ def run_carpetq(*args, env=None):
              sys.executable, "-m", "carpetq", *args],
             cwd=src, env=env, capture_output=True)
         assert done.returncode == 0, done.stderr.decode()
-        returncode, cpu_s, peak_mb = json.loads(usage.read_text())
-    return CarpetqRun(returncode, done.stdout, done.stderr, cpu_s, peak_mb)
+        returncode, cpu_s, peak_mb, minflt = json.loads(usage.read_text())
+    return CarpetqRun(returncode, done.stdout, done.stderr, cpu_s, peak_mb,
+                      minflt)
 
 
 def run_commands(cfg, out, commands, hash_seed):

@@ -1,5 +1,6 @@
 """``carpetq`` runs at sizes no other test reaches, each command in its
-own interpreter.  Each prints its commands' peak RSS and CPU time; only
+own interpreter.  Each prints its commands' peak RSS, CPU time and
+minor page faults, so memory traded for page-fault churn shows; only
 the skewed certificates bound CPU, which varies too much between
 machines to bound the others."""
 
@@ -72,7 +73,7 @@ def test_measured_run(tmp_path, config, commands, flags, checks):
                            *flags)
         cpu_s += done.cpu_s
         print(f"{command}: peak RSS {done.peak_mb:.0f} MB, "
-              f"CPU {done.cpu_s:.2f} s")
+              f"CPU {done.cpu_s:.2f} s, {done.minflt} minor faults")
         assert done.returncode == 0, done.stderr.decode()
         assert done.peak_mb <= checks.get("peak_mb", float("inf"))
     assert cpu_s <= checks.get("cpu_s", float("inf"))

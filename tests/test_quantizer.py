@@ -85,6 +85,11 @@ def test_draw_cloud_validation(carpet_a):
     # up to the walk that reads it.
     with pytest.raises(ValueError):
         draw_cloud(carpet_a, 0)
+    # A size that is not an int is refused when the cloud is made, not
+    # when a walk first reads it; True is not a one-sample cloud.
+    for size in (1e3, 1000.0, "1000", True, False):
+        with pytest.raises(ValueError, match="int size"):
+            draw_cloud(carpet_a, size)
     with pytest.raises(TypeError, match="depth"):
         draw_cloud(carpet_a, 10, depth=40)
     with pytest.raises(TypeError, match="threads"):
@@ -779,7 +784,7 @@ def test_exact_sum_spans_two_windows():
     assert _sums_match_fractions(values)
 
 
-def test_tally_memory_flat(carpet_a):
+def test_tally_memory_flat(carpet_a, carpet_skewed):
     # The pass over the levels k = 2..5 holds one chunk's digits, walk
     # and log distances and per level a few running sums and a count
     # per length, so its peak does not grow with the cloud.  A temporary
@@ -789,6 +794,13 @@ def test_tally_memory_flat(carpet_a):
     peaks = [traced_peak(tally, levels, draw_cloud(carpet_a, size, seed=5))[1]
              for size in (100_000, 400_000)]
     assert peaks[1] < peaks[0] + 150_000 and peaks[1] < 8_000_000
+    # At 937 digits a sample the digit block is the pass's memory: over
+    # two full blocks, one block must be gone before the next is drawn.
+    level = stopped_statistics(carpet_skewed, 1)
+    block = (level.xi_max + MIN_TAIL) * _SHARD_ROWS
+    assert block == 937 * 32_768
+    cloud = draw_cloud(carpet_skewed, 2 * _SHARD_ROWS, seed=5)
+    assert traced_peak(tally, [level], cloud)[1] < 1.5 * block
 
 
 def test_locate_yields_chunks(carpet_a, cloud_a):
