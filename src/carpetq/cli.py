@@ -32,8 +32,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .coding import (
     AntichainInvariantError, build_antichain, verify_maximal_antichain,
 )
@@ -362,32 +360,14 @@ def cmd_sequences(ctx: _Ctx) -> None:
               {"levels": [dict(zip(header, row)) for row in rows]})
 
 
-def _stray_lengths(stats, counts: np.ndarray) -> list:
-    """(h, samples, expected) for each length h whose count of samples,
-    ``counts[h]``, strays from N times its exact mass by over 6 binomial
-    standard deviations plus 15, N the sum of ``counts``.  By the
-    Chernoff bound, a Binomial(N, mass_h) count strays that far with
-    probability below 2 exp(-18), 3.1e-8, whatever N and mass_h (the 15
-    covers small counts' skewed tails): T (level, length) tests fail
-    falsely with probability below T x 3.1e-8, under 1e-6 up to T = 32
-    (carpet A at k = 2..5 makes 8)."""
-    L = stats.params.denom_lcm
-    size = int(counts.sum())
-    stray = []
-    for h in sorted(set(stats.length_nu_sums)
-                    | set(np.flatnonzero(counts).tolist())):
-        share = float(Fraction(stats.length_nu_sums.get(h, 0), L ** h))
-        want = size * share
-        if abs(counts[h] - want) > 6 * math.sqrt(want * (1 - share)) + 15:
-            stray.append((h, int(counts[h]), want))
-    return stray
-
-
 def cmd_quantize(ctx: _Ctx) -> None:
     """Monte Carlo quantization diagnostics"""
     params = derive_params(ctx.cfg.spec)
-    known = {k: stopped_statistics(params, k)
-             for k in range(ctx.cfg.k_min, ctx.cfg.k_max + 1)}
+    known = {}
+    for k in range(ctx.cfg.k_min, ctx.cfg.k_max + 1):
+        ctx.level = k
+        known[k] = stopped_statistics(params, k)
+    ctx.level = None
     cloud = draw_cloud(params, ctx.cfg.cloud_size, seed=ctx.cfg.seed)
     tallies = tally(list(known.values()), cloud)
     header = ["k", "phi_k", "lower_anchor", "upper_anchor", "e_hat_est",
@@ -397,12 +377,12 @@ def cmd_quantize(ctx: _Ctx) -> None:
     gap_cap = math.log(math.sqrt(params.spec.n ** 2 + 1))
     for (k, stats), level_tally in zip(known.items(), tallies):
         ctx.level = k
-        diag = r_k_diagnostic(stats, cloud, level_tally)
-        if stray := _stray_lengths(stats, level_tally.counts):
+        diag = r_k_diagnostic(stats, level_tally)
+        if diag.stray_lengths:
             ctx.fail(command="quantize", k=k, check="length-shares",
                      detail="; ".join(
                          f"length {h}: {got} samples, expected {want:.1f}"
-                         for h, got, want in stray))
+                         for h, got, want in diag.stray_lengths))
         if diag.e_hat_est > diag.upper_anchor + 3 * diag.stderr:
             ctx.fail(command="quantize", k=k, check="upper-anchor",
                      detail=f"estimate {diag.e_hat_est} above "
@@ -418,7 +398,7 @@ def cmd_quantize(ctx: _Ctx) -> None:
         detail.append({
             "k": diag.k, "phi_k": diag.phi_k, "R_k": diag.r_k,
             "floored": diag.floored, "cloud_size": diag.cloud_size,
-            "seed": diag.seed,
+            "seed": ctx.cfg.seed,
         })
         print(f"quantize k={k}: e_hat={diag.e_hat_est:.6f} anchors "
               f"[{diag.lower_anchor:.6f}, {diag.upper_anchor:.6f}] "

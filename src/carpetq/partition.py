@@ -120,8 +120,6 @@ def enumerate_lambda_k(
     before building the length that would pass the cap;
     ``stopped_statistics`` aggregates levels too large to collect.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
     # Per step, each group's move count.
     sizes = {rises: np.array([len(group) for group in groups], dtype=np.intp)
              for rises, groups in _moves(params).items()}
@@ -144,7 +142,7 @@ def enumerate_lambda_k(
 
         # Each class's stopped children, times its parents, size the
         # length's arrays exactly.
-        halts = ((table[:len(fans)] >= live)
+        halts = ((table >= live)
                  & (np.arange(table.shape[1]) < fans[:, None])).sum(axis=1)
         stopping = int(np.bincount(cls, minlength=len(fans)) @ halts)
 
@@ -226,8 +224,6 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
     enumerator wherever both run (see tests).  Raises
     ``EnumerationCapError`` past ``MAX_DP_STATES`` live classes.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
     L = params.denom_lcm
     # Per step: each group's move count, and per group and position the
     # move's relative mass f and log f, both 0 past the group's moves.
@@ -250,7 +246,6 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
         if states > MAX_DP_STATES:
             raise EnumerationCapError(
                 f"stopped_statistics exceeded {MAX_DP_STATES} states")
-        table = table[:len(counts)]
         words = [0] * len(above)
         for count, row, fan in zip(counts, table.tolist(),
                                    sizes[rises][groups].tolist()):
@@ -298,20 +293,23 @@ def stopping_rule(params: DerivedParams, ks) -> tuple:
     h = 1, 2, ... while some class is live.  Live class c of length
     h - 1 takes the moves of group ``groups[c]`` of ``_moves``: its first
     pending column's where ell rises at h, else the step's only group.
-    ``table[c, p]`` (``intp``, a row per class of length h - 1) is the
-    class after the move at position p of that group.  Classes of length
-    h number the live ones first: ``above[c]`` is the number of levels
-    whose eta^k class c is still at or above, the deepest ones, and
-    ``nus[c - live]`` is the exact scaled mass of stopped class c.
-    Entries past a group's moves, and the rows of stopped classes, are 0:
-    only a sample that ``locate`` walks on after it has stopped at every
-    level reads them.
+    ``table[c, p]`` (``intp``, a row per live class of length h - 1) is
+    the class after the move at position p of that group; entries past
+    a group's moves are 0.  Classes of length h number the live ones
+    first: ``above[c]`` is the number of levels whose eta^k class c is
+    still at or above, the deepest ones, and ``nus[c - live]`` is the
+    exact scaled mass of stopped class c.
 
     A sample's digits pick each position: ``picks[False][b]`` is the
     position of map index b at a length that keeps ell, and
     ``picks[True][a, b]`` that of map index b where ell rises and
-    promotes the cell of map index a (``intp``).
+    promotes the cell of map index a (``intp``).  Raises ``ValueError``,
+    before any table is built, unless each k is an ``int`` (not a
+    ``bool``) of at least 1.
     """
+    for k in ks:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ValueError(f"need k >= 1, got {k!r}")
     L = params.denom_lcm
     moves = _moves(params)
     c = len(params.gy)
@@ -339,7 +337,7 @@ def stopping_rule(params: DerivedParams, ks) -> tuple:
         # A live class is (nu, its pending columns as one number, read as
         # digits base |gy|, the first most significant); the empty word's
         # is (1, 0).
-        live, rows, h, bars = [(1, 0)], 1, 0, cuts
+        live, h, bars = [(1, 0)], 0, cuts
         while live:
             h += 1
             bars = [bar * L for bar in bars]
@@ -371,10 +369,8 @@ def stopping_rule(params: DerivedParams, ks) -> tuple:
                 kids.extend([0] * (pad - len(out)))
             # Stopped classes are numbered after the live ones.
             kids = np.array(kids, dtype=np.intp).reshape(len(live), pad)
-            table = np.zeros((rows, pad), dtype=np.intp)
-            table[:len(live)] = np.where(kids < 0, len(ids) + ~kids, kids)
+            table = np.where(kids < 0, len(ids) + ~kids, kids)
             live, nus = list(ids), list(stops)
-            rows = len(live) + len(nus)
             yield rises, table, np.array(heads, dtype=np.intp), np.array(
                 [ups[nu] for nu, _ in live] + [0] * len(nus),
                 dtype=np.min_scalar_type(len(cuts))), nus

@@ -128,12 +128,13 @@ def draw_cloud(params: DerivedParams, size: int,
     cloud of ``size`` samples, drawn a chunk at a time, as deep as
     whatever walks it asks (``SampleCloud.chunks``), so no cloud-sized
     array ever exists.  Raises ``ValueError`` unless ``size`` is an
-    ``int`` (not a ``bool``) of at least 1.
+    ``int`` (not a ``bool``) of at least 1 and ``seed`` one of at least 0.
     """
-    if isinstance(size, bool) or not isinstance(size, int):
-        raise ValueError(f"need an int size, got {size!r}")
-    if size < 1:
-        raise ValueError(f"need size >= 1, got {size}")
+    for name, value, least in (("size", size, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"need an int {name}, got {value!r}")
+        if value < least:
+            raise ValueError(f"need {name} >= {least}, got {value}")
     return SampleCloud(spec=params.spec, size=size, seed=seed)
 
 
@@ -154,8 +155,9 @@ def locate(levels, cloud: SampleCloud):
     position turns the class into the next, and the class gives the
     number of levels it is still above.  Level i
     stops at the first length where that number is at most the number of
-    deeper levels.  A sample that has stopped at every level walks on
-    from class 0, its number kept at 0.  The rule ends at the deepest
+    deeper levels.  A table has rows for live classes only, so a sample
+    that has stopped at every level walks on from its class clamped
+    into the table, its number kept at 0.  The rule ends at the deepest
     level's longest words, where no class is live, so every sample
     stops at every level.
 
@@ -216,6 +218,7 @@ def _stopping_lengths(digits: np.ndarray, picks, steps, ells,
         code = digits[h - 1].astype(np.intp)
         if rises:
             code += np.multiply(digits[ells[h] - 1], maps, dtype=np.intp)
+        np.minimum(cls, np.intp(len(table) - 1), out=cls)
         cls = table.take(cls * np.intp(table.shape[1])
                          + picks[rises].take(code))
         np.minimum(above.take(cls), live, out=live)
@@ -428,16 +431,15 @@ class QuantDiagnostics:
     stderr: float
     r_k: float                # s0^-1 log phi_k + e_hat_est
     floored: int              # zero distances clamped at DISTANCE_FLOOR
+    stray_lengths: tuple      # (h, samples, expected) off the length band
     cloud_size: int
-    seed: int
 
     @property
     def anchor_gap(self) -> float:
         return self.upper_anchor - self.lower_anchor
 
 
-def r_k_diagnostic(level, cloud: SampleCloud,
-                   level_tally: LevelTally) -> QuantDiagnostics:
+def r_k_diagnostic(level, level_tally: LevelTally) -> QuantDiagnostics:
     """Exact anchors plus a Monte Carlo own-cell distortion estimate for
     one level, given its ``StoppedStats`` (or collected partition) and
     its ``LevelTally`` from ``tally``.  The anchors are float sums over
@@ -448,18 +450,33 @@ def r_k_diagnostic(level, cloud: SampleCloud,
     ``math.fsum`` gives, over the sample count; the standard error is
     the square root of the exact sample variance, rounded once, over
     the square root of the count.
+
+    The stray lengths are each length h whose count of samples strays
+    from N times its mass by over 6 binomial standard deviations plus
+    15, N the sample count.  By the Chernoff bound, a Binomial(N,
+    mass_h) count strays that far with probability below 2 exp(-18),
+    3.1e-8, whatever N and mass_h (the 15 covers small counts' skewed
+    tails): T (level, length) tests fail falsely with probability below
+    T x 3.1e-8, under 1e-6 up to T = 32 (carpet A at k = 2..5 makes 8).
     """
     params = level.params
     L = params.denom_lcm
     log_m = math.log(params.spec.m)
+    shares = {h: float(Fraction(nu_sum, L ** h))
+              for h, nu_sum in level.length_nu_sums.items()}
     lower = 0.0
     upper = 0.0
-    for h, nu_sum in level.length_nu_sums.items():
-        mass_h = float(Fraction(nu_sum, L ** h))
+    for h, mass_h in shares.items():
         lower += mass_h * (-h * log_m)
         upper += mass_h * diameter_log(params, h)
-    sums = level_tally.sums
+    sums, counts = level_tally.sums, level_tally.counts
     size = sums.count
+    stray = []
+    for h in sorted(shares.keys() | set(np.flatnonzero(counts).tolist())):
+        share = shares.get(h, 0.0)
+        want = size * share
+        if abs(counts[h] - want) > 6 * math.sqrt(want * (1 - share)) + 15:
+            stray.append((h, int(counts[h]), want))
     est = sums.rounded() / size
     sd = math.sqrt(sums.sample_variance()) if size > 1 else 0.0
     return QuantDiagnostics(
@@ -471,8 +488,8 @@ def r_k_diagnostic(level, cloud: SampleCloud,
         stderr=sd / math.sqrt(size),
         r_k=math.log(level.phi_k) / params.s0 + est,
         floored=level_tally.floored,
-        cloud_size=cloud.size,
-        seed=cloud.seed,
+        stray_lengths=tuple(stray),
+        cloud_size=size,
     )
 
 

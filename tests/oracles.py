@@ -836,13 +836,14 @@ def located(levels, cloud) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([logs for _, logs in chunks], axis=1))
 
 
-def two_pass_diagnostics(level, cloud, logs: np.ndarray) -> QuantDiagnostics:
+def two_pass_diagnostics(level, logs: np.ndarray) -> QuantDiagnostics:
     """One level's diagnostics from its whole row of log distances, as
     the library formed them before it streamed its sums: the anchors as
     float sums over the exact per-length masses, the logs clamped at
     log ``DISTANCE_FLOOR``, their mean from their correctly rounded sum,
     then the standard error from the correctly rounded sum of their
-    squared deviations from that mean, fl((x - mean)^2)."""
+    squared deviations from that mean, fl((x - mean)^2).  No length is
+    stray: the rows it is checked on are drawn from the measure."""
     params = level.params
     L = params.denom_lcm
     log_m = math.log(params.spec.m)
@@ -862,7 +863,7 @@ def two_pass_diagnostics(level, cloud, logs: np.ndarray) -> QuantDiagnostics:
         upper_anchor=upper, e_hat_est=est, stderr=sd / math.sqrt(size),
         r_k=math.log(level.phi_k) / params.s0 + est,
         floored=int(np.count_nonzero(np.isneginf(logs))),
-        cloud_size=cloud.size, seed=cloud.seed)
+        stray_lengths=(), cloud_size=size)
 
 
 # -- the whole-cloud ball masses ---------------------------------------------

@@ -206,7 +206,7 @@ def test_criterion_6_quantization_sandwich(carpet_a, parts_a, cloud_m):
     r_values = []
     levels = [parts_a[k] for k in range(2, 7)]
     for level, level_tally in zip(levels, tally(levels, cloud_m)):
-        diag = r_k_diagnostic(level, cloud_m, level_tally)
+        diag = r_k_diagnostic(level, level_tally)
         assert diag.e_hat_est <= diag.upper_anchor + 3 * diag.stderr
         assert 0 < diag.anchor_gap <= gap_cap + 1e-12
         r_values.append(diag.r_k)

@@ -10,7 +10,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import carpetq
@@ -521,27 +520,6 @@ def test_check_failure_exits_1(tmp_path, capsys, monkeypatch, command, attr,
         assert rows[0][header.index("pass")] == "false"
 
 
-def test_length_shares_band(carpet_a):
-    # Carpet A at k = 2 puts mass 5/9 on length 5 and 4/9 on length 6.
-    # Of 9,000 samples, 5,000 are expected at length 5, with a binomial
-    # sd of 47.1, so the band is 5,000 +- 297.8; a length the level lacks
-    # is allowed 15 samples.
-    stats = partition.stopped_statistics(carpet_a, 2)
-    assert [float(Fraction(s, 3 ** h)) * 9 for h, s in
-            stats.length_nu_sums.items()] == pytest.approx([5, 4])
-
-    def counts(at5, at6, at7=0):
-        # Samples per length, from length 0.
-        return np.array([0] * 5 + [at5, at6, at7], np.int64)
-
-    assert cli._stray_lengths(stats, counts(5297, 3703)) == []
-    assert [h for h, _, _ in cli._stray_lengths(
-        stats, counts(5298, 3702))] == [5, 6]
-    assert cli._stray_lengths(stats, counts(5000, 3985, 15)) == []
-    assert cli._stray_lengths(stats, counts(5000, 3984, 16)) == [
-        (7, 16, 0.0)]
-
-
 # sha256 of every table the exact commands write for carpet A at
 # k = 2..4.  The entropy cells hold the bits of four float sums: the
 # aggregate program's (stopped_statistics), which partition.csv's
@@ -719,12 +697,13 @@ def test_deep_cloud_quantizes_carpet_d_unfloored(tmp_path):
 
 
 @pytest.mark.parametrize("command,attr", [
-    ("partition", "enumerate_lambda_k"), ("quantize", "draw_cloud"),
-    ("quantize", "r_k_diagnostic"),
+    ("partition", "enumerate_lambda_k"), ("quantize", "stopped_statistics"),
+    ("quantize", "draw_cloud"), ("quantize", "r_k_diagnostic"),
 ])
 def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command, attr):
     # The first level runs out, or the cloud before any level.
-    where = {"enumerate_lambda_k": "partition k=2", "draw_cloud": "quantize",
+    where = {"enumerate_lambda_k": "partition k=2",
+             "stopped_statistics": "quantize k=2", "draw_cloud": "quantize",
              "r_k_diagnostic": "quantize k=2"}[attr]
 
     def exhausted(*args, **kwargs):

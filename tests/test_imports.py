@@ -129,6 +129,18 @@ def test_public_fields_are_read():
     assert unread == []
 
 
+def test_cli_imports_no_numpy():
+    # The CLI reports what the layers compute, so the sample arithmetic,
+    # and numpy with it, stays in the library.
+    tree = ast.parse((ROOT / "src" / "carpetq" / "cli.py").read_text(
+        encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    assert [name for name in modules if name.split(".")[0] == "numpy"] == []
+
+
 def private_reads(path: Path) -> list[str]:
     """Where ``path`` imports a private name from a sibling module or
     reads a private attribute of anything but ``self`` or ``cls``.

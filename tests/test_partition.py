@@ -202,6 +202,33 @@ def test_level_below_one_rejected(carpet_a, build):
         build(carpet_a, 0)
 
 
+@pytest.mark.parametrize("k", [5.0, True, "3", 0])
+def test_rule_checks_its_levels(carpet_a, k):
+    # The rule checks its levels when it is called, before its first
+    # table: at k = 5.0 its cut would be 0, so no class would ever stop.
+    with pytest.raises(ValueError, match=f"need k >= 1, got {k!r}"):
+        stopping_rule(carpet_a, [2, k])
+    for build in (enumerate_lambda_k, stopped_statistics):
+        with pytest.raises(ValueError, match=f"need k >= 1, got {k!r}"):
+            build(carpet_a, k)
+
+
+@pytest.mark.parametrize("carpet,ks", [
+    ("a", [2, 4]), ("d", [3]), ("e", [2, 3]), ("skewed", [1]),
+])
+def test_rule_tables_hold_live_rows(request, carpet, ks):
+    # Each table has one row per live class of the length before (the
+    # empty word's one row first), and a class is live exactly while it
+    # is above some level, until no class is.
+    params = request.getfixturevalue(f"carpet_{carpet}")
+    live = 1
+    for _, table, groups, above, nus in stopping_rule(params, ks)[1]:
+        assert table.shape[0] == len(groups) == live
+        live = len(above) - len(nus)
+        assert above[:live].all() and not above[live:].any()
+    assert live == 0
+
+
 @pytest.mark.parametrize("carpet,k", [("a", 3), ("skewed", 1)])
 def test_cap_exact(request, carpet, k):
     # The cap trips exactly when the level has more words than the cap.

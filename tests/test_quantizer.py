@@ -22,8 +22,8 @@ from carpetq.partition import (
     EnumerationCapError, enumerate_lambda_k, stopped_statistics,
 )
 from carpetq.quantizer import (
-    _CHUNK, _SHARD_ROWS, DISTANCE_FLOOR, MAX_DEPTH, MIN_TAIL, SampleCloud,
-    _ExactSums, ball_bound_check, diameter_log, draw_cloud, locate,
+    _CHUNK, _SHARD_ROWS, DISTANCE_FLOOR, MAX_DEPTH, MIN_TAIL, LevelTally,
+    SampleCloud, _ExactSums, ball_bound_check, diameter_log, draw_cloud, locate,
     r_k_diagnostic, tally, uniform_digits,
 )
 from carpetq.words import ell
@@ -42,7 +42,7 @@ def cloud_a(carpet_a):
 
 def _diagnose(level, cloud):
     # One level's diagnostics, located on its own.
-    return r_k_diagnostic(level, cloud, tally([level], cloud)[0])
+    return r_k_diagnostic(level, tally([level], cloud)[0])
 
 
 def _drawn(cloud, depth):
@@ -90,6 +90,14 @@ def test_draw_cloud_validation(carpet_a):
     for size in (1e3, 1000.0, "1000", True, False):
         with pytest.raises(ValueError, match="int size"):
             draw_cloud(carpet_a, size)
+    # So is a seed: 1.5 and True would draw seed 1's cloud, and -1 would
+    # fail only when a walk seeds its first block.
+    for seed in (1.5, True, "7"):
+        with pytest.raises(ValueError, match="int seed"):
+            draw_cloud(carpet_a, 10, seed=seed)
+    with pytest.raises(ValueError, match="seed >= 0, got -1"):
+        draw_cloud(carpet_a, 10, seed=-1)
+    assert draw_cloud(carpet_a, 10, seed=0).seed == 0
     with pytest.raises(TypeError, match="depth"):
         draw_cloud(carpet_a, 10, depth=40)
     with pytest.raises(TypeError, match="threads"):
@@ -252,6 +260,28 @@ def test_r_k_diagnostic_anchors(cache_a, carpet_a, cloud_a):
         assert diag.floored == 0
         expect_r = math.log(diag.phi_k) / carpet_a.s0 + diag.e_hat_est
         assert diag.r_k == pytest.approx(expect_r, abs=1e-12)
+
+
+def test_stray_lengths_band(carpet_a):
+    # Carpet A at k = 2 puts mass 5/9 on length 5 and 4/9 on length 6.
+    # Of 9,000 samples, 5,000 are expected at length 5, with a binomial
+    # sd of 47.1, so the band is 5,000 +- 297.8; a length the level lacks
+    # is allowed 15 samples.
+    stats = stopped_statistics(carpet_a, 2)
+    assert [float(Fraction(s, 3 ** h)) * 9 for h, s in
+            stats.length_nu_sums.items()] == pytest.approx([5, 4])
+
+    def stray(at5, at6, at7=0):
+        # The stray lengths of a tally with these samples per length.
+        level_tally = LevelTally(np.zeros(8, np.int64))
+        level_tally.add(np.repeat([5, 6, 7], [at5, at6, at7]),
+                        np.full(9000, -1.0))
+        return r_k_diagnostic(stats, level_tally).stray_lengths
+
+    assert stray(5297, 3703) == ()
+    assert [h for h, _, _ in stray(5298, 3702)] == [5, 6]
+    assert stray(5000, 3985, 15) == ()
+    assert stray(5000, 3984, 16) == ((7, 16, 0.0),)
 
 
 def test_r_k_lower_anchor_exact(cache_a, carpet_a):
@@ -440,7 +470,7 @@ def test_own_cell_distance_at_least_nearest(request, name, levels):
         assert len(own) == cloud.size
         centres = lambda_codebook(part)
         assert np.all(np.exp(own) >= nearest_distances(pts, centres) - 1e-15)
-        est = r_k_diagnostic(part, cloud, level_tally)
+        est = r_k_diagnostic(part, level_tally)
         voronoi, _, floored = nearest_log_distortion(pts, centres,
                                                      DISTANCE_FLOOR)
         assert est.e_hat_est >= voronoi - 1e-12
@@ -835,8 +865,8 @@ def test_streamed_diagnostics_match_two_pass(request, name, levels, size,
     found, logs = located(stats, cloud)
     for level, level_tally, lengths, row in zip(stats, tally(stats, cloud),
                                                 found, logs):
-        got = r_k_diagnostic(level, cloud, level_tally)
-        want = two_pass_diagnostics(level, cloud, row)
+        got = r_k_diagnostic(level, level_tally)
+        want = two_pass_diagnostics(level, row)
         assert got.stderr == pytest.approx(want.stderr, rel=1e-12)
         assert got == dataclasses.replace(want, stderr=got.stderr)
         assert np.array_equal(level_tally.counts, np.bincount(
