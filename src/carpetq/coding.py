@@ -21,7 +21,7 @@ import numpy as np
 
 from .measure import DerivedParams
 from .words import (
-    WordColumns, block_predecessor, class_counts, class_entropy, ell,
+    KeySet, WordColumns, block_predecessor, class_counts, class_entropy, ell,
     entropy_terms, family_stems, member, predecessor_member, stem_columns,
     swap_tail,
 )
@@ -37,6 +37,8 @@ __all__ = [
     "build_antichain",
     "verify_maximal_antichain",
 ]
+
+_CHUNK = 1 << 14            # words copied at once: bounds the scratch
 
 
 class AntichainInvariantError(RuntimeError):
@@ -165,8 +167,7 @@ def _swap_families(params: DerivedParams, k: int, stage: int, target: int,
     table = list(nus)
     class_of = {nu: c for c, nu in enumerate(table)}
     terms = entropy_terms(table, target, L)
-    # (new x digit, class) per insert, signature by signature
-    sig_x: list[list[int]] = []
+    # The class of each insert, signature by signature
     sig_ids: list[list[int]] = []
 
     for f in first[by_first].tolist():
@@ -192,7 +193,7 @@ def _swap_families(params: DerivedParams, k: int, stage: int, target: int,
 
         fam_g_nu = 0
         fam_inserted_e = 0.0
-        xs_new, ids_new = [], []
+        ids_new = []
         for i in gx[j_t]:
             fa = a[(i, j_t)]
             nu_g = stem_nu * fa * b[j_l]
@@ -208,29 +209,32 @@ def _swap_families(params: DerivedParams, k: int, stage: int, target: int,
                 table.append(nu_g)
                 terms += entropy_terms([nu_g], target, L)
             fam_inserted_e += terms[c]
-            xs_new.append(i)
             ids_new.append(c)
         if fam_g_nu != fam_nu:
             raise AntichainInvariantError("family mass not conserved")
         gap = abs(fam_inserted_e - fam_removed_e) / (fam_nu / h_scale)
         max_gap = max(max_gap, gap)
-        sig_x.append(xs_new)
         sig_ids.append(ids_new)
 
-    # Each family inserts its signature's words, in family order: its
-    # stem with the last cell's column digit and the last tail digit
-    # interchanged, and a new x digit.  Signature rows are padded to a
-    # common width; ``used`` marks their real entries.
-    lens = np.array([len(x) for x in sig_x])
-    width = int(lens.max())
-    new_x = np.zeros((len(lens), width), np.uint8)
-    new_ids = np.zeros((len(lens), width), np.min_scalar_type(len(table)))
-    for row, (xs_new, ids_new) in enumerate(zip(sig_x, sig_ids)):
-        new_x[row, :len(xs_new)] = xs_new
+    # Each family inserts one word per x digit of its column j_t, in
+    # family order: its stem with the last cell's column digit and the
+    # last tail digit interchanged, that x digit, and its signature's
+    # class.  Rows of x digits (by column) and of classes (by
+    # signature) are padded to a common width; ``used`` marks their
+    # real entries.
+    width = max(map(len, gx.values()))
+    col_x = np.zeros((params.m, width), np.uint8)
+    col_len = np.zeros(params.m, np.intp)
+    for j, column in gx.items():
+        col_x[j, :len(column)] = column
+        col_len[j] = len(column)
+    new_ids = np.zeros((len(sig_ids), width), np.min_scalar_type(len(table)))
+    for row, ids_new in enumerate(sig_ids):
         new_ids[row, :len(ids_new)] = ids_new
-    used = (np.arange(width) < lens[:, None])[sig_of]
-    inserted = swap_tail(params, target, np.repeat(stems, lens[sig_of]),
-                         new_x[sig_of][used])
+    lens = col_len[fam_j_t]
+    used = np.arange(width) < lens[:, None]
+    inserted = swap_tail(params, target, np.repeat(stems, lens),
+                         col_x[fam_j_t][used])
     ins_ids = new_ids[sig_of][used]
 
     removed = class_counts(fam_ids, len(table))
@@ -249,6 +253,30 @@ def _swap_families(params: DerivedParams, k: int, stage: int, target: int,
     )
 
 
+def _kept(values: np.ndarray, keep: np.ndarray, tail: np.ndarray,
+          dtype) -> np.ndarray:
+    # ``values[keep]`` then ``tail``, copied a ``_CHUNK`` at a time, so
+    # no array of the kept values is made beside the result.
+    out = np.empty(np.count_nonzero(keep) + len(tail), dtype)
+    at = 0
+    for lo in range(0, len(values), _CHUNK):
+        got = values[lo:lo + _CHUNK][keep[lo:lo + _CHUNK]]
+        out[at:at + len(got)] = got
+        at += len(got)
+    out[at:] = tail
+    return out
+
+
+def _covered(params: DerivedParams, h: int, keys: np.ndarray,
+             extra: np.ndarray) -> KeySet:
+    # The covered keys of length h: its words' ``keys`` and the
+    # ascending pool keys ``extra`` whose predecessor is covered.
+    covered = KeySet(params, h, len(keys) + len(extra))
+    covered.add(keys)
+    covered.add(extra, ascending=True)
+    return covered
+
+
 def build_antichain(partition) -> Antichain:
     """Rebuild a stopping set into a maximal antichain, stage by stage.
 
@@ -260,11 +288,12 @@ def build_antichain(partition) -> Antichain:
     digit with the last tail digit, one word per x digit of the new
     column.  A key is covered when it or a blockwise ancestor of it is a
     current word.  Going up from the shortest length, a length's covered
-    keys are its words and those keys of its pool (the distinct ancestors
-    there of longer words, ``WordColumns.ancestors``) whose blockwise
-    predecessor is covered; a target word is flagged when its predecessor
-    is covered.  Families are taken in sorted order, with their members in
-    walk order.  Families with one signature (column digits j_l and j_t,
+    keys (one ``KeySet``) are its words and those keys of its pool (the
+    distinct ancestors there of longer words, ``WordColumns.ancestors``)
+    whose blockwise predecessor is covered; a target word is flagged
+    when its predecessor is covered.  Families are taken in sorted
+    order, with their members in walk order.  Families with one
+    signature (column digits j_l and j_t,
     and each member's x digit and mass class) pass or fail the checks
     alike, so each distinct signature is checked once, at its first
     family.  All mass identities are checked in exact integers as the
@@ -279,12 +308,13 @@ def build_antichain(partition) -> Antichain:
     params = partition.params
 
     # Ladder lengths get new blocks as their stages run.  ``covered``
-    # holds the length below's covered keys, ascending, in pieces.
+    # holds the length below's covered keys.
     blocks = dict(partition.blocks)
     xi_stages = xi_sequence(partition)
     stage_logs: list[StageLog] = []
     pools = dict(partition.ancestors(block_predecessor, xi_stages[0] + 1))
-    covered: tuple[np.ndarray, ...] = (np.sort(blocks[xi_stages[0]][0]),)
+    first = blocks[xi_stages[0]][0]
+    covered = _covered(params, xi_stages[0], first, first[:0])
 
     for h in range(xi_stages[0] + 1, xi_stages[-1] + 1):
         pool = pools.pop(h)
@@ -292,20 +322,20 @@ def build_antichain(partition) -> Antichain:
         extra = pool[predecessor_member(params, h, pool, covered)]
         del pool
         if h not in xi_stages:
-            covered = (np.sort(keys), extra)
+            covered = _covered(params, h, keys, extra)
             continue
         # Target words with a surviving blockwise ancestor.
         flags = predecessor_member(params, h, keys, covered)
         stage = xi_stages.index(h) + 1
         if not flags.any():
-            covered = (np.sort(keys), extra)
+            covered = _covered(params, h, keys, extra)
             stage_logs.append(StageLog(
                 stage=stage, target_length=h, family_count=0,
                 removed_count=0, inserted_count=0,
                 removed_mass=Fraction(0), removed_entropy=0.0,
                 inserted_entropy=0.0, max_family_gap=0.0))
             continue
-        covered = ()                    # freed before the family pass
+        covered = None                  # freed before the family pass
         if ell(params, h) == h:
             raise AntichainInvariantError(
                 "replacement family with an empty tail")
@@ -313,21 +343,25 @@ def build_antichain(partition) -> Antichain:
             params, partition.k, stage, h, keys, ids, nus, flags)
 
         # Survivors, then inserts.  An insert collides when its key
-        # occurs twice in the new block.
+        # occurs twice in the new block, which is read before ``extra``
+        # joins it; only a block with a repeated key is sorted to see
+        # whether an insert is one.
         keep = np.logical_not(flags, out=flags)
-        new_keys = np.concatenate((keys[keep], inserted))
-        new_ids = np.concatenate((ids[keep], ins_ids),
-                                 dtype=np.min_scalar_type(len(table)))
+        new_keys = _kept(keys, keep, inserted, keys.dtype)
+        new_ids = _kept(ids, keep, ins_ids, np.min_scalar_type(len(table)))
         del keep, flags, inserted, ins_ids
-        index = np.sort(new_keys, kind="stable")
-        same = index[1:] == index[:-1]
-        if same.any() and member(
-                index[1:][same],
-                new_keys[len(new_keys) - log.inserted_count:]).any():
-            raise AntichainCollisionError(
-                f"replacement collision at length {h}")
+        covered = KeySet(params, h, len(new_keys) + len(extra))
+        covered.add(new_keys)
+        if covered.repeats:
+            index = np.sort(new_keys)
+            same = index[1:] == index[:-1]
+            if member(index[1:][same],
+                      new_keys[len(new_keys) - log.inserted_count:]).any():
+                raise AntichainCollisionError(
+                    f"replacement collision at length {h}")
+            del index, same
+        covered.add(extra, ascending=True)
         blocks[h] = (new_keys, new_ids, table)
-        covered = (index, extra)
         stage_logs.append(log)
 
     return Antichain(partition, blocks, xi_stages=xi_stages,
@@ -363,8 +397,8 @@ def verify_maximal_antichain(antichain: Antichain) -> AntichainReport:
     there, so the incomparability scan is one level-synchronous walk
     (``WordColumns.matching_pairs``): all words go down together, one
     blockwise step per length for the distinct ancestors, which are
-    looked up by binary search in each length's sorted keys, and equal
-    words within a length are caught by the same sort.  Comparable pairs
+    looked up in a ``KeySet`` of each length's keys, and equal words
+    within a length are caught by the same key set.  Comparable pairs
     are sorted index pairs (a, b), a < b.
     Exact mass one plus pairwise incomparability certify that the
     cylinders tile the whole product space.

@@ -120,19 +120,14 @@ def enumerate_lambda_k(
     before building the length that would pass the cap;
     ``stopped_statistics`` aggregates levels too large to collect.
     """
-    # Per step, each group's move count.
-    sizes = {rises: np.array([len(group) for group in groups], dtype=np.intp)
-             for rises, groups in _moves(params).items()}
-
     blocks: dict[int, tuple[np.ndarray, np.ndarray, list[int]]] = {}
     # The empty word, at length 0; its children are the roots.
     keys = np.zeros(1, dtype=np.uint64)
     cls = np.zeros(1, dtype=np.intp)
     emitted = 0
-    for h, (rises, table, groups, above, nus) in enumerate(
+    for h, (rises, table, _, fans, above, nus) in enumerate(
             stopping_rule(params, [k])[1], 1):
         live = len(above) - len(nus)
-        fans = sizes[rises][groups]
         fan = fans[cls]
         children = int(fan.sum())
         # Every child is a word or has one below it.
@@ -225,12 +220,11 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
     ``EnumerationCapError`` past ``MAX_DP_STATES`` live classes.
     """
     L = params.denom_lcm
-    # Per step: each group's move count, and per group and position the
-    # move's relative mass f and log f, both 0 past the group's moves.
-    sizes, rel, logs = {}, {}, {}
+    # Per step, group and position: the move's relative mass f and
+    # log f, both 0 past the group's moves.
+    rel, logs = {}, {}
     for rises, groups in _moves(params).items():
         pad = max(map(len, groups))
-        sizes[rises] = np.array(list(map(len, groups)))
         rel[rises], logs[rises] = (np.array(
             [[fn(factor / (divisor * L)) for factor, divisor, _ in group]
              + [0.0] * (pad - len(group)) for group in groups])
@@ -239,7 +233,7 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
     counts = [1]                        # the empty word
     length_counts, nu_sums = {}, {}     # the profile
     states = 0
-    for h, (rises, table, groups, above, nus) in enumerate(
+    for h, (rises, table, groups, fans, above, nus) in enumerate(
             stopping_rule(params, [k])[1], 1):
         live = len(above) - len(nus)
         states += live
@@ -247,8 +241,7 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
             raise EnumerationCapError(
                 f"stopped_statistics exceeded {MAX_DP_STATES} states")
         words = [0] * len(above)
-        for count, row, fan in zip(counts, table.tolist(),
-                                   sizes[rises][groups].tolist()):
+        for count, row, fan in zip(counts, table.tolist(), fans.tolist()):
             for child in row[:fan]:
                 words[child] += count
         if nus:
@@ -289,14 +282,15 @@ def stopping_rule(params: DerivedParams, ks) -> tuple:
     class holds a word or a live prefix of one, and the rule ends at the
     deepest level's longest word.
 
-    ``rule`` yields ``(rises, table, groups, above, nus)`` for
+    ``rule`` yields ``(rises, table, groups, fans, above, nus)`` for
     h = 1, 2, ... while some class is live.  Live class c of length
-    h - 1 takes the moves of group ``groups[c]`` of ``_moves``: its first
-    pending column's where ell rises at h, else the step's only group.
-    ``table[c, p]`` (``intp``, a row per live class of length h - 1) is
-    the class after the move at position p of that group; entries past
-    a group's moves are 0.  Classes of length h number the live ones
-    first: ``above[c]`` is the number of levels whose eta^k class c is
+    h - 1 takes the ``fans[c]`` moves of group ``groups[c]`` of
+    ``_moves``: its first pending column's where ell rises at h, else
+    the step's only group.  ``table[c, p]`` (``intp``, a row per live
+    class of length h - 1, as are ``groups`` and ``fans``) is the class
+    after the move at position p of that group; entries past a group's
+    moves are 0.  Classes of length h number the live ones first:
+    ``above[c]`` is the number of levels whose eta^k class c is
     still at or above, the deepest ones, and ``nus[c - live]`` is the
     exact scaled mass of stopped class c.
 
@@ -328,6 +322,8 @@ def stopping_rule(params: DerivedParams, ks) -> tuple:
                                     for factor, divisor, _ in group), g)
              for g, group in enumerate(moves[True])] if tails else [0] * c
     width = {rises: max(map(len, groups)) for rises, groups in moves.items()}
+    fans = {rises: np.array(list(map(len, groups)), dtype=np.intp)
+            for rises, groups in moves.items()}
     # nu / L^h >= eta^k exactly when nu * scale >= cut * L^h, with the
     # integer cut = eta^k * scale; ``bars`` holds the cuts times L^h.
     scale = params.eta.denominator ** max(ks)
@@ -371,7 +367,8 @@ def stopping_rule(params: DerivedParams, ks) -> tuple:
             kids = np.array(kids, dtype=np.intp).reshape(len(live), pad)
             table = np.where(kids < 0, len(ids) + ~kids, kids)
             live, nus = list(ids), list(stops)
-            yield rises, table, np.array(heads, dtype=np.intp), np.array(
+            heads = np.array(heads, dtype=np.intp)
+            yield rises, table, heads, fans[rises][heads], np.array(
                 [ups[nu] for nu, _ in live] + [0] * len(nus),
                 dtype=np.min_scalar_type(len(cuts))), nus
 
@@ -451,8 +448,8 @@ def check_square_disjointness(partition: PartitionLambdaK) -> DisjointnessReport
     its own length only if the two are equal.  So the check is one
     level-synchronous walk (``WordColumns.matching_pairs``): all words go
     down together, one flat step per length for the distinct ancestors,
-    which are looked up in each length's sorted keys.  Violations are
-    sorted index pairs (a, b) with a < b.
+    which are looked up in a ``KeySet`` of each length's keys.
+    Violations are sorted index pairs (a, b) with a < b.
     """
     return DisjointnessReport(
         checked=partition.phi_k,

@@ -213,8 +213,8 @@ def _stopping_lengths(digits: np.ndarray, picks, steps, ells,
     rows = digits.shape[1]
     found = np.ones((len(deeper), rows), dtype=np.min_scalar_type(len(steps)))
     cls = np.zeros(rows, dtype=np.intp)
-    live = np.full(rows, len(deeper), dtype=steps[0][3].dtype)
-    for h, (rises, table, _, above, _) in enumerate(steps, 1):
+    live = np.full(rows, len(deeper), dtype=steps[0][4].dtype)
+    for h, (rises, table, _, _, above, _) in enumerate(steps, 1):
         code = digits[h - 1].astype(np.intp)
         if rises:
             code += np.multiply(digits[ells[h] - 1], maps, dtype=np.intp)

@@ -31,8 +31,9 @@ from .measure import DerivedParams
 __all__ = [
     "WordError", "ell", "entropy_terms", "key_space", "key_dtype", "step",
     "family_stems", "stem_columns", "flat_predecessor",
-    "block_predecessor", "swap_tail", "member", "predecessor_member",
-    "class_counts", "class_entropy", "mass_sums", "WordColumns",
+    "block_predecessor", "swap_tail", "member", "KeySet",
+    "predecessor_member", "class_counts", "class_entropy", "mass_sums",
+    "WordColumns",
 ]
 
 
@@ -64,6 +65,8 @@ def ell(params: DerivedParams, k: int) -> int:
 
 _KEY_BITS = 64              # a length's keys are uint64 while they fit here
 _CHUNK = 1 << 14            # keys split or walked at once: bounds the scratch
+_SLOTS = 8                  # a key set's table slots a key: a uint64's bytes
+_UINT64, _OBJECT = np.dtype(np.uint64), np.dtype(object)
 
 
 class _Layout(NamedTuple):
@@ -115,8 +118,12 @@ def _space(g: int, c: int, h: int, l: int) -> int:
 def key_dtype(params: DerivedParams, h: int) -> np.dtype:
     """``uint64`` while every length-h key fits in 64 bits, else
     ``object`` (Python ints)."""
-    return np.dtype(np.uint64 if key_space(params, h) <= 1 << _KEY_BITS
-                    else object)
+    return _dtype(key_space(params, h))
+
+
+def _dtype(space: int) -> np.dtype:
+    # The dtype of keys below ``space``.
+    return _UINT64 if space <= 1 << _KEY_BITS else _OBJECT
 
 
 def _cast(params: DerivedParams, h: int, keys: np.ndarray) -> np.ndarray:
@@ -288,20 +295,91 @@ def member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
 
 
+class KeySet:
+    """The distinct keys of one length h, gathered from key arrays.
+
+    ``size`` is the number of keys that will be gathered.  While the
+    length's keys are ``uint64`` and ``key_space(params, h)`` is at most
+    ``_SLOTS`` slots per key gathered, the set is a bool table over the
+    key space (``dense``), no more bytes than a sorted ``uint64`` copy
+    of the keys: adding keys is one scatter and a lookup one ``take``,
+    which needs no bounds mask, since every length-h key is below the
+    key space.  Otherwise it holds ascending runs of distinct keys, one
+    per array added, and a lookup is a binary search in each run.
+    """
+
+    __slots__ = ("dtype", "dense", "_table", "_runs", "_gathered")
+
+    def __init__(self, params: DerivedParams, h: int, size: int):
+        space = key_space(params, h)
+        self.dtype = _dtype(space)
+        self.dense = self.dtype == np.uint64 and space <= _SLOTS * size
+        self._table = np.zeros(space, dtype=bool) if self.dense else None
+        self._runs: list[np.ndarray] = []
+        self._gathered = 0
+
+    def add(self, keys: np.ndarray, ascending: bool = False) -> None:
+        """Gather length-h keys.  Off the table, each array becomes a
+        run: sorted and its repeats dropped, or taken as it is when it
+        is already ``ascending`` and distinct."""
+        self._gathered += len(keys)
+        if self.dense:
+            self._table.put(keys.view(np.int64), True)
+        elif len(keys):
+            # The default sort: faster than timsort on keys in walk
+            # order, and it needs no buffer beside the copy.
+            self._runs.append(keys if ascending
+                              else _distinct(np.sort(keys)))
+
+    def _run(self) -> np.ndarray:
+        # The runs as one: sorted as one, a merge of sorted runs for the
+        # stable sort, and their repeats dropped.
+        if len(self._runs) > 1:
+            run = np.concatenate(self._runs)
+            self._runs = []
+            run.sort(kind="stable")
+            self._runs = [_distinct(run)]
+        return self._runs[0] if self._runs else np.empty(0, self.dtype)
+
+    @property
+    def repeats(self) -> bool:
+        """Whether some key was gathered more than once."""
+        return (np.count_nonzero(self._table) if self.dense
+                else len(self._run())) < self._gathered
+
+    def keys(self) -> np.ndarray:
+        """The distinct keys, ascending."""
+        if self.dense:
+            return np.flatnonzero(self._table).view(np.uint64)
+        return self._run()
+
+    def member(self, query: np.ndarray) -> np.ndarray:
+        """Whether each length-h key of ``query`` is in the set."""
+        if self.dense:
+            return self._table.take(query.view(np.int64))
+        if len(self._runs) == 1:
+            return member(self._runs[0], query)
+        found = np.zeros(len(query), dtype=bool)
+        for run in self._runs:
+            found |= member(run, query)
+        return found
+
+
 def predecessor_member(params: DerivedParams, h: int, keys: np.ndarray,
-                       indexes: Sequence[np.ndarray]) -> np.ndarray:
-    """Whether each length-h key's blockwise predecessor occurs in one of
-    the ascending key arrays ``indexes``, a ``_CHUNK`` of keys at a time."""
-    found = np.zeros(len(keys), dtype=bool)
+                       covered: KeySet) -> np.ndarray:
+    """Whether each length-h key's blockwise predecessor is in the key
+    set ``covered`` of length h - 1, a ``_CHUNK`` of keys at a time."""
+    found = np.empty(len(keys), dtype=bool)
     for lo in range(0, len(keys), _CHUNK):
-        query = block_predecessor(params, h, keys[lo:lo + _CHUNK])
-        for index in indexes:
-            found[lo:lo + _CHUNK] |= member(index, query)
+        found[lo:lo + _CHUNK] = covered.member(
+            block_predecessor(params, h, keys[lo:lo + _CHUNK]))
     return found
 
 
 def _distinct(sorted_keys: np.ndarray) -> np.ndarray:
     # An ascending key array less its repeats.
+    if len(sorted_keys) < 2:
+        return sorted_keys
     keep = np.ones(len(sorted_keys), dtype=bool)
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=keep[1:])
     return sorted_keys[keep]
@@ -416,11 +494,10 @@ class WordColumns:
         equal.  All words are walked down together, one length at a
         time (``ancestors``), so the work is about the size of the
         ancestor tree, not words times the length window.  At each
-        length a sorted copy of its own keys finds equal keys and, by
-        binary search, the longer words' ancestors among them; the copy
-        is dropped before the next length.  Only once some key has
-        matched is the walk run again, its pools kept, to list the
-        pairs (``_listed_pairs``).
+        length a ``KeySet`` of its own keys finds equal keys and the
+        longer words' ancestors among them; it is dropped before the
+        next length.  Only once some key has matched is the walk run
+        again, its pools kept, to list the pairs (``_listed_pairs``).
         """
         if not any(self._clashes(h, pool)
                    for h, pool in self.ancestors(predecessor, self.l_min)):
@@ -432,33 +509,30 @@ class WordColumns:
                   ) -> Iterator[tuple[int, np.ndarray]]:
         """(h, pool) for h from l_max down to ``stop``: the distinct
         length-h keys that the longer words reach, ascending.  The pool
-        one length down is one predecessor step of this pool and of the
-        length's own keys, a _CHUNK at a time, each chunk sorted and its
-        repeats dropped; the pieces are then sorted as one, a merge of
-        sorted runs for the stable sort, and their repeats dropped."""
+        one length down is the ``KeySet`` of one predecessor step of this
+        pool and of the length's own keys, gathered a _CHUNK at a time;
+        only its keys outlive the step."""
         params = self.params
         pool = np.empty(0, key_dtype(params, self.l_max))
         for h in range(self.l_max, stop - 1, -1):
             yield h, pool
             if h == stop:
                 return
-            pieces = [np.empty(0, key_dtype(params, h - 1))]
-            for keys in (pool, self.blocks.get(h, (pool[:0],))[0]):
+            own = self.blocks.get(h, (pool[:0],))[0]
+            found = KeySet(params, h - 1, len(pool) + len(own))
+            for keys in (pool, own):
                 for lo in range(0, len(keys), _CHUNK):
-                    pieces.append(_distinct(np.sort(
-                        predecessor(params, h, keys[lo:lo + _CHUNK]))))
-            pool = np.concatenate(pieces)
-            del pieces
-            pool.sort(kind="stable")
-            pool = _distinct(pool)
+                    found.add(predecessor(params, h, keys[lo:lo + _CHUNK]))
+            pool = found.keys()
+            del found
 
     def _clashes(self, h: int, pool: np.ndarray) -> bool:
         # Whether two length-h keys are equal or one is in ``pool``.
-        # The default sort: faster than timsort on keys in walk order, and
-        # it needs no buffer beside the copy.
-        index = np.sort(self.blocks.get(h, (pool[:0],))[0])
-        return bool((index[1:] == index[:-1]).any()) or any(
-            member(index, pool[lo:lo + _CHUNK]).any()
+        keys = self.blocks.get(h, (pool[:0],))[0]
+        own = KeySet(self.params, h, len(keys))
+        own.add(keys)
+        return own.repeats or any(
+            own.member(pool[lo:lo + _CHUNK]).any()
             for lo in range(0, len(pool), _CHUNK))
 
     def _below(self, predecessor: Callable, h: int, keys: np.ndarray,

@@ -31,6 +31,7 @@ import carpetq
 from carpetq import CarpetSpec, derive_params
 from carpetq.coding import build_antichain
 from carpetq.partition import PartitionLambdaK, enumerate_lambda_k
+from carpetq.words import KeySet
 from oracles import keys_of
 
 
@@ -157,6 +158,28 @@ def _tamper(part, drop=(), add=()):
 @pytest.fixture(scope="session")
 def tamper():
     return _tamper
+
+
+# The walk each function that makes a ``KeySet`` runs: the repair's
+# covered keys are made by ``build_antichain`` at a stage that swaps
+# families and by ``_covered`` elsewhere.
+_WALKS = {"ancestors": "ancestors", "_clashes": "clashes",
+          "build_antichain": "covered", "_covered": "covered"}
+
+
+@pytest.fixture
+def key_sets(monkeypatch):
+    """Every ``KeySet`` made while the test runs, as (walk, length,
+    whether it is a table), in the order they were made."""
+    made = []
+    init = KeySet.__init__
+
+    def spy(self, params, h, size):
+        init(self, params, h, size)
+        made.append((_WALKS[sys._getframe(1).f_code.co_name], h, self.dense))
+
+    monkeypatch.setattr(KeySet, "__init__", spy)
+    return made
 
 
 # Starts the command argv[2:], kills it after 300 s, reaps it with os.wait4

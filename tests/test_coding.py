@@ -445,14 +445,25 @@ def test_build_rejects_unfactorable_family(cache_d, tamper):
         build_antichain(tamper(part, drop=[index[rep]], add=[(rep, bumped)]))
 
 
-def test_build_rejects_collision(cache_a, tamper):
-    # An extra survivor equal to a word the stage will insert.
-    params = cache_a.params
-    part = cache_a.partition(2)
-    _, (new, *_), _ = _stage_family(part, siblings=2)
+@pytest.mark.parametrize("carpet,length,dense", [
+    pytest.param("a", 6, True, id="a-table"),
+    pytest.param("d", 12, False, id="d-sorted"),
+])
+def test_build_rejects_collision(request, tamper, key_sets, carpet, length,
+                                 dense):
+    # An extra survivor equal to a word the stage at ``length`` will
+    # insert, on a k = 2 stage whose new block's keys are a table (A) or
+    # a sorted run (D).
+    cache = request.getfixturevalue(f"cache_{carpet}")
+    params, part = cache.params, cache.partition(2)
+    stages, _ = replay_stages(part)
+    _, (new, *_) = next(fam for families in stages for fam in families
+                        if len(fam[0][0]) == length)
+    bad = tamper(part, add=[(new, word_mass(params, new))])
     with pytest.raises(AntichainCollisionError,
-                       match="replacement collision at length 6"):
-        build_antichain(tamper(part, add=[(new, word_mass(params, new))]))
+                       match=f"replacement collision at length {length}$"):
+        build_antichain(bad)
+    assert key_sets[-1] == ("covered", length, dense)
 
 
 def test_build_rejects_empty_tail(cache_c, tamper):

@@ -222,8 +222,8 @@ def test_rule_tables_hold_live_rows(request, carpet, ks):
     # is above some level, until no class is.
     params = request.getfixturevalue(f"carpet_{carpet}")
     live = 1
-    for _, table, groups, above, nus in stopping_rule(params, ks)[1]:
-        assert table.shape[0] == len(groups) == live
+    for _, table, groups, fans, above, nus in stopping_rule(params, ks)[1]:
+        assert table.shape[0] == len(groups) == len(fans) == live
         live = len(above) - len(nus)
         assert above[:live].all() and not above[live:].any()
     assert live == 0
@@ -415,8 +415,6 @@ def _assert_every_class_holds_a_word(params, part):
     # class, and together the words pass or end in every class.
     rule = list(stopping_rule(params, [part.k])[1])
     assert len(rule) == part.xi_max
-    sizes = {rises: np.array([len(group) for group in groups])
-             for rises, groups in partition._moves(params).items()}
     c = len(params.gy)
     col = np.zeros(params.m, dtype=np.intp)
     col[list(params.gy)] = np.arange(c)
@@ -448,7 +446,7 @@ def _assert_every_class_holds_a_word(params, part):
             ys[at:at + len(keys), l:size] = rows[:, 2 * l:]
             at += len(keys)
         cls = np.zeros(len(ids), dtype=np.intp)
-        for h, (rises, table, groups, above, nus) in enumerate(
+        for h, (rises, table, _, fans, above, nus) in enumerate(
                 rule[:top], 1):
             a = ell(params, h) - 1        # the cell a rising move adds
             if not rises:
@@ -457,7 +455,7 @@ def _assert_every_class_holds_a_word(params, part):
                 pos = cell[xs[:, a], ys[:, a]]
             else:
                 pos = xrank[xs[:, a], ys[:, a]] * c + col[ys[:, h - 1]]
-            assert (pos < sizes[rises][groups[cls]]).all()
+            assert (pos < fans[cls]).all()
             cls = table[cls, pos]
             seen[h - 1][cls] = True
             live = len(above) - len(nus)
@@ -572,12 +570,22 @@ def test_disjointness_brute_agreement(cache_a, carpet_a):
     assert check_square_disjointness(part).ok
 
 
-def test_disjointness_detects_duplicate(carpet_a, tamper):
-    part = enumerate_lambda_k(carpet_a, 1)
-    part = tamper(part, drop=[1], add=[(word_at(part, 0), mass_at(part, 0))])
-    report = check_square_disjointness(part)
-    assert not report.ok
-    assert len(report.violations) >= 1
+@pytest.mark.parametrize("carpet,k,length,dense", [
+    pytest.param("a", 1, 3, True, id="a-table"),
+    pytest.param("d", 2, 12, False, id="d-sorted"),
+])
+def test_disjointness_detects_duplicate(request, tamper, key_sets, carpet, k,
+                                        length, dense):
+    # A copy of a word, at a length whose keys are a table (A) or a
+    # sorted run (D), pairs with that word and nothing else.
+    part = request.getfixturevalue(f"cache_{carpet}").partition(k)
+    at = part.offsets[length]
+    bad = tamper(part, drop=[at + 1], add=[(word_at(part, at),
+                                            mass_at(part, at))])
+    last = bad.offsets[length] + bad.length_counts[length] - 1
+    assert check_square_disjointness(bad).violations == ((at, last),)
+    assert [d for walk, h, d in key_sets
+            if walk == "clashes" and h == length] == [dense]
 
 
 def test_disjointness_detects_nesting(carpet_a, tamper):

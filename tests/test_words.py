@@ -14,9 +14,9 @@ from carpetq import words as words_mod
 from carpetq.coding import build_antichain, verify_maximal_antichain
 from carpetq.partition import check_square_disjointness, enumerate_lambda_k
 from carpetq.words import (
-    WordColumns, WordError, block_predecessor, class_entropy, ell,
-    entropy_terms, family_stems, key_dtype, key_space, stem_columns,
-    step, swap_tail,
+    KeySet, WordColumns, WordError, block_predecessor, class_entropy, ell,
+    entropy_terms, family_stems, key_dtype, key_space, member,
+    stem_columns, step, swap_tail,
 )
 from oracles import (
     CarpetWord, RowIndex, carpet_children, coding_predecessor, decode_key,
@@ -466,3 +466,119 @@ def test_class_entropy_is_fsum_of_word_terms(data, L, h, classes, size):
     got = float(class_entropy(
         np.bincount(ids, minlength=classes).tolist(), terms))
     assert got.hex() == word_entropy(terms, ids.tolist()).hex()
+
+
+def _square3():
+    # Three cells on a 5 x 5 grid, one per column: a length-h key space
+    # of 3^h, one slot past a multiple of 8 at h = 2 and h = 4.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return derive_params(CarpetSpec.of(
+            5, 5, {(0, 0): "1/3", (2, 2): "1/3", (4, 4): "1/3"}))
+
+
+def _assert_key_set(params, h, chunks, ascending=()):
+    # A KeySet gathered from ``chunks``, each sorted as it is added, and
+    # the ascending distinct ``ascending`` run, against np.unique and the
+    # binary-search ``member``; returns whether it is a table.
+    gathered = [np.array(c, dtype=key_dtype(params, h)) for c in chunks]
+    run = np.unique(np.array(ascending, dtype=key_dtype(params, h)))
+    every = np.concatenate(gathered + [run])
+    ks = KeySet(params, h, len(every))
+    for keys in gathered:
+        ks.add(keys)
+    ks.add(run, ascending=True)
+    want = np.unique(every)
+    assert ks.repeats == (len(want) < len(every))
+    got = ks.keys()
+    assert got.dtype == key_dtype(params, h)
+    assert got.tolist() == want.tolist()
+    space = key_space(params, h)
+    query = np.array(sorted({0, space - 1, *every.tolist(),
+                             *(min(key + 1, space - 1)
+                               for key in every.tolist())}),
+                     dtype=key_dtype(params, h))
+    assert ks.member(query).tolist() == member(want, query).tolist()
+    return ks.dense
+
+
+_KEY_SET_CASES = [("d", 3), ("d", 5), ("d", 6), ("d", 65), ("a", 4),
+                  ("square", 2), ("square", 4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), case=st.sampled_from(_KEY_SET_CASES))
+def test_key_set_matches_unique(carpet_a, carpet_d, data, case):
+    # Keys of one length, in up to three chunks and one ascending run,
+    # on lengths whose sets are tables or sorted runs by the number of
+    # keys drawn; the key space's ends are drawn often.
+    name, h = case
+    params = {"a": carpet_a, "d": carpet_d, "square": _square3()}[name]
+    top = key_space(params, h) - 1
+    key = st.one_of(st.sampled_from([0, top]), st.integers(0, top))
+    chunks = data.draw(st.lists(st.lists(key, max_size=12), max_size=3))
+    ascending = data.draw(st.lists(key, max_size=6))
+    _assert_key_set(params, h, chunks, ascending)
+
+
+def test_key_set_representations(carpet_d):
+    # A table while the key space is at most 8 slots per key gathered,
+    # and only uint64 keys; each case against np.unique.
+    square = _square3()
+    top = key_space(carpet_d, 5) - 1
+    # Empty input, and a single key.
+    assert not _assert_key_set(carpet_d, 5, [])
+    assert _assert_key_set(carpet_d, 3, [[7]])
+    assert not _assert_key_set(carpet_d, 5, [[top]])
+    # Space 32 = 8 x 4 keys takes the table, 3 keys the sorted run.
+    assert _assert_key_set(carpet_d, 5, [[0, top], [0]], [top])
+    assert not _assert_key_set(carpet_d, 5, [[0, top, top]])
+    # Space 9 = 8 x 1 + 1 and 81 = 8 x 10 + 1 take the sorted run; 11
+    # keys take the table.
+    assert not _assert_key_set(square, 2, [[8]])
+    assert not _assert_key_set(square, 4, [list(range(71, 81))])
+    assert _assert_key_set(square, 4, [list(range(70, 81))])
+    assert _assert_key_set(square, 4, [[0] * 11])
+    # Object keys never take the table.
+    assert key_dtype(carpet_d, 65) == object
+    assert not _assert_key_set(carpet_d, 65, [[0, 2 ** 65 - 1] * 8])
+
+
+# Per certificate, the lengths at which each walk's key sets are tables
+# (every other length it walks takes sorted runs): carpet A at k = 6,
+# whose lengths hold 236,196 and 826,686 words in key spaces of 472,392
+# and 1,417,176, and carpet D at k = 4, whose key spaces are 2^h.
+_DENSE_LENGTHS = {
+    ("a", 6): {
+        "disjointness": {"ancestors": [13], "clashes": [13, 14]},
+        "repair": {"covered": [13, 14]},
+        "verify": {"ancestors": [13], "clashes": [13, 14]},
+    },
+    ("d", 4): {
+        "disjointness": {"ancestors": list(range(9, 18)),
+                         "clashes": [12, 16]},
+        "repair": {"ancestors": list(range(10, 19)), "covered": [12, 16]},
+        "verify": {"ancestors": list(range(9, 18)), "clashes": [12, 16]},
+    },
+}
+
+
+@pytest.mark.parametrize("carpet,k", list(_DENSE_LENGTHS))
+def test_key_set_lengths_frozen(request, key_sets, carpet, k):
+    # A change to the table rule or to the key layout moves these.
+    cache = request.getfixturevalue(f"cache_{carpet}")
+    part, chain = cache.partition(k), cache.antichain(k)
+    got = {}
+    for name, run in [
+            ("disjointness", lambda: check_square_disjointness(part)),
+            ("repair", lambda: build_antichain(part)),
+            ("verify", lambda: verify_maximal_antichain(chain))]:
+        key_sets.clear()
+        run()
+        walked = {}
+        for walk, h, dense in key_sets:
+            walked.setdefault(walk, [])
+            if dense:
+                walked[walk].append(h)
+        got[name] = {walk: sorted(hs) for walk, hs in walked.items() if hs}
+    assert got == _DENSE_LENGTHS[carpet, k]
