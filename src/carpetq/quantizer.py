@@ -16,9 +16,10 @@ read from its digits after the cell.  By Graf and Luschgy's
 cellwise decomposition of the geometric mean error, that own-cell error
 is an upper bound on the error of the nearest-centre (Voronoi)
 assignment to the same centres.  The cloud is held as its seed: one
-pass draws its digits a chunk at a time, locates and measures them,
-folds each level's lengths and log distances into exact running sums,
-and drops them, so no array is sized by the cloud.
+pass draws its digits a block at a time, locates and measures each
+block a slice of its samples at a time, folds each slice's lengths and
+log distances into each level's exact running sums, and drops them, so
+no array is sized by the cloud and no scratch by more than a slice.
 
 The small-ball bound mu(B(x, eps)) <= C eps^t, which the lower estimate
 of the error rests on, is certified without samples: per band of radii,
@@ -62,6 +63,7 @@ MAX_DEPTH = 1074            # most digits drawn per sample
 MIN_TAIL = 20               # digits drawn past the deepest level's longest words
 
 _SHARD_ROWS = 1 << 15       # rows per sampling block, one generator each
+_SLICE = 1 << 14            # columns of a block walked and measured at once
 _CHUNK = 1 << 15            # values per exact-sum batch
 _WINDOW = 6                 # binary exponents per int64 exact-sum window
 _LOW18 = (1 << 18) - 1
@@ -139,16 +141,18 @@ def draw_cloud(params: DerivedParams, size: int,
 
 
 def locate(levels, cloud: SampleCloud):
-    """For each chunk of the cloud, in order, (lengths, logs): each of
-    the chunk's samples' stopping length at each of ``levels``, the
+    """For each slice of the cloud, in order, (lengths, logs): each of
+    the slice's samples' stopping length at each of ``levels``, the
     ``StoppedStats`` (or collected partitions) of one carpet, and the
     log of its distance from the centre of its stopping cell there, two
     (len(levels), rows) arrays, the lengths' dtype the
-    ``np.min_scalar_type`` of the longest.  A generator: each chunk is
-    drawn, walked and measured when it is asked for, and nothing it
-    yields is sized by the cloud.
+    ``np.min_scalar_type`` of the longest.  The slices cut each block
+    of ``SampleCloud.chunks`` into runs of at most ``_SLICE``
+    consecutive samples.  A generator: each block is drawn when its
+    first slice is asked for, each slice walked and measured when it is
+    asked for, and nothing it yields is sized by the cloud.
 
-    One walk over each chunk serves every level.  It reads each sample's
+    One walk over each slice serves every level.  It reads each sample's
     digit at each length h, and where ell rises to l also its digit at
     place l, the cell it promotes; ``stopping_rule`` turns those map
     indices into the position of its move among its class's, the
@@ -162,7 +166,7 @@ def locate(levels, cloud: SampleCloud):
     stops at every level.
 
     Every sample is drawn ``MIN_TAIL`` digits past those words, and the
-    chunk's log distances read them all (``_log_distances``): a level's
+    slice's log distances read them all (``_log_distances``): a level's
     distances follow the deepest level walked beside it in their last
     bits.  Raises ``EnumerationCapError``, before any chunk is drawn,
     when that depth passes ``MAX_DEPTH``, and ``ValueError`` when
@@ -193,18 +197,21 @@ def locate(levels, cloud: SampleCloud):
     axes = ((xd, n), (yd, m))
     cells = (np.array(ells, dtype=np.min_scalar_type(longest)),
              [n ** l / m ** h for h, l in enumerate(ells)])
-    # One chunk at a time: the walk's scratch is gone before the log
-    # distances are read, and the chunk's digits before the next chunk
-    # is drawn.
+    # One slice at a time: the walk's scratch is gone before the log
+    # distances are read, and the block's digits, with no slice's view
+    # of them left, before the next block is drawn.
     for digits in cloud.chunks(longest + MIN_TAIL):
-        found = _stopping_lengths(digits, picks, steps, ells, deeper)
-        yield found, _log_distances(found, digits, axes, cells)
+        for lo in range(0, digits.shape[1], _SLICE):
+            part = digits[:, lo:lo + _SLICE]
+            found = _stopping_lengths(part, picks, steps, ells, deeper)
+            yield found, _log_distances(found, part, axes, cells)
+            del part
         del digits
 
 
 def _stopping_lengths(digits: np.ndarray, picks, steps, ells,
                       deeper) -> np.ndarray:
-    """The (levels, rows) stopping lengths of a chunk's samples, walked
+    """The (levels, rows) stopping lengths of a slice's samples, walked
     from its digit-major ``digits`` by ``locate``'s ``stopping_rule``
     ``picks`` and ``steps``, lengths ``ells`` and per level the number
     of ``deeper`` levels, typed as the ``np.min_scalar_type`` of the
@@ -231,8 +238,8 @@ def _stopping_lengths(digits: np.ndarray, picks, steps, ells,
 
 def _log_distances(found: np.ndarray, digits: np.ndarray, axes,
                    cells) -> np.ndarray:
-    """The log distance from each sample of a chunk to the centre of its
-    cell at each level, given the chunk's (levels, rows) stopping lengths
+    """The log distance from each sample of a slice to the centre of its
+    cell at each level, given the slice's (levels, rows) stopping lengths
     ``found``, its digit-major ``digits`` and ``locate``'s ``axes`` and
     ``cells``.
 
@@ -376,7 +383,7 @@ class _ExactSums:
 
 @dataclass
 class LevelTally:
-    """One level's running sums over a cloud, folded in a chunk at a
+    """One level's running sums over a cloud, folded in a slice at a
     time by ``tally``: the samples stopping at each length, the exact
     sums of their log distances (clamped) and of their squares, and the
     number of zero distances clamped at ``DISTANCE_FLOOR``."""
@@ -386,17 +393,21 @@ class LevelTally:
     floored: int = 0
 
     def add(self, lengths: np.ndarray, logs: np.ndarray) -> None:
-        """Fold in one chunk's row of ``locate``'s lengths and logs."""
+        """Fold in one slice's row of ``locate``'s lengths and logs,
+        clamping the row's -inf logs in place."""
         self.counts += np.bincount(lengths, minlength=len(self.counts))
-        self.floored += int(np.count_nonzero(np.isneginf(logs)))
-        self.sums.add(np.nan_to_num(logs, neginf=math.log(DISTANCE_FLOOR)))
+        zero = np.isneginf(logs)
+        self.floored += int(np.count_nonzero(zero))
+        logs[zero] = math.log(DISTANCE_FLOOR)
+        self.sums.add(logs)
 
 
 def tally(levels, cloud: SampleCloud) -> list[LevelTally]:
     """One ``LevelTally`` per level of ``levels``, in order, from one pass
-    over ``locate``'s chunks of ``cloud``: each chunk is folded in and
-    dropped before the next is drawn, so no array here is sized by the
-    cloud.  Raises what ``locate`` raises."""
+    over ``locate``'s slices of ``cloud``: each slice is folded in
+    before the next is walked, and each block dropped before the next
+    is drawn, so no array here is sized by the cloud.  Raises what
+    ``locate`` raises."""
     top = max((level.xi_max for level in levels), default=0) + 1
     tallies = [LevelTally(np.zeros(top, dtype=np.int64)) for _ in levels]
     for lengths, logs in locate(levels, cloud):

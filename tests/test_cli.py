@@ -698,13 +698,15 @@ def test_deep_cloud_quantizes_carpet_d_unfloored(tmp_path):
 
 @pytest.mark.parametrize("command,attr", [
     ("partition", "enumerate_lambda_k"), ("quantize", "stopped_statistics"),
-    ("quantize", "draw_cloud"), ("quantize", "r_k_diagnostic"),
+    ("quantize", "draw_cloud"), ("quantize", "tally"),
+    ("quantize", "r_k_diagnostic"),
 ])
 def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, command, attr):
-    # The first level runs out, or the cloud before any level.
+    # The first level runs out, or the cloud's draw or walk, while no
+    # level is set.
     where = {"enumerate_lambda_k": "partition k=2",
              "stopped_statistics": "quantize k=2", "draw_cloud": "quantize",
-             "r_k_diagnostic": "quantize k=2"}[attr]
+             "tally": "quantize", "r_k_diagnostic": "quantize k=2"}[attr]
 
     def exhausted(*args, **kwargs):
         raise MemoryError

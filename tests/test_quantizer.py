@@ -22,7 +22,8 @@ from carpetq.partition import (
     EnumerationCapError, enumerate_lambda_k, stopped_statistics,
 )
 from carpetq.quantizer import (
-    _CHUNK, _SHARD_ROWS, DISTANCE_FLOOR, MAX_DEPTH, MIN_TAIL, LevelTally,
+    _CHUNK, _SHARD_ROWS, _SLICE, DISTANCE_FLOOR, MAX_DEPTH, MIN_TAIL,
+    LevelTally,
     SampleCloud, _ExactSums, ball_bound_check, diameter_log, draw_cloud, locate,
     r_k_diagnostic, tally, uniform_digits,
 )
@@ -814,18 +815,26 @@ def test_exact_sum_spans_two_windows():
     assert _sums_match_fractions(values)
 
 
-def test_tally_memory_flat(carpet_a, carpet_skewed):
-    # The pass over the levels k = 2..5 holds one chunk's digits, walk
-    # and log distances and per level a few running sums and a count
-    # per length, so its peak does not grow with the cloud.  A temporary
-    # of even one byte per sample would add 300,000 bytes to the larger
-    # cloud's peak, twice the allowance.
+def test_tally_memory_flat(carpet_a, carpet_d, carpet_skewed):
+    # The pass over the levels k = 2..5 holds one block's digits, one
+    # slice's walk and log distances and per level a few running sums
+    # and a count per length, so its peak does not grow with the cloud.
+    # A temporary of even one byte per sample would add 300,000 bytes to
+    # the larger cloud's peak, twice the allowance.
     levels = [stopped_statistics(carpet_a, k) for k in range(2, 6)]
     peaks = [traced_peak(tally, levels, draw_cloud(carpet_a, size, seed=5))[1]
              for size in (100_000, 400_000)]
-    assert peaks[1] < peaks[0] + 150_000 and peaks[1] < 8_000_000
+    assert peaks[1] < peaks[0] + 150_000 and peaks[1] < 5_000_000
+    # The walk's and the log distances' scratch is sized by the slice, not
+    # the block: D's eleven levels at 136 digits a sample read 10.4 MB,
+    # and 16.2 MB when a whole block is walked at once (A above: 3.8 MB
+    # against 6.4 MB).
+    levels = [stopped_statistics(carpet_d, k) for k in range(2, 13)]
+    cloud = draw_cloud(carpet_d, 100_000, seed=5)
+    assert traced_peak(tally, levels, cloud)[1] < 12_500_000
     # At 937 digits a sample the digit block is the pass's memory: over
-    # two full blocks, one block must be gone before the next is drawn.
+    # two full blocks, one block must be gone before the next is drawn,
+    # so no slice of it outlives its block.
     level = stopped_statistics(carpet_skewed, 1)
     block = (level.xi_max + MIN_TAIL) * _SHARD_ROWS
     assert block == 937 * 32_768
@@ -833,16 +842,39 @@ def test_tally_memory_flat(carpet_a, carpet_skewed):
     assert traced_peak(tally, [level], cloud)[1] < 1.5 * block
 
 
-def test_locate_yields_chunks(carpet_a, cloud_a):
-    # One (lengths, logs) per chunk of the cloud, in order, each of the
-    # chunk's rows.
+def test_locate_yields_slices(carpet_a, cloud_a):
+    # One (lengths, logs) per slice of at most _SLICE samples, in order:
+    # the slices tile each block of the cloud, the last block's ending in
+    # a short one, so their rows sum to the cloud's size.
+    assert _SLICE < _SHARD_ROWS
     levels = [stopped_statistics(carpet_a, k) for k in (2, 3)]
-    row = 0
-    for (found, logs), digits in zip(locate(levels, cloud_a),
-                                     cloud_a.chunks(1), strict=True):
-        assert found.shape == logs.shape == (2, digits.shape[1])
-        row += digits.shape[1]
-    assert row == cloud_a.size
+    rows = [min(_SLICE, len(digits[0]) - lo) for digits in cloud_a.chunks(1)
+            for lo in range(0, len(digits[0]), _SLICE)]
+    assert rows[-1] < _SLICE and sum(rows) == cloud_a.size
+    got = []
+    for found, logs in locate(levels, cloud_a):
+        assert found.shape == logs.shape == (2, found.shape[1])
+        got.append(found.shape[1])
+    assert got == rows
+
+
+@pytest.mark.parametrize("name,levels", [
+    ("a", range(2, 6)), ("d", range(2, 7)), ("skewed", (1,)),
+])
+def test_locate_slices_match_whole_blocks(request, monkeypatch, name, levels):
+    # Every sample is walked and measured on its own column, so the
+    # slices joined equal the whole blocks walked and measured at once,
+    # bit for bit, up to a cloud that ends in the middle of a slice.
+    params = request.getfixturevalue(f"carpet_{name}")
+    stats = [stopped_statistics(params, k) for k in levels]
+    cloud = draw_cloud(params, 70_001, seed=3)
+    assert cloud.size % _SHARD_ROWS % _SLICE
+    sliced = located(stats, cloud)
+    monkeypatch.setattr(quantizer, "_SLICE", _SHARD_ROWS)
+    whole = located(stats, cloud)
+    for got, want in zip(sliced, whole, strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:grid factor")
