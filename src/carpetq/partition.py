@@ -26,12 +26,13 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .measure import DerivedParams
 from .words import (
-    WordColumns, ell, flat_predecessor, key_dtype, mass_sums, step,
+    WordColumns, ell, flat_predecessor, key_dtype, mass_sums, spread,
 )
 
 __all__ = [
@@ -110,10 +111,10 @@ def enumerate_lambda_k(
     """Collect the level-k partition with exact per-word masses.
 
     The walk is breadth first, one word length at a time, down the
-    tables of ``stopping_rule``: a parent of class c takes positions
-    0, ..., fan - 1 of its group's moves, its child's class is
-    ``table[c, position]``, and the child stops where that class is
-    stopped, with the rule's stopped masses as the stored mass table.
+    ``ways`` of ``stopping_rule``: a parent splits its key once
+    (``spread``), then takes its class's stopping moves, whose children
+    are stored with the rule's stopped masses as the mass table, and its
+    live ones, whose children walk on, each kind by ascending position.
     Children come in parent order, then position order: the tree's
     depth-first order, in which each length's words are stored.  Raises
     ``EnumerationCapError`` when the level has more than ``cap`` words,
@@ -125,50 +126,45 @@ def enumerate_lambda_k(
     keys = np.zeros(1, dtype=np.uint64)
     cls = np.zeros(1, dtype=np.intp)
     emitted = 0
-    for h, (rises, table, _, fans, above, nus) in enumerate(
+    for h, (_, _, _, fans, ways, _, nus) in enumerate(
             stopping_rule(params, [k])[1], 1):
-        live = len(above) - len(nus)
-        fan = fans[cls]
-        children = int(fan.sum())
+        # Each class's moves of a kind, times its parents, size the arrays.
+        ways = ways()
+        parents = np.bincount(cls, minlength=len(fans))
+        stopping, going = (int(parents @ counts) for counts, *_ in ways)
         # Every child is a word or has one below it.
-        if emitted + children > cap:
+        if emitted + stopping + going > cap:
             raise EnumerationCapError(
                 f"enumeration exceeded cap of {cap} words")
 
-        # Each class's stopped children, times its parents, size the
-        # length's arrays exactly.
-        halts = ((table >= live)
-                 & (np.arange(table.shape[1]) < fans[:, None])).sum(axis=1)
-        stopping = int(np.bincount(cls, minlength=len(fans)) @ halts)
-
         dtype = key_dtype(params, h)
-        done = np.empty(stopping, dtype=dtype)
-        done_ids = np.empty(stopping, dtype=np.min_scalar_type(len(nus)))
-        walk = np.empty(children - stopping, dtype=dtype)
-        walk_cls = np.empty(len(walk), dtype=np.intp)
-        walked = doned = 0
+        outs = ((np.empty(stopping, dtype),
+                 np.empty(stopping, np.min_scalar_type(len(nus)))),
+                (np.empty(going, dtype), np.empty(going, np.intp)))
+        at = [0, 0]
         for lo in range(0, len(keys), _CHUNK):
-            f = fan[lo:lo + _CHUNK]
-            parent = np.repeat(np.arange(lo, lo + len(f)), f)
-            position = np.arange(len(parent)) - np.repeat(np.cumsum(f) - f, f)
-            child = table[cls[parent], position]
-            grown = step(params, h, keys[parent], position)
-            stopped = child >= live
-            sel = np.flatnonzero(stopped)
-            span = slice(doned, doned + len(sel))
-            done[span] = grown[sel]
-            done_ids[span] = child[sel] - live
-            doned += len(sel)
-            sel = np.flatnonzero(~stopped)
-            span = slice(walked, walked + len(sel))
-            walk[span] = grown[sel]
-            walk_cls[span] = child[sel]
-            walked += len(sel)
+            c = cls[lo:lo + _CHUNK]
+            bases, rows, moves = spread(params, h, keys[lo:lo + _CHUNK])
+            for i, ((counts, ends, positions, classes), (out, ids)) in \
+                    enumerate(zip(ways, outs)):
+                if not len(positions):
+                    continue
+                # Parent t takes entries ends[c_t] - n_t to ends[c_t] - 1.
+                n = counts[c]
+                last = n.cumsum()
+                pick = (ends[c] - last).repeat(n) + np.arange(last[-1])
+                span = slice(at[i], at[i] + len(pick))
+                ids[span] = classes[pick]
+                to = positions[pick]
+                if rows is not None:
+                    to += rows.repeat(n)
+                np.add(bases.repeat(n), moves[to], out=out[span])
+                at[i] += len(pick)
 
         # An empty block is dropped by the store.
         emitted += stopping
-        blocks[h] = (done, done_ids, nus)
-        cls, keys = walk_cls, walk
+        blocks[h] = (*outs[0], nus)
+        keys, cls = outs[1]
     return PartitionLambdaK(params, k, blocks)
 
 
@@ -233,7 +229,7 @@ def stopped_statistics(params: DerivedParams, k: int) -> StoppedStats:
     counts = [1]                        # the empty word
     length_counts, nu_sums = {}, {}     # the profile
     states = 0
-    for h, (rises, table, groups, fans, above, nus) in enumerate(
+    for h, (rises, table, groups, fans, _, above, nus) in enumerate(
             stopping_rule(params, [k])[1], 1):
         live = len(above) - len(nus)
         states += live
@@ -282,7 +278,7 @@ def stopping_rule(params: DerivedParams, ks) -> tuple:
     class holds a word or a live prefix of one, and the rule ends at the
     deepest level's longest word.
 
-    ``rule`` yields ``(rises, table, groups, fans, above, nus)`` for
+    ``rule`` yields ``(rises, table, groups, fans, ways, above, nus)`` for
     h = 1, 2, ... while some class is live.  Live class c of length
     h - 1 takes the ``fans[c]`` moves of group ``groups[c]`` of
     ``_moves``: its first pending column's where ell rises at h, else
@@ -292,7 +288,11 @@ def stopping_rule(params: DerivedParams, ks) -> tuple:
     moves are 0.  Classes of length h number the live ones first:
     ``above[c]`` is the number of levels whose eta^k class c is
     still at or above, the deepest ones, and ``nus[c - live]`` is the
-    exact scaled mass of stopped class c.
+    exact scaled mass of stopped class c.  ``ways()``, which only the
+    enumerator calls, is each row's stopping moves, then its live ones,
+    as ``(counts, ends, positions, classes)``: row c's ``counts[c]``
+    positions, ascending, end at ``ends[c]``, each with the class it
+    reaches, a stopped one as its index in ``nus``.
 
     A sample's digits pick each position: ``picks[False][b]`` is the
     position of map index b at a length that keeps ell, and
@@ -324,6 +324,8 @@ def stopping_rule(params: DerivedParams, ks) -> tuple:
     width = {rises: max(map(len, groups)) for rises, groups in moves.items()}
     fans = {rises: np.array(list(map(len, groups)), dtype=np.intp)
             for rises, groups in moves.items()}
+    # Per group, whether each position is one of its moves.
+    held = {r: np.arange(width[r]) < f[:, None] for r, f in fans.items()}
     # nu / L^h >= eta^k exactly when nu * scale >= cut * L^h, with the
     # integer cut = eta^k * scale; ``bars`` holds the cuts times L^h.
     scale = params.eta.denominator ** max(ks)
@@ -365,14 +367,23 @@ def stopping_rule(params: DerivedParams, ks) -> tuple:
                 kids.extend([0] * (pad - len(out)))
             # Stopped classes are numbered after the live ones.
             kids = np.array(kids, dtype=np.intp).reshape(len(live), pad)
-            table = np.where(kids < 0, len(ids) + ~kids, kids)
+            stopped = kids < 0
+            table = np.where(stopped, len(ids) + ~kids, kids)
             live, nus = list(ids), list(stops)
             heads = np.array(heads, dtype=np.intp)
-            yield rises, table, heads, fans[rises][heads], np.array(
+            yield rises, table, heads, fans[rises][heads], partial(
+                _ways, kids, stopped, held[rises][heads]), np.array(
                 [ups[nu] for nu, _ in live] + [0] * len(nus),
                 dtype=np.min_scalar_type(len(cuts))), nus
 
     return picks, rule()
+
+
+def _ways(kids: np.ndarray, stopped: np.ndarray, held: np.ndarray) -> list:
+    # The rule's ways, from its rows before stopped classes are renumbered,
+    # where they stop and which of their positions are moves.
+    return [(n := mask.sum(axis=1), n.cumsum(), mask.nonzero()[1], to[mask])
+            for mask, to in ((stopped, ~kids), (held > stopped, kids))]
 
 
 @dataclass(frozen=True)

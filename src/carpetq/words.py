@@ -29,7 +29,7 @@ import numpy as np
 from .measure import DerivedParams
 
 __all__ = [
-    "WordError", "ell", "entropy_terms", "key_space", "key_dtype", "step",
+    "WordError", "ell", "entropy_terms", "key_space", "key_dtype", "spread",
     "family_stems", "stem_columns", "flat_predecessor",
     "block_predecessor", "swap_tail", "member", "KeySet",
     "predecessor_member", "class_counts", "class_entropy", "mass_sums",
@@ -157,35 +157,34 @@ def _ranks(r: np.ndarray) -> np.ndarray:
     return r.view(np.int64) if r.dtype == np.uint64 else r.astype(np.intp)
 
 
-def step(params: DerivedParams, h: int, keys: np.ndarray,
-         positions: np.ndarray) -> np.ndarray:
-    """The keys of length-h words from those of their flat predecessors.
-
-    ``keys`` are length h - 1 keys, one per word, and ``positions`` each
-    word's move at its position in its group (see
-    ``partition._moves``).  Where ell keeps its value at h, a word
-    appends the column of rank ``position`` in gy to its predecessor's
-    tail.  Where it rises, the predecessor's top tail digit j leaves the
-    tail for a new last cell (gx[j][position // |gy|], j), and the column
-    of rank ``position % |gy|`` is appended; a predecessor without a tail
-    (n = m) appends the cell of rank ``position``.
-    """
+def spread(params: DerivedParams, h: int, keys: np.ndarray) -> tuple:
+    """The keys of length-h words from the length h - 1 ``keys`` of their
+    flat predecessors, split once per predecessor: ``(bases, rows,
+    moves)``, so the word at position p of predecessor t's group of
+    moves (see ``partition._moves``) has key ``bases[t] + moves[rows[t]
+    + p]``, or ``bases[t] + moves[p]`` where ``rows`` is None.  Where ell
+    keeps its value at h, a word appends the column of rank p in gy to
+    its predecessor's tail.  Where it rises, the predecessor's top tail
+    digit j leaves the tail for a new last cell (gx[j][p // |gy|], j),
+    and the column of rank ``p % |gy|`` is appended; a predecessor
+    without a tail (n = m) appends the cell of rank p.  Only that middle
+    case, a promotion, has ``rows``."""
     lay = _layout(params)
     keys = _cast(params, h, keys)
     t = h - 1 - ell(params, h - 1)
-    if ell(params, h) + t == h - 1:
-        return keys * lay.c + positions.astype(np.uint64)
-    if not t:
-        return keys * lay.g + positions.astype(np.uint64)
+    rises = ell(params, h) + t > h - 1
+    if not (rises and t):
+        radix = lay.g if rises else lay.c
+        return keys * radix, None, np.arange(radix, dtype=keys.dtype)
     below = lay.c ** (t - 1)            # the span of the tail under its top
     head, rest = _divmod(keys, below)
     head, top = _divmod(head, lay.c)
     # What each move adds under the head, by top digit and position: the
     # new cell, then the tail below the top digit, then the new column.
     moves = (lay.promote.astype(keys.dtype)[:, :, None] * (below * lay.c)
-             + np.arange(lay.c, dtype=np.uint64)).reshape(lay.c, -1)
-    return ((head * (lay.g * below) + rest) * lay.c
-            + moves[_ranks(top), positions])
+             + np.arange(lay.c, dtype=keys.dtype)).reshape(lay.c, -1)
+    return ((head * (lay.g * below) + rest) * lay.c,
+            _ranks(top) * moves.shape[1], moves.ravel())
 
 
 def _split(params: DerivedParams, h: int, keys: np.ndarray) -> tuple:
@@ -302,10 +301,10 @@ class KeySet:
     length's keys are ``uint64`` and ``key_space(params, h)`` is at most
     ``_SLOTS`` slots per key gathered, the set is a bool table over the
     key space (``dense``), no more bytes than a sorted ``uint64`` copy
-    of the keys: adding keys is one scatter and a lookup one ``take``,
-    which needs no bounds mask, since every length-h key is below the
-    key space.  Otherwise it holds ascending runs of distinct keys, one
-    per array added, and a lookup is a binary search in each run.
+    of the keys: adding keys is one index assignment and a lookup one
+    ``take``, which needs no bounds mask, since every length-h key is
+    below the key space.  Otherwise it holds ascending runs of distinct
+    keys, one per array added, and a lookup is a binary search in each run.
     """
 
     __slots__ = ("dtype", "dense", "_table", "_runs", "_gathered")
@@ -324,7 +323,7 @@ class KeySet:
         is already ``ascending`` and distinct."""
         self._gathered += len(keys)
         if self.dense:
-            self._table.put(keys.view(np.int64), True)
+            self._table[keys.view(np.int64)] = True
         elif len(keys):
             # The default sort: faster than timsort on keys in walk
             # order, and it needs no buffer beside the copy.

@@ -1,6 +1,7 @@
 """Blockwise coding order, replacement stages, antichain certification."""
 
 import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from carpetq.coding import (
     AntichainCollisionError, AntichainInvariantError, build_antichain,
     verify_maximal_antichain, xi_sequence,
 )
-from carpetq.partition import enumerate_lambda_k
+from carpetq.partition import check_square_disjointness, enumerate_lambda_k
 from carpetq import words as words_mod
 from carpetq.words import WordError, block_predecessor, ell
 from oracles import (
@@ -215,6 +216,22 @@ def test_stage_accounting(cache_a, cache_d):
         assert size == chain.size
         assert shift == pytest.approx(
             chain.entropy_sum - chain.base_entropy_sum, abs=1e-9)
+
+
+@pytest.mark.parametrize("carpet,k,stages", [("a", 6, 1), ("d", 4, 15)])
+def test_certify_counts_are_plain_ints(request, carpet, k, stages):
+    # The benchmark's worker sums these counts into its JSON report, so
+    # each must be a Python int: ``json.dumps`` rejects a numpy integer.
+    cache = request.getfixturevalue(f"cache_{carpet}")
+    part, chain = cache.partition(k), cache.antichain(k)
+    assert len(chain.stage_logs) == stages
+    counts = [part.phi_k, check_square_disjointness(part).checked,
+              chain.size, verify_maximal_antichain(chain).size]
+    counts += [getattr(log, name) for log in chain.stage_logs
+               for name in ("family_count", "removed_count",
+                            "inserted_count")]
+    assert {type(count) for count in counts} == {int}
+    assert json.loads(json.dumps(counts)) == counts
 
 
 # Per level: the stage count and the sha256 of one line per stage,

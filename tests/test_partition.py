@@ -90,6 +90,12 @@ WALK_DIGESTS = {
                 "-0x1.a5b5e67b5d2d9p+3"),
     ("skewed", 1): ("cbb6a2b947b46872c0982a0173030f1a76da82b572011474199484656b2bbffc",
                      "-0x1.5c742bc065c25p+3"),
+    # 8,174 words whose move positions run past 255.
+    ("many", 1): ("9a23cc13c2c9a266d614d713b5604f1045e858bf3eb6ded6b15f9a041fec5ba3",
+                  "-0x1.0eb47003d3a27p+3"),
+    # 160,000 words of 400 maps, with no tail.
+    ("wide", 1): ("20037473375bb4a04f31c43a5094fbaa5c4b8baa83784f84da6fc211edaa478e",
+                  "-0x1.7f7427b73e394p+3"),
 }
 
 
@@ -219,13 +225,28 @@ def test_rule_checks_its_levels(carpet_a, k):
 def test_rule_tables_hold_live_rows(request, carpet, ks):
     # Each table has one row per live class of the length before (the
     # empty word's one row first), and a class is live exactly while it
-    # is above some level, until no class is.
+    # is above some level, until no class is.  Each class's moves split
+    # into its stopping and its live positions, each ascending, and each
+    # names the class its table entry does.
     params = request.getfixturevalue(f"carpet_{carpet}")
     live = 1
-    for _, table, groups, fans, above, nus in stopping_rule(params, ks)[1]:
+    for _, table, groups, fans, ways, above, nus in stopping_rule(
+            params, ks)[1]:
         assert table.shape[0] == len(groups) == len(fans) == live
         live = len(above) - len(nus)
         assert above[:live].all() and not above[live:].any()
+        stops, goes = ways()
+        for c, fan in enumerate(fans.tolist()):
+            split = []
+            for (counts, ends, positions, classes), base in (
+                    (stops, live), (goes, 0)):
+                assert ends.tolist() == np.cumsum(counts).tolist()
+                at = slice(ends[c] - counts[c], ends[c])
+                split.append(positions[at].tolist())
+                assert (classes[at] + base).tolist() \
+                    == table[c, positions[at]].tolist()
+            assert split == [[p for p in range(fan) if table[c, p] >= live],
+                             [p for p in range(fan) if table[c, p] < live]]
     assert live == 0
 
 
@@ -446,7 +467,7 @@ def _assert_every_class_holds_a_word(params, part):
             ys[at:at + len(keys), l:size] = rows[:, 2 * l:]
             at += len(keys)
         cls = np.zeros(len(ids), dtype=np.intp)
-        for h, (rises, table, _, fans, above, nus) in enumerate(
+        for h, (rises, table, _, fans, _, above, nus) in enumerate(
                 rule[:top], 1):
             a = ell(params, h) - 1        # the cell a rising move adds
             if not rises:

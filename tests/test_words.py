@@ -16,7 +16,7 @@ from carpetq.partition import check_square_disjointness, enumerate_lambda_k
 from carpetq.words import (
     KeySet, WordColumns, WordError, block_predecessor, class_entropy, ell,
     entropy_terms, family_stems, key_dtype, key_space, member,
-    stem_columns, step, swap_tail,
+    spread, stem_columns, swap_tail,
 )
 from oracles import (
     CarpetWord, RowIndex, carpet_children, coding_predecessor, decode_key,
@@ -350,9 +350,9 @@ def _check_key_moves(params, h, batch, picks):
          [coding_predecessor(params, w) for w in batch])
     # The step from the flat predecessor back to each word, at the
     # word's position in its group of moves.
-    grown = step(params, h, keys_of(params, h - 1, flat),
-                 np.array([_position(params, h, w) for w in batch]))
-    same(grown, h, batch)
+    bases, rows, moves = spread(params, h, keys_of(params, h - 1, flat))
+    at = np.array([_position(params, h, w) for w in batch])
+    same(bases + moves[at if rows is None else rows + at], h, batch)
     for w in batch:
         assert w in carpet_children(params, flat_predecessor(params, w))
     if l and h > l:
@@ -542,6 +542,11 @@ def test_key_set_representations(carpet_d):
     # Object keys never take the table.
     assert key_dtype(carpet_d, 65) == object
     assert not _assert_key_set(carpet_d, 65, [[0, 2 ** 65 - 1] * 8])
+    # A key outside the key space does not fit the table.
+    table = KeySet(carpet_d, 5, 4)
+    assert table.dense
+    with pytest.raises(IndexError):
+        table.add(np.array([top + 1], dtype=np.uint64))
 
 
 # Per certificate, the lengths at which each walk's key sets are tables
